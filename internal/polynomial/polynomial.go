@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"repro/internal/query"
 )
@@ -111,14 +110,6 @@ type term struct {
 	stats  []int         // sorted multi-statistic indexes in S
 }
 
-func (t term) key() string {
-	parts := make([]string, len(t.stats))
-	for i, s := range t.stats {
-		parts[i] = fmt.Sprintf("%d", s)
-	}
-	return strings.Join(parts, ",")
-}
-
 // Compressed is the factorized polynomial structure. It depends only on the
 // domain sizes and the multi-dimensional statistic specifications, not on
 // the variable values. Alongside the terms it keeps two inverted indexes
@@ -188,62 +179,79 @@ func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error
 	return c, nil
 }
 
-// buildTerms seeds with the base term and one singleton term per statistic,
-// then repeatedly combines compatible terms until a fixpoint.
+// buildTerms enumerates the compatible statistic sets level by level
+// (|S| = 0, 1, 2, ...), extending each term of the previous level only with
+// statistics j > max(S). Compatibility is hereditary — every subset of a
+// compatible set is compatible — so each set S is produced exactly once,
+// from S \ {max(S)}, and the terms come out already ordered by
+// (|S|, lexicographic S): no deduplication and no sort. The cost is one
+// allocation-free compatibility walk per (term, later statistic) pair plus
+// the surviving terms themselves.
 func (c *Compressed) buildTerms() {
-	seen := make(map[string]struct{})
-	base := term{}
-	c.terms = []term{base}
-	seen[base.key()] = struct{}{}
-
-	frontier := make([]term, 0, len(c.specs))
-	for j, spec := range c.specs {
-		t := term{
-			attrs:  append([]int(nil), spec.Attrs...),
-			ranges: append([]query.Range(nil), spec.Ranges...),
-			stats:  []int{j},
-		}
-		c.terms = append(c.terms, t)
-		seen[t.key()] = struct{}{}
-		frontier = append(frontier, t)
-	}
-
-	// Combine existing terms with singleton statistics until no new
-	// compatible sets appear. Because every compatible set can be built by
-	// adding one statistic at a time to a compatible subset, pairing the
-	// frontier against singletons is sufficient to enumerate them all.
-	for len(frontier) > 0 {
-		var next []term
-		for _, t := range frontier {
-			for j := range c.specs {
-				nt, ok := c.combine(t, j)
-				if !ok {
-					continue
+	c.terms = []term{{}}
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(c.terms) {
+		for i := lo; i < hi; i++ {
+			t := c.terms[i]
+			first := 0
+			if n := len(t.stats); n > 0 {
+				first = t.stats[n-1] + 1
+			}
+			for j := first; j < len(c.specs); j++ {
+				if t.compatible(c.specs[j]) {
+					c.terms = append(c.terms, t.extend(j, c.specs[j]))
 				}
-				k := nt.key()
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				c.terms = append(c.terms, nt)
-				next = append(next, nt)
 			}
 		}
-		frontier = next
 	}
+}
 
-	sort.Slice(c.terms, func(i, k int) bool {
-		ti, tk := c.terms[i], c.terms[k]
-		if len(ti.stats) != len(tk.stats) {
-			return len(ti.stats) < len(tk.stats)
+// compatible reports whether the statistic's range intersects the term's
+// effective range ρ_iS on every attribute they share, by a merge walk over
+// the two sorted attribute lists.
+func (t term) compatible(spec MultiStatSpec) bool {
+	k := 0
+	for i, a := range spec.Attrs {
+		for k < len(t.attrs) && t.attrs[k] < a {
+			k++
 		}
-		return ti.key() < tk.key()
-	})
+		if k < len(t.attrs) && t.attrs[k] == a && !t.ranges[k].Overlaps(spec.Ranges[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// extend returns the term for S ∪ {j}, j > max(S): the merged attribute
+// list with the ranges intersected on shared attributes. The statistic must
+// be compatible with the term.
+func (t term) extend(j int, spec MultiStatSpec) term {
+	n := len(t.attrs) + len(spec.Attrs)
+	nt := term{
+		attrs:  make([]int, 0, n),
+		ranges: make([]query.Range, 0, n),
+		stats:  append(append(make([]int, 0, len(t.stats)+1), t.stats...), j),
+	}
+	k := 0
+	for i, a := range spec.Attrs {
+		for ; k < len(t.attrs) && t.attrs[k] < a; k++ {
+			nt.attrs = append(nt.attrs, t.attrs[k])
+			nt.ranges = append(nt.ranges, t.ranges[k])
+		}
+		r := spec.Ranges[i]
+		if k < len(t.attrs) && t.attrs[k] == a {
+			r = r.Intersect(t.ranges[k])
+			k++
+		}
+		nt.attrs = append(nt.attrs, a)
+		nt.ranges = append(nt.ranges, r)
+	}
+	nt.attrs = append(nt.attrs, t.attrs[k:]...)
+	nt.ranges = append(nt.ranges, t.ranges[k:]...)
+	return nt
 }
 
 // buildIndexes derives the inverted variable→term indexes from the final
-// (sorted) term list. Must run after buildTerms: the indexes store term
-// positions.
+// term list. Must run after buildTerms: the indexes store term positions.
 func (c *Compressed) buildIndexes() {
 	c.touch = make([][][]int32, len(c.sizes))
 	c.loose = make([][]int32, len(c.sizes))
@@ -311,41 +319,6 @@ func (c *Compressed) touchedCount(attrs []int, buf []uint64) int {
 	return n
 }
 
-// combine extends term t with statistic j. It returns false when j is
-// already in t or when the combined per-attribute projections have an empty
-// intersection (ρ_iS ≡ false for some attribute).
-func (c *Compressed) combine(t term, j int) (term, bool) {
-	for _, s := range t.stats {
-		if s == j {
-			return term{}, false
-		}
-	}
-	spec := c.specs[j]
-	attrs := append([]int(nil), t.attrs...)
-	ranges := append([]query.Range(nil), t.ranges...)
-	for k, a := range spec.Attrs {
-		r := spec.Ranges[k]
-		pos := sort.SearchInts(attrs, a)
-		if pos < len(attrs) && attrs[pos] == a {
-			inter := ranges[pos].Intersect(r)
-			if inter.Empty() {
-				return term{}, false
-			}
-			ranges[pos] = inter
-			continue
-		}
-		attrs = append(attrs, 0)
-		ranges = append(ranges, query.Range{})
-		copy(attrs[pos+1:], attrs[pos:])
-		copy(ranges[pos+1:], ranges[pos:])
-		attrs[pos] = a
-		ranges[pos] = r
-	}
-	stats := append(append([]int(nil), t.stats...), j)
-	sort.Ints(stats)
-	return term{attrs: attrs, ranges: ranges, stats: stats}, true
-}
-
 // NumAttrs returns the number of attributes m.
 func (c *Compressed) NumAttrs() int { return len(c.sizes) }
 
@@ -408,16 +381,13 @@ func (c *Compressed) Size() SizeReport {
 	}
 	rep.UncompressedMonomials = d
 	for _, t := range c.terms {
-		inTerm := make(map[int]query.Range, len(t.attrs))
-		for k, a := range t.attrs {
-			inTerm[a] = t.ranges[k]
-		}
+		k := 0
 		for a, n := range c.sizes {
-			if r, ok := inTerm[a]; ok {
-				rep.CompressedFactors += int64(r.Len())
-			} else {
-				rep.CompressedFactors += int64(n)
+			if k < len(t.attrs) && t.attrs[k] == a {
+				n = t.ranges[k].Len()
+				k++
 			}
+			rep.CompressedFactors += int64(n)
 		}
 		rep.CompressedFactors += int64(len(t.stats))
 	}

@@ -82,9 +82,22 @@ func NewSystem(poly *Compressed) *System {
 	return s
 }
 
+// NewSystemFrom creates a System over the polynomial holding a copy of the
+// given variable values (alpha per attribute and domain value, delta per
+// multi-dimensional statistic), with the term caches built by one full
+// rebuild — the bulk counterpart of NewSystem followed by one Set per
+// variable, and how a snapshot restores solved weights.
+func NewSystemFrom(poly *Compressed, alpha [][]float64, delta []float64) (*System, error) {
+	s := newSystemShell(poly)
+	if err := s.checkShape(alpha, delta); err != nil {
+		return nil, err
+	}
+	s.load(alpha, delta)
+	return s, nil
+}
+
 // newSystemShell allocates a System with every variable at 1 but leaves the
-// term caches unbuilt; callers must rebuild (possibly after overwriting the
-// variable values, as Clone does) before use.
+// term caches unbuilt; callers must rebuild or load before use.
 func newSystemShell(poly *Compressed) *System {
 	s := &System{poly: poly}
 	s.alpha = make([][]float64, len(poly.sizes))
@@ -273,11 +286,7 @@ func (s *System) Set(v VarRef, x float64) {
 // serves as a drift-free re-evaluation of the same variable assignment.
 func (s *System) Clone() *System {
 	c := newSystemShell(s.poly)
-	for i := range s.alpha {
-		copy(c.alpha[i], s.alpha[i])
-	}
-	copy(c.delta, s.delta)
-	c.rebuild()
+	c.load(s.alpha, s.delta)
 	return c
 }
 
@@ -287,23 +296,39 @@ func (s *System) Clone() *System {
 // structures need not be the same object, which lets a freshly built
 // system warm-start from a previously solved one.
 func (s *System) CopyVarsFrom(other *System) error {
-	if len(s.alpha) != len(other.alpha) || len(s.delta) != len(other.delta) {
+	if err := s.checkShape(other.alpha, other.delta); err != nil {
+		return err
+	}
+	s.load(other.alpha, other.delta)
+	return nil
+}
+
+// checkShape reports whether the value slices match the system's domain
+// sizes and multi-statistic count.
+func (s *System) checkShape(alpha [][]float64, delta []float64) error {
+	if len(s.alpha) != len(alpha) || len(s.delta) != len(delta) {
 		return fmt.Errorf("polynomial: shape mismatch: %d/%d attributes, %d/%d statistics",
-			len(s.alpha), len(other.alpha), len(s.delta), len(other.delta))
+			len(s.alpha), len(alpha), len(s.delta), len(delta))
 	}
 	for a := range s.alpha {
-		if len(s.alpha[a]) != len(other.alpha[a]) {
+		if len(s.alpha[a]) != len(alpha[a]) {
 			return fmt.Errorf("polynomial: attribute %d has domain size %d here, %d there",
-				a, len(s.alpha[a]), len(other.alpha[a]))
+				a, len(s.alpha[a]), len(alpha[a]))
 		}
 	}
+	return nil
+}
+
+// load copies a shape-checked variable assignment into the system and
+// rebuilds every cache from it: the one values → caches path behind
+// NewSystemFrom, Clone and CopyVarsFrom.
+func (s *System) load(alpha [][]float64, delta []float64) {
 	for a := range s.alpha {
-		copy(s.alpha[a], other.alpha[a])
+		copy(s.alpha[a], alpha[a])
 		s.dirty[a] = true
 	}
-	copy(s.delta, other.delta)
+	copy(s.delta, delta)
 	s.rebuild()
-	return nil
 }
 
 // Variables returns references to every variable of the system: all α

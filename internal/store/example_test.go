@@ -57,6 +57,6 @@ func Example() {
 	restored, _ := est.EstimateCount(pred)
 	fmt.Printf("bit-identical answers: %v\n", orig == restored)
 	// Output:
-	// saved v1 (188 bytes)
+	// saved v1 (187 bytes)
 	// bit-identical answers: true
 }

@@ -164,7 +164,10 @@ func (s *Summary) encode(w *encoder) {
 	w.uvarint(uint64(s.report.Sweeps))
 	w.f64(s.report.MaxViolation)
 	w.bool(s.report.Converged)
-	w.uvarint(uint64(s.report.Duration))
+	// The solve's wall-clock time is not part of the model: writing it would
+	// make the same model encode to a different length and checksum on every
+	// build. The slot stays (as 0) so the wire layout is unchanged.
+	w.uvarint(0)
 	w.uvarint(uint64(s.report.Constraints))
 
 	// Converged variable weights, raw IEEE 754 bits.
@@ -291,20 +294,14 @@ func decodeSummary(r *decoder) (*Summary, error) {
 	if err != nil {
 		return fail(err)
 	}
-	sys := polynomial.NewSystem(comp)
-	for a, col := range alpha {
-		for v, x := range col {
-			sys.SetOneD(a, v, x)
-		}
+	// NewSystemFrom's single full rebuild recomputes the cached P with
+	// exactly the summation order the solver's final sweep used, so the
+	// normalization constant — and with it every answer — matches the fresh
+	// build bit-for-bit.
+	sys, err := polynomial.NewSystemFrom(comp, alpha, delta)
+	if err != nil {
+		return fail(err)
 	}
-	for j, x := range delta {
-		sys.SetMulti(j, x)
-	}
-	// A full deterministic rebuild recomputes the cached P with exactly the
-	// summation order the solver's final sweep used, so the normalization
-	// constant — and with it every answer — matches the fresh build
-	// bit-for-bit.
-	sys.Recompute()
 	p := sys.Eval(nil)
 	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 		return fail(fmt.Errorf("restored polynomial evaluates to %g; snapshot is degenerate", p))

@@ -1,0 +1,267 @@
+package summary
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/polynomial"
+	"repro/internal/query"
+	"repro/internal/relation"
+	"repro/internal/schema"
+	"repro/internal/solver"
+	"repro/internal/stats"
+)
+
+// flightsShapedRelation draws a relation with the shape of the repository
+// benchmark's flights table: five attributes with its domain sizes, a
+// skewed origin, a dozen destinations per origin, and a distance the route
+// fixes up to a small jitter — so the two most correlated pairs share an
+// attribute and their statistics combine into cross-pair terms. The last
+// origin never occurs, which leaves one α pinned at exactly 0.
+func flightsShapedRelation(tb testing.TB, rows int, seed int64) *relation.Relation {
+	tb.Helper()
+	const dates, airports, times, dists, routes = 307, 54, 62, 81, 12
+	sch := schema.MustNew(
+		schema.MustBinned("fl_date", 0, dates, dates),
+		schema.MustBinned("origin", 0, airports, airports),
+		schema.MustBinned("dest", 0, airports, airports),
+		schema.MustBinned("fl_time", 0, times, times),
+		schema.MustBinned("distance", 0, dists, dists),
+	)
+	rng := rand.New(rand.NewSource(seed))
+	rel := relation.NewWithCapacity(sch, rows)
+	for i := 0; i < rows; i++ {
+		u := rng.Float64()
+		origin := int(u * u * (airports - 1)) // 0..airports-2
+		dest := (origin*5 + 1 + 4*rng.Intn(routes)) % airports
+		gap := origin - dest
+		if gap < 0 {
+			gap = -gap
+		}
+		dist := gap*(dists-5)/airports + rng.Intn(5)
+		rel.MustAppend([]int{rng.Intn(dates), origin, dest, rng.Intn(times), dist})
+	}
+	return rel
+}
+
+// flightsShapedSummary builds the benchmark-shaped model: two COMPOSITE
+// pairs of perPair rectangles each. The sweep budget is tiny — restore
+// equivalence is about the weights the solver left, not about convergence.
+func flightsShapedSummary(tb testing.TB, perPair int) *Summary {
+	tb.Helper()
+	rel := flightsShapedRelation(tb, 60000, 7)
+	sum, err := Build(rel, Options{
+		PairBudget:    2,
+		PerPairBudget: perPair,
+		Heuristic:     stats.Composite,
+		Solver:        solver.Options{MaxSweeps: 3},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sum
+}
+
+// systemValues reads every α and δ out of a system.
+func systemValues(sys *polynomial.System) ([][]float64, []float64) {
+	sizes := sys.Poly().DomainSizes()
+	alpha := make([][]float64, len(sizes))
+	for a, n := range sizes {
+		alpha[a] = make([]float64, n)
+		for v := range alpha[a] {
+			alpha[a][v] = sys.OneD(a, v)
+		}
+	}
+	delta := make([]float64, sys.Poly().NumMultiStats())
+	for j := range delta {
+		delta[j] = sys.MultiVar(j)
+	}
+	return alpha, delta
+}
+
+// sameBits fails the test unless two systems hold bit-identical variables,
+// totals, and masked evaluations of every probe.
+func sameBits(t *testing.T, what string, got, want *polynomial.System, probes []*query.Predicate) {
+	t.Helper()
+	ga, gd := systemValues(got)
+	wa, wd := systemValues(want)
+	for a := range wa {
+		for v := range wa[a] {
+			if math.Float64bits(ga[a][v]) != math.Float64bits(wa[a][v]) {
+				t.Fatalf("%s: α[%d,%d] = %v, want %v", what, a, v, ga[a][v], wa[a][v])
+			}
+		}
+	}
+	for j := range wd {
+		if math.Float64bits(gd[j]) != math.Float64bits(wd[j]) {
+			t.Fatalf("%s: δ[%d] = %v, want %v", what, j, gd[j], wd[j])
+		}
+	}
+	if math.Float64bits(got.Total()) != math.Float64bits(want.Total()) {
+		t.Fatalf("%s: Total() = %v, want %v", what, got.Total(), want.Total())
+	}
+	for i, pred := range probes {
+		if g, w := got.Eval(pred), want.Eval(pred); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: probe %d (%v): Eval = %v, want %v", what, i, pred, g, w)
+		}
+	}
+}
+
+// TestRestoreEquivalenceFlightsShape checks, on a model of the benchmark's
+// shape, that the bulk restore (polynomial.NewSystemFrom, and through it the
+// codec) reproduces what the per-variable replay it replaced produced —
+// NewSystem, one Set per variable, Recompute — bit for bit: every weight,
+// the normalization constant, and 1-, 2- and 3-attribute point and range
+// estimates. A second assignment with extra zero weights covers the
+// zero-factor bookkeeping of the term caches.
+func TestRestoreEquivalenceFlightsShape(t *testing.T) {
+	sum := flightsShapedSummary(t, 120)
+	poly := sum.System().Poly()
+	if poly.NumAttrs() != 5 || poly.NumTerms() < 2000 {
+		t.Fatalf("model has %d attributes and %d terms, want 5 and ≥ 2000", poly.NumAttrs(), poly.NumTerms())
+	}
+	pairs := sum.ChosenPairs()
+	if len(pairs) != 2 {
+		t.Fatalf("%d pairs chosen, want 2", len(pairs))
+	}
+	shared := -1
+	for _, a := range []int{pairs[0].A1, pairs[0].A2} {
+		if a == pairs[1].A1 || a == pairs[1].A2 {
+			shared = a
+		}
+	}
+	if shared < 0 {
+		t.Fatalf("chosen pairs %+v do not share an attribute", pairs)
+	}
+	if got := sum.System().OneD(1, 53); got != 0 {
+		t.Fatalf("the absent origin's α = %v, want an exact 0", got)
+	}
+
+	n := func(a int) int { return sum.Schema().Attr(a).Size() }
+	probes := []*query.Predicate{
+		query.NewPredicate(5).WhereEq(1, 3),
+		query.NewPredicate(5).WhereEq(1, 53),
+		query.NewPredicate(5).WhereRange(4, 10, 40),
+		query.NewPredicate(5).WhereEq(1, 3).WhereEq(2, 16),
+		query.NewPredicate(5).WhereRange(1, 0, 20).WhereRange(2, 5, 30),
+		query.NewPredicate(5).WhereEq(1, 3).WhereEq(2, 16).WhereEq(4, 20),
+		query.NewPredicate(5).WhereRange(0, 0, n(0)/2).WhereRange(shared, 2, n(shared)-3).WhereRange(4, 0, 60),
+		query.NewPredicate(5).WhereIn(1, 1, 5, 9).WhereRange(3, 4, 30).WhereEq(2, 21),
+	}
+
+	replay := func(alpha [][]float64, delta []float64) *polynomial.System {
+		sys := polynomial.NewSystem(poly)
+		for a, col := range alpha {
+			for v, x := range col {
+				sys.SetOneD(a, v, x)
+			}
+		}
+		for j, x := range delta {
+			sys.SetMulti(j, x)
+		}
+		sys.Recompute()
+		sys.Eval(nil)
+		return sys
+	}
+
+	alpha, delta := systemValues(sum.System())
+	bulk, err := polynomial.NewSystemFrom(poly, alpha, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk.Eval(nil)
+	sameBits(t, "NewSystemFrom vs replay", bulk, replay(alpha, delta), probes)
+	sameBits(t, "NewSystemFrom vs solved", bulk, sum.System(), probes)
+
+	// NewSystemFrom copies: the caller's slices stay the caller's.
+	alpha[1][3] = -1
+	if bulk.OneD(1, 3) == -1 {
+		t.Fatal("NewSystemFrom aliases the caller's alpha")
+	}
+	alpha[1][3] = sum.System().OneD(1, 3)
+
+	// Zero weights inside and outside statistic ranges, and a δ of exactly 1
+	// (a zero (δ−1) factor).
+	alpha[1][3], alpha[2][16], alpha[0][0], delta[0], delta[len(delta)-1] = 0, 0, 0, 1, 0
+	zeroed, err := polynomial.NewSystemFrom(poly, alpha, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed.Eval(nil)
+	sameBits(t, "zeroed NewSystemFrom vs replay", zeroed, replay(alpha, delta), probes)
+
+	if _, err := polynomial.NewSystemFrom(poly, alpha[:4], delta); err == nil {
+		t.Fatal("NewSystemFrom accepted an alpha missing an attribute")
+	}
+	if _, err := polynomial.NewSystemFrom(poly, alpha, delta[1:]); err == nil {
+		t.Fatal("NewSystemFrom accepted a short delta")
+	}
+
+	// Build → Encode → Decode.
+	dec := roundTrip(t, sum).(*Summary)
+	sameBits(t, "decoded vs built", dec.System(), sum.System(), probes)
+	for i, pred := range probes {
+		want, err := sum.EstimateCount(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.EstimateCount(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("probe %d (%v): decoded EstimateCount = %v, built = %v", i, pred, got, want)
+		}
+	}
+}
+
+// TestEncodingIsDeterministic checks that two builds of the same relation
+// encode byte-identically: the snapshot is a function of the model, not of
+// how long the solve happened to take.
+func TestEncodingIsDeterministic(t *testing.T) {
+	var first []byte
+	for run := 0; run < 3; run++ {
+		rel := codecTestRelation(t, 3000, 5)
+		sum, err := Build(rel, Options{Solver: solver.Options{MaxSweeps: 60}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.SolverReport().Duration <= 0 {
+			t.Fatal("the solve reported no wall-clock time; the test would not notice it leaking into the bytes")
+		}
+		var buf bytes.Buffer
+		if err := EncodeEstimator(&buf, sum); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("build %d encodes to %d bytes that differ from build 0's %d bytes", run, buf.Len(), len(first))
+		}
+	}
+}
+
+// BenchmarkDecodeEstimator measures snapshot restore — decode, structure
+// rebuild, and one cache rebuild — at the repository benchmark's model shape
+// (2 pairs x 300 statistics, ~10k terms): the cost under store.Load, the
+// server's History first hit, and a replica's import.
+func BenchmarkDecodeEstimator(b *testing.B) {
+	sum := flightsShapedSummary(b, 300)
+	var buf bytes.Buffer
+	if err := EncodeEstimator(&buf, sum); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("flights", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(float64(sum.System().Poly().NumTerms()), "terms")
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeEstimator(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -198,7 +198,8 @@ func (s *Summary) Constraints() []solver.Constraint { return s.constraints }
 // statistics, most correlated first.
 func (s *Summary) ChosenPairs() []stats.PairCorrelation { return s.pairs }
 
-// SolverReport returns the outcome of the MaxEnt solve.
+// SolverReport returns the outcome of the MaxEnt solve. Duration is zero on
+// a summary restored from a snapshot: wall-clock time is not persisted.
 func (s *Summary) SolverReport() solver.Report { return s.report }
 
 // ApproxBytes estimates the serialized footprint of the summary: one
