@@ -896,23 +896,8 @@ func (s *System) derivOneDPruned(attr, value int, sc *evalScratch) (float64, boo
 	if len(sc.attrs) == 0 {
 		return s.derivOneDCached(attr, value), true
 	}
-	scaleExcl := 1.0
-	var sMask uint64
-	for _, a := range sc.attrs {
-		if a == attr {
-			continue
-		}
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
-		if f == 0 {
-			return 0, false
-		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scaleExcl *= m / f
-		sMask |= 1 << uint(a)
-	}
-	if !isFinite(scaleExcl) {
+	scaleExcl, sMask, ok := s.maskScale(sc, attr)
+	if !ok {
 		return 0, false
 	}
 	total := 0.0
@@ -923,6 +908,31 @@ func (s *System) derivOneDPruned(attr, value int, sc *evalScratch) (float64, boo
 		total += s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
 	}
 	return total, true
+}
+
+// maskScale prepares a masked derivative pass: for every constrained
+// attribute a except skip (the differentiated attribute; -1 for none) it
+// records the masked full-domain sum M_a in sc.maskedF and returns
+// Π M_a/F_a — the rescale of a term constraining none of them — with their
+// bitmask. ok is false when some full-domain sum F_a is zero or the scale is
+// not finite; the caller must then fall back to the full walk.
+func (s *System) maskScale(sc *evalScratch, skip int) (scale float64, sMask uint64, ok bool) {
+	scale = 1.0
+	for _, a := range sc.attrs {
+		if a == skip {
+			continue
+		}
+		full := fullRange(len(s.alpha[a]))
+		f := s.rangeSum(a, full)
+		if f == 0 {
+			return 0, 0, false
+		}
+		m := s.maskedSumSC(sc, a, full)
+		sc.maskedF[a] = m
+		scale *= m / f
+		sMask |= 1 << uint(a)
+	}
+	return scale, sMask, isFinite(scale)
 }
 
 // maskedExceptAttr returns term i's masked product of all factors except
@@ -948,6 +958,54 @@ func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch, sMask uint64, sc
 	return val
 }
 
+// DerivColumn fills out[v] = ∂P_π/∂α_{attr,v} for every value v of the
+// attribute (out must hold at least N_attr entries; a nil predicate is the
+// unmasked polynomial) in one pass over the terms instead of one masked
+// derivative per value — by Eq. (8), n·α_v·out[v]/P is then a whole group-by
+// column. The terms of loose[attr] contribute the same amount to every
+// value and are summed once; each term of constrained[attr] computes its
+// masked all-but-attr product once and adds it to the values of its
+// effective range; values the predicate excludes on attr itself are zero.
+// The cost is O(terms·|S| + Σ range lengths). Shapes the pruned path cannot
+// cover fall back to one full-walk derivOneD per value, as Eval falls back
+// to evalFullWalk.
+func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
+	s.refreshAll()
+	sc := s.getScratch(pred)
+	defer s.putScratch(sc)
+	out = out[:len(s.alpha[attr])]
+	p := s.poly
+	scaleExcl, sMask, ok := s.maskScale(sc, attr)
+	if !ok || p.attrBits == nil {
+		for v := range out {
+			out[v] = s.derivOneD(attr, v, sc.cons)
+		}
+		return
+	}
+	shared := 0.0
+	for _, ti := range p.loose[attr] {
+		shared += s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
+	}
+	for v := range out {
+		out[v] = 0
+	}
+	conR := p.conRanges[attr]
+	for idx, ti := range p.constrained[attr] {
+		x := s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
+		for v := conR[idx].Lo; v <= conR[idx].Hi; v++ {
+			out[v] += x
+		}
+	}
+	cons := sc.cons[attr]
+	for v := range out {
+		if cons.Matches(v) {
+			out[v] += shared
+		} else {
+			out[v] = 0
+		}
+	}
+}
+
 // derivMultiPruned computes ∂(masked P)/∂δ_stat over statTerms[stat] using
 // the cached factor products: the (δ_stat − 1) factor is removed
 // term-locally and only the constrained attributes' factors are swapped
@@ -961,20 +1019,8 @@ func (s *System) derivMultiPruned(stat int, sc *evalScratch) (float64, bool) {
 	if len(sc.attrs) == 0 {
 		return s.derivMultiCached(stat), true
 	}
-	scale := 1.0
-	var sMask uint64
-	for _, a := range sc.attrs {
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
-		if f == 0 {
-			return 0, false
-		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scale *= m / f
-		sMask |= 1 << uint(a)
-	}
-	if !isFinite(scale) {
+	scale, sMask, ok := s.maskScale(sc, -1)
+	if !ok {
 		return 0, false
 	}
 	d := s.delta[stat] - 1

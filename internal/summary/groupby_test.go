@@ -1,0 +1,282 @@
+package summary
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/query"
+	"repro/internal/solver"
+)
+
+// TestGroupByRejectsRepeatedAttribute: grouping twice by one attribute has
+// only diagonal groups, which the per-attribute pinning cannot express (the
+// second pin would overwrite the first and every cell would be a phantom),
+// so both model estimators reject it like the HTTP layer does.
+func TestGroupByRejectsRepeatedAttribute(t *testing.T) {
+	rel := testRelation(t, 1200, 5)
+	single, err := Build(rel, Options{Solver: solver.Options{MaxSweeps: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := BuildPartitioned(rel, PartitionedOptions{Partitions: 2, Base: Options{Solver: solver.Options{MaxSweeps: 50}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimators := map[string]core.Estimator{"summary": single, "partitioned": part}
+	cases := []struct {
+		attrs []int
+		ok    bool
+	}{
+		{[]int{1, 1}, false},
+		{[]int{0, 1, 0}, false},
+		{[]int{2, 0, 1, 2}, false},
+		{[]int{1, 0}, true},
+		{[]int{2, 1, 0}, true},
+	}
+	for name, est := range estimators {
+		for _, c := range cases {
+			groups, err := est.EstimateGroupBy(c.attrs, nil)
+			if c.ok != (err == nil) {
+				t.Errorf("%s: group-by %v: error %v, want accepted=%v", name, c.attrs, err, c.ok)
+			}
+			if !c.ok {
+				continue
+			}
+			sum := 0.0
+			for _, g := range groups {
+				sum += g.Estimate
+			}
+			if n := float64(rel.NumRows()); math.Abs(sum-n) > 1e-6*n {
+				t.Errorf("%s: group-by %v sums to %g, want %g", name, c.attrs, sum, n)
+			}
+		}
+	}
+}
+
+// TestGroupByCellsOwnTheirValues: the cells' Values share one backing slab,
+// so each must be capped at its own length — a caller appending to one cell
+// must not overwrite its neighbour.
+func TestGroupByCellsOwnTheirValues(t *testing.T) {
+	s := buildSolved(t, testRelation(t, 1500, 11), Options{})
+	groups, err := s.EstimateGroupBy([]int{0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][2]int, len(groups))
+	for i, g := range groups {
+		want[i] = [2]int{g.Values[0], g.Values[1]}
+	}
+	for i := range groups {
+		_ = append(groups[i].Values, -1)
+	}
+	for i, g := range groups {
+		if g.Values[0] != want[i][0] || g.Values[1] != want[i][1] {
+			t.Fatalf("cell %d reads %v after appending to its neighbours, want %v", i, g.Values, want[i])
+		}
+	}
+}
+
+func relClose(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Max(math.Abs(got), math.Abs(want))
+}
+
+// cellMap indexes a group-by answer by its value tuple.
+func cellMap(groups []core.GroupEstimate) map[core.GroupKey]float64 {
+	m := make(map[core.GroupKey]float64, len(groups))
+	for _, g := range groups {
+		m[core.MakeGroupKey(g.Values)] = g.Estimate
+	}
+	return m
+}
+
+// TestGroupByInvariantsFlightsShape pins, on the benchmark-shaped model (5
+// attributes, two statistic pairs sharing one, thousands of terms, one α at
+// exactly 0), what the column-pass group-by must preserve: each cell is the
+// count estimate of pred ∧ cell and exactly the positive cells are
+// returned; an unfiltered group-by sums to N; multi-attribute group-bys
+// marginalize to the single-attribute one; a filter on the grouping
+// attribute only removes cells; and K = 1 partitioning changes nothing.
+func TestGroupByInvariantsFlightsShape(t *testing.T) {
+	sum := flightsShapedSummary(t, 120)
+	if terms := sum.System().Poly().NumTerms(); terms < 2000 {
+		t.Fatalf("model has %d terms, want ≥ 2000", terms)
+	}
+	sizes := sum.Schema().DomainSizes()
+	const date, origin, dest, dist = 0, 1, 2, 4
+
+	// Every cell against the per-cell oracle, for 1- and 2-attribute
+	// group-bys under no filter, filters on other attributes, and a filter
+	// on a grouping attribute.
+	queries := []struct {
+		attrs []int
+		pred  *query.Predicate
+	}{
+		{[]int{origin}, nil},
+		{[]int{date}, query.NewPredicate(5).WhereEq(origin, 3)},
+		{[]int{origin}, query.NewPredicate(5).WhereEq(date, 17).WhereRange(dist, 10, 40)},
+		{[]int{dist}, query.NewPredicate(5).WhereIn(origin, 1, 5, 9).WhereEq(dest, 21)},
+		{[]int{origin}, query.NewPredicate(5).WhereRange(origin, 2, 30).WhereRange(dest, 5, 30)},
+		{[]int{origin, dest}, query.NewPredicate(5).WhereIn(origin, 0, 3, 53).WhereRange(dist, 0, 60)},
+		{[]int{dest, origin}, query.NewPredicate(5).WhereRange(origin, 0, 9)},
+	}
+	for _, q := range queries {
+		groups, err := sum.EstimateGroupBy(q.attrs, q.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) == 0 {
+			t.Fatalf("group-by %v where %v returned no cells", q.attrs, q.pred)
+		}
+		got := cellMap(groups)
+		vals := make([]int, len(q.attrs))
+		var walk func(i int)
+		walk = func(i int) {
+			if i < len(q.attrs) {
+				for v := 0; v < sizes[q.attrs[i]]; v++ {
+					vals[i] = v
+					walk(i + 1)
+				}
+				return
+			}
+			cell := query.NewPredicate(5)
+			if q.pred != nil {
+				cell = q.pred.Clone()
+			}
+			inPred := true
+			for j, a := range q.attrs {
+				inPred = inPred && cell.Constraint(a).Matches(vals[j])
+				cell.WhereEq(a, vals[j])
+			}
+			want := 0.0
+			if inPred {
+				if want, err = sum.EstimateCount(cell); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The oracle's mask-delta identity subtracts at the magnitude of
+			// P, so its answer carries an absolute residue of a few ulps of
+			// N — visible on cells that are (nearly) empty; the column pass
+			// sums the cell's own terms and has no such floor.
+			floor := 1e-14 * sum.N()
+			est, returned := got[core.MakeGroupKey(vals)]
+			switch {
+			case returned && math.Abs(est-want) > floor && !relClose(est, want, 1e-12):
+				t.Fatalf("group-by %v where %v: cell %v = %g, EstimateCount = %g", q.attrs, q.pred, vals, est, want)
+			case !returned && want > floor:
+				t.Fatalf("group-by %v where %v: cell %v omitted, EstimateCount = %g", q.attrs, q.pred, vals, want)
+			}
+		}
+		walk(0)
+	}
+
+	// An unfiltered single-attribute group-by sums to N, and the absent
+	// origin (α = 0) is not a group.
+	byOrigin, err := sum.EstimateGroupBy([]int{origin}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, g := range byOrigin {
+		total += g.Estimate
+		if g.Values[0] == 53 {
+			t.Fatalf("the origin with α = 0 came back as a group with estimate %g", g.Estimate)
+		}
+	}
+	if !relClose(total, sum.N(), 1e-9) {
+		t.Fatalf("origin group-by sums to %g, want N = %g", total, sum.N())
+	}
+
+	// 2- and 3-attribute group-bys marginalize to the 1-attribute answer
+	// (the smallest three-attribute space here is 54·54·62 cells, over the
+	// default enumeration bound).
+	sum.maxCombos = 1 << 18
+	pred := query.NewPredicate(5).WhereRange(dist, 0, 20)
+	one, err := sum.EstimateGroupBy([]int{origin}, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range [][]int{{origin, dest}, {dest, origin}, {dist, origin, dest}} {
+		groups, err := sum.EstimateGroupBy(attrs, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := 0
+		for attrs[at] != origin {
+			at++
+		}
+		marginal := make([]float64, sizes[origin])
+		for _, g := range groups {
+			marginal[g.Values[at]] += g.Estimate
+		}
+		for _, g := range one {
+			if got := marginal[g.Values[0]]; !relClose(got, g.Estimate, 1e-9) {
+				t.Fatalf("group-by %v marginalizes origin %d to %g, the origin group-by says %g", attrs, g.Values[0], got, g.Estimate)
+			}
+		}
+	}
+
+	// A filter on the grouping attribute only removes cells.
+	kept := cellMap(byOrigin)
+	filtered, err := sum.EstimateGroupBy([]int{origin}, query.NewPredicate(5).WhereIn(origin, 40, 2, 53, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(filtered) != 3 {
+		t.Fatalf("filter origin ∈ {2,7,40,53} left %d cells, want 3 (53 never occurs)", len(filtered))
+	}
+	for _, g := range filtered {
+		if want := kept[core.MakeGroupKey(g.Values)]; !relClose(g.Estimate, want, 1e-12) {
+			t.Fatalf("filtered cell %v = %g, unfiltered %g", g.Values, g.Estimate, want)
+		}
+	}
+
+	// K = 1 partitioning answers bit for bit like the summary it wraps.
+	part := &Partitioned{name: "k1", sch: sum.Schema(), n: sum.N(), parts: []*Summary{sum}}
+	for _, attrs := range [][]int{{origin}, {origin, dest}} {
+		want, err := sum.EstimateGroupBy(attrs, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := part.EstimateGroupBy(attrs, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("partitioned(K=1) group-by %v has %d cells, summary %d", attrs, len(got), len(want))
+		}
+		for i := range want {
+			if core.MakeGroupKey(got[i].Values) != core.MakeGroupKey(want[i].Values) ||
+				math.Float64bits(got[i].Estimate) != math.Float64bits(want[i].Estimate) {
+				t.Fatalf("partitioned(K=1) group-by %v cell %d = %v, summary %v", attrs, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkEstimateGroupBy measures the group-by path at the repository
+// benchmark's model shape (2 pairs x 300 statistics, ~10k terms): one column
+// pass, one column pass under a filter, and one pass per outer value.
+func BenchmarkEstimateGroupBy(b *testing.B) {
+	sum := flightsShapedSummary(b, 300)
+	cases := []struct {
+		name  string
+		attrs []int
+		pred  *query.Predicate
+	}{
+		{"origin", []int{1}, nil},
+		{"origin|date=17", []int{1}, query.NewPredicate(5).WhereEq(0, 17)},
+		{"origin×dest", []int{1, 2}, nil},
+	}
+	for _, c := range cases {
+		b.Run("flights/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				groups, err := sum.EstimateGroupBy(c.attrs, c.pred)
+				if err != nil || len(groups) == 0 {
+					b.Fatalf("%d groups, error %v", len(groups), err)
+				}
+			}
+		})
+	}
+}

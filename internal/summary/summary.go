@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/polynomial"
@@ -232,73 +233,100 @@ func (s *Summary) EstimateCount(pred *query.Predicate) (float64, error) {
 }
 
 // EstimateGroupBy estimates COUNT(*) per combination of values of the
-// grouping attributes among tuples satisfying pred, by enumerating the
-// cross product of the grouping domains and answering one masked
-// evaluation per combination. Unlike the scan-based estimators, the model
-// has no notion of "observed" groups, so every combination with a
-// positive estimate is returned — including the phantom groups the
-// paper's rare-value experiment measures.
+// grouping attributes among tuples satisfying pred. The values of all but
+// the last grouping attribute are enumerated; the last attribute is one
+// derivative-column pass per enumerated prefix (Eq. 8: the cell of value v
+// is n · α_v · ∂P_π/∂α_v / P), so a k-attribute group-by costs Π_{i<k} N_i
+// passes over the terms instead of Π_{i≤k} N_i masked evaluations. Unlike
+// the scan-based estimators, the model has no notion of "observed" groups,
+// so every combination with a positive estimate is returned — including the
+// phantom groups the paper's rare-value experiment measures.
 func (s *Summary) EstimateGroupBy(groupAttrs []int, pred *query.Predicate) ([]core.GroupEstimate, error) {
-	if len(groupAttrs) == 0 || len(groupAttrs) > 4 {
-		return nil, fmt.Errorf("summary: group-by needs 1..4 attributes, got %d", len(groupAttrs))
+	k := len(groupAttrs)
+	if k == 0 || k > 4 {
+		return nil, fmt.Errorf("summary: group-by needs 1..4 attributes, got %d", k)
 	}
 	if pred != nil && pred.NumAttrs() != s.sch.NumAttrs() {
 		return nil, fmt.Errorf("summary: predicate over %d attributes, schema has %d", pred.NumAttrs(), s.sch.NumAttrs())
 	}
 	combos := 1
-	for _, a := range groupAttrs {
+	for i, a := range groupAttrs {
 		if a < 0 || a >= s.sch.NumAttrs() {
 			return nil, fmt.Errorf("summary: group-by attribute %d out of range [0,%d)", a, s.sch.NumAttrs())
+		}
+		for _, b := range groupAttrs[:i] {
+			if a == b {
+				return nil, fmt.Errorf("summary: duplicate group-by attribute %d", a)
+			}
 		}
 		combos *= s.sch.Attr(a).Size()
 		if combos > s.maxCombos {
 			return nil, fmt.Errorf("summary: group-by space exceeds %d combinations", s.maxCombos)
 		}
 	}
-	base := pred
-	if base == nil {
-		base = query.NewPredicate(s.sch.NumAttrs())
+	// The enumerated prefix is pinned on one private predicate; a
+	// single-attribute group-by pins nothing and reads pred as given.
+	q := pred
+	if k > 1 {
+		if pred == nil {
+			q = query.NewPredicate(s.sch.NumAttrs())
+		} else {
+			q = pred.Clone()
+		}
 	}
+	last := groupAttrs[k-1]
+	col := make([]float64, s.sch.Attr(last).Size())
+	vals := make([]int, k)
 	var out []core.GroupEstimate
-	vals := make([]int, len(groupAttrs))
-	var walk func(k int) error
-	walk = func(k int) error {
-		if k == len(groupAttrs) {
-			q := base.Clone()
-			for i, a := range groupAttrs {
-				q.WhereEq(a, vals[i])
-			}
-			est, err := s.EstimateCount(q)
-			if err != nil {
-				return err
-			}
-			if est > 0 {
-				out = append(out, core.GroupEstimate{
-					Values:   append([]int(nil), vals...),
-					Estimate: est,
-				})
-			}
-			return nil
+	var walk func(i int)
+	walk = func(i int) {
+		if i == k-1 {
+			out = s.appendColumn(out, vals, last, q, col)
+			return
 		}
-		a := groupAttrs[k]
-		// Only descend into values compatible with any constraint the
-		// predicate already places on the attribute, pruning whole
-		// subtrees (and their Clone allocations) up front.
-		cons := base.Constraint(a)
+		a := groupAttrs[i]
+		// Only descend into values compatible with the constraint the
+		// predicate already places on the attribute.
+		cons := q.Constraint(a)
 		for v := 0; v < s.sch.Attr(a).Size(); v++ {
-			if !cons.Matches(v) {
-				continue
-			}
-			vals[k] = v
-			if err := walk(k + 1); err != nil {
-				return err
+			if cons.Matches(v) {
+				vals[i] = v
+				q.WhereEq(a, v)
+				walk(i + 1)
 			}
 		}
-		return nil
+		q.Where(a, cons)
 	}
-	if err := walk(0); err != nil {
-		return nil, err
-	}
+	walk(0)
 	core.SortGroupEstimates(out)
 	return out, nil
+}
+
+// appendColumn appends the positive cells of one group-by column: prefix
+// holds the enumerated values of the outer grouping attributes (its last
+// slot is scratch), q pins them, and col is N_attr scratch floats. The
+// cells' Values are carved out of one slab, each capped so that a caller's
+// append cannot spill into its neighbour.
+func (s *Summary) appendColumn(out []core.GroupEstimate, prefix []int, attr int, q *query.Predicate, col []float64) []core.GroupEstimate {
+	s.sys.DerivColumn(attr, q, col)
+	positive := 0
+	for v, d := range col {
+		col[v] = s.n * (s.sys.OneD(attr, v) * d) / s.p
+		if col[v] > 0 {
+			positive++
+		}
+	}
+	k := len(prefix)
+	slab := make([]int, positive*k)
+	out = slices.Grow(out, positive)
+	for v, est := range col {
+		if est > 0 {
+			prefix[k-1] = v
+			cell := slab[:k:k]
+			slab = slab[k:]
+			copy(cell, prefix)
+			out = append(out, core.GroupEstimate{Values: cell, Estimate: est})
+		}
+	}
+	return out
 }
