@@ -44,7 +44,6 @@ func main() {
 		heuristic     = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps        = flag.Int("sweeps", 200, "solver sweep budget")
 		relax         = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
-		solverWork    = flag.Int("solver-workers", 1, "worker-pool size for the solver's derivative batches")
 		partitions    = flag.Int("partitions", 0, "when > 0, also build a K-way partitioned summary (built concurrently)")
 		storeDir      = flag.String("store", "", "when set, snapshot the built summaries into this store directory (created if missing)")
 		dataset       = flag.String("dataset", "demo", "dataset name snapshots are stored under (with -store)")
@@ -78,7 +77,7 @@ func main() {
 		PairBudget:    *pairBudget,
 		PerPairBudget: *perPair,
 		Heuristic:     h,
-		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax, Workers: *solverWork},
+		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
 	}
 
 	// The branch-compare scenario forks two lineages off one fork-point
@@ -183,13 +182,9 @@ func main() {
 
 	estimators := []core.Estimator{sum, uni, strat}
 	if *partitions > 0 {
-		// Partition-level concurrency already saturates the cores; keep the
-		// per-partition solver sequential so the two pools don't contend.
-		partOpts := buildOpts
-		partOpts.Solver.Workers = 1
 		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
 			Partitions: *partitions,
-			Base:       partOpts,
+			Base:       buildOpts,
 		})
 		if err != nil {
 			log.Fatal(err)

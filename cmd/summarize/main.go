@@ -45,7 +45,6 @@ func main() {
 		heuristic  = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps     = flag.Int("sweeps", 200, "solver sweep budget")
 		relax      = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
-		solverWork = flag.Int("solver-workers", 1, "worker-pool size for the solver's derivative batches")
 		partitions = flag.Int("partitions", 0, "when > 0, also snapshot a K-way partitioned summary")
 		keep       = flag.Int("keep", 0, "after saving, prune each dataset to its newest N versions (0 keeps all)")
 	)
@@ -78,7 +77,7 @@ func main() {
 		PairBudget:    *pairBudget,
 		PerPairBudget: *perPair,
 		Heuristic:     h,
-		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax, Workers: *solverWork},
+		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
 	}
 
 	var infos []store.SnapshotInfo
@@ -98,14 +97,10 @@ func main() {
 	infos = append(infos, info)
 
 	if *partitions > 0 {
-		// Partition-level concurrency already saturates the cores; keep
-		// the per-partition solver sequential.
-		base := opts
-		base.Solver.Workers = 1
 		partStart := time.Now()
 		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
 			Partitions: *partitions,
-			Base:       base,
+			Base:       opts,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "summarize: %v\n", err)

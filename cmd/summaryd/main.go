@@ -80,7 +80,6 @@ func main() {
 		heuristic   = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps      = flag.Int("sweeps", 200, "solver sweep budget")
 		relax       = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
-		solverWork  = flag.Int("solver-workers", 1, "worker-pool size for the solver's derivative batches")
 		partitions  = flag.Int("partitions", 0, "when > 0, also serve a K-way partitioned summary")
 		noExact     = flag.Bool("no-exact", false, "do not serve the exact full-scan engine")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
@@ -188,7 +187,7 @@ func main() {
 				PairBudget:    *pairBudget,
 				PerPairBudget: *perPair,
 				Heuristic:     h,
-				Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax, Workers: *solverWork},
+				Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
 			},
 			Partitions: *partitions,
 			SampleRate: *rate,

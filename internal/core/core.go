@@ -37,14 +37,10 @@ type Estimator interface {
 	ApproxBytes() int64
 }
 
-// GroupEstimate is one row of an approximate (or exact) group-by result.
-type GroupEstimate struct {
-	// Values are the encoded domain values of the grouping attributes,
-	// in the order the attributes were given.
-	Values []int
-	// Estimate is the (estimated) COUNT(*) of the group.
-	Estimate float64
-}
+// GroupEstimate is one row of an approximate (or exact) group-by result:
+// the query package's GroupRow, so an estimator's answer is served and
+// cached as-is.
+type GroupEstimate = query.GroupRow
 
 // GroupKey identifies one group in a group-by result: the packed tuple of
 // encoded values of the grouping attributes, in the order they were given.

@@ -15,90 +15,63 @@ import (
 	"repro/internal/server"
 )
 
-// handleBatch proxies POST /query/batch on both wires. Small batches are
-// forwarded whole to one healthy node (with retry). At FanoutBatch items
-// and with more than one healthy node, the batch is dealt round-robin
-// across the healthy nodes, shipped as binary sub-frames, and the answers
-// are gathered back into the original item order — positionally identical
-// to a single-node answer stream, because every item is answered
-// independently by the same estimator bits wherever it lands.
+// handleBatch proxies POST /query/batch on both wires, decoding the request
+// and choosing the response wire with the node's own codec functions. A
+// decoded batch is answered item-wise — from the router cache where it can,
+// from the fleet otherwise. Forwarded whole to one healthy node (with
+// retry) are the batches the router has nothing to add to: anything the
+// node's decoder rejects, so the node's own error surface answers (one
+// place decides what a malformed batch looks like), and, with the cache
+// off, a batch too small to fan out.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), server.BinaryBatchContentType)
-	binaryResp := binaryReq
-	if accept := r.Header.Get("Accept"); accept != "" {
-		binaryResp = strings.Contains(accept, server.BinaryBatchContentType)
-	}
-
-	// Decode just enough to decide whether to fan out; malformed bodies
-	// are forwarded whole so the node's own error surface answers (one
-	// place decides what a malformed batch looks like).
-	var estimator string
-	var version int
-	var items []query.BatchItem
-	decodeOK := true
-	if binaryReq {
-		var err error
-		estimator, version, items, err = query.DecodeBatchAt(bytes.NewReader(body))
-		decodeOK = err == nil
-	} else {
-		var req server.BatchQueryRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			decodeOK = false
-		} else {
-			estimator = req.Estimator
-			version = req.Version
-			items = make([]query.BatchItem, len(req.Queries))
-			for i, q := range req.Queries {
-				items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
-			}
-		}
-	}
-	if v := r.URL.Query().Get("version"); v != "" {
-		// A URL version overrides the body on the node side too; keep the
-		// router's idea in sync for the fan-out frames.
-		decodeOK = false // forward whole; the node resolves the override
-	}
-
-	if decodeOK && rt.cache != nil && version >= 0 &&
-		len(items) > 0 && len(items) <= query.MaxBatchItems {
-		rt.serveBatch(w, r, estimator, version, items, binaryResp)
-		return
-	}
-	ways := rt.healthyCount()
-	if !decodeOK || rt.opts.FanoutBatch < 0 || len(items) < rt.opts.FanoutBatch || ways < 2 {
+	read, err := server.DecodeBatch(r, bytes.NewReader(body))
+	if err != nil || len(read.Items) > query.MaxBatchItems ||
+		(rt.cache == nil && rt.fanoutWays(len(read.Items)) == 1) {
 		rt.forward(w, r, body, -1)
 		return
 	}
-	rt.fanOutBatch(w, r, estimator, version, items, ways, binaryResp)
+	rt.serveBatch(w, r, read)
+}
+
+// fanoutWays is how many nodes a fetch of n items is dealt across: every
+// healthy node at FanoutBatch items and above, one otherwise.
+func (rt *Router) fanoutWays(n int) int {
+	if ways := rt.healthyCount(); rt.opts.FanoutBatch >= 0 && n >= rt.opts.FanoutBatch && ways >= 2 {
+		return ways
+	}
+	return 1
 }
 
 // serveBatch answers a decoded batch from the router cache where it can
 // and fetches only the missing items from the fleet: an all-hit batch
 // never leaves the router, a partial hit ships a sub-batch holding just
-// the misses (fanned out across healthy nodes past the FanoutBatch
-// threshold), and the fetched answers are reassembled positionally and
-// cached under the same generation fencing as single reads. Per-item
-// errors (arity mismatch, estimator refusal) ride along uncached, exactly
-// as a node reports them.
-func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, estimator string, version int, items []query.BatchItem, binaryResp bool) {
+// the misses, and the fetched answers are reassembled positionally and
+// cached under the same generation fencing as single reads. With the cache
+// off every item is a miss and nothing is stored. Per-item errors (arity
+// mismatch, estimator refusal) ride along uncached, exactly as a node
+// reports them.
+func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, read server.ReadRequest) {
+	estimator, version, items := read.Estimator, read.Version, read.Items
+	binaryResp := server.WantBinaryAnswers(r, read.Binary)
+	if rt.cache == nil {
+		answers, _, herr := rt.fetchMisses(r.Context(), estimator, version, items)
+		if herr != nil {
+			writeError(w, herr.status, herr.msg)
+			return
+		}
+		writeBatchAnswers(w, estimator, version, answers, binaryResp)
+		return
+	}
 	answers := make([]query.BatchAnswer, len(items))
 	keys := make([]string, len(items))
 	var missIdx []int
 	genCur, genOK := rt.gens.current(estimator)
 	for i, it := range items {
-		kind := "c"
-		if len(it.GroupBy) > 0 {
-			kind = "g"
-		}
-		keys[i] = routerQueryKey(estimator, version, kind, it.Pred, it.GroupBy)
+		keys[i] = routerQueryKey(estimator, version, it)
 		if v, ok := rt.cache.Get(keys[i]); ok {
 			e := v.(cachedRead)
 			if version > 0 || (genOK && e.gen == genCur) {
@@ -122,31 +95,21 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, estimator s
 			if a.Error != "" {
 				continue
 			}
+			e := cachedRead{estimator: estimator, version: version, isGroup: a.IsGroup, count: a.Count, groups: a.Groups}
 			switch {
 			case version > 0:
-				rt.cache.Put(keys[idx], batchEntry(a, 0, estimator, version))
+				rt.cache.Put(keys[idx], e)
 			case gens[j] == 0:
 				// The node did not vouch for a live generation.
 			case rt.gens.observe(estimator, gens[j]):
-				rt.cache.Put(keys[idx], batchEntry(a, gens[j], estimator, 0))
+				e.gen = gens[j]
+				rt.cache.Put(keys[idx], e)
 			default:
 				rt.staleSkips.Add(1)
 			}
 		}
 	}
 	writeBatchAnswers(w, estimator, version, answers, binaryResp)
-}
-
-// batchEntry converts one fetched batch answer into a cache entry.
-func batchEntry(a query.BatchAnswer, gen uint64, estimator string, version int) cachedRead {
-	e := cachedRead{gen: gen, estimator: estimator, version: version, isGroup: a.IsGroup, count: a.Count}
-	if a.IsGroup {
-		e.groups = make([]server.GroupRow, len(a.Groups))
-		for i, g := range a.Groups {
-			e.groups[i] = server.GroupRow{Values: g.Values, Estimate: g.Estimate}
-		}
-	}
-	return e
 }
 
 // fetchMisses fetches the given items from the fleet on the binary wire,
@@ -156,10 +119,8 @@ func batchEntry(a query.BatchAnswer, gen uint64, estimator string, version int) 
 // error keeps its own status so a single-node refusal (unknown estimator,
 // oversized batch) reaches the client as the node sent it.
 func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int, items []query.BatchItem) ([]query.BatchAnswer, []uint64, *routeError) {
-	ways := rt.healthyCount()
-	if rt.opts.FanoutBatch < 0 || len(items) < rt.opts.FanoutBatch || ways < 2 {
-		ways = 1
-	} else {
+	ways := rt.fanoutWays(len(items))
+	if ways > 1 {
 		rt.fannedOut.Add(1)
 	}
 	assign := query.AssignRoundRobin(len(items), ways)
@@ -230,62 +191,6 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 	return answers, gens, nil
 }
 
-// fanOutBatch scatters the items across ways sub-batches, ships each as a
-// binary frame (the compact wire between router and nodes regardless of
-// the client's wire), and reassembles the answers in original order.
-func (rt *Router) fanOutBatch(w http.ResponseWriter, r *http.Request, estimator string, version int, items []query.BatchItem, ways int, binaryResp bool) {
-	rt.fannedOut.Add(1)
-	assign := query.AssignRoundRobin(len(items), ways)
-	parts := make([][]query.BatchAnswer, len(assign))
-	errs := make([]error, len(assign))
-	header := http.Header{
-		"Content-Type": []string{server.BinaryBatchContentType},
-		"Accept":       []string{server.BinaryBatchContentType},
-	}
-	var wg sync.WaitGroup
-	for wi, indexes := range assign {
-		wg.Add(1)
-		go func(wi int, indexes []int) {
-			defer wg.Done()
-			frame, err := query.AppendBatchAt(nil, estimator, version, query.Pick(items, indexes))
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			resp, _, herr := rt.roundTrip(r.Context(), http.MethodPost, "/query/batch", header, frame, -1)
-			if herr != nil {
-				errs[wi] = fmt.Errorf("%s", herr.msg)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-				errs[wi] = fmt.Errorf("sub-batch %d: node answered %d: %s", wi, resp.StatusCode, strings.TrimSpace(string(b)))
-				return
-			}
-			_, answers, err := query.DecodeAnswers(resp.Body)
-			if err != nil {
-				errs[wi] = fmt.Errorf("sub-batch %d: %v", wi, err)
-				return
-			}
-			parts[wi] = answers
-		}(wi, indexes)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			writeError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-	}
-	answers, err := query.GatherAnswers(len(items), assign, parts)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	writeBatchAnswers(w, estimator, version, answers, binaryResp)
-}
-
 // writeBatchAnswers emits a gathered answer stream on the client's wire,
 // positionally identical to a single-node answer stream.
 func writeBatchAnswers(w http.ResponseWriter, estimator string, version int, answers []query.BatchAnswer, binaryResp bool) {
@@ -299,17 +204,6 @@ func writeBatchAnswers(w http.ResponseWriter, estimator string, version int, ans
 		_, _ = w.Write(frame)
 		return
 	}
-	out := server.BatchQueryResponse{Estimator: estimator, Version: version, Answers: make([]server.BatchResult, len(answers))}
-	for i, a := range answers {
-		res := server.BatchResult{Count: a.Count, IsGroup: a.IsGroup, Cached: a.Cached, Error: a.Error}
-		if a.IsGroup {
-			res.Groups = make([]server.GroupRow, len(a.Groups))
-			for j, g := range a.Groups {
-				res.Groups[j] = server.GroupRow{Values: g.Values, Estimate: g.Estimate}
-			}
-		}
-		out.Answers[i] = res
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	_ = json.NewEncoder(w).Encode(server.BatchQueryResponse{Estimator: estimator, Version: version, Answers: answers})
 }

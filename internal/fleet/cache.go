@@ -19,16 +19,15 @@ import (
 // least one node.
 const RouterCacheHeader = "X-Router-Cache"
 
-// routerQueryKey is the canonical identity of one routed read. It mirrors
-// the node-side queryKey with one deliberate difference: the router cannot
-// know an estimator's generation before asking a node, so live reads key
-// on an "l" marker and the generation travels in the cached value instead,
-// checked against the generation table at serve time. Snapshot reads
-// (version > 0) key on the version — those answers are immutable.
-//
-// A nil predicate is the match-all read; its slot holds "-" so it can
-// never collide with a real canonical key (which always starts with '#').
-func routerQueryKey(estimator string, version int, kind string, pred *query.Predicate, groupBy []int) string {
+// routerQueryKey is the cache key of one routed read: the router's own
+// freshness prefix, then the item identity the node keys by too
+// (query.BatchItem.AppendIdentity). The prefix differs from the node's
+// deliberately: the router cannot know an estimator's generation before
+// asking a node, so live reads key on an "l" marker and the generation
+// travels in the cached value instead, checked against the generation table
+// at serve time. Snapshot reads (version > 0) key on the version — those
+// answers are immutable.
+func routerQueryKey(estimator string, version int, it query.BatchItem) string {
 	var b strings.Builder
 	b.Grow(len(estimator) + 24)
 	b.WriteString(estimator)
@@ -39,17 +38,7 @@ func routerQueryKey(estimator string, version int, kind string, pred *query.Pred
 		b.WriteString("\x00l")
 	}
 	b.WriteByte(0)
-	b.WriteString(kind)
-	for _, a := range groupBy {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(a))
-	}
-	b.WriteByte(0)
-	if pred == nil {
-		b.WriteByte('-')
-	} else {
-		b.WriteString(pred.CanonicalKey())
-	}
+	it.AppendIdentity(&b)
 	return b.String()
 }
 
@@ -63,21 +52,12 @@ type cachedRead struct {
 	version   int    // snapshot version echo (0 = live)
 	isGroup   bool
 	count     float64
-	groups    []server.GroupRow
+	groups    []query.GroupRow
 }
 
 // toBatchAnswer converts a stored read into the batch wire shape.
 func (e cachedRead) toBatchAnswer() query.BatchAnswer {
-	a := query.BatchAnswer{Cached: true, IsGroup: e.isGroup}
-	if e.isGroup {
-		a.Groups = make([]query.BatchGroup, len(e.groups))
-		for i, g := range e.groups {
-			a.Groups[i] = query.BatchGroup{Values: g.Values, Estimate: g.Estimate}
-		}
-	} else {
-		a.Count = e.count
-	}
-	return a
+	return query.BatchAnswer{Cached: true, IsGroup: e.isGroup, Count: e.count, Groups: e.groups}
 }
 
 // genState is one estimator's generation bookkeeping: gen is the highest
@@ -242,8 +222,8 @@ func (g *flightGroup) leave(key string, fl *flight, entry cachedRead, ok bool) {
 
 // --- the router's cached read path ------------------------------------
 
-// readRequest is one parsed single-read (/query or /groupby POST) the
-// router may answer from its cache.
+// readRequest is the cache identity of one decoded single read (/query
+// or /groupby POST) the router may answer from its cache.
 type readRequest struct {
 	estimator string
 	version   int // resolved snapshot version (0 = live)
@@ -251,57 +231,14 @@ type readRequest struct {
 	key       string
 }
 
-// parseRead decodes a /query or /groupby request into its cache identity.
-// ok is false whenever the read is not cacheable — cache disabled, not a
-// POST, malformed body or URL version (the node's error surface answers),
-// or no estimator named — and the caller falls back to a plain forward.
-func (rt *Router) parseRead(r *http.Request, body []byte, isGroup bool) (readRequest, bool) {
-	if rt.cache == nil || r.Method != http.MethodPost {
-		return readRequest{}, false
+func newReadRequest(read server.ReadRequest) readRequest {
+	it := read.Items[0]
+	return readRequest{
+		estimator: read.Estimator,
+		version:   read.Version,
+		isGroup:   len(it.GroupBy) > 0,
+		key:       routerQueryKey(read.Estimator, read.Version, it),
 	}
-	version := -1 // unset; the body's version applies
-	if raw := r.URL.Query().Get("version"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			return readRequest{}, false
-		}
-		version = v
-	}
-	req := readRequest{isGroup: isGroup}
-	var pred *query.Predicate
-	var groupBy []int
-	if isGroup {
-		var gr server.GroupByRequest
-		if err := json.Unmarshal(body, &gr); err != nil {
-			return readRequest{}, false
-		}
-		req.estimator, pred, groupBy = gr.Estimator, gr.Predicate, gr.GroupBy
-		if version < 0 {
-			version = gr.Version
-		}
-	} else {
-		var qr server.QueryRequest
-		if err := json.Unmarshal(body, &qr); err != nil {
-			return readRequest{}, false
-		}
-		req.estimator, pred = qr.Estimator, qr.Predicate
-		if version < 0 {
-			version = qr.Version
-		}
-	}
-	if version < 0 {
-		version = 0 // the node serves non-positive versions as live
-	}
-	if req.estimator == "" {
-		return readRequest{}, false
-	}
-	req.version = version
-	kind := "c"
-	if isGroup {
-		kind = "g"
-	}
-	req.key = routerQueryKey(req.estimator, version, kind, pred, groupBy)
-	return req, true
 }
 
 // serveRead answers a parsed read from the cache when it can, otherwise

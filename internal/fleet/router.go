@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/server"
 )
 
@@ -679,49 +680,44 @@ func (rt *Router) placement(estimator string) int {
 	return rt.opts.Placements[dataset]
 }
 
-// handleQuery proxies /query. A POST against a placed partitioned
-// estimator (live version only) is scattered: the K per-partition counts
-// are fetched across the fleet and summed in partition index order —
-// the exact reduction summary.Partitioned performs locally, so the
-// scattered answer is bit-identical to a single node's.
+// handleQuery proxies /query and handleGroupBy /groupby.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodPost && r.URL.Query().Get("version") == "" {
-		var req server.QueryRequest
-		if err := json.Unmarshal(body, &req); err == nil && req.Version <= 0 {
-			if k := rt.placement(req.Estimator); k > 0 {
-				rt.scatterQuery(w, r, req, k)
-				return
-			}
-		}
-	}
-	if read, ok := rt.parseRead(r, body, false); ok {
-		rt.serveRead(w, r, body, read)
-		return
-	}
-	rt.forward(w, r, body, -1)
+	rt.handleSingle(w, r, server.DecodeQuery)
 }
 
 func (rt *Router) handleGroupBy(w http.ResponseWriter, r *http.Request) {
+	rt.handleSingle(w, r, server.DecodeGroupBy)
+}
+
+// handleSingle routes one single read, decoded once with the node's own
+// decoder. A live POST against a placed partitioned estimator is scattered:
+// the K per-partition answers are fetched across the fleet and reduced in
+// partition index order — the exact reduction summary.Partitioned performs
+// locally, so the scattered answer is bit-identical to a single node's.
+// Any other POST goes through the read cache when there is one; whatever
+// is left — GETs, and requests the decoder rejects, which the node's own
+// error surface answers — is forwarded as it came.
+func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request,
+	decode func(*http.Request, io.Reader) (server.ReadRequest, error)) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	if r.Method == http.MethodPost && r.URL.Query().Get("version") == "" {
-		var req server.GroupByRequest
-		if err := json.Unmarshal(body, &req); err == nil && req.Version <= 0 {
-			if k := rt.placement(req.Estimator); k > 0 {
-				rt.scatterGroupBy(w, r, req, k)
+	if r.Method == http.MethodPost && (rt.cache != nil || len(rt.opts.Placements) > 0) {
+		if read, err := decode(r, bytes.NewReader(body)); err == nil {
+			if k := rt.placement(read.Estimator); k > 0 && read.Version == 0 {
+				if it := read.Items[0]; len(it.GroupBy) > 0 {
+					rt.scatterGroupBy(w, r, read.Estimator, it, k)
+				} else {
+					rt.scatterQuery(w, r, read.Estimator, it, k)
+				}
+				return
+			}
+			if rt.cache != nil {
+				rt.serveRead(w, r, body, newReadRequest(read))
 				return
 			}
 		}
-	}
-	if read, ok := rt.parseRead(r, body, true); ok {
-		rt.serveRead(w, r, body, read)
-		return
 	}
 	rt.forward(w, r, body, -1)
 }
@@ -771,10 +767,10 @@ func (rt *Router) scatterPartition(ctx context.Context, k int, build func(part i
 	return bodies, nil
 }
 
-func (rt *Router) scatterQuery(w http.ResponseWriter, r *http.Request, req server.QueryRequest, k int) {
-	dataset := strings.TrimSuffix(req.Estimator, "/partitioned")
+func (rt *Router) scatterQuery(w http.ResponseWriter, r *http.Request, estimator string, it query.BatchItem, k int) {
+	dataset := strings.TrimSuffix(estimator, "/partitioned")
 	bodies, herr := rt.scatterPartition(r.Context(), k, func(part int) ([]byte, string) {
-		sub := server.QueryRequest{Estimator: server.PartitionEntryName(dataset, part), Predicate: req.Predicate}
+		sub := server.QueryRequest{Estimator: server.PartitionEntryName(dataset, part), Predicate: it.Pred}
 		payload, _ := json.Marshal(sub)
 		return payload, "/query"
 	})
@@ -794,16 +790,16 @@ func (rt *Router) scatterQuery(w http.ResponseWriter, r *http.Request, req serve
 		total += qr.Count
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(server.QueryResponse{Estimator: req.Estimator, Count: total})
+	_ = json.NewEncoder(w).Encode(server.QueryResponse{Estimator: estimator, Count: total})
 }
 
-func (rt *Router) scatterGroupBy(w http.ResponseWriter, r *http.Request, req server.GroupByRequest, k int) {
-	dataset := strings.TrimSuffix(req.Estimator, "/partitioned")
+func (rt *Router) scatterGroupBy(w http.ResponseWriter, r *http.Request, estimator string, it query.BatchItem, k int) {
+	dataset := strings.TrimSuffix(estimator, "/partitioned")
 	bodies, herr := rt.scatterPartition(r.Context(), k, func(part int) ([]byte, string) {
 		sub := server.GroupByRequest{
 			Estimator: server.PartitionEntryName(dataset, part),
-			Predicate: req.Predicate,
-			GroupBy:   req.GroupBy,
+			Predicate: it.Pred,
+			GroupBy:   it.GroupBy,
 		}
 		payload, _ := json.Marshal(sub)
 		return payload, "/groupby"
@@ -812,24 +808,15 @@ func (rt *Router) scatterGroupBy(w http.ResponseWriter, r *http.Request, req ser
 		writeError(w, herr.status, herr.msg)
 		return
 	}
-	partial := make([][]core.GroupEstimate, k)
+	partial := make([][]query.GroupRow, k)
 	for part, b := range bodies {
 		var gr server.GroupByResponse
 		if err := json.Unmarshal(b, &gr); err != nil {
 			writeError(w, http.StatusBadGateway, fmt.Sprintf("partition %d: %v", part, err))
 			return
 		}
-		groups := make([]core.GroupEstimate, len(gr.Groups))
-		for i, g := range gr.Groups {
-			groups[i] = core.GroupEstimate{Values: g.Values, Estimate: g.Estimate}
-		}
-		partial[part] = groups
-	}
-	merged := core.MergeGroupEstimates(partial...)
-	rows := make([]server.GroupRow, len(merged))
-	for i, g := range merged {
-		rows[i] = server.GroupRow{Values: g.Values, Estimate: g.Estimate}
+		partial[part] = gr.Groups
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(server.GroupByResponse{Estimator: req.Estimator, Groups: rows})
+	_ = json.NewEncoder(w).Encode(server.GroupByResponse{Estimator: estimator, Groups: core.MergeGroupEstimates(partial...)})
 }

@@ -48,6 +48,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 )
 
 const (
@@ -90,22 +92,56 @@ type BatchItem struct {
 	GroupBy []int
 }
 
-// BatchGroup is one group of a group-by answer.
-type BatchGroup struct {
-	Values   []int
-	Estimate float64
+// AppendIdentity writes the item's canonical identity — kind ('c' count,
+// 'g' group-by), grouping attributes in request order, canonical
+// predicate — to b. It is the tier-independent part of every result-cache
+// key: the node and the router each prepend their own estimator and
+// freshness prefix, so one query has one identity however it arrived. A
+// nil predicate writes "-", which no canonical key (they start with '#')
+// can collide with.
+func (it BatchItem) AppendIdentity(b *strings.Builder) {
+	if len(it.GroupBy) == 0 {
+		b.WriteByte('c')
+	} else {
+		b.WriteByte('g')
+		for _, a := range it.GroupBy {
+			b.WriteByte(',')
+			b.WriteString(strconv.Itoa(a))
+		}
+	}
+	b.WriteByte(0)
+	if it.Pred == nil {
+		b.WriteByte('-')
+	} else {
+		b.WriteString(it.Pred.CanonicalKey())
+	}
 }
 
-// BatchAnswer is the answer to one BatchItem. Exactly one of Count,
+// GroupRow is one row of a group-by answer — the one shape every layer
+// (estimators, result caches, both wires, the router) holds a group in, so
+// an answer moves between them without a copy.
+type GroupRow struct {
+	// Values are the encoded domain values of the grouping attributes, in
+	// the order the attributes were given.
+	Values []int `json:"values"`
+	// Estimate is the (estimated) COUNT(*) of the group.
+	Estimate float64 `json:"estimate"`
+}
+
+// BatchGroup is the name the batch wire knows a GroupRow by.
+type BatchGroup = GroupRow
+
+// BatchAnswer is the answer to one BatchItem, on both wires (the JSON tags
+// are the answers array of a JSON batch response). Exactly one of Count,
 // Groups, or Error is meaningful: Error is set when the item failed
 // (arity mismatch, estimator failure), Groups when the item was a
 // group-by, Count otherwise.
 type BatchAnswer struct {
-	Count   float64
-	Groups  []BatchGroup
-	Cached  bool
-	IsGroup bool
-	Error   string
+	Count   float64    `json:"count"`
+	Groups  []GroupRow `json:"groups,omitempty"`
+	IsGroup bool       `json:"is_group,omitempty"`
+	Cached  bool       `json:"cached,omitempty"`
+	Error   string     `json:"error,omitempty"`
 }
 
 // --- encoding ---------------------------------------------------------
@@ -150,36 +186,14 @@ func (w *frameWriter) seal(base int, magic string, version uint16) ([]byte, erro
 	return w.buf, nil
 }
 
-// EncodeBatch writes a framed batch request: the target estimator name
-// and N queries. Items are validated the same way DecodeBatch validates
-// them, so an encoder can never produce a frame its decoder rejects.
-func EncodeBatch(out io.Writer, estimator string, items []BatchItem) error {
-	frame, err := AppendBatch(nil, estimator, items)
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(frame)
-	return err
-}
-
-// AppendBatch appends a complete framed batch request to dst and returns
-// the extended slice. It reuses dst's spare capacity, so a client that
-// recycles its request buffer encodes steady-state batches without
-// allocating. dst may be nil.
+// AppendBatch appends a complete framed batch request — the target
+// estimator name and N queries — to dst and returns the extended slice.
+// Items are validated the same way DecodeBatchAt validates them, so an
+// encoder can never produce a frame its decoder rejects. It reuses dst's
+// spare capacity, so a client that recycles its request buffer encodes
+// steady-state batches without allocating. dst may be nil.
 func AppendBatch(dst []byte, estimator string, items []BatchItem) ([]byte, error) {
 	return AppendBatchAt(dst, estimator, 0, items)
-}
-
-// EncodeBatchAt is EncodeBatch targeting a specific snapshot version of
-// the estimator's dataset (version > 0); version 0 targets the live
-// estimator and emits a frame bit-identical to EncodeBatch's.
-func EncodeBatchAt(out io.Writer, estimator string, version int, items []BatchItem) error {
-	frame, err := AppendBatchAt(nil, estimator, version, items)
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(frame)
-	return err
 }
 
 // AppendBatchAt is AppendBatch targeting a specific snapshot version of
@@ -257,19 +271,9 @@ func encodeItem(w *frameWriter, it BatchItem) error {
 	return nil
 }
 
-// EncodeAnswers writes a framed batch answer: the answering estimator
-// name and one BatchAnswer per request item, in request order.
-func EncodeAnswers(out io.Writer, estimator string, answers []BatchAnswer) error {
-	frame, err := AppendAnswers(nil, estimator, answers)
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(frame)
-	return err
-}
-
-// AppendAnswers appends a complete framed batch answer to dst and returns
-// the extended slice. It reuses dst's spare capacity, so a server that
+// AppendAnswers appends a complete framed batch answer — the answering
+// estimator name and one BatchAnswer per request item, in request order —
+// to dst and returns the extended slice. It reuses dst's spare capacity, so a server that
 // pools response buffers assembles steady-state answers without
 // allocating. dst may be nil.
 func AppendAnswers(dst []byte, estimator string, answers []BatchAnswer) ([]byte, error) {
@@ -403,21 +407,13 @@ func readFrame(in io.Reader, magic string, maxVersion uint16) ([]byte, uint16, e
 	return payload, version, nil
 }
 
-// DecodeBatch reads and validates a framed batch request, returning the
-// estimator name and the decoded items. It accepts both format versions
-// but discards a v2 frame's snapshot version — version-aware servers use
-// DecodeBatchAt. Validation mirrors the JSON path's strictness —
-// out-of-range or duplicate attributes, inverted ranges, and empty sets
-// are rejected with errors that pinpoint the offending item — so a
-// malformed frame never becomes a silently-wrong query.
-func DecodeBatch(in io.Reader) (string, []BatchItem, error) {
-	estimator, _, items, err := DecodeBatchAt(in)
-	return estimator, items, err
-}
-
-// DecodeBatchAt is DecodeBatch returning the snapshot version the frame
-// targets: 0 (the live estimator) for format v1 frames, the encoded
-// version (> 0) for format v2.
+// DecodeBatchAt reads and validates a framed batch request, returning the
+// estimator name, the snapshot version the frame targets — 0 (the live
+// estimator) for format v1 frames, the encoded version (> 0) for format
+// v2 — and the decoded items. Validation mirrors the JSON path's
+// strictness — out-of-range or duplicate attributes, inverted ranges, and
+// empty sets are rejected with errors that pinpoint the offending item —
+// so a malformed frame never becomes a silently-wrong query.
 func DecodeBatchAt(in io.Reader) (string, int, []BatchItem, error) {
 	payload, format, err := readFrame(in, batchRequestMagic, batchFormatVersionAt)
 	if err != nil {

@@ -54,16 +54,16 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 		for i := range items {
 			items[i] = randomItem(rng)
 		}
-		var buf bytes.Buffer
-		if err := EncodeBatch(&buf, "demo/maxent", items); err != nil {
+		frame, err := AppendBatch(nil, "demo/maxent", items)
+		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		estimator, got, err := DecodeBatch(bytes.NewReader(buf.Bytes()))
+		estimator, version, got, err := DecodeBatchAt(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if estimator != "demo/maxent" {
-			t.Fatalf("trial %d: estimator %q", trial, estimator)
+		if estimator != "demo/maxent" || version != 0 {
+			t.Fatalf("trial %d: estimator %q at version %d", trial, estimator, version)
 		}
 		if len(got) != len(items) {
 			t.Fatalf("trial %d: %d items decoded, want %d", trial, len(got), len(items))
@@ -105,11 +105,11 @@ func TestBatchAnswerRoundTrip(t *testing.T) {
 		{IsGroup: true, Groups: nil, Cached: true}, // empty group answer
 		{Error: "summary: group-by space exceeds 65536 combinations"},
 	}
-	var buf bytes.Buffer
-	if err := EncodeAnswers(&buf, "demo/exact", answers); err != nil {
+	frame, err := AppendAnswers(nil, "demo/exact", answers)
+	if err != nil {
 		t.Fatal(err)
 	}
-	estimator, got, err := DecodeAnswers(bytes.NewReader(buf.Bytes()))
+	estimator, got, err := DecodeAnswers(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,21 +142,20 @@ func TestBatchAnswerRoundTrip(t *testing.T) {
 // TestBatchFrameRejections drives every framing failure mode and asserts a
 // clean, tagged error — never a panic, never a silent wrong decode.
 func TestBatchFrameRejections(t *testing.T) {
-	var buf bytes.Buffer
 	items := []BatchItem{{Pred: NewPredicate(4).WhereEq(0, 1)}}
-	if err := EncodeBatch(&buf, "demo/maxent", items); err != nil {
+	frame, err := AppendBatch(nil, "demo/maxent", items)
+	if err != nil {
 		t.Fatal(err)
 	}
-	frame := buf.Bytes()
 
 	t.Run("truncated header", func(t *testing.T) {
-		_, _, err := DecodeBatch(bytes.NewReader(frame[:10]))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(frame[:10]))
 		if !errors.Is(err, ErrFrame) {
 			t.Fatalf("err = %v, want ErrFrame", err)
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		_, _, err := DecodeBatch(bytes.NewReader(frame[:len(frame)-2]))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(frame[:len(frame)-2]))
 		if !errors.Is(err, ErrFrame) {
 			t.Fatalf("err = %v, want ErrFrame", err)
 		}
@@ -164,17 +163,17 @@ func TestBatchFrameRejections(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte(nil), frame...)
 		bad[0] ^= 0xff
-		_, _, err := DecodeBatch(bytes.NewReader(bad))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(bad))
 		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "magic") {
 			t.Fatalf("err = %v, want magic ErrFrame", err)
 		}
 	})
 	t.Run("answer magic on request decoder", func(t *testing.T) {
-		var abuf bytes.Buffer
-		if err := EncodeAnswers(&abuf, "x", []BatchAnswer{{Count: 1}}); err != nil {
+		answers, err := AppendAnswers(nil, "x", []BatchAnswer{{Count: 1}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := DecodeBatch(bytes.NewReader(abuf.Bytes()))
+		_, _, _, err = DecodeBatchAt(bytes.NewReader(answers))
 		if !errors.Is(err, ErrFrame) {
 			t.Fatalf("err = %v, want ErrFrame", err)
 		}
@@ -182,7 +181,7 @@ func TestBatchFrameRejections(t *testing.T) {
 	t.Run("version mismatch", func(t *testing.T) {
 		bad := append([]byte(nil), frame...)
 		bad[8] = 99
-		_, _, err := DecodeBatch(bytes.NewReader(bad))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(bad))
 		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("err = %v, want version ErrFrame", err)
 		}
@@ -190,7 +189,7 @@ func TestBatchFrameRejections(t *testing.T) {
 	t.Run("crc corruption", func(t *testing.T) {
 		bad := append([]byte(nil), frame...)
 		bad[len(bad)-1] ^= 0x01 // flip a payload bit
-		_, _, err := DecodeBatch(bytes.NewReader(bad))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(bad))
 		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("err = %v, want checksum ErrFrame", err)
 		}
@@ -200,7 +199,7 @@ func TestBatchFrameRejections(t *testing.T) {
 		// Claim one byte fewer than present: trailing garbage.
 		n := len(bad) - 24
 		bad[12] = byte(n - 1)
-		_, _, err := DecodeBatch(bytes.NewReader(bad))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(bad))
 		if !errors.Is(err, ErrFrame) {
 			t.Fatalf("err = %v, want ErrFrame", err)
 		}
@@ -210,13 +209,13 @@ func TestBatchFrameRejections(t *testing.T) {
 		for i := 12; i < 20; i++ {
 			bad[i] = 0xff
 		}
-		_, _, err := DecodeBatch(bytes.NewReader(bad))
+		_, _, _, err := DecodeBatchAt(bytes.NewReader(bad))
 		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "bound") {
 			t.Fatalf("err = %v, want bound ErrFrame", err)
 		}
 	})
 	t.Run("empty batch", func(t *testing.T) {
-		if err := EncodeBatch(&bytes.Buffer{}, "x", nil); err == nil {
+		if _, err := AppendBatch(nil, "x", nil); err == nil {
 			t.Fatal("empty batch encoded")
 		}
 	})
@@ -231,11 +230,11 @@ func FuzzDecodeBatch(f *testing.F) {
 		for i := range items {
 			items[i] = randomItem(rng)
 		}
-		var buf bytes.Buffer
-		if err := EncodeBatch(&buf, "demo/maxent", items); err != nil {
+		frame, err := AppendBatch(nil, "demo/maxent", items)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(frame)
 	}
 	// Versioned (format v2) seed: the old-frame/new-frame compatibility
 	// pair must both stay in the accepted language.
@@ -275,15 +274,15 @@ func FuzzDecodeBatch(f *testing.F) {
 
 // FuzzDecodeAnswers is the answer-side counterpart.
 func FuzzDecodeAnswers(f *testing.F) {
-	var buf bytes.Buffer
-	if err := EncodeAnswers(&buf, "demo/maxent", []BatchAnswer{
+	frame, err := AppendAnswers(nil, "demo/maxent", []BatchAnswer{
 		{Count: 42.5, Cached: true},
 		{IsGroup: true, Groups: []BatchGroup{{Values: []int{1}, Estimate: 3}}},
 		{Error: "boom"},
-	}); err != nil {
+	})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(frame)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = DecodeAnswers(bytes.NewReader(data))

@@ -38,20 +38,12 @@ func TestAppendBatchAtVersionZeroIsBitIdenticalV1(t *testing.T) {
 }
 
 // TestOldFramesStillDecode: a v1 frame (what every pre-versioning client
-// emits) must decode through both the old and the version-aware API, the
-// latter reporting version 0.
+// emits) must decode, reporting version 0.
 func TestOldFramesStillDecode(t *testing.T) {
 	items := []BatchItem{{Pred: NewPredicate(3).WhereEq(0, 1)}, {}}
 	frame, err := AppendBatch(nil, "demo/maxent", items)
 	if err != nil {
 		t.Fatal(err)
-	}
-	est, got, err := DecodeBatch(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("old API rejected a v1 frame: %v", err)
-	}
-	if est != "demo/maxent" || len(got) != 2 {
-		t.Fatalf("old API decoded %q/%d items", est, len(got))
 	}
 	est, version, got, err := DecodeBatchAt(bytes.NewReader(frame))
 	if err != nil {
@@ -63,8 +55,7 @@ func TestOldFramesStillDecode(t *testing.T) {
 }
 
 // TestVersionedBatchRoundTrip: v2 frames carry the snapshot version
-// through encode/decode, and the version-unaware DecodeBatch still
-// accepts them (discarding the version).
+// through encode/decode.
 func TestVersionedBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, version := range []int{1, 2, 42, 1 << 20} {
@@ -91,9 +82,6 @@ func TestVersionedBatchRoundTrip(t *testing.T) {
 			if (a.Pred == nil) != (b.Pred == nil) || (a.Pred != nil && !a.Pred.Equal(b.Pred)) {
 				t.Fatalf("v%d item %d predicate drifted", version, i)
 			}
-		}
-		if _, legacyItems, err := DecodeBatch(bytes.NewReader(frame)); err != nil || len(legacyItems) != len(items) {
-			t.Fatalf("version-unaware DecodeBatch on a v2 frame: %d items, err=%v", len(legacyItems), err)
 		}
 	}
 }

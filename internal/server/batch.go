@@ -1,12 +1,10 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/query"
 )
@@ -36,13 +34,7 @@ type BatchQueryRequest struct {
 // BatchResult is one answer of a JSON batch response. Exactly one of
 // count/groups/error is meaningful: error for a per-query failure, groups
 // when is_group, count otherwise.
-type BatchResult struct {
-	Count   float64    `json:"count"`
-	Groups  []GroupRow `json:"groups,omitempty"`
-	IsGroup bool       `json:"is_group,omitempty"`
-	Cached  bool       `json:"cached,omitempty"`
-	Error   string     `json:"error,omitempty"`
-}
+type BatchResult = query.BatchAnswer
 
 // BatchQueryResponse is the JSON body of a successful POST /query/batch.
 // Version echoes the snapshot version that answered (0 = live).
@@ -55,184 +47,59 @@ type BatchQueryResponse struct {
 
 // handleBatch serves POST /query/batch: N queries answered in one round
 // trip. The request wire is chosen by Content-Type and the response wire
-// by Accept (defaulting to mirror the request); both JSON and the binary
-// frame of internal/query are supported, and they produce bit-identical
-// answers because both paths share queryKey, the cache, and the
-// estimators.
+// by Accept (WantBinaryAnswers); both JSON and the binary frame of
+// internal/query are supported, and they produce bit-identical answers
+// because both are codecs around the same read.
 //
 // Batch-level problems (malformed body, unknown estimator, empty or
 // oversized batch, admission failure) are HTTP errors; per-query problems
 // (arity mismatch, estimator refusal) land in that answer's error field
-// under a 200, so one bad query cannot void its batchmates. Cache hits are
-// served without touching the worker pool; all misses of a batch are
-// evaluated under a single admission slot — the batch pays one queue wait,
-// not N.
+// under a 200, so one bad query cannot void its batchmates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
-	failed := false
-	defer func() { s.metrics.Record(s.opts.Now().Sub(start), failed) }()
-	fail := func(herr *httpError) {
-		failed = true
-		writeJSON(w, herr.status, errorResponse{Error: herr.msg})
-	}
-	if r.Method != http.MethodPost {
-		fail(&httpError{status: http.StatusMethodNotAllowed, msg: "use POST"})
-		return
-	}
-	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType)
-	binaryResp := wantBinaryAnswers(r.Header.Get("Accept"), binaryReq)
+	s.finish(w, start, s.serveBatch(w, r, start))
+}
+
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, start time.Time) *httpError {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)}
-
-	var estimator string
-	var version int
-	var items []query.BatchItem
-	if binaryReq {
-		var err error
-		estimator, version, items, err = query.DecodeBatchAt(body)
-		if err != nil {
-			fail(badRequest("malformed batch frame: %v", err))
-			return
-		}
-	} else {
-		var req BatchQueryRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			fail(badRequest("malformed request body: %v", err))
-			return
-		}
-		estimator = req.Estimator
-		version = req.Version
-		items = make([]query.BatchItem, len(req.Queries))
-		for i, q := range req.Queries {
-			items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
-		}
+	req, err := DecodeBatch(r, body)
+	if err != nil {
+		return asHTTPError(err)
 	}
-	if v, herr := urlVersion(r); herr != nil {
-		fail(herr)
-		return
-	} else if v >= 0 {
-		version = v
+	if len(req.Items) > s.opts.MaxBatch {
+		return badRequest("batch of %d queries exceeds the limit of %d", len(req.Items), s.opts.MaxBatch)
 	}
-	if len(items) == 0 {
-		fail(badRequest("batch is empty"))
-		return
+	ent, answers, _, herr := s.read(r.Context(), w, req)
+	if ent.Estimator != nil {
+		// A batch counts once its estimator resolved, whatever admission
+		// decided afterwards.
+		s.metrics.RecordBatch(len(req.Items), body.n, req.Binary)
 	}
-	if len(items) > s.opts.MaxBatch {
-		fail(badRequest("batch of %d queries exceeds the limit of %d", len(items), s.opts.MaxBatch))
-		return
-	}
-	// Resolve the estimator once: every answer of a batch comes from the
-	// same registry snapshot (name + generation, or name + snapshot
-	// version for a time-travel batch), even if an ingest swaps the
-	// estimator mid-flight.
-	ent, herr := s.lookupEntry(estimator, version)
 	if herr != nil {
-		fail(herr)
-		return
+		return herr
 	}
-	setGenerationHeader(w, ent)
-	s.metrics.RecordBatch(len(items), body.n, binaryReq)
-
-	answers := make([]query.BatchAnswer, len(items))
-	type miss struct {
-		idx int
-		key string
-	}
-	// Sized lazily on the first miss: an all-hit batch (the steady state a
-	// warm cache serves) never allocates the slice at all.
-	var misses []miss
-	for i, it := range items {
-		kind := "c"
-		if len(it.GroupBy) > 0 {
-			kind = "g"
-		}
-		key, err := queryKey(ent, kind, it.Pred, it.GroupBy)
-		if err != nil {
-			answers[i] = query.BatchAnswer{IsGroup: kind == "g", Error: err.Error()}
-			continue
-		}
-		if v, hit := s.cache.Get(key); hit {
-			if kind == "g" {
-				answers[i] = query.BatchAnswer{IsGroup: true, Groups: toBatchGroups(v.([]GroupRow)), Cached: true}
-			} else {
-				answers[i] = query.BatchAnswer{Count: v.(float64), Cached: true}
-			}
-			continue
-		}
-		answers[i].IsGroup = kind == "g"
-		if misses == nil {
-			misses = make([]miss, 0, len(items)-i)
-		}
-		misses = append(misses, miss{idx: i, key: key})
-	}
-
-	if len(misses) > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-		defer cancel()
-		_, herr := s.execute(ctx, func() (interface{}, error) {
-			for _, m := range misses {
-				it := items[m.idx]
-				if len(it.GroupBy) > 0 {
-					groups, err := ent.Estimator.EstimateGroupBy(it.GroupBy, it.Pred)
-					if err != nil {
-						answers[m.idx].Error = err.Error()
-						continue
-					}
-					rows := toGroupRows(groups)
-					s.cache.Put(m.key, rows)
-					answers[m.idx].Groups = toBatchGroups(rows)
-				} else {
-					count, err := ent.Estimator.EstimateCount(it.Pred)
-					if err != nil {
-						answers[m.idx].Error = err.Error()
-						continue
-					}
-					s.cache.Put(m.key, count)
-					answers[m.idx].Count = count
-				}
-			}
-			return nil, nil
+	if !WantBinaryAnswers(r, req.Binary) {
+		writeJSON(w, http.StatusOK, BatchQueryResponse{
+			Estimator: ent.Name,
+			Version:   ent.Snapshot,
+			Answers:   answers,
+			LatencyNS: s.opts.Now().Sub(start).Nanoseconds(),
 		})
-		if herr != nil {
-			// 503 (no slot) or 504 (timed out mid-batch): the whole batch
-			// fails — partial answers are not reported.
-			fail(herr)
-			return
-		}
+		return nil
 	}
-
-	if binaryResp {
-		rb := respBufPool.Get().(*respBuf)
-		frame, err := query.AppendAnswers(rb.b[:0], ent.Name, answers)
-		if err != nil {
-			respBufPool.Put(rb)
-			fail(&httpError{status: http.StatusInternalServerError, msg: err.Error()})
-			return
-		}
-		rb.b = frame
-		w.Header().Set("Content-Type", BinaryBatchContentType)
-		w.WriteHeader(http.StatusOK)
-		// Write copies the frame into the HTTP buffer, so the buffer can go
-		// back to the pool right after.
-		_, _ = w.Write(frame)
-		respBufPool.Put(rb)
-		return
+	rb := respBufPool.Get().(*respBuf)
+	defer respBufPool.Put(rb)
+	frame, ferr := query.AppendAnswers(rb.b[:0], ent.Name, answers)
+	if ferr != nil {
+		return &httpError{status: http.StatusInternalServerError, msg: ferr.Error()}
 	}
-	resp := BatchQueryResponse{
-		Estimator: ent.Name,
-		Version:   ent.Snapshot,
-		Answers:   make([]BatchResult, len(answers)),
-		LatencyNS: s.opts.Now().Sub(start).Nanoseconds(),
-	}
-	for i, a := range answers {
-		resp.Answers[i] = BatchResult{
-			Count:   a.Count,
-			Groups:  toGroupRowsFromBatch(a.Groups),
-			IsGroup: a.IsGroup,
-			Cached:  a.Cached,
-			Error:   a.Error,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	rb.b = frame
+	w.Header().Set("Content-Type", BinaryBatchContentType)
+	w.WriteHeader(http.StatusOK)
+	// Write copies the frame into the HTTP buffer, so the buffer can go
+	// back to the pool right after.
+	_, _ = w.Write(frame)
+	return nil
 }
 
 // respBuf wraps the pooled binary-response buffer (a pointer-shaped pool
@@ -242,18 +109,6 @@ type respBuf struct{ b []byte }
 // respBufPool recycles binary batch response buffers across requests:
 // after warm-up, assembling a cached-answer frame allocates nothing.
 var respBufPool = sync.Pool{New: func() interface{} { return new(respBuf) }}
-
-// wantBinaryAnswers picks the response wire: an explicit Accept wins,
-// otherwise the response mirrors the request format.
-func wantBinaryAnswers(accept string, binaryReq bool) bool {
-	if strings.Contains(accept, BinaryBatchContentType) {
-		return true
-	}
-	if strings.Contains(accept, "application/json") {
-		return false
-	}
-	return binaryReq
-}
 
 // countingReader counts consumed body bytes for the bytes-per-query
 // histogram (Content-Length may be absent on chunked uploads).
@@ -266,26 +121,4 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func toBatchGroups(rows []GroupRow) []query.BatchGroup {
-	if rows == nil {
-		return nil
-	}
-	out := make([]query.BatchGroup, len(rows))
-	for i, g := range rows {
-		out[i] = query.BatchGroup{Values: g.Values, Estimate: g.Estimate}
-	}
-	return out
-}
-
-func toGroupRowsFromBatch(groups []query.BatchGroup) []GroupRow {
-	if groups == nil {
-		return nil
-	}
-	out := make([]GroupRow, len(groups))
-	for i, g := range groups {
-		out[i] = GroupRow{Values: g.Values, Estimate: g.Estimate}
-	}
-	return out
 }

@@ -31,11 +31,11 @@ func toBatchItems(workload []experiment.Query) []query.BatchItem {
 // answer frame.
 func postBinaryBatch(t *testing.T, url, estimator string, items []query.BatchItem) []query.BatchAnswer {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := query.EncodeBatch(&buf, estimator, items); err != nil {
+	frame, err := query.AppendBatch(nil, estimator, items)
+	if err != nil {
 		t.Fatalf("encode batch: %v", err)
 	}
-	resp, err := http.Post(url+"/query/batch", server.BinaryBatchContentType, bytes.NewReader(buf.Bytes()))
+	resp, err := http.Post(url+"/query/batch", server.BinaryBatchContentType, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatalf("POST /query/batch: %v", err)
 	}
@@ -384,11 +384,10 @@ func BenchmarkBatchQueryLoopback(b *testing.B) {
 
 	rng := rand.New(rand.NewSource(3))
 	workload := experiment.GenerateWorkload(experiment.SyntheticSchema(), 32, rng)
-	var frame bytes.Buffer
-	if err := query.EncodeBatch(&frame, "demo/maxent", toBatchItems(workload)); err != nil {
+	body, err := query.AppendBatch(nil, "demo/maxent", toBatchItems(workload))
+	if err != nil {
 		b.Fatal(err)
 	}
-	body := frame.Bytes()
 
 	post := func(client *http.Client) error {
 		resp, err := client.Post(ts+"/query/batch", server.BinaryBatchContentType, bytes.NewReader(body))

@@ -80,13 +80,9 @@ func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts Da
 	}
 
 	if opts.Partitions > 0 {
-		// Partition-level concurrency already saturates the cores during
-		// the build; keep the per-partition solver sequential.
-		base := opts.Summary
-		base.Solver.Workers = 1
 		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
 			Partitions: opts.Partitions,
-			Base:       base,
+			Base:       opts.Summary,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: dataset %q: partitioned build: %w", dataset, err)

@@ -313,11 +313,9 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 		swaps = append(swaps, swap{l.dataset + "/exact", exact.New(full), full.Schema(), false})
 	}
 	if _, ok := l.reg.Get(l.dataset + "/partitioned"); ok {
-		base := l.opts.Dataset.Summary
-		base.Solver.Workers = 1
 		psum, err := summary.BuildPartitioned(full, summary.PartitionedOptions{
 			Partitions: l.opts.Dataset.Partitions,
-			Base:       base,
+			Base:       l.opts.Dataset.Summary,
 		})
 		if err != nil {
 			return out, fmt.Errorf("server: refresh %q: partitioned rebuild: %w", l.dataset, err)

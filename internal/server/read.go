@@ -1,0 +1,305 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+
+	"repro/internal/query"
+)
+
+// The read path. Every read endpoint — POST /query, GET /query, /groupby,
+// and /query/batch on either wire — is an edge codec around one executor:
+// a decoder below turns the HTTP request into a ReadRequest, Server.read
+// answers it, and the handler encodes the answers back. A single query is
+// a batch of one. The decoders, the response-wire rule, and the identity
+// half of the cache key are exported because the fleet router speaks the
+// same request language and must agree with the node on all three.
+
+// ReadRequest is one decoded read: N items against one estimator at one
+// version. Version is already resolved — a ?version=N URL parameter
+// overrides the body's field, and anything non-positive is 0, the live
+// estimator.
+type ReadRequest struct {
+	Estimator string
+	Version   int
+	Items     []query.BatchItem
+	// Binary reports that the request body was a binary batch frame.
+	Binary bool
+}
+
+// DecodeQuery decodes a /query request: the JSON body of a POST, or the
+// URL parameters of a GET (estimator, version, and an optional URL-encoded
+// JSON predicate — the curl-able time-travel form).
+func DecodeQuery(r *http.Request, body io.Reader) (ReadRequest, error) {
+	var req QueryRequest
+	switch r.Method {
+	case http.MethodPost:
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return ReadRequest{}, badRequest("malformed request body: %v", err)
+		}
+	case http.MethodGet:
+		q := r.URL.Query()
+		req.Estimator = q.Get("estimator")
+		if raw := q.Get("predicate"); raw != "" {
+			req.Predicate = new(query.Predicate)
+			if err := json.Unmarshal([]byte(raw), req.Predicate); err != nil {
+				return ReadRequest{}, badRequest("malformed predicate parameter: %v", err)
+			}
+		}
+	default:
+		return ReadRequest{}, errUsePost
+	}
+	return resolveVersion(r, ReadRequest{Estimator: req.Estimator, Version: req.Version,
+		Items: []query.BatchItem{{Pred: req.Predicate}}})
+}
+
+// DecodeGroupBy decodes a POST /groupby request.
+func DecodeGroupBy(r *http.Request, body io.Reader) (ReadRequest, error) {
+	if r.Method != http.MethodPost {
+		return ReadRequest{}, errUsePost
+	}
+	var req GroupByRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return ReadRequest{}, badRequest("malformed request body: %v", err)
+	}
+	if len(req.GroupBy) == 0 {
+		// An item without grouping attributes is a count; /groupby has no
+		// such reading.
+		return ReadRequest{}, errGroupByArity(0)
+	}
+	return resolveVersion(r, ReadRequest{Estimator: req.Estimator, Version: req.Version,
+		Items: []query.BatchItem{{Pred: req.Predicate, GroupBy: req.GroupBy}}})
+}
+
+// DecodeBatch decodes a POST /query/batch request on the wire its
+// Content-Type names: the binary frame of internal/query, or JSON.
+func DecodeBatch(r *http.Request, body io.Reader) (ReadRequest, error) {
+	if r.Method != http.MethodPost {
+		return ReadRequest{}, errUsePost
+	}
+	read := ReadRequest{Binary: strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType)}
+	if read.Binary {
+		var err error
+		read.Estimator, read.Version, read.Items, err = query.DecodeBatchAt(body)
+		if err != nil {
+			return ReadRequest{}, badRequest("malformed batch frame: %v", err)
+		}
+	} else {
+		var req BatchQueryRequest
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return ReadRequest{}, badRequest("malformed request body: %v", err)
+		}
+		read.Estimator, read.Version = req.Estimator, req.Version
+		read.Items = make([]query.BatchItem, len(req.Queries))
+		for i, q := range req.Queries {
+			read.Items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
+		}
+	}
+	if len(read.Items) == 0 {
+		return ReadRequest{}, badRequest("batch is empty")
+	}
+	return resolveVersion(r, read)
+}
+
+// resolveVersion applies the ?version=N override and folds every
+// non-positive version into 0.
+func resolveVersion(r *http.Request, read ReadRequest) (ReadRequest, error) {
+	v, herr := urlVersion(r)
+	if herr != nil {
+		return ReadRequest{}, herr
+	}
+	if v >= 0 {
+		read.Version = v
+	}
+	if read.Version < 0 {
+		read.Version = 0
+	}
+	return read, nil
+}
+
+// urlVersion parses the optional ?version=N parameter; -1 means absent.
+func urlVersion(r *http.Request) (int, *httpError) {
+	raw := r.URL.Query().Get("version")
+	if raw == "" {
+		return -1, nil
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil || v < 0 {
+		return -1, badRequest("version must be a non-negative integer, got %q", raw)
+	}
+	return v, nil
+}
+
+// WantBinaryAnswers picks the response wire of a batch, on the node and on
+// the router alike: an Accept naming the binary media type gets binary, one
+// naming application/json gets JSON, and anything else — absent, */* —
+// mirrors the request wire.
+func WantBinaryAnswers(r *http.Request, binaryReq bool) bool {
+	accept := r.Header.Get("Accept")
+	if strings.Contains(accept, BinaryBatchContentType) {
+		return true
+	}
+	if strings.Contains(accept, "application/json") {
+		return false
+	}
+	return binaryReq
+}
+
+var errUsePost = &httpError{status: http.StatusMethodNotAllowed, msg: "use POST"}
+
+func errGroupByArity(n int) *httpError {
+	return badRequest("group_by needs 1..4 attributes, got %d", n)
+}
+
+// queryKey validates one item's shape against the entry's schema and
+// builds its result-cache key: the entry's freshness prefix, then the
+// item's identity.
+func queryKey(ent Entry, it query.BatchItem) (string, *httpError) {
+	numAttrs := ent.Schema.NumAttrs()
+	if it.Pred != nil && it.Pred.NumAttrs() != numAttrs {
+		return "", badRequest("predicate has num_attrs=%d, estimator %q answers over %d attributes",
+			it.Pred.NumAttrs(), ent.Name, numAttrs)
+	}
+	if len(it.GroupBy) > 4 {
+		return "", errGroupByArity(len(it.GroupBy))
+	}
+	for i, a := range it.GroupBy {
+		if a < 0 || a >= numAttrs {
+			return "", badRequest("group_by attribute %d out of range [0,%d)", a, numAttrs)
+		}
+		for _, prev := range it.GroupBy[:i] {
+			if prev == a {
+				return "", badRequest("duplicate group_by attribute %d", a)
+			}
+		}
+	}
+	// The entry generation is part of the key, so answers cached before a
+	// hot swap can never be served afterwards — even if an in-flight query
+	// of the old generation stores its result after the swap's explicit
+	// invalidation ran. Historical entries (Snapshot > 0) are immutable and
+	// key by snapshot version instead, under a distinct "s" marker so a
+	// snapshot version can never collide with a live generation.
+	var b strings.Builder
+	b.Grow(len(ent.Name) + 16)
+	b.WriteString(ent.Name)
+	if ent.Snapshot > 0 {
+		b.WriteString("\x00s")
+		b.WriteString(strconv.Itoa(ent.Snapshot))
+	} else {
+		b.WriteString("\x00v")
+		b.WriteString(strconv.FormatUint(ent.Generation, 10))
+	}
+	b.WriteByte(0)
+	it.AppendIdentity(&b)
+	return b.String(), nil
+}
+
+// read is the node's one read path, and the only code that touches the
+// result cache or asks an estimator for an answer. It resolves the
+// estimator once — every answer of a request comes from the same registry
+// snapshot (name + generation, or name + snapshot version for time
+// travel), even if an ingest swaps the estimator mid-flight — then keys
+// each item, serves hits from the cache without touching the worker pool,
+// evaluates all misses under a single admission slot (a request pays one
+// queue wait, not one per item), and stores what it computed.
+//
+// The *httpError fails the whole request: an unresolvable estimator, or a
+// 503 (no slot) / 504 (timed out mid-request) admission outcome — partial
+// answers are not reported. A per-item failure (shape mismatch, estimator
+// refusal) lands in that answer's Error, so one bad item cannot void its
+// batchmates; itemErrs, nil unless some item failed, carries the status a
+// single-read endpoint reports it with (400 and 422).
+func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadRequest) (Entry, []query.BatchAnswer, []*httpError, *httpError) {
+	ent, herr := s.lookupEntry(req.Estimator, req.Version)
+	if herr != nil {
+		return ent, nil, nil, herr
+	}
+	setGenerationHeader(w, ent)
+
+	items := req.Items
+	answers := make([]query.BatchAnswer, len(items))
+	var itemErrs []*httpError
+	type miss struct {
+		idx int
+		key string
+	}
+	// Sized lazily on the first miss: an all-hit request (the steady state
+	// a warm cache serves) never allocates the slice at all.
+	var misses []miss
+	for i, it := range items {
+		answers[i].IsGroup = len(it.GroupBy) > 0
+		key, kerr := queryKey(ent, it)
+		if kerr != nil {
+			itemErrs = failItem(itemErrs, answers, i, kerr)
+			continue
+		}
+		if v, hit := s.cache.Get(key); hit {
+			answers[i].Cached = true
+			if answers[i].IsGroup {
+				answers[i].Groups = v.([]query.GroupRow)
+			} else {
+				answers[i].Count = v.(float64)
+			}
+			continue
+		}
+		if misses == nil {
+			misses = make([]miss, 0, len(items)-i)
+		}
+		misses = append(misses, miss{idx: i, key: key})
+	}
+	if len(misses) == 0 {
+		return ent, answers, itemErrs, nil
+	}
+
+	// The closure assigns missErrs, which moves it to the heap: it is a
+	// variable of its own so that the all-hit return above does not pay.
+	missErrs := itemErrs
+	ctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
+	defer cancel()
+	_, herr = s.execute(ctx, func() (interface{}, error) {
+		for _, m := range misses {
+			it := items[m.idx]
+			var err error
+			if len(it.GroupBy) > 0 {
+				var groups []query.GroupRow
+				if groups, err = ent.Estimator.EstimateGroupBy(it.GroupBy, it.Pred); err == nil {
+					if groups == nil {
+						groups = []query.GroupRow{} // "groups": [], never null
+					}
+					s.cache.Put(m.key, groups)
+					answers[m.idx].Groups = groups
+				}
+			} else {
+				var count float64
+				if count, err = ent.Estimator.EstimateCount(it.Pred); err == nil {
+					s.cache.Put(m.key, count)
+					answers[m.idx].Count = count
+				}
+			}
+			if err != nil {
+				missErrs = failItem(missErrs, answers, m.idx,
+					&httpError{status: http.StatusUnprocessableEntity, msg: err.Error()})
+			}
+		}
+		return nil, nil
+	})
+	if herr != nil {
+		return ent, nil, nil, herr
+	}
+	return ent, answers, missErrs, nil
+}
+
+// failItem records item i's failure in its answer and in the (lazily
+// allocated) per-item status slice.
+func failItem(itemErrs []*httpError, answers []query.BatchAnswer, i int, err *httpError) []*httpError {
+	if itemErrs == nil {
+		itemErrs = make([]*httpError, len(answers))
+	}
+	itemErrs[i] = err
+	answers[i].Error = err.msg
+	return itemErrs
+}

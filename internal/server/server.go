@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -12,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -219,10 +219,7 @@ type GroupByRequest struct {
 }
 
 // GroupRow is one group of a group-by answer.
-type GroupRow struct {
-	Values   []int   `json:"values"`
-	Estimate float64 `json:"estimate"`
-}
+type GroupRow = query.GroupRow
 
 // GroupByResponse is the body of a successful POST /groupby.
 type GroupByResponse struct {
@@ -314,115 +311,63 @@ func badRequest(format string, args ...interface{}) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// handleQuery serves POST /query (JSON body) and GET /query (URL
-// parameters: estimator, version, and an optional URL-encoded JSON
-// predicate — the curl-able time-travel form). On both methods a
-// ?version=N URL parameter overrides the body's version field.
+// handleQuery serves /query and handleGroupBy /groupby: one query is a
+// batch of one.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
-	var req QueryRequest
-	run := func(ctx context.Context) (interface{}, error) {
-		if v, herr := urlVersion(r); herr != nil {
-			return nil, herr
-		} else if v >= 0 {
-			req.Version = v
-		}
-		ent, key, herr := s.admitQuery(req.Estimator, req.Version, "c", req.Predicate, nil)
-		if herr != nil {
-			return nil, herr
-		}
-		setGenerationHeader(w, ent)
-		if v, ok := s.cache.Get(key); ok {
-			return QueryResponse{Estimator: ent.Name, Version: ent.Snapshot, Count: v.(float64), Cached: true}, nil
-		}
-		v, herr2 := s.execute(ctx, func() (interface{}, error) {
-			return ent.Estimator.EstimateCount(req.Predicate)
-		})
-		if herr2 != nil {
-			return nil, herr2
-		}
-		count := v.(float64)
-		s.cache.Put(key, count)
-		return QueryResponse{Estimator: ent.Name, Version: ent.Snapshot, Count: count}, nil
-	}
-	finish := func(resp interface{}, latency time.Duration) interface{} {
-		qr := resp.(QueryResponse)
-		qr.LatencyNS = latency.Nanoseconds()
-		return qr
-	}
-	var err error
-	if r.Method == http.MethodGet {
-		if herr := queryRequestFromURL(r, &req); herr != nil {
-			writeJSON(w, herr.status, errorResponse{Error: herr.msg})
-			err = herr
-		} else {
-			err = s.runTimed(w, r, run, finish)
-		}
-	} else {
-		err = s.withRequest(w, r, &req, run, finish)
-	}
-	s.metrics.Record(s.opts.Now().Sub(start), err != nil)
-}
-
-// queryRequestFromURL decodes the GET /query parameter form.
-func queryRequestFromURL(r *http.Request, req *QueryRequest) *httpError {
-	q := r.URL.Query()
-	req.Estimator = q.Get("estimator")
-	if raw := q.Get("predicate"); raw != "" {
-		var p query.Predicate
-		if err := json.Unmarshal([]byte(raw), &p); err != nil {
-			return badRequest("malformed predicate parameter: %v", err)
-		}
-		req.Predicate = &p
-	}
-	return nil
-}
-
-// urlVersion parses the optional ?version=N parameter; -1 means absent.
-func urlVersion(r *http.Request) (int, *httpError) {
-	raw := r.URL.Query().Get("version")
-	if raw == "" {
-		return -1, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		return -1, badRequest("version must be a non-negative integer, got %q", raw)
-	}
-	return v, nil
+	s.finish(w, start, s.serveSingle(w, r, start, DecodeQuery))
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
-	var req GroupByRequest
-	err := s.withRequest(w, r, &req, func(ctx context.Context) (interface{}, error) {
-		if v, herr := urlVersion(r); herr != nil {
-			return nil, herr
-		} else if v >= 0 {
-			req.Version = v
-		}
-		ent, key, herr := s.admitQuery(req.Estimator, req.Version, "g", req.Predicate, req.GroupBy)
-		if herr != nil {
-			return nil, herr
-		}
-		setGenerationHeader(w, ent)
-		if v, ok := s.cache.Get(key); ok {
-			return GroupByResponse{Estimator: ent.Name, Version: ent.Snapshot, Groups: v.([]GroupRow), Cached: true}, nil
-		}
-		v, herr2 := s.execute(ctx, func() (interface{}, error) {
-			return ent.Estimator.EstimateGroupBy(req.GroupBy, req.Predicate)
-		})
-		if herr2 != nil {
-			return nil, herr2
-		}
-		rows := toGroupRows(v.([]core.GroupEstimate))
-		s.cache.Put(key, rows)
-		return GroupByResponse{Estimator: ent.Name, Version: ent.Snapshot, Groups: rows}, nil
-	}, func(resp interface{}, latency time.Duration) interface{} {
-		gr := resp.(GroupByResponse)
-		gr.LatencyNS = latency.Nanoseconds()
-		return gr
-	})
-	s.metrics.Record(s.opts.Now().Sub(start), err != nil)
+	s.finish(w, start, s.serveSingle(w, r, start, DecodeGroupBy))
+}
+
+// serveSingle is the edge codec of the single-read endpoints: decode, run
+// the one-item read, and write the item's answer — or its failure, which a
+// single endpoint reports as the HTTP status (400 for a shape error, 422
+// for an estimator refusal) a batch would carry in-band.
+func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, start time.Time,
+	decode func(*http.Request, io.Reader) (ReadRequest, error)) *httpError {
+	req, err := decode(r, http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	if err != nil {
+		return asHTTPError(err)
+	}
+	ent, answers, itemErrs, herr := s.read(r.Context(), w, req)
+	if herr != nil {
+		return herr
+	}
+	if itemErrs != nil {
+		return itemErrs[0]
+	}
+	a := answers[0]
+	latency := s.opts.Now().Sub(start).Nanoseconds()
+	if a.IsGroup {
+		writeJSON(w, http.StatusOK, GroupByResponse{Estimator: ent.Name, Version: ent.Snapshot,
+			Groups: a.Groups, Cached: a.Cached, LatencyNS: latency})
+	} else {
+		writeJSON(w, http.StatusOK, QueryResponse{Estimator: ent.Name, Version: ent.Snapshot,
+			Count: a.Count, Cached: a.Cached, LatencyNS: latency})
+	}
+	return nil
+}
+
+// finish is the shared tail of the read endpoints: it writes the request's
+// failure, if any, as a JSON error and accounts the request.
+func (s *Server) finish(w http.ResponseWriter, start time.Time, herr *httpError) {
+	if herr != nil {
+		writeJSON(w, herr.status, errorResponse{Error: herr.msg})
+	}
+	s.metrics.Record(s.opts.Now().Sub(start), herr != nil)
+}
+
+// asHTTPError recovers the status a decoder attached to its error.
+func asHTTPError(err error) *httpError {
+	var herr *httpError
+	if errors.As(err, &herr) {
+		return herr
+	}
+	return &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 }
 
 func (s *Server) handleEstimators(w http.ResponseWriter, r *http.Request) {
@@ -568,67 +513,6 @@ func (s *Server) estimatorInfos() []EstimatorInfo {
 
 // --- request plumbing -------------------------------------------------
 
-// withRequest decodes a POST body into req, runs fn under the per-request
-// timeout, stamps the latency via finish, and writes either the response
-// or a JSON error. It returns the error fn produced (nil on success) so
-// handlers can account failures.
-func (s *Server) withRequest(w http.ResponseWriter, r *http.Request, req interface{},
-	fn func(ctx context.Context) (interface{}, error),
-	finish func(resp interface{}, latency time.Duration) interface{}) error {
-	if r.Method != http.MethodPost {
-		err := &httpError{status: http.StatusMethodNotAllowed, msg: "use POST"}
-		writeJSON(w, err.status, errorResponse{Error: err.msg})
-		return err
-	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(req); err != nil {
-		herr := badRequest("malformed request body: %v", err)
-		writeJSON(w, herr.status, errorResponse{Error: herr.msg})
-		return herr
-	}
-	return s.runTimed(w, r, fn, finish)
-}
-
-// runTimed runs fn under the per-request timeout, stamps the latency via
-// finish, and writes either the response or a JSON error — the shared
-// tail of the POST (body) and GET (URL parameter) request forms.
-func (s *Server) runTimed(w http.ResponseWriter, r *http.Request,
-	fn func(ctx context.Context) (interface{}, error),
-	finish func(resp interface{}, latency time.Duration) interface{}) error {
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-	defer cancel()
-	start := s.opts.Now()
-	resp, err := fn(ctx)
-	if err != nil {
-		status := http.StatusInternalServerError
-		var herr *httpError
-		if errors.As(err, &herr) {
-			status = herr.status
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
-		return err
-	}
-	writeJSON(w, http.StatusOK, finish(resp, s.opts.Now().Sub(start)))
-	return nil
-}
-
-// admitQuery validates the request against the registry (version <= 0,
-// the live estimator) or the historical cache (version > 0, a retained
-// snapshot) and returns the target entry plus the canonical cache key.
-// kind is "c" for counts, "g" for group-bys.
-func (s *Server) admitQuery(estimator string, version int, kind string, pred *query.Predicate, groupBy []int) (Entry, string, error) {
-	ent, herr := s.lookupEntry(estimator, version)
-	if herr != nil {
-		return Entry{}, "", herr
-	}
-	key, err := queryKey(ent, kind, pred, groupBy)
-	if err != nil {
-		return Entry{}, "", err
-	}
-	return ent, key, nil
-}
-
 // lookupEntry resolves an estimator name at a version: version <= 0 is
 // the live registry entry, version > 0 a retained snapshot served through
 // the historical cache (restored on first hit).
@@ -662,60 +546,6 @@ func (s *Server) lookupEntry(estimator string, version int) (Entry, *httpError) 
 	return ent, nil
 }
 
-// queryKey validates the query shape against the entry's schema and builds
-// the canonical cache key. It is shared by the single-query and batch
-// paths, so a batched query and its sequential twin always hit the same
-// cache entry.
-func queryKey(ent Entry, kind string, pred *query.Predicate, groupBy []int) (string, error) {
-	numAttrs := ent.Schema.NumAttrs()
-	if pred != nil && pred.NumAttrs() != numAttrs {
-		return "", badRequest("predicate has num_attrs=%d, estimator %q answers over %d attributes",
-			pred.NumAttrs(), ent.Name, numAttrs)
-	}
-	// The entry generation is part of the key, so answers cached before a
-	// hot swap can never be served afterwards — even if an in-flight query
-	// of the old generation stores its result after the swap's explicit
-	// invalidation ran. Historical entries (Snapshot > 0) are immutable and
-	// key by snapshot version instead, under a distinct "s" marker so a
-	// snapshot version can never collide with a live generation. Built with
-	// one Builder rather than string concatenation: the batch path calls
-	// this once per item.
-	var b strings.Builder
-	b.Grow(len(ent.Name) + 16)
-	b.WriteString(ent.Name)
-	if ent.Snapshot > 0 {
-		b.WriteString("\x00s")
-		b.WriteString(strconv.Itoa(ent.Snapshot))
-	} else {
-		b.WriteString("\x00v")
-		b.WriteString(strconv.FormatUint(ent.Generation, 10))
-	}
-	b.WriteByte(0)
-	b.WriteString(kind)
-	if kind == "g" {
-		if len(groupBy) == 0 || len(groupBy) > 4 {
-			return "", badRequest("group_by needs 1..4 attributes, got %d", len(groupBy))
-		}
-		for i, a := range groupBy {
-			if a < 0 || a >= numAttrs {
-				return "", badRequest("group_by attribute %d out of range [0,%d)", a, numAttrs)
-			}
-			for _, prev := range groupBy[:i] {
-				if prev == a {
-					return "", badRequest("duplicate group_by attribute %d", a)
-				}
-			}
-			b.WriteByte(',')
-			b.WriteString(strconv.Itoa(a))
-		}
-	}
-	b.WriteByte(0)
-	if pred != nil {
-		b.WriteString(pred.CanonicalKey())
-	}
-	return b.String(), nil
-}
-
 // execute runs fn on the bounded worker pool under ctx: it queues for a
 // slot, then runs fn in a goroutine so a timeout can abandon (not cancel)
 // a straggling evaluation without unbounding the pool — the slot is only
@@ -745,14 +575,6 @@ func (s *Server) execute(ctx context.Context, fn func() (interface{}, error)) (i
 	case <-ctx.Done():
 		return nil, &httpError{status: http.StatusGatewayTimeout, msg: "query timed out"}
 	}
-}
-
-func toGroupRows(groups []core.GroupEstimate) []GroupRow {
-	rows := make([]GroupRow, len(groups))
-	for i, g := range groups {
-		rows[i] = GroupRow{Values: g.Values, Estimate: g.Estimate}
-	}
-	return rows
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -1,9 +1,7 @@
 package solver
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/polynomial"
@@ -83,100 +81,6 @@ func BenchmarkSolve(b *testing.B) {
 		b.StartTimer()
 		if _, err := Solve(fresh, constraints, opts); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// sizedInstance is benchInstance with a configurable pair budget: the
-// first numPairs attribute pairs (lexicographic over 6 attributes) each
-// carry 16 2D statistics, so B_a scales while everything else stays fixed.
-func sizedInstance(b *testing.B, numPairs int) (*polynomial.System, []Constraint, Options) {
-	b.Helper()
-	sizes := []int{64, 32, 16, 8, 8, 4}
-	rng := rand.New(rand.NewSource(97))
-	var pairs [][2]int
-	for a1 := 0; a1 < len(sizes) && len(pairs) < numPairs; a1++ {
-		for a2 := a1 + 1; a2 < len(sizes) && len(pairs) < numPairs; a2++ {
-			pairs = append(pairs, [2]int{a1, a2})
-		}
-	}
-	if len(pairs) < numPairs {
-		b.Fatalf("only %d pairs available, want %d", len(pairs), numPairs)
-	}
-	var specs []polynomial.MultiStatSpec
-	for _, pair := range pairs {
-		for k := 0; k < 16; k++ {
-			a1, a2 := pair[0], pair[1]
-			specs = append(specs, polynomial.MultiStatSpec{
-				Attrs:  []int{a1, a2},
-				Ranges: []query.Range{query.Point((k * 3) % sizes[a1]), query.Point(k % sizes[a2])},
-			})
-		}
-	}
-	comp, err := polynomial.NewCompressed(sizes, specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 100000.0
-	marg := make([][]float64, len(sizes))
-	var constraints []Constraint
-	for a, sz := range sizes {
-		weights := make([]float64, sz)
-		sum := 0.0
-		for v := range weights {
-			weights[v] = 0.05 + rng.Float64()
-			sum += weights[v]
-		}
-		marg[a] = make([]float64, sz)
-		for v := range weights {
-			marg[a][v] = weights[v] / sum
-			constraints = append(constraints, OneDConstraint(a, v, n*marg[a][v]))
-		}
-	}
-	for j, spec := range specs {
-		p := 1.0
-		for k, a := range spec.Attrs {
-			r := spec.Ranges[k]
-			pp := 0.0
-			for v := r.Lo; v <= r.Hi; v++ {
-				pp += marg[a][v]
-			}
-			p *= pp
-		}
-		constraints = append(constraints, MultiConstraint(j, n*p*(1+0.5*rng.Float64())))
-	}
-	return polynomial.NewSystem(comp), constraints, Options{N: n, MaxSweeps: 20, Tolerance: 1e-9}
-}
-
-// BenchmarkSolveWorkersCrossover measures the derivative worker pool
-// against the sequential path at a small (B_a=2) and a large (B_a=8) pair
-// budget. It documents the crossover behind summary's auto-enable rule:
-// below ~8 statistic-bearing pairs the pool's fan-out/join overhead beats
-// its parallelism, above it the pool wins.
-func BenchmarkSolveWorkersCrossover(b *testing.B) {
-	poolWorkers := runtime.GOMAXPROCS(0)
-	if poolWorkers < 2 {
-		// On a single-core host the pool cannot win, but running it at 4
-		// still measures its fan-out/join overhead against the sequential
-		// path.
-		poolWorkers = 4
-	}
-	for _, ba := range []int{2, 8} {
-		sys, constraints, opts := sizedInstance(b, ba)
-		for _, workers := range []int{1, poolWorkers} {
-			o := opts
-			o.Workers = workers
-			b.Run(fmt.Sprintf("Ba=%d/workers=%d", ba, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					fresh := sys.Clone()
-					b.StartTimer()
-					if _, err := Solve(fresh, constraints, o); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }

@@ -15,21 +15,19 @@
 // The sweep is organized in per-attribute blocks. Because P is multilinear
 // and the variables of one attribute never co-occur in a factor, the
 // partial derivative ∂P/∂α_{a,v} contains no α_{a,·} at all: within a
-// block, every derivative can be computed up front from the same state —
-// optionally in parallel on a worker pool — and the closed-form updates
-// then applied sequentially with exactly the Gauss–Seidel semantics of the
-// one-at-a-time sweep. The polynomial's incremental API makes each applied
-// update O(terms touching the variable): the cached P is maintained by
-// SetVar and never re-evaluated inside the loop, and once per sweep the
-// caches are resynchronized with a full evaluation so floating-point drift
-// cannot accumulate.
+// block, every derivative can be computed up front from the same state and
+// the closed-form updates then applied sequentially with exactly the
+// Gauss–Seidel semantics of the one-at-a-time sweep. The polynomial's
+// incremental API makes each applied update O(terms touching the variable):
+// the cached P is maintained by SetVar and never re-evaluated inside the
+// loop, and once per sweep the caches are resynchronized with a full
+// evaluation so floating-point drift cannot accumulate.
 package solver
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/polynomial"
@@ -82,22 +80,6 @@ type Options struct {
 	// coordinate optimum and accelerate the sublinear tail of coordinate
 	// descent; non-zero values outside (0, 2) are rejected.
 	Relaxation float64
-	// AdaptiveRelaxation enables automatic over-relaxation scheduling: the
-	// sweep starts at ω = Relaxation (default 1.2 when Relaxation is
-	// unset), and after every sweep the violation trend drives ω — an
-	// increase in the maximum violation (oscillation from extrapolating
-	// past the coordinate optimum) decays ω halfway toward 1.0, the plain
-	// monotone update, while a decreasing violation recovers ω halfway
-	// back toward its ceiling. The schedule keeps the ~20% sweep savings
-	// of a well-chosen fixed ω without requiring the caller to know
-	// whether their instance tolerates it.
-	AdaptiveRelaxation bool
-	// Workers sets the worker-pool size for the per-attribute derivative
-	// batches (default 1, fully sequential). Because the derivatives of one
-	// attribute's variables are independent of each other, computing them
-	// concurrently is exact — the solution is identical to the sequential
-	// sweep.
-	Workers int
 	// Init, when non-nil, warm-starts the solve: the variable assignment of
 	// this previously solved system is copied into sys before the first
 	// sweep, replacing the all-ones cold start. When the constraint targets
@@ -125,17 +107,10 @@ func (o *Options) setDefaults() error {
 		o.MinValue = 1e-12
 	}
 	if o.Relaxation == 0 {
-		if o.AdaptiveRelaxation {
-			o.Relaxation = 1.2
-		} else {
-			o.Relaxation = 1
-		}
+		o.Relaxation = 1
 	}
 	if !(o.Relaxation > 0 && o.Relaxation < 2) { // also rejects NaN
 		return fmt.Errorf("solver: Options.Relaxation must lie in (0,2), got %g", o.Relaxation)
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return nil
 }
@@ -237,27 +212,14 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 	}
 	blocks := planBlocks(active)
 
-	// One pool of goroutines serves every derivative batch of the run, so
-	// per-sweep batching does not pay a goroutine spawn per block.
-	var workers *workerPool
-	if opts.Workers > 1 {
-		workers = newWorkerPool(opts.Workers)
-		defer workers.close()
-	}
-
 	rep := Report{Constraints: len(constraints)}
-	// Adaptive over-relaxation state: ω starts at the configured ceiling
-	// and is rescheduled after every sweep from the violation trend.
-	sweepOpts := opts
-	omegaMax := opts.Relaxation
-	prevViolation := math.Inf(1)
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
 		rep.Sweeps = sweep
 		for bi := range blocks {
 			b := &blocks[bi]
-			derivBatch(sys, b, workers)
+			derivBatch(sys, b)
 			for i, c := range b.cs {
-				applyUpdate(sys, c, b.pds[i], sweepOpts)
+				applyUpdate(sys, c, b.pds[i], opts)
 			}
 		}
 		// Resynchronize the incremental caches with a full evaluation
@@ -272,80 +234,19 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 			rep.Converged = true
 			break
 		}
-		if opts.AdaptiveRelaxation {
-			if rep.MaxViolation > prevViolation {
-				// Oscillation: the extrapolation overshot; back ω off
-				// halfway toward the plain monotone update.
-				sweepOpts.Relaxation = 1 + (sweepOpts.Relaxation-1)*0.5
-			} else {
-				// Monotone progress: recover ω halfway toward the ceiling.
-				sweepOpts.Relaxation += (omegaMax - sweepOpts.Relaxation) * 0.5
-			}
-			prevViolation = rep.MaxViolation
-		}
 	}
 	rep.Duration = time.Since(start)
 	return rep, nil
 }
 
-// workerPool is a fixed set of goroutines executing submitted closures,
-// created once per Solve so per-sweep derivative batches reuse the same
-// goroutines instead of spawning fresh ones per block.
-type workerPool struct {
-	jobs chan func()
-	size int
-}
-
-func newWorkerPool(n int) *workerPool {
-	p := &workerPool{jobs: make(chan func()), size: n}
-	for i := 0; i < n; i++ {
-		go func() {
-			for job := range p.jobs {
-				job()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *workerPool) close() { close(p.jobs) }
-
 // derivBatch fills b.pds with the partial derivatives of the block's
 // variables under the current assignment. Within a block the derivatives
 // are independent of the block's own variables, so they remain exact for
-// the whole sequential application pass, and computing them concurrently
-// (read-only use of the system) is safe.
-func derivBatch(sys *polynomial.System, b *block, pool *workerPool) {
-	workers := 1
-	if pool != nil {
-		workers = pool.size
+// the whole sequential application pass.
+func derivBatch(sys *polynomial.System, b *block) {
+	for i, c := range b.cs {
+		b.pds[i] = sys.Deriv(c.Var, nil)
 	}
-	if workers > len(b.cs) {
-		workers = len(b.cs)
-	}
-	if workers <= 1 {
-		for i, c := range b.cs {
-			b.pds[i] = sys.Deriv(c.Var, nil)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(b.cs) + workers - 1) / workers
-	for lo := 0; lo < len(b.cs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(b.cs) {
-			hi = len(b.cs)
-		}
-		wg.Add(1)
-		lo, hi := lo, hi
-		pool.jobs <- func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				b.pds[i] = sys.Deriv(b.cs[i].Var, nil)
-			}
-		}
-	}
-	wg.Wait()
 }
 
 // applyUpdate applies the closed-form coordinate update of Algorithm 1 to a

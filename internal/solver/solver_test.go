@@ -194,97 +194,6 @@ func TestSolveOverRelaxationConvergesFaster(t *testing.T) {
 	}
 }
 
-// TestSolveAdaptiveRelaxationConverges verifies the auto mode on the
-// hand-checked relation: it must converge in fewer sweeps than the plain
-// ω = 1 update (holding near the 1.2 ceiling while the violation trend is
-// monotone), land on the same MaxEnt distribution, and never do worse
-// than the fixed-ω schedule by more than the decay transient.
-func TestSolveAdaptiveRelaxationConverges(t *testing.T) {
-	const n, tol = 10, 1e-9
-	plainSys, constraints := tinyInstance(t)
-	plain, err := Solve(plainSys, constraints, Options{N: n, MaxSweeps: 5000, Tolerance: tol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptSys, _ := tinyInstance(t)
-	adapt, err := Solve(adaptSys, constraints, Options{N: n, MaxSweeps: 5000, Tolerance: tol, AdaptiveRelaxation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Converged || !adapt.Converged {
-		t.Fatalf("not converged: plain %v, adaptive %v", plain, adapt)
-	}
-	if adapt.Sweeps >= plain.Sweeps {
-		t.Errorf("adaptive relaxation took %d sweeps, plain descent %d; want fewer", adapt.Sweeps, plain.Sweeps)
-	}
-	// Same MaxEnt distribution as the plain solve (tuple probabilities;
-	// the α values themselves carry a per-attribute scale degeneracy).
-	pPlain, pAdapt := plainSys.Eval(nil), adaptSys.Eval(nil)
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			tuple := []int{a, b}
-			x := plainSys.TupleWeight(tuple) / pPlain
-			y := adaptSys.TupleWeight(tuple) / pAdapt
-			if math.Abs(x-y) > 1e-6 {
-				t.Errorf("tuple %v: plain probability %g, adaptive %g", tuple, x, y)
-			}
-		}
-	}
-}
-
-// TestSolveAdaptiveRelaxationDecaysOnOscillation verifies the scheduler's
-// raison d'être: an over-aggressive ceiling that makes the fixed schedule
-// oscillate is tamed by the decay-on-oscillation rule, so the adaptive
-// solve converges no slower (and typically faster) than the same ceiling
-// held fixed.
-func TestSolveAdaptiveRelaxationDecaysOnOscillation(t *testing.T) {
-	const n, tol = 10, 1e-9
-	fixedSys, constraints := tinyInstance(t)
-	fixed, err := Solve(fixedSys, constraints, Options{N: n, MaxSweeps: 5000, Tolerance: tol, Relaxation: 1.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptSys, _ := tinyInstance(t)
-	adapt, err := Solve(adaptSys, constraints, Options{N: n, MaxSweeps: 5000, Tolerance: tol, Relaxation: 1.9, AdaptiveRelaxation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adapt.Converged {
-		t.Fatalf("adaptive solve with aggressive ceiling did not converge: %v", adapt)
-	}
-	if fixed.Converged && adapt.Sweeps > fixed.Sweeps {
-		t.Errorf("adaptive ω (ceiling 1.9) took %d sweeps, fixed ω = 1.9 took %d; want no slower", adapt.Sweeps, fixed.Sweeps)
-	}
-}
-
-// TestSolveParallelMatchesSequential verifies the worker-pool sweep is an
-// exact reorganization of the sequential sweep: because the derivatives of
-// one attribute's variables are mutually independent, batching them
-// concurrently must yield the same trajectory and final solution.
-func TestSolveParallelMatchesSequential(t *testing.T) {
-	seqSys, constraints := tinyInstance(t)
-	seq, err := Solve(seqSys, constraints, Options{N: 10, MaxSweeps: 500, Tolerance: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSys, _ := tinyInstance(t)
-	par, err := Solve(parSys, constraints, Options{N: 10, MaxSweeps: 500, Tolerance: 1e-9, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Converged || !par.Converged {
-		t.Fatalf("not converged: sequential %v, parallel %v", seq, par)
-	}
-	if seq.Sweeps != par.Sweeps {
-		t.Errorf("sequential took %d sweeps, parallel %d; want identical trajectories", seq.Sweeps, par.Sweeps)
-	}
-	for _, ref := range seqSys.Variables() {
-		if a, b := seqSys.Get(ref), parSys.Get(ref); a != b {
-			t.Errorf("variable %v: sequential %g, parallel %g (must be bit-equal)", ref, a, b)
-		}
-	}
-}
-
 // TestSolveMatchesLegacyViolation is the cross-PR acceptance check: the
 // incremental solver must satisfy the constraints of the hand-checked
 // relation to within 1e-9 relative violation, matching the full

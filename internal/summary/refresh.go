@@ -128,7 +128,6 @@ func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (
 
 	sopts := opts.Solver
 	sopts.N = float64(set.N)
-	autoWorkers(&sopts, len(s.pairs))
 	if !info.Rebuilt {
 		sopts.Init = s.sys
 	}

@@ -20,7 +20,6 @@ package summary
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/core"
@@ -54,21 +53,6 @@ type Options struct {
 	// MaxGroupCombos bounds the number of value combinations
 	// EstimateGroupBy will enumerate (default 65536).
 	MaxGroupCombos int
-}
-
-// autoWorkersPairs is the B_a at which Build and Refresh switch the
-// solver's derivative pool on by themselves: the per-sweep fan-out/join
-// costs more than it saves below roughly this many statistic-bearing
-// pairs (see BenchmarkSolveWorkersCrossover in internal/solver).
-const autoWorkersPairs = 8
-
-// autoWorkers enables the solver's derivative worker pool on large
-// instances when the caller left Workers unset (0). An explicit Workers
-// value — including 1 for "stay sequential" — is always respected.
-func autoWorkers(sopts *solver.Options, pairs int) {
-	if sopts.Workers == 0 && pairs >= autoWorkersPairs {
-		sopts.Workers = runtime.GOMAXPROCS(0)
-	}
 }
 
 func (o *Options) setDefaults() {
@@ -147,7 +131,6 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 	// Stage 4: solve.
 	sopts := opts.Solver
 	sopts.N = float64(set.N)
-	autoWorkers(&sopts, opts.PairBudget)
 	report, err := solver.Solve(sys, constraints, sopts)
 	if err != nil {
 		return nil, fmt.Errorf("summary: solve: %w", err)
