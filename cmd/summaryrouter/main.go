@@ -9,26 +9,27 @@
 // POST /sync/notify out to the replicas so the fleet converges within one
 // round trip instead of one poll interval.
 //
-// Large POST /query/batch bodies (JSON or binary, -fanout-batch items and
-// up) are dealt round-robin across the healthy nodes, shipped as binary
-// sub-frames, and reassembled in the original item order — positionally
-// and bitwise identical to a single node's answer stream.
+// Every read — GET/POST /query, POST /groupby, POST /query/batch on either
+// wire; a single read is a batch of one — is served item by item through
+// one path. Warm items never leave the router: answers are cached (-cache
+// entries, -1 disables), keyed by canonical query identity and proven
+// fresh by the generation each node stamps on its answers — a routed write
+// fences its dataset so no cached answer can outlive it, and concurrent
+// identical misses collapse into a single node round trip. Responses
+// answered entirely on the router carry "X-Router-Cache: hit".
 //
-// Warm reads never leave the router: POST /query, /groupby, and
-// /query/batch answers are cached (-cache entries, -1 disables), keyed by
-// canonical query identity and proven fresh by the generation each node
-// stamps on its answers — a routed write fences its dataset so no cached
-// answer can outlive it, and concurrent identical misses collapse into a
-// single node round trip. Responses served this way carry
-// "X-Router-Cache: hit".
+// The misses reach the fleet as binary sub-frames: to one node, or — at
+// -fanout-batch items and up — dealt round-robin across the healthy nodes
+// and reassembled in the original item order, positionally and bitwise
+// identical to a single node's answer stream.
 //
-// -place dataset=K declares a partitioned placement: a count or group-by
-// query against "<dataset>/partitioned" is scattered as K per-partition
-// queries across the fleet and merged on the router (counts summed in
-// partition index order, group-bys merged like summary.Partitioned does
-// locally), so the distributed answer is bit-identical to one node's. The
-// nodes must serve the partition entries — start the primary summaryd
-// with -partitions K -place-partitions.
+// -place dataset=K declares a partitioned placement: a live read of
+// "<dataset>/partitioned", single or batched, is scattered as one
+// sub-frame per partition across the fleet and merged on the router
+// (counts summed in partition index order, group-bys merged like
+// summary.Partitioned does locally), so the distributed answer is
+// bit-identical to one node's. The nodes must serve the partition entries
+// — start the primary summaryd with -partitions K -place-partitions.
 //
 // Endpoints: the proxied summaryd surface (GET/POST /query,
 // POST /query/batch, POST /groupby, GET /estimators, GET /snapshots,

@@ -1,22 +1,17 @@
 package fleet
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/query"
-	"repro/internal/server"
 )
 
-// RouterCacheHeader marks a routed read that was answered entirely from
-// the router's cache (value "hit"): no node round trip happened. Misses
-// and partially cached batches carry no header — the response reached at
-// least one node.
+// RouterCacheHeader marks a routed read that was answered entirely on the
+// router (value "hit"): from its cache, or by joining an identical
+// in-flight read. Misses and partially cached batches carry no header —
+// the request reached at least one node.
 const RouterCacheHeader = "X-Router-Cache"
 
 // routerQueryKey is the cache key of one routed read: the router's own
@@ -42,22 +37,15 @@ func routerQueryKey(estimator string, version int, it query.BatchItem) string {
 	return b.String()
 }
 
-// cachedRead is one stored answer. Responses are synthesized from these
-// fields on a hit — never replayed raw — so a hit is byte-equivalent to
-// what the node would have sent (float64 counts survive Go's JSON
-// round-trip exactly) while carrying honest Cached/latency metadata.
+// cachedRead is one stored answer: the answer itself, marked Cached, and
+// the generation of the node that gave it (0 for snapshot reads, which are
+// immutable). Responses are encoded from it on a hit — never replayed raw —
+// so a hit is bit-identical to what the node would have sent (float64
+// counts survive Go's JSON round-trip exactly) while carrying an honest
+// cached flag and latency.
 type cachedRead struct {
-	gen       uint64 // answering node's generation (0 for snapshot reads)
-	estimator string // canonical name echoed by the node
-	version   int    // snapshot version echo (0 = live)
-	isGroup   bool
-	count     float64
-	groups    []query.GroupRow
-}
-
-// toBatchAnswer converts a stored read into the batch wire shape.
-func (e cachedRead) toBatchAnswer() query.BatchAnswer {
-	return query.BatchAnswer{Cached: true, IsGroup: e.isGroup, Count: e.count, Groups: e.groups}
+	gen    uint64
+	answer query.BatchAnswer
 }
 
 // genState is one estimator's generation bookkeeping: gen is the highest
@@ -218,188 +206,6 @@ func (g *flightGroup) leave(key string, fl *flight, entry cachedRead, ok bool) {
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(fl.done)
-}
-
-// --- the router's cached read path ------------------------------------
-
-// readRequest is the cache identity of one decoded single read (/query
-// or /groupby POST) the router may answer from its cache.
-type readRequest struct {
-	estimator string
-	version   int // resolved snapshot version (0 = live)
-	isGroup   bool
-	key       string
-}
-
-func newReadRequest(read server.ReadRequest) readRequest {
-	it := read.Items[0]
-	return readRequest{
-		estimator: read.Estimator,
-		version:   read.Version,
-		isGroup:   len(it.GroupBy) > 0,
-		key:       routerQueryKey(read.Estimator, read.Version, it),
-	}
-}
-
-// serveRead answers a parsed read from the cache when it can, otherwise
-// forwards it — collapsing concurrent identical misses into one node
-// round trip. The leader of a miss forwards, relays, and caches; its
-// followers wait and answer from the leader's entry.
-func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, body []byte, req readRequest) {
-	start := rt.opts.Now()
-	if e, ok := rt.cacheLookup(req); ok {
-		writeCachedRead(w, e, rt.opts.Now().Sub(start))
-		return
-	}
-	fl, leader := rt.flights.join(req.key)
-	if !leader {
-		select {
-		case <-fl.done:
-		case <-r.Context().Done():
-			// The CLIENT went away (disconnect or its own timeout), not the
-			// upstream: write nothing rather than misreport a gateway error.
-			return
-		}
-		// Re-verify at serve time, exactly like a cache hit: a routed write
-		// may have fenced the estimator between the leader storing the
-		// entry and this follower waking.
-		if fl.ok && rt.entryCurrent(req, fl.entry) {
-			rt.collapsed.Add(1)
-			writeCachedRead(w, fl.entry, rt.opts.Now().Sub(start))
-			return
-		}
-		// The leader's response was not cacheable (error, node behind) or
-		// was fenced while we waited; this read speaks to a node itself.
-		rt.forward(w, r, body, -1)
-		return
-	}
-	var entry cachedRead
-	var stored bool
-	// leave via defer: followers must be released even if the relay
-	// panics mid-flight.
-	defer func() { rt.flights.leave(req.key, fl, entry, stored) }()
-	entry, stored = rt.forwardCapture(w, r, body, req)
-}
-
-// entryCurrent reports whether a stored answer may be served for req
-// right now: snapshot reads are immutable, live reads must carry the
-// exact generation the table vouches for at this instant.
-func (rt *Router) entryCurrent(req readRequest, e cachedRead) bool {
-	if req.version > 0 {
-		return true
-	}
-	gen, ok := rt.gens.current(req.estimator)
-	return ok && e.gen == gen
-}
-
-// cacheLookup returns the cached answer for req when it is provably
-// current under entryCurrent.
-func (rt *Router) cacheLookup(req readRequest) (cachedRead, bool) {
-	v, ok := rt.cache.Get(req.key)
-	if !ok {
-		return cachedRead{}, false
-	}
-	e := v.(cachedRead)
-	if !rt.entryCurrent(req, e) {
-		return cachedRead{}, false
-	}
-	return e, true
-}
-
-// forwardCapture proxies the read like forward, relays the node response
-// to the client unchanged, and — on a 200 — parses and caches it under
-// the generation rules. It returns the stored entry for singleflight
-// followers. A response body larger than MaxBodyBytes is streamed to the
-// client whole and never cached: the cap bounds what the router buffers,
-// not what the client may receive.
-func (rt *Router) forwardCapture(w http.ResponseWriter, r *http.Request, body []byte, req readRequest) (cachedRead, bool) {
-	resp, n, herr := rt.roundTrip(r.Context(), r.Method, requestPath(r), r.Header, body, -1)
-	if herr != nil {
-		writeError(w, herr.status, herr.msg)
-		return cachedRead{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		relayResponse(w, resp, n)
-		return cachedRead{}, false
-	}
-	// Read one byte past the cap so an exactly-full buffer is
-	// distinguishable from a truncated one.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return cachedRead{}, false
-	}
-	if int64(len(respBody)) > rt.opts.MaxBodyBytes {
-		relayHeaders(w, resp, n)
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(respBody)
-		_, _ = io.Copy(w, resp.Body)
-		return cachedRead{}, false
-	}
-	relayBytes(w, resp, n, respBody)
-	return rt.captureRead(req, resp.Header, respBody)
-}
-
-// captureRead parses a node's 200 response and stores it when admissible:
-// snapshot answers always (immutable), live answers only when the node's
-// generation passes the table (not behind a routed write, newest seen).
-func (rt *Router) captureRead(req readRequest, header http.Header, body []byte) (cachedRead, bool) {
-	gen := uint64(0)
-	if req.version == 0 {
-		raw := header.Get(server.EstimatorGenerationHeader)
-		if raw == "" {
-			return cachedRead{}, false // node did not vouch for a live generation
-		}
-		g, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return cachedRead{}, false
-		}
-		if !rt.gens.observe(req.estimator, g) {
-			rt.staleSkips.Add(1)
-			return cachedRead{}, false
-		}
-		gen = g
-	}
-	e := cachedRead{gen: gen}
-	if req.isGroup {
-		var gr server.GroupByResponse
-		if err := json.Unmarshal(body, &gr); err != nil {
-			return cachedRead{}, false
-		}
-		e.estimator, e.version, e.isGroup, e.groups = gr.Estimator, gr.Version, true, gr.Groups
-	} else {
-		var qr server.QueryResponse
-		if err := json.Unmarshal(body, &qr); err != nil {
-			return cachedRead{}, false
-		}
-		e.estimator, e.version, e.count = qr.Estimator, qr.Version, qr.Count
-	}
-	rt.cache.Put(req.key, e)
-	return e, true
-}
-
-// writeCachedRead synthesizes a node-shaped response from a cached entry.
-// The answer fields round-trip bit-identically (Go prints a float64 it
-// parsed back to the same shortest form); Cached and the latency are
-// honest — they describe this serve, not the original one.
-func writeCachedRead(w http.ResponseWriter, e cachedRead, elapsed time.Duration) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(RouterCacheHeader, "hit")
-	if e.gen > 0 {
-		w.Header().Set(server.EstimatorGenerationHeader, strconv.FormatUint(e.gen, 10))
-	}
-	if e.isGroup {
-		_ = json.NewEncoder(w).Encode(server.GroupByResponse{
-			Estimator: e.estimator, Version: e.version, Groups: e.groups,
-			Cached: true, LatencyNS: elapsed.Nanoseconds(),
-		})
-		return
-	}
-	_ = json.NewEncoder(w).Encode(server.QueryResponse{
-		Estimator: e.estimator, Version: e.version, Count: e.count,
-		Cached: true, LatencyNS: elapsed.Nanoseconds(),
-	})
 }
 
 // invalidateDataset fences and drops every cached answer a routed write

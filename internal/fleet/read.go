@@ -1,0 +1,479 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/query"
+	"repro/internal/server"
+)
+
+// The routed read path mirrors the node's (internal/server/read.go): every
+// read endpoint — POST and GET /query, /groupby, /query/batch on either wire
+// — is an edge codec around Router.read. The node's own decoders turn the
+// request into a server.ReadRequest, read answers it, and the handler
+// encodes the answers back; a single query is a batch of one.
+
+// handleQuery routes /query and handleGroupBy /groupby.
+func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
+	rt.handleSingle(w, r, server.DecodeQuery)
+}
+
+func (rt *Router) handleGroupBy(w http.ResponseWriter, r *http.Request) {
+	rt.handleSingle(w, r, server.DecodeGroupBy)
+}
+
+// decodeRead buffers one read request and decodes it with the node's own
+// decoder. ok is false when the request was instead forwarded as it came
+// and is already answered: the decoder rejected it — one place, the node,
+// decides what a malformed read looks like — or the router has nothing to
+// add to it (no cache to consult, no placement to scatter over, too few
+// items to fan out), so decoding and re-encoding the answer would only cost.
+func (rt *Router) decodeRead(w http.ResponseWriter, r *http.Request,
+	decode func(*http.Request, io.Reader) (server.ReadRequest, error)) (server.ReadRequest, []byte, bool) {
+	body, ok := rt.readBody(w, r)
+	if !ok {
+		return server.ReadRequest{}, nil, false
+	}
+	req, err := decode(r, bytes.NewReader(body))
+	if err != nil || (rt.cache == nil && rt.fanoutWays(len(req.Items)) == 1 &&
+		(req.Version > 0 || rt.placement(req.Estimator) == 0)) {
+		rt.forward(w, r, body, -1)
+		return req, nil, false
+	}
+	return req, body, true
+}
+
+// handleSingle is the edge codec of the single-read endpoints. A one-item
+// read whose answer is an in-band item error is forwarded as it came: a
+// single endpoint reports that failure as an HTTP status (400 for a shape
+// error, 422 for an estimator refusal) only the node can tell apart.
+func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request,
+	decode func(*http.Request, io.Reader) (server.ReadRequest, error)) {
+	start := rt.opts.Now()
+	req, body, ok := rt.decodeRead(w, r, decode)
+	if !ok {
+		return
+	}
+	res, herr := rt.read(r.Context(), req)
+	if herr != nil {
+		writeError(w, herr.status, herr.msg)
+		return
+	}
+	a := res.answers[0]
+	if a.Error != "" {
+		rt.forward(w, r, body, -1)
+		return
+	}
+	res.writeHeaders(w, "application/json")
+	latency := rt.opts.Now().Sub(start).Nanoseconds()
+	var out interface{} = server.QueryResponse{Estimator: req.Estimator, Version: req.Version,
+		Count: a.Count, Cached: a.Cached, LatencyNS: latency}
+	if a.IsGroup {
+		if a.Groups == nil {
+			a.Groups = []query.GroupRow{} // "groups": [], never null — as a node answers
+		}
+		out = server.GroupByResponse{Estimator: req.Estimator, Version: req.Version,
+			Groups: a.Groups, Cached: a.Cached, LatencyNS: latency}
+	}
+	_ = json.NewEncoder(w).Encode(out)
+}
+
+// handleBatch is the edge codec of POST /query/batch on both wires; the
+// response wire is the node's own negotiation rule. Per-item failures ride
+// in-band under a 200, exactly as a node reports them.
+func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
+	req, _, ok := rt.decodeRead(w, r, server.DecodeBatch)
+	if !ok {
+		return
+	}
+	res, herr := rt.read(r.Context(), req)
+	if herr != nil {
+		writeError(w, herr.status, herr.msg)
+		return
+	}
+	if !server.WantBinaryAnswers(r, req.Binary) {
+		res.writeHeaders(w, "application/json")
+		_ = json.NewEncoder(w).Encode(server.BatchQueryResponse{Estimator: req.Estimator, Version: req.Version, Answers: res.answers})
+		return
+	}
+	frame, err := query.AppendAnswers(nil, req.Estimator, res.answers)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	res.writeHeaders(w, server.BinaryBatchContentType)
+	_, _ = w.Write(frame)
+}
+
+// readResult is one routed read's answers, in item order, plus what the
+// router knows about how they were produced.
+type readResult struct {
+	answers []query.BatchAnswer
+	// hit: this request asked no node — every answer came from the router
+	// cache or from an identical in-flight read it joined.
+	hit bool
+	// gen is the live generation every answer shares, 0 when they share
+	// none: versioned and scattered reads, or a fan-out whose nodes differ.
+	gen uint64
+	// node names the one node that answered every item this request
+	// fetched; "" when it fetched nothing or several nodes answered.
+	node string
+}
+
+// writeHeaders is the one place a routed read's response headers are set.
+func (res readResult) writeHeaders(w http.ResponseWriter, contentType string) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	if res.hit {
+		h.Set(RouterCacheHeader, "hit")
+	}
+	if res.gen > 0 {
+		h.Set(server.EstimatorGenerationHeader, strconv.FormatUint(res.gen, 10))
+	}
+	if res.node != "" {
+		h.Set(FleetNodeHeader, res.node)
+	}
+}
+
+// routedMiss is one item the router cache could not answer: its position,
+// its cache key, and the in-flight read it leads or follows.
+type routedMiss struct {
+	idx int
+	key string
+	fl  *flight
+}
+
+// read is the router's one read path, and the only code that touches the
+// read cache. Each item is looked up under the one generation rule
+// (entryCurrent); a miss joins the in-flight read of its key, so concurrent
+// identical misses — single reads, batch items, or one of each — cost the
+// fleet one node request; the items this request leads are fetched from the
+// fleet in one fetchMisses and stored under genTable.observe; then it
+// collects the answers of the flights it followed, fetching for itself
+// whatever a leader could not vouch for. Leaders always fetch before they
+// wait, so two requests following each other's items cannot deadlock. With
+// the cache off every item is a miss this request fetches, and nothing is
+// stored.
+//
+// The *routeError fails the whole read (no healthy replica, a node's own
+// refusal of the estimator or version); a per-item failure rides in that
+// answer's Error and is never cached.
+func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult, *routeError) {
+	res := readResult{answers: make([]query.BatchAnswer, len(req.Items)), hit: true}
+	gens := make([]uint64, len(req.Items))
+	var lead, follow []routedMiss
+	for i, it := range req.Items {
+		if rt.cache == nil {
+			lead = append(lead, routedMiss{idx: i})
+			continue
+		}
+		m := routedMiss{idx: i, key: routerQueryKey(req.Estimator, req.Version, it)}
+		if v, ok := rt.cache.Get(m.key); ok {
+			if e := v.(cachedRead); rt.entryCurrent(req, e) {
+				res.answers[i], gens[i] = e.answer, e.gen
+				continue
+			}
+		}
+		var leader bool
+		if m.fl, leader = rt.flights.join(m.key); leader {
+			lead = append(lead, m)
+		} else {
+			follow = append(follow, m)
+		}
+	}
+
+	// fetch asks the fleet for the given misses and files the answers.
+	fetch := func(misses []routedMiss) *routeError {
+		items := make([]query.BatchItem, len(misses))
+		for j, m := range misses {
+			items[j] = req.Items[m.idx]
+		}
+		answers, fetchedGens, node, herr := rt.fetchMisses(ctx, req.Estimator, req.Version, items)
+		if herr != nil {
+			return herr
+		}
+		for j, m := range misses {
+			res.answers[m.idx], gens[m.idx] = answers[j], fetchedGens[j]
+		}
+		if !res.hit && node != res.node {
+			node = "" // an earlier fetch of this request was answered elsewhere
+		}
+		res.node, res.hit = node, false
+		return nil
+	}
+
+	if len(lead) > 0 {
+		// Followers must be released even if the fetch fails or panics.
+		defer func() {
+			for _, m := range lead {
+				if m.fl != nil {
+					rt.flights.leave(m.key, m.fl, cachedRead{}, false)
+				}
+			}
+		}()
+		if herr := fetch(lead); herr != nil {
+			return res, herr
+		}
+		for j, m := range lead {
+			if rt.cache == nil {
+				break // nothing to store, no flights to leave
+			}
+			e := cachedRead{gen: gens[m.idx], answer: res.answers[m.idx]}
+			e.answer.Cached = true
+			stored := false
+			switch {
+			case e.answer.Error != "":
+			case req.Version > 0:
+				stored = true // snapshots are immutable
+			case e.gen == 0:
+				// No node vouched for a live generation (a scattered read).
+			case rt.gens.observe(req.Estimator, e.gen):
+				stored = true
+			default:
+				rt.staleSkips.Add(1)
+			}
+			if stored {
+				// Store before leaving the flight, so a read arriving after
+				// the last follower woke finds the entry.
+				rt.cache.Put(m.key, e)
+			}
+			rt.flights.leave(m.key, m.fl, e, stored)
+			lead[j].fl = nil
+		}
+	}
+
+	var retry []routedMiss
+	for _, m := range follow {
+		select {
+		case <-m.fl.done:
+		case <-ctx.Done():
+			// The CLIENT went away (disconnect or its own timeout), not the
+			// upstream: do not misreport a gateway error.
+			return res, &routeError{status: http.StatusRequestTimeout, msg: "client gave up waiting for an identical in-flight read"}
+		}
+		// Re-verify at serve time, exactly like a cache hit: a routed write
+		// may have fenced the estimator between the leader storing the entry
+		// and this follower waking.
+		if m.fl.ok && rt.entryCurrent(req, m.fl.entry) {
+			rt.collapsed.Add(1)
+			res.answers[m.idx], gens[m.idx] = m.fl.entry.answer, m.fl.entry.gen
+			continue
+		}
+		// The leader's answer was not cacheable (error, node behind) or was
+		// fenced while we waited; this read speaks to a node itself.
+		retry = append(retry, m)
+	}
+	if len(retry) > 0 {
+		if herr := fetch(retry); herr != nil {
+			return res, herr
+		}
+	}
+
+	res.gen = gens[0]
+	for _, g := range gens[1:] {
+		if g != res.gen {
+			res.gen = 0
+		}
+	}
+	return res, nil
+}
+
+// entryCurrent reports whether a stored answer may be served for req right
+// now: snapshot reads are immutable, live reads must carry the exact
+// generation the table vouches for at this instant.
+func (rt *Router) entryCurrent(req server.ReadRequest, e cachedRead) bool {
+	if req.Version > 0 {
+		return true
+	}
+	gen, ok := rt.gens.current(req.Estimator)
+	return ok && e.gen == gen
+}
+
+// fanoutWays is how many nodes a fetch of n items is dealt across: every
+// healthy node at FanoutBatch items and above, one otherwise.
+func (rt *Router) fanoutWays(n int) int {
+	if ways := rt.healthyCount(); rt.opts.FanoutBatch >= 0 && n >= rt.opts.FanoutBatch && ways >= 2 {
+		return ways
+	}
+	return 1
+}
+
+// placement returns the partition count for a "<dataset>/partitioned"
+// estimator name with a configured placement, or 0.
+func (rt *Router) placement(estimator string) int {
+	dataset, ok := strings.CutSuffix(estimator, "/partitioned")
+	if !ok {
+		return 0
+	}
+	return rt.opts.Placements[dataset]
+}
+
+// subRead is one node request of a fetch plan: items asked of estimator,
+// first at node index prefer (-1 = the least loaded).
+type subRead struct {
+	estimator string
+	items     []query.BatchItem
+	prefer    int
+}
+
+// fetchMisses is how a miss reaches a node — the only code that builds a
+// read sub-request. It fetches the items from the fleet as binary
+// sub-frames under one of two plans and returns the answers in item order,
+// the generation the answering node vouched for per item (0 when none
+// did), and the node's name when a single node answered everything.
+//
+//   - Split (the default): the items are dealt round-robin across the
+//     healthy nodes when they clear the fan-out threshold, one sub-frame
+//     otherwise, and the answers are gathered back positionally.
+//   - Per-partition: a live read of a placed "<dataset>/partitioned" sends
+//     every item to each of the K partition entries
+//     ("<dataset>/partitioned.p<k>", owner node k mod N preferred, any
+//     healthy node on failover) and reduces the K answer streams item by
+//     item — the reduction summary.Partitioned performs locally, so the
+//     scattered answer is bit-identical to a single node's. No one node
+//     vouches for the merged answer, so its generation is 0 and it is never
+//     cached. Versioned reads bypass placement.
+//
+// A node error keeps its own status so a single-node refusal (unknown
+// estimator, oversized batch) reaches the client as the node sent it.
+func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int, items []query.BatchItem) ([]query.BatchAnswer, []uint64, string, *routeError) {
+	var plan []subRead
+	var assign [][]int
+	parts := 0
+	if version == 0 {
+		parts = rt.placement(estimator)
+	}
+	if parts > 0 {
+		rt.scattered.Add(1)
+		dataset := strings.TrimSuffix(estimator, "/partitioned")
+		for part := 0; part < parts; part++ {
+			plan = append(plan, subRead{server.PartitionEntryName(dataset, part), items, part})
+		}
+	} else {
+		ways := rt.fanoutWays(len(items))
+		if ways > 1 {
+			rt.fannedOut.Add(1)
+		}
+		assign = query.AssignRoundRobin(len(items), ways)
+		for _, indexes := range assign {
+			plan = append(plan, subRead{estimator, query.Pick(items, indexes), -1})
+		}
+	}
+
+	got := make([][]query.BatchAnswer, len(plan))
+	subGens := make([]uint64, len(plan))
+	nodes := make([]string, len(plan))
+	errs := make([]*routeError, len(plan))
+	header := http.Header{
+		"Content-Type": []string{server.BinaryBatchContentType},
+		"Accept":       []string{server.BinaryBatchContentType},
+	}
+	var wg sync.WaitGroup
+	for si, sub := range plan {
+		wg.Add(1)
+		go func(si int, sub subRead) {
+			defer wg.Done()
+			frame, err := query.AppendBatchAt(nil, sub.estimator, version, sub.items)
+			if err != nil {
+				// The decoders admitted something the binary wire cannot
+				// carry (a negative group_by attribute): the request's fault.
+				errs[si] = &routeError{status: http.StatusBadRequest, msg: err.Error()}
+				return
+			}
+			resp, n, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, sub.prefer)
+			if herr != nil {
+				errs[si] = herr
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+				msg := strings.TrimSpace(string(b))
+				var e struct {
+					Error string `json:"error"`
+				}
+				if json.Unmarshal(b, &e) == nil && e.Error != "" {
+					msg = e.Error
+				}
+				errs[si] = &routeError{status: resp.StatusCode, msg: msg}
+				return
+			}
+			// Absent on a versioned read: the generation stays 0.
+			if g, perr := strconv.ParseUint(resp.Header.Get(server.EstimatorGenerationHeader), 10, 64); perr == nil {
+				subGens[si] = g
+			}
+			_, answers, err := query.DecodeAnswers(resp.Body)
+			if err == nil && len(answers) != len(sub.items) {
+				err = fmt.Errorf("%d answers for %d items", len(answers), len(sub.items))
+			}
+			if err != nil {
+				errs[si] = &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("sub-batch %d: %v", si, err)}
+				return
+			}
+			got[si], nodes[si] = answers, n.name
+		}(si, sub)
+	}
+	wg.Wait()
+	for _, herr := range errs {
+		if herr != nil {
+			return nil, nil, "", herr
+		}
+	}
+	node := nodes[0]
+	for _, name := range nodes[1:] {
+		if name != node {
+			node = ""
+		}
+	}
+	gens := make([]uint64, len(items))
+	if parts > 0 {
+		return mergePartitions(items, got), gens, node, nil
+	}
+	answers, err := query.GatherAnswers(len(items), assign, got)
+	if err != nil {
+		return nil, nil, "", &routeError{status: http.StatusBadGateway, msg: err.Error()}
+	}
+	for si, indexes := range assign {
+		for _, idx := range indexes {
+			gens[idx] = subGens[si]
+		}
+	}
+	return answers, gens, node, nil
+}
+
+// mergePartitions reduces the per-partition answer streams of a scattered
+// read item by item, in partition index order: counts are summed — float
+// addition is not associative, so the order IS the contract for
+// bit-identity with local serving — and group-bys merged with
+// core.MergeGroupEstimates. An item any partition failed answers that
+// partition's error.
+func mergePartitions(items []query.BatchItem, parts [][]query.BatchAnswer) []query.BatchAnswer {
+	out := make([]query.BatchAnswer, len(items))
+	partial := make([][]query.GroupRow, len(parts))
+	for i, it := range items {
+		a := &out[i]
+		a.IsGroup = len(it.GroupBy) > 0
+		for p, answers := range parts {
+			pa := answers[i]
+			if pa.Error != "" {
+				*a = query.BatchAnswer{IsGroup: a.IsGroup, Error: pa.Error}
+				break
+			}
+			a.Count += pa.Count
+			partial[p] = pa.Groups
+		}
+		if a.IsGroup && a.Error == "" {
+			a.Groups = core.MergeGroupEstimates(partial...)
+		}
+	}
+	return out
+}

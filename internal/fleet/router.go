@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/query"
 	"repro/internal/server"
 )
 
@@ -57,12 +55,12 @@ type Options struct {
 	// the router without a node round trip, kept provably fresh by the
 	// generation fencing described on genTable.
 	CacheSize int
-	// Placements maps dataset names to their partition count K. A count
-	// or group-by query against "<dataset>/partitioned" is then scattered
-	// as K per-partition queries ("<dataset>/partitioned.p<k>") across
-	// the fleet and merged on the router — remotely distributed exactly
-	// like summary.Partitioned distributes locally. Versioned (time
-	// travel) requests bypass placement and proxy whole.
+	// Placements maps dataset names to their partition count K. A live
+	// read of "<dataset>/partitioned" — single or batched — is then
+	// scattered over the K partition entries ("<dataset>/partitioned.p<k>")
+	// across the fleet and merged on the router — remotely distributed
+	// exactly like summary.Partitioned distributes locally (see
+	// fetchMisses). Versioned (time travel) requests bypass placement.
 	Placements map[string]int
 	// Client overrides the HTTP client used for proxying (default: a
 	// dedicated client; the per-attempt timeout comes from Timeout).
@@ -394,20 +392,6 @@ func requestPath(r *http.Request) string {
 }
 
 func relayResponse(w http.ResponseWriter, resp *http.Response, n *node) {
-	relayHeaders(w, resp, n)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// relayBytes is relayResponse for a body the router already buffered
-// (the cache-capture path reads the body before relaying it).
-func relayBytes(w http.ResponseWriter, resp *http.Response, n *node, body []byte) {
-	relayHeaders(w, resp, n)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
-}
-
-func relayHeaders(w http.ResponseWriter, resp *http.Response, n *node) {
 	for _, k := range []string{"Content-Type", server.EstimatorGenerationHeader,
 		server.SnapshotVersionHeader, server.SnapshotChecksumHeader, server.SnapshotEstimatorHeader} {
 		if v := resp.Header.Get(k); v != "" {
@@ -415,6 +399,8 @@ func relayHeaders(w http.ResponseWriter, resp *http.Response, n *node) {
 		}
 	}
 	w.Header().Set(FleetNodeHeader, n.name)
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, resp.Body)
 }
 
 // FleetNodeHeader names the node that served a routed response.
@@ -663,160 +649,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Cache = &st
 	}
 	_ = json.NewEncoder(w).Encode(out)
-}
-
-// --- query routing ----------------------------------------------------
-
-// placement returns the partition count for a "<dataset>/partitioned"
-// estimator name with a configured placement, or 0.
-func (rt *Router) placement(estimator string) int {
-	if len(rt.opts.Placements) == 0 {
-		return 0
-	}
-	dataset, ok := strings.CutSuffix(estimator, "/partitioned")
-	if !ok {
-		return 0
-	}
-	return rt.opts.Placements[dataset]
-}
-
-// handleQuery proxies /query and handleGroupBy /groupby.
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	rt.handleSingle(w, r, server.DecodeQuery)
-}
-
-func (rt *Router) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	rt.handleSingle(w, r, server.DecodeGroupBy)
-}
-
-// handleSingle routes one single read, decoded once with the node's own
-// decoder. A live POST against a placed partitioned estimator is scattered:
-// the K per-partition answers are fetched across the fleet and reduced in
-// partition index order — the exact reduction summary.Partitioned performs
-// locally, so the scattered answer is bit-identical to a single node's.
-// Any other POST goes through the read cache when there is one; whatever
-// is left — GETs, and requests the decoder rejects, which the node's own
-// error surface answers — is forwarded as it came.
-func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request,
-	decode func(*http.Request, io.Reader) (server.ReadRequest, error)) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodPost && (rt.cache != nil || len(rt.opts.Placements) > 0) {
-		if read, err := decode(r, bytes.NewReader(body)); err == nil {
-			if k := rt.placement(read.Estimator); k > 0 && read.Version == 0 {
-				if it := read.Items[0]; len(it.GroupBy) > 0 {
-					rt.scatterGroupBy(w, r, read.Estimator, it, k)
-				} else {
-					rt.scatterQuery(w, r, read.Estimator, it, k)
-				}
-				return
-			}
-			if rt.cache != nil {
-				rt.serveRead(w, r, body, newReadRequest(read))
-				return
-			}
-		}
-	}
-	rt.forward(w, r, body, -1)
-}
-
-// scatterPartition runs one JSON sub-request per partition concurrently,
-// each owner-pinned to node k mod N with failover to any healthy node,
-// and hands the decoded bodies back in partition index order.
-func (rt *Router) scatterPartition(ctx context.Context, k int, build func(part int) ([]byte, string)) ([][]byte, *routeError) {
-	rt.scattered.Add(1)
-	bodies := make([][]byte, k)
-	errs := make([]*routeError, k)
-	header := http.Header{"Content-Type": []string{"application/json"}}
-	var wg sync.WaitGroup
-	for part := 0; part < k; part++ {
-		wg.Add(1)
-		go func(part int) {
-			defer wg.Done()
-			payload, path := build(part)
-			resp, _, herr := rt.roundTrip(ctx, http.MethodPost, path, header, payload, part)
-			if herr != nil {
-				errs[part] = herr
-				return
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
-			if err != nil {
-				errs[part] = &routeError{status: http.StatusBadGateway, msg: err.Error()}
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				var e struct {
-					Error string `json:"error"`
-				}
-				_ = json.Unmarshal(b, &e)
-				errs[part] = &routeError{status: resp.StatusCode, msg: fmt.Sprintf("partition %d: %s", part, e.Error)}
-				return
-			}
-			bodies[part] = b
-		}(part)
-	}
-	wg.Wait()
-	for _, herr := range errs {
-		if herr != nil {
-			return nil, herr
-		}
-	}
-	return bodies, nil
-}
-
-func (rt *Router) scatterQuery(w http.ResponseWriter, r *http.Request, estimator string, it query.BatchItem, k int) {
-	dataset := strings.TrimSuffix(estimator, "/partitioned")
-	bodies, herr := rt.scatterPartition(r.Context(), k, func(part int) ([]byte, string) {
-		sub := server.QueryRequest{Estimator: server.PartitionEntryName(dataset, part), Predicate: it.Pred}
-		payload, _ := json.Marshal(sub)
-		return payload, "/query"
-	})
-	if herr != nil {
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	// Sum in partition index order — float addition is not associative,
-	// so the order IS the contract for bit-identity with local serving.
-	total := 0.0
-	for part, b := range bodies {
-		var qr server.QueryResponse
-		if err := json.Unmarshal(b, &qr); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("partition %d: %v", part, err))
-			return
-		}
-		total += qr.Count
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(server.QueryResponse{Estimator: estimator, Count: total})
-}
-
-func (rt *Router) scatterGroupBy(w http.ResponseWriter, r *http.Request, estimator string, it query.BatchItem, k int) {
-	dataset := strings.TrimSuffix(estimator, "/partitioned")
-	bodies, herr := rt.scatterPartition(r.Context(), k, func(part int) ([]byte, string) {
-		sub := server.GroupByRequest{
-			Estimator: server.PartitionEntryName(dataset, part),
-			Predicate: it.Pred,
-			GroupBy:   it.GroupBy,
-		}
-		payload, _ := json.Marshal(sub)
-		return payload, "/groupby"
-	})
-	if herr != nil {
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	partial := make([][]query.GroupRow, k)
-	for part, b := range bodies {
-		var gr server.GroupByResponse
-		if err := json.Unmarshal(b, &gr); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("partition %d: %v", part, err))
-			return
-		}
-		partial[part] = gr.Groups
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(server.GroupByResponse{Estimator: estimator, Groups: core.MergeGroupEstimates(partial...)})
 }

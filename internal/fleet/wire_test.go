@@ -213,3 +213,88 @@ func TestFanoutRelaysNodeStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutedBatchHeaders pins what a batch the router assembles says about
+// where its answers came from: X-Estimator-Generation when every answer
+// shares one live generation (all-miss, partial hit and all-hit alike — a
+// node batch carries it, so must the router's), nothing when they do not
+// (versioned reads, a fan-out whose nodes differ), and X-Fleet-Node only
+// when a single node answered every item that was fetched.
+func TestRoutedBatchHeaders(t *testing.T) {
+	caching := fleettest.New(t, fleettest.Options{Nodes: 1,
+		Router: fleet.Options{Timeout: 5 * time.Second}})
+	fanout := fleettest.New(t, fleettest.Options{Nodes: 2,
+		Router: fleet.Options{CacheSize: -1, FanoutBatch: 4, Timeout: 5 * time.Second}})
+	const estimator = "demo/maxent"
+	n := experiment.SyntheticSchema().NumAttrs()
+	items := make([]query.BatchItem, 8)
+	for i := range items {
+		items[i] = query.BatchItem{Pred: query.NewPredicate(n).WhereEq(3, i)}
+	}
+	nodeGen := func(node *fleettest.Node) string {
+		_, header, _ := askBatch(t, node.URL(), estimator, items[:1], true, "")
+		gen := header.Get(server.EstimatorGenerationHeader)
+		if gen == "" {
+			t.Fatalf("%s answers a live batch without a generation", node.Name)
+		}
+		return gen
+	}
+
+	gen := nodeGen(caching.Primary())
+	for i, step := range []struct {
+		name  string
+		items []query.BatchItem
+		cache string
+		node  string
+	}{
+		{"all-miss", items[:3], "", "node0"},
+		{"partial hit", items[:5], "", "node0"},
+		{"all-hit", items[:5], "hit", ""},
+		{"all-hit again", items[:5], "hit", ""},
+	} {
+		binaryBody := i%2 == 1 // both wires, one ask per step
+		status, header, raw := askBatch(t, caching.RouterURL(), estimator, step.items, binaryBody, "")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", step.name, status, raw)
+		}
+		for name, want := range map[string]string{
+			server.EstimatorGenerationHeader: gen,
+			fleet.RouterCacheHeader:          step.cache,
+			fleet.FleetNodeHeader:            step.node,
+		} {
+			if got := header.Get(name); got != want {
+				t.Errorf("%s (binary body=%t): %s %q, want %q", step.name, binaryBody, name, got, want)
+			}
+		}
+	}
+	// Snapshot answers are immutable and name no generation.
+	frame, err := query.AppendBatchAt(nil, estimator, 1, items[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(caching.RouterURL()+"/query/batch", server.BinaryBatchContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(server.EstimatorGenerationHeader); resp.StatusCode != http.StatusOK || got != "" {
+		t.Errorf("versioned batch: status %d, X-Estimator-Generation %q, want none", resp.StatusCode, got)
+	}
+
+	// A fan-out is answered by both nodes: no one node to name, and one
+	// generation only if the two agree.
+	want := nodeGen(fanout.Nodes[0])
+	if nodeGen(fanout.Nodes[1]) != want {
+		want = ""
+	}
+	status, header, raw := askBatch(t, fanout.RouterURL(), estimator, items, true, "")
+	if status != http.StatusOK {
+		t.Fatalf("fan-out: status %d: %s", status, raw)
+	}
+	if got := header.Get(server.EstimatorGenerationHeader); got != want {
+		t.Errorf("fan-out: X-Estimator-Generation %q, want %q", got, want)
+	}
+	if got := header.Get(fleet.FleetNodeHeader); got != "" {
+		t.Errorf("fan-out: X-Fleet-Node %q on a batch two nodes answered", got)
+	}
+}

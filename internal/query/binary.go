@@ -5,13 +5,13 @@
 // per round trip, encoded as varints and raw float bits instead of JSON
 // text.
 //
-// Framing follows the conventions of the snapshot store (internal/store):
-// an 8-byte magic, a little-endian uint16 format version, 2 reserved
-// bytes, a uint64 payload length, and a CRC32-C checksum of the payload —
-// 24 bytes total, then the payload. Decode verifies all of it before
-// touching the payload, so truncated frames, corrupted bytes, and lying
-// length fields are rejected with descriptive errors instead of being
-// decoded into silently-wrong queries.
+// Framing is the snapshot store's (internal/frame): an 8-byte magic, a
+// little-endian uint16 format version, 2 reserved bytes, a uint64 payload
+// length, and a CRC32-C checksum of the payload — 24 bytes total, then the
+// payload. Decode verifies all of it before touching the payload, so
+// truncated frames, corrupted bytes, and lying length fields are rejected
+// with descriptive errors instead of being decoded into silently-wrong
+// queries.
 //
 // Request payload layout (all ints unsigned varints unless noted):
 //
@@ -45,11 +45,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/frame"
 )
 
 const (
@@ -65,9 +66,8 @@ const (
 	// snapshot version (time-travel queries) after the estimator name.
 	// Decoders accept both.
 	batchFormatVersionAt = 2
-	// batchHeaderSize is magic (8) + version (2) + reserved (2) + payload
-	// length (8) + CRC32-C (4).
-	batchHeaderSize = 8 + 2 + 2 + 8 + 4
+	// batchHeaderSize is the frame header in front of every payload.
+	batchHeaderSize = frame.HeaderSize
 	// MaxBatchFrameBytes bounds the payload a decoder will read (16 MiB),
 	// so a corrupted or hostile length field cannot drive an absurd
 	// allocation.
@@ -81,8 +81,6 @@ const (
 // mismatch), so transports can distinguish damage from semantic
 // validation errors.
 var ErrFrame = errors.New("query: batch frame corrupt")
-
-var batchCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // BatchItem is one query of a batch: a counting query when GroupBy is
 // empty, a group-by query otherwise. A nil predicate asks for the full
@@ -173,16 +171,9 @@ func (w *frameWriter) float(f float64) {
 // seal backfills the frame header reserved at base (magic, format
 // version, payload length, CRC32-C) and returns the completed buffer.
 func (w *frameWriter) seal(base int, magic string, version uint16) ([]byte, error) {
-	payload := w.buf[base+batchHeaderSize:]
-	if len(payload) > MaxBatchFrameBytes {
-		return nil, fmt.Errorf("query: batch payload %d bytes exceeds the %d-byte frame bound", len(payload), MaxBatchFrameBytes)
+	if _, err := frame.Seal(w.buf[base:], magic, version, MaxBatchFrameBytes); err != nil {
+		return nil, fmt.Errorf("query: batch frame: %v", err)
 	}
-	head := w.buf[base : base+batchHeaderSize]
-	copy(head[:8], magic)
-	binary.LittleEndian.PutUint16(head[8:10], version)
-	// head[10:12] reserved, zero (pre-cleared by zeroHeader).
-	binary.LittleEndian.PutUint64(head[12:20], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(head[20:24], crc32.Checksum(payload, batchCRCTable))
 	return w.buf, nil
 }
 
@@ -376,33 +367,9 @@ func (r *frameReader) done() error {
 // [1, maxVersion], length, CRC32-C) and returns the payload and the
 // format version the frame declared.
 func readFrame(in io.Reader, magic string, maxVersion uint16) ([]byte, uint16, error) {
-	var head [batchHeaderSize]byte
-	if _, err := io.ReadFull(in, head[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: header truncated (%v)", ErrFrame, err)
-	}
-	if string(head[:8]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q (want %q)", ErrFrame, head[:8], magic)
-	}
-	version := binary.LittleEndian.Uint16(head[8:10])
-	if version < batchFormatVersion || version > maxVersion {
-		return nil, 0, fmt.Errorf("%w: format version %d, this build reads %d..%d", ErrFrame, version, batchFormatVersion, maxVersion)
-	}
-	length := binary.LittleEndian.Uint64(head[12:20])
-	if length > MaxBatchFrameBytes {
-		return nil, 0, fmt.Errorf("%w: payload length %d exceeds the %d-byte bound", ErrFrame, length, int64(MaxBatchFrameBytes))
-	}
-	want := binary.LittleEndian.Uint32(head[20:24])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(in, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: payload truncated (%v)", ErrFrame, err)
-	}
-	// Trailing bytes mean the length field and the frame disagree.
-	var one [1]byte
-	if n, _ := in.Read(one[:]); n != 0 {
-		return nil, 0, fmt.Errorf("%w: %d-byte payload followed by trailing garbage", ErrFrame, length)
-	}
-	if got := crc32.Checksum(payload, batchCRCTable); got != want {
-		return nil, 0, fmt.Errorf("%w: checksum %08x, header says %08x", ErrFrame, got, want)
+	payload, version, _, err := frame.Verify(in, magic, batchFormatVersion, maxVersion, MaxBatchFrameBytes)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrFrame, err)
 	}
 	return payload, version, nil
 }

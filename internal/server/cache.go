@@ -44,13 +44,13 @@ type cacheEntry struct {
 // sharded GOMAXPROCS-wide. A capacity <= 0 disables caching: Get always
 // misses and Put is a no-op.
 func NewCache(capacity int) *Cache {
-	return NewCacheSharded(capacity, runtime.GOMAXPROCS(0))
+	return newCacheSharded(capacity, runtime.GOMAXPROCS(0))
 }
 
-// NewCacheSharded is NewCache with an explicit shard count (rounded up to
-// a power of two), for tests and tuning. The total capacity is divided
+// newCacheSharded is NewCache with an explicit shard count (rounded up to
+// a power of two), for tests. The total capacity is divided
 // evenly across shards, each shard receiving at least one entry.
-func NewCacheSharded(capacity, shards int) *Cache {
+func newCacheSharded(capacity, shards int) *Cache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -86,9 +86,6 @@ func NewCacheSharded(capacity, shards int) *Cache {
 func (c *Cache) shard(key string) *cacheShard {
 	return c.shards[maphash.String(c.seed, key)&c.mask]
 }
-
-// NumShards returns the shard count (a power of two).
-func (c *Cache) NumShards() int { return len(c.shards) }
 
 // Get returns the cached value for key and marks it most recently used in
 // its shard.

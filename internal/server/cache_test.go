@@ -10,7 +10,7 @@ import (
 // order are per-shard properties, and a single shard makes them exact.
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCacheSharded(2, 1)
+	c := newCacheSharded(2, 1)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if _, ok := c.Get("a"); !ok {
@@ -34,7 +34,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheAccounting(t *testing.T) {
-	c := NewCacheSharded(8, 1)
+	c := newCacheSharded(8, 1)
 	c.Put("k", 1.5)
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("expected hit")
@@ -49,7 +49,7 @@ func TestCacheAccounting(t *testing.T) {
 }
 
 func TestCachePutRefreshes(t *testing.T) {
-	c := NewCacheSharded(2, 1)
+	c := newCacheSharded(2, 1)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("a", 10) // refresh value and recency
@@ -77,9 +77,9 @@ func TestCacheDisabled(t *testing.T) {
 // to the aggregate, and a key always finds its own entry regardless of
 // which shard it landed on.
 func TestCacheSharding(t *testing.T) {
-	c := NewCacheSharded(1024, 8)
-	if c.NumShards() != 8 {
-		t.Fatalf("NumShards = %d, want 8", c.NumShards())
+	c := newCacheSharded(1024, 8)
+	if len(c.shards) != 8 {
+		t.Fatalf("shards = %d, want 8", len(c.shards))
 	}
 	const n = 512
 	for i := 0; i < n; i++ {
@@ -121,7 +121,7 @@ func TestCacheSharding(t *testing.T) {
 // hash to different shards) and asserts InvalidatePrefix reclaims every
 // one of them while leaving other prefixes alone.
 func TestCacheInvalidatePrefixFansOut(t *testing.T) {
-	c := NewCacheSharded(1024, 4)
+	c := newCacheSharded(1024, 4)
 	for i := 0; i < 64; i++ {
 		c.Put(fmt.Sprintf("demo/maxent\x00v1\x00c%d", i), i)
 		c.Put(fmt.Sprintf("demo/exact\x00v1\x00c%d", i), i)

@@ -30,9 +30,9 @@ type histEntry struct {
 
 // History is the lazily-populated LRU cache of historical estimators
 // behind time-travel queries (/query?version=N, /diff, /branch): a cold
-// version restores from the snapshot store on first hit (~0.2ms for a
-// paper-sized summary) and stays resident until the byte budget pushes it
-// out. Resident versions are pinned in the store so a concurrent prune
+// version restores from the snapshot store on first hit (≈20ms at the
+// repository benchmark's 10k-term shape) and stays resident until the byte
+// budget pushes it out. Resident versions are pinned in the store so a concurrent prune
 // can never delete a snapshot that is actively answering queries; the pin
 // is released on eviction.
 type History struct {

@@ -12,20 +12,18 @@
 // name and atomically renamed into place, so readers never observe a
 // partial snapshot and a crashed writer leaves at most a *.tmp straggler.
 //
-// On-disk snapshot framing: an 8-byte magic, a format version, the
-// payload length, and a CRC32-C checksum, followed by the payload
-// produced by summary.EncodeEstimator. Load verifies all four before
+// On-disk snapshot framing (internal/frame): an 8-byte magic, a format
+// version, the payload length, and a CRC32-C checksum, followed by the
+// payload produced by summary.EncodeEstimator. Load verifies all four before
 // decoding, so truncated or corrupted files are rejected with descriptive
 // errors instead of being decoded into a silently-wrong model.
 package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -37,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/summary"
 )
 
@@ -47,9 +46,8 @@ const (
 	// formatVersion is the payload format version; bump it when the
 	// summary codec changes incompatibly.
 	formatVersion = 1
-	// headerSize is magic (8) + version (2) + reserved (2) + payload
-	// length (8) + CRC32-C (4).
-	headerSize = 8 + 2 + 2 + 8 + 4
+	// headerSize is the frame header in front of every payload.
+	headerSize = frame.HeaderSize
 	// manifestName is the per-dataset manifest file.
 	manifestName = "MANIFEST.json"
 	// maxPayload bounds how large a payload Load will read (1 GiB), so a
@@ -64,8 +62,6 @@ var ErrCorrupt = errors.New("snapshot corrupt")
 
 // ErrNotFound is returned when a dataset or version does not exist.
 var ErrNotFound = errors.New("snapshot not found")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // keySegment validates one path segment of a dataset key.
 var keySegment = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]*$`)
@@ -245,9 +241,16 @@ func (s *Store) Save(dataset string, est core.Estimator) (SnapshotInfo, error) {
 	if err := validateKey(dataset); err != nil {
 		return SnapshotInfo{}, err
 	}
-	var payload bytes.Buffer
-	if err := summary.EncodeEstimator(&payload, est); err != nil {
+	// The payload is encoded behind reserved header space, so sealing the
+	// frame never copies it.
+	var framed bytes.Buffer
+	framed.Write(make([]byte, headerSize))
+	if err := summary.EncodeEstimator(&framed, est); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("store: encode %q: %w", dataset, err)
+	}
+	sum, err := frame.Seal(framed.Bytes(), magic, formatVersion, maxPayload)
+	if err != nil {
+		return SnapshotInfo{}, fmt.Errorf("store: encode %q: %v", dataset, err)
 	}
 
 	s.mu.Lock()
@@ -261,21 +264,10 @@ func (s *Store) Save(dataset string, est core.Estimator) (SnapshotInfo, error) {
 	info := SnapshotInfo{
 		Dataset:   dataset,
 		Estimator: est.Name(),
-		Bytes:     int64(payload.Len()),
-		Checksum:  crc32.Checksum(payload.Bytes(), crcTable),
+		Bytes:     int64(framed.Len() - headerSize),
+		Checksum:  sum,
 		CreatedAt: s.now().UTC(),
 	}
-	var framed bytes.Buffer
-	framed.Grow(headerSize + payload.Len())
-	framed.WriteString(magic)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], formatVersion)
-	// hdr[2:4] reserved, zero.
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[12:16], info.Checksum)
-	framed.Write(hdr[:])
-	framed.Write(payload.Bytes())
-
 	version, err := s.claimVersion(dataset, framed.Bytes())
 	if err != nil {
 		return SnapshotInfo{}, err
@@ -399,7 +391,7 @@ func (s *Store) Load(dataset string, version int) (core.Estimator, SnapshotInfo,
 	}
 
 	path := filepath.Join(s.datasetDir(dataset), snapshotFile(info.Version))
-	payload, err := readFramed(path)
+	payload, _, err := readFramed(path)
 	if err != nil {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, info.Version, err)
 	}
@@ -410,45 +402,29 @@ func (s *Store) Load(dataset string, version int) (core.Estimator, SnapshotInfo,
 	return est, info, nil
 }
 
-// readFramed reads a snapshot file and returns its verified payload.
-func readFramed(path string) ([]byte, error) {
+// readFramed reads a snapshot file and returns its verified payload and
+// the payload's checksum.
+func readFramed(path string) ([]byte, uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
+			return nil, 0, fmt.Errorf("%w: %v", ErrNotFound, err)
 		}
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
+	return verifyFrame(f)
+}
 
-	var head [headerSize]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: header truncated (%v)", ErrCorrupt, err)
+// verifyFrame checks one snapshot frame — a file, or a bytes.Reader over a
+// frame held in memory — and returns its payload and checksum. Every
+// failure is ErrCorrupt.
+func verifyFrame(in io.Reader) ([]byte, uint32, error) {
+	payload, _, sum, err := frame.Verify(in, magic, formatVersion, formatVersion, maxPayload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if string(head[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:8])
-	}
-	if v := binary.LittleEndian.Uint16(head[8:10]); v != formatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrCorrupt, v, formatVersion)
-	}
-	length := binary.LittleEndian.Uint64(head[12:20])
-	if length > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds the %d-byte bound", ErrCorrupt, length, int64(maxPayload))
-	}
-	want := binary.LittleEndian.Uint32(head[20:24])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload truncated (%v)", ErrCorrupt, err)
-	}
-	// Trailing bytes mean the length field and the file disagree.
-	var one [1]byte
-	if n, _ := f.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("%w: %d-byte payload followed by trailing garbage", ErrCorrupt, length)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, header says %08x", ErrCorrupt, got, want)
-	}
-	return payload, nil
+	return payload, sum, nil
 }
 
 // Versions returns the manifest of one dataset key.
@@ -675,7 +651,7 @@ func (s *Store) mergeIntoManifest(dataset string, add []SnapshotInfo, drop map[i
 // prefix.
 func (s *Store) statSnapshot(dataset string, version int) (SnapshotInfo, error) {
 	path := filepath.Join(s.datasetDir(dataset), snapshotFile(version))
-	payload, err := readFramed(path)
+	payload, sum, err := readFramed(path)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
@@ -692,7 +668,7 @@ func (s *Store) statSnapshot(dataset string, version int) (SnapshotInfo, error) 
 		Version:   version,
 		Estimator: name,
 		Bytes:     int64(len(payload)),
-		Checksum:  crc32.Checksum(payload, crcTable),
+		Checksum:  sum,
 		CreatedAt: created,
 	}, nil
 }

@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -58,37 +56,20 @@ func (s *Store) ReadFramed(dataset string, version int) ([]byte, SnapshotInfo, e
 		}
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, info.Version, err)
 	}
-	if _, err := verifyFramed(framed); err != nil {
+	if _, _, err := verifyFrame(bytes.NewReader(framed)); err != nil {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, info.Version, err)
 	}
 	return framed, info, nil
 }
 
-// verifyFramed checks a framed snapshot held in memory (magic, format
-// version, length, CRC32-C) and returns its payload.
-func verifyFramed(framed []byte) ([]byte, error) {
-	if len(framed) < headerSize {
-		return nil, fmt.Errorf("%w: %d-byte frame is shorter than the %d-byte header", ErrCorrupt, len(framed), headerSize)
+// holds reports whether a snapshot file exists at path and, when it does,
+// whether it is a sound frame whose payload has checksum sum.
+func holds(path string, sum uint32) (exists, same bool) {
+	_, have, err := readFramed(path)
+	if err != nil {
+		return errors.Is(err, ErrCorrupt), false
 	}
-	if string(framed[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, framed[:8])
-	}
-	if v := binary.LittleEndian.Uint16(framed[8:10]); v != formatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrCorrupt, v, formatVersion)
-	}
-	length := binary.LittleEndian.Uint64(framed[12:20])
-	if length > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds the %d-byte bound", ErrCorrupt, length, int64(maxPayload))
-	}
-	if uint64(len(framed)-headerSize) != length {
-		return nil, fmt.Errorf("%w: %d payload bytes, header says %d", ErrCorrupt, len(framed)-headerSize, length)
-	}
-	payload := framed[headerSize:]
-	want := binary.LittleEndian.Uint32(framed[20:24])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, header says %08x", ErrCorrupt, got, want)
-	}
-	return payload, nil
+	return true, have == sum
 }
 
 // ImportFramed stores a framed snapshot fetched from a peer under the
@@ -106,7 +87,7 @@ func (s *Store) ImportFramed(dataset string, version int, framed []byte) (Snapsh
 	if version < 1 {
 		return SnapshotInfo{}, fmt.Errorf("store: import of %q needs a version >= 1, got %d", dataset, version)
 	}
-	payload, err := verifyFramed(framed)
+	payload, sum, err := verifyFrame(bytes.NewReader(framed))
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("store: import %q v%d: %w", dataset, version, err)
 	}
@@ -127,15 +108,15 @@ func (s *Store) ImportFramed(dataset string, version int, framed []byte) (Snapsh
 		Version:   version,
 		Estimator: name,
 		Bytes:     int64(len(payload)),
-		Checksum:  crc32.Checksum(payload, crcTable),
+		Checksum:  sum,
 		CreatedAt: s.now().UTC(),
 	}
 
 	final := filepath.Join(dir, snapshotFile(version))
-	if existing, err := os.ReadFile(final); err == nil {
+	if exists, same := holds(final, sum); exists {
 		// The version already exists locally; same bits → idempotent no-op,
 		// different bits → a split-brain version conflict.
-		if have, err := verifyFramed(existing); err == nil && crc32.Checksum(have, crcTable) == info.Checksum {
+		if same {
 			return info, s.mergeIntoManifest(dataset, []SnapshotInfo{info}, nil)
 		}
 		return SnapshotInfo{}, fmt.Errorf("store: import %q v%d: version exists with different content", dataset, version)
@@ -166,10 +147,8 @@ func (s *Store) ImportFramed(dataset string, version int, framed []byte) (Snapsh
 	// clobbered. Losing the race to identical bytes is still success.
 	if err := os.Link(tmpName, final); err != nil {
 		if errors.Is(err, fs.ErrExist) {
-			if existing, rerr := os.ReadFile(final); rerr == nil {
-				if have, verr := verifyFramed(existing); verr == nil && crc32.Checksum(have, crcTable) == info.Checksum {
-					return info, s.mergeIntoManifest(dataset, []SnapshotInfo{info}, nil)
-				}
+			if _, same := holds(final, sum); same {
+				return info, s.mergeIntoManifest(dataset, []SnapshotInfo{info}, nil)
 			}
 			return SnapshotInfo{}, fmt.Errorf("store: import %q v%d: version exists with different content", dataset, version)
 		}
