@@ -51,24 +51,41 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	return &breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
-// Allow reports whether a request may be sent to the node right now. In
-// the open state it transitions to half-open — and admits the caller as
-// the probe — once the cooldown has elapsed.
-func (b *breaker) Allow() bool {
+// Ready reports, without side effects, whether Allow would admit a request
+// right now: the breaker is closed, or open with its cooldown elapsed. Node
+// selection scans with Ready and calls Allow only on the node it sends to,
+// so a probe is never spent on a node that is then not asked.
+func (b *breaker) Ready() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.ready()
+}
+
+func (b *breaker) ready() bool {
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
-			b.state = BreakerHalfOpen
-			return true
-		}
-		return false
+		return b.now().Sub(b.openedAt) >= b.cooldown
 	default: // half-open: the probe is already in flight
 		return false
 	}
+}
+
+// Allow reports whether a request may be sent to the node right now. In
+// the open state it transitions to half-open — and admits the caller as
+// the probe — once the cooldown has elapsed. A caller that is admitted must
+// send the request and report its outcome with Success or Failure.
+func (b *breaker) Allow() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.ready() {
+		return false
+	}
+	if b.state == BreakerOpen {
+		b.state = BreakerHalfOpen
+	}
+	return true
 }
 
 // Success records a served request, closing the breaker.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -217,35 +218,39 @@ func (rt *Router) Handler() http.Handler {
 
 // --- node selection ---------------------------------------------------
 
-// pick orders candidate nodes for one attempt: breaker-allowed nodes
-// first, least in-flight load first, round-robin rotation breaking ties —
-// and never a node in tried. prefer (>= 0) pins a preferred node to the
-// front when its breaker allows, which placement uses to spread partition
-// owners deterministically.
+// pick chooses the node for one attempt: among the nodes not in tried whose
+// breaker is ready, the least in-flight load first, round-robin rotation
+// breaking ties. prefer (>= 0) pins a preferred node to the front when its
+// breaker is ready, which placement uses to spread partition owners
+// deterministically. The scan has no side effects; only the chosen node's
+// breaker is asked to admit the request, so a half-open probe is spent on
+// the node that is actually sent to — and when a concurrent pick won that
+// probe first, the choice is made again without the node.
 func (rt *Router) pick(tried map[*node]bool, prefer int) *node {
-	type cand struct {
-		n    *node
-		load int64
-		pos  int
-	}
 	rot := int(rt.rr.Add(1))
-	var best *cand
-	for i, n := range rt.nodes {
-		if tried[n] || !n.breaker.Allow() {
-			continue
+	var lost []*node // ready when scanned, but another pick took the probe
+	for {
+		var best *node
+		var bestLoad int64
+		var bestPos int
+		for i, n := range rt.nodes {
+			if tried[n] || slices.Contains(lost, n) || !n.breaker.Ready() {
+				continue
+			}
+			if prefer >= 0 && i == prefer%len(rt.nodes) {
+				best = n
+				break
+			}
+			load, pos := n.inflight.Load(), (i+rot)%len(rt.nodes)
+			if best == nil || load < bestLoad || (load == bestLoad && pos < bestPos) {
+				best, bestLoad, bestPos = n, load, pos
+			}
 		}
-		c := &cand{n: n, load: n.inflight.Load(), pos: (i + rot) % len(rt.nodes)}
-		if prefer >= 0 && i == prefer%len(rt.nodes) {
-			return n
+		if best == nil || best.breaker.Allow() {
+			return best
 		}
-		if best == nil || c.load < best.load || (c.load == best.load && c.pos < best.pos) {
-			best = c
-		}
+		lost = append(lost, best)
 	}
-	if best == nil {
-		return nil
-	}
-	return best.n
 }
 
 // healthyCount counts nodes whose breaker currently passes traffic.

@@ -107,12 +107,12 @@ func TestBuildTermsMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want := referenceSets(len(sizes), specs)
-		if len(comp.terms) != len(want) {
+		if comp.NumTerms() != len(want) {
 			t.Fatalf("trial %d: %d terms, brute force finds %d compatible sets (specs %v)",
-				trial, len(comp.terms), len(want), specs)
+				trial, comp.NumTerms(), len(want), specs)
 		}
 		for i, w := range want {
-			if got := comp.terms[i]; !reflect.DeepEqual(got, w) {
+			if got := termAt(t, comp, i); !reflect.DeepEqual(got, w) {
 				t.Fatalf("trial %d term %d: got %+v, want %+v (specs %v)", trial, i, got, w, specs)
 			}
 			if len(w.stats) > deepest {
@@ -167,12 +167,13 @@ func TestFlightsShapeEnumeration(t *testing.T) {
 		t.Fatalf("flights-shaped model has %d terms, want 9301", n)
 	}
 	var factors int64
-	for i, tm := range comp.terms {
+	for i := 0; i < comp.NumTerms(); i++ {
+		tm := termAt(t, comp, i)
 		if len(tm.stats) > 2 || (len(tm.stats) == 2 && (tm.stats[0] >= 300 || tm.stats[1] < 300)) {
 			t.Fatalf("term %d holds statistics %v, want at most one of each pair", i, tm.stats)
 		}
-		if i > 0 && !setLess(comp.terms[i-1].stats, tm.stats) {
-			t.Fatalf("term %d (%v) does not ascend from term %d (%v)", i, tm.stats, i-1, comp.terms[i-1].stats)
+		if i > 0 && !setLess(comp.stats[i-1], tm.stats) {
+			t.Fatalf("term %d (%v) does not ascend from term %d (%v)", i, tm.stats, i-1, comp.stats[i-1])
 		}
 		for a, n := range sizes {
 			if r, ok := termRange(tm, a); ok {
@@ -183,16 +184,35 @@ func TestFlightsShapeEnumeration(t *testing.T) {
 		factors += int64(len(tm.stats))
 	}
 	rep := comp.Size()
-	if rep.CompressedFactors != factors || rep.Terms != len(comp.terms) {
-		t.Fatalf("Size() = %+v, direct count gives %d factors over %d terms", rep, factors, len(comp.terms))
+	if rep.CompressedFactors != factors || rep.Terms != comp.NumTerms() {
+		t.Fatalf("Size() = %+v, direct count gives %d factors over %d terms", rep, factors, comp.NumTerms())
 	}
-	if got := bits.OnesCount64(comp.attrBits[len(comp.terms)-1]); got != 3 {
+	if got := bits.OnesCount64(comp.attrBits[comp.NumTerms()-1]); got != 3 {
 		t.Fatalf("a cross-pair couple constrains %d attributes, want 3", got)
 	}
 }
 
+// termAt reassembles term i from what a built Compressed keeps of it — the
+// statistic set, the attribute bitmask and the flat range table the
+// evaluators read — and checks that the table holds the full domain exactly
+// where the term does not constrain an attribute.
+func termAt(t *testing.T, c *Compressed, i int) term {
+	t.Helper()
+	tm := term{stats: c.stats[i]}
+	for a, n := range c.sizes {
+		r := c.rangeAt(i*len(c.sizes) + a)
+		if c.attrBits[i]&(1<<uint(a)) != 0 {
+			tm.attrs = append(tm.attrs, a)
+			tm.ranges = append(tm.ranges, r)
+		} else if r != fullRange(n) {
+			t.Fatalf("term %d does not constrain attribute %d but the range table holds %v, want the full domain", i, a, r)
+		}
+	}
+	return tm
+}
+
 // termRange looks the attribute up in the term by linear scan — the
-// independent counterpart of the merge walk Size uses.
+// independent counterpart of the flat table read Size uses.
 func termRange(t term, a int) (query.Range, bool) {
 	for k, ta := range t.attrs {
 		if ta == a {

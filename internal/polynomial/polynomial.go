@@ -22,7 +22,7 @@ package polynomial
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/query"
@@ -100,26 +100,39 @@ func (s MultiStatSpec) rangeOn(a int) (query.Range, bool) {
 	return query.Range{}, false
 }
 
-// term is one summand of the compressed polynomial: the set I of attributes
-// covered by the statistics in S, the intersected per-attribute ranges ρ_iS,
-// and the statistic indexes S themselves. The base term has empty attrs and
-// stats.
+// term is one summand of the compressed polynomial while it is being
+// enumerated: the set I of attributes covered by the statistics in S, the
+// intersected per-attribute ranges ρ_iS, and the statistic indexes S
+// themselves. The base term has empty attrs and stats. Once the indexes are
+// built only stats is kept (Compressed.stats); the attribute set and the
+// ranges live on in attrBits and the flat range table.
 type term struct {
 	attrs  []int         // sorted attribute indexes in I
 	ranges []query.Range // aligned with attrs: the intersection ρ_iS
 	stats  []int         // sorted multi-statistic indexes in S
 }
 
+// span is one entry of the flat range table: an inclusive, non-empty,
+// in-domain value range.
+type span struct{ lo, hi int32 }
+
 // Compressed is the factorized polynomial structure. It depends only on the
 // domain sizes and the multi-dimensional statistic specifications, not on
-// the variable values. Alongside the terms it keeps two inverted indexes
-// that the incremental System maintenance is built on: for every α variable
-// the terms whose effective range covers it, and for every δ variable the
-// terms whose statistic set contains it.
+// the variable values. Alongside the terms it keeps the inverted indexes
+// the incremental System maintenance and the masked reads are built on: for
+// every α variable the terms whose effective range covers it or begins at
+// it, and for every δ variable the terms whose statistic set contains it.
 type Compressed struct {
 	sizes []int
 	specs []MultiStatSpec
-	terms []term
+	// stats[i] is the sorted statistic set S of term i, in (|S|,
+	// lexicographic S) order; stats[0] is the base term S = ∅.
+	stats [][]int
+	// ranges is the flat range table: entry i·m+a holds term i's effective
+	// range ρ_iS on attribute a, and the full domain [0, N_a−1] where the
+	// term does not constrain a — so every per-attribute factor of every term
+	// is one indexed read, in attribute order a = 0..m−1.
+	ranges []span
 	// touch[a][v] lists the indexes of the terms whose effective range
 	// ρ_iS on attribute a contains value v, and loose[a] the terms that do
 	// not constrain attribute a at all (their factor is the full-domain
@@ -129,33 +142,32 @@ type Compressed struct {
 	// O(Σ_terms Σ_a |ρ_iS|) instead of O(terms · Σ_a N_a).
 	touch [][][]int32
 	loose [][]int32
+	// starts[a] lists the terms that constrain attribute a ordered by the
+	// value their range on a begins at (then by term index), and
+	// startOff[a][v] is the position of the first one beginning at or after
+	// v (len N_a+1). The terms constraining a whose range overlaps [lo, hi]
+	// are exactly touch[a][lo] ∪ starts[a][startOff[a][lo+1]:startOff[a][hi+1]],
+	// a disjoint union never longer than starts[a]: the candidate list of a
+	// mask on a with hull [lo, hi].
+	starts   [][]int32
+	startOff [][]int32
 	// statTerms[j] lists the indexes of the terms whose statistic set S
 	// contains j — the terms carrying a (δ_j − 1) factor.
 	statTerms [][]int32
-	// constrained[a] lists (in term order) the indexes of the terms whose
-	// attribute set I contains a — the complement of loose[a], and the
-	// per-attribute half of the attribute→term index behind the pruned
-	// masked evaluation: a predicate constraining attribute set S can only
-	// change the *range-restricted* factors of terms in ∪_{a∈S}
-	// constrained[a]; every other term keeps its cached unmasked range
-	// factors and is answered by the mask-delta identity without being
-	// visited. conRanges[a] is aligned with constrained[a] and carries the
-	// term's effective range ρ_iS on a, so InRange masks can reject terms
-	// whose buckets provably miss the mask with one interval test and no
-	// term-struct dereference.
-	constrained [][]int32
-	conRanges   [][]query.Range
-	// conBits[a] is constrained[a] as a bitset over term indexes (bit i set
-	// iff a ∈ terms[i].attrs) — the posting lists in popcountable form, so
-	// the exact touched-set cardinality |∪_{a∈S} constrained[a]| behind the
-	// route-to-full-walk cutoff costs O(|S|·terms/64) instead of a term walk.
-	conBits [][]uint64
 	// attrBits[i] is the bitmask of term i's attribute set I (bit a set
-	// iff a ∈ terms[i].attrs). It makes the touched(S) membership test and
-	// the first-constrained-attribute dedup of the union iterator O(1).
-	// nil when the schema has more than 64 attributes, which disables the
-	// pruned masked paths (they fall back to the full walk).
+	// iff the term constrains a). It makes the membership test against a
+	// constrained attribute set and the lowest-constrained-attribute dedup of
+	// the candidate lists O(1). nil when the schema has more than 64
+	// attributes, which disables the pruned masked paths (they fall back to
+	// the full walk).
 	attrBits []uint64
+	// attrSets are the distinct values of attrBits in order of first
+	// appearance and termSet[i] is the position of term i's set in it. The
+	// terms of one set react to a mask the same way — all of them rescale or
+	// all of them are candidates — which is what lets a solved System answer
+	// the rescaled part from one partial sum per set. nil with attrBits.
+	attrSets []uint64
+	termSet  []int32
 }
 
 // NewCompressed builds the compressed polynomial for the given active-domain
@@ -174,8 +186,7 @@ func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error
 		}
 	}
 	c := &Compressed{sizes: sizes, specs: append([]MultiStatSpec(nil), specs...)}
-	c.buildTerms()
-	c.buildIndexes()
+	c.buildIndexes(c.buildTerms())
 	return c, nil
 }
 
@@ -187,22 +198,23 @@ func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error
 // (|S|, lexicographic S): no deduplication and no sort. The cost is one
 // allocation-free compatibility walk per (term, later statistic) pair plus
 // the surviving terms themselves.
-func (c *Compressed) buildTerms() {
-	c.terms = []term{{}}
-	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(c.terms) {
+func (c *Compressed) buildTerms() []term {
+	terms := []term{{}}
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(terms) {
 		for i := lo; i < hi; i++ {
-			t := c.terms[i]
+			t := terms[i]
 			first := 0
 			if n := len(t.stats); n > 0 {
 				first = t.stats[n-1] + 1
 			}
 			for j := first; j < len(c.specs); j++ {
 				if t.compatible(c.specs[j]) {
-					c.terms = append(c.terms, t.extend(j, c.specs[j]))
+					terms = append(terms, t.extend(j, c.specs[j]))
 				}
 			}
 		}
 	}
+	return terms
 }
 
 // compatible reports whether the statistic's range intersects the term's
@@ -250,44 +262,125 @@ func (t term) extend(j int, spec MultiStatSpec) term {
 	return nt
 }
 
-// buildIndexes derives the inverted variable→term indexes from the final
-// term list. Must run after buildTerms: the indexes store term positions.
-func (c *Compressed) buildIndexes() {
-	c.touch = make([][][]int32, len(c.sizes))
-	c.loose = make([][]int32, len(c.sizes))
+// buildIndexes derives the flat range table and the inverted variable→term
+// indexes from the enumerated terms, and keeps of the terms themselves only
+// their statistic sets. Every list is sized by a counting pass and carved
+// out of one slab per index, in term order.
+func (c *Compressed) buildIndexes(terms []term) {
+	m := len(c.sizes)
+	c.stats = make([][]int, len(terms))
+	c.ranges = make([]span, len(terms)*m)
+	if m <= 64 {
+		c.attrBits = make([]uint64, len(terms))
+		c.termSet = make([]int32, len(terms))
+	}
+
+	// Pass 1: the range table, the attribute sets, and the list lengths.
+	// covers[a][v] first holds the difference of the number of ranges on a
+	// covering v and v−1, so a term costs O(|I|) here instead of O(Σ|ρ|).
+	covers := make([][]int32, m)
+	begins := make([][]int32, m)
+	for a, n := range c.sizes {
+		covers[a] = make([]int32, n+1)
+		begins[a] = make([]int32, n+1)
+	}
+	constraining := make([]int, m)
+	perStat := make([]int, len(c.specs))
+	setIndex := map[uint64]int32{}
+	for i, t := range terms {
+		c.stats[i] = t.stats
+		row := i * m
+		for a, n := range c.sizes {
+			c.ranges[row+a].hi = int32(n - 1)
+		}
+		var bits uint64
+		for k, a := range t.attrs {
+			r := t.ranges[k]
+			c.ranges[row+a] = span{int32(r.Lo), int32(r.Hi)}
+			covers[a][r.Lo]++
+			covers[a][r.Hi+1]--
+			begins[a][r.Lo]++
+			constraining[a]++
+			bits |= 1 << uint(a)
+		}
+		for _, j := range t.stats {
+			perStat[j]++
+		}
+		if c.attrBits != nil {
+			k, ok := setIndex[bits]
+			if !ok {
+				k = int32(len(c.attrSets))
+				setIndex[bits] = k
+				c.attrSets = append(c.attrSets, bits)
+			}
+			c.attrBits[i], c.termSet[i] = bits, k
+		}
+	}
+
+	// Carve the lists. touch[a][v], loose[a] and statTerms[j] start empty
+	// with exactly the counted capacity; starts[a] is filled through one
+	// cursor per begin value, which starts at startOff.
+	nTouch, nCon := 0, 0
+	for a := range c.sizes {
+		run := int32(0)
+		for v := range covers[a] {
+			run += covers[a][v]
+			covers[a][v] = run
+			nTouch += int(run)
+		}
+		nCon += constraining[a]
+	}
+	touchSlab := make([]int32, nTouch)
+	startSlab := make([]int32, nCon)
+	looseSlab := make([]int32, len(terms)*m-nCon)
+	c.touch = make([][][]int32, m)
+	c.loose = make([][]int32, m)
+	c.starts = make([][]int32, m)
+	c.startOff = begins
+	cursor := make([][]int32, m)
 	for a, n := range c.sizes {
 		c.touch[a] = make([][]int32, n)
+		for v := range c.touch[a] {
+			k := int(covers[a][v])
+			c.touch[a][v], touchSlab = touchSlab[:0:k], touchSlab[k:]
+		}
+		c.starts[a], startSlab = startSlab[:constraining[a]], startSlab[constraining[a]:]
+		k := len(terms) - constraining[a]
+		c.loose[a], looseSlab = looseSlab[:0:k], looseSlab[k:]
+		off := int32(0)
+		for v, k := range begins[a] {
+			begins[a][v] = off
+			off += k
+		}
+		cursor[a] = slices.Clone(begins[a])
 	}
+	nStat := 0
+	for _, k := range perStat {
+		nStat += k
+	}
+	statSlab := make([]int32, nStat)
 	c.statTerms = make([][]int32, len(c.specs))
-	c.constrained = make([][]int32, len(c.sizes))
-	c.conRanges = make([][]query.Range, len(c.sizes))
-	words := (len(c.terms) + 63) / 64
-	c.conBits = make([][]uint64, len(c.sizes))
-	slab := make([]uint64, words*len(c.sizes))
-	for a := range c.conBits {
-		c.conBits[a], slab = slab[:words], slab[words:]
+	for j, k := range perStat {
+		c.statTerms[j], statSlab = statSlab[:0:k], statSlab[k:]
 	}
-	if len(c.sizes) <= 64 {
-		c.attrBits = make([]uint64, len(c.terms))
-	}
-	for i, t := range c.terms {
+
+	// Pass 2: fill, in term order.
+	for i := range terms {
+		row := i * m
+		t := terms[i]
 		k := 0
 		for a := range c.sizes {
-			if k < len(t.attrs) && t.attrs[k] == a {
-				r := t.ranges[k]
-				k++
-				for v := r.Lo; v <= r.Hi; v++ {
-					c.touch[a][v] = append(c.touch[a][v], int32(i))
-				}
-				c.constrained[a] = append(c.constrained[a], int32(i))
-				c.conRanges[a] = append(c.conRanges[a], r)
-				c.conBits[a][i>>6] |= 1 << uint(i&63)
-				if c.attrBits != nil {
-					c.attrBits[i] |= 1 << uint(a)
-				}
+			if k == len(t.attrs) || t.attrs[k] != a {
+				c.loose[a] = append(c.loose[a], int32(i))
 				continue
 			}
-			c.loose[a] = append(c.loose[a], int32(i))
+			k++
+			r := c.ranges[row+a]
+			for v := r.lo; v <= r.hi; v++ {
+				c.touch[a][v] = append(c.touch[a][v], int32(i))
+			}
+			c.starts[a][cursor[a][r.lo]] = int32(i)
+			cursor[a][r.lo]++
 		}
 		for _, j := range t.stats {
 			c.statTerms[j] = append(c.statTerms[j], int32(i))
@@ -295,28 +388,17 @@ func (c *Compressed) buildIndexes() {
 	}
 }
 
-// touchedCount returns the exact touched-set cardinality
-// |touched(S)| = |∪_{a∈attrs} constrained[a]| by OR-ing the per-attribute
-// term bitsets into buf (len ≥ ⌈terms/64⌉) and popcounting —
-// O(|S|·terms/64), never a per-term walk. A single constrained attribute
-// reads its posting-list length directly.
-func (c *Compressed) touchedCount(attrs []int, buf []uint64) int {
-	if len(attrs) == 1 {
-		return len(c.constrained[attrs[0]])
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	for _, a := range attrs {
-		for i, w := range c.conBits[a] {
-			buf[i] |= w
-		}
-	}
-	n := 0
-	for _, w := range buf {
-		n += bits.OnesCount64(w)
-	}
-	return n
+// candidateCount returns how many terms constrain attribute a with a range
+// that overlaps the (non-empty, in-domain) hull [lo, hi] — the length of the
+// candidate list candidates enumerates for it, from two list lengths.
+func (c *Compressed) candidateCount(a, lo, hi int) int {
+	return len(c.touch[a][lo]) + int(c.startOff[a][hi+1]-c.startOff[a][lo+1])
+}
+
+// rangeAt returns entry k = i·m+a of the range table: term i's effective
+// range on attribute a, the full domain where it does not constrain a.
+func (c *Compressed) rangeAt(k int) query.Range {
+	return query.Range{Lo: int(c.ranges[k].lo), Hi: int(c.ranges[k].hi)}
 }
 
 // NumAttrs returns the number of attributes m.
@@ -333,13 +415,13 @@ func (c *Compressed) MultiStat(j int) MultiStatSpec { return c.specs[j] }
 
 // NumTerms returns the number of terms of the compressed representation
 // (including the base term).
-func (c *Compressed) NumTerms() int { return len(c.terms) }
+func (c *Compressed) NumTerms() int { return len(c.stats) }
 
-// PrunedIndexed reports whether the attribute→term pruning index is
-// available, i.e. whether masked evaluation can take the term-pruned
-// delta path (polynomials over more than 64 attributes fall back to the
-// full walk). Every construction path — including codec restore, which
-// rebuilds the polynomial via NewCompressed — populates the index.
+// PrunedIndexed reports whether the attribute-set index is available, i.e.
+// whether masked reads can cost their candidate terms (polynomials over
+// more than 64 attributes fall back to the full walk). Every construction
+// path — including codec restore, which rebuilds the polynomial via
+// NewCompressed — populates the index.
 func (c *Compressed) PrunedIndexed() bool { return c.attrBits != nil }
 
 // SizeReport summarizes the memory shape of the representation, mirroring
@@ -365,7 +447,7 @@ type SizeReport struct {
 // Size computes the SizeReport for the polynomial.
 func (c *Compressed) Size() SizeReport {
 	var rep SizeReport
-	rep.Terms = len(c.terms)
+	rep.Terms = len(c.stats)
 	for _, n := range c.sizes {
 		rep.OneDVariables += n
 	}
@@ -380,21 +462,16 @@ func (c *Compressed) Size() SizeReport {
 		d *= nn
 	}
 	rep.UncompressedMonomials = d
-	for _, t := range c.terms {
-		k := 0
-		for a, n := range c.sizes {
-			if k < len(t.attrs) && t.attrs[k] == a {
-				n = t.ranges[k].Len()
-				k++
-			}
-			rep.CompressedFactors += int64(n)
-		}
-		rep.CompressedFactors += int64(len(t.stats))
+	for _, r := range c.ranges {
+		rep.CompressedFactors += int64(r.hi-r.lo) + 1
+	}
+	for _, st := range c.stats {
+		rep.CompressedFactors += int64(len(st))
 	}
 	return rep
 }
 
 // String renders a compact structural description of the polynomial.
 func (c *Compressed) String() string {
-	return fmt.Sprintf("P{m=%d, multiStats=%d, terms=%d}", len(c.sizes), len(c.specs), len(c.terms))
+	return fmt.Sprintf("P{m=%d, multiStats=%d, terms=%d}", len(c.sizes), len(c.specs), len(c.stats))
 }

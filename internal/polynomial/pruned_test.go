@@ -3,7 +3,6 @@ package polynomial
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -263,31 +262,6 @@ func TestMaskedEvalConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestTouchedCountExact checks the popcounted touched-set cardinality
-// against a brute-force union of the posting lists across random instances
-// and attribute subsets.
-func TestTouchedCountExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	for trial := 0; trial < 40; trial++ {
-		sizes, _, sys := randomInstance(rng)
-		p := sys.Poly()
-		buf := make([]uint64, (len(p.terms)+63)/64)
-		for k := 1; k <= len(sizes); k++ {
-			attrs := rng.Perm(len(sizes))[:k]
-			sort.Ints(attrs)
-			want := map[int32]struct{}{}
-			for _, a := range attrs {
-				for _, ti := range p.constrained[a] {
-					want[ti] = struct{}{}
-				}
-			}
-			if got := p.touchedCount(attrs, buf); got != len(want) {
-				t.Fatalf("trial %d attrs %v: touchedCount = %d, want %d", trial, attrs, got, len(want))
-			}
-		}
-	}
-}
-
 // TestCutoffRoutesBenchShapes pins the route-to-full-walk calibration on the
 // BENCH.md instance: the all-attrs predicate (whose touched set is the whole
 // polynomial, the documented pruned-path regression) must route to the full
@@ -331,10 +305,10 @@ func TestMaskedPrefixEquivalence(t *testing.T) {
 				query.Point(rng.Intn(n)),
 			}
 			for _, r := range ranges {
-				got := sys.maskedSumSC(sc, a, r)
+				got := sc.masked(a, r.Lo, r.Hi)
 				want := sys.maskedSum(a, r, sc.cons[a])
 				if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
-					t.Fatalf("trial %d attr %d range %v cons %v: maskedSumSC = %g, maskedSum = %g",
+					t.Fatalf("trial %d attr %d range %v cons %v: masked = %g, maskedSum = %g",
 						trial, a, r, sc.cons[a], got, want)
 				}
 			}

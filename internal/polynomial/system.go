@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/query"
 )
@@ -39,13 +40,21 @@ type System struct {
 
 	// Incremental term caches. For term i, nz[i] is the product of its
 	// non-zero factors and zeros[i] counts its zero factors, so the term
-	// value is nz[i] when zeros[i] == 0 and 0 otherwise; fac[i][a] is the
-	// current value of the attribute-a factor. total is Σ_i value(i) = P.
-	fac     [][]float64
+	// value is nz[i] when zeros[i] == 0 and 0 otherwise; fac[i·m+a] is the
+	// current value of the attribute-a factor, laid out like the polynomial's
+	// range table. total is Σ_i value(i) = P.
+	fac     []float64
 	nz      []float64
 	zeros   []int
 	total   float64
 	updates int // SetVar count since the last full rebuild
+
+	// sums holds the per-attribute-set partial sums of the term caches that
+	// masked reads rescale instead of visiting the terms. The first masked
+	// read after a write builds and publishes what it needs; every write
+	// drops the lot. Eval(nil), Total and the unmasked Deriv never build
+	// them, so the solver's write-then-read steps pay one pointer load.
+	sums atomic.Pointer[partialSums]
 
 	// scratchPool recycles the per-call scratch of masked Eval/Deriv so
 	// the hot path is allocation-free yet still safe for concurrent
@@ -53,25 +62,65 @@ type System struct {
 	scratchPool sync.Pool
 }
 
+// partialSums are the sums over the terms of one attribute set
+// (Compressed.attrSets) that masked reads are answered from. The two halves
+// are built independently, each by the first read that needs it, and
+// published atomically so that concurrent first readers stay race-free; the
+// builds are deterministic, so it does not matter whose copy wins.
+type partialSums struct {
+	// set[k] = Σ value(t) over the terms of attribute set k: what Eval
+	// rescales for the sets a mask does not reach.
+	set atomic.Pointer[[]float64]
+	// cols[a] splits the unmasked derivative column of attribute a by
+	// attribute set: what DerivColumn(a, ·) rescales.
+	cols []atomic.Pointer[setColumns]
+}
+
+// setColumns is one attribute's unmasked derivative column ∂P/∂α_{a,·}
+// split by attribute set. For a set k that contains a, col[k][v] sums the
+// all-but-a products of the set's terms whose range on a holds v; for a set
+// that does not, every value receives the same loose[k] = Σ all-but-a
+// products and col[k] is nil. Memory: Σ_{k ∋ a} N_a floats.
+type setColumns struct {
+	col   [][]float64
+	loose []float64
+}
+
+// publish installs v unless another reader got there first and returns the
+// installed value.
+func publish[T any](p *atomic.Pointer[T], v *T) *T {
+	if p.CompareAndSwap(nil, v) {
+		return v
+	}
+	if cur := p.Load(); cur != nil {
+		return cur
+	}
+	return v
+}
+
 // evalScratch is the pooled per-call state of the masked Eval/Deriv paths:
 // the per-attribute constraint snapshot, the constrained attribute set S,
-// the masked full-domain sums M_a, and a backing buffer for canonicalizing
-// InSet value lists that arrive unsorted.
+// each mask in the one form the pruned paths read it in, the candidate
+// terms, and a backing buffer for canonicalizing InSet value lists that
+// arrive unsorted.
 type evalScratch struct {
-	cons    []query.Constraint
-	attrs   []int     // constrained attribute indexes, ascending
-	maskedF []float64 // per attribute: masked full-domain sum M_a (set for attrs)
-	vals    []int     // backing storage for canonicalized InSet values
-	// termBits is the union-bitset buffer of the touched-set cardinality
-	// cutoff (len ⌈terms/64⌉).
-	termBits []uint64
-	// mprefix[a] is the per-call masked prefix column of an InSet-constrained
-	// attribute (M[i] = Σ_{v<i, v∈set} α_{a,v}, len N_a+1), built lazily on
-	// the attribute's first masked factor so every later factor is O(1)
-	// regardless of the set size. mpBuilt[a] marks columns valid for this
-	// call; the backing arrays persist in the pool across calls.
+	cons  []query.Constraint
+	attrs []int // constrained attribute indexes, ascending
+	// The mask on attribute a as a hull and a prefix column: lo[a]..hi[a] is
+	// the hull of the in-domain values the constraint admits (the whole
+	// domain for Any) and pre[a][v] the sum of the admitted α_{a,u}, u < v
+	// (len N_a+1), so a masked factor sum is one clipped difference whatever
+	// the constraint kind — see masked. pre[a] is the system's own prefix
+	// cache for Any and InRange, and for InSet a per-call column in mprefix[a],
+	// whose backing arrays persist in the pool across calls. void marks a
+	// mask that admits no value on some attribute: the masked polynomial is
+	// then identically zero.
+	lo, hi  []int
+	pre     [][]float64
 	mprefix [][]float64
-	mpBuilt []bool
+	void    bool
+	vals    []int   // backing storage for canonicalized InSet values
+	cand    []int32 // the candidate terms of the current call
 }
 
 // NewSystem creates a System over the polynomial with every variable
@@ -116,21 +165,17 @@ func newSystemShell(poly *Compressed) *System {
 		s.delta[j] = 1
 	}
 	m := len(poly.sizes)
-	s.fac = make([][]float64, len(poly.terms))
-	flat := make([]float64, len(poly.terms)*m)
-	for i := range s.fac {
-		s.fac[i], flat = flat[:m], flat[m:]
-	}
-	s.nz = make([]float64, len(poly.terms))
-	s.zeros = make([]int, len(poly.terms))
+	s.fac = make([]float64, poly.NumTerms()*m)
+	s.nz = make([]float64, poly.NumTerms())
+	s.zeros = make([]int, poly.NumTerms())
 	s.scratchPool.New = func() any {
 		return &evalScratch{
-			cons:     make([]query.Constraint, m),
-			attrs:    make([]int, 0, m),
-			maskedF:  make([]float64, m),
-			termBits: make([]uint64, (len(poly.terms)+63)/64),
-			mprefix:  make([][]float64, m),
-			mpBuilt:  make([]bool, m),
+			cons:    make([]query.Constraint, m),
+			attrs:   make([]int, 0, m),
+			lo:      make([]int, m),
+			hi:      make([]int, m),
+			pre:     make([][]float64, m),
+			mprefix: make([][]float64, m),
 		}
 	}
 	return s
@@ -154,6 +199,7 @@ func (s *System) SetOneD(attr, value int, x float64) {
 	}
 	s.alpha[attr][value] = x
 	s.dirty[attr] = true
+	s.dropSums()
 	for _, ti := range s.poly.touch[attr][value] {
 		s.shiftFactor(int(ti), attr, dx)
 	}
@@ -171,6 +217,7 @@ func (s *System) SetMulti(stat int, x float64) {
 		return
 	}
 	s.delta[stat] = x
+	s.dropSums()
 	for _, ti := range s.poly.statTerms[stat] {
 		s.replaceFactor(int(ti), old-1, x-1)
 	}
@@ -179,10 +226,20 @@ func (s *System) SetMulti(stat int, x float64) {
 
 // shiftFactor adds dx to term i's attribute-attr range-sum factor.
 func (s *System) shiftFactor(i, attr int, dx float64) {
-	old := s.fac[i][attr]
+	k := i*len(s.alpha) + attr
+	old := s.fac[k]
 	nf := old + dx
-	s.fac[i][attr] = nf
+	s.fac[k] = nf
 	s.replaceFactor(i, old, nf)
+}
+
+// dropSums discards the partial sums after a write to the term caches. The
+// load keeps the solver's write loops, which never build them, off an
+// atomic store.
+func (s *System) dropSums() {
+	if s.sums.Load() != nil {
+		s.sums.Store(nil)
+	}
 }
 
 // replaceFactor swaps one factor of term i from value old to value nf,
@@ -219,28 +276,23 @@ func (s *System) noteUpdate() {
 // total from the current variable values.
 func (s *System) rebuild() {
 	s.refreshAll()
+	s.dropSums()
+	p := s.poly
 	total := 0.0
-	for i, t := range s.poly.terms {
-		f := s.fac[i]
+	k := 0
+	for i, stats := range p.stats {
 		nz, zeros := 1.0, 0
-		k := 0
-		for a := range s.alpha {
-			var r query.Range
-			if k < len(t.attrs) && t.attrs[k] == a {
-				r = t.ranges[k]
-				k++
-			} else {
-				r = fullRange(len(s.alpha[a]))
-			}
-			v := s.rangeSum(a, r)
-			f[a] = v
+		for _, pre := range s.prefix {
+			v := pre[p.ranges[k].hi+1] - pre[p.ranges[k].lo]
+			s.fac[k] = v
+			k++
 			if v == 0 {
 				zeros++
 			} else {
 				nz *= v
 			}
 		}
-		for _, j := range t.stats {
+		for _, j := range stats {
 			d := s.delta[j] - 1
 			if d == 0 {
 				zeros++
@@ -421,51 +473,30 @@ func (s *System) maskedSum(attr int, r query.Range, c query.Constraint) float64 
 	}
 }
 
-// maskedSumSC is maskedSum over the scratch's per-attribute constraint with
-// every kind resolved in O(1): Any and InRange already go through the global
-// prefix cache, and InSet reads a per-call masked prefix column instead of
-// scanning the value list once per term factor. Columns are built lazily on
-// an attribute's first masked factor (O(N_a) once per call), so queries whose
-// touched terms never hit an InSet attribute pay nothing.
-func (s *System) maskedSumSC(sc *evalScratch, attr int, r query.Range) float64 {
-	c := sc.cons[attr]
-	if c.Kind != query.InSet {
-		return s.maskedSum(attr, r, c)
-	}
-	if !sc.mpBuilt[attr] {
-		s.buildMaskedPrefix(sc, attr)
-	}
-	if r.Empty() {
-		return 0
-	}
-	lo, hi := r.Lo, r.Hi
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(s.alpha[attr]) {
-		hi = len(s.alpha[attr]) - 1
-	}
+// masked returns the sum of α_{attr,v} over the values of [lo, hi] the
+// scratch's constraint on attr admits, in O(1) for every constraint kind: the
+// range is clipped to the mask's hull and read off the mask's prefix column.
+func (sc *evalScratch) masked(attr, lo, hi int) float64 {
+	lo, hi = max(lo, sc.lo[attr]), min(hi, sc.hi[attr])
 	if hi < lo {
 		return 0
 	}
-	p := sc.mprefix[attr]
-	return p[hi+1] - p[lo]
+	pre := sc.pre[attr]
+	return pre[hi+1] - pre[lo]
 }
 
-// buildMaskedPrefix materializes the masked prefix column of an
-// InSet-constrained attribute into the pooled scratch. The set values are
-// canonical (ascending, in-domain — getScratch guarantees it), so one merge
-// pass accumulates the column in the same value order the direct scan sums
-// in.
-func (s *System) buildMaskedPrefix(sc *evalScratch, attr int) {
+// maskedPrefix materializes the masked prefix column of an InSet-constrained
+// attribute into the pooled scratch. The set values are canonical
+// (ascending, in-domain — getScratch guarantees it), so one merge pass
+// accumulates the column in the same value order the direct scan sums in.
+func (s *System) maskedPrefix(sc *evalScratch, attr int, vals []int) []float64 {
 	col := s.alpha[attr]
 	p := sc.mprefix[attr]
 	if cap(p) < len(col)+1 {
 		p = make([]float64, len(col)+1)
-	} else {
-		p = p[:len(col)+1]
+		sc.mprefix[attr] = p
 	}
-	vals := sc.cons[attr].Values
+	p = p[:len(col)+1]
 	p[0] = 0
 	j := 0
 	sum := 0.0
@@ -476,11 +507,8 @@ func (s *System) buildMaskedPrefix(sc *evalScratch, attr int) {
 		}
 		p[v+1] = sum
 	}
-	sc.mprefix[attr] = p
-	sc.mpBuilt[attr] = true
+	return p
 }
-
-func fullRange(n int) query.Range { return query.Range{Lo: 0, Hi: n - 1} }
 
 // constraintFor extracts the per-attribute constraint from the predicate
 // (Any when the predicate is nil).
@@ -493,21 +521,37 @@ func constraintFor(pred *query.Predicate, attr int) query.Constraint {
 
 // getScratch fills a pooled scratch with the predicate's per-attribute
 // constraints (InSet value lists canonicalized once per call, not per term
-// factor) and the constrained attribute set S. Callers must return it with
+// factor), the constrained attribute set S, and the hull and prefix column
+// of each mask. The prefix caches must be fresh. Callers must return it with
 // putScratch.
 func (s *System) getScratch(pred *query.Predicate) *evalScratch {
 	sc := s.scratchPool.Get().(*evalScratch)
 	sc.attrs = sc.attrs[:0]
 	sc.vals = sc.vals[:0]
+	sc.void = false
 	for a := range sc.cons {
 		c := constraintFor(pred, a)
-		if c.Kind == query.InSet {
-			c.Values = sc.canonValues(c.Values, len(s.alpha[a]))
+		n := len(s.alpha[a])
+		lo, hi, pre := 0, n-1, s.prefix[a]
+		switch c.Kind {
+		case query.Any:
+		case query.InRange:
+			lo, hi = max(c.Range.Lo, 0), min(c.Range.Hi, n-1)
+		case query.InSet:
+			c.Values = sc.canonValues(c.Values, n)
+			lo, hi = n, -1
+			if k := len(c.Values); k > 0 {
+				lo, hi = c.Values[0], c.Values[k-1]
+				pre = s.maskedPrefix(sc, a, c.Values)
+			}
+		default:
+			lo, hi = n, -1
 		}
 		sc.cons[a] = c
-		sc.mpBuilt[a] = false
+		sc.lo[a], sc.hi[a], sc.pre[a] = lo, hi, pre
 		if c.Kind != query.Any {
 			sc.attrs = append(sc.attrs, a)
+			sc.void = sc.void || lo > hi
 		}
 	}
 	return sc
@@ -560,10 +604,9 @@ func (s *System) Total() float64 { return s.total }
 // returns the incrementally maintained full polynomial value P after
 // flushing the prefix caches (use Total for the flush-free O(1) read).
 //
-// Masked evaluation is answered through the attribute→term index in
-// O(terms touching the constrained attribute set S) via the mask-delta
-// identity (see evalPruned) instead of walking every term; evalFullWalk
-// remains the fallback for the shapes the index cannot cover.
+// Masked evaluation costs the terms that can survive the mask (see
+// evalPruned) instead of walking every term; evalFullWalk remains the
+// fallback for the shapes the index cannot cover.
 func (s *System) Eval(pred *query.Predicate) float64 {
 	if pred == nil {
 		// Flush the prefix caches even though the cached total does not
@@ -584,32 +627,32 @@ func (s *System) Eval(pred *query.Predicate) float64 {
 // evalFullWalk is the pre-index reference implementation of masked
 // evaluation: every term re-derives its full product under the
 // constraints. It is the fallback when the pruned path cannot run (more
-// than 64 attributes, a zero or non-finite full-domain sum) and the oracle
-// the randomized pruned-vs-naive equivalence tests compare against.
+// than 64 attributes, a zero or non-finite full-domain sum) or would visit
+// (nearly) every term anyway, and the oracle the randomized equivalence
+// tests compare against.
 func (s *System) evalFullWalk(cons []query.Constraint) float64 {
 	total := 0.0
-	for _, t := range s.poly.terms {
-		total += s.evalTerm(t, cons)
+	for i := range s.nz {
+		total += s.evalTerm(i, cons)
 	}
 	return total
 }
 
-// evalPruned answers masked evaluation through the attribute→term index.
+// evalPruned answers masked evaluation from the partial sums and the
+// candidate lists.
 //
 // For a predicate constraining attribute set S, a term whose attribute set
 // I is disjoint from S keeps every cached range factor except that each
 // a ∈ S contributes the masked full-domain sum M_a in place of the
 // unmasked full-domain sum F_a — its masked value is its cached unmasked
-// value times scale = Π_{a∈S} M_a/F_a. Summing over all terms:
+// value times scale = Π_{a∈S} M_a/F_a, and all the terms of an attribute
+// set share that fate. A term with I ∩ S ≠ ∅ survives only if its range
+// overlaps the mask on every attribute of I ∩ S, so it is among the
+// candidates of its lowest such attribute:
 //
-//	Eval(pred) = scale·(total − Σ_{t∈touched(S)} value(t)) + Σ_{t∈touched(S)} masked(t)
+//	Eval(pred) = scale·Σ_{k: attrSets[k]∩S=∅} set[k] + Σ_{t∈candidates(S)} masked(t)
 //
-// with touched(S) = { t : I(t) ∩ S ≠ ∅ } = ∪_{a∈S} constrained[a], so the
-// walk visits O(touched(S)) terms instead of all of them. Within the
-// touched set, interval pruning skips the masked-value computation for
-// terms whose bucket range on the iterated attribute provably misses an
-// InRange mask (their masked value is exactly 0); their cached value is
-// still subtracted, as the identity requires.
+// a sum of disjoint parts that visits only the candidates.
 //
 // The second return reports whether the pruned path was applicable; when
 // false the caller must fall back to evalFullWalk.
@@ -622,88 +665,106 @@ func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 		// No constrained attribute: the mask is a no-op.
 		return s.total, true
 	}
-	// Route to the full walk when the touched set covers (nearly) the whole
-	// polynomial: the delta identity then pays a factor swap per constrained
-	// attribute per touched term on top of the subtraction bookkeeping, while
-	// the straight walk pays one m-factor pass per term with no overhead —
-	// the documented all-attrs regression. touched is exact (popcount over
-	// the per-attribute term bitsets, O(|S|·terms/64)), and the crossover
+	if sc.void {
+		return 0, true
+	}
+	// Route to the full walk when the candidates are (nearly) the whole
+	// polynomial: each then pays a factor swap per constrained attribute on
+	// top of the list bookkeeping, while the straight walk pays one m-factor
+	// pass per term with no overhead. The count is the sum of the
+	// per-attribute list lengths (a term constraining several attributes of S
+	// is counted under each, and skipped under all but the lowest), and the
+	// crossover
 	//
-	//	touched·(|S|+2) ≥ terms·m
+	//	candidates·(|S|+2) ≥ terms·m
 	//
 	// sends the all-attrs shape to the walk while keeping every selective
-	// shape — even ones touching most terms through a single hot attribute —
-	// on the pruned path.
-	if touched := p.touchedCount(sc.attrs, sc.termBits); touched*(len(sc.attrs)+2) >= len(p.terms)*len(s.alpha) {
+	// shape — even a wide range on the hottest attribute — on the pruned path.
+	count := 0
+	for _, a := range sc.attrs {
+		count += p.candidateCount(a, sc.lo[a], sc.hi[a])
+	}
+	if count*(len(sc.attrs)+2) >= p.NumTerms()*len(s.alpha) {
 		return 0, false
 	}
-	scale := 1.0
-	var sMask uint64
-	for _, a := range sc.attrs {
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
-		if f == 0 {
-			return 0, false
-		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scale *= m / f
-		sMask |= 1 << uint(a)
-	}
-	if !isFinite(scale) {
+	scale, sMask, ok := s.maskScale(sc, -1)
+	if !ok {
 		return 0, false
 	}
-	total := scale * s.total
-	nzs, zeros, bits := s.nz, s.zeros, p.attrBits
-	for _, a := range sc.attrs {
-		aBit := uint64(1) << uint(a)
-		below := aBit - 1
-		consA := sc.cons[a]
-		var pruneRange query.Range
-		prune := false
-		var pruneSet []int
-		switch consA.Kind {
-		case query.InRange:
-			prune, pruneRange = true, consA.Range
-		case query.InSet:
-			pruneSet = consA.Values
+	total := 0.0
+	set := s.setSums()
+	for k, bits := range p.attrSets {
+		if bits&sMask == 0 {
+			total += set[k]
 		}
-		conR := p.conRanges[a]
-		for idx, ti := range p.constrained[a] {
-			i := int(ti)
-			if bits[i]&sMask&below != 0 {
-				// The term is also constrained on a lower attribute of S;
-				// it was already processed there.
-				continue
-			}
-			z := zeros[i]
-			if z == 0 {
-				total -= scale * nzs[i]
-			}
-			// Interval pruning: when the term's bucket range on a provably
-			// misses the mask its masked value is exactly 0, so only the
-			// subtraction above applies and the term is never dereferenced.
-			if prune {
-				if !conR[idx].Overlaps(pruneRange) {
-					continue
-				}
-			} else if pruneSet != nil && !setIntersects(pruneSet, conR[idx]) {
-				continue
-			}
-			val, z := s.maskedFactorSwap(i, -1, sc, nzs[i], z)
-			if z == 0 {
-				total += val
-			}
+	}
+	total *= scale
+	for _, ti := range s.candidates(sc, -1) {
+		i := int(ti)
+		if val, z := s.maskedFactorSwap(i, -1, sc, s.nz[i], s.zeros[i]); z == 0 {
+			total += val
 		}
 	}
 	return total, true
 }
 
-// setIntersects reports whether the ascending value list has an element in
-// the (non-empty, in-domain) range.
-func setIntersects(vals []int, r query.Range) bool {
-	j := sort.SearchInts(vals, r.Lo)
-	return j < len(vals) && vals[j] <= r.Hi
+// setSums returns the per-attribute-set sums of the cached term values,
+// building and publishing them on the first masked Eval after a write: one
+// pass of one addition per term.
+func (s *System) setSums() []float64 {
+	ps := s.partials()
+	if set := ps.set.Load(); set != nil {
+		return *set
+	}
+	set := make([]float64, len(s.poly.attrSets))
+	for i, k := range s.poly.termSet {
+		if s.zeros[i] == 0 {
+			set[k] += s.nz[i]
+		}
+	}
+	return *publish(&ps.set, &set)
+}
+
+// partials returns the holder of the partial sums, installing an empty one
+// on the first masked read after a write.
+func (s *System) partials() *partialSums {
+	if ps := s.sums.Load(); ps != nil {
+		return ps
+	}
+	return publish(&s.sums, &partialSums{cols: make([]atomic.Pointer[setColumns], len(s.alpha))})
+}
+
+// candidates collects into the scratch the terms that can survive the mask
+// on the constrained attributes other than skip (pass -1 for none): for each
+// such attribute a, in ascending order, the terms constraining a whose range
+// overlaps the hull of its mask — those covering the hull's low end plus
+// those beginning inside it — that constrain no lower attribute of the
+// set, where they were already listed or ruled out. The result has no
+// duplicate, holds every term of I ∩ S ≠ ∅ whose masked value is non-zero,
+// and is at most Σ_a |starts[a]| long. The mask must not be void.
+func (s *System) candidates(sc *evalScratch, skip int) []int32 {
+	p := s.poly
+	cand := sc.cand[:0]
+	var seen uint64
+	for _, a := range sc.attrs {
+		if a == skip {
+			continue
+		}
+		lo, hi := sc.lo[a], sc.hi[a]
+		for _, ti := range p.touch[a][lo] {
+			if p.attrBits[ti]&seen == 0 {
+				cand = append(cand, ti)
+			}
+		}
+		for _, ti := range p.starts[a][p.startOff[a][lo+1]:p.startOff[a][hi+1]] {
+			if p.attrBits[ti]&seen == 0 {
+				cand = append(cand, ti)
+			}
+		}
+		seen |= 1 << uint(a)
+	}
+	sc.cand = cand
+	return cand
 }
 
 // maskedFactorSwap replaces, in the running (value, zero-count) product
@@ -713,9 +774,8 @@ func setIntersects(vals []int, r query.Range) bool {
 // left untouched; derivative paths use it for the differentiated
 // attribute, whose factor they remove separately.
 func (s *System) maskedFactorSwap(i, skip int, sc *evalScratch, val float64, z int) (float64, int) {
-	t := &s.poly.terms[i]
-	fac := s.fac[i]
-	k := 0
+	row := i * len(s.alpha)
+	ranges, fac := s.poly.ranges[row:row+len(s.alpha)], s.fac[row:row+len(s.alpha)]
 	if z == 0 {
 		// Fast path: no cached factor is zero, so every fOld divides
 		// cleanly and the first zero masked factor decides the term.
@@ -723,15 +783,7 @@ func (s *System) maskedFactorSwap(i, skip int, sc *evalScratch, val float64, z i
 			if a == skip {
 				continue
 			}
-			for k < len(t.attrs) && t.attrs[k] < a {
-				k++
-			}
-			var fNew float64
-			if k < len(t.attrs) && t.attrs[k] == a {
-				fNew = s.maskedSumSC(sc, a, t.ranges[k])
-			} else {
-				fNew = sc.maskedF[a]
-			}
+			fNew := sc.masked(a, int(ranges[a].lo), int(ranges[a].hi))
 			if fNew == 0 {
 				return 0, 1
 			}
@@ -745,16 +797,8 @@ func (s *System) maskedFactorSwap(i, skip int, sc *evalScratch, val float64, z i
 		if a == skip {
 			continue
 		}
-		for k < len(t.attrs) && t.attrs[k] < a {
-			k++
-		}
 		fOld := fac[a]
-		var fNew float64
-		if k < len(t.attrs) && t.attrs[k] == a {
-			fNew = s.maskedSumSC(sc, a, t.ranges[k])
-		} else {
-			fNew = sc.maskedF[a]
-		}
+		fNew := sc.masked(a, int(ranges[a].lo), int(ranges[a].hi))
 		if fOld == fNew {
 			continue
 		}
@@ -775,24 +819,17 @@ func (s *System) maskedFactorSwap(i, skip int, sc *evalScratch, val float64, z i
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // evalTerm computes one summand under the per-attribute constraints.
-func (s *System) evalTerm(t term, cons []query.Constraint) float64 {
+func (s *System) evalTerm(i int, cons []query.Constraint) float64 {
 	v := 1.0
-	k := 0
+	row := i * len(s.alpha)
 	for a := range s.alpha {
-		var r query.Range
-		if k < len(t.attrs) && t.attrs[k] == a {
-			r = t.ranges[k]
-			k++
-		} else {
-			r = fullRange(len(s.alpha[a]))
-		}
-		f := s.maskedSum(a, r, cons[a])
+		f := s.maskedSum(a, s.poly.rangeAt(row+a), cons[a])
 		if f == 0 {
 			return 0
 		}
 		v *= f
 	}
-	for _, j := range t.stats {
+	for _, j := range s.poly.stats[i] {
 		v *= s.delta[j] - 1
 	}
 	return v
@@ -852,13 +889,14 @@ func (s *System) exceptFactor(i int, f float64) float64 {
 // factor.
 func (s *System) derivOneDCached(attr, value int) float64 {
 	total := 0.0
+	m := len(s.alpha)
 	for _, ti := range s.poly.touch[attr][value] {
 		i := int(ti)
-		total += s.exceptFactor(i, s.fac[i][attr])
+		total += s.exceptFactor(i, s.fac[i*m+attr])
 	}
 	for _, ti := range s.poly.loose[attr] {
 		i := int(ti)
-		total += s.exceptFactor(i, s.fac[i][attr])
+		total += s.exceptFactor(i, s.fac[i*m+attr])
 	}
 	return total
 }
@@ -910,26 +948,24 @@ func (s *System) derivOneDPruned(attr, value int, sc *evalScratch) (float64, boo
 	return total, true
 }
 
-// maskScale prepares a masked derivative pass: for every constrained
-// attribute a except skip (the differentiated attribute; -1 for none) it
-// records the masked full-domain sum M_a in sc.maskedF and returns
-// Π M_a/F_a — the rescale of a term constraining none of them — with their
-// bitmask. ok is false when some full-domain sum F_a is zero or the scale is
-// not finite; the caller must then fall back to the full walk.
+// maskScale prepares a masked pass: over the constrained attributes except
+// skip (the differentiated attribute; -1 for none) it returns Π M_a/F_a —
+// the rescale of a term constraining none of them, M_a being the masked and
+// F_a the unmasked full-domain sum — with their bitmask. ok is false when
+// some full-domain sum F_a is zero or the scale is not finite; the caller
+// must then fall back to the full walk.
 func (s *System) maskScale(sc *evalScratch, skip int) (scale float64, sMask uint64, ok bool) {
 	scale = 1.0
 	for _, a := range sc.attrs {
 		if a == skip {
 			continue
 		}
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
+		n := len(s.alpha[a])
+		f := s.prefix[a][n]
 		if f == 0 {
 			return 0, 0, false
 		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scale *= m / f
+		scale *= sc.masked(a, 0, n-1) / f
 		sMask |= 1 << uint(a)
 	}
 	return scale, sMask, isFinite(scale)
@@ -939,14 +975,15 @@ func (s *System) maskScale(sc *evalScratch, skip int) (scale float64, sMask uint
 // the attribute attr's one (already known to admit the differentiated
 // value). sMask/scaleExcl describe the constrained attributes minus attr.
 func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch, sMask uint64, scaleExcl float64) float64 {
+	f := s.fac[i*len(s.alpha)+attr]
 	if s.poly.attrBits[i]&sMask == 0 {
 		// The term constrains no masked attribute besides possibly attr:
 		// its remaining factors are the cached ones with every a ∈ S\{attr}
 		// full-domain factor F_a replaced by M_a — a pure rescale.
-		return scaleExcl * s.exceptFactor(i, s.fac[i][attr])
+		return scaleExcl * s.exceptFactor(i, f)
 	}
 	val, z := s.nz[i], s.zeros[i]
-	if f := s.fac[i][attr]; f == 0 {
+	if f == 0 {
 		z--
 	} else {
 		val /= f
@@ -960,15 +997,20 @@ func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch, sMask uint64, sc
 
 // DerivColumn fills out[v] = ∂P_π/∂α_{attr,v} for every value v of the
 // attribute (out must hold at least N_attr entries; a nil predicate is the
-// unmasked polynomial) in one pass over the terms instead of one masked
-// derivative per value — by Eq. (8), n·α_v·out[v]/P is then a whole group-by
-// column. The terms of loose[attr] contribute the same amount to every
-// value and are summed once; each term of constrained[attr] computes its
-// masked all-but-attr product once and adds it to the values of its
-// effective range; values the predicate excludes on attr itself are zero.
-// The cost is O(terms·|S| + Σ range lengths). Shapes the pruned path cannot
-// cover fall back to one full-walk derivOneD per value, as Eval falls back
-// to evalFullWalk.
+// unmasked polynomial) without visiting the terms the mask only rescales —
+// by Eq. (8), n·α_v·out[v]/P is then a whole group-by column. With S' the
+// constrained attributes other than attr,
+//
+//	out[v] = scaleExcl·Σ_{k: attrSets[k]∩S'=∅} (col[k][v] + loose[k]) + Σ_{t∈candidates(S'), v∈ρ_attr(t)} maskedExceptAttr(t)
+//
+// where col/loose is the attribute's unmasked column split by attribute set
+// (setColumns, built by the first column read of attr after a write) and
+// each candidate's masked all-but-attr product is computed once and added
+// to the values of its range on attr; values the predicate excludes on attr
+// itself are zero. Every cell is a sum of disjoint parts — nothing is
+// subtracted. The cost is O(|sets|·N_attr + candidates·|S'| + their range
+// lengths). Shapes the pruned path cannot cover fall back to one full-walk
+// derivOneD per value, as Eval falls back to evalFullWalk.
 func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	s.refreshAll()
 	sc := s.getScratch(pred)
@@ -982,28 +1024,86 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 		}
 		return
 	}
-	shared := 0.0
-	for _, ti := range p.loose[attr] {
-		shared += s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
+	clear(out)
+	if sc.void {
+		return
+	}
+	// The sets the mask does not reach: their stored columns, rescaled.
+	cols := s.setColumns(attr)
+	rescaled := 0.0
+	for k, bits := range p.attrSets {
+		if bits&sMask != 0 {
+			continue
+		}
+		if col := cols.col[k]; col != nil {
+			for v, x := range col {
+				out[v] += x
+			}
+		} else {
+			rescaled += cols.loose[k]
+		}
 	}
 	for v := range out {
-		out[v] = 0
+		out[v] = scaleExcl * (out[v] + rescaled)
 	}
-	conR := p.conRanges[attr]
-	for idx, ti := range p.constrained[attr] {
-		x := s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
-		for v := conR[idx].Lo; v <= conR[idx].Hi; v++ {
+	// The candidates: each one's product goes to the values of its range on
+	// attr, or to every value when it does not constrain attr.
+	everywhere := 0.0
+	m, aBit := len(s.alpha), uint64(1)<<uint(attr)
+	for _, ti := range s.candidates(sc, attr) {
+		i := int(ti)
+		x := s.maskedExceptAttr(i, attr, sc, sMask, scaleExcl)
+		if p.attrBits[i]&aBit == 0 {
+			everywhere += x
+			continue
+		}
+		r := p.ranges[i*m+attr]
+		for v := r.lo; v <= r.hi; v++ {
 			out[v] += x
 		}
 	}
 	cons := sc.cons[attr]
 	for v := range out {
 		if cons.Matches(v) {
-			out[v] += shared
+			out[v] += everywhere
 		} else {
 			out[v] = 0
 		}
 	}
+}
+
+// setColumns returns the attribute's unmasked derivative column split by
+// attribute set, building and publishing it on the first column read of the
+// attribute after a write: one pass over the terms, the cost of the
+// unmasked column itself.
+func (s *System) setColumns(attr int) *setColumns {
+	ps := s.partials()
+	if c := ps.cols[attr].Load(); c != nil {
+		return c
+	}
+	p := s.poly
+	n := len(s.alpha[attr])
+	c := &setColumns{col: make([][]float64, len(p.attrSets)), loose: make([]float64, len(p.attrSets))}
+	aBit := uint64(1) << uint(attr)
+	for k, bits := range p.attrSets {
+		if bits&aBit != 0 {
+			c.col[k] = make([]float64, n)
+		}
+	}
+	m := len(s.alpha)
+	for i, k := range p.termSet {
+		x := s.exceptFactor(i, s.fac[i*m+attr])
+		col := c.col[k]
+		if col == nil {
+			c.loose[k] += x
+			continue
+		}
+		r := p.ranges[i*m+attr]
+		for v := r.lo; v <= r.hi; v++ {
+			col[v] += x
+		}
+	}
+	return publish(&ps.cols[attr], c)
 }
 
 // derivMultiPruned computes ∂(masked P)/∂δ_stat over statTerms[stat] using
@@ -1055,18 +1155,12 @@ func (s *System) derivOneD(attr, value int, cons []query.Constraint) float64 {
 		return 0
 	}
 	total := 0.0
-	for _, t := range s.poly.terms {
+	m := len(s.alpha)
+	for i, stats := range s.poly.stats {
 		prod := 1.0
-		k := 0
 		skip := false
 		for a := range s.alpha {
-			var r query.Range
-			if k < len(t.attrs) && t.attrs[k] == a {
-				r = t.ranges[k]
-				k++
-			} else {
-				r = fullRange(len(s.alpha[a]))
-			}
+			r := s.poly.rangeAt(i*m + a)
 			if a == attr {
 				// The factor for the differentiated attribute becomes the
 				// indicator that the value lies in the term's range.
@@ -1086,7 +1180,7 @@ func (s *System) derivOneD(attr, value int, cons []query.Constraint) float64 {
 		if skip {
 			continue
 		}
-		for _, j := range t.stats {
+		for _, j := range stats {
 			prod *= s.delta[j] - 1
 		}
 		total += prod
@@ -1099,20 +1193,12 @@ func (s *System) derivOneD(attr, value int, cons []query.Constraint) float64 {
 // implementation the equivalence tests compare against.
 func (s *System) derivMulti(stat int, cons []query.Constraint) float64 {
 	total := 0.0
+	m := len(s.alpha)
 	for _, ti := range s.poly.statTerms[stat] {
-		t := s.poly.terms[ti]
 		prod := 1.0
-		k := 0
 		skip := false
 		for a := range s.alpha {
-			var r query.Range
-			if k < len(t.attrs) && t.attrs[k] == a {
-				r = t.ranges[k]
-				k++
-			} else {
-				r = fullRange(len(s.alpha[a]))
-			}
-			f := s.maskedSum(a, r, cons[a])
+			f := s.maskedSum(a, s.poly.rangeAt(int(ti)*m+a), cons[a])
 			if f == 0 {
 				skip = true
 				break
@@ -1122,7 +1208,7 @@ func (s *System) derivMulti(stat int, cons []query.Constraint) float64 {
 		if skip {
 			continue
 		}
-		for _, j := range t.stats {
+		for _, j := range s.poly.stats[ti] {
 			if j == stat {
 				continue
 			}

@@ -326,18 +326,59 @@ func (s *Store) claimVersion(dataset string, framed []byte) (int, error) {
 // concurrent writer has not merged yet) can never cause a version to be
 // reused.
 func (s *Store) nextVersion(dataset string) int {
+	// An unreadable manifest counts as empty here: the directory still
+	// bounds the versions in use.
+	man, _ := s.readManifest(dataset)
+	return s.highestVersion(dataset, man) + 1
+}
+
+// highestVersion returns the highest version in manifest ∪ directory, 0
+// when the dataset has no snapshot.
+func (s *Store) highestVersion(dataset string, man Manifest) int {
 	max := 0
-	if man, err := s.readManifest(dataset); err == nil || errors.Is(err, ErrNotFound) {
-		if last, ok := man.Latest(); ok {
-			max = last.Version
-		}
+	if last, ok := man.Latest(); ok {
+		max = last.Version
 	}
 	for _, v := range s.diskVersions(dataset) {
 		if v > max {
 			max = v
 		}
 	}
-	return max + 1
+	return max
+}
+
+// resolve returns the manifest entry of one snapshot; version <= 0 selects
+// the latest, the highest version in manifest ∪ directory. The manifest is
+// an index, not the authority: with independent Store handles on one
+// directory a racing manifest rewrite can drop the entry of a version whose
+// file was linked after the rewriter's scan, until the next Save heals it.
+// A version the manifest does not list is therefore looked up on disk and
+// described from its verified frame; one that is neither listed nor on disk
+// (never saved, or pruned) is ErrNotFound, and an unlisted file that fails
+// verification is ErrCorrupt.
+func (s *Store) resolve(dataset string, version int) (SnapshotInfo, error) {
+	man, err := s.readManifest(dataset)
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		return SnapshotInfo{}, err
+	}
+	if version <= 0 {
+		if version = s.highestVersion(dataset, man); version == 0 {
+			return SnapshotInfo{}, fmt.Errorf("store: dataset %q has no snapshots: %w", dataset, ErrNotFound)
+		}
+	}
+	for _, sn := range man.Snapshots {
+		if sn.Version == version {
+			return sn, nil
+		}
+	}
+	info, err := s.statSnapshot(dataset, version)
+	if errors.Is(err, ErrNotFound) {
+		return SnapshotInfo{}, fmt.Errorf("store: dataset %q has no version %d: %w", dataset, version, ErrNotFound)
+	}
+	if err != nil {
+		return SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, version, err)
+	}
+	return info, nil
 }
 
 // diskVersions lists the snapshot versions physically present in the
@@ -366,30 +407,10 @@ func (s *Store) Load(dataset string, version int) (core.Estimator, SnapshotInfo,
 	if err := validateKey(dataset); err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	man, err := s.readManifest(dataset)
+	info, err := s.resolve(dataset, version)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	var info SnapshotInfo
-	if version <= 0 {
-		last, ok := man.Latest()
-		if !ok {
-			return nil, SnapshotInfo{}, fmt.Errorf("store: dataset %q has no snapshots: %w", dataset, ErrNotFound)
-		}
-		info = last
-	} else {
-		found := false
-		for _, sn := range man.Snapshots {
-			if sn.Version == version {
-				info, found = sn, true
-				break
-			}
-		}
-		if !found {
-			return nil, SnapshotInfo{}, fmt.Errorf("store: dataset %q has no version %d: %w", dataset, version, ErrNotFound)
-		}
-	}
-
 	path := filepath.Join(s.datasetDir(dataset), snapshotFile(info.Version))
 	payload, _, err := readFramed(path)
 	if err != nil {
@@ -657,7 +678,7 @@ func (s *Store) statSnapshot(dataset string, version int) (SnapshotInfo, error) 
 	}
 	name, err := summary.PeekName(bytes.NewReader(payload))
 	if err != nil {
-		return SnapshotInfo{}, err
+		return SnapshotInfo{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	created := time.Time{}
 	if fi, err := os.Stat(path); err == nil {

@@ -249,6 +249,86 @@ func TestRejectsCorruptedSnapshots(t *testing.T) {
 	}
 }
 
+// TestLoadReadsUnlistedVersion covers the window a racing manifest rewrite
+// from another Store handle leaves: a snapshot file that is on disk but not
+// (or no longer) in the manifest must load, by explicit version and as the
+// latest, described from its verified frame — while a pruned version stays
+// ErrNotFound and an unlisted file that fails verification is ErrCorrupt.
+func TestLoadReadsUnlistedVersion(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := buildTestSummary(t, 1000, 5)
+	const key = "demo/maxent"
+	var saved []SnapshotInfo
+	for i := 0; i < 3; i++ {
+		info, err := st.Save(key, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, info)
+	}
+	// The lost interleaving: a rewriter that scanned before v3 was linked
+	// publishes a manifest without it.
+	man, err := st.Versions(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Snapshots = man.Snapshots[:2]
+	if err := st.writeManifest(key, man); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []int{3, 0} {
+		est, info, err := st.Load(key, version)
+		if err != nil {
+			t.Fatalf("Load(%d) of an on-disk version the manifest lost: %v", version, err)
+		}
+		if info.Version != 3 || info.Checksum != saved[2].Checksum || info.Bytes != saved[2].Bytes || info.Estimator != sum.Name() {
+			t.Fatalf("Load(%d) described the unlisted snapshot as %+v, saved as %+v", version, info, saved[2])
+		}
+		if est.Name() != sum.Name() {
+			t.Fatalf("Load(%d) restored %q, want %q", version, est.Name(), sum.Name())
+		}
+	}
+	if framed, info, err := st.ReadFramed(key, 3); err != nil || info.Version != 3 || len(framed) == 0 {
+		t.Fatalf("ReadFramed of the unlisted version: %d bytes, %+v, %v", len(framed), info, err)
+	}
+
+	// A pruned version is in neither place.
+	if _, err := st.Save(key, sum); err != nil { // heals v3 back in, adds v4
+		t.Fatal(err)
+	}
+	if _, err := st.Prune(key, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Load(key, 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Load of a pruned version: err = %v, want ErrNotFound", err)
+	}
+	if _, _, err := st.Load(key, 9); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Load of a version never saved: err = %v, want ErrNotFound", err)
+	}
+
+	// An unlisted file that does not verify is corrupt, not missing — and
+	// being the highest version on disk, it is what "latest" names.
+	pristine, err := os.ReadFile(filepath.Join(st.Dir(), "demo", "maxent", snapshotFile(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine[headerSize+11] ^= 0x40
+	if err := os.WriteFile(filepath.Join(st.Dir(), "demo", "maxent", snapshotFile(5)), pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []int{5, 0} {
+		if _, _, err := st.Load(key, version); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Load(%d) of an unlisted corrupt file: err = %v, want ErrCorrupt", version, err)
+		}
+	}
+	if _, _, err := st.Load(key, 4); err != nil {
+		t.Fatalf("the listed version next to it fails to load: %v", err)
+	}
+}
+
 func TestRejectsBadKeys(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

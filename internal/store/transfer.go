@@ -29,24 +29,9 @@ func (s *Store) ReadFramed(dataset string, version int) ([]byte, SnapshotInfo, e
 	if err := validateKey(dataset); err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	man, err := s.readManifest(dataset)
+	info, err := s.resolve(dataset, version)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
-	}
-	var info SnapshotInfo
-	found := false
-	if version <= 0 {
-		info, found = man.Latest()
-	} else {
-		for _, sn := range man.Snapshots {
-			if sn.Version == version {
-				info, found = sn, true
-				break
-			}
-		}
-	}
-	if !found {
-		return nil, SnapshotInfo{}, fmt.Errorf("store: dataset %q has no version %d: %w", dataset, version, ErrNotFound)
 	}
 	path := filepath.Join(s.datasetDir(dataset), snapshotFile(info.Version))
 	framed, err := os.ReadFile(path)

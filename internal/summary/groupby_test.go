@@ -280,3 +280,77 @@ func BenchmarkEstimateGroupBy(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEstimateCount measures the count path at the same model shape,
+// one case per predicate shape of the repository benchmark's query mix. Each
+// case cycles through 64 predicates pinned at the values of seeded random
+// rows over every attribute subset of its size, so it averages over masks
+// that reach the 2D statistics (origin, dest, distance) and masks that only
+// rescale (fl_date, fl_time), as `polynomial.eval_*_us` does.
+func BenchmarkEstimateCount(b *testing.B) {
+	sum := flightsShapedSummary(b, 300)
+	rel := flightsShapedRelation(b, 2000, 11)
+	sizes := sum.System().Poly().DomainSizes()
+	var subsets [][][]int // by size
+	for size := 0; size <= 3; size++ {
+		var sets [][]int
+		for mask := 1; mask < 1<<len(sizes); mask++ {
+			var set []int
+			for a := range sizes {
+				if mask&(1<<a) != 0 {
+					set = append(set, a)
+				}
+			}
+			if len(set) == size {
+				sets = append(sets, set)
+			}
+		}
+		subsets = append(subsets, sets)
+	}
+	row := make([]int, len(sizes))
+	pool := func(size int, constrain func(p *query.Predicate, i, a, v int)) []*query.Predicate {
+		preds := make([]*query.Predicate, 64)
+		for q := range preds {
+			rel.Row(q*31%rel.NumRows(), row)
+			preds[q] = query.NewPredicate(len(sizes))
+			for i, a := range subsets[size][q%len(subsets[size])] {
+				constrain(preds[q], i, a, row[a])
+			}
+		}
+		return preds
+	}
+	point := func(p *query.Predicate, _, a, v int) { p.WhereEq(a, v) }
+	cases := []struct {
+		name  string
+		preds []*query.Predicate
+	}{
+		{"1attr", pool(1, point)},
+		{"2attr", pool(2, point)},
+		{"3attr", pool(3, point)},
+		{"range", pool(2, func(p *query.Predicate, i, a, v int) {
+			if i > 0 {
+				p.WhereEq(a, v)
+				return
+			}
+			w := sizes[a] / 16
+			p.WhereRange(a, max(v-w, 0), min(v+w, sizes[a]-1))
+		})},
+		{"inset", pool(2, func(p *query.Predicate, i, a, v int) {
+			if i > 0 {
+				p.WhereEq(a, v)
+				return
+			}
+			p.WhereIn(a, v, (v+7)%sizes[a], (v+19)%sizes[a])
+		})},
+	}
+	for _, c := range cases {
+		b.Run("flights/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sum.EstimateCount(c.preds[i%len(c.preds)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
