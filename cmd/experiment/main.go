@@ -26,7 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/experiment"
-	"repro/internal/sampling"
+	"repro/internal/server"
 	"repro/internal/solver"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -154,55 +154,43 @@ func main() {
 	rel := experiment.SyntheticRelation(*rows, rng)
 	sch := rel.Schema()
 	fmt.Fprintf(os.Stderr, "relation: %s, %d rows\n", sch, rel.NumRows())
-	sum, err := summary.Build(rel, buildOpts)
+	// The strategies are a served dataset's own, reported in the golden
+	// report's order: the summary and the samples, then the partitioned
+	// summary, with the exact engine last as the ground truth.
+	list, info, err := server.Derive(*dataset, rel, server.DatasetOptions{
+		Summary:    buildOpts,
+		Partitions: *partitions,
+		SampleRate: *rate,
+		SampleSeed: *seed,
+	}, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "%s\n", sum.SolverReport())
-	if st != nil {
-		info, err := st.Save(*dataset+"/maxent", sum)
-		if err != nil {
-			log.Fatal(err)
+	fmt.Fprintf(os.Stderr, "%s\n", info.Solver)
+	var truth *exact.Engine
+	var estimators, partitioned []core.Estimator
+	for _, s := range list {
+		switch e := s.Estimator.(type) {
+		case *exact.Engine:
+			truth = e
+		case *summary.Partitioned:
+			for k, rep := range e.SolverReports() {
+				fmt.Fprintf(os.Stderr, "partition %d/%d: %s\n", k+1, e.NumPartitions(), rep)
+			}
+			partitioned = append(partitioned, e)
+		default:
+			estimators = append(estimators, e)
 		}
-		fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", info.Dataset, info.Version, info.Bytes)
-	}
-
-	uni, err := sampling.Uniform(rel, *rate, rand.New(rand.NewSource(*seed+1)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	strataAttrs := []int{0, 1}
-	if pcs := sum.ChosenPairs(); len(pcs) > 0 {
-		strataAttrs = []int{pcs[0].A1, pcs[0].A2}
-	}
-	strat, err := sampling.Stratified(rel, strataAttrs, *rate, 1, rand.New(rand.NewSource(*seed+2)))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	estimators := []core.Estimator{sum, uni, strat}
-	if *partitions > 0 {
-		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
-			Partitions: *partitions,
-			Base:       buildOpts,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for k, rep := range psum.SolverReports() {
-			fmt.Fprintf(os.Stderr, "partition %d/%d: %s\n", k+1, psum.NumPartitions(), rep)
-		}
-		if st != nil {
-			info, err := st.Save(*dataset+"/partitioned", psum)
+		if st != nil && s.Snapshot {
+			saved, err := st.Save(s.Name, s.Estimator)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", info.Dataset, info.Version, info.Bytes)
+			fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", saved.Dataset, saved.Version, saved.Bytes)
 		}
-		estimators = append(estimators, psum)
 	}
+	estimators = append(estimators, partitioned...)
 
-	truth := exact.New(rel)
 	workload := experiment.GenerateWorkload(sch, *queries, rand.New(rand.NewSource(*seed+3)))
 	report, err := experiment.Run(truth, append(estimators, truth), workload, experiment.Options{})
 	if err != nil {

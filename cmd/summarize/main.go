@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/relation"
+	"repro/internal/server"
 	"repro/internal/solver"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -80,39 +81,28 @@ func main() {
 		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
 	}
 
-	var infos []store.SnapshotInfo
+	// The summaries are a served dataset's snapshot-able strategies, so a
+	// summaryd started on this store restores exactly what it would build.
 	buildStart := time.Now()
-	sum, err := summary.Build(rel, opts)
+	list, built, err := server.Derive(*dataset, rel, server.DatasetOptions{
+		Summary:    opts,
+		Partitions: *partitions,
+		SkipExact:  true,
+	}, nil, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "built %s in %v (%s)\n",
-		sum.Name(), time.Since(buildStart).Round(time.Millisecond), sum.SolverReport())
-	info, err := st.Save(*dataset+"/maxent", sum)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
-		os.Exit(1)
-	}
-	infos = append(infos, info)
-
-	if *partitions > 0 {
-		partStart := time.Now()
-		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
-			Partitions: *partitions,
-			Base:       opts,
-		})
+	fmt.Fprintf(os.Stderr, "built %d summaries in %v (maxent: %s)\n",
+		len(list), time.Since(buildStart).Round(time.Millisecond), built.Solver)
+	var infos []store.SnapshotInfo
+	for _, s := range list {
+		info, err := st.Save(s.Name, s.Estimator)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "built %s in %v\n", psum.Name(), time.Since(partStart).Round(time.Millisecond))
-		pinfo, err := st.Save(*dataset+"/partitioned", psum)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
-			os.Exit(1)
-		}
-		infos = append(infos, pinfo)
+		infos = append(infos, info)
 	}
 
 	if *keep > 0 {

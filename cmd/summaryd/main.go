@@ -93,7 +93,6 @@ func main() {
 		nodeName    = flag.String("node-name", "", "fleet identity reported on /healthz and /metrics (required with -peer)")
 		peer        = flag.String("peer", "", "replica mode: pull snapshots from this summaryd base URL instead of building (needs -store; disables the build pipeline and ingestion)")
 		syncIvl     = flag.Duration("sync-interval", 2*time.Second, "replica snapshot poll period (with -peer; /sync/notify wakes it early)")
-		placeParts  = flag.Bool("place-partitions", false, "expose each partition of the partitioned summary as its own estimator (<dataset>/partitioned.p<k>) and snapshot them, so a summaryrouter placement can scatter partitions across a fleet (needs -partitions and -store)")
 	)
 	flag.Parse()
 
@@ -123,10 +122,6 @@ func main() {
 	}
 	if *syncIvl <= 0 {
 		fmt.Fprintf(os.Stderr, "summaryd: -sync-interval must be positive, got %v\n", *syncIvl)
-		os.Exit(2)
-	}
-	if *placeParts && (*partitions <= 0 || *storeDir == "") {
-		fmt.Fprintln(os.Stderr, "summaryd: -place-partitions needs -partitions > 0 and -store (partition entries are served from snapshots fleet-wide)")
 		os.Exit(2)
 	}
 	h, err := stats.ParseHeuristic(*heuristic)
@@ -238,27 +233,6 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("built %d estimators in %v: %v", len(names), time.Since(buildStart).Round(time.Millisecond), names)
-	}
-
-	// Partition placement: serve each partition under its own name and
-	// snapshot it, so replicas pull the pieces and a router placement can
-	// scatter a partitioned query across the fleet. Restored partition
-	// entries (a restart, or a replica syncing them) are already in place.
-	if *placeParts && *peer == "" {
-		if _, ok := reg.Get(server.PartitionEntryName(*dataset, 0)); !ok {
-			names, err := server.ExposePartitions(reg, *dataset)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, name := range names {
-				if ent, ok := reg.Get(name); ok {
-					if _, err := st.Save(name, ent.Estimator); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-			log.Printf("dataset %q: exposed %d partition entries for fleet placement: %v", *dataset, len(names), names)
-		}
 	}
 
 	srvOpts := server.Options{

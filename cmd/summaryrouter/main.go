@@ -23,14 +23,6 @@
 // and reassembled in the original item order, positionally and bitwise
 // identical to a single node's answer stream.
 //
-// -place dataset=K declares a partitioned placement: a live read of
-// "<dataset>/partitioned", single or batched, is scattered as one
-// sub-frame per partition across the fleet and merged on the router
-// (counts summed in partition index order, group-bys merged like
-// summary.Partitioned does locally), so the distributed answer is
-// bit-identical to one node's. The nodes must serve the partition entries
-// — start the primary summaryd with -partitions K -place-partitions.
-//
 // Endpoints: the proxied summaryd surface (GET/POST /query,
 // POST /query/batch, POST /groupby, GET /estimators, GET /snapshots,
 // POST /snapshots/{dataset}, POST /ingest/{dataset}, POST /branch/{parent},
@@ -48,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -68,17 +59,11 @@ func main() {
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "proxied request body cap in bytes (bodies are buffered for retries)")
 		fanoutBatch  = flag.Int("fanout-batch", 64, "batch size at and above which /query/batch fans out across healthy nodes (-1 forwards every batch whole)")
 		cacheSize    = flag.Int("cache", 4096, "router read cache size in entries; warm reads are answered without a node round trip, kept fresh by generation fencing (-1 disables)")
-		place        = flag.String("place", "", "comma-separated partitioned placements, dataset=K each: scatter <dataset>/partitioned queries as K per-partition queries across the fleet")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	)
 	flag.Parse()
 
 	cfgs, err := parseNodes(*nodes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "summaryrouter: %v\n", err)
-		os.Exit(2)
-	}
-	placements, err := parsePlacements(*place)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summaryrouter: %v\n", err)
 		os.Exit(2)
@@ -93,7 +78,6 @@ func main() {
 		MaxBodyBytes:     *maxBody,
 		FanoutBatch:      *fanoutBatch,
 		CacheSize:        *cacheSize,
-		Placements:       placements,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summaryrouter: %v\n", err)
@@ -105,9 +89,6 @@ func main() {
 			role = "primary"
 		}
 		log.Printf("node %s (%s): %s", nc.Name, role, nc.URL)
-	}
-	for dataset, k := range placements {
-		log.Printf("placement: %s/partitioned scatters %d partitions", dataset, k)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
@@ -162,28 +143,4 @@ func parseNodes(spec string) ([]fleet.NodeConfig, error) {
 		cfgs = append(cfgs, nc)
 	}
 	return cfgs, nil
-}
-
-// parsePlacements decodes -place: "dataset=K" entries, comma-separated.
-func parsePlacements(spec string) (map[string]int, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for i, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		name, val, ok := strings.Cut(entry, "=")
-		if !ok || strings.TrimSpace(name) == "" {
-			return nil, fmt.Errorf("-place entry %d: want dataset=K, got %q", i, entry)
-		}
-		k, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("-place entry %d: partition count %q must be a positive integer", i, val)
-		}
-		if _, dup := out[strings.TrimSpace(name)]; dup {
-			return nil, fmt.Errorf("-place entry %d: duplicate dataset %q", i, name)
-		}
-		out[strings.TrimSpace(name)] = k
-	}
-	return out, nil
 }

@@ -52,15 +52,14 @@ type Options struct {
 	// RefreshRows is the primary's ingest auto-refresh threshold
 	// (default 0: refreshes are triggered explicitly by tests).
 	RefreshRows int
-	// Partitions builds a K-way partitioned summary and exposes its
-	// partitions for placement when > 0.
+	// Partitions additionally builds a K-way partitioned summary
+	// ("demo/partitioned") when > 0.
 	Partitions int
 	// SyncInterval is the replicas' poll period (default 50ms).
 	SyncInterval time.Duration
 	// MaxSweeps bounds the solver so fleet tests stay fast (default 60).
 	MaxSweeps int
-	// Router overrides the router options; Placements is filled in
-	// automatically when Partitions > 0.
+	// Router overrides the router options.
 	Router fleet.Options
 }
 
@@ -196,18 +195,6 @@ func New(t testing.TB, opts Options) *Fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Partitions > 0 {
-		names, err := server.ExposePartitions(reg, f.Dataset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			ent, _ := reg.Get(name)
-			if _, err := st.Save(name, ent.Estimator); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	primary := &Node{Name: "node0", Registry: reg, Store: st}
 	primary.Server = server.New(reg, server.Options{Store: st, NodeName: primary.Name})
 	primary.Server.AttachLive(live)
@@ -242,15 +229,11 @@ func New(t testing.TB, opts Options) *Fleet {
 	}
 
 	// Router over the full replica set.
-	ropts := opts.Router
-	if opts.Partitions > 0 && ropts.Placements == nil {
-		ropts.Placements = map[string]int{f.Dataset: opts.Partitions}
-	}
 	cfgs := make([]fleet.NodeConfig, len(f.Nodes))
 	for i, n := range f.Nodes {
 		cfgs[i] = fleet.NodeConfig{Name: n.Name, URL: n.HTTP.URL}
 	}
-	f.Router, err = fleet.NewRouter(cfgs, ropts)
+	f.Router, err = fleet.NewRouter(cfgs, opts.Router)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/server"
 )
@@ -35,8 +34,8 @@ func (rt *Router) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 // decoder. ok is false when the request was instead forwarded as it came
 // and is already answered: the decoder rejected it — one place, the node,
 // decides what a malformed read looks like — or the router has nothing to
-// add to it (no cache to consult, no placement to scatter over, too few
-// items to fan out), so decoding and re-encoding the answer would only cost.
+// add to it (no cache to consult, too few items to fan out), so decoding and
+// re-encoding the answer would only cost.
 func (rt *Router) decodeRead(w http.ResponseWriter, r *http.Request,
 	decode func(*http.Request, io.Reader) (server.ReadRequest, error)) (server.ReadRequest, []byte, bool) {
 	body, ok := rt.readBody(w, r)
@@ -44,8 +43,7 @@ func (rt *Router) decodeRead(w http.ResponseWriter, r *http.Request,
 		return server.ReadRequest{}, nil, false
 	}
 	req, err := decode(r, bytes.NewReader(body))
-	if err != nil || (rt.cache == nil && rt.fanoutWays(len(req.Items)) == 1 &&
-		(req.Version > 0 || rt.placement(req.Estimator) == 0)) {
+	if err != nil || (rt.cache == nil && rt.fanoutWays(len(req.Items)) == 1) {
 		rt.forward(w, r, body, -1)
 		return req, nil, false
 	}
@@ -122,7 +120,7 @@ type readResult struct {
 	// cache or from an identical in-flight read it joined.
 	hit bool
 	// gen is the live generation every answer shares, 0 when they share
-	// none: versioned and scattered reads, or a fan-out whose nodes differ.
+	// none: versioned reads, or a fan-out whose nodes differ.
 	gen uint64
 	// node names the one node that answered every item this request
 	// fetched; "" when it fetched nothing or several nodes answered.
@@ -235,7 +233,7 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 			case req.Version > 0:
 				stored = true // snapshots are immutable
 			case e.gen == 0:
-				// No node vouched for a live generation (a scattered read).
+				// No node vouched for a live generation.
 			case rt.gens.observe(req.Estimator, e.gen):
 				stored = true
 			default:
@@ -307,89 +305,45 @@ func (rt *Router) fanoutWays(n int) int {
 	return 1
 }
 
-// placement returns the partition count for a "<dataset>/partitioned"
-// estimator name with a configured placement, or 0.
-func (rt *Router) placement(estimator string) int {
-	dataset, ok := strings.CutSuffix(estimator, "/partitioned")
-	if !ok {
-		return 0
-	}
-	return rt.opts.Placements[dataset]
-}
-
-// subRead is one node request of a fetch plan: items asked of estimator,
-// first at node index prefer (-1 = the least loaded).
-type subRead struct {
-	estimator string
-	items     []query.BatchItem
-	prefer    int
-}
-
 // fetchMisses is how a miss reaches a node — the only code that builds a
-// read sub-request. It fetches the items from the fleet as binary
-// sub-frames under one of two plans and returns the answers in item order,
-// the generation the answering node vouched for per item (0 when none
-// did), and the node's name when a single node answered everything.
-//
-//   - Split (the default): the items are dealt round-robin across the
-//     healthy nodes when they clear the fan-out threshold, one sub-frame
-//     otherwise, and the answers are gathered back positionally.
-//   - Per-partition: a live read of a placed "<dataset>/partitioned" sends
-//     every item to each of the K partition entries
-//     ("<dataset>/partitioned.p<k>", owner node k mod N preferred, any
-//     healthy node on failover) and reduces the K answer streams item by
-//     item — the reduction summary.Partitioned performs locally, so the
-//     scattered answer is bit-identical to a single node's. No one node
-//     vouches for the merged answer, so its generation is 0 and it is never
-//     cached. Versioned reads bypass placement.
+// read sub-request. It fetches the items from the fleet as binary sub-frames
+// and returns the answers in item order, the generation the answering node
+// vouched for per item (0 when none did), and the node's name when a single
+// node answered everything. The items are dealt round-robin across the
+// healthy nodes when they clear the fan-out threshold, one sub-frame
+// otherwise, and the answers are gathered back positionally; whichever node
+// is asked answers with its whole estimator, "<dataset>/partitioned" included.
 //
 // A node error keeps its own status so a single-node refusal (unknown
 // estimator, oversized batch) reaches the client as the node sent it.
 func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int, items []query.BatchItem) ([]query.BatchAnswer, []uint64, string, *routeError) {
-	var plan []subRead
-	var assign [][]int
-	parts := 0
-	if version == 0 {
-		parts = rt.placement(estimator)
+	ways := rt.fanoutWays(len(items))
+	if ways > 1 {
+		rt.fannedOut.Add(1)
 	}
-	if parts > 0 {
-		rt.scattered.Add(1)
-		dataset := strings.TrimSuffix(estimator, "/partitioned")
-		for part := 0; part < parts; part++ {
-			plan = append(plan, subRead{server.PartitionEntryName(dataset, part), items, part})
-		}
-	} else {
-		ways := rt.fanoutWays(len(items))
-		if ways > 1 {
-			rt.fannedOut.Add(1)
-		}
-		assign = query.AssignRoundRobin(len(items), ways)
-		for _, indexes := range assign {
-			plan = append(plan, subRead{estimator, query.Pick(items, indexes), -1})
-		}
-	}
+	assign := query.AssignRoundRobin(len(items), ways)
 
-	got := make([][]query.BatchAnswer, len(plan))
-	subGens := make([]uint64, len(plan))
-	nodes := make([]string, len(plan))
-	errs := make([]*routeError, len(plan))
+	got := make([][]query.BatchAnswer, len(assign))
+	subGens := make([]uint64, len(assign))
+	nodes := make([]string, len(assign))
+	errs := make([]*routeError, len(assign))
 	header := http.Header{
 		"Content-Type": []string{server.BinaryBatchContentType},
 		"Accept":       []string{server.BinaryBatchContentType},
 	}
 	var wg sync.WaitGroup
-	for si, sub := range plan {
+	for si, indexes := range assign {
 		wg.Add(1)
-		go func(si int, sub subRead) {
+		go func(si int, sub []query.BatchItem) {
 			defer wg.Done()
-			frame, err := query.AppendBatchAt(nil, sub.estimator, version, sub.items)
+			frame, err := query.AppendBatchAt(nil, estimator, version, sub)
 			if err != nil {
 				// The decoders admitted something the binary wire cannot
 				// carry (a negative group_by attribute): the request's fault.
 				errs[si] = &routeError{status: http.StatusBadRequest, msg: err.Error()}
 				return
 			}
-			resp, n, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, sub.prefer)
+			resp, n, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, -1)
 			if herr != nil {
 				errs[si] = herr
 				return
@@ -412,15 +366,15 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 				subGens[si] = g
 			}
 			_, answers, err := query.DecodeAnswers(resp.Body)
-			if err == nil && len(answers) != len(sub.items) {
-				err = fmt.Errorf("%d answers for %d items", len(answers), len(sub.items))
+			if err == nil && len(answers) != len(sub) {
+				err = fmt.Errorf("%d answers for %d items", len(answers), len(sub))
 			}
 			if err != nil {
 				errs[si] = &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("sub-batch %d: %v", si, err)}
 				return
 			}
 			got[si], nodes[si] = answers, n.name
-		}(si, sub)
+		}(si, query.Pick(items, indexes))
 	}
 	wg.Wait()
 	for _, herr := range errs {
@@ -435,9 +389,6 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 		}
 	}
 	gens := make([]uint64, len(items))
-	if parts > 0 {
-		return mergePartitions(items, got), gens, node, nil
-	}
 	answers, err := query.GatherAnswers(len(items), assign, got)
 	if err != nil {
 		return nil, nil, "", &routeError{status: http.StatusBadGateway, msg: err.Error()}
@@ -448,32 +399,4 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 		}
 	}
 	return answers, gens, node, nil
-}
-
-// mergePartitions reduces the per-partition answer streams of a scattered
-// read item by item, in partition index order: counts are summed — float
-// addition is not associative, so the order IS the contract for
-// bit-identity with local serving — and group-bys merged with
-// core.MergeGroupEstimates. An item any partition failed answers that
-// partition's error.
-func mergePartitions(items []query.BatchItem, parts [][]query.BatchAnswer) []query.BatchAnswer {
-	out := make([]query.BatchAnswer, len(items))
-	partial := make([][]query.GroupRow, len(parts))
-	for i, it := range items {
-		a := &out[i]
-		a.IsGroup = len(it.GroupBy) > 0
-		for p, answers := range parts {
-			pa := answers[i]
-			if pa.Error != "" {
-				*a = query.BatchAnswer{IsGroup: a.IsGroup, Error: pa.Error}
-				break
-			}
-			a.Count += pa.Count
-			partial[p] = pa.Groups
-		}
-		if a.IsGroup && a.Error == "" {
-			a.Groups = core.MergeGroupEstimates(partial...)
-		}
-	}
-	return out
 }

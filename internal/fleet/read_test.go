@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"sync"
@@ -317,60 +318,107 @@ func TestRoutedEntryPointFailureClasses(t *testing.T) {
 	}
 }
 
-// TestRoutedPlacedBatches: a placed demo/partitioned asked as a single, a
-// JSON batch and a binary batch is scattered per partition and merged on
-// the router bit-identically to the primary's local fan-out — whole
-// batches, not only singles — and never cached.
-func TestRoutedPlacedBatches(t *testing.T) {
-	f := fleettest.New(t, fleettest.Options{Nodes: 3, Partitions: 3,
+// secondRouter fronts the fleet's nodes with one more router.
+func secondRouter(t *testing.T, f *fleettest.Fleet, opts fleet.Options) string {
+	t.Helper()
+	cfgs := make([]fleet.NodeConfig, len(f.Nodes))
+	for i, n := range f.Nodes {
+		cfgs[i] = fleet.NodeConfig{Name: n.Name, URL: n.URL()}
+	}
+	rt, err := fleet.NewRouter(cfgs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestRoutedPartitionedBatches: "demo/partitioned" is read like every other
+// estimator — whichever node the router picks answers with its whole
+// summary.Partitioned. Through a caching and a cache-less router, on all five
+// entry points and as whole JSON and binary batches, the answers are
+// bit-identical to the primary's and carry its X-Estimator-Generation; on the
+// caching router the second ask of an item is a cache hit through any entry
+// point, and a routed ingest fences every one of them.
+func TestRoutedPartitionedBatches(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 3, Partitions: 3, RefreshRows: 300,
 		Router: fleet.Options{Timeout: 5 * time.Second}})
-	node, routed := f.Primary().URL(), f.RouterURL()
+	node, caching := f.Primary().URL(), f.RouterURL()
+	cacheless := secondRouter(t, f, fleet.Options{CacheSize: -1, Timeout: 5 * time.Second})
 	const est = "demo/partitioned"
 	pool := routedPool()
 	frame, err := query.AppendBatchAt(nil, est, 0, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := postBinaryBatch(t, node, frame)
 
-	scattered := routerScattered(t, routed)
-	for i, it := range pool {
-		for _, ep := range routedEntryPoints {
-			if !ep.carries(it) {
-				continue
-			}
-			status, header, got := ep.ask(t, routed, est, 0, it)
-			if status != http.StatusOK || !sameBatchAnswer(got, want[i]) {
-				t.Errorf("item %d via %s: status %d, routed %+v, the primary %+v", i, ep.name, status, got, want[i])
-			}
-			if h := header.Get(fleet.RouterCacheHeader) + header.Get(server.EstimatorGenerationHeader); h != "" {
-				t.Errorf("item %d via %s: a scattered answer claims a cache hit or one generation (%q)", i, ep.name, h)
-			}
-			if after := routerScattered(t, routed); after != scattered+1 {
-				t.Errorf("item %d via %s: scattered %d -> %d, want one scatter per ask", i, ep.name, scattered, after)
-			}
-			scattered = routerScattered(t, routed)
-		}
-	}
-	for _, binaryBody := range []bool{false, true} {
-		status, header, raw := askBatch(t, routed, est, pool, binaryBody, "")
+	// pass asks everything once through both routers; cold says whether the
+	// caching router has yet to see the items at the current generation.
+	pass := func(phase string, cold bool) []query.BatchAnswer {
+		status, header, raw := postBody(t, node+"/query/batch", server.BinaryBatchContentType, frame)
 		if status != http.StatusOK {
-			t.Fatalf("binary body=%t: whole batch status %d: %s", binaryBody, status, raw)
+			t.Fatalf("%s: the primary answered %d: %s", phase, status, raw)
 		}
-		if err := sameAnswers(want, decodeBatchAnswers(t, header, raw)); err != nil {
-			t.Errorf("binary body=%t: whole scattered batch: %v", binaryBody, err)
+		want, gen := decodeBatchAnswers(t, header, raw), header.Get(server.EstimatorGenerationHeader)
+		for _, routed := range []string{caching, cacheless} {
+			for i, it := range pool {
+				miss := cold
+				for _, ep := range routedEntryPoints {
+					if !ep.carries(it) {
+						continue
+					}
+					label := fmt.Sprintf("%s: item %d via %s (caching=%t)", phase, i, ep.name, routed == caching)
+					status, header, got := ep.ask(t, routed, est, 0, it)
+					if status != http.StatusOK || !sameBatchAnswer(got, want[i]) {
+						t.Errorf("%s: status %d, routed %+v, the primary %+v", label, status, got, want[i])
+					}
+					if g := header.Get(server.EstimatorGenerationHeader); g != gen {
+						t.Errorf("%s: X-Estimator-Generation %q, the primary's %q", label, g, gen)
+					}
+					wantHit := routed == caching && !miss
+					if hit := header.Get(fleet.RouterCacheHeader) == "hit"; hit != wantHit {
+						t.Errorf("%s: X-Router-Cache hit=%t, want %t", label, hit, wantHit)
+					}
+					miss = false
+				}
+			}
+			for _, binaryBody := range []bool{false, true} {
+				label := fmt.Sprintf("%s: whole batch, binary=%t (caching=%t)", phase, binaryBody, routed == caching)
+				status, header, raw := askBatch(t, routed, est, pool, binaryBody, "")
+				if status != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", label, status, raw)
+				}
+				if err := sameAnswers(want, decodeBatchAnswers(t, header, raw)); err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+				if g := header.Get(server.EstimatorGenerationHeader); g != gen {
+					t.Errorf("%s: X-Estimator-Generation %q, the primary's %q", label, g, gen)
+				}
+				if hit := header.Get(fleet.RouterCacheHeader) == "hit"; hit != (routed == caching) {
+					t.Errorf("%s: X-Router-Cache hit=%t", label, hit)
+				}
+			}
 		}
+		return want
 	}
-	if entries := routerCacheEntries(t, routed); entries != 0 {
-		t.Errorf("%d scattered answers were cached", entries)
+
+	before := pass("built", true)
+	if entries := routerCacheEntries(t, caching); entries != len(pool) {
+		t.Errorf("router cache holds %d entries for %d distinct items", entries, len(pool))
 	}
-	// Time travel bypasses placement: the whole estimator answers.
-	if status, _, got := routedEntryPoints[0].ask(t, routed, est, 1, pool[2]); status != http.StatusOK || !sameBatchAnswer(got, want[2]) {
-		t.Errorf("version 1 of the placed estimator: status %d, %+v, want %+v", status, got, want[2])
+	var ing server.IngestResult
+	if s := postJSON(t, caching+"/ingest/demo", server.IngestRequest{Rows: fleettest.Rows(400, 2)}, &ing); s != http.StatusOK || !ing.Refreshed {
+		t.Fatalf("routed ingest: status %d, %+v", s, ing)
 	}
-	if after := routerScattered(t, routed); after != scattered+2 {
-		t.Errorf("scattered %d -> %d across two whole batches and a versioned read, want +2", scattered, after)
+	if err := f.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
+	after := pass("refreshed", true)
+	if before[0].Count == after[0].Count {
+		t.Errorf("the refresh did not move the full count (%v)", after[0].Count)
+	}
+	pass("refreshed, warm", false)
 }
 
 // TestRouterBatchSingleflightCollapse is the batch twin of

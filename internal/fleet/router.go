@@ -56,13 +56,6 @@ type Options struct {
 	// the router without a node round trip, kept provably fresh by the
 	// generation fencing described on genTable.
 	CacheSize int
-	// Placements maps dataset names to their partition count K. A live
-	// read of "<dataset>/partitioned" — single or batched — is then
-	// scattered over the K partition entries ("<dataset>/partitioned.p<k>")
-	// across the fleet and merged on the router — remotely distributed
-	// exactly like summary.Partitioned distributes locally (see
-	// fetchMisses). Versioned (time travel) requests bypass placement.
-	Placements map[string]int
 	// Client overrides the HTTP client used for proxying (default: a
 	// dedicated client; the per-attempt timeout comes from Timeout).
 	Client *http.Client
@@ -135,7 +128,6 @@ type Router struct {
 	retries    atomic.Uint64
 	notifies   atomic.Uint64
 	exhausted  atomic.Uint64
-	scattered  atomic.Uint64
 	fannedOut  atomic.Uint64
 	collapsed  atomic.Uint64
 	staleSkips atomic.Uint64
@@ -221,11 +213,11 @@ func (rt *Router) Handler() http.Handler {
 // pick chooses the node for one attempt: among the nodes not in tried whose
 // breaker is ready, the least in-flight load first, round-robin rotation
 // breaking ties. prefer (>= 0) pins a preferred node to the front when its
-// breaker is ready, which placement uses to spread partition owners
-// deterministically. The scan has no side effects; only the chosen node's
-// breaker is asked to admit the request, so a half-open probe is spent on
-// the node that is actually sent to — and when a concurrent pick won that
-// probe first, the choice is made again without the node.
+// breaker is ready, which the proxied reads use to ask the primary first. The
+// scan has no side effects; only the chosen node's breaker is asked to admit
+// the request, so a half-open probe is spent on the node that is actually
+// sent to — and when a concurrent pick won that probe first, the choice is
+// made again without the node.
 func (rt *Router) pick(tried map[*node]bool, prefer int) *node {
 	rot := int(rt.rr.Add(1))
 	var lost []*node // ready when scanned, but another pick took the probe
@@ -578,7 +570,6 @@ type FleetMetricsResponse struct {
 	Retries       uint64  `json:"retries"`
 	Exhausted     uint64  `json:"exhausted"`
 	Notifies      uint64  `json:"notifies"`
-	Scattered     uint64  `json:"scattered"`
 	FannedOut     uint64  `json:"fanned_out"`
 	// Collapsed counts reads answered by joining an identical in-flight
 	// miss (singleflight): they paid no node round trip of their own.
@@ -643,7 +634,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Retries:       rt.retries.Load(),
 		Exhausted:     rt.exhausted.Load(),
 		Notifies:      rt.notifies.Load(),
-		Scattered:     rt.scattered.Load(),
 		FannedOut:     rt.fannedOut.Load(),
 		Collapsed:     rt.collapsed.Load(),
 		StaleSkips:    rt.staleSkips.Load(),

@@ -2,18 +2,24 @@ package fleet_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/fleet"
 	"repro/internal/fleet/fleettest"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // TestFleetSyncConvergence is the replication drill: rows are ingested on
@@ -152,5 +158,108 @@ func TestFleetSyncConvergence(t *testing.T) {
 		if st.LastError != "" {
 			t.Fatalf("%s syncer holds error %q after convergence", n.Name, st.LastError)
 		}
+	}
+}
+
+// damageOnClose is a transport whose snapshot bodies, once armed, run a hook
+// as the syncer closes them — which it does after importing the frame and
+// before loading it back to serve it.
+type damageOnClose struct {
+	hook func()
+}
+
+func (d *damageOnClose) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && d.hook != nil && req.URL.Path == "/sync/snapshot" {
+		resp.Body = closeHook{resp.Body, d.hook}
+	}
+	return resp, err
+}
+
+type closeHook struct {
+	io.ReadCloser
+	hook func()
+}
+
+func (c closeHook) Close() error {
+	c.hook()
+	return c.ReadCloser.Close()
+}
+
+// TestSyncServesAnImportItFailedToLoad: a pass that imports the newest
+// version and then fails to load it leaves that version on disk with the
+// registry still on the one before. The next pass must serve it — the swap is
+// decided from what is served against what the store holds, not from what a
+// pass happened to download.
+func TestSyncServesAnImportItFailedToLoad(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 1})
+	const key = "demo/maxent"
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	transport := &damageOnClose{}
+	syncer := fleet.NewSyncer(f.Primary().URL(), st, reg, fleet.SyncerOptions{Client: &http.Client{Transport: transport}})
+	replica := httptest.NewServer(server.New(reg, server.Options{Store: st}).Handler())
+	defer replica.Close()
+	ask := func(base string) (gen string, count float64) {
+		status, header, body := postBody(t, base+"/query", "application/json", mustJSON(t, server.QueryRequest{Estimator: key}))
+		if status != http.StatusOK {
+			t.Fatalf("query at %s: %d %s", base, status, body)
+		}
+		var out server.QueryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return header.Get(server.EstimatorGenerationHeader), out.Count
+	}
+
+	if rep, err := syncer.SyncOnce(context.Background()); err != nil || len(rep.Swapped) != 1 {
+		t.Fatalf("first pass: %+v, %v", rep, err)
+	}
+	if _, err := f.Live.Ingest(fleettest.Rows(200, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Live.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The pass that imports v2 loses the file before it can load it.
+	imported := filepath.Join(st.Dir(), key, "v000002.snap")
+	transport.hook = func() {
+		if err := os.Rename(imported, imported+".lost"); err != nil {
+			t.Errorf("damage hook: %v", err)
+		}
+	}
+	rep, err := syncer.SyncOnce(context.Background())
+	if err == nil || rep.Imported != 1 || len(rep.Swapped) != 0 {
+		t.Fatalf("damaged pass: %+v, %v — want one import and a failed swap", rep, err)
+	}
+	if gen, _ := ask(replica.URL); gen != "1" {
+		t.Fatalf("replica at generation %s after the failed swap, want 1", gen)
+	}
+
+	// The file is back; nothing is left to download, and the pass still swaps.
+	transport.hook = nil
+	if err := os.Rename(imported+".lost", imported); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = syncer.SyncOnce(context.Background())
+	if err != nil || rep.Imported != 0 || len(rep.Swapped) != 1 || rep.Swapped[0] != key {
+		t.Fatalf("recovery pass: %+v, %v — want no import and %s swapped", rep, err, key)
+	}
+	ent, _ := reg.Get(key)
+	if ent.Generation != 2 || ent.Served != 2 {
+		t.Fatalf("replica entry at generation %d serving v%d, want 2 and 2", ent.Generation, ent.Served)
+	}
+	gen, got := ask(replica.URL)
+	_, want := ask(f.Primary().URL())
+	if gen != "2" {
+		t.Errorf("replica answers at generation %s, want 2", gen)
+	}
+	sameCount(t, "recovered replica", want, got)
+	if rep, err := syncer.SyncOnce(context.Background()); err != nil || len(rep.Swapped) != 0 {
+		t.Errorf("converged pass: %+v, %v — want nothing to do", rep, err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -30,9 +29,9 @@ type SyncerOptions struct {
 // Syncer keeps a replica's snapshot store and registry converged with an
 // origin node, pull-by-version: it lists the origin's manifests, fetches
 // every snapshot version the local store lacks over GET /sync/snapshot,
-// imports each AT the origin's version number, and hot-swaps the latest
-// of every dataset key into the registry via the same Register/Swap path
-// a local refresh uses. Because snapshot restore is bit-identical, a
+// imports each AT the origin's version number, and serves the newest of
+// every dataset key through the same publish a local refresh ends in
+// (server.Adopt). Because snapshot restore is bit-identical, a
 // converged replica answers exactly like the origin — including
 // ?version=N time travel, since historical versions replicate too.
 type Syncer struct {
@@ -146,18 +145,17 @@ func (s *Syncer) SyncOnce(ctx context.Context) (SyncReport, error) {
 		return rep, err
 	}
 	for _, man := range manifests {
+		// newest is the highest version the local store holds once this
+		// key's missing versions are in.
 		local := make(map[int]bool)
+		newest := 0
 		if lman, err := s.st.Versions(man.Dataset); err == nil {
 			for _, sn := range lman.Snapshots {
 				local[sn.Version] = true
+				newest = max(newest, sn.Version)
 			}
 		}
-		fetchedLatest := false
-		latest := 0
 		for _, sn := range man.Snapshots {
-			if sn.Version > latest {
-				latest = sn.Version
-			}
 			if local[sn.Version] {
 				continue
 			}
@@ -166,12 +164,13 @@ func (s *Syncer) SyncOnce(ctx context.Context) (SyncReport, error) {
 			}
 			rep.Imported++
 			s.imported.Add(1)
-			if sn.Version >= latest {
-				fetchedLatest = true
-			}
+			newest = max(newest, sn.Version)
 		}
-		_, registered := s.reg.Get(man.Dataset)
-		if latest == 0 || (registered && !fetchedLatest) {
+		// Serve it unless the registry already does. The decision is read
+		// from state, not from what this pass fetched: a pass that imported
+		// a version and then failed to serve it leaves the next pass
+		// something to see.
+		if ent, _ := s.reg.Get(man.Dataset); newest == 0 || ent.Served == newest {
 			continue
 		}
 		if err := s.swapLatest(man.Dataset); err != nil {
@@ -238,30 +237,15 @@ func (s *Syncer) fetchSnapshot(ctx context.Context, dataset string, version int)
 	return nil
 }
 
-// swapLatest loads the dataset's latest local version and registers or
-// hot-swaps it into the registry, invalidating the serving cache — the
-// replica-side twin of Live.refresh's swap stage.
+// swapLatest serves the dataset key's newest local version: one atomic
+// register-or-swap that also fences the serving cache and records the version
+// now served — the replica-side caller of the node's one publish.
 func (s *Syncer) swapLatest(dataset string) error {
-	est, info, err := s.st.Load(dataset, 0)
-	if err != nil {
-		return fmt.Errorf("fleet: sync swap %q: %w", dataset, err)
-	}
-	sc, ok := est.(interface{ Schema() *schema.Schema })
-	if !ok {
-		return fmt.Errorf("fleet: sync swap %q (v%d): estimator %T carries no schema", dataset, info.Version, est)
-	}
-	if _, registered := s.reg.Get(dataset); registered {
-		if _, err := s.reg.Swap(dataset, est, sc.Schema()); err != nil {
-			return err
-		}
-	} else if err := s.reg.Register(dataset, est, sc.Schema()); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	cache := s.cache
 	s.mu.Unlock()
-	if cache != nil {
-		cache.InvalidatePrefix(dataset + "\x00")
+	if _, err := server.Adopt(s.reg, cache, s.st, dataset); err != nil {
+		return fmt.Errorf("fleet: sync swap: %w", err)
 	}
 	return nil
 }

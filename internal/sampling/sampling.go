@@ -166,12 +166,6 @@ func Uniform(rel *relation.Relation, rate float64, rng *rand.Rand) (*Sample, err
 	return &Sample{name: fmt.Sprintf("Uniform(%.2f%%)", rate*100), rel: sub, weights: weights}, nil
 }
 
-// UniformSeeded is a convenience wrapper drawing a uniform sample from a
-// fresh source seeded with seed.
-func UniformSeeded(rel *relation.Relation, rate float64, seed int64) (*Sample, error) {
-	return Uniform(rel, rate, rand.New(rand.NewSource(seed)))
-}
-
 // Stratified draws a stratified sample: rows are partitioned by the values
 // of the strata attributes; each stratum contributes ceil(rate·|stratum|)
 // rows but never fewer than minPerStratum (or the whole stratum when it is
@@ -245,10 +239,4 @@ func Stratified(rel *relation.Relation, strataAttrs []int, rate float64, minPerS
 		rel:     sub,
 		weights: weights,
 	}, nil
-}
-
-// StratifiedSeeded is a convenience wrapper drawing a stratified sample
-// from a fresh source seeded with seed.
-func StratifiedSeeded(rel *relation.Relation, strataAttrs []int, rate float64, minPerStratum int, seed int64) (*Sample, error) {
-	return Stratified(rel, strataAttrs, rate, minPerStratum, rand.New(rand.NewSource(seed)))
 }

@@ -59,7 +59,7 @@ func TestNilRNGIsDeterministic(t *testing.T) {
 	}
 	// A different seed draws a different sample (with overwhelming
 	// probability at this size).
-	u3, err := UniformSeeded(rel, 0.1, 12345)
+	u3, err := Uniform(rel, 0.1, rand.New(rand.NewSource(12345)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/exact"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/summary"
@@ -119,41 +118,48 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	branchMaxent := name + "/maxent"
-	branchExact := name + "/exact"
-	rollback := func() {
-		s.reg.Unregister(branchMaxent)
-		s.reg.Unregister(branchExact)
-	}
-	if err := s.reg.Register(branchMaxent, sum, ent.Schema); err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-		return
-	}
-	if err := s.reg.Register(branchExact, exact.New(view), ent.Schema); err != nil {
-		rollback()
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-		return
-	}
-
-	// Publish the branch's v1 (the fork summary itself) and record the
-	// lineage, before NewLive pins the latest branch version for serving.
-	info, err := s.opts.Store.Save(branchMaxent, sum)
-	if err != nil {
-		rollback()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	if err := s.opts.Store.SetParent(branchMaxent, store.Lineage{Dataset: parentKey, Version: from}); err != nil {
-		rollback()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-
+	// A branch is a refresh by nothing: derived over exactly the rows the fork
+	// summary covers, the summary stands as it is (bit-identical answers, no
+	// re-solve) beside an exact engine over the shared rows. The branch
+	// serves — and from here on refreshes — those two; the summary is saved
+	// as the branch's own v1. Both names must be new, and once one is
+	// registered every later failure unwinds it.
 	branchOpts := parentLive.opts
+	branchOpts.Dataset.SkipExact, branchOpts.Dataset.Partitions, branchOpts.Dataset.SampleRate = false, 0, 0
+	list, _, err := Derive(name, view, branchOpts.Dataset, sum, 0)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	var registered []string
+	fail := func(status int, err error) {
+		for _, n := range registered {
+			s.reg.Unregister(n)
+		}
+		writeJSON(w, status, errorResponse{Error: err.Error()})
+	}
+	version := 0
+	for _, st := range list {
+		pub, err := publish(s.reg, s.cache, s.opts.Store, st, ent.Schema, 0, true)
+		if pub.Generation == 0 {
+			fail(http.StatusConflict, err) // the name is taken
+			return
+		}
+		registered = append(registered, st.Name)
+		if err != nil {
+			fail(http.StatusInternalServerError, err)
+			return
+		}
+		version = max(version, pub.Served)
+	}
+	// The lineage makes the branch's v1 name the parent's fork point.
+	if err := s.opts.Store.SetParent(name+"/maxent", store.Lineage{Dataset: parentKey, Version: from}); err != nil {
+		fail(http.StatusInternalServerError, err)
+		return
+	}
 	live, err := NewLive(s.reg, name, relation.NewMutable(view), s.opts.Store, branchOpts)
 	if err != nil {
-		rollback()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		fail(http.StatusInternalServerError, err)
 		return
 	}
 	s.AttachLive(live)
@@ -163,8 +169,8 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 		Parent:          parent,
 		FromVersion:     from,
 		Rows:            rows,
-		Registered:      []string{branchMaxent, branchExact},
-		SnapshotVersion: info.Version,
+		Registered:      registered,
+		SnapshotVersion: version,
 		ElapsedNS:       s.opts.Now().Sub(start).Nanoseconds(),
 	})
 }

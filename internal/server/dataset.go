@@ -2,27 +2,21 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/relation"
 	"repro/internal/sampling"
+	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/summary"
 )
 
-// snapshotOnBuild persists a freshly-built summary when a store is
-// configured. A failed save fails the build loudly: a deployment that
-// asked for persistence should not limp along serving an unsaved model.
-func snapshotOnBuild(st *store.Store, name string, est core.Estimator) error {
-	if st == nil {
-		return nil
-	}
-	if _, err := st.Save(name, est); err != nil {
-		return fmt.Errorf("server: snapshot %q on build: %w", name, err)
-	}
-	return nil
-}
+// This file is the write path (docs/ARCHITECTURE.md, "The write path"):
+// Derive turns a relation into the strategies a dataset serves, publish makes
+// one of them the served model. A build is a refresh from nothing; a restore
+// or a replica's sync publishes a model the store already holds.
 
 // DatasetOptions configure BuildDataset. The zero value builds only the
 // exact engine and the MaxEnt summary with summary.Options defaults.
@@ -47,82 +41,144 @@ type DatasetOptions struct {
 	Store *store.Store
 }
 
-// BuildDataset runs the summarization pipeline over one relation and
-// registers every resulting estimator under "<dataset>/<strategy>" names:
-// always "<dataset>/maxent", plus "/exact", "/partitioned", "/uniform",
-// and "/stratified" as configured. It returns the registered names.
-func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts DatasetOptions) ([]string, error) {
-	if dataset == "" {
-		return nil, fmt.Errorf("server: dataset name must not be empty")
-	}
-	sch := rel.Schema()
-	var names []string
+// Strategy is one estimator a dataset serves, under the registry name and
+// store key "<dataset>/<strategy>".
+type Strategy struct {
+	Name      string
+	Estimator core.Estimator
+	// Snapshot marks a solved model the store can hold; the data-bound
+	// strategies (exact, the samples) answer from rows and are rebuilt.
+	Snapshot bool
+}
 
-	sum, err := summary.Build(rel, opts.Summary)
+// Derive computes every strategy the options ask for over rel, in serving
+// order: "<dataset>/maxent" first, then "/exact", "/partitioned", "/uniform"
+// and "/stratified" as configured. With prev == nil the MaxEnt summary is
+// built from scratch; otherwise rel is prev's relation grown by appended rows
+// and the summary is prev refreshed by that suffix (incrementally, or by the
+// recount summary.Refresh falls back to). gen is the dataset's generation —
+// 0 for a first build — and is folded into the sample seeds so successive
+// refreshes draw fresh but reproducible samples. Nothing is registered or
+// saved; the RefreshInfo carries the MaxEnt solve's report either way.
+func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *summary.Summary, gen uint64) ([]Strategy, summary.RefreshInfo, error) {
+	var (
+		sum  *summary.Summary
+		info summary.RefreshInfo
+		err  error
+	)
+	if prev == nil {
+		if sum, err = summary.Build(rel, opts.Summary); err == nil {
+			info.Solver = sum.SolverReport()
+		}
+	} else {
+		var delta *relation.Relation
+		if delta, err = rel.Slice(int(prev.N()), rel.NumRows()); err == nil {
+			sum, info, err = prev.Refresh(rel, delta, summary.RefreshOptions{Solver: opts.Summary.Solver})
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("server: dataset %q: summary build: %w", dataset, err)
+		return nil, info, fmt.Errorf("server: dataset %q: maxent: %w", dataset, err)
 	}
-	name := dataset + "/maxent"
-	if err := reg.Register(name, sum, sch); err != nil {
-		return nil, err
-	}
-	if err := snapshotOnBuild(opts.Store, name, sum); err != nil {
-		return nil, err
-	}
-	names = append(names, name)
+	list := []Strategy{{dataset + "/maxent", sum, true}}
 
 	if !opts.SkipExact {
-		name = dataset + "/exact"
-		if err := reg.Register(name, exact.New(rel), sch); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
+		list = append(list, Strategy{dataset + "/exact", exact.New(rel), false})
 	}
-
 	if opts.Partitions > 0 {
 		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
 			Partitions: opts.Partitions,
 			Base:       opts.Summary,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("server: dataset %q: partitioned build: %w", dataset, err)
+			return nil, info, fmt.Errorf("server: dataset %q: partitioned: %w", dataset, err)
 		}
-		name = dataset + "/partitioned"
-		if err := reg.Register(name, psum, sch); err != nil {
-			return nil, err
-		}
-		if err := snapshotOnBuild(opts.Store, name, psum); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
+		list = append(list, Strategy{dataset + "/partitioned", psum, true})
 	}
-
 	if opts.SampleRate > 0 {
-		uni, err := sampling.UniformSeeded(rel, opts.SampleRate, opts.SampleSeed+1)
+		seed := opts.SampleSeed + int64(gen)<<16
+		uni, err := sampling.Uniform(rel, opts.SampleRate, rand.New(rand.NewSource(seed+1)))
 		if err != nil {
-			return nil, fmt.Errorf("server: dataset %q: uniform sample: %w", dataset, err)
+			return nil, info, fmt.Errorf("server: dataset %q: uniform sample: %w", dataset, err)
 		}
-		name = dataset + "/uniform"
-		if err := reg.Register(name, uni, sch); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-
+		// Stratify on the attributes the model itself found most correlated.
 		strataAttrs := []int{0}
 		if pcs := sum.ChosenPairs(); len(pcs) > 0 {
 			strataAttrs = []int{pcs[0].A1, pcs[0].A2}
-		} else if sch.NumAttrs() > 1 {
+		} else if rel.Schema().NumAttrs() > 1 {
 			strataAttrs = []int{0, 1}
 		}
-		strat, err := sampling.StratifiedSeeded(rel, strataAttrs, opts.SampleRate, 1, opts.SampleSeed+2)
+		strat, err := sampling.Stratified(rel, strataAttrs, opts.SampleRate, 1, rand.New(rand.NewSource(seed+2)))
 		if err != nil {
-			return nil, fmt.Errorf("server: dataset %q: stratified sample: %w", dataset, err)
+			return nil, info, fmt.Errorf("server: dataset %q: stratified sample: %w", dataset, err)
 		}
-		name = dataset + "/stratified"
-		if err := reg.Register(name, strat, sch); err != nil {
+		list = append(list, Strategy{dataset + "/uniform", uni, false}, Strategy{dataset + "/stratified", strat, false})
+	}
+	return list, info, nil
+}
+
+// publish makes s the model served under its name. It is the only code that
+// swaps or registers a served registry entry, fences the result cache for a
+// name, saves a served model or moves a serving pin.
+//
+// The registry moves first — Register when the name must be new (a build, a
+// restore, a branch), the atomic register-or-swap otherwise — and the replaced
+// generation's cached answers go with it, so nothing below can cost freshness.
+// Then the model's store version is settled: adopt > 0 names the version s
+// was loaded from (a restore, a replica's import), otherwise a Snapshot
+// strategy is saved as its key's next version when a store is configured. The
+// version is recorded on the entry (Entry.Served) and the serving pin follows
+// it, so a prune can never delete what a restart would need.
+//
+// An error with a non-zero Entry means the model is served but not persisted;
+// what that costs is the caller's contract: a build fails, a refresh reports
+// it beside a successful swap.
+func publish(reg *Registry, cache *Cache, st *store.Store, s Strategy, sch *schema.Schema, adopt int, mustBeNew bool) (Entry, error) {
+	ent, err := reg.put(s.Name, s.Estimator, sch, mustBeNew)
+	if err != nil {
+		return Entry{}, err
+	}
+	if cache != nil {
+		cache.InvalidatePrefix(s.Name + "\x00")
+	}
+	version := adopt
+	if version == 0 {
+		if !s.Snapshot || st == nil {
+			return ent, nil
+		}
+		info, err := st.Save(s.Name, s.Estimator)
+		if err != nil {
+			return ent, fmt.Errorf("server: snapshot %q: %w", s.Name, err)
+		}
+		version = info.Version
+	}
+	if prev := reg.markServed(s.Name, version); prev > 0 {
+		st.Unpin(s.Name, prev)
+	}
+	st.Pin(s.Name, version)
+	ent.Served = version
+	return ent, nil
+}
+
+// BuildDataset runs the summarization pipeline over one relation and
+// registers every resulting estimator under "<dataset>/<strategy>" names:
+// always "<dataset>/maxent", plus "/exact", "/partitioned", "/uniform",
+// and "/stratified" as configured. It returns the registered names. With a
+// store configured a failed save fails the build: a deployment that asked
+// for persistence should not limp along serving an unsaved model.
+func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts DatasetOptions) ([]string, error) {
+	if dataset == "" {
+		return nil, fmt.Errorf("server: dataset name must not be empty")
+	}
+	list, _, err := Derive(dataset, rel, opts, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(list))
+	for i, s := range list {
+		if _, err := publish(reg, nil, opts.Store, s, rel.Schema(), 0, true); err != nil {
 			return nil, err
 		}
-		names = append(names, name)
+		names[i] = s.Name
 	}
 	return names, nil
 }

@@ -8,10 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/exact"
 	"repro/internal/relation"
-	"repro/internal/sampling"
 	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/summary"
@@ -28,8 +25,6 @@ type LiveOptions struct {
 	// before returning (0 disables threshold-based refreshing; Refresh can
 	// still be called explicitly, e.g. from an interval ticker).
 	RefreshRows int
-	// DriftThreshold is passed to summary.Refresh (0 selects its default).
-	DriftThreshold float64
 }
 
 // Live couples one dataset's mutable relation with the registry entries
@@ -45,13 +40,11 @@ type Live struct {
 	mut     *relation.Mutable
 	now     func() time.Time
 
-	// refreshMu serializes refreshes (the expensive build+swap+publish
+	// refreshMu serializes refreshes (the expensive derive-and-publish
 	// sequence) without blocking the cheap paths: counters and Status()
 	// are guarded by mu alone, so /metrics and ingest responses never
-	// wait behind a solve. pinned is touched only by refresh paths, so
-	// refreshMu guards it too.
+	// wait behind a solve.
 	refreshMu sync.Mutex
-	pinned    map[string]int // store key → version pinned for serving
 
 	mu           sync.Mutex
 	cache        *Cache // set by Server.AttachLive; nil until then
@@ -110,7 +103,7 @@ func NewLive(reg *Registry, dataset string, mut *relation.Mutable, st *store.Sto
 			}
 		}
 	}
-	l := &Live{
+	return &Live{
 		dataset:    dataset,
 		reg:        reg,
 		st:         st,
@@ -118,22 +111,8 @@ func NewLive(reg *Registry, dataset string, mut *relation.Mutable, st *store.Sto
 		mut:        mut,
 		servedRows: mut.NumRows(),
 		generation: 1,
-		pinned:     make(map[string]int),
 		now:        time.Now,
-	}
-	// Pin whatever snapshot versions currently back the served entries, so
-	// a concurrent prune cannot delete the version a restart would need.
-	if st != nil {
-		for _, key := range []string{dataset + "/maxent", dataset + "/partitioned"} {
-			if man, err := st.Versions(key); err == nil {
-				if last, ok := man.Latest(); ok {
-					st.Pin(key, last.Version)
-					l.pinned[key] = last.Version
-				}
-			}
-		}
-	}
-	return l, nil
+	}, nil
 }
 
 // BuildLiveDataset builds and registers the dataset's estimators over the
@@ -276,10 +255,6 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 	if pending <= 0 {
 		return out, nil
 	}
-	delta, err := full.Slice(served, full.NumRows())
-	if err != nil {
-		return out, err
-	}
 
 	maxentName := l.dataset + "/maxent"
 	ent, ok := l.reg.Get(maxentName)
@@ -292,101 +267,43 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 			l.dataset, maxentName, ent.Estimator)
 	}
 
-	// Stage 1: build every replacement version. Nothing is swapped yet, so
-	// a failure here leaves serving untouched.
-	newSum, info, err := sum.Refresh(full, delta, summary.RefreshOptions{
-		DriftThreshold: l.opts.DriftThreshold,
-		Solver:         l.opts.Dataset.Summary.Solver,
-	})
+	// A refresh maintains the strategies being served, which after a
+	// snapshot restore or on a branch are fewer than the options name (the
+	// data-bound ones do not restore); it never invents serving entries.
+	opts := l.opts.Dataset
+	serving := func(strategy string) bool {
+		_, ok := l.reg.Get(l.dataset + "/" + strategy)
+		return ok
+	}
+	opts.SkipExact = !serving("exact")
+	if !serving("partitioned") {
+		opts.Partitions = 0
+	}
+	if !serving("uniform") {
+		opts.SampleRate = 0
+	}
+
+	// Every new version is derived before anything is published, so a
+	// failure here leaves serving untouched.
+	list, info, err := Derive(l.dataset, full, opts, sum, gen)
 	if err != nil {
-		return out, fmt.Errorf("server: refresh %q: %w", l.dataset, err)
-	}
-	type swap struct {
-		name string
-		est  core.Estimator
-		sch  *schema.Schema
-		save bool // publish to the snapshot store after the swap
-	}
-	swaps := []swap{{maxentName, newSum, full.Schema(), true}}
-
-	if _, ok := l.reg.Get(l.dataset + "/exact"); ok {
-		swaps = append(swaps, swap{l.dataset + "/exact", exact.New(full), full.Schema(), false})
-	}
-	if _, ok := l.reg.Get(l.dataset + "/partitioned"); ok {
-		psum, err := summary.BuildPartitioned(full, summary.PartitionedOptions{
-			Partitions: l.opts.Dataset.Partitions,
-			Base:       l.opts.Dataset.Summary,
-		})
-		if err != nil {
-			return out, fmt.Errorf("server: refresh %q: partitioned rebuild: %w", l.dataset, err)
-		}
-		swaps = append(swaps, swap{l.dataset + "/partitioned", psum, full.Schema(), true})
-		// Partition entries exposed for fleet placement track the rebuilt
-		// partitions, so scattered serving never lags the whole-dataset
-		// entry by a generation.
-		for k := 0; k < psum.NumPartitions(); k++ {
-			name := PartitionEntryName(l.dataset, k)
-			if _, ok := l.reg.Get(name); ok {
-				swaps = append(swaps, swap{name, psum.Partition(k), full.Schema(), true})
-			}
-		}
-	}
-	if _, ok := l.reg.Get(l.dataset + "/uniform"); ok {
-		// Fold the generation into the seed so successive refreshes draw
-		// fresh — but still reproducible — samples of the grown relation.
-		uni, err := sampling.UniformSeeded(full, l.opts.Dataset.SampleRate, l.opts.Dataset.SampleSeed+1+int64(gen)<<16)
-		if err != nil {
-			return out, fmt.Errorf("server: refresh %q: uniform resample: %w", l.dataset, err)
-		}
-		swaps = append(swaps, swap{l.dataset + "/uniform", uni, full.Schema(), false})
-	}
-	if _, ok := l.reg.Get(l.dataset + "/stratified"); ok {
-		strataAttrs := []int{0}
-		if pcs := newSum.ChosenPairs(); len(pcs) > 0 {
-			strataAttrs = []int{pcs[0].A1, pcs[0].A2}
-		} else if full.Schema().NumAttrs() > 1 {
-			strataAttrs = []int{0, 1}
-		}
-		strat, err := sampling.StratifiedSeeded(full, strataAttrs, l.opts.Dataset.SampleRate, 1, l.opts.Dataset.SampleSeed+2+int64(gen)<<16)
-		if err != nil {
-			return out, fmt.Errorf("server: refresh %q: stratified resample: %w", l.dataset, err)
-		}
-		swaps = append(swaps, swap{l.dataset + "/stratified", strat, full.Schema(), false})
+		return out, err
 	}
 
-	// Stage 2: hot-swap every entry and drop the replaced generations'
-	// cached answers. Each individual swap is atomic; queries racing the
-	// loop see a consistent (name, estimator, generation) triple per entry.
-	for _, sw := range swaps {
-		if _, err := l.reg.Swap(sw.name, sw.est, sw.sch); err != nil {
-			return out, err
-		}
-		if cache != nil {
-			cache.InvalidatePrefix(sw.name + "\x00")
-		}
-		out.Swapped = append(out.Swapped, sw.name)
-	}
-
-	// Stage 3: publish the new model versions to the snapshot store and
-	// move the serving pins forward. Publication failures do not undo the
-	// swap — serving the fresh model matters more than persisting it — but
-	// they are reported so the operator knows the store is behind.
+	// Each publish is an atomic hot swap that drops the replaced generation's
+	// cached answers and then persists the model; queries racing the loop see
+	// a consistent (name, estimator, generation) triple per entry. A failed
+	// save does not undo the swap — serving the fresh model matters more than
+	// persisting it — but is reported so the operator knows the store is
+	// behind.
 	var publishErr error
-	if l.st != nil {
-		for _, sw := range swaps {
-			if !sw.save {
-				continue
-			}
-			sinfo, err := l.st.Save(sw.name, sw.est)
-			if err != nil {
-				publishErr = errors.Join(publishErr, fmt.Errorf("server: refresh %q: snapshot %q: %w", l.dataset, sw.name, err))
-				continue
-			}
-			if old, ok := l.pinned[sw.name]; ok {
-				l.st.Unpin(sw.name, old)
-			}
-			l.st.Pin(sw.name, sinfo.Version)
-			l.pinned[sw.name] = sinfo.Version
+	for _, s := range list {
+		ent, err := publish(l.reg, cache, l.st, s, full.Schema(), 0, false)
+		if err != nil {
+			publishErr = errors.Join(publishErr, err)
+		}
+		if ent.Generation > 0 {
+			out.Swapped = append(out.Swapped, s.Name)
 		}
 	}
 

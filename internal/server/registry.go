@@ -29,6 +29,11 @@ type Entry struct {
 	// never serve a previous generation's cached answers) and into the
 	// /metrics staleness report.
 	Generation uint64
+	// Served is the newest snapshot-store version published under this name
+	// — saved from, or adopted as, a model served here — and 0 when none was:
+	// the version a restart restores and the serving pin protects. Only
+	// publish moves it.
+	Served int
 	// Snapshot is 0 for live registry entries. Historical entries restored
 	// by the History cache carry the snapshot version they answer from
 	// instead of a generation: snapshots are immutable, so their cache
@@ -55,40 +60,51 @@ func NewRegistry() *Registry {
 // Register adds an estimator under the given name (conventionally
 // "dataset/strategy"). Names must be unique and non-empty.
 func (r *Registry) Register(name string, est core.Estimator, sch *schema.Schema) error {
-	if name == "" {
-		return fmt.Errorf("server: estimator name must not be empty")
-	}
-	if est == nil || sch == nil {
-		return fmt.Errorf("server: estimator %q needs a non-nil estimator and schema", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.entries[name]; dup {
-		return fmt.Errorf("server: estimator %q already registered", name)
-	}
-	r.entries[name] = Entry{Name: name, Estimator: est, Schema: sch, Generation: 1}
-	return nil
+	_, err := r.put(name, est, sch, true)
+	return err
 }
 
-// Swap atomically replaces the estimator served under name with a new
-// version, bumping the entry's generation, and returns the updated entry.
-// The previous estimator keeps answering any queries that already looked
-// it up — zero downtime — and becomes garbage once they drain. Swapping a
-// name that was never registered is an error: a refresh must not
-// accidentally invent serving entries.
+// Swap atomically makes est the estimator served under name and returns the
+// entry: a name never seen is registered at generation 1, a served one moves
+// to its next generation in one step, so two writers of one name can never
+// both believe they registered it. The previous estimator keeps answering
+// any queries that already looked it up — zero downtime — and becomes
+// garbage once they drain. Callers that mean "must be new" use Register.
 func (r *Registry) Swap(name string, est core.Estimator, sch *schema.Schema) (Entry, error) {
+	return r.put(name, est, sch, false)
+}
+
+// put is the one registry write under Register and Swap.
+func (r *Registry) put(name string, est core.Estimator, sch *schema.Schema, mustBeNew bool) (Entry, error) {
+	if name == "" {
+		return Entry{}, fmt.Errorf("server: estimator name must not be empty")
+	}
 	if est == nil || sch == nil {
-		return Entry{}, fmt.Errorf("server: swap %q needs a non-nil estimator and schema", name)
+		return Entry{}, fmt.Errorf("server: estimator %q needs a non-nil estimator and schema", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.entries[name]
-	if !ok {
-		return Entry{}, fmt.Errorf("server: swap %q: estimator not registered", name)
+	old, exists := r.entries[name] // the zero Entry when absent
+	if exists && mustBeNew {
+		return Entry{}, fmt.Errorf("server: estimator %q already registered", name)
 	}
-	next := Entry{Name: name, Estimator: est, Schema: sch, Generation: old.Generation + 1}
+	next := Entry{Name: name, Estimator: est, Schema: sch, Generation: old.Generation + 1, Served: old.Served}
 	r.entries[name] = next
 	return next, nil
+}
+
+// markServed records version as the store version behind name's entry and
+// returns the one it replaces (0 when there was none, or no such entry).
+func (r *Registry) markServed(name string, version int) (prev int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[name]
+	if !ok {
+		return 0
+	}
+	prev, e.Served = e.Served, version
+	r.entries[name] = e
+	return prev
 }
 
 // Unregister removes a named estimator and reports whether it was

@@ -13,8 +13,7 @@ import (
 
 // schemed is implemented by estimators that know the schema they answer
 // over; the solved summaries restored from snapshots do, which is what
-// lets RestoreStore register them without access to the original
-// relation.
+// lets adopt register them without access to the original relation.
 type schemed interface {
 	Schema() *schema.Schema
 }
@@ -49,25 +48,40 @@ datasets:
 				continue datasets
 			}
 		}
-		est, info, err := st.Load(man.Dataset, 0)
-		if err != nil {
+		if _, err := adopt(reg, nil, st, man.Dataset, true); err != nil {
 			problems = append(problems, RestoreProblem{man.Dataset, err})
-			continue
-		}
-		sc, ok := est.(schemed)
-		if !ok {
-			problems = append(problems, RestoreProblem{man.Dataset,
-				fmt.Errorf("server: restore %q: estimator %T carries no schema", man.Dataset, est)})
-			continue
-		}
-		if err := reg.Register(man.Dataset, est, sc.Schema()); err != nil {
-			problems = append(problems, RestoreProblem{man.Dataset,
-				fmt.Errorf("server: restore %q (v%d): %w", man.Dataset, info.Version, err)})
 			continue
 		}
 		names = append(names, man.Dataset)
 	}
 	return names, problems, nil
+}
+
+// Adopt serves the newest version the local store holds of key: it loads the
+// snapshot and publishes it as already persisted, registering the name or
+// hot-swapping it in one atomic step. It is what a replica does with a
+// version it imported (fleet.Syncer); cache is the serving result cache to
+// fence, nil when nothing serves yet.
+func Adopt(reg *Registry, cache *Cache, st *store.Store, key string) (Entry, error) {
+	return adopt(reg, cache, st, key, false)
+}
+
+// adopt is Adopt, or with mustBeNew the cold-start restore that refuses to
+// replace a served entry.
+func adopt(reg *Registry, cache *Cache, st *store.Store, key string, mustBeNew bool) (Entry, error) {
+	est, info, err := st.Load(key, 0)
+	if err != nil {
+		return Entry{}, err
+	}
+	sc, ok := est.(schemed)
+	if !ok {
+		return Entry{}, fmt.Errorf("server: adopt %q (v%d): estimator %T carries no schema", key, info.Version, est)
+	}
+	ent, err := publish(reg, cache, st, Strategy{key, est, true}, sc.Schema(), info.Version, mustBeNew)
+	if err != nil {
+		return ent, fmt.Errorf("server: adopt %q (v%d): %w", key, info.Version, err)
+	}
+	return ent, nil
 }
 
 // ErrNoEstimators is reported by SaveDataset when no estimator at all is

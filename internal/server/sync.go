@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/store"
-	"repro/internal/summary"
 )
 
 // This file is the peer-sync surface of a summaryd node. Replication in
@@ -109,41 +108,4 @@ func (s *Server) handleSyncNotify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.opts.SyncNotify(req.Dataset)
 	writeJSON(w, http.StatusOK, SyncNotifyResponse{Status: "ok", Accepted: true})
-}
-
-// --- partition placement ------------------------------------------------
-
-// PartitionEntryName is the registry/store key of the k-th partition of a
-// dataset's partitioned summary. Dots are valid in store key segments, so
-// partition snapshots version and replicate exactly like whole datasets.
-func PartitionEntryName(dataset string, k int) string {
-	return fmt.Sprintf("%s/partitioned.p%d", dataset, k)
-}
-
-// ExposePartitions registers every partition of an already-registered
-// "<dataset>/partitioned" estimator as its own serving entry
-// "<dataset>/partitioned.p<k>". Each partition is a plain solved summary,
-// so once exposed it snapshots (SaveDataset picks the entries up by
-// prefix), replicates, and hot-swaps like any other estimator — which is
-// what lets a router scatter the K partitions across fleet nodes and
-// merge their answers remotely. Returns the registered names.
-func ExposePartitions(reg *Registry, dataset string) ([]string, error) {
-	ent, ok := reg.Get(dataset + "/partitioned")
-	if !ok {
-		return nil, fmt.Errorf("server: expose partitions %q: no %q registered", dataset, dataset+"/partitioned")
-	}
-	psum, ok := ent.Estimator.(*summary.Partitioned)
-	if !ok {
-		return nil, fmt.Errorf("server: expose partitions %q: %q is a %T, want a partitioned summary",
-			dataset, ent.Name, ent.Estimator)
-	}
-	var names []string
-	for k := 0; k < psum.NumPartitions(); k++ {
-		name := PartitionEntryName(dataset, k)
-		if err := reg.Register(name, psum.Partition(k), ent.Schema); err != nil {
-			return names, err
-		}
-		names = append(names, name)
-	}
-	return names, nil
 }

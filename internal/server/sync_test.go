@@ -12,11 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/relation"
 	"repro/internal/server"
-	"repro/internal/solver"
 	"repro/internal/store"
-	"repro/internal/summary"
 )
 
 // TestSyncSnapshotTransfer proves the peer-sync wire end to end: a frame
@@ -151,109 +148,5 @@ func TestSyncNotifyHook(t *testing.T) {
 	code, out = post(hookless.URL+"/sync/notify", []byte(`{}`))
 	if code != http.StatusOK || out.Accepted {
 		t.Fatalf("hook-less notify: %d accepted=%v, want 200/false", code, out.Accepted)
-	}
-}
-
-// TestExposePartitionsScatterEquivalence proves the fleet placement
-// identity: querying the exposed per-partition entries and summing in
-// partition index order is bit-identical to the whole Partitioned
-// estimator — the invariant that lets a router scatter partitions across
-// nodes and merge remotely.
-func TestExposePartitionsScatterEquivalence(t *testing.T) {
-	reg := server.NewRegistry()
-	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(2)))
-	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{Partitions: 3}); err != nil {
-		t.Fatal(err)
-	}
-	names, err := server.ExposePartitions(reg, "demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 3 {
-		t.Fatalf("exposed %v, want 3 partition entries", names)
-	}
-	whole, _ := reg.Get("demo/partitioned")
-
-	rng := rand.New(rand.NewSource(3))
-	for _, q := range experiment.GenerateWorkload(experiment.SyntheticSchema(), 16, rng) {
-		if q.IsGroupBy() {
-			continue
-		}
-		want, err := whole.Estimator.EstimateCount(q.Pred)
-		if err != nil {
-			continue
-		}
-		got := 0.0
-		for k := 0; k < 3; k++ {
-			ent, ok := reg.Get(server.PartitionEntryName("demo", k))
-			if !ok {
-				t.Fatalf("partition entry %d missing", k)
-			}
-			part, err := ent.Estimator.EstimateCount(q.Pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got += part
-		}
-		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("scattered sum %v, partitioned answer %v", got, want)
-		}
-	}
-
-	// Exposing twice collides with the registered names.
-	if _, err := server.ExposePartitions(reg, "demo"); err == nil {
-		t.Fatal("second ExposePartitions succeeded")
-	}
-}
-
-// TestRefreshSwapsPartitionEntries proves a live refresh carries exposed
-// partition entries along: after an ingest-triggered refresh the
-// partition entries serve the rebuilt partitions, so the scatter identity
-// still holds on the new generation.
-func TestRefreshSwapsPartitionEntries(t *testing.T) {
-	reg := server.NewRegistry()
-	mut := relation.NewMutable(experiment.SyntheticRelation(2000, rand.New(rand.NewSource(4))))
-	live, _, err := server.BuildLiveDataset(reg, "demo", mut, server.LiveOptions{
-		Dataset: server.DatasetOptions{
-			Summary:    summary.Options{Solver: solver.Options{MaxSweeps: 60}},
-			Partitions: 2,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.ExposePartitions(reg, "demo"); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := live.Ingest(syntheticRows(400, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-
-	whole, _ := reg.Get("demo/partitioned")
-	if whole.Generation != 2 {
-		t.Fatalf("partitioned generation %d after refresh, want 2", whole.Generation)
-	}
-	got := 0.0
-	for k := 0; k < 2; k++ {
-		ent, ok := reg.Get(server.PartitionEntryName("demo", k))
-		if !ok {
-			t.Fatalf("partition entry %d missing", k)
-		}
-		if ent.Generation != 2 {
-			t.Fatalf("partition entry %d generation %d, want 2 (refresh must swap exposed partitions)", k, ent.Generation)
-		}
-		part, err := ent.Estimator.EstimateCount(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got += part
-	}
-	want, _ := whole.Estimator.EstimateCount(nil)
-	if math.Float64bits(want) != math.Float64bits(got) {
-		t.Fatalf("scattered sum %v after refresh, partitioned answer %v", got, want)
 	}
 }
