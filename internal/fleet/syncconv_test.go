@@ -225,10 +225,15 @@ func TestSyncServesAnImportItFailedToLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The pass that imports v2 loses the file before it can load it.
+	// The pass that imports v2 finds the file damaged before it can load it.
 	imported := filepath.Join(st.Dir(), key, "v000002.snap")
+	var pristine []byte
 	transport.hook = func() {
-		if err := os.Rename(imported, imported+".lost"); err != nil {
+		var err error
+		if pristine, err = os.ReadFile(imported); err == nil {
+			err = os.WriteFile(imported, pristine[:len(pristine)-1], 0o644)
+		}
+		if err != nil {
 			t.Errorf("damage hook: %v", err)
 		}
 	}
@@ -240,9 +245,10 @@ func TestSyncServesAnImportItFailedToLoad(t *testing.T) {
 		t.Fatalf("replica at generation %s after the failed swap, want 1", gen)
 	}
 
-	// The file is back; nothing is left to download, and the pass still swaps.
+	// The file is sound again; nothing is left to download, and the pass
+	// still swaps.
 	transport.hook = nil
-	if err := os.Rename(imported+".lost", imported); err != nil {
+	if err := os.WriteFile(imported, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = syncer.SyncOnce(context.Background())
@@ -261,5 +267,91 @@ func TestSyncServesAnImportItFailedToLoad(t *testing.T) {
 	sameCount(t, "recovered replica", want, got)
 	if rep, err := syncer.SyncOnce(context.Background()); err != nil || len(rep.Swapped) != 0 {
 		t.Errorf("converged pass: %+v, %v — want nothing to do", rep, err)
+	}
+}
+
+// TestReplicaHealsDamagedSnapshot: a replica whose newest local snapshot file
+// bit-rots comes back up unable to serve that key. A file that does not
+// verify is not a version, so the next pass sees it missing at the origin's
+// number, fetches it again and the import replaces the damaged file — with
+// nothing new published on the origin. The origin's directory is first put in
+// the state a kill -9 before the MANIFEST.json write left under older builds:
+// the snapshot files alone must be enough for GET /snapshots to offer the key.
+// A handle that described the file while it was sound learns of the damage
+// from the restart's failed load, a reopened one from its first listing.
+func TestReplicaHealsDamagedSnapshot(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 1})
+	const key = "demo/maxent"
+	if _, err := f.Live.Ingest(fleettest.Rows(200, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Live.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(f.Primary().Store.Dir(), key, "MANIFEST.json")); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	primary, _ := f.Primary().Registry.Get(key)
+	want, err := primary.Estimator.EstimateCount(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, reopen := range []bool{true, false} {
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// start is one replica process lifetime over the store directory.
+		start := func() (*server.Registry, *fleet.Syncer) {
+			reg := server.NewRegistry()
+			if _, _, err := server.RestoreStore(reg, st); err != nil {
+				t.Fatal(err)
+			}
+			return reg, fleet.NewSyncer(f.Primary().URL(), st, reg, fleet.SyncerOptions{})
+		}
+		reg, syncer := start()
+		if _, err := syncer.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if ent, _ := reg.Get(key); ent.Served != 2 {
+			t.Fatalf("replica converged serving v%d, want v2", ent.Served)
+		}
+
+		newest := filepath.Join(dir, key, "v000002.snap")
+		data, err := os.ReadFile(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-5] ^= 0x10
+		if err := os.WriteFile(newest, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if reopen {
+			if st, err = store.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg, syncer = start()
+		if _, ok := reg.Get(key); ok {
+			t.Fatalf("reopen=%v: restart restored %s from a damaged file", reopen, key)
+		}
+
+		if _, err := syncer.SyncOnce(context.Background()); err != nil {
+			t.Fatalf("reopen=%v: healing pass: %v", reopen, err)
+		}
+		if _, _, err := st.ReadFramed(key, 2); err != nil {
+			t.Fatalf("reopen=%v: the replica's v2 still does not verify: %v", reopen, err)
+		}
+		ent, _ := reg.Get(key)
+		if ent.Served != 2 {
+			t.Fatalf("reopen=%v: replica serves v%d after healing, want v2", reopen, ent.Served)
+		}
+		got, err := ent.Estimator.EstimateCount(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCount(t, "healed replica", want, got)
 	}
 }

@@ -27,8 +27,9 @@ type SyncerOptions struct {
 }
 
 // Syncer keeps a replica's snapshot store and registry converged with an
-// origin node, pull-by-version: it lists the origin's manifests, fetches
-// every snapshot version the local store lacks over GET /sync/snapshot,
+// origin node, pull-by-version: it lists the versions the origin's store
+// holds (GET /snapshots), fetches every one the local store lacks — or holds
+// only as a file that no longer verifies — over GET /sync/snapshot,
 // imports each AT the origin's version number, and serves the newest of
 // every dataset key through the same publish a local refresh ends in
 // (server.Adopt). Because snapshot restore is bit-identical, a

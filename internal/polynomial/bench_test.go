@@ -67,7 +67,7 @@ func BenchmarkSystemEvalMasked(b *testing.B) {
 // real workloads mostly constrain 1–2 attributes, and the pruned path's
 // win grows with the fraction of terms the constrained set leaves
 // untouched. The all-attr variant is the adversarial shape where nearly
-// every term is touched and the delta bookkeeping buys nothing.
+// every term is a candidate.
 func selectivePreds(m int) map[string]*query.Predicate {
 	return map[string]*query.Predicate{
 		// One stat-bearing attribute, equality mask (the canonical
@@ -93,9 +93,7 @@ func selectivePreds(m int) map[string]*query.Predicate {
 var selectiveOrder = []string{"1attr", "1attrHot", "2attr", "allattr"}
 
 // BenchmarkSystemEvalMaskedSelective measures the pruned masked
-// evaluation across predicate selectivities; the FullWalk twin below runs
-// the identical predicates through the pre-index reference walk, so the
-// ratio between the two is the pruning win per shape.
+// evaluation across predicate selectivities.
 func BenchmarkSystemEvalMaskedSelective(b *testing.B) {
 	sys, _ := benchSystem(b)
 	sys.Eval(nil)
@@ -111,34 +109,6 @@ func BenchmarkSystemEvalMaskedSelective(b *testing.B) {
 	}
 }
 
-func BenchmarkSystemEvalMaskedFullWalk(b *testing.B) {
-	sys, _ := benchSystem(b)
-	sys.Eval(nil)
-	preds := selectivePreds(sys.Poly().NumAttrs())
-	for _, name := range selectiveOrder {
-		pred := preds[name]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = fullWalkEval(sys, pred)
-			}
-		})
-	}
-}
-
-// BenchmarkSystemDerivMultiMasked measures the pruned masked statistic
-// derivative (the conditioned-refresh shape).
-func BenchmarkSystemDerivMultiMasked(b *testing.B) {
-	sys, pred := benchSystem(b)
-	sys.Eval(nil)
-	ref := VarRef{Kind: Multi, Stat: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sys.Deriv(ref, pred)
-	}
-}
-
 func BenchmarkSystemDerivOneD(b *testing.B) {
 	sys, _ := benchSystem(b)
 	sys.Eval(nil)
@@ -146,18 +116,7 @@ func BenchmarkSystemDerivOneD(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sys.Deriv(ref, nil)
-	}
-}
-
-func BenchmarkSystemDerivOneDMasked(b *testing.B) {
-	sys, pred := benchSystem(b)
-	sys.Eval(nil)
-	ref := VarRef{Kind: OneD, Attr: 0, Value: 10}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sys.Deriv(ref, pred)
+		_ = sys.Deriv(ref)
 	}
 }
 
@@ -168,7 +127,7 @@ func BenchmarkSystemDerivMulti(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sys.Deriv(ref, nil)
+		_ = sys.Deriv(ref)
 	}
 }
 
@@ -183,7 +142,7 @@ func BenchmarkSolverShapedSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ref := refs[i%len(refs)]
 		_ = sys.Eval(nil)
-		_ = sys.Deriv(ref, nil)
+		_ = sys.Deriv(ref)
 	}
 }
 
@@ -201,7 +160,7 @@ func BenchmarkSolverShapedSweepUpdate(b *testing.B) {
 		ref := refs[i%len(refs)]
 		sys.Set(ref, 0.5+float64(i%7)*0.1)
 		_ = sys.Eval(nil)
-		_ = sys.Deriv(ref, nil)
+		_ = sys.Deriv(ref)
 	}
 }
 

@@ -272,8 +272,8 @@ func TestFirstMaskedReadsConcurrent(t *testing.T) {
 // scan of the terms: for random masks the enumerated candidates hold no
 // duplicate, hold every term the mask reaches whose masked value is
 // non-zero, and number at most the terms the mask reaches; per attribute the
-// O(1) count equals the number of constraining terms whose range overlaps
-// the hull, which is at most |{t : a ∈ I(t)}| = |starts[a]|.
+// two list lengths add up to the number of constraining terms whose range
+// overlaps the hull, which is at most |{t : a ∈ I(t)}| = |starts[a]|.
 func TestCandidateInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(233))
 	check := func(what string, sys *System, pred *query.Predicate) {
@@ -300,8 +300,10 @@ func TestCandidateInvariant(t *testing.T) {
 					overlapping++
 				}
 			}
-			if got := p.candidateCount(a, sc.lo[a], sc.hi[a]); got != overlapping || got > len(p.starts[a]) || len(p.starts[a]) != constraining {
-				t.Fatalf("%s pred %v attr %d: candidateCount = %d, %d terms overlap the hull, %d of %d listed terms constrain it",
+			// The two lists candidates enumerates for the attribute.
+			got := len(p.touch[a][sc.lo[a]]) + int(p.startOff[a][sc.hi[a]+1]-p.startOff[a][sc.lo[a]+1])
+			if got != overlapping || got > len(p.starts[a]) || len(p.starts[a]) != constraining {
+				t.Fatalf("%s pred %v attr %d: candidate lists hold %d terms, %d terms overlap the hull, %d of %d listed terms constrain it",
 					what, pred, a, got, overlapping, len(p.starts[a]), constraining)
 			}
 		}

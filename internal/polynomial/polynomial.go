@@ -388,13 +388,6 @@ func (c *Compressed) buildIndexes(terms []term) {
 	}
 }
 
-// candidateCount returns how many terms constrain attribute a with a range
-// that overlaps the (non-empty, in-domain) hull [lo, hi] — the length of the
-// candidate list candidates enumerates for it, from two list lengths.
-func (c *Compressed) candidateCount(a, lo, hi int) int {
-	return len(c.touch[a][lo]) + int(c.startOff[a][hi+1]-c.startOff[a][lo+1])
-}
-
 // rangeAt returns entry k = i·m+a of the range table: term i's effective
 // range on attribute a, the full domain where it does not constrain a.
 func (c *Compressed) rangeAt(k int) query.Range {

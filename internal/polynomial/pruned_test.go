@@ -21,15 +21,13 @@ func fullWalkEval(s *System, pred *query.Predicate) float64 {
 	return s.evalFullWalk(sc.cons)
 }
 
-// fullWalkDeriv runs the pre-index reference masked derivative.
+// fullWalkDeriv runs the pre-index reference masked derivative of a 1D
+// variable.
 func fullWalkDeriv(s *System, ref VarRef, pred *query.Predicate) float64 {
 	s.refreshAll()
 	sc := s.getScratch(pred)
 	defer s.putScratch(sc)
-	if ref.Kind == OneD {
-		return s.derivOneD(ref.Attr, ref.Value, sc.cons)
-	}
-	return s.derivMulti(ref.Stat, sc.cons)
+	return s.derivOneD(ref.Attr, ref.Value, sc.cons)
 }
 
 // closeEnough compares the pruned and full-walk values. The mask-delta
@@ -119,32 +117,6 @@ func TestPrunedEvalMatchesFullWalk(t *testing.T) {
 	}
 }
 
-// TestPrunedDerivMatchesFullWalk checks the pruned masked derivatives
-// (both α and δ variables) against the full-walk reference across the
-// same predicate shapes.
-func TestPrunedDerivMatchesFullWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 60; trial++ {
-		sizes, _, sys := randomInstance(rng)
-		sys.Eval(nil)
-		refs := sys.Variables()
-		for _, k := range []int{0, 1, 2, len(sizes)} {
-			pred := shapedPredicate(sizes, k, rng)
-			if pred == nil {
-				continue
-			}
-			for _, ref := range refs {
-				got := sys.Deriv(ref, pred)
-				want := fullWalkDeriv(sys, ref, pred)
-				if !closeEnough(got, want, sys.Total()) {
-					t.Fatalf("trial %d (%d attrs) pred %v var %v: pruned Deriv = %g, full walk = %g",
-						trial, k, pred, ref, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestPrunedEvalBenchShape pins the equivalence on the BENCH.md instance
 // shape (118 variables, 48 2D statistics) for the benchmark predicates
 // and a randomized predicate sweep — the exact shape the ≥5x acceptance
@@ -168,19 +140,9 @@ func TestPrunedEvalBenchShape(t *testing.T) {
 			t.Fatalf("pred %v: pruned Eval = %g, full walk = %g", p, got, want)
 		}
 	}
-	refs := []VarRef{
-		{Kind: OneD, Attr: 0, Value: 10},
-		{Kind: OneD, Attr: 5, Value: 2},
-		{Kind: Multi, Stat: 7},
-		{Kind: Multi, Stat: 40},
-	}
 	for _, p := range preds {
-		for _, ref := range refs {
-			got := sys.Deriv(ref, p)
-			want := fullWalkDeriv(sys, ref, p)
-			if !closeEnough(got, want, sys.Total()) {
-				t.Fatalf("pred %v var %v: pruned Deriv = %g, full walk = %g", p, ref, got, want)
-			}
+		for _, attr := range []int{0, 5} {
+			checkDerivColumn(t, "bench shape", sys, nil, attr, p)
 		}
 	}
 }
@@ -219,9 +181,10 @@ func TestPrunedEvalZeroAlphaFactors(t *testing.T) {
 }
 
 // TestMaskedEvalConcurrentReaders exercises the documented contract: after
-// one Eval(nil) handoff, concurrent masked Eval/Deriv calls are safe and
-// agree with their serial answers. Run under -race this also proves the
-// pruned path and its pooled scratch stay read-only.
+// one Eval(nil) handoff, concurrent masked Eval calls are safe and agree
+// with their serial answers (TestDerivColumnConcurrentReaders is the same
+// for the column pass). Run under -race this also proves the pruned path
+// and its pooled scratch stay read-only.
 func TestMaskedEvalConcurrentReaders(t *testing.T) {
 	sys, pred := benchSystem(t)
 	sys.Eval(nil)
@@ -229,12 +192,9 @@ func TestMaskedEvalConcurrentReaders(t *testing.T) {
 	for _, p := range selectivePreds(sys.Poly().NumAttrs()) {
 		preds = append(preds, p)
 	}
-	ref := VarRef{Kind: OneD, Attr: 0, Value: 10}
 	wantEval := make([]float64, len(preds))
-	wantDeriv := make([]float64, len(preds))
 	for i, p := range preds {
 		wantEval[i] = sys.Eval(p)
-		wantDeriv[i] = sys.Deriv(ref, p)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -248,10 +208,6 @@ func TestMaskedEvalConcurrentReaders(t *testing.T) {
 					errs <- "concurrent Eval diverged from serial answer"
 					return
 				}
-				if got := sys.Deriv(ref, preds[i]); got != wantDeriv[i] {
-					errs <- "concurrent Deriv diverged from serial answer"
-					return
-				}
 			}
 		}(g)
 	}
@@ -259,26 +215,6 @@ func TestMaskedEvalConcurrentReaders(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-// TestCutoffRoutesBenchShapes pins the route-to-full-walk calibration on the
-// BENCH.md instance: the all-attrs predicate (whose touched set is the whole
-// polynomial, the documented pruned-path regression) must route to the full
-// walk, while every selective shape stays on the pruned path.
-func TestCutoffRoutesBenchShapes(t *testing.T) {
-	sys, _ := benchSystem(t)
-	sys.Eval(nil)
-	for name, pred := range selectivePreds(sys.Poly().NumAttrs()) {
-		sc := sys.getScratch(pred)
-		_, pruned := sys.evalPruned(sc)
-		sys.putScratch(sc)
-		if name == "allattr" && pruned {
-			t.Fatalf("allattr predicate stayed on the pruned path; want full-walk routing")
-		}
-		if name != "allattr" && !pruned {
-			t.Fatalf("%s predicate routed to the full walk; want pruned path", name)
-		}
 	}
 }
 

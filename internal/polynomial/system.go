@@ -25,7 +25,7 @@ const rebuildEvery = 1 << 13
 // factors) together with the running total P. A single-variable update
 // touches only the terms whose effective range covers the variable
 // (Compressed.touch / Compressed.statTerms), so after a SetVar the full
-// polynomial value Eval(nil) and the unmasked derivatives Deriv(·, nil)
+// polynomial value Eval(nil) and the unmasked derivatives Deriv(·)
 // are available in O(terms touching the variable) instead of a full
 // re-evaluation — the property the solver's inner loop is built on.
 //
@@ -627,9 +627,8 @@ func (s *System) Eval(pred *query.Predicate) float64 {
 // evalFullWalk is the pre-index reference implementation of masked
 // evaluation: every term re-derives its full product under the
 // constraints. It is the fallback when the pruned path cannot run (more
-// than 64 attributes, a zero or non-finite full-domain sum) or would visit
-// (nearly) every term anyway, and the oracle the randomized equivalence
-// tests compare against.
+// than 64 attributes, a zero or non-finite full-domain sum) and the oracle
+// the randomized equivalence tests compare against.
 func (s *System) evalFullWalk(cons []query.Constraint) float64 {
 	total := 0.0
 	for i := range s.nz {
@@ -667,25 +666,6 @@ func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 	}
 	if sc.void {
 		return 0, true
-	}
-	// Route to the full walk when the candidates are (nearly) the whole
-	// polynomial: each then pays a factor swap per constrained attribute on
-	// top of the list bookkeeping, while the straight walk pays one m-factor
-	// pass per term with no overhead. The count is the sum of the
-	// per-attribute list lengths (a term constraining several attributes of S
-	// is counted under each, and skipped under all but the lowest), and the
-	// crossover
-	//
-	//	candidates·(|S|+2) ≥ terms·m
-	//
-	// sends the all-attrs shape to the walk while keeping every selective
-	// shape — even a wide range on the hottest attribute — on the pruned path.
-	count := 0
-	for _, a := range sc.attrs {
-		count += p.candidateCount(a, sc.lo[a], sc.hi[a])
-	}
-	if count*(len(sc.attrs)+2) >= p.NumTerms()*len(s.alpha) {
-		return 0, false
 	}
 	scale, sMask, ok := s.maskScale(sc, -1)
 	if !ok {
@@ -835,36 +815,17 @@ func (s *System) evalTerm(i int, cons []query.Constraint) float64 {
 	return v
 }
 
-// Deriv computes the partial derivative of the (masked) polynomial with
-// respect to the referenced variable. Because P is multi-linear, the
-// derivative is the sum over terms of the product of all other factors.
-// With a nil predicate the cached term factors answer it in O(terms
-// touching the variable).
-func (s *System) Deriv(ref VarRef, pred *query.Predicate) float64 {
-	if pred == nil {
-		switch ref.Kind {
-		case OneD:
-			return s.derivOneDCached(ref.Attr, ref.Value)
-		case Multi:
-			return s.derivMultiCached(ref.Stat)
-		default:
-			panic(fmt.Sprintf("polynomial: unknown variable kind %d", ref.Kind))
-		}
-	}
-	s.refreshAll()
-	sc := s.getScratch(pred)
-	defer s.putScratch(sc)
+// Deriv computes the partial derivative of the polynomial with respect to
+// the referenced variable. Because P is multi-linear, the derivative is the
+// sum over terms of the product of all other factors, which the cached term
+// factors answer in O(terms touching the variable). The masked derivative
+// has one reader, the group-by column: see DerivColumn.
+func (s *System) Deriv(ref VarRef) float64 {
 	switch ref.Kind {
 	case OneD:
-		if v, ok := s.derivOneDPruned(ref.Attr, ref.Value, sc); ok {
-			return v
-		}
-		return s.derivOneD(ref.Attr, ref.Value, sc.cons)
+		return s.derivOneDCached(ref.Attr, ref.Value)
 	case Multi:
-		if v, ok := s.derivMultiPruned(ref.Stat, sc); ok {
-			return v
-		}
-		return s.derivMulti(ref.Stat, sc.cons)
+		return s.derivMultiCached(ref.Stat)
 	default:
 		panic(fmt.Sprintf("polynomial: unknown variable kind %d", ref.Kind))
 	}
@@ -910,42 +871,6 @@ func (s *System) derivMultiCached(stat int) float64 {
 		total += s.exceptFactor(int(ti), f)
 	}
 	return total
-}
-
-// derivOneDPruned computes ∂(masked P)/∂α_{attr,value} as a delta over the
-// cached derivative structure: exactly the terms whose effective range on
-// attr contains the value occur (touch[attr][value] ∪ loose[attr], the
-// same set the cached unmasked derivative walks), the differentiated
-// attribute's factor becomes the indicator that the value satisfies the
-// mask, and within each term only the factors of the other constrained
-// attributes differ from the caches. Terms disjoint from S \ {attr} reuse
-// exceptFactor rescaled by Π_{a∈S\{attr}} M_a/F_a; the rest swap factors
-// term-locally. The second return reports applicability, as in evalPruned.
-func (s *System) derivOneDPruned(attr, value int, sc *evalScratch) (float64, bool) {
-	p := s.poly
-	if p.attrBits == nil {
-		return 0, false
-	}
-	if !sc.cons[attr].Matches(value) {
-		// The mask excludes the value: the variable does not occur in the
-		// masked polynomial at all.
-		return 0, true
-	}
-	if len(sc.attrs) == 0 {
-		return s.derivOneDCached(attr, value), true
-	}
-	scaleExcl, sMask, ok := s.maskScale(sc, attr)
-	if !ok {
-		return 0, false
-	}
-	total := 0.0
-	for _, ti := range p.touch[attr][value] {
-		total += s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
-	}
-	for _, ti := range p.loose[attr] {
-		total += s.maskedExceptAttr(int(ti), attr, sc, sMask, scaleExcl)
-	}
-	return total, true
 }
 
 // maskScale prepares a masked pass: over the constrained attributes except
@@ -1106,48 +1031,9 @@ func (s *System) setColumns(attr int) *setColumns {
 	return publish(&ps.cols[attr], c)
 }
 
-// derivMultiPruned computes ∂(masked P)/∂δ_stat over statTerms[stat] using
-// the cached factor products: the (δ_stat − 1) factor is removed
-// term-locally and only the constrained attributes' factors are swapped
-// for their masked counterparts; terms disjoint from S reuse exceptFactor
-// rescaled by Π_{a∈S} M_a/F_a. The second return reports applicability.
-func (s *System) derivMultiPruned(stat int, sc *evalScratch) (float64, bool) {
-	p := s.poly
-	if p.attrBits == nil {
-		return 0, false
-	}
-	if len(sc.attrs) == 0 {
-		return s.derivMultiCached(stat), true
-	}
-	scale, sMask, ok := s.maskScale(sc, -1)
-	if !ok {
-		return 0, false
-	}
-	d := s.delta[stat] - 1
-	total := 0.0
-	for _, ti := range p.statTerms[stat] {
-		i := int(ti)
-		if p.attrBits[i]&sMask == 0 {
-			total += scale * s.exceptFactor(i, d)
-			continue
-		}
-		val, z := s.nz[i], s.zeros[i]
-		if d == 0 {
-			z--
-		} else {
-			val /= d
-		}
-		val, z = s.maskedFactorSwap(i, -1, sc, val, z)
-		if z == 0 {
-			total += val
-		}
-	}
-	return total, true
-}
-
-// derivOneD is the full-walk masked derivative — the fallback for the
-// shapes derivOneDPruned cannot cover and the reference implementation the
-// equivalence tests compare against.
+// derivOneD is the full-walk masked derivative — DerivColumn's fallback for
+// the shapes its pruned pass cannot cover and the reference implementation
+// the equivalence tests compare against.
 func (s *System) derivOneD(attr, value int, cons []query.Constraint) float64 {
 	// If the mask excludes the value, the variable does not occur in the
 	// masked polynomial at all.
@@ -1188,37 +1074,6 @@ func (s *System) derivOneD(attr, value int, cons []query.Constraint) float64 {
 	return total
 }
 
-// derivMulti is the full-walk masked statistic derivative — the fallback
-// for the shapes derivMultiPruned cannot cover and the reference
-// implementation the equivalence tests compare against.
-func (s *System) derivMulti(stat int, cons []query.Constraint) float64 {
-	total := 0.0
-	m := len(s.alpha)
-	for _, ti := range s.poly.statTerms[stat] {
-		prod := 1.0
-		skip := false
-		for a := range s.alpha {
-			f := s.maskedSum(a, s.poly.rangeAt(int(ti)*m+a), cons[a])
-			if f == 0 {
-				skip = true
-				break
-			}
-			prod *= f
-		}
-		if skip {
-			continue
-		}
-		for _, j := range s.poly.stats[ti] {
-			if j == stat {
-				continue
-			}
-			prod *= s.delta[j] - 1
-		}
-		total += prod
-	}
-	return total
-}
-
 // Expectation returns E[⟨c,I⟩] = n · x · ∂P/∂x / P for the statistic whose
 // variable is ref (Eq. (8)), given the relation cardinality n and the
 // current full polynomial value p (p must equal Eval(nil)).
@@ -1226,7 +1081,7 @@ func (s *System) Expectation(ref VarRef, n, p float64) float64 {
 	if p == 0 {
 		return 0
 	}
-	return n * s.Get(ref) * s.Deriv(ref, nil) / p
+	return n * s.Get(ref) * s.Deriv(ref) / p
 }
 
 // TupleWeight returns the monomial value of a single encoded tuple under the

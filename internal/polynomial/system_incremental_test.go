@@ -61,7 +61,7 @@ func TestSystemIncrementalMatchesRebuild(t *testing.T) {
 			t.Fatalf("step %d: incremental P = %g, rebuilt P = %g", step, got, want)
 		}
 		for _, r := range refs {
-			if got, want := sys.Deriv(r, nil), fresh.Deriv(r, nil); !approxEqual(got, want) {
+			if got, want := sys.Deriv(r), fresh.Deriv(r); !approxEqual(got, want) {
 				t.Fatalf("step %d var %v: incremental ∂P = %g, rebuilt ∂P = %g", step, r, got, want)
 			}
 		}

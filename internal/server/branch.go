@@ -24,8 +24,8 @@ type BranchResponse struct {
 	Rows int `json:"rows"`
 	// Registered lists the estimator names now serving the branch.
 	Registered []string `json:"registered"`
-	// SnapshotVersion is the branch's own first snapshot version (its v1,
-	// carrying the fork lineage in its manifest).
+	// SnapshotVersion is the branch's own first snapshot version (its v1;
+	// the fork lineage is recorded beside it).
 	SnapshotVersion int   `json:"snapshot_version"`
 	ElapsedNS       int64 `json:"elapsed_ns"`
 }
@@ -38,8 +38,8 @@ type BranchResponse struct {
 // zero-copy capacity-capped view of the parent's first N-version rows, so
 // divergent appends on either side reallocate instead of overwriting
 // shared columns. The fork summary is saved as the branch's snapshot v1
-// with lineage recorded in its manifest, which also implicitly pins the
-// parent's fork-point version against pruning.
+// with its lineage recorded beside it (store.SetParent), which also
+// implicitly pins the parent's fork-point version against pruning.
 func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
 	if r.Method != http.MethodPost {

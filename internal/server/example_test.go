@@ -93,9 +93,9 @@ func ExampleServer_timeTravel() {
 // ExampleServer_branch forks a live dataset at a retained snapshot into
 // an independently-ingestable branch. The fork summary serves the branch
 // as-is (bit-identical answers at the fork point), the branch relation is
-// a zero-copy view of the parent's rows, and the lineage is recorded in
-// the branch manifest — which also shields the parent's fork-point
-// version from pruning.
+// a zero-copy view of the parent's rows, and the lineage is recorded
+// beside the branch's snapshots — which also shields the parent's
+// fork-point version from pruning.
 func ExampleServer_branch() {
 	ts, st, cleanup := exampleServer()
 	defer cleanup()

@@ -143,8 +143,9 @@ func (s *Server) requireStore(w http.ResponseWriter) bool {
 	return true
 }
 
-// handleSnapshotList serves GET /snapshots: every dataset manifest of the
-// configured store (datasets, versions, sizes, checksums, timestamps).
+// handleSnapshotList serves GET /snapshots: every dataset key of the
+// configured store with the versions its directory holds (sizes, checksums
+// and timestamps as read off the snapshot files) and its lineage.
 func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})

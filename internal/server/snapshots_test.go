@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -214,5 +216,48 @@ func TestRestoreProblemsAreIsolated(t *testing.T) {
 	}
 	if len(problems) != 0 || len(restored) != 1 || restored[0] != "other/maxent" {
 		t.Fatalf("excepted restore: restored=%v problems=%+v", restored, problems)
+	}
+}
+
+// TestRestoreFindsKeyWithoutManifest: a kill -9 between linking a key's first
+// snapshot file and writing the MANIFEST.json older builds kept beside it
+// left a loadable version no listing showed. The snapshot files are what a
+// listing reads, so a restart restores the key and GET /snapshots — what a
+// replica's syncer pulls from — names it.
+func TestRestoreFindsKeyWithoutManifest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(3)))
+	if _, err := server.BuildDataset(server.NewRegistry(), "demo", rel, server.DatasetOptions{SkipExact: true, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "demo", "maxent", "MANIFEST.json")); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+
+	reopened, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	restored, problems, err := server.RestoreStore(reg, reopened)
+	if err != nil || len(problems) != 0 || len(restored) != 1 || restored[0] != "demo/maxent" {
+		t.Fatalf("restored %v, problems %+v, err %v; want [demo/maxent]", restored, problems, err)
+	}
+	ts := httptest.NewServer(server.New(reg, server.Options{Store: reopened}).Handler())
+	defer ts.Close()
+	resp, body := get(t, ts.URL+"/snapshots")
+	var listed server.SnapshotsResponse
+	if err := json.Unmarshal(body, &listed); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /snapshots: %d %s (%v)", resp.StatusCode, body, err)
+	}
+	if len(listed.Datasets) != 1 || listed.Datasets[0].Dataset != "demo/maxent" || len(listed.Datasets[0].Snapshots) != 1 {
+		t.Fatalf("GET /snapshots = %+v, want demo/maxent at one version", listed.Datasets)
+	}
+	if _, err := reopened.Prune("demo/maxent", 1); err != nil {
+		t.Fatalf("Prune of the key: %v", err)
 	}
 }

@@ -265,7 +265,7 @@ func TestVersionedBatchOverHTTP(t *testing.T) {
 // checks the three isolation properties: the branch answers from the fork
 // summary (bit-identical to the parent's v1), parent ingests never leak
 // into the branch, and branch ingests never leak into the parent. The
-// fork's lineage must land in the branch manifest and shield the parent's
+// fork's lineage must land in the branch's record and shield the parent's
 // fork-point version from pruning.
 func TestBranchThenIngestIsolation(t *testing.T) {
 	ts, st, parentLive := newVersionedServer(t, 1500, 2, server.Options{CacheSize: -1})
@@ -283,7 +283,7 @@ func TestBranchThenIngestIsolation(t *testing.T) {
 		t.Fatalf("branch response: %+v", br)
 	}
 
-	// Lineage is durable: the fork manifest names demo/maxent v1.
+	// Lineage is durable: the fork's record names demo/maxent v1.
 	man, err := st.Versions("fork/maxent")
 	if err != nil {
 		t.Fatal(err)

@@ -245,7 +245,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 // the whole sequential application pass.
 func derivBatch(sys *polynomial.System, b *block) {
 	for i, c := range b.cs {
-		b.pds[i] = sys.Deriv(c.Var, nil)
+		b.pds[i] = sys.Deriv(c.Var)
 	}
 }
 
@@ -302,7 +302,7 @@ func maxViolation(sys *polynomial.System, constraints []Constraint, n float64) f
 	}
 	worst := 0.0
 	for _, c := range constraints {
-		e := n * sys.Get(c.Var) * sys.Deriv(c.Var, nil) / p
+		e := n * sys.Get(c.Var) * sys.Deriv(c.Var) / p
 		v := math.Abs(c.Target-e) / n
 		if v > worst {
 			worst = v
@@ -324,7 +324,7 @@ func Violations(sys *polynomial.System, constraints []Constraint, n float64) []f
 		return out
 	}
 	for i, c := range constraints {
-		e := n * sys.Get(c.Var) * sys.Deriv(c.Var, nil) / p
+		e := n * sys.Get(c.Var) * sys.Deriv(c.Var) / p
 		out[i] = math.Abs(c.Target-e) / n
 	}
 	return out

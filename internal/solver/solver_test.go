@@ -54,7 +54,7 @@ func TestSolveTinyRelationConverges(t *testing.T) {
 		t.Fatalf("P = %g, want > 0", p)
 	}
 	for _, c := range constraints {
-		e := n * sys.Get(c.Var) * sys.Deriv(c.Var, nil) / p
+		e := n * sys.Get(c.Var) * sys.Deriv(c.Var) / p
 		if math.Abs(e-c.Target) > 1e-6*n {
 			t.Errorf("constraint %v: expected count %g, want %g", c.Var, e, c.Target)
 		}

@@ -125,8 +125,8 @@ func TestSolveWarmStartConvergesFaster(t *testing.T) {
 	// must agree on every expected count within the tolerance.
 	pw, pc := warm.Eval(nil), cold.Eval(nil)
 	for _, c := range grown {
-		ew := nGrown * warm.Get(c.Var) * warm.Deriv(c.Var, nil) / pw
-		ec := nGrown * cold.Get(c.Var) * cold.Deriv(c.Var, nil) / pc
+		ew := nGrown * warm.Get(c.Var) * warm.Deriv(c.Var) / pw
+		ec := nGrown * cold.Get(c.Var) * cold.Deriv(c.Var) / pc
 		if diff := ew - ec; diff > 3e-7*nGrown || diff < -3e-7*nGrown {
 			t.Errorf("constraint %v: warm expectation %g vs cold %g", c.Var, ew, ec)
 		}

@@ -7,10 +7,16 @@
 //
 // Layout: one directory per dataset key (keys are slash-separated name
 // segments, conventionally "<dataset>/<strategy>"), holding monotonically
-// versioned snapshot files v000001.snap, v000002.snap, … plus a
-// MANIFEST.json describing them. Every file is written to a temporary
-// name and atomically renamed into place, so readers never observe a
-// partial snapshot and a crashed writer leaves at most a *.tmp straggler.
+// versioned snapshot files v000001.snap, v000002.snap, …. The directory is
+// the only authority: a version of a key exists iff its file is linked, and
+// everything the store says about it (size, checksum, estimator name,
+// creation time) is read off that file's verified frame and its mtime.
+// Nothing re-describes the files, so there is nothing a crash can leave
+// inconsistent with them. The one record kept beside the snapshots is a
+// branch's lineage: MANIFEST.json names the parent snapshot a dataset was
+// forked from (see SetParent). Every file is written to a temporary name
+// and linked or renamed into place, so readers never observe a partial
+// file and a crashed writer leaves at most a *.tmp-* straggler.
 //
 // On-disk snapshot framing (internal/frame): an 8-byte magic, a format
 // version, the payload length, and a CRC32-C checksum, followed by the
@@ -48,7 +54,7 @@ const (
 	formatVersion = 1
 	// headerSize is the frame header in front of every payload.
 	headerSize = frame.HeaderSize
-	// manifestName is the per-dataset manifest file.
+	// manifestName is the per-dataset lineage record.
 	manifestName = "MANIFEST.json"
 	// maxPayload bounds how large a payload Load will read (1 GiB), so a
 	// corrupted length field cannot drive an absurd allocation.
@@ -66,8 +72,8 @@ var ErrNotFound = errors.New("snapshot not found")
 // keySegment validates one path segment of a dataset key.
 var keySegment = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]*$`)
 
-// SnapshotInfo describes one stored snapshot; it is both the manifest
-// entry and the wire shape of the summaryd snapshot endpoints.
+// SnapshotInfo describes one stored snapshot, as read off its file; it is
+// also the wire shape of the summaryd snapshot endpoints.
 type SnapshotInfo struct {
 	// Dataset is the key the snapshot is stored under, conventionally
 	// "<dataset>/<strategy>".
@@ -81,14 +87,15 @@ type SnapshotInfo struct {
 	Bytes int64 `json:"bytes"`
 	// Checksum is the CRC32-C of the payload.
 	Checksum uint32 `json:"checksum"`
-	// CreatedAt is the save wall-clock time (UTC).
+	// CreatedAt is the snapshot file's modification time (UTC): when this
+	// node saved or imported it.
 	CreatedAt time.Time `json:"created_at"`
 }
 
 // Lineage names the snapshot a branched dataset was forked from: the
 // parent dataset key and the parent version that is the branch's fork
-// point. It is recorded in the branch's manifest so tooling can walk the
-// version DAG, and so Prune on the parent treats the fork point as
+// point. It is recorded in the branch's MANIFEST.json so tooling can walk
+// the version DAG, and so Prune on the parent treats the fork point as
 // implicitly pinned (a branch whose origin snapshot is gone can no longer
 // be diffed against, or re-forked from, where it diverged).
 type Lineage struct {
@@ -96,12 +103,21 @@ type Lineage struct {
 	Version int    `json:"version"`
 }
 
-// Manifest lists the live snapshots of one dataset key, ascending by
-// version. Parent, when set, records the branch lineage (see Lineage).
+// Manifest is the view of one dataset key: its sound snapshots, ascending
+// by version, and — when set — its branch lineage (see Lineage). It is
+// assembled from the directory on every call, never stored.
 type Manifest struct {
 	Dataset   string         `json:"dataset"`
 	Parent    *Lineage       `json:"parent,omitempty"`
 	Snapshots []SnapshotInfo `json:"snapshots"`
+}
+
+// lineageFile is what MANIFEST.json holds. Files written by older builds
+// also carry a "snapshots" array re-describing the directory; it is
+// ignored.
+type lineageFile struct {
+	Dataset string   `json:"dataset"`
+	Parent  *Lineage `json:"parent,omitempty"`
 }
 
 // Latest returns the newest snapshot of the manifest.
@@ -112,30 +128,36 @@ func (m Manifest) Latest() (SnapshotInfo, bool) {
 	return m.Snapshots[len(m.Snapshots)-1], true
 }
 
-// Store is a directory-backed snapshot store. Saves within one process
-// are serialized by an internal mutex; loads are lock-free and may run
-// concurrently with saves, because completed snapshot files are immutable
-// and both snapshots and manifests become visible only through atomic
-// renames.
+// Store is a directory-backed snapshot store. Writers within one process
+// are serialized by an internal mutex; reads are lock-free and may run
+// concurrently with saves, because a linked snapshot file is immutable and
+// becomes visible only complete.
 //
 // Across processes (a batch cmd/summarize writing the directory a live
 // summaryd serves from), safety rests on the filesystem: a version is
 // claimed by link(2)ing the finished temp file to its final name, which
 // fails on an existing target — so a snapshot file, once saved, can never
-// be clobbered and version numbers are never handed out twice. Manifest
-// rewrites merge the on-disk manifest and the directory listing first, so
-// an entry a concurrent writer published is folded in rather than
-// dropped; an interleaving that still loses a manifest entry leaves the
-// snapshot file intact and the entry is healed back in by the next save
-// or prune.
+// be clobbered and version numbers are never handed out twice. Every
+// handle reads the same directory, so there is no shared index for
+// concurrent writers to lose entries from.
 type Store struct {
 	dir string
 	mu  sync.Mutex
-	now func() time.Time // injectable for tests
 	// pins refcounts the snapshot versions currently referenced by live
 	// serving code (dataset key → version → refcount); Prune never removes
 	// a pinned version.
 	pins map[string]map[int]int
+
+	// known remembers the description of snapshot files this handle has
+	// verified. A linked file is immutable, so a listing re-reads only the
+	// files it has not described yet; any failed read of a file forgets it.
+	knownMu sync.Mutex
+	known   map[snapshotID]SnapshotInfo
+}
+
+type snapshotID struct {
+	dataset string
+	version int
 }
 
 // Open validates dir as a snapshot store root: it creates the directory
@@ -149,16 +171,14 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
-	probe, err := os.CreateTemp(dir, ".probe-*")
+	probe, err := stageFile(dir, ".probe-*", nil)
 	if err != nil {
 		return nil, fmt.Errorf("store: directory %s is not writable: %w", dir, err)
 	}
-	name := probe.Name()
-	probe.Close()
-	if err := os.Remove(name); err != nil {
+	if err := os.Remove(probe); err != nil {
 		return nil, fmt.Errorf("store: cleaning writability probe: %w", err)
 	}
-	return &Store{dir: dir, now: time.Now, pins: make(map[string]map[int]int)}, nil
+	return &Store{dir: dir, pins: make(map[string]map[int]int), known: make(map[snapshotID]SnapshotInfo)}, nil
 }
 
 // Pin marks one snapshot version as referenced by a live serving process
@@ -234,9 +254,22 @@ func (s *Store) datasetDir(dataset string) string {
 
 func snapshotFile(version int) string { return fmt.Sprintf("v%06d.snap", version) }
 
-// Save encodes the estimator and writes it as the next version of the
-// dataset key, atomically, then folds it into the manifest. Only solved
-// summaries are snapshot-able; see summary.EncodeEstimator.
+func (s *Store) snapshotPath(dataset string, version int) string {
+	return filepath.Join(s.datasetDir(dataset), snapshotFile(version))
+}
+
+// snapshotVersion parses a directory entry name as a snapshot file.
+func snapshotVersion(name string) (int, bool) {
+	var v int
+	if _, err := fmt.Sscanf(name, "v%06d.snap", &v); err != nil || v < 1 || snapshotFile(v) != name {
+		return 0, false
+	}
+	return v, true
+}
+
+// Save encodes the estimator and links it in as the next version of the
+// dataset key. Only solved summaries are snapshot-able; see
+// summary.EncodeEstimator.
 func (s *Store) Save(dataset string, est core.Estimator) (SnapshotInfo, error) {
 	if err := validateKey(dataset); err != nil {
 		return SnapshotInfo{}, err
@@ -248,35 +281,18 @@ func (s *Store) Save(dataset string, est core.Estimator) (SnapshotInfo, error) {
 	if err := summary.EncodeEstimator(&framed, est); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("store: encode %q: %w", dataset, err)
 	}
-	sum, err := frame.Seal(framed.Bytes(), magic, formatVersion, maxPayload)
-	if err != nil {
+	if _, err := frame.Seal(framed.Bytes(), magic, formatVersion, maxPayload); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("store: encode %q: %v", dataset, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	dir := s.datasetDir(dataset)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return SnapshotInfo{}, fmt.Errorf("store: create %s: %w", dir, err)
-	}
-
-	info := SnapshotInfo{
-		Dataset:   dataset,
-		Estimator: est.Name(),
-		Bytes:     int64(framed.Len() - headerSize),
-		Checksum:  sum,
-		CreatedAt: s.now().UTC(),
-	}
 	version, err := s.claimVersion(dataset, framed.Bytes())
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	info.Version = version
-	if err := s.mergeIntoManifest(dataset, []SnapshotInfo{info}, nil); err != nil {
-		return SnapshotInfo{}, err
-	}
-	return info, nil
+	_, info, err := s.readSnapshot(dataset, version)
+	return info, err
 }
 
 // claimVersion writes the framed snapshot to a temp file and claims the
@@ -286,30 +302,20 @@ func (s *Store) Save(dataset string, est core.Estimator) (SnapshotInfo, error) {
 // loser of the race simply retries with the next number.
 func (s *Store) claimVersion(dataset string, framed []byte) (int, error) {
 	dir := s.datasetDir(dataset)
-	tmp, err := os.CreateTemp(dir, ".snap.tmp-*")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("store: create %s: %w", dir, err)
+	}
+	tmp, err := stageFile(dir, ".snap.tmp-*", framed)
 	if err != nil {
 		return 0, fmt.Errorf("store: write snapshot %q: %w", dataset, err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(framed); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: write snapshot %q: %w", dataset, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: write snapshot %q: %w", dataset, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("store: write snapshot %q: %w", dataset, err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return 0, fmt.Errorf("store: write snapshot %q: %w", dataset, err)
-	}
+	defer os.Remove(tmp)
 
-	version := s.nextVersion(dataset)
+	// One past the highest linked file, sound or not: a number that was
+	// ever handed out is never reused.
+	version := s.latestLinked(dataset) + 1
 	for attempt := 0; attempt < 1000; attempt, version = attempt+1, version+1 {
-		err := os.Link(tmpName, filepath.Join(dir, snapshotFile(version)))
+		err := os.Link(tmp, filepath.Join(dir, snapshotFile(version)))
 		if err == nil {
 			return version, nil
 		}
@@ -321,82 +327,111 @@ func (s *Store) claimVersion(dataset string, framed []byte) (int, error) {
 	return 0, fmt.Errorf("store: could not claim a version for %q after 1000 attempts", dataset)
 }
 
-// nextVersion returns one past the highest version visible in either the
-// manifest or the directory itself, so a stale manifest (e.g. one a
-// concurrent writer has not merged yet) can never cause a version to be
-// reused.
-func (s *Store) nextVersion(dataset string) int {
-	// An unreadable manifest counts as empty here: the directory still
-	// bounds the versions in use.
-	man, _ := s.readManifest(dataset)
-	return s.highestVersion(dataset, man) + 1
-}
-
-// highestVersion returns the highest version in manifest ∪ directory, 0
-// when the dataset has no snapshot.
-func (s *Store) highestVersion(dataset string, man Manifest) int {
-	max := 0
-	if last, ok := man.Latest(); ok {
-		max = last.Version
-	}
-	for _, v := range s.diskVersions(dataset) {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// resolve returns the manifest entry of one snapshot; version <= 0 selects
-// the latest, the highest version in manifest ∪ directory. The manifest is
-// an index, not the authority: with independent Store handles on one
-// directory a racing manifest rewrite can drop the entry of a version whose
-// file was linked after the rewriter's scan, until the next Save heals it.
-// A version the manifest does not list is therefore looked up on disk and
-// described from its verified frame; one that is neither listed nor on disk
-// (never saved, or pruned) is ErrNotFound, and an unlisted file that fails
-// verification is ErrCorrupt.
-func (s *Store) resolve(dataset string, version int) (SnapshotInfo, error) {
-	man, err := s.readManifest(dataset)
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return SnapshotInfo{}, err
-	}
-	if version <= 0 {
-		if version = s.highestVersion(dataset, man); version == 0 {
-			return SnapshotInfo{}, fmt.Errorf("store: dataset %q has no snapshots: %w", dataset, ErrNotFound)
-		}
-	}
-	for _, sn := range man.Snapshots {
-		if sn.Version == version {
-			return sn, nil
-		}
-	}
-	info, err := s.statSnapshot(dataset, version)
-	if errors.Is(err, ErrNotFound) {
-		return SnapshotInfo{}, fmt.Errorf("store: dataset %q has no version %d: %w", dataset, version, ErrNotFound)
-	}
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, version, err)
-	}
-	return info, nil
-}
-
-// diskVersions lists the snapshot versions physically present in the
-// dataset directory, ascending.
-func (s *Store) diskVersions(dataset string) []int {
+// linkedVersions lists the snapshot versions linked in the dataset
+// directory, ascending.
+func (s *Store) linkedVersions(dataset string) []int {
 	entries, err := os.ReadDir(s.datasetDir(dataset))
 	if err != nil {
 		return nil
 	}
 	var out []int
 	for _, e := range entries {
-		var v int
-		if _, err := fmt.Sscanf(e.Name(), "v%06d.snap", &v); err == nil && snapshotFile(v) == e.Name() {
+		if v, ok := snapshotVersion(e.Name()); ok {
 			out = append(out, v)
 		}
 	}
 	sort.Ints(out)
 	return out
+}
+
+// latestLinked returns the highest linked version of the dataset key, 0
+// when it has none.
+func (s *Store) latestLinked(dataset string) int {
+	linked := s.linkedVersions(dataset)
+	if len(linked) == 0 {
+		return 0
+	}
+	return linked[len(linked)-1]
+}
+
+// readSnapshot reads one linked snapshot file and returns its verified
+// frame — header, then payload — and its description. It is the one place a
+// SnapshotInfo is made: checksum and length from the frame header, the
+// estimator name from the payload's prefix, the creation time from the
+// file's mtime; the handle remembers it until a read of the file fails.
+// version <= 0 selects the latest: the highest linked version, whether or
+// not it verifies (a damaged newest file is ErrCorrupt, never silently an
+// older model). A version that is not linked (never saved, or pruned) is
+// ErrNotFound.
+func (s *Store) readSnapshot(dataset string, version int) ([]byte, SnapshotInfo, error) {
+	if version <= 0 {
+		if version = s.latestLinked(dataset); version == 0 {
+			return nil, SnapshotInfo{}, fmt.Errorf("store: dataset %q has no snapshots: %w", dataset, ErrNotFound)
+		}
+	}
+	framed, info, err := readDescribed(s.snapshotPath(dataset, version))
+	if err != nil {
+		s.forget(dataset, version)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, SnapshotInfo{}, fmt.Errorf("store: dataset %q has no version %d: %w", dataset, version, ErrNotFound)
+		}
+		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, version, err)
+	}
+	info.Dataset, info.Version = dataset, version
+	s.knownMu.Lock()
+	s.known[snapshotID{dataset, version}] = info
+	s.knownMu.Unlock()
+	return framed, info, nil
+}
+
+// readDescribed reads the snapshot file at path and describes what it
+// holds; the caller fills in the key and version the path stands for.
+func readDescribed(path string) ([]byte, SnapshotInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	framed := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, framed); err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	sum, name, err := verifyFrame(framed)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	return framed, SnapshotInfo{
+		Estimator: name,
+		Bytes:     int64(len(framed) - headerSize),
+		Checksum:  sum,
+		CreatedAt: fi.ModTime().UTC(),
+	}, nil
+}
+
+// verifyFrame checks one snapshot frame held in memory — framing, checksum
+// and a decodable estimator name at the head of the payload, which is
+// framed[headerSize:] — and returns the checksum and the name. Every
+// failure is ErrCorrupt.
+func verifyFrame(framed []byte) (uint32, string, error) {
+	payload, _, sum, err := frame.Verify(bytes.NewReader(framed), magic, formatVersion, formatVersion, maxPayload)
+	if err != nil {
+		return 0, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	name, err := summary.PeekName(bytes.NewReader(payload))
+	if err != nil {
+		return 0, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return sum, name, nil
+}
+
+func (s *Store) forget(dataset string, version int) {
+	s.knownMu.Lock()
+	delete(s.known, snapshotID{dataset, version})
+	s.knownMu.Unlock()
 }
 
 // Load reads and verifies one snapshot and reconstructs its estimator.
@@ -407,61 +442,62 @@ func (s *Store) Load(dataset string, version int) (core.Estimator, SnapshotInfo,
 	if err := validateKey(dataset); err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	info, err := s.resolve(dataset, version)
+	framed, info, err := s.readSnapshot(dataset, version)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	path := filepath.Join(s.datasetDir(dataset), snapshotFile(info.Version))
-	payload, _, err := readFramed(path)
-	if err != nil {
-		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w", dataset, info.Version, err)
-	}
-	est, err := summary.DecodeEstimator(bytes.NewReader(payload))
+	est, err := summary.DecodeEstimator(bytes.NewReader(framed[headerSize:]))
 	if err != nil {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot %q v%d: %w: %v", dataset, info.Version, ErrCorrupt, err)
 	}
 	return est, info, nil
 }
 
-// readFramed reads a snapshot file and returns its verified payload and
-// the payload's checksum.
-func readFramed(path string) ([]byte, uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, 0, fmt.Errorf("%w: %v", ErrNotFound, err)
-		}
-		return nil, 0, err
-	}
-	defer f.Close()
-	return verifyFrame(f)
-}
-
-// verifyFrame checks one snapshot frame — a file, or a bytes.Reader over a
-// frame held in memory — and returns its payload and checksum. Every
-// failure is ErrCorrupt.
-func verifyFrame(in io.Reader) ([]byte, uint32, error) {
-	payload, _, sum, err := frame.Verify(in, magic, formatVersion, formatVersion, maxPayload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return payload, sum, nil
-}
-
-// Versions returns the manifest of one dataset key.
+// Versions returns the view of one dataset key: every linked version whose
+// file verifies, and the key's lineage. A key with no linked snapshot file
+// is ErrNotFound.
 func (s *Store) Versions(dataset string) (Manifest, error) {
 	if err := validateKey(dataset); err != nil {
 		return Manifest{}, err
 	}
-	return s.readManifest(dataset)
+	return s.manifest(dataset, s.linkedVersions(dataset))
 }
 
-// SetParent records branch lineage in the dataset's manifest: the parent
-// snapshot the dataset was forked from. The parent snapshot must exist,
-// and the dataset must already have a manifest (fork first, then record
-// parentage). Lineage is immutable once set — re-parenting a branch would
-// silently rewrite history, so SetParent refuses to overwrite a different
-// existing parent.
+// manifest assembles the view of a key from its linked versions. A file the
+// handle has described before is not read again; one that does not verify is
+// not a version and is left out.
+func (s *Store) manifest(dataset string, linked []int) (Manifest, error) {
+	if len(linked) == 0 {
+		return Manifest{}, fmt.Errorf("store: dataset %q: %w", dataset, ErrNotFound)
+	}
+	parent, err := s.readLineage(dataset)
+	if err != nil {
+		return Manifest{}, err
+	}
+	man := Manifest{Dataset: dataset, Parent: parent, Snapshots: make([]SnapshotInfo, 0, len(linked))}
+	for _, v := range linked {
+		s.knownMu.Lock()
+		info, ok := s.known[snapshotID{dataset, v}]
+		s.knownMu.Unlock()
+		if !ok {
+			if _, info, err = s.readSnapshot(dataset, v); err != nil {
+				if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) {
+					continue
+				}
+				return Manifest{}, err
+			}
+		}
+		man.Snapshots = append(man.Snapshots, info)
+	}
+	return man, nil
+}
+
+// SetParent records branch lineage beside the dataset's snapshots: the
+// parent snapshot the dataset was forked from. The parent version must be
+// linked, and the dataset must already hold a snapshot (fork first, then
+// record parentage). Lineage is immutable once set — re-parenting a branch
+// would silently rewrite history, so SetParent refuses to overwrite a
+// different existing parent.
 func (s *Store) SetParent(dataset string, parent Lineage) error {
 	if err := validateKey(dataset); err != nil {
 		return err
@@ -474,57 +510,80 @@ func (s *Store) SetParent(dataset string, parent Lineage) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pman, err := s.readManifest(parent.Dataset)
-	if err != nil {
-		return err
-	}
-	found := false
-	for _, sn := range pman.Snapshots {
-		if sn.Version == parent.Version {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if _, err := os.Stat(s.snapshotPath(parent.Dataset, parent.Version)); err != nil {
 		return fmt.Errorf("store: lineage parent %q has no version %d: %w", parent.Dataset, parent.Version, ErrNotFound)
 	}
-	man, err := s.readManifest(dataset)
+	if s.latestLinked(dataset) == 0 {
+		return fmt.Errorf("store: dataset %q: %w", dataset, ErrNotFound)
+	}
+	have, err := s.readLineage(dataset)
 	if err != nil {
 		return err
 	}
-	if man.Parent != nil && *man.Parent != parent {
-		return fmt.Errorf("store: dataset %q already has lineage parent %s v%d", dataset, man.Parent.Dataset, man.Parent.Version)
+	if have != nil && *have != parent {
+		return fmt.Errorf("store: dataset %q already has lineage parent %s v%d", dataset, have.Dataset, have.Version)
 	}
-	man.Parent = &parent
-	return s.writeManifest(dataset, man)
+	return s.writeManifest(dataset, parent)
 }
 
-// List walks the store and returns every dataset manifest, sorted by
-// dataset key.
-func (s *Store) List() ([]Manifest, error) {
-	var out []Manifest
+// keyVersions is one dataset key found by scan and its linked versions,
+// ascending.
+type keyVersions struct {
+	key    string
+	linked []int
+}
+
+// scan walks the store once and returns every dataset key — a directory
+// holding at least one snapshot file — sorted by key.
+func (s *Store) scan() ([]keyVersions, error) {
+	var out []keyVersions
+	at := make(map[string]int)
 	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() || d.Name() != manifestName {
+		v, ok := snapshotVersion(d.Name())
+		if d.IsDir() || !ok {
 			return nil
 		}
 		rel, err := filepath.Rel(s.dir, filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		man, err := s.readManifest(filepath.ToSlash(rel))
-		if err != nil {
-			return err
+		key := filepath.ToSlash(rel)
+		i, seen := at[key]
+		if !seen {
+			i, at[key] = len(out), len(out)
+			out = append(out, keyVersions{key: key})
 		}
-		out = append(out, man)
+		out[i].linked = append(out[i].linked, v)
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	for _, kv := range out {
+		sort.Ints(kv.linked)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out, nil
+}
+
+// List walks the store and returns the view of every dataset key, sorted
+// by key.
+func (s *Store) List() ([]Manifest, error) {
+	keys, err := s.scan()
+	if err != nil {
 		return nil, fmt.Errorf("store: list: %w", err)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
+	out := make([]Manifest, 0, len(keys))
+	for _, kv := range keys {
+		man, err := s.manifest(kv.key, kv.linked)
+		if err != nil {
+			return nil, fmt.Errorf("store: list: %w", err)
+		}
+		out = append(out, man)
+	}
 	return out, nil
 }
 
@@ -537,7 +596,9 @@ func (s *Store) List() ([]Manifest, error) {
 // to restore that entry from. Versions recorded as another dataset's
 // lineage parent (see SetParent) are implicitly pinned for the same
 // reason: removing a branch's fork point would orphan the branch's
-// history.
+// history. A file that fails verification is not a snapshot: Prune neither
+// counts nor deletes it (deleting a damaged newest file would hand its
+// version number out again).
 func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 	if err := validateKey(dataset); err != nil {
 		return nil, err
@@ -548,7 +609,7 @@ func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	man, err := s.readManifest(dataset)
+	man, err := s.manifest(dataset, s.linkedVersions(dataset))
 	if err != nil {
 		return nil, err
 	}
@@ -559,203 +620,104 @@ func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	cut := len(man.Snapshots) - keep
 	var removed []SnapshotInfo
-	drop := make(map[int]bool, cut)
 	pinned := s.pins[dataset]
-	for _, sn := range man.Snapshots[:cut] {
+	for _, sn := range man.Snapshots[:len(man.Snapshots)-keep] {
 		if pinned[sn.Version] > 0 || forks[sn.Version] {
 			continue
 		}
-		removed = append(removed, sn)
-		drop[sn.Version] = true
-	}
-	if len(removed) == 0 {
-		return nil, nil
-	}
-	// Publish the shrunken manifest first: a reader that raced the file
-	// removal would otherwise pick a version from the manifest and find
-	// its file gone.
-	if err := s.mergeIntoManifest(dataset, nil, drop); err != nil {
-		return nil, err
-	}
-	dir := s.datasetDir(dataset)
-	for _, sn := range removed {
-		if err := os.Remove(filepath.Join(dir, snapshotFile(sn.Version))); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := os.Remove(s.snapshotPath(dataset, sn.Version)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return removed, fmt.Errorf("store: prune %q v%d: %w", dataset, sn.Version, err)
 		}
+		s.forget(dataset, sn.Version)
+		removed = append(removed, sn)
 	}
 	return removed, nil
 }
 
-// forkPoints walks every manifest in the store and returns the versions
-// of dataset that some other dataset records as its lineage parent. Prune
-// treats these as implicitly pinned. Callers hold s.mu.
+// forkPoints returns the versions of dataset that some other dataset key
+// records as its lineage parent. Prune treats these as implicitly pinned.
 func (s *Store) forkPoints(dataset string) (map[int]bool, error) {
-	out := make(map[int]bool)
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || d.Name() != manifestName {
-			return nil
-		}
-		rel, err := filepath.Rel(s.dir, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		child := filepath.ToSlash(rel)
-		if child == dataset {
-			return nil
-		}
-		man, err := s.readManifest(child)
-		if err != nil {
-			// A damaged sibling manifest must not unblock pruning a fork
-			// point it might have recorded — fail closed.
-			return err
-		}
-		if man.Parent != nil && man.Parent.Dataset == dataset {
-			out[man.Parent.Version] = true
-		}
-		return nil
-	})
+	keys, err := s.scan()
 	if err != nil {
 		return nil, fmt.Errorf("store: scanning lineage before prune: %w", err)
+	}
+	out := make(map[int]bool)
+	for _, kv := range keys {
+		// A damaged sibling lineage record must not unblock pruning a fork
+		// point it might have recorded — fail closed.
+		parent, err := s.readLineage(kv.key)
+		if err != nil {
+			return nil, fmt.Errorf("store: scanning lineage before prune: %w", err)
+		}
+		if parent != nil && parent.Dataset == dataset {
+			out[parent.Version] = true
+		}
 	}
 	return out, nil
 }
 
-// --- manifest ---------------------------------------------------------
+// --- lineage record -----------------------------------------------------
 
-// mergeIntoManifest rewrites the dataset manifest as the union of what is
-// on disk (manifest ∪ directory ∪ add, minus drop): entries published by
-// concurrent writers are folded in instead of overwritten, and snapshot
-// files missing from the manifest (a lost interleaving) are healed back
-// in with entries synthesized from their verified frames. Callers hold
-// s.mu.
-func (s *Store) mergeIntoManifest(dataset string, add []SnapshotInfo, drop map[int]bool) error {
-	man, err := s.readManifest(dataset)
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	man.Dataset = dataset
-	byVersion := make(map[int]SnapshotInfo, len(man.Snapshots)+len(add))
-	for _, sn := range man.Snapshots {
-		byVersion[sn.Version] = sn
-	}
-	for _, sn := range add {
-		byVersion[sn.Version] = sn
-	}
-	for _, v := range s.diskVersions(dataset) {
-		if _, ok := byVersion[v]; ok {
-			continue
-		}
-		if sn, err := s.statSnapshot(dataset, v); err == nil {
-			byVersion[v] = sn
-		}
-		// A file that fails verification stays out of the manifest; Load
-		// would reject it anyway.
-	}
-	man.Snapshots = man.Snapshots[:0]
-	for v, sn := range byVersion {
-		if drop[v] {
-			continue
-		}
-		man.Snapshots = append(man.Snapshots, sn)
-	}
-	sort.Slice(man.Snapshots, func(i, j int) bool { return man.Snapshots[i].Version < man.Snapshots[j].Version })
-	return s.writeManifest(dataset, man)
-}
-
-// statSnapshot synthesizes a manifest entry for a snapshot file the
-// manifest does not know about, from its verified frame and payload
-// prefix.
-func (s *Store) statSnapshot(dataset string, version int) (SnapshotInfo, error) {
-	path := filepath.Join(s.datasetDir(dataset), snapshotFile(version))
-	payload, sum, err := readFramed(path)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	name, err := summary.PeekName(bytes.NewReader(payload))
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	created := time.Time{}
-	if fi, err := os.Stat(path); err == nil {
-		created = fi.ModTime().UTC()
-	}
-	return SnapshotInfo{
-		Dataset:   dataset,
-		Version:   version,
-		Estimator: name,
-		Bytes:     int64(len(payload)),
-		Checksum:  sum,
-		CreatedAt: created,
-	}, nil
-}
-
-func (s *Store) readManifest(dataset string) (Manifest, error) {
+// readLineage returns the parent recorded in the dataset's MANIFEST.json,
+// nil when there is no record.
+func (s *Store) readLineage(dataset string) (*Lineage, error) {
 	data, err := os.ReadFile(filepath.Join(s.datasetDir(dataset), manifestName))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return Manifest{Dataset: dataset}, fmt.Errorf("store: dataset %q: %w", dataset, ErrNotFound)
+			return nil, nil
 		}
-		return Manifest{}, fmt.Errorf("store: manifest of %q: %w", dataset, err)
+		return nil, fmt.Errorf("store: manifest of %q: %w", dataset, err)
 	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return Manifest{}, fmt.Errorf("store: manifest of %q: %w: %v", dataset, ErrCorrupt, err)
+	var rec lineageFile
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, fmt.Errorf("store: manifest of %q: %w: %v", dataset, ErrCorrupt, err)
 	}
-	sort.Slice(man.Snapshots, func(i, j int) bool { return man.Snapshots[i].Version < man.Snapshots[j].Version })
-	return man, nil
+	return rec.Parent, nil
 }
 
-func (s *Store) writeManifest(dataset string, man Manifest) error {
-	data, err := json.MarshalIndent(man, "", "  ")
+func (s *Store) writeManifest(dataset string, parent Lineage) error {
+	data, err := json.MarshalIndent(lineageFile{Dataset: dataset, Parent: &parent}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: manifest of %q: %w", dataset, err)
 	}
-	if err := atomicWrite(filepath.Join(s.datasetDir(dataset), manifestName), append(data, '\n')); err != nil {
+	dir := s.datasetDir(dataset)
+	tmp, err := stageFile(dir, manifestName+".tmp-*", append(data, '\n'))
+	if err == nil {
+		defer os.Remove(tmp) // gone already once the rename consumed it
+		err = os.Rename(tmp, filepath.Join(dir, manifestName))
+	}
+	if err != nil {
 		return fmt.Errorf("store: manifest of %q: %w", dataset, err)
 	}
 	return nil
 }
 
-// atomicWrite writes data to a temporary file in the target's directory,
-// fsyncs it, and renames it into place, so the target path only ever
-// holds a complete file.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// stageFile writes data to a new temporary file in dir, fsyncs it and
+// returns its name, ready to be linked or renamed into place — so a final
+// path only ever holds a complete, durable file. The caller removes the
+// temp name.
+func stageFile(dir, pattern string, data []byte) (string, error) {
+	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
-		return err
+		return "", err
 	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
+	name := tmp.Name()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
+	if err == nil {
+		// CreateTemp defaults to 0600; snapshots are shared, read-only
+		// artifacts.
+		err = os.Chmod(name, 0o644)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err != nil {
+		os.Remove(name)
+		return "", err
 	}
-	// CreateTemp defaults to 0600; snapshots are shared, read-only
-	// artifacts.
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return name, nil
 }

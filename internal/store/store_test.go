@@ -249,11 +249,12 @@ func TestRejectsCorruptedSnapshots(t *testing.T) {
 	}
 }
 
-// TestLoadReadsUnlistedVersion covers the window a racing manifest rewrite
-// from another Store handle leaves: a snapshot file that is on disk but not
-// (or no longer) in the manifest must load, by explicit version and as the
-// latest, described from its verified frame — while a pruned version stays
-// ErrNotFound and an unlisted file that fails verification is ErrCorrupt.
+// TestLoadReadsUnlistedVersion dates from when a manifest re-described the
+// files and a racing rewrite could drop an entry; no version is "listed" any
+// more, so every file is what that test called unlisted. A snapshot file on
+// disk must load, by explicit version and as the latest, described from its
+// verified frame — while a pruned version stays ErrNotFound and a file that
+// fails verification is ErrCorrupt.
 func TestLoadReadsUnlistedVersion(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -269,34 +270,24 @@ func TestLoadReadsUnlistedVersion(t *testing.T) {
 		}
 		saved = append(saved, info)
 	}
-	// The lost interleaving: a rewriter that scanned before v3 was linked
-	// publishes a manifest without it.
-	man, err := st.Versions(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Snapshots = man.Snapshots[:2]
-	if err := st.writeManifest(key, man); err != nil {
-		t.Fatal(err)
-	}
 	for _, version := range []int{3, 0} {
 		est, info, err := st.Load(key, version)
 		if err != nil {
-			t.Fatalf("Load(%d) of an on-disk version the manifest lost: %v", version, err)
+			t.Fatalf("Load(%d) of an on-disk version: %v", version, err)
 		}
 		if info.Version != 3 || info.Checksum != saved[2].Checksum || info.Bytes != saved[2].Bytes || info.Estimator != sum.Name() {
-			t.Fatalf("Load(%d) described the unlisted snapshot as %+v, saved as %+v", version, info, saved[2])
+			t.Fatalf("Load(%d) described the snapshot as %+v, saved as %+v", version, info, saved[2])
 		}
 		if est.Name() != sum.Name() {
 			t.Fatalf("Load(%d) restored %q, want %q", version, est.Name(), sum.Name())
 		}
 	}
 	if framed, info, err := st.ReadFramed(key, 3); err != nil || info.Version != 3 || len(framed) == 0 {
-		t.Fatalf("ReadFramed of the unlisted version: %d bytes, %+v, %v", len(framed), info, err)
+		t.Fatalf("ReadFramed of the version: %d bytes, %+v, %v", len(framed), info, err)
 	}
 
-	// A pruned version is in neither place.
-	if _, err := st.Save(key, sum); err != nil { // heals v3 back in, adds v4
+	// A pruned version is gone.
+	if _, err := st.Save(key, sum); err != nil { // adds v4
 		t.Fatal(err)
 	}
 	if _, err := st.Prune(key, 2); err != nil {
@@ -309,7 +300,7 @@ func TestLoadReadsUnlistedVersion(t *testing.T) {
 		t.Fatalf("Load of a version never saved: err = %v, want ErrNotFound", err)
 	}
 
-	// An unlisted file that does not verify is corrupt, not missing — and
+	// A file that does not verify is corrupt, not missing — and
 	// being the highest version on disk, it is what "latest" names.
 	pristine, err := os.ReadFile(filepath.Join(st.Dir(), "demo", "maxent", snapshotFile(4)))
 	if err != nil {
@@ -321,11 +312,11 @@ func TestLoadReadsUnlistedVersion(t *testing.T) {
 	}
 	for _, version := range []int{5, 0} {
 		if _, _, err := st.Load(key, version); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Load(%d) of an unlisted corrupt file: err = %v, want ErrCorrupt", version, err)
+			t.Fatalf("Load(%d) of a corrupt file: err = %v, want ErrCorrupt", version, err)
 		}
 	}
 	if _, _, err := st.Load(key, 4); err != nil {
-		t.Fatalf("the listed version next to it fails to load: %v", err)
+		t.Fatalf("the sound version next to it fails to load: %v", err)
 	}
 }
 

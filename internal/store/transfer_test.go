@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -190,5 +193,42 @@ func TestImportThenLocalSaveVersioning(t *testing.T) {
 	}
 	if saved.Version != 4 {
 		t.Fatalf("local save after importing v3 claimed v%d, want v4", saved.Version)
+	}
+}
+
+// TestImportFramedHealsDamagedFile: a local file that no longer verifies is
+// not a version, so importing the origin's frame at its number replaces it —
+// where two sound frames that differ stay the loud conflict above.
+func TestImportFramedHealsDamagedFile(t *testing.T) {
+	const key = "demo/maxent"
+	framed := testFrame(t)
+	dst, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dst.ImportFramed(key, 1, framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dst.Dir(), key, snapshotFile(1))
+	rotten := append([]byte(nil), framed...)
+	rotten[headerSize+11] ^= 0x40
+	writeFile(t, path, rotten)
+
+	got, err := dst.ImportFramed(key, 1, framed)
+	if err != nil {
+		t.Fatalf("import over a damaged file: %v", err)
+	}
+	if got.Version != 1 || got.Checksum != want.Checksum {
+		t.Fatalf("healed as %+v, want v1 with checksum %08x", got, want.Checksum)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, framed) {
+		t.Fatalf("file after heal differs from the origin's frame (err=%v)", err)
+	}
+	if _, _, err := dst.Load(key, 1); err != nil {
+		t.Fatalf("healed version does not load: %v", err)
+	}
+	if man, err := dst.Versions(key); err != nil || len(man.Snapshots) != 1 {
+		t.Fatalf("Versions after heal = %+v, %v", man, err)
 	}
 }

@@ -100,7 +100,7 @@ func DecodeEstimator(r io.Reader) (core.Estimator, error) {
 
 // PeekName reads just the estimator kind tag and name from the head of a
 // snapshot payload, without reconstructing the model — the store uses it
-// to synthesize manifest entries for snapshot files it discovers on disk.
+// to describe the snapshot files it finds on disk.
 // Both estimator kinds serialize their name first, so this prefix is
 // stable across the payload layouts.
 func PeekName(r io.Reader) (string, error) {
@@ -307,25 +307,13 @@ func decodeSummary(r *decoder) (*Summary, error) {
 		return fail(fmt.Errorf("restored polynomial evaluates to %g; snapshot is degenerate", p))
 	}
 
-	// Reconstitute the constraints in Build's order (1D by attribute and
-	// value, then multi by index).
-	constraints := make([]solver.Constraint, 0, set.NumStatistics())
-	for attr, col := range set.OneD {
-		for value, target := range col {
-			constraints = append(constraints, solver.OneDConstraint(attr, value, target))
-		}
-	}
-	for j, st := range set.Multi {
-		constraints = append(constraints, solver.MultiConstraint(j, st.Count))
-	}
-
 	return &Summary{
 		name:        name,
 		sch:         sch,
 		n:           n,
 		set:         set,
 		sys:         sys,
-		constraints: constraints,
+		constraints: constraintsOf(set),
 		pairs:       pairs,
 		report:      report,
 		p:           p,

@@ -116,15 +116,7 @@ func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (
 	// The statistic structure is unchanged, so the compressed polynomial
 	// is reused as-is; only the variable values are re-solved.
 	sys := polynomial.NewSystem(s.sys.Poly())
-	constraints := make([]solver.Constraint, 0, set.NumStatistics())
-	for attr, col := range set.OneD {
-		for value, target := range col {
-			constraints = append(constraints, solver.OneDConstraint(attr, value, target))
-		}
-	}
-	for j, st := range set.Multi {
-		constraints = append(constraints, solver.MultiConstraint(j, st.Count))
-	}
+	constraints := constraintsOf(set)
 
 	sopts := opts.Solver
 	sopts.N = float64(set.N)

@@ -118,15 +118,7 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 	sys := polynomial.NewSystem(comp)
 
 	// Stage 3: one expected-value constraint per statistic (Sec. 3.3).
-	constraints := make([]solver.Constraint, 0, set.NumStatistics())
-	for attr, col := range set.OneD {
-		for value, target := range col {
-			constraints = append(constraints, solver.OneDConstraint(attr, value, target))
-		}
-	}
-	for j, st := range set.Multi {
-		constraints = append(constraints, solver.MultiConstraint(j, st.Count))
-	}
+	constraints := constraintsOf(set)
 
 	// Stage 4: solve.
 	sopts := opts.Solver
@@ -163,6 +155,22 @@ func (s *Summary) Name() string { return s.name }
 
 // Schema returns the schema the summary was built over.
 func (s *Summary) Schema() *schema.Schema { return s.sch }
+
+// constraintsOf lists one expected-value constraint per statistic of the
+// set: 1D by attribute and value, then multi-dimensional by index — the
+// order Build, Refresh and a snapshot restore all give the solver.
+func constraintsOf(set *stats.Set) []solver.Constraint {
+	constraints := make([]solver.Constraint, 0, set.NumStatistics())
+	for attr, col := range set.OneD {
+		for value, target := range col {
+			constraints = append(constraints, solver.OneDConstraint(attr, value, target))
+		}
+	}
+	for j, st := range set.Multi {
+		constraints = append(constraints, solver.MultiConstraint(j, st.Count))
+	}
+	return constraints
+}
 
 // N returns the cardinality of the summarized relation.
 func (s *Summary) N() float64 { return s.n }
