@@ -14,27 +14,23 @@ import (
 // the request reached at least one node.
 const RouterCacheHeader = "X-Router-Cache"
 
-// routerQueryKey is the cache key of one routed read: the router's own
-// freshness prefix, then the item identity the node keys by too
+// routerQueryKey appends the router's freshness prefix, its half of every
+// read-cache key; the other half is the item identity the node keys by too
 // (query.BatchItem.AppendIdentity). The prefix differs from the node's
 // deliberately: the router cannot know an estimator's generation before
 // asking a node, so live reads key on an "l" marker and the generation
 // travels in the cached value instead, checked against the generation table
 // at serve time. Snapshot reads (version > 0) key on the version — those
 // answers are immutable.
-func routerQueryKey(estimator string, version int, it query.BatchItem) string {
-	var b strings.Builder
-	b.Grow(len(estimator) + 24)
-	b.WriteString(estimator)
+func routerQueryKey(dst []byte, estimator string, version int) []byte {
+	dst = append(dst, estimator...)
 	if version > 0 {
-		b.WriteString("\x00s")
-		b.WriteString(strconv.Itoa(version))
+		dst = append(dst, "\x00s"...)
+		dst = strconv.AppendInt(dst, int64(version), 10)
 	} else {
-		b.WriteString("\x00l")
+		dst = append(dst, "\x00l"...)
 	}
-	b.WriteByte(0)
-	it.AppendIdentity(&b)
-	return b.String()
+	return append(dst, 0)
 }
 
 // cachedRead is one stored answer: the answer itself, marked Cached, and

@@ -103,13 +103,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(server.BatchQueryResponse{Estimator: req.Estimator, Version: req.Version, Answers: res.answers})
 		return
 	}
-	frame, err := query.AppendAnswers(nil, req.Estimator, res.answers)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	res.writeHeaders(w, server.BinaryBatchContentType)
-	_, _ = w.Write(frame)
+	if err := server.WriteBinaryAnswers(w, req.Estimator, res.answers); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+	}
 }
 
 // readResult is one routed read's answers, in item order, plus what the
@@ -169,18 +166,24 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 	res := readResult{answers: make([]query.BatchAnswer, len(req.Items)), hit: true}
 	gens := make([]uint64, len(req.Items))
 	var lead, follow []routedMiss
+	// As on the node: one buffer for every key of the request, and a string
+	// only for a miss, which joins a flight and may store under it.
+	var keyBuf [256]byte
+	key := routerQueryKey(keyBuf[:0], req.Estimator, req.Version)
+	prefixLen := len(key)
 	for i, it := range req.Items {
 		if rt.cache == nil {
 			lead = append(lead, routedMiss{idx: i})
 			continue
 		}
-		m := routedMiss{idx: i, key: routerQueryKey(req.Estimator, req.Version, it)}
-		if v, ok := rt.cache.Get(m.key); ok {
+		key = it.AppendIdentity(key[:prefixLen])
+		if v, ok := rt.cache.Lookup(key); ok {
 			if e := v.(cachedRead); rt.entryCurrent(req, e) {
 				res.answers[i], gens[i] = e.answer, e.gen
 				continue
 			}
 		}
+		m := routedMiss{idx: i, key: string(key)}
 		var leader bool
 		if m.fl, leader = rt.flights.join(m.key); leader {
 			lead = append(lead, m)

@@ -26,6 +26,10 @@
 //	               'r': lo, hi (inclusive, lo <= hi)
 //	               's': count + sorted distinct values
 //
+// Every integer must fit a non-negative int and constraints come strictly
+// ascending by attribute — the JSON wire's admission rules, refused in the
+// JSON wire's words, on encode and on decode alike.
+//
 // Answer payload layout:
 //
 //	estimator   len + UTF-8 bytes
@@ -48,7 +52,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/frame"
 )
@@ -90,29 +93,28 @@ type BatchItem struct {
 	GroupBy []int
 }
 
-// AppendIdentity writes the item's canonical identity — kind ('c' count,
+// AppendIdentity appends the item's canonical identity — kind ('c' count,
 // 'g' group-by), grouping attributes in request order, canonical
-// predicate — to b. It is the tier-independent part of every result-cache
-// key: the node and the router each prepend their own estimator and
-// freshness prefix, so one query has one identity however it arrived. A
-// nil predicate writes "-", which no canonical key (they start with '#')
-// can collide with.
-func (it BatchItem) AppendIdentity(b *strings.Builder) {
+// predicate — to dst and returns the extended slice. It is the
+// tier-independent part of every result-cache key: the node and the router
+// each write their own estimator and freshness prefix in front of it, so one
+// query has one identity however it arrived. A nil predicate writes "-",
+// which no canonical key (they start with '#') can collide with.
+func (it BatchItem) AppendIdentity(dst []byte) []byte {
 	if len(it.GroupBy) == 0 {
-		b.WriteByte('c')
+		dst = append(dst, 'c')
 	} else {
-		b.WriteByte('g')
+		dst = append(dst, 'g')
 		for _, a := range it.GroupBy {
-			b.WriteByte(',')
-			b.WriteString(strconv.Itoa(a))
+			dst = append(dst, ',')
+			dst = strconv.AppendInt(dst, int64(a), 10)
 		}
 	}
-	b.WriteByte(0)
+	dst = append(dst, 0)
 	if it.Pred == nil {
-		b.WriteByte('-')
-	} else {
-		b.WriteString(it.Pred.CanonicalKey())
+		return append(dst, '-')
 	}
+	return it.Pred.AppendCanonical(dst)
 }
 
 // GroupRow is one row of a group-by answer — the one shape every layer
@@ -219,6 +221,17 @@ func AppendBatchAt(dst []byte, estimator string, version int, items []BatchItem)
 	return w.seal(base, batchRequestMagic, format)
 }
 
+// checkGroupBy refuses a grouping attribute the wire cannot carry; the range
+// check against the schema is the server's.
+func checkGroupBy(attrs []int) error {
+	for _, a := range attrs {
+		if a < 0 {
+			return fmt.Errorf("group-by attribute %d must be non-negative", a)
+		}
+	}
+	return nil
+}
+
 // encodeItem appends one batch item to the payload.
 func encodeItem(w *frameWriter, it BatchItem) error {
 	numAttrs := 0
@@ -229,27 +242,32 @@ func encodeItem(w *frameWriter, it BatchItem) error {
 	// wire carries 0 and the server resolves it against the estimator.
 	w.uvarint(uint64(numAttrs))
 	w.uvarint(uint64(len(it.GroupBy)))
+	if err := checkGroupBy(it.GroupBy); err != nil {
+		return err
+	}
 	for _, a := range it.GroupBy {
-		if a < 0 {
-			return fmt.Errorf("group-by attribute %d must be non-negative", a)
-		}
 		w.uvarint(uint64(a))
 	}
 	if it.Pred == nil {
 		w.uvarint(0)
 		return nil
 	}
-	attrs := it.Pred.ConstrainedAttrs()
-	w.uvarint(uint64(len(attrs)))
-	for _, a := range attrs {
-		c := it.Pred.Constraint(a)
+	w.uvarint(uint64(len(it.Pred.cons)))
+	for _, ac := range it.Pred.cons {
+		a, c := ac.attr, ac.c
 		w.uvarint(uint64(a))
 		switch c.Kind {
 		case InRange:
+			if err := checkRange(c.Range.Lo, c.Range.Hi); err != nil {
+				return err
+			}
 			w.buf = append(w.buf, 'r')
 			w.uvarint(uint64(c.Range.Lo))
 			w.uvarint(uint64(c.Range.Hi))
 		case InSet:
+			if err := checkSet(c.Values); err != nil {
+				return err
+			}
 			w.buf = append(w.buf, 's')
 			w.uvarint(uint64(len(c.Values)))
 			for _, v := range c.Values {
@@ -321,9 +339,9 @@ func (r *frameReader) uvarint() (uint64, error) {
 }
 
 // count reads a varint bounded by max, guarding slice pre-allocation
-// against length lies: a count can never exceed the bytes remaining
-// (every counted element is at least one byte).
-func (r *frameReader) count(max int, what string) (int, error) {
+// against length lies: a count can never exceed what the bytes remaining
+// could carry, every counted element being at least width bytes.
+func (r *frameReader) count(max, width int, what string) (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
@@ -331,14 +349,36 @@ func (r *frameReader) count(max int, what string) (int, error) {
 	if v > uint64(max) {
 		return 0, fmt.Errorf("%w: %s count %d exceeds the %d bound", ErrFrame, what, v, max)
 	}
-	if v > uint64(len(r.buf)-r.off) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds the %d bytes remaining", ErrFrame, what, v, len(r.buf)-r.off)
+	if left := len(r.buf) - r.off; v*uint64(width) > uint64(left) {
+		return 0, fmt.Errorf("%w: %s count %d cannot fit the %d bytes remaining", ErrFrame, what, v, left)
 	}
 	return int(v), nil
 }
 
+// int reads a varint as an int. A value past the int range wraps negative,
+// which every caller refuses the way the JSON wire refuses a negative
+// number — the one wording for one mistake.
+func (r *frameReader) int() (int, error) {
+	v, err := r.uvarint()
+	return int(v), err
+}
+
+// carve cuts n elements off the front of *slab, capped so an append to them
+// cannot reach a neighbour's. A slab too short is replaced by one sized for
+// this request and, guessing that they look alike, the left-1 requests after
+// it — but never past limit, the most elements the bytes remaining could
+// still declare, so a frame's slabs stay proportional to its own length.
+func carve[T any](slab *[]T, n, left, limit int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, max(n, min(n*left, limit)))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
 func (r *frameReader) str(max int, what string) (string, error) {
-	n, err := r.count(max, what)
+	n, err := r.count(max, 1, what)
 	if err != nil {
 		return "", err
 	}
@@ -402,20 +442,23 @@ func DecodeBatchAt(in io.Reader) (string, int, []BatchItem, error) {
 		}
 		version = int(v)
 	}
-	n, err := r.count(MaxBatchItems, "batch item")
+	n, err := r.count(MaxBatchItems, minItemBytes, "batch item")
 	if err != nil {
 		return "", 0, nil, err
 	}
 	if n == 0 {
 		return "", 0, nil, errors.New("query: batch must contain at least one item")
 	}
+	// The whole batch decodes into these two slices plus the slabs its
+	// constraints and integer lists are carved from: a handful of
+	// allocations per frame, not several per item.
 	items := make([]BatchItem, n)
+	preds := make([]Predicate, n)
+	d := itemDecoder{r: r}
 	for i := range items {
-		it, err := decodeItem(r)
-		if err != nil {
+		if err := d.item(&items[i], &preds[i], n-i); err != nil {
 			return "", 0, nil, fmt.Errorf("query: batch item %d: %w", i, err)
 		}
-		items[i] = it
 	}
 	if err := r.done(); err != nil {
 		return "", 0, nil, err
@@ -423,106 +466,127 @@ func DecodeBatchAt(in io.Reader) (string, int, []BatchItem, error) {
 	return estimator, version, items, nil
 }
 
-// decodeItem reads and validates one batch item.
-func decodeItem(r *frameReader) (BatchItem, error) {
-	numAttrs64, err := r.uvarint()
-	if err != nil {
-		return BatchItem{}, err
-	}
-	if numAttrs64 > 1<<20 {
-		return BatchItem{}, fmt.Errorf("%w: num_attrs %d is absurd", ErrFrame, numAttrs64)
-	}
-	numAttrs := int(numAttrs64)
+const (
+	// minItemBytes and minConstraintBytes are the fewest bytes a batch item
+	// (num_attrs, group-by count, constraint count) and a constraint (attr,
+	// tag, at least one argument) take on the wire.
+	minItemBytes       = 3
+	minConstraintBytes = 3
+)
 
-	var it BatchItem
-	ng, err := r.count(1<<10, "group-by")
+// itemDecoder decodes the items of one frame, carving their constraint and
+// integer (group-by attributes, set values) storage out of shared slabs.
+type itemDecoder struct {
+	r    *frameReader
+	cons []attrConstraint
+	ints []int
+}
+
+// readInts reads n integers into storage carved for them.
+func (d *itemDecoder) readInts(n, left int) ([]int, error) {
+	out := carve(&d.ints, n, left, len(d.r.buf)-d.r.off)
+	for k := range out {
+		v, err := d.r.int()
+		if err != nil {
+			return nil, err
+		}
+		out[k] = v
+	}
+	return out, nil
+}
+
+// item reads and validates one batch item into it, the left-th from the end
+// of its frame; pred is the storage of its predicate, should it carry one.
+func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
+	r := d.r
+	numAttrs, err := r.int()
 	if err != nil {
-		return BatchItem{}, err
+		return err
+	}
+	if numAttrs < 0 || numAttrs > 1<<20 {
+		return fmt.Errorf("%w: num_attrs %d is absurd", ErrFrame, uint64(numAttrs))
+	}
+
+	ng, err := r.count(1<<10, 1, "group-by")
+	if err != nil {
+		return err
 	}
 	if ng > 0 {
-		it.GroupBy = make([]int, ng)
-		for k := range it.GroupBy {
-			a, err := r.uvarint()
-			if err != nil {
-				return BatchItem{}, err
-			}
-			it.GroupBy[k] = int(a)
+		if it.GroupBy, err = d.readInts(ng, left); err != nil {
+			return err
+		}
+		if err := checkGroupBy(it.GroupBy); err != nil {
+			return err
 		}
 	}
 
-	nc, err := r.count(1<<16, "constraint")
+	nc, err := r.count(1<<16, minConstraintBytes, "constraint")
 	if err != nil {
-		return BatchItem{}, err
+		return err
 	}
-	if nc == 0 {
-		// No constraints: a nil predicate (full-cardinality / pure group-by
-		// query) when the item carried no arity either.
-		if numAttrs == 0 {
-			return it, nil
-		}
-		it.Pred = NewPredicate(numAttrs)
-		return it, nil
+	if nc == 0 && numAttrs == 0 {
+		// No constraints and no arity: a nil predicate (full-cardinality /
+		// pure group-by query).
+		return nil
 	}
 	if numAttrs == 0 {
-		return BatchItem{}, errors.New("constraints without num_attrs")
+		return errors.New("constraints without num_attrs")
 	}
-	pred := NewPredicate(numAttrs)
+	pred.numAttrs = numAttrs
+	pred.cons = carve(&d.cons, nc, left, (len(r.buf)-r.off)/minConstraintBytes)
 	prev := -1
-	for k := 0; k < nc; k++ {
-		a64, err := r.uvarint()
+	for k := range pred.cons {
+		attr, err := r.int()
 		if err != nil {
-			return BatchItem{}, err
+			return err
 		}
-		attr := int(a64)
-		if attr >= numAttrs {
-			return BatchItem{}, fmt.Errorf("attribute %d out of range [0,%d)", attr, numAttrs)
+		if attr < 0 || attr >= numAttrs {
+			return fmt.Errorf("attribute %d out of range [0,%d)", attr, numAttrs)
 		}
 		if attr <= prev {
-			return BatchItem{}, fmt.Errorf("constraints not strictly ascending by attribute (%d after %d)", attr, prev)
+			return fmt.Errorf("constraints not strictly ascending by attribute (%d after %d)", attr, prev)
 		}
 		prev = attr
 		if r.off >= len(r.buf) {
-			return BatchItem{}, fmt.Errorf("%w: truncated constraint tag", ErrFrame)
+			return fmt.Errorf("%w: truncated constraint tag", ErrFrame)
 		}
 		tag := r.buf[r.off]
 		r.off++
+		var c Constraint
 		switch tag {
 		case 'r':
-			lo, err := r.uvarint()
+			lo, err := r.int()
 			if err != nil {
-				return BatchItem{}, err
+				return err
 			}
-			hi, err := r.uvarint()
+			hi, err := r.int()
 			if err != nil {
-				return BatchItem{}, err
+				return err
 			}
-			if hi < lo {
-				return BatchItem{}, fmt.Errorf("empty range [%d,%d]", lo, hi)
+			if err := checkRange(lo, hi); err != nil {
+				return err
 			}
-			pred.Where(attr, ValueIn(NewRange(int(lo), int(hi))))
+			c = ValueIn(NewRange(lo, hi))
 		case 's':
-			nv, err := r.count(1<<16, "set value")
+			nv, err := r.count(1<<16, 1, "set value")
 			if err != nil {
-				return BatchItem{}, err
+				return err
 			}
-			if nv == 0 {
-				return BatchItem{}, errors.New("set constraint needs a non-empty value list")
+			values, err := d.readInts(nv, left)
+			if err != nil {
+				return err
 			}
-			values := make([]int, nv)
-			for j := range values {
-				v, err := r.uvarint()
-				if err != nil {
-					return BatchItem{}, err
-				}
-				values[j] = int(v)
+			if err := checkSet(values); err != nil {
+				return err
 			}
-			pred.Where(attr, ValueSet(values))
+			c = ownedSet(values)
 		default:
-			return BatchItem{}, fmt.Errorf("unknown constraint tag %q (want 'r' or 's')", tag)
+			return fmt.Errorf("unknown constraint tag %q (want 'r' or 's')", tag)
 		}
+		pred.cons[k] = attrConstraint{attr: attr, c: c}
 	}
 	it.Pred = pred
-	return it, nil
+	return nil
 }
 
 // DecodeAnswers reads and validates a framed batch answer, returning the
@@ -537,7 +601,7 @@ func DecodeAnswers(in io.Reader) (string, []BatchAnswer, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	n, err := r.count(MaxBatchItems, "answer")
+	n, err := r.count(MaxBatchItems, 1, "answer")
 	if err != nil {
 		return "", nil, err
 	}
@@ -563,7 +627,7 @@ func DecodeAnswers(in io.Reader) (string, []BatchAnswer, error) {
 			}
 			a.Error = msg
 		case a.IsGroup:
-			ngroups, err := r.count(1<<20, "group")
+			ngroups, err := r.count(1<<20, 1, "group")
 			if err != nil {
 				return "", nil, err
 			}
@@ -571,7 +635,7 @@ func DecodeAnswers(in io.Reader) (string, []BatchAnswer, error) {
 				a.Groups = make([]BatchGroup, ngroups)
 			}
 			for g := range a.Groups {
-				nv, err := r.count(1<<8, "group value")
+				nv, err := r.count(1<<8, 1, "group value")
 				if err != nil {
 					return "", nil, err
 				}

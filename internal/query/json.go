@@ -20,8 +20,9 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
-	"strings"
 )
 
 // wireConstraint is the JSON shape of one per-attribute constraint.
@@ -35,6 +36,9 @@ type wireConstraint struct {
 	Hi *int `json:"hi,omitempty"`
 	// Values is set for kind "set".
 	Values []int `json:"values,omitempty"`
+	// idx is the constraint's position in the request, for error messages
+	// once the list has been put in attribute order.
+	idx int
 }
 
 // wirePredicate is the JSON shape of a predicate.
@@ -47,8 +51,8 @@ type wirePredicate struct {
 // by attribute index.
 func (p *Predicate) MarshalJSON() ([]byte, error) {
 	w := wirePredicate{NumAttrs: p.numAttrs}
-	for _, a := range p.ConstrainedAttrs() {
-		c := p.constraints[a]
+	for _, ac := range p.cons {
+		a, c := ac.attr, ac.c
 		wc := wireConstraint{Attr: a}
 		switch c.Kind {
 		case InRange:
@@ -82,23 +86,33 @@ func (p *Predicate) UnmarshalJSON(data []byte) error {
 	if w.NumAttrs < 1 {
 		return fmt.Errorf("query: num_attrs must be >= 1, got %d", w.NumAttrs)
 	}
-	q := NewPredicate(w.NumAttrs)
-	seen := make(map[int]bool, len(w.Where))
-	for i, wc := range w.Where {
+	// The wire admits any order; the predicate keeps attribute order, which
+	// also puts a duplicate next to its first occurrence.
+	sorted := true
+	for i := range w.Where {
+		w.Where[i].idx = i
+		sorted = sorted && (i == 0 || w.Where[i-1].Attr <= w.Where[i].Attr)
+	}
+	if !sorted {
+		sort.SliceStable(w.Where, func(i, j int) bool { return w.Where[i].Attr < w.Where[j].Attr })
+	}
+	q := Predicate{numAttrs: w.NumAttrs}
+	for k, wc := range w.Where {
 		if wc.Attr < 0 || wc.Attr >= w.NumAttrs {
-			return fmt.Errorf("query: where[%d]: attribute %d out of range [0,%d)", i, wc.Attr, w.NumAttrs)
+			return fmt.Errorf("query: where[%d]: attribute %d out of range [0,%d)", wc.idx, wc.Attr, w.NumAttrs)
 		}
-		if seen[wc.Attr] {
-			return fmt.Errorf("query: where[%d]: duplicate constraint on attribute %d", i, wc.Attr)
+		if k > 0 && w.Where[k-1].Attr == wc.Attr {
+			return fmt.Errorf("query: where[%d]: duplicate constraint on attribute %d", wc.idx, wc.Attr)
 		}
-		seen[wc.Attr] = true
 		c, err := wc.constraint()
 		if err != nil {
-			return fmt.Errorf("query: where[%d]: %w", i, err)
+			return fmt.Errorf("query: where[%d]: %w", wc.idx, err)
 		}
-		q.Where(wc.Attr, c)
+		if !c.IsAny() {
+			q.cons = append(q.cons, attrConstraint{attr: wc.Attr, c: c})
+		}
 	}
-	*p = *q
+	*p = q
 	return nil
 }
 
@@ -119,23 +133,10 @@ func (wc wireConstraint) constraint() (Constraint, error) {
 		if wc.Lo == nil || wc.Hi == nil {
 			return Constraint{}, fmt.Errorf(`kind "range" requires "lo" and "hi"`)
 		}
-		if *wc.Lo < 0 {
-			return Constraint{}, fmt.Errorf("range lo %d must be non-negative", *wc.Lo)
-		}
-		if *wc.Hi < *wc.Lo {
-			return Constraint{}, fmt.Errorf("empty range [%d,%d]", *wc.Lo, *wc.Hi)
-		}
-		return ValueIn(NewRange(*wc.Lo, *wc.Hi)), nil
+		return ValueIn(NewRange(*wc.Lo, *wc.Hi)), checkRange(*wc.Lo, *wc.Hi)
 	case "set":
-		if len(wc.Values) == 0 {
-			return Constraint{}, fmt.Errorf(`kind "set" requires a non-empty "values"`)
-		}
-		for _, v := range wc.Values {
-			if v < 0 {
-				return Constraint{}, fmt.Errorf("set value %d must be non-negative", v)
-			}
-		}
-		return ValueSet(wc.Values), nil
+		// The decoded list is this constraint's own: no copy.
+		return ownedSet(wc.Values), checkSet(wc.Values)
 	default:
 		return Constraint{}, fmt.Errorf("unknown constraint kind %q (want any, eq, range, or set)", wc.Kind)
 	}
@@ -149,58 +150,46 @@ func (wc wireConstraint) constraint() (Constraint, error) {
 // The format is "#<num_attrs>" followed by "|<attr><tag><args>" per
 // constrained attribute in ascending attribute order, where the tag is
 // 'r' (range, "lo:hi") or 's' (set, comma-joined values).
-func (p *Predicate) CanonicalKey() string {
-	var b strings.Builder
-	b.WriteByte('#')
-	b.WriteString(strconv.Itoa(p.numAttrs))
-	for _, a := range p.ConstrainedAttrs() {
-		c := p.constraints[a]
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(a))
-		switch c.Kind {
+func (p *Predicate) CanonicalKey() string { return string(p.AppendCanonical(nil)) }
+
+// AppendCanonical appends the CanonicalKey form to dst and returns the
+// extended slice, so a caller keying many predicates reuses one buffer.
+func (p *Predicate) AppendCanonical(dst []byte) []byte {
+	dst = append(dst, '#')
+	dst = strconv.AppendInt(dst, int64(p.numAttrs), 10)
+	for _, ac := range p.cons {
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, int64(ac.attr), 10)
+		switch ac.c.Kind {
 		case InRange:
-			b.WriteByte('r')
-			b.WriteString(strconv.Itoa(c.Range.Lo))
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(c.Range.Hi))
+			dst = append(dst, 'r')
+			dst = strconv.AppendInt(dst, int64(ac.c.Range.Lo), 10)
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(ac.c.Range.Hi), 10)
 		case InSet:
-			b.WriteByte('s')
-			for i, v := range c.Values {
+			dst = append(dst, 's')
+			for i, v := range ac.c.Values {
 				if i > 0 {
-					b.WriteByte(',')
+					dst = append(dst, ',')
 				}
-				b.WriteString(strconv.Itoa(v))
+				dst = strconv.AppendInt(dst, int64(v), 10)
 			}
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Equal reports whether the two predicates constrain the same attributes
 // identically (sets compared after their construction-time sort+dedup).
 func (p *Predicate) Equal(o *Predicate) bool {
-	if p.numAttrs != o.numAttrs || len(p.constraints) != len(o.constraints) {
+	if p.numAttrs != o.numAttrs || len(p.cons) != len(o.cons) {
 		return false
 	}
-	for a, c := range p.constraints {
-		oc, ok := o.constraints[a]
-		if !ok || c.Kind != oc.Kind {
+	for i, ac := range p.cons {
+		oc := o.cons[i]
+		if ac.attr != oc.attr || ac.c.Kind != oc.c.Kind || ac.c.Range != oc.c.Range ||
+			!slices.Equal(ac.c.Values, oc.c.Values) {
 			return false
-		}
-		switch c.Kind {
-		case InRange:
-			if c.Range != oc.Range {
-				return false
-			}
-		case InSet:
-			if len(c.Values) != len(oc.Values) {
-				return false
-			}
-			for i := range c.Values {
-				if c.Values[i] != oc.Values[i] {
-					return false
-				}
-			}
 		}
 	}
 	return true

@@ -124,6 +124,7 @@ func TestUnmarshalRejects(t *testing.T) {
 		{"attr out of range", `{"num_attrs":2,"where":[{"attr":2,"kind":"eq","value":0}]}`, "out of range"},
 		{"negative attr", `{"num_attrs":2,"where":[{"attr":-1,"kind":"eq","value":0}]}`, "out of range"},
 		{"duplicate attr", `{"num_attrs":2,"where":[{"attr":0,"kind":"eq","value":0},{"attr":0,"kind":"eq","value":1}]}`, "duplicate"},
+		{"duplicate attr, out of order", `{"num_attrs":3,"where":[{"attr":2,"kind":"eq","value":0},{"attr":0,"kind":"eq","value":0},{"attr":2,"kind":"any"}]}`, "where[2]: duplicate constraint on attribute 2"},
 		{"unknown kind", `{"num_attrs":2,"where":[{"attr":0,"kind":"like"}]}`, "unknown constraint kind"},
 		{"eq without value", `{"num_attrs":2,"where":[{"attr":0,"kind":"eq"}]}`, `"value"`},
 		{"negative eq", `{"num_attrs":2,"where":[{"attr":0,"kind":"eq","value":-3}]}`, "non-negative"},
@@ -160,5 +161,15 @@ func TestUnmarshalAccepts(t *testing.T) {
 	want := NewPredicate(3).WhereEq(1, 2)
 	if !p.Equal(want) {
 		t.Fatalf("decoded %v, want %v", &p, want)
+	}
+
+	// The wire admits constraints in any order; the predicate keeps them by
+	// attribute, so the key does not depend on how the client listed them.
+	body = `{"num_attrs":3,"where":[{"attr":2,"kind":"set","values":[5,1]},{"attr":0,"kind":"range","lo":1,"hi":3},{"attr":1,"kind":"eq","value":2}]}`
+	if err := json.Unmarshal([]byte(body), &p); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if got, want := p.CanonicalKey(), "#3|0r1:3|1r2:2|2s1,5"; got != want {
+		t.Fatalf("out-of-order where decoded to %q, want %q", got, want)
 	}
 }

@@ -6,7 +6,9 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -101,9 +103,15 @@ func ValueEq(v int) Constraint { return Constraint{Kind: InRange, Range: Point(v
 // ValueSet returns a set constraint A_i ∈ values. The value slice is copied
 // and sorted.
 func ValueSet(values []int) Constraint {
-	vs := append([]int(nil), values...)
-	sort.Ints(vs)
-	// Deduplicate in place.
+	return ownedSet(append([]int(nil), values...))
+}
+
+// ownedSet is ValueSet over a slice the caller hands over: sorted and
+// deduplicated in place.
+func ownedSet(vs []int) Constraint {
+	if !sort.IntsAreSorted(vs) {
+		sort.Ints(vs)
+	}
 	out := vs[:0]
 	for i, v := range vs {
 		if i == 0 || v != vs[i-1] {
@@ -111,6 +119,33 @@ func ValueSet(values []int) Constraint {
 		}
 	}
 	return Constraint{Kind: InSet, Values: out}
+}
+
+// checkRange and checkSet are the admission rules both wires share: domain
+// values are non-negative ints, ranges run lo <= hi, sets are non-empty. The
+// JSON and the binary decoder call them, so the two reject the same inputs
+// in the same words, and the binary encoder calls them so it never writes a
+// frame its decoder refuses.
+func checkRange(lo, hi int) error {
+	if lo < 0 {
+		return fmt.Errorf("range lo %d must be non-negative", lo)
+	}
+	if hi < lo {
+		return fmt.Errorf("empty range [%d,%d]", lo, hi)
+	}
+	return nil
+}
+
+func checkSet(values []int) error {
+	if len(values) == 0 {
+		return errors.New("set constraint needs a non-empty value list")
+	}
+	for _, v := range values {
+		if v < 0 {
+			return fmt.Errorf("set value %d must be non-negative", v)
+		}
+	}
+	return nil
 }
 
 // Matches reports whether domain value v satisfies the constraint.
@@ -164,19 +199,40 @@ func (c Constraint) String() string {
 // Predicate is a conjunction π = ρ_1 ∧ ... ∧ ρ_m of per-attribute
 // constraints, Eq. (16) of the paper. Attributes not mentioned are
 // unconstrained.
+//
+// The constraints live in one slice kept sorted by attribute and free of Any
+// entries — the order both wires, the canonical key and every evaluator read
+// them in — so a predicate costs memory in proportion to what it constrains,
+// never to its arity.
 type Predicate struct {
-	numAttrs    int
-	constraints map[int]Constraint
+	numAttrs int
+	cons     []attrConstraint
+}
+
+// attrConstraint is one constrained attribute of a predicate.
+type attrConstraint struct {
+	attr int
+	c    Constraint
 }
 
 // NewPredicate creates an empty (always-true) predicate over a relation with
 // numAttrs attributes.
 func NewPredicate(numAttrs int) *Predicate {
-	return &Predicate{numAttrs: numAttrs, constraints: make(map[int]Constraint)}
+	return &Predicate{numAttrs: numAttrs}
 }
 
 // NumAttrs returns the arity of the underlying relation.
 func (p *Predicate) NumAttrs() int { return p.numAttrs }
+
+// find returns the position of attr in p.cons — where it is, or where it
+// would be inserted — and whether it is there.
+func (p *Predicate) find(attr int) (int, bool) {
+	i := len(p.cons)
+	for i > 0 && p.cons[i-1].attr >= attr {
+		i--
+	}
+	return i, i < len(p.cons) && p.cons[i].attr == attr
+}
 
 // Where adds (replaces) the constraint on attribute attr and returns the
 // predicate for chaining.
@@ -184,11 +240,15 @@ func (p *Predicate) Where(attr int, c Constraint) *Predicate {
 	if attr < 0 || attr >= p.numAttrs {
 		panic(fmt.Sprintf("query: attribute index %d out of range [0,%d)", attr, p.numAttrs))
 	}
-	if c.IsAny() {
-		delete(p.constraints, attr)
-		return p
+	i, found := p.find(attr)
+	switch {
+	case found && c.IsAny():
+		p.cons = slices.Delete(p.cons, i, i+1)
+	case found:
+		p.cons[i].c = c
+	case !c.IsAny():
+		p.cons = slices.Insert(p.cons, i, attrConstraint{attr: attr, c: c})
 	}
-	p.constraints[attr] = c
 	return p
 }
 
@@ -208,8 +268,8 @@ func (p *Predicate) WhereIn(attr int, values ...int) *Predicate {
 // Constraint returns the constraint on attribute attr (Any when
 // unconstrained).
 func (p *Predicate) Constraint(attr int) Constraint {
-	if c, ok := p.constraints[attr]; ok {
-		return c
+	if i, found := p.find(attr); found {
+		return p.cons[i].c
 	}
 	return AnyValue()
 }
@@ -217,18 +277,17 @@ func (p *Predicate) Constraint(attr int) Constraint {
 // ConstrainedAttrs returns the sorted indexes of attributes carrying a
 // non-trivial constraint.
 func (p *Predicate) ConstrainedAttrs() []int {
-	out := make([]int, 0, len(p.constraints))
-	for a := range p.constraints {
-		out = append(out, a)
+	out := make([]int, len(p.cons))
+	for i, ac := range p.cons {
+		out[i] = ac.attr
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Matches reports whether the encoded row satisfies the conjunction.
 func (p *Predicate) Matches(row []int) bool {
-	for attr, c := range p.constraints {
-		if !c.Matches(row[attr]) {
+	for _, ac := range p.cons {
+		if !ac.c.Matches(row[ac.attr]) {
 			return false
 		}
 	}
@@ -238,32 +297,28 @@ func (p *Predicate) Matches(row []int) bool {
 // Unsatisfiable reports whether some constraint is empty, i.e. the predicate
 // can never match any tuple.
 func (p *Predicate) Unsatisfiable() bool {
-	for _, c := range p.constraints {
-		if c.Empty() {
+	for _, ac := range p.cons {
+		if ac.c.Empty() {
 			return true
 		}
 	}
 	return false
 }
 
-// Clone returns a deep copy of the predicate.
+// Clone returns a copy of the predicate that shares no constraint storage
+// with it (set value lists are immutable and stay shared).
 func (p *Predicate) Clone() *Predicate {
-	q := NewPredicate(p.numAttrs)
-	for a, c := range p.constraints {
-		q.constraints[a] = c
-	}
-	return q
+	return &Predicate{numAttrs: p.numAttrs, cons: append([]attrConstraint(nil), p.cons...)}
 }
 
 // String renders the predicate as "A0∈[..] ∧ A3∈{..}".
 func (p *Predicate) String() string {
-	attrs := p.ConstrainedAttrs()
-	if len(attrs) == 0 {
+	if len(p.cons) == 0 {
 		return "true"
 	}
-	parts := make([]string, 0, len(attrs))
-	for _, a := range attrs {
-		parts = append(parts, fmt.Sprintf("A%d∈%s", a, p.constraints[a]))
+	parts := make([]string, len(p.cons))
+	for i, ac := range p.cons {
+		parts[i] = fmt.Sprintf("A%d∈%s", ac.attr, ac.c)
 	}
 	return strings.Join(parts, " ∧ ")
 }
@@ -273,8 +328,8 @@ func (p *Predicate) String() string {
 // used by heuristics and tests, not by query answering.
 func (p *Predicate) Selectivity(domainSizes []int) float64 {
 	sel := 1.0
-	for attr, c := range p.constraints {
-		n := domainSizes[attr]
+	for _, ac := range p.cons {
+		c, n := ac.c, domainSizes[ac.attr]
 		if n == 0 {
 			return 0
 		}

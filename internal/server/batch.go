@@ -87,11 +87,22 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, start time.T
 		})
 		return nil
 	}
+	if ferr := WriteBinaryAnswers(w, ent.Name, answers); ferr != nil {
+		return &httpError{status: http.StatusInternalServerError, msg: ferr.Error()}
+	}
+	return nil
+}
+
+// WriteBinaryAnswers writes a 200 binary batch response, the one encoder of
+// the node and the router. The frame is assembled in a pooled buffer — after
+// warm-up a cached-answer frame allocates nothing — and nothing is written
+// when it cannot be assembled.
+func WriteBinaryAnswers(w http.ResponseWriter, estimator string, answers []query.BatchAnswer) error {
 	rb := respBufPool.Get().(*respBuf)
 	defer respBufPool.Put(rb)
-	frame, ferr := query.AppendAnswers(rb.b[:0], ent.Name, answers)
-	if ferr != nil {
-		return &httpError{status: http.StatusInternalServerError, msg: ferr.Error()}
+	frame, err := query.AppendAnswers(rb.b[:0], estimator, answers)
+	if err != nil {
+		return err
 	}
 	rb.b = frame
 	w.Header().Set("Content-Type", BinaryBatchContentType)
@@ -106,8 +117,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, start time.T
 // entry, so Put never allocates).
 type respBuf struct{ b []byte }
 
-// respBufPool recycles binary batch response buffers across requests:
-// after warm-up, assembling a cached-answer frame allocates nothing.
+// respBufPool recycles binary batch response buffers across requests.
 var respBufPool = sync.Pool{New: func() interface{} { return new(respBuf) }}
 
 // countingReader counts consumed body bytes for the bytes-per-query

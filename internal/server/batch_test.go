@@ -2,17 +2,22 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/frame"
 	"repro/internal/query"
+	"repro/internal/raceflag"
 	"repro/internal/server"
 	"repro/internal/solver"
 	"repro/internal/summary"
@@ -422,4 +427,133 @@ func BenchmarkBatchQueryLoopback(b *testing.B) {
 	b.StopTimer()
 	qps := float64(b.N) * 32 / b.Elapsed().Seconds()
 	b.ReportMetric(qps, "queries/s")
+}
+
+// sinkWriter is the leanest possible ResponseWriter: it keeps the status
+// and byte count and discards the body, so what a handler test or benchmark
+// measures is the handler.
+type sinkWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *sinkWriter) Header() http.Header         { return w.h }
+func (w *sinkWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+func (w *sinkWriter) WriteHeader(c int)           { w.code = c }
+
+// warmBatch32 builds a server over the 3000-row demo dataset and returns its
+// handler with a serve function that posts one fixed 32-item binary batch to
+// it in-process — no socket, a hand-built request, a sink writer — after
+// warming the cache so that every item of every later call is a hit.
+func warmBatch32(tb testing.TB) (serve func()) {
+	tb.Helper()
+	reg := server.NewRegistry()
+	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
+	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{SkipExact: true}); err != nil {
+		tb.Fatalf("BuildDataset: %v", err)
+	}
+	handler := server.New(reg, server.Options{}).Handler()
+	workload := experiment.GenerateWorkload(experiment.SyntheticSchema(), 32, rand.New(rand.NewSource(3)))
+	body, err := query.AppendBatch(nil, "demo/maxent", toBatchItems(workload))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batchURL := &url.URL{Path: "/query/batch"}
+	header := http.Header{"Content-Type": {server.BinaryBatchContentType}}
+	rd := bytes.NewReader(body)
+	req := &http.Request{
+		Method: http.MethodPost, URL: batchURL, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: header, Body: io.NopCloser(rd), ContentLength: int64(len(body)),
+		Host: "node.bench", RemoteAddr: "192.0.2.1:1234",
+	}
+	w := &sinkWriter{h: make(http.Header)}
+	serve = func() {
+		rd.Reset(body)
+		w.code, w.n = 0, 0
+		handler.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n == 0 {
+			tb.Fatalf("batch wrote status %d, %d bytes", w.code, w.n)
+		}
+	}
+	serve()
+	return serve
+}
+
+// TestWarmBatchAllocationBudget guards what a cached read costs: a 32-item
+// all-hit binary batch through Server.Handler() allocates a constant (the
+// frame's payload, the item and predicate slices, the constraint slab, the
+// answers) and nothing per item — no per-item map, no per-item key string.
+// The parent commit spent ~12 allocations per item here.
+func TestWarmBatchAllocationBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	serve := warmBatch32(t)
+	const budget = 32 // measured 15; the issue's ceiling is 2 per item plus a constant
+	if got := testing.AllocsPerRun(100, serve); got > budget {
+		t.Errorf("a warm 32-item binary batch allocated %.0f times, budget %d", got, budget)
+	}
+}
+
+// BenchmarkServeBatch32Hit measures the handler's share of a warm batch round
+// trip — frame decode, 32 key builds and cache hits, frame encode — without
+// the socket BenchmarkBatchQueryLoopback adds around it.
+func BenchmarkServeBatch32Hit(b *testing.B) {
+	serve := warmBatch32(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// TestBatchWiresRefuseAlike posts the same mistake — a range with negative
+// bounds — to /query/batch on both wires. The binary wire used to wrap it
+// into the query A0∈[-5,-1] and answer 200; now both are a 400 naming the
+// mistake in the same words, behind each wire's own account of where it
+// stood.
+func TestBatchWiresRefuseAlike(t *testing.T) {
+	ts, _, _ := newTestServer(t, server.Options{})
+	const reason = "range lo -5 must be non-negative"
+
+	// Hand-sealed: AppendBatch refuses to write this item.
+	raw := make([]byte, frame.HeaderSize)
+	raw = binary.AppendUvarint(raw, uint64(len("demo/maxent")))
+	raw = append(raw, "demo/maxent"...)
+	neg := func(v int) uint64 { return uint64(v) }
+	for _, v := range []uint64{1, 4, 0, 1, 0, 'r', neg(-5), neg(-1)} {
+		raw = binary.AppendUvarint(raw, v) // 'r' < 128: its varint is the tag byte
+	}
+	if _, err := frame.Seal(raw, "EDBBATQ1", 1, query.MaxBatchFrameBytes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := query.AppendBatch(nil, "demo/maxent",
+		[]query.BatchItem{{Pred: query.NewPredicate(4).WhereRange(0, -5, -1)}}); err == nil || !strings.HasSuffix(err.Error(), reason) {
+		t.Fatalf("AppendBatch wrote the item: %v", err)
+	}
+
+	errorOf := func(wire, ctype string, body []byte) string {
+		resp, err := http.Post(ts.URL+"/query/batch", ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s wire: status %d, body error %q (%v); want a 400", wire, resp.StatusCode, e.Error, err)
+		}
+		return e.Error
+	}
+	bin := errorOf("binary", server.BinaryBatchContentType, raw)
+	js := errorOf("JSON", "application/json", []byte(
+		`{"estimator":"demo/maxent","queries":[{"predicate":{"num_attrs":4,"where":[{"attr":0,"kind":"range","lo":-5,"hi":-1}]}}]}`))
+	if bin != "malformed batch frame: query: batch item 0: "+reason {
+		t.Errorf("binary wire said %q", bin)
+	}
+	if js != "malformed request body: query: where[0]: "+reason {
+		t.Errorf("JSON wire said %q", js)
+	}
 }

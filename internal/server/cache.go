@@ -82,18 +82,26 @@ func newCacheSharded(capacity, shards int) *Cache {
 	return c
 }
 
-// shard maps a key to its home shard.
-func (c *Cache) shard(key string) *cacheShard {
-	return c.shards[maphash.String(c.seed, key)&c.mask]
+// Lookup returns the cached value for key and marks it most recently used in
+// its shard. The key is bytes because that is how the read paths build it —
+// appended into one reused buffer — and neither the hash nor the map lookup
+// needs a string: a hit allocates nothing, and only a miss that goes on to
+// Put ever materialises one.
+func (c *Cache) Lookup(key []byte) (interface{}, bool) {
+	return get(c.shards[maphash.Bytes(c.seed, key)&c.mask], key)
 }
 
-// Get returns the cached value for key and marks it most recently used in
-// its shard.
+// Get is Lookup for a caller that holds the key as a string.
 func (c *Cache) Get(key string) (interface{}, bool) {
-	s := c.shard(key)
+	return get(c.shards[maphash.String(c.seed, key)&c.mask], key)
+}
+
+// get is the one lookup under both forms of a key; the conversion inside a
+// map index copies nothing.
+func get[K string | []byte](s *cacheShard, key K) (interface{}, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	el, ok := s.items[string(key)]
 	if !ok {
 		s.misses++
 		return nil, false
@@ -106,7 +114,7 @@ func (c *Cache) Get(key string) (interface{}, bool) {
 // Put inserts (or refreshes) the value under key, evicting the least
 // recently used entry of the key's shard when that shard is full.
 func (c *Cache) Put(key string, val interface{}) {
-	s := c.shard(key)
+	s := c.shards[maphash.String(c.seed, key)&c.mask]
 	if s.capacity <= 0 {
 		return
 	}

@@ -165,3 +165,22 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCacheLookupMatchesGet pins the two key forms to one entry — the same
+// shard, the same map slot — and a hit under either to zero allocations,
+// at a key longer than any the runtime could convert on the stack.
+func TestCacheLookupMatchesGet(t *testing.T) {
+	c := newCacheSharded(64, 8)
+	key := "demo/maxent\x00v12\x00c\x00#5|0r3:3|1r10:40|4s1,2,3,5,8,13,21"
+	c.Put(key, 1.5)
+	if v, ok := c.Lookup([]byte(key)); !ok || v.(float64) != 1.5 {
+		t.Fatalf("Lookup(bytes) = %v, %v after Put(string)", v, ok)
+	}
+	if _, ok := c.Lookup([]byte(key + "x")); ok {
+		t.Fatal("Lookup hit a key never stored")
+	}
+	kb := []byte(key)
+	if n := testing.AllocsPerRun(100, func() { c.Lookup(kb); c.Get(key) }); n != 0 {
+		t.Fatalf("a hit allocated %.0f times", n)
+	}
+}

@@ -155,47 +155,48 @@ func errGroupByArity(n int) *httpError {
 	return badRequest("group_by needs 1..4 attributes, got %d", n)
 }
 
-// queryKey validates one item's shape against the entry's schema and
-// builds its result-cache key: the entry's freshness prefix, then the
-// item's identity.
-func queryKey(ent Entry, it query.BatchItem) (string, *httpError) {
+// checkShape validates one item's shape against the entry's schema.
+func checkShape(ent Entry, it query.BatchItem) *httpError {
 	numAttrs := ent.Schema.NumAttrs()
 	if it.Pred != nil && it.Pred.NumAttrs() != numAttrs {
-		return "", badRequest("predicate has num_attrs=%d, estimator %q answers over %d attributes",
+		return badRequest("predicate has num_attrs=%d, estimator %q answers over %d attributes",
 			it.Pred.NumAttrs(), ent.Name, numAttrs)
 	}
 	if len(it.GroupBy) > 4 {
-		return "", errGroupByArity(len(it.GroupBy))
+		return errGroupByArity(len(it.GroupBy))
 	}
 	for i, a := range it.GroupBy {
 		if a < 0 || a >= numAttrs {
-			return "", badRequest("group_by attribute %d out of range [0,%d)", a, numAttrs)
+			return badRequest("group_by attribute %d out of range [0,%d)", a, numAttrs)
 		}
 		for _, prev := range it.GroupBy[:i] {
 			if prev == a {
-				return "", badRequest("duplicate group_by attribute %d", a)
+				return badRequest("duplicate group_by attribute %d", a)
 			}
 		}
 	}
-	// The entry generation is part of the key, so answers cached before a
-	// hot swap can never be served afterwards — even if an in-flight query
-	// of the old generation stores its result after the swap's explicit
-	// invalidation ran. Historical entries (Snapshot > 0) are immutable and
-	// key by snapshot version instead, under a distinct "s" marker so a
-	// snapshot version can never collide with a live generation.
-	var b strings.Builder
-	b.Grow(len(ent.Name) + 16)
-	b.WriteString(ent.Name)
+	return nil
+}
+
+// queryKey appends the entry's freshness prefix, the node's half of every
+// result-cache key; query.BatchItem.AppendIdentity appends the other half.
+//
+// The entry generation is part of the key, so answers cached before a hot
+// swap can never be served afterwards — even if an in-flight query of the
+// old generation stores its result after the swap's explicit invalidation
+// ran. Historical entries (Snapshot > 0) are immutable and key by snapshot
+// version instead, under a distinct "s" marker so a snapshot version can
+// never collide with a live generation.
+func queryKey(dst []byte, ent Entry) []byte {
+	dst = append(dst, ent.Name...)
 	if ent.Snapshot > 0 {
-		b.WriteString("\x00s")
-		b.WriteString(strconv.Itoa(ent.Snapshot))
+		dst = append(dst, "\x00s"...)
+		dst = strconv.AppendInt(dst, int64(ent.Snapshot), 10)
 	} else {
-		b.WriteString("\x00v")
-		b.WriteString(strconv.FormatUint(ent.Generation, 10))
+		dst = append(dst, "\x00v"...)
+		dst = strconv.AppendUint(dst, ent.Generation, 10)
 	}
-	b.WriteByte(0)
-	it.AppendIdentity(&b)
-	return b.String(), nil
+	return append(dst, 0)
 }
 
 // read is the node's one read path, and the only code that touches the
@@ -230,14 +231,20 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 	// Sized lazily on the first miss: an all-hit request (the steady state
 	// a warm cache serves) never allocates the slice at all.
 	var misses []miss
+	// Every key of the request is built in this one buffer, behind the
+	// prefix written once; a key becomes a string only for a miss, which
+	// will store under it.
+	var keyBuf [256]byte
+	key := queryKey(keyBuf[:0], ent)
+	prefixLen := len(key)
 	for i, it := range items {
 		answers[i].IsGroup = len(it.GroupBy) > 0
-		key, kerr := queryKey(ent, it)
-		if kerr != nil {
+		if kerr := checkShape(ent, it); kerr != nil {
 			itemErrs = failItem(itemErrs, answers, i, kerr)
 			continue
 		}
-		if v, hit := s.cache.Get(key); hit {
+		key = it.AppendIdentity(key[:prefixLen])
+		if v, hit := s.cache.Lookup(key); hit {
 			answers[i].Cached = true
 			if answers[i].IsGroup {
 				answers[i].Groups = v.([]query.GroupRow)
@@ -249,7 +256,7 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 		if misses == nil {
 			misses = make([]miss, 0, len(items)-i)
 		}
-		misses = append(misses, miss{idx: i, key: key})
+		misses = append(misses, miss{idx: i, key: string(key)})
 	}
 	if len(misses) == 0 {
 		return ent, answers, itemErrs, nil
