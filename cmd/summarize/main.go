@@ -38,7 +38,7 @@ func main() {
 		storeDir   = flag.String("store", "", "snapshot store directory (required; created if missing)")
 		dataset    = flag.String("dataset", "demo", "dataset name snapshots are stored under")
 		csvPath    = flag.String("csv", "", "CSV file to summarize (default: the synthetic generator)")
-		bins       = flag.Int("bins", 16, "equi-width buckets for numeric CSV columns")
+		bins       = flag.Int("bins", 16, "equi-width buckets for numeric CSV columns (at most 65536)")
 		rows       = flag.Int("rows", 20000, "synthetic relation cardinality (ignored with -csv)")
 		seed       = flag.Int64("seed", 1, "synthetic data seed (ignored with -csv)")
 		pairBudget = flag.Int("pairs", 2, "attribute pairs receiving 2D statistics (B_a)")

@@ -131,36 +131,24 @@ func BenchmarkSystemDerivMulti(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverShapedSweep measures one synthetic coordinate sweep —
-// an Eval plus a Deriv per variable — the solver's inner-loop shape.
-func BenchmarkSolverShapedSweep(b *testing.B) {
+// BenchmarkSolverShapedBlock is one attribute block of the solver's sweep:
+// the attribute's whole unmasked derivative column read, then one column
+// write-back — the read rebuilds the column's partial sums the previous
+// write dropped, as it does inside a solve.
+func BenchmarkSolverShapedBlock(b *testing.B) {
 	sys, _ := benchSystem(b)
 	sys.Eval(nil)
-	refs := sys.Variables()
+	sizes := sys.Poly().DomainSizes()
+	col, vals := make([]float64, sizes[0]), make([]float64, sizes[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref := refs[i%len(refs)]
-		_ = sys.Eval(nil)
-		_ = sys.Deriv(ref)
-	}
-}
-
-// BenchmarkSolverShapedSweepUpdate is the full coordinate-update shape:
-// a variable write (incremental cache maintenance) followed by the Eval
-// and Deriv the closed-form update reads — what one solver coordinate
-// step actually costs.
-func BenchmarkSolverShapedSweepUpdate(b *testing.B) {
-	sys, _ := benchSystem(b)
-	sys.Eval(nil)
-	refs := sys.Variables()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref := refs[i%len(refs)]
-		sys.Set(ref, 0.5+float64(i%7)*0.1)
-		_ = sys.Eval(nil)
-		_ = sys.Deriv(ref)
+		a := i % len(sizes)
+		sys.DerivColumn(a, nil, col)
+		for v := range vals[:sizes[a]] {
+			vals[v] = 0.5 + float64((i+v)%7)*0.1
+		}
+		sys.SetOneDColumn(a, vals[:sizes[a]])
 	}
 }
 

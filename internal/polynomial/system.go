@@ -52,9 +52,12 @@ type System struct {
 	// sums holds the per-attribute-set partial sums of the term caches that
 	// masked reads rescale instead of visiting the terms. The first masked
 	// read after a write builds and publishes what it needs; every write
-	// drops the lot. Eval(nil), Total and the unmasked Deriv never build
-	// them, so the solver's write-then-read steps pay one pointer load.
-	sums atomic.Pointer[partialSums]
+	// drops the lot into spare, whose buffers the next build overwrites —
+	// the solver reads a column after every column write, so its sweeps
+	// allocate nothing. Eval(nil), Total and the unmasked Deriv never build
+	// them.
+	sums  atomic.Pointer[partialSums]
+	spare atomic.Pointer[partialSums]
 
 	// scratchPool recycles the per-call scratch of masked Eval/Deriv so
 	// the hot path is allocation-free yet still safe for concurrent
@@ -74,6 +77,10 @@ type partialSums struct {
 	// cols[a] splits the unmasked derivative column of attribute a by
 	// attribute set: what DerivColumn(a, ·) rescales.
 	cols []atomic.Pointer[setColumns]
+	// spare[a] holds the columns of attribute a as an earlier write left
+	// them, taken (atomically, so one builder owns it) and overwritten by the
+	// next build of cols[a].
+	spare []atomic.Pointer[setColumns]
 }
 
 // setColumns is one attribute's unmasked derivative column ∂P/∂α_{a,·}
@@ -224,6 +231,31 @@ func (s *System) SetMulti(stat int, x float64) {
 	s.noteUpdate()
 }
 
+// SetOneDColumn assigns every α_{attr,·} at once (len(vals) must be N_attr):
+// one pass over the terms rewrites each term's attribute-attr factor from
+// the new prefix sums, the factor the full rebuild computes, where N_attr
+// SetOneD calls would visit the terms not constraining attr once per value.
+// It is the solver's write-back of one attribute block.
+func (s *System) SetOneDColumn(attr int, vals []float64) {
+	if len(vals) != len(s.alpha[attr]) {
+		panic(fmt.Sprintf("polynomial: SetOneDColumn(%d) given %d values, domain has %d", attr, len(vals), len(s.alpha[attr])))
+	}
+	copy(s.alpha[attr], vals)
+	s.dirty[attr] = true
+	s.refresh(attr)
+	s.dropSums()
+	pre, m := s.prefix[attr], len(s.alpha)
+	for i := range s.nz {
+		k := i*m + attr
+		r := s.poly.ranges[k]
+		if nf, old := pre[r.hi+1]-pre[r.lo], s.fac[k]; nf != old {
+			s.fac[k] = nf
+			s.replaceFactor(i, old, nf)
+		}
+	}
+	s.noteUpdate()
+}
+
 // shiftFactor adds dx to term i's attribute-attr range-sum factor.
 func (s *System) shiftFactor(i, attr int, dx float64) {
 	k := i*len(s.alpha) + attr
@@ -233,12 +265,14 @@ func (s *System) shiftFactor(i, attr int, dx float64) {
 	s.replaceFactor(i, old, nf)
 }
 
-// dropSums discards the partial sums after a write to the term caches. The
-// load keeps the solver's write loops, which never build them, off an
-// atomic store.
+// dropSums discards the partial sums after a write to the term caches,
+// keeping them as the spare the next build recycles. Writes never run beside
+// reads, so no reader still holds them. The load keeps a write that follows
+// no masked read off the atomic stores.
 func (s *System) dropSums() {
-	if s.sums.Load() != nil {
+	if ps := s.sums.Load(); ps != nil {
 		s.sums.Store(nil)
+		s.spare.Store(ps)
 	}
 }
 
@@ -706,12 +740,26 @@ func (s *System) setSums() []float64 {
 }
 
 // partials returns the holder of the partial sums, installing an empty one
-// on the first masked read after a write.
+// on the first masked read after a write: the spare a write left, its built
+// columns moved to their spare slots, or a new one when a concurrent first
+// reader took the spare.
 func (s *System) partials() *partialSums {
 	if ps := s.sums.Load(); ps != nil {
 		return ps
 	}
-	return publish(&s.sums, &partialSums{cols: make([]atomic.Pointer[setColumns], len(s.alpha))})
+	ps := s.spare.Swap(nil)
+	if ps == nil {
+		m := len(s.alpha)
+		ps = &partialSums{cols: make([]atomic.Pointer[setColumns], m), spare: make([]atomic.Pointer[setColumns], m)}
+	} else {
+		ps.set.Store(nil)
+		for a := range ps.cols {
+			if c := ps.cols[a].Swap(nil); c != nil {
+				ps.spare[a].Store(c)
+			}
+		}
+	}
+	return publish(&s.sums, ps)
 }
 
 // candidates collects into the scratch the terms that can survive the mask
@@ -1000,19 +1048,26 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 // setColumns returns the attribute's unmasked derivative column split by
 // attribute set, building and publishing it on the first column read of the
 // attribute after a write: one pass over the terms, the cost of the
-// unmasked column itself.
+// unmasked column itself, into the spare buffers when a write left some.
 func (s *System) setColumns(attr int) *setColumns {
 	ps := s.partials()
 	if c := ps.cols[attr].Load(); c != nil {
 		return c
 	}
 	p := s.poly
-	n := len(s.alpha[attr])
-	c := &setColumns{col: make([][]float64, len(p.attrSets)), loose: make([]float64, len(p.attrSets))}
-	aBit := uint64(1) << uint(attr)
-	for k, bits := range p.attrSets {
-		if bits&aBit != 0 {
-			c.col[k] = make([]float64, n)
+	c := ps.spare[attr].Swap(nil)
+	if c != nil {
+		for _, col := range c.col {
+			clear(col)
+		}
+		clear(c.loose)
+	} else {
+		c = &setColumns{col: make([][]float64, len(p.attrSets)), loose: make([]float64, len(p.attrSets))}
+		aBit := uint64(1) << uint(attr)
+		for k, bits := range p.attrSets {
+			if bits&aBit != 0 {
+				c.col[k] = make([]float64, len(s.alpha[attr]))
+			}
 		}
 	}
 	m := len(s.alpha)

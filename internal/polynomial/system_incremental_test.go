@@ -113,3 +113,56 @@ func TestSystemDriftRebuildTriggers(t *testing.T) {
 		t.Fatalf("after %d updates: incremental P = %g, rebuilt P = %g", rebuildEvery+100, got, want)
 	}
 }
+
+// TestSetOneDColumnMatchesRebuild interleaves whole-column writes (with
+// exact zeros, a whole zero column included) with single-variable writes and
+// masked reads, and checks after every column write that the caches agree
+// with a from-scratch rebuild: P, every cached derivative, a masked Eval and
+// an unmasked and a masked DerivColumn — the last three read partial sums
+// rebuilt into the buffers an earlier write left behind.
+func TestSetOneDColumnMatchesRebuild(t *testing.T) {
+	sys := incrementalInstance(t)
+	sizes := sys.Poly().DomainSizes()
+	refs := sys.Variables()
+	rng := rand.New(rand.NewSource(25))
+	pred := query.NewPredicate(len(sizes)).WhereRange(1, 1, 4).WhereIn(3, 0, 2)
+	got, want := make([]float64, 8), make([]float64, 8)
+	for step := 1; step <= 400; step++ {
+		attr := rng.Intn(len(sizes))
+		vals := make([]float64, sizes[attr])
+		for v := range vals {
+			if step%50 != 0 { // every 50th write zeroes the whole column
+				vals[v] = randomValue(rng)
+			}
+		}
+		sys.SetOneDColumn(attr, vals)
+		for v, x := range vals {
+			if sys.OneD(attr, v) != x {
+				t.Fatalf("step %d: α[%d,%d] = %g after the column write, want %g", step, attr, v, sys.OneD(attr, v), x)
+			}
+		}
+		fresh := sys.Clone()
+		if got, want := sys.Eval(nil), fresh.Eval(nil); !approxEqual(got, want) {
+			t.Fatalf("step %d: column-written P = %g, rebuilt P = %g", step, got, want)
+		}
+		for _, r := range refs {
+			if got, want := sys.Deriv(r), fresh.Deriv(r); !approxEqual(got, want) {
+				t.Fatalf("step %d var %v: column-written ∂P = %g, rebuilt ∂P = %g", step, r, got, want)
+			}
+		}
+		if got, want := sys.Eval(pred), fresh.Eval(pred); !approxEqual(got, want) {
+			t.Fatalf("step %d: masked P = %g, rebuilt %g", step, got, want)
+		}
+		for _, p := range []*query.Predicate{nil, pred} {
+			a := rng.Intn(len(sizes))
+			sys.DerivColumn(a, p, got)
+			fresh.DerivColumn(a, p, want)
+			for v := 0; v < sizes[a]; v++ {
+				if !approxEqual(got[v], want[v]) {
+					t.Fatalf("step %d: DerivColumn(%d, %v)[%d] = %g, rebuilt %g", step, a, p, v, got[v], want[v])
+				}
+			}
+		}
+		sys.Set(refs[rng.Intn(len(refs))], randomValue(rng))
+	}
+}

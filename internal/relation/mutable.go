@@ -84,7 +84,7 @@ func (m *Mutable) AppendRows(rows [][]int) (int, error) {
 	// than paying Append's per-row validation a second time.
 	for _, tuple := range rows {
 		for a, v := range tuple {
-			m.rel.cols[a] = append(m.rel.cols[a], int32(v))
+			m.rel.cols[a] = append(m.rel.cols[a], uint16(v))
 		}
 		m.rel.rows++
 	}

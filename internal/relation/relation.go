@@ -17,16 +17,17 @@ import (
 
 // Relation is an ordered bag of encoded tuples stored column-major. Each
 // column value is the index of the tuple's value in the attribute's active
-// domain.
+// domain, stored in two bytes: a schema admits no domain of more than 65536
+// values, so every index fits.
 type Relation struct {
 	sch  *schema.Schema
-	cols [][]int32
+	cols [][]uint16
 	rows int
 }
 
 // New creates an empty relation over the given schema.
 func New(sch *schema.Schema) *Relation {
-	cols := make([][]int32, sch.NumAttrs())
+	cols := make([][]uint16, sch.NumAttrs())
 	return &Relation{sch: sch, cols: cols}
 }
 
@@ -35,7 +36,7 @@ func New(sch *schema.Schema) *Relation {
 func NewWithCapacity(sch *schema.Schema, n int) *Relation {
 	r := New(sch)
 	for i := range r.cols {
-		r.cols[i] = make([]int32, 0, n)
+		r.cols[i] = make([]uint16, 0, n)
 	}
 	return r
 }
@@ -62,7 +63,7 @@ func (r *Relation) Append(tuple []int) error {
 		}
 	}
 	for i, v := range tuple {
-		r.cols[i] = append(r.cols[i], int32(v))
+		r.cols[i] = append(r.cols[i], uint16(v))
 	}
 	r.rows++
 	return nil
@@ -95,7 +96,7 @@ func (r *Relation) Row(i int, dst []int) []int {
 
 // Column returns a read-only view of the encoded values of one attribute.
 // Callers must not modify the returned slice.
-func (r *Relation) Column(attr int) []int32 { return r.cols[attr] }
+func (r *Relation) Column(attr int) []uint16 { return r.cols[attr] }
 
 // Count returns |σ_π(I)|, the number of rows satisfying the predicate.
 func (r *Relation) Count(pred *query.Predicate) int {
@@ -221,7 +222,7 @@ func (r *Relation) Slice(lo, hi int) (*Relation, error) {
 	if lo < 0 || hi > r.rows || lo > hi {
 		return nil, fmt.Errorf("relation: slice [%d,%d) out of range [0,%d)", lo, hi, r.rows)
 	}
-	cols := make([][]int32, len(r.cols))
+	cols := make([][]uint16, len(r.cols))
 	for a, col := range r.cols {
 		cols[a] = col[lo:hi:hi]
 	}
@@ -294,8 +295,8 @@ func (r *Relation) SampleUniform(rate float64, rng *rand.Rand) *Relation {
 	return r.Select(rows)
 }
 
-// ApproxBytes returns an estimate of the in-memory footprint of the encoded
-// relation (4 bytes per value), used when reporting summary-vs-data sizes.
+// ApproxBytes returns the in-memory footprint of the encoded relation (2
+// bytes per value), used when reporting summary-vs-data sizes.
 func (r *Relation) ApproxBytes() int64 {
-	return int64(r.rows) * int64(r.sch.NumAttrs()) * 4
+	return int64(r.rows) * int64(r.sch.NumAttrs()) * 2
 }

@@ -32,6 +32,10 @@ func (k Kind) String() string {
 	}
 }
 
+// maxDomain is the largest active domain an attribute may have: the
+// relation stores every encoded value in two bytes.
+const maxDomain = 1 << 16
+
 // Attribute is a single column with a finite, ordered active domain.
 // Domain values are addressed by their index in [0, Size()).
 type Attribute struct {
@@ -44,13 +48,16 @@ type Attribute struct {
 }
 
 // NewCategorical creates a categorical attribute with the given ordered
-// labels. Labels must be unique.
+// labels. Labels must be unique, and there may be at most 65536 of them.
 func NewCategorical(name string, labels []string) (Attribute, error) {
 	if name == "" {
 		return Attribute{}, fmt.Errorf("schema: attribute name must not be empty")
 	}
 	if len(labels) == 0 {
 		return Attribute{}, fmt.Errorf("schema: attribute %q needs at least one label", name)
+	}
+	if len(labels) > maxDomain {
+		return Attribute{}, fmt.Errorf("schema: attribute %q has %d labels, more than the %d values a domain may hold", name, len(labels), maxDomain)
 	}
 	idx := make(map[string]int, len(labels))
 	for i, l := range labels {
@@ -68,13 +75,16 @@ func NewCategorical(name string, labels []string) (Attribute, error) {
 }
 
 // NewBinned creates a continuous attribute bucketized into bins equi-width
-// buckets covering [lo, hi).
+// buckets covering [lo, hi); bins may be at most 65536.
 func NewBinned(name string, lo, hi float64, bins int) (Attribute, error) {
 	if name == "" {
 		return Attribute{}, fmt.Errorf("schema: attribute name must not be empty")
 	}
 	if bins <= 0 {
 		return Attribute{}, fmt.Errorf("schema: attribute %q needs a positive bin count, got %d", name, bins)
+	}
+	if bins > maxDomain {
+		return Attribute{}, fmt.Errorf("schema: attribute %q has %d bins, more than the %d values a domain may hold", name, bins, maxDomain)
 	}
 	if !(hi > lo) {
 		return Attribute{}, fmt.Errorf("schema: attribute %q needs hi > lo, got [%g, %g)", name, lo, hi)

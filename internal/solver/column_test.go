@@ -1,0 +1,120 @@
+package solver_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/polynomial"
+	"repro/internal/query"
+	"repro/internal/raceflag"
+	"repro/internal/solver"
+	"repro/internal/solver/solvertest"
+)
+
+// randomInstance draws a small solve whose targets count real tuples (so
+// they are feasible): 2–4 attributes of 2–9 values, one or two attribute
+// pairs carrying disjoint 2D rectangles, a correlated tuple stream, and the
+// last value of attribute 0 never drawn, so at least one 1D variable is
+// pinned at 0 inside a block that is still solved. The constraints come
+// back shuffled, so the solver's block grouping is exercised too.
+func randomInstance(rng *rand.Rand) (*polynomial.Compressed, []solver.Constraint, float64) {
+	m := 2 + rng.Intn(3)
+	sizes := make([]int, m)
+	for a := range sizes {
+		sizes[a] = 2 + rng.Intn(8)
+	}
+	var specs []polynomial.MultiStatSpec
+	for _, pair := range [][2]int{{0, 1}, {1, m - 1}}[:1+rng.Intn(2)] {
+		a1, a2 := pair[0], pair[1]
+		if a1 == a2 {
+			continue
+		}
+		for lo := 0; lo < sizes[a1]; lo += 1 + rng.Intn(3) {
+			hi := min(lo+rng.Intn(2), sizes[a1]-1)
+			l2 := rng.Intn(sizes[a2])
+			h2 := l2 + rng.Intn(sizes[a2]-l2)
+			specs = append(specs, polynomial.MultiStatSpec{
+				Attrs:  []int{a1, a2},
+				Ranges: []query.Range{{Lo: lo, Hi: hi}, {Lo: l2, Hi: h2}},
+			})
+		}
+	}
+	comp, err := polynomial.NewCompressed(sizes, specs)
+	if err != nil {
+		panic(err)
+	}
+
+	const rows = 5000
+	oneD := make([][]float64, m)
+	for a, n := range sizes {
+		oneD[a] = make([]float64, n)
+	}
+	multi := make([]float64, len(specs))
+	tuple := make([]int, m)
+	for i := 0; i < rows; i++ {
+		tuple[0] = rng.Intn(sizes[0] - 1)
+		for a := 1; a < m; a++ {
+			tuple[a] = rng.Intn(sizes[a])
+			if rng.Float64() < 0.6 {
+				tuple[a] = tuple[a-1] % sizes[a]
+			}
+		}
+		for a, v := range tuple {
+			oneD[a][v]++
+		}
+		for j, spec := range specs {
+			if spec.Ranges[0].Contains(tuple[spec.Attrs[0]]) && spec.Ranges[1].Contains(tuple[spec.Attrs[1]]) {
+				multi[j]++
+			}
+		}
+	}
+	var cs []solver.Constraint
+	for a := range oneD {
+		for v, c := range oneD[a] {
+			cs = append(cs, solver.OneDConstraint(a, v, c))
+		}
+	}
+	for j, c := range multi {
+		cs = append(cs, solver.MultiConstraint(j, c))
+	}
+	rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	return comp, cs, rows
+}
+
+// TestSolveMatchesPerVariableSweep holds the column sweep to the
+// per-variable sweep it replaced on random small instances, under the plain
+// and the over-relaxed update, to a loose and a tight tolerance (neither at
+// the rounding floor, where "converged" would be a coin toss).
+func TestSolveMatchesPerVariableSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 40; i++ {
+		comp, cs, n := randomInstance(rng)
+		for _, omega := range []float64{1, 1.4} {
+			for _, tol := range []float64{1e-4, 1e-7} {
+				opts := solver.Options{N: n, MaxSweeps: 25, Tolerance: tol, MinValue: 1e-12, Relaxation: omega}
+				solvertest.Match(t, "random instance", comp, cs, opts)
+			}
+		}
+	}
+}
+
+// TestSolveSweepAllocatesNothing pins that the column and value buffers are
+// allocated once per Solve: after the first sweep has sized the kernel's
+// recycled column buffers, a sweep allocates nothing.
+func TestSolveSweepAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	comp, cs, n := randomInstance(rand.New(rand.NewSource(3)))
+	allocs := func(sweeps int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			rep, err := solver.Solve(polynomial.NewSystem(comp), cs, solver.Options{N: n, MaxSweeps: sweeps, Tolerance: 1e-300})
+			if err != nil || rep.Sweeps != sweeps {
+				t.Fatalf("%v after %d sweeps, want all %d: %v", rep, rep.Sweeps, sweeps, err)
+			}
+		})
+	}
+	if one, seven := allocs(1), allocs(7); seven != one {
+		t.Errorf("a 1-sweep solve allocates %.0f times, a 7-sweep one %.0f: sweeps after the first allocate", one, seven)
+	}
+}

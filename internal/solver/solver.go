@@ -14,20 +14,25 @@
 //
 // The sweep is organized in per-attribute blocks. Because P is multilinear
 // and the variables of one attribute never co-occur in a factor, the
-// partial derivative ∂P/∂α_{a,v} contains no α_{a,·} at all: within a
-// block, every derivative can be computed up front from the same state and
-// the closed-form updates then applied sequentially with exactly the
-// Gauss–Seidel semantics of the one-at-a-time sweep. The polynomial's
-// incremental API makes each applied update O(terms touching the variable):
-// the cached P is maintained by SetVar and never re-evaluated inside the
-// loop, and once per sweep the caches are resynchronized with a full
-// evaluation so floating-point drift cannot accumulate.
+// partial derivative ∂P/∂α_{a,v} contains no α_{a,·} at all. A block
+// therefore reads its whole derivative column once
+// (polynomial.System.DerivColumn with no predicate), applies the
+// closed-form updates in order while carrying P forward as
+// P += (α' − α)·∂P/∂α — exactly the Gauss–Seidel semantics of the
+// one-at-a-time sweep, since P is linear in each variable — and writes the
+// column back with one SetOneDColumn: two passes over the terms per
+// attribute, where a per-variable step paid about one per value. A
+// multi-dimensional statistic's derivative does depend on the other δ
+// variables, so it keeps its single-variable step. Once per sweep the
+// caches are resynchronized with a full evaluation, so floating-point drift
+// cannot accumulate, and the violations are judged from the same columns.
 package solver
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/polynomial"
@@ -136,12 +141,13 @@ func (r Report) String() string {
 }
 
 // block is one unit of the sweep: the constraints of a single attribute
-// (whose derivatives are mutually independent and may be batched), or a
-// single multi-dimensional constraint (whose derivative depends on the
-// other δ variables, so it is never batched with them).
+// (attr ≥ 0), whose derivatives come from one column read and whose values
+// go back in one column write, or a single multi-dimensional constraint
+// (attr = -1), whose derivative depends on the other δ variables and which
+// therefore keeps its single-variable step.
 type block struct {
-	cs  []Constraint
-	pds []float64 // derivative scratch, len(cs)
+	attr int
+	cs   []Constraint
 }
 
 // planBlocks groups the active constraints into sweep blocks, preserving
@@ -159,15 +165,12 @@ func planBlocks(active []Constraint) []block {
 			if !ok {
 				bi = len(blocks)
 				attrBlock[c.Var.Attr] = bi
-				blocks = append(blocks, block{})
+				blocks = append(blocks, block{attr: c.Var.Attr})
 			}
 			blocks[bi].cs = append(blocks[bi].cs, c)
 			continue
 		}
-		blocks = append(blocks, block{cs: []Constraint{c}})
-	}
-	for i := range blocks {
-		blocks[i].pds = make([]float64, len(blocks[i].cs))
+		blocks = append(blocks, block{attr: -1, cs: []Constraint{c}})
 	}
 	return blocks
 }
@@ -211,22 +214,43 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 		active = append(active, c)
 	}
 	blocks := planBlocks(active)
+	cols := columnsFor(sys, constraints)
+	vals := make([]float64, slices.Max(sys.Poly().DomainSizes()))
 
 	rep := Report{Constraints: len(constraints)}
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
 		rep.Sweeps = sweep
-		for bi := range blocks {
-			b := &blocks[bi]
-			derivBatch(sys, b)
-			for i, c := range b.cs {
-				applyUpdate(sys, c, b.pds[i], opts)
+		for _, b := range blocks {
+			if b.attr < 0 {
+				c := b.cs[0]
+				if next, ok := update(sys.Get(c.Var), sys.Deriv(c.Var), sys.Total(), c.Target, opts); ok {
+					sys.Set(c.Var, next)
+				}
+				continue
 			}
+			col := cols[b.attr]
+			sys.DerivColumn(b.attr, nil, col)
+			vals = vals[:len(col)]
+			for v := range vals {
+				vals[v] = sys.OneD(b.attr, v)
+			}
+			// P is linear in each α_{a,v} and the column holds no α_{a,·}, so
+			// carrying P through the block is exact Gauss–Seidel.
+			p := sys.Total()
+			for _, c := range b.cs {
+				v := c.Var.Value
+				if next, ok := update(vals[v], col[v], p, c.Target, opts); ok {
+					p += (next - vals[v]) * col[v]
+					vals[v] = next
+				}
+			}
+			sys.SetOneDColumn(b.attr, vals)
 		}
 		// Resynchronize the incremental caches with a full evaluation
 		// before judging convergence, so sweep-to-sweep drift is bounded
 		// by one sweep's worth of incremental updates.
 		sys.Recompute()
-		rep.MaxViolation = maxViolation(sys, constraints, opts.N)
+		rep.MaxViolation = violations(sys, constraints, opts.N, cols, nil)
 		if opts.Progress != nil {
 			opts.Progress(sweep, rep.MaxViolation)
 		}
@@ -239,47 +263,35 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 	return rep, nil
 }
 
-// derivBatch fills b.pds with the partial derivatives of the block's
-// variables under the current assignment. Within a block the derivatives
-// are independent of the block's own variables, so they remain exact for
-// the whole sequential application pass.
-func derivBatch(sys *polynomial.System, b *block) {
-	for i, c := range b.cs {
-		b.pds[i] = sys.Deriv(c.Var)
-	}
-}
-
-// applyUpdate applies the closed-form coordinate update of Algorithm 1 to a
-// single constraint, given the precomputed derivative pd of its variable.
-func applyUpdate(sys *polynomial.System, c Constraint, pd float64, opts Options) {
-	p := sys.Total()
+// update is the closed-form coordinate update of Algorithm 1 for a variable
+// at cur whose partial derivative is pd under the polynomial value p. It
+// reports false when there is nothing to solve for.
+func update(cur, pd, p, target float64, opts Options) (float64, bool) {
 	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-		return
+		return 0, false
 	}
 	if pd <= 0 {
 		// The variable does not influence P under the current assignment
 		// (for example, every complementary variable of its terms is 0);
 		// there is nothing to solve for.
-		return
+		return 0, false
 	}
-	cur := sys.Get(c.Var)
 	rest := p - cur*pd // P with α_j removed; never contains α_j since P is linear.
 	if rest < 0 {
 		rest = 0
 	}
-	denom := (opts.N - c.Target) * pd
+	denom := (opts.N - target) * pd
 	if denom <= 0 {
 		// Target equals the relation size: drive the variable as high as is
 		// numerically sensible so the statistic captures (almost) all mass.
-		sys.Set(c.Var, math.Max(cur, 1)*1e6)
-		return
+		return math.Max(cur, 1) * 1e6, true
 	}
-	next := c.Target * rest / denom
+	next := target * rest / denom
 	if next < opts.MinValue {
 		next = opts.MinValue
 	}
 	if math.IsNaN(next) || math.IsInf(next, 0) {
-		return
+		return 0, false
 	}
 	if w := opts.Relaxation; w != 1 && cur > 0 {
 		next = cur * math.Pow(next/cur, w)
@@ -287,26 +299,56 @@ func applyUpdate(sys *polynomial.System, c Constraint, pd float64, opts Options)
 			next = opts.MinValue
 		}
 		if math.IsNaN(next) || math.IsInf(next, 0) {
-			return
+			return 0, false
 		}
 	}
-	sys.Set(c.Var, next)
+	return next, true
 }
 
-// maxViolation computes max_j |s_j − E[⟨c_j,I⟩]| / N over all constraints
-// with the current variable assignment.
-func maxViolation(sys *polynomial.System, constraints []Constraint, n float64) float64 {
+// columnsFor allocates one derivative column per attribute some 1D
+// constraint names (nil for the others).
+func columnsFor(sys *polynomial.System, constraints []Constraint) [][]float64 {
+	sizes := sys.Poly().DomainSizes()
+	cols := make([][]float64, len(sizes))
+	for _, c := range constraints {
+		if a := c.Var.Attr; c.Var.Kind == polynomial.OneD && cols[a] == nil {
+			cols[a] = make([]float64, sizes[a])
+		}
+	}
+	return cols
+}
+
+// violations returns max_j |s_j − E[⟨c_j,I⟩]| / N under the current
+// assignment and, when out is non-nil, stores each constraint's violation
+// at its index. The 1D expectations come from one column read per attribute
+// into cols (as columnsFor shapes it); a non-positive P violates
+// everything.
+func violations(sys *polynomial.System, constraints []Constraint, n float64, cols [][]float64, out []float64) float64 {
 	p := sys.Total()
-	if p <= 0 {
-		return math.Inf(1)
+	ok := p > 0
+	if ok {
+		for a, col := range cols {
+			if col != nil {
+				sys.DerivColumn(a, nil, col)
+			}
+		}
 	}
 	worst := 0.0
-	for _, c := range constraints {
-		e := n * sys.Get(c.Var) * sys.Deriv(c.Var) / p
-		v := math.Abs(c.Target-e) / n
-		if v > worst {
-			worst = v
+	for i, c := range constraints {
+		v := math.Inf(1)
+		if ok {
+			var pd float64
+			if c.Var.Kind == polynomial.OneD {
+				pd = cols[c.Var.Attr][c.Var.Value]
+			} else {
+				pd = sys.Deriv(c.Var)
+			}
+			v = math.Abs(c.Target-n*sys.Get(c.Var)*pd/p) / n
 		}
+		if out != nil {
+			out[i] = v
+		}
+		worst = max(worst, v)
 	}
 	return worst
 }
@@ -315,18 +357,8 @@ func maxViolation(sys *polynomial.System, constraints []Constraint, n float64) f
 // under the current assignment, index-aligned with constraints. It is used
 // by diagnostics and tests.
 func Violations(sys *polynomial.System, constraints []Constraint, n float64) []float64 {
-	p := sys.Total()
 	out := make([]float64, len(constraints))
-	if p <= 0 {
-		for i := range out {
-			out[i] = math.Inf(1)
-		}
-		return out
-	}
-	for i, c := range constraints {
-		e := n * sys.Get(c.Var) * sys.Deriv(c.Var) / p
-		out[i] = math.Abs(c.Target-e) / n
-	}
+	violations(sys, constraints, n, columnsFor(sys, constraints), out)
 	return out
 }
 

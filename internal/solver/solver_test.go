@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -128,6 +129,53 @@ func TestSolveZeroTargetPinsVariable(t *testing.T) {
 	if got := 10 * sys.Eval(pred) / sys.Eval(nil); got != 0 {
 		t.Fatalf("masked count over zero cell = %g, want 0", got)
 	}
+}
+
+// TestSolvePinnedValueStaysZeroThroughColumnWrite pins that a zero-target 1D
+// value stays exactly 0 while its attribute's column is written back every
+// sweep around it — also when a warm start hands it a non-zero value — so
+// the model gives its cell exactly no mass.
+func TestSolvePinnedValueStaysZeroThroughColumnWrite(t *testing.T) {
+	specs := []polynomial.MultiStatSpec{{
+		Attrs:  []int{0, 1},
+		Ranges: []query.Range{{Lo: 1, Hi: 2}, query.Point(0)},
+	}}
+	comp, err := polynomial.NewCompressed([]int{3, 2}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	constraints := []Constraint{
+		OneDConstraint(0, 0, 6),
+		OneDConstraint(0, 1, 0),
+		OneDConstraint(0, 2, 4),
+		OneDConstraint(1, 0, 5),
+		OneDConstraint(1, 1, 5),
+		MultiConstraint(0, 3),
+	}
+	sys := polynomial.NewSystem(comp)
+	pinned := query.NewPredicate(2).WhereEq(0, 1)
+	check := func(when string) {
+		if x := sys.OneD(0, 1); x != 0 {
+			t.Fatalf("%s: pinned α[0,1] = %g, want exactly 0", when, x)
+		}
+		if got := sys.Eval(pinned); got != 0 {
+			t.Fatalf("%s: masked P over the pinned value = %g, want exactly 0", when, got)
+		}
+	}
+	rep, err := Solve(sys, constraints, Options{
+		N:         10,
+		MaxSweeps: 200,
+		Tolerance: 1e-10,
+		Init:      polynomial.NewSystem(comp), // every α at 1, the pinned one included
+		Progress:  func(sweep int, _ float64) { check(fmt.Sprintf("sweep %d", sweep)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged {
+		t.Fatalf("solver did not converge: %v", rep)
+	}
+	check("after the solve")
 }
 
 // TestSolveRejectsBadTargets pins the input validation.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/solver"
+	"repro/internal/solver/solvertest"
 	"repro/internal/stats"
 )
 
@@ -217,6 +218,17 @@ func TestRestoreEquivalenceFlightsShape(t *testing.T) {
 	}
 }
 
+// TestSolveMatchesPerVariableSweepFlightsShape holds the solver's column
+// sweep to the per-variable sweep it replaced on a model of the benchmark's
+// shape, at the benchmark's 30-sweep budget: the same sweeps, the same
+// maximum violation, the same weights — the absent origin's pinned α
+// included — to 1e-9 relative, and a dual that never decreases.
+func TestSolveMatchesPerVariableSweepFlightsShape(t *testing.T) {
+	sum := flightsShapedSummary(t, 120)
+	opts := solver.Options{N: sum.N(), MaxSweeps: 30, Tolerance: 1e-6, MinValue: 1e-12, Relaxation: 1}
+	solvertest.Match(t, "flights shape", sum.System().Poly(), sum.Constraints(), opts)
+}
+
 // TestEncodingIsDeterministic checks that two builds of the same relation
 // encode byte-identically: the snapshot is a function of the model, not of
 // how long the solve happened to take.
@@ -260,6 +272,27 @@ func BenchmarkDecodeEstimator(b *testing.B) {
 		b.ReportMetric(float64(sum.System().Poly().NumTerms()), "terms")
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeEstimator(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSolveFlightsShape measures one cold solve at the repository
+// benchmark's model shape (2 pairs x 300 statistics, ~10k terms) and sweep
+// budget: what a build pays, and a refresh too while warm start saves no
+// sweeps there.
+func BenchmarkSolveFlightsShape(b *testing.B) {
+	sum := flightsShapedSummary(b, 300)
+	poly, cs := sum.System().Poly(), sum.Constraints()
+	opts := solver.Options{N: sum.N(), MaxSweeps: 30}
+	b.Run("flights", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sys := polynomial.NewSystem(poly)
+			b.StartTimer()
+			if _, err := solver.Solve(sys, cs, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
