@@ -125,6 +125,86 @@ func TestBuildTermsMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// levelWalkTerms is the enumeration the pairwise bitsets replaced, kept as
+// their oracle: every term of a level is tested against every later
+// statistic by a merge walk over its effective ranges, with no appeal to
+// pairwise compatibility.
+func levelWalkTerms(specs []MultiStatSpec) []term {
+	terms := []term{{}}
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(terms) {
+		for i := lo; i < hi; i++ {
+			t := terms[i]
+			first := 0
+			if n := len(t.stats); n > 0 {
+				first = t.stats[n-1] + 1
+			}
+			for j := first; j < len(specs); j++ {
+				if compatible(&MultiStatSpec{Attrs: t.attrs, Ranges: t.ranges}, &specs[j]) {
+					terms = append(terms, t.extend(j, specs[j]))
+				}
+			}
+			if len(terms) > 1e6 {
+				// Statistics too wide for the test: fail before the
+				// enumeration eats the machine's memory.
+				panic("levelWalkTerms: more than a million compatible sets")
+			}
+		}
+	}
+	return terms
+}
+
+// manySpecs draws 65–250 statistics — more than one bitset word — over
+// attribute sets that share attributes, 3-attribute sets among them, with
+// same-set statistics free to overlap, so that sets of three and more
+// statistics are compatible. Every set holds attribute 0 and the ranges are
+// short, which keeps the number of compatible sets in the thousands.
+func manySpecs(rng *rand.Rand) ([]int, []MultiStatSpec) {
+	m := 4 + rng.Intn(3) // 4..6 attributes
+	sizes := make([]int, m)
+	for i := range sizes {
+		sizes[i] = 24 + rng.Intn(17) // 24..40 values
+	}
+	attrSets := [][]int{{0, 1}, {0, 2}, {0, 1, 2}, {0, 3}, {0, 2, 3}, {0, m - 1}, {0, 1, m - 1}}
+	specs := make([]MultiStatSpec, 65+rng.Intn(186))
+	for j := range specs {
+		attrs := attrSets[rng.Intn(len(attrSets))]
+		ranges := make([]query.Range, len(attrs))
+		for k, a := range attrs {
+			lo := rng.Intn(sizes[a])
+			hi := min(lo+rng.Intn(4), sizes[a]-1)
+			ranges[k] = query.NewRange(lo, hi)
+		}
+		specs[j] = MultiStatSpec{Attrs: attrs, Ranges: ranges}
+	}
+	return sizes, specs
+}
+
+// TestBuildTermsMatchesLevelWalk holds the bitset enumeration to the
+// per-(term, later statistic) walk on inputs past one bitset word: the same
+// statistic sets with the same effective ranges, in the same order.
+func TestBuildTermsMatchesLevelWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	deepest := 0
+	for trial := 0; trial < 40; trial++ {
+		sizes, specs := manySpecs(rng)
+		want := levelWalkTerms(specs)
+		got := (&Compressed{sizes: sizes, specs: specs}).buildTerms()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (%d statistics): %d terms, the level walk finds %d", trial, len(specs), len(got), len(want))
+		}
+		for i, w := range want {
+			if !reflect.DeepEqual(got[i], w) {
+				t.Fatalf("trial %d term %d: got %+v, want %+v", trial, i, got[i], w)
+			}
+			deepest = max(deepest, len(w.stats))
+		}
+	}
+	if deepest < 3 {
+		t.Fatalf("random inputs only reached sets of size %d; the test needs depth ≥ 3", deepest)
+	}
+	t.Logf("deepest compatible set: %d statistics", deepest)
+}
+
 // flightsShapedSpecs is the structure of the repository benchmark's model:
 // five attributes with the flights domain sizes and two attribute pairs of
 // 300 disjoint rectangles each that share attribute 1, so the compatible

@@ -22,6 +22,7 @@ package polynomial
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -195,20 +196,47 @@ func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error
 // statistics j > max(S). Compatibility is hereditary — every subset of a
 // compatible set is compatible — so each set S is produced exactly once,
 // from S \ {max(S)}, and the terms come out already ordered by
-// (|S|, lexicographic S): no deduplication and no sort. The cost is one
-// allocation-free compatibility walk per (term, later statistic) pair plus
-// the surviving terms themselves.
+// (|S|, lexicographic S): no deduplication and no sort.
+//
+// Compatibility is also pairwise. On one attribute, ranges that pairwise
+// overlap share a point (Helly's theorem for intervals), so a compatible S
+// extends to a compatible S ∪ {j} iff j is compatible with every member of
+// S. The pairs are tested once, up front, into one bitset row per statistic
+// (later[i] holds the compatible j > i), and a term is extended by exactly
+// the set bits of ⋀_{s∈S} later[s], in ascending j. The cost is the
+// n(n−1)/2 pair tests, one AND of |S| rows per term, and the surviving terms
+// themselves.
 func (c *Compressed) buildTerms() []term {
-	terms := []term{{}}
-	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(terms) {
+	n := len(c.specs)
+	words := (n + 63) / 64
+	later := make([]uint64, n*words)
+	for i := range c.specs {
+		row := later[i*words : (i+1)*words]
+		x := &c.specs[i]
+		for j := i + 1; j < n; j++ {
+			if compatible(x, &c.specs[j]) {
+				row[j/64] |= 1 << uint(j%64)
+			}
+		}
+	}
+
+	terms := make([]term, 1, 1+n)
+	for j, spec := range c.specs {
+		terms = append(terms, terms[0].extend(j, spec))
+	}
+	cand := make([]uint64, words)
+	for lo, hi := 1, len(terms); lo < hi; lo, hi = hi, len(terms) {
 		for i := lo; i < hi; i++ {
 			t := terms[i]
-			first := 0
-			if n := len(t.stats); n > 0 {
-				first = t.stats[n-1] + 1
+			copy(cand, later[t.stats[0]*words:])
+			for _, s := range t.stats[1:] {
+				for w, x := range later[s*words : (s+1)*words] {
+					cand[w] &= x
+				}
 			}
-			for j := first; j < len(c.specs); j++ {
-				if t.compatible(c.specs[j]) {
+			for w, x := range cand {
+				for ; x != 0; x &= x - 1 {
+					j := w*64 + bits.TrailingZeros64(x)
 					terms = append(terms, t.extend(j, c.specs[j]))
 				}
 			}
@@ -217,16 +245,15 @@ func (c *Compressed) buildTerms() []term {
 	return terms
 }
 
-// compatible reports whether the statistic's range intersects the term's
-// effective range ρ_iS on every attribute they share, by a merge walk over
-// the two sorted attribute lists.
-func (t term) compatible(spec MultiStatSpec) bool {
+// compatible reports whether two statistics' ranges intersect on every
+// attribute they share, by a merge walk over their sorted attribute lists.
+func compatible(x, y *MultiStatSpec) bool {
 	k := 0
-	for i, a := range spec.Attrs {
-		for k < len(t.attrs) && t.attrs[k] < a {
+	for i, a := range y.Attrs {
+		for k < len(x.Attrs) && x.Attrs[k] < a {
 			k++
 		}
-		if k < len(t.attrs) && t.attrs[k] == a && !t.ranges[k].Overlaps(spec.Ranges[i]) {
+		if k < len(x.Attrs) && x.Attrs[k] == a && !x.Ranges[k].Overlaps(y.Ranges[i]) {
 			return false
 		}
 	}

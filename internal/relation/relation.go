@@ -176,18 +176,20 @@ func (r *Relation) Histogram1D(attr int) []int {
 }
 
 // Histogram2D returns the joint count matrix counts[v1][v2] of the attribute
-// pair (a1, a2).
+// pair (a1, a2). The rows are carved from one row-major slab, and the scan
+// counts straight into it: one indexed increment per row.
 func (r *Relation) Histogram2D(a1, a2 int) [][]int {
 	n1 := r.sch.Attr(a1).Size()
 	n2 := r.sch.Attr(a2).Size()
-	out := make([][]int, n1)
 	flat := make([]int, n1*n2)
-	for i := range out {
-		out[i], flat = flat[:n2], flat[n2:]
+	c1 := r.cols[a1][:r.rows]
+	c2 := r.cols[a2][:len(c1)]
+	for i, v1 := range c1 {
+		flat[int(v1)*n2+int(c2[i])]++
 	}
-	c1, c2 := r.cols[a1], r.cols[a2]
-	for i := 0; i < r.rows; i++ {
-		out[c1[i]][c2[i]]++
+	out := make([][]int, n1)
+	for i := range out {
+		out[i], flat = flat[:n2:n2], flat[n2:]
 	}
 	return out
 }

@@ -10,9 +10,26 @@ import (
 // ChiSquared computes the chi-squared statistic of independence between two
 // attributes of the relation (the quantity the paper uses to rank
 // attribute-pair correlation in Sec. 4.3; it also mentions using it to test
-// whether a pair is close to uniform/independent).
+// whether a pair is close to uniform/independent). It is computed over the
+// joint table in ascending attribute order, so the argument order does not
+// change a bit of it.
 func ChiSquared(rel *relation.Relation, a1, a2 int) float64 {
-	joint := rel.Histogram2D(a1, a2)
+	return chiSquared(jointTable(rel, a1, a2))
+}
+
+// jointTable counts the joint histogram of an attribute pair with the
+// smaller attribute as the row index — the one orientation both the
+// correlation and the bucket heuristics read, so a table counted for one is
+// reused by the other as it is.
+func jointTable(rel *relation.Relation, a1, a2 int) [][]int {
+	if a1 > a2 {
+		a1, a2 = a2, a1
+	}
+	return rel.Histogram2D(a1, a2)
+}
+
+// chiSquared is the chi-squared statistic of a joint count table.
+func chiSquared(joint [][]int) float64 {
 	n1 := len(joint)
 	if n1 == 0 {
 		return 0
@@ -52,7 +69,11 @@ func ChiSquared(rel *relation.Relation, a1, a2 int) float64 {
 // CramersV normalizes the chi-squared statistic to [0, 1] so that pairs over
 // domains of different sizes are comparable.
 func CramersV(rel *relation.Relation, a1, a2 int) float64 {
-	chi := ChiSquared(rel, a1, a2)
+	return cramersV(rel, a1, a2, ChiSquared(rel, a1, a2))
+}
+
+// cramersV normalizes a chi-squared statistic already computed for the pair.
+func cramersV(rel *relation.Relation, a1, a2 int, chi float64) float64 {
 	n := float64(rel.NumRows())
 	if n == 0 {
 		return 0
@@ -83,6 +104,14 @@ type PairCorrelation struct {
 // returns them sorted from most to least correlated (by Cramér's V, with
 // chi-squared as a tie-breaker).
 func RankPairs(rel *relation.Relation, candidates []int) []PairCorrelation {
+	ranked, _ := rankPairs(rel, candidates)
+	return ranked
+}
+
+// rankPairs is RankPairs that also returns the joint table of every ranked
+// pair, keyed by {A1, A2}. Each table is counted once, in ascending
+// attribute order, and both χ² and Cramér's V are read off it.
+func rankPairs(rel *relation.Relation, candidates []int) ([]PairCorrelation, map[[2]int][][]int) {
 	if candidates == nil {
 		candidates = make([]int, rel.NumAttrs())
 		for i := range candidates {
@@ -90,15 +119,19 @@ func RankPairs(rel *relation.Relation, candidates []int) []PairCorrelation {
 		}
 	}
 	var out []PairCorrelation
+	tables := make(map[[2]int][][]int)
 	for i := 0; i < len(candidates); i++ {
 		for j := i + 1; j < len(candidates); j++ {
 			a1, a2 := candidates[i], candidates[j]
+			joint := jointTable(rel, a1, a2)
+			chi := chiSquared(joint)
 			out = append(out, PairCorrelation{
 				A1:   a1,
 				A2:   a2,
-				Chi2: ChiSquared(rel, a1, a2),
-				V:    CramersV(rel, a1, a2),
+				Chi2: chi,
+				V:    cramersV(rel, a1, a2, chi),
 			})
+			tables[[2]int{a1, a2}] = joint
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -107,7 +140,7 @@ func RankPairs(rel *relation.Relation, candidates []int) []PairCorrelation {
 		}
 		return out[i].Chi2 > out[j].Chi2
 	})
-	return out
+	return out, tables
 }
 
 // PairPolicy selects which attribute pairs receive 2D statistics given a

@@ -60,13 +60,27 @@ func SelectPairStatistics(rel *relation.Relation, a1, a2 int, budget int, h Heur
 	if a1 == a2 {
 		return nil, fmt.Errorf("stats: 2D statistic needs two distinct attributes, got %d twice", a1)
 	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("stats: per-pair budget must be positive, got %d", budget)
+	if err := checkPerPairBudget(budget); err != nil {
+		return nil, err
 	}
 	if a1 > a2 {
 		a1, a2 = a2, a1
 	}
-	joint := rel.Histogram2D(a1, a2)
+	return pairStatistics(a1, a2, rel.Histogram2D(a1, a2), budget, h)
+}
+
+// checkPerPairBudget refuses a non-positive per-pair budget B_s, in the one
+// message SelectPairStatistics and SelectMulti share.
+func checkPerPairBudget(budget int) error {
+	if budget <= 0 {
+		return fmt.Errorf("stats: per-pair budget must be positive, got %d", budget)
+	}
+	return nil
+}
+
+// pairStatistics is SelectPairStatistics over the pair's joint table,
+// already counted with a1 < a2 as the row attribute.
+func pairStatistics(a1, a2 int, joint [][]int, budget int, h Heuristic) ([]Statistic, error) {
 	switch h {
 	case LargeSingleCell:
 		return singleCells(a1, a2, joint, budget, false), nil
@@ -83,15 +97,20 @@ func SelectPairStatistics(rel *relation.Relation, a1, a2 int, budget int, h Heur
 // of Sec. 4.3 against the relation: rank every attribute pair by
 // correlation, choose at most pairBudget pairs under the policy, compute
 // perPairBudget 2D statistics for each chosen pair with the heuristic, and
-// add them to the set. It returns the chosen pairs for reporting.
+// add them to the set. It returns the chosen pairs for reporting. Every
+// pair's joint table is counted once: the ranking reads χ² and Cramér's V
+// off it and the heuristic reads the chosen pairs' buckets off it.
 func SelectMulti(rel *relation.Relation, set *Set, pairBudget, perPairBudget int, policy PairPolicy, h Heuristic) ([]PairCorrelation, error) {
 	if pairBudget <= 0 {
 		return nil, nil
 	}
-	ranked := RankPairs(rel, nil)
+	if err := checkPerPairBudget(perPairBudget); err != nil {
+		return nil, err
+	}
+	ranked, tables := rankPairs(rel, nil)
 	chosen := SelectPairs(ranked, pairBudget, policy)
 	for _, pc := range chosen {
-		sts, err := SelectPairStatistics(rel, pc.A1, pc.A2, perPairBudget, h)
+		sts, err := pairStatistics(pc.A1, pc.A2, tables[[2]int{pc.A1, pc.A2}], perPairBudget, h)
 		if err != nil {
 			return nil, err
 		}
