@@ -9,10 +9,10 @@
 // the mixed read/write workload of a live deployment, exercising the
 // refresh + hot-swap path under concurrent queries.
 //
-// With -batch N, queries travel N to a round trip over POST /query/batch;
-// -wire binary swaps the JSON bodies for the compact binary frames of
-// internal/query. This is the high-throughput client mode the BENCH.md
-// batched-serving table measures.
+// With -batch N, queries travel N to a round trip over POST /query/batch as
+// the compact binary frames of internal/query; without it each query is one
+// JSON POST /query or /groupby. Batching is the high-throughput client mode
+// the BENCH.md batched-serving table measures.
 //
 // With -version N, every query is answered from retained snapshot version
 // N instead of the live estimators (time travel; needs a summaryd started
@@ -33,7 +33,7 @@
 //	go run ./cmd/summaryd &
 //	go run ./cmd/loadgen -addr http://localhost:8080 -estimator demo/maxent -requests 2000
 //	go run ./cmd/loadgen -estimator demo/maxent -requests 2000 -ingest-every 10 -ingest-batch 50
-//	go run ./cmd/loadgen -estimator demo/maxent -requests 4000 -batch 32 -wire binary
+//	go run ./cmd/loadgen -estimator demo/maxent -requests 4000 -batch 32
 //	go run ./cmd/loadgen -estimator demo/maxent -requests 1000 -version 1
 //	go run ./cmd/loadgen -estimator demo/maxent -requests 1000 -version-mix 0,1,2
 package main
@@ -66,8 +66,7 @@ func main() {
 		ingestEvery = flag.Int("ingest-every", 0, "make every Nth request an ingest (0 disables the write mix)")
 		ingestBatch = flag.Int("ingest-batch", 10, "rows per ingest request")
 		ingestData  = flag.String("ingest-dataset", "", "dataset for POST /ingest/{dataset} (default: the estimator's dataset prefix)")
-		batch       = flag.Int("batch", 0, "queries per POST /query/batch round trip (0 or 1 = single-query endpoints)")
-		wire        = flag.String("wire", "json", "batch encoding: json or binary (requires -batch > 1)")
+		batch       = flag.Int("batch", 0, "queries per binary POST /query/batch round trip (0 or 1 = JSON single-query endpoints)")
 		version     = flag.Int("version", 0, "answer every query from this retained snapshot version (0 = live estimators)")
 		versionMix  = flag.String("version-mix", "", "comma-separated snapshot versions cycled across requests, 0 meaning live (e.g. 0,1,2) — a mixed live/time-travel workload")
 		routers     = flag.String("routers", "", "comma-separated base URLs fronting the same fleet; requests rotate round-robin across them (-addr still serves schema discovery; incompatible with -ingest-every)")
@@ -99,7 +98,6 @@ func main() {
 		Concurrency: *concurrency,
 		Timeout:     *timeout,
 		Batch:       *batch,
-		Wire:        *wire,
 		Version:     *version,
 		VersionMix:  mixVersions,
 		Routers:     splitRouters(*routers),

@@ -27,7 +27,7 @@
 // rows exist only in the model; ingestion re-enables after a rebuild).
 //
 // The snapshot store doubles as a time-travel and branching surface:
-// GET/POST /query?version=N (and /query/batch) answer from any retained
+// POST /query?version=N (and /groupby, /query/batch) answer from any retained
 // snapshot version through an LRU of lazily-restored historical
 // estimators (budget set by -history-cache-bytes),
 // POST /branch/{dataset}?from=N&name=X forks a dataset at a snapshot
@@ -35,7 +35,7 @@
 // the store, and GET /diff/{dataset}?a=N&b=M reports per-attribute
 // distribution drift between two versions. See docs/VERSIONING.md.
 //
-// Endpoints: GET/POST /query, POST /query/batch, POST /groupby,
+// Endpoints: POST /query, POST /query/batch, POST /groupby,
 // POST /ingest/{dataset}, POST /branch/{parent}, GET /diff/{dataset},
 // GET /estimators, GET /healthz, GET /metrics, GET /snapshots,
 // POST /snapshots/{dataset}. See docs/API.md for the full wire reference

@@ -9,9 +9,9 @@
 // POST /sync/notify out to the replicas so the fleet converges within one
 // round trip instead of one poll interval.
 //
-// Every read — GET/POST /query, POST /groupby, POST /query/batch on either
-// wire; a single read is a batch of one — is served item by item through
-// one path. Warm items never leave the router: answers are cached (-cache
+// Every read — JSON POST /query, JSON POST /groupby, binary POST
+// /query/batch; a single read is a batch of one — is served item by item
+// through one path. Warm items never leave the router: answers are cached (-cache
 // entries, -1 disables), keyed by canonical query identity and proven
 // fresh by the generation each node stamps on its answers — a routed write
 // fences its dataset so no cached answer can outlive it, and concurrent
@@ -23,7 +23,7 @@
 // and reassembled in the original item order, positionally and bitwise
 // identical to a single node's answer stream.
 //
-// Endpoints: the proxied summaryd surface (GET/POST /query,
+// Endpoints: the proxied summaryd surface (POST /query,
 // POST /query/batch, POST /groupby, GET /estimators, GET /snapshots,
 // POST /snapshots/{dataset}, POST /ingest/{dataset}, POST /branch/{parent},
 // GET /diff/{dataset}) plus the router's own GET /healthz and GET /metrics

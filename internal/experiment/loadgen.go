@@ -46,13 +46,10 @@ type LoadOptions struct {
 	// Ingest, when non-nil with Every >= 1, interleaves ingest requests
 	// with the query workload.
 	Ingest *IngestMix
-	// Batch > 1 groups that many workload queries into one POST
-	// /query/batch round trip (0 or 1 keeps the single-query endpoints).
-	// Batched runs do not support an ingest mix.
+	// Batch > 1 groups that many workload queries into one binary POST
+	// /query/batch round trip (0 or 1 keeps the JSON single-query
+	// endpoints). Batched runs do not support an ingest mix.
 	Batch int
-	// Wire selects the batch encoding: "json" (default) or "binary".
-	// Ignored unless Batch > 1.
-	Wire string
 	// Version > 0 answers every query from that retained snapshot version
 	// of the estimator's dataset key (time travel); 0 queries the live
 	// estimators.
@@ -85,15 +82,6 @@ func (o *LoadOptions) versionFor(j int) int {
 	return o.Version
 }
 
-// baseVersion is the version encoded into shared batch bodies: 0 when a
-// mix varies it per round trip (the URL override carries it then).
-func baseVersion(o LoadOptions) int {
-	if len(o.VersionMix) > 0 {
-		return 0
-	}
-	return o.Version
-}
-
 // validVersions rejects negative versions up front.
 func (o *LoadOptions) validVersions() error {
 	if o.Version < 0 {
@@ -119,16 +107,15 @@ type LoadResult struct {
 	Errors        int     `json:"errors"`
 	ElapsedNS     int64   `json:"elapsed_ns"`
 	ThroughputQPS float64 `json:"throughput_qps"`
-	// Batch accounting (zero/empty on unbatched runs). Bytes are summed
-	// over request and response bodies — the wire-format tax per query is
-	// (BytesOut+BytesIn)/Requests.
-	BatchSize     int    `json:"batch_size,omitempty"`
-	Wire          string `json:"wire,omitempty"`
-	BytesOut      int64  `json:"bytes_out,omitempty"`
-	BytesIn       int64  `json:"bytes_in,omitempty"`
-	LatencyP50NS  int64  `json:"latency_p50_ns"`
-	LatencyP95NS  int64  `json:"latency_p95_ns"`
-	LatencyMeanNS int64  `json:"latency_mean_ns"`
+	// BatchSize is LoadOptions.Batch on batched runs. Bytes are summed over
+	// the read requests' and responses' bodies — the wire-format tax per
+	// query is (BytesOut+BytesIn)/Requests.
+	BatchSize     int   `json:"batch_size,omitempty"`
+	BytesOut      int64 `json:"bytes_out,omitempty"`
+	BytesIn       int64 `json:"bytes_in,omitempty"`
+	LatencyP50NS  int64 `json:"latency_p50_ns"`
+	LatencyP95NS  int64 `json:"latency_p95_ns"`
+	LatencyMeanNS int64 `json:"latency_mean_ns"`
 	// CachedResponses counts answers the server reported as cache hits.
 	CachedResponses int `json:"cached_responses"`
 	// Ingest accounting (zero unless LoadOptions.Ingest was set). Ingest
@@ -145,11 +132,26 @@ type LoadResult struct {
 	FirstError string `json:"first_error,omitempty"`
 }
 
+// call is one pre-encoded round trip: a read carrying queries workload
+// queries — a JSON single read or a binary batch — or, with queries 0, an
+// ingest.
+type call struct {
+	path, contentType string
+	body              []byte
+	queries           int
+}
+
 // DriveHTTP replays the workload against a running summaryd instance at
 // baseURL, fanning requests out over a bounded set of workers, and returns
 // client-side throughput and latency aggregates. It is the HTTP face of
 // the same workloads Run scores in-process, which makes serving overhead
 // directly comparable to direct Estimator calls.
+//
+// Every body is encoded once up front, so the measured path is pure
+// request/response handling: one JSON POST /query or /groupby per query, or
+// with Batch > 1 one binary POST /query/batch per Batch queries. Accounting
+// is per query (Requests, Errors, ThroughputQPS) with latency quantiles per
+// round trip; ingest slots are accounted apart.
 func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*LoadResult, error) {
 	if len(workload) == 0 {
 		return nil, fmt.Errorf("experiment: the workload is empty")
@@ -169,94 +171,32 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Batch > 1 {
-		return driveBatched(baseURL, estimator, workload, opts)
+	reads, err := readCalls(estimator, workload, opts.Batch)
+	if err != nil {
+		return nil, err
 	}
-
-	// Pre-marshal every request body once so the measured path is pure
-	// request/response handling.
-	type call struct {
-		path string
-		body []byte
-	}
-	calls := make([]call, len(workload))
-	for i, q := range workload {
-		var (
-			b   []byte
-			err error
-		)
-		path := "/query"
-		if q.IsGroupBy() {
-			path = "/groupby"
-			b, err = json.Marshal(server.GroupByRequest{Estimator: estimator, Predicate: q.Pred, GroupBy: q.GroupBy})
-		} else {
-			b, err = json.Marshal(server.QueryRequest{Estimator: estimator, Predicate: q.Pred})
-		}
-		if err != nil {
-			return nil, fmt.Errorf("experiment: marshal %s: %w", q.Name, err)
-		}
-		calls[i] = call{path: path, body: b}
-	}
-
-	// Pre-marshal the rotating ingest bodies when a mix is requested.
-	var (
-		mix          *IngestMix
-		ingestBodies [][]byte
-	)
-	if opts.Ingest != nil && opts.Ingest.Every >= 1 {
-		mix = opts.Ingest
-		if mix.Dataset == "" {
-			return nil, fmt.Errorf("experiment: ingest mix needs a dataset name")
-		}
-		if len(mix.Rows) == 0 {
-			return nil, fmt.Errorf("experiment: ingest mix needs a row pool")
-		}
-		batch := mix.Batch
-		if batch <= 0 {
-			batch = 10
-		}
-		for off := 0; off < len(mix.Rows); off += batch {
-			end := off + batch
-			if end > len(mix.Rows) {
-				end = len(mix.Rows)
-			}
-			b, err := json.Marshal(server.IngestRequest{Rows: mix.Rows[off:end]})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: marshal ingest batch: %w", err)
-			}
-			ingestBodies = append(ingestBodies, b)
-		}
+	ingests, err := ingestCalls(opts.Ingest)
+	if err != nil {
+		return nil, err
 	}
 
 	client := newLoadClient(opts)
-	total := len(calls) * opts.Repeat
-	jobs := make(chan int)
-	// -1 marks requests that failed in transport (and ingest slots); they
-	// are excluded from the query quantiles.
+	total := len(reads) * opts.Repeat
+	// -1 marks round trips that failed in transport (and ingest slots); they
+	// are excluded from the latency quantiles.
 	latencies := make([]int64, total)
 	for i := range latencies {
 		latencies[i] = -1
 	}
-	var (
-		mu           sync.Mutex
-		errCount     int
-		cachedHits   int
-		firstErr     string
-		ingestReqs   int
-		ingestErrs   int
-		ingestedRows int
-		ingestNS     int64
-		refreshes    int
-	)
-	fail := func(msg string) {
-		mu.Lock()
-		errCount++
-		if firstErr == "" {
-			firstErr = msg
-		}
-		mu.Unlock()
+	res := &LoadResult{Estimator: estimator, Requests: len(workload) * opts.Repeat, HTTPRequests: total}
+	if opts.Batch > 1 {
+		res.BatchSize = opts.Batch
 	}
-
+	var (
+		mu       sync.Mutex
+		ingestNS int64
+	)
+	jobs := make(chan int)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Concurrency; w++ {
@@ -264,77 +204,50 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				target := opts.targetFor(baseURL, j)
-				if mix != nil && j%mix.Every == 0 {
-					body := ingestBodies[(j/mix.Every)%len(ingestBodies)]
-					t0 := time.Now()
-					resp, err := client.Post(target+"/ingest/"+mix.Dataset, "application/json", bytes.NewReader(body))
-					ns := time.Since(t0).Nanoseconds()
-					mu.Lock()
-					ingestReqs++
-					ingestNS += ns
-					mu.Unlock()
-					if err != nil {
-						mu.Lock()
-						ingestErrs++
-						if firstErr == "" {
-							firstErr = err.Error()
-						}
-						mu.Unlock()
-						continue
-					}
-					rbody, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					var ir server.IngestResult
-					if resp.StatusCode != http.StatusOK || json.Unmarshal(rbody, &ir) != nil {
-						mu.Lock()
-						ingestErrs++
-						if firstErr == "" {
-							firstErr = fmt.Sprintf("ingest status %d: %s", resp.StatusCode, rbody)
-						}
-						mu.Unlock()
-						continue
-					}
-					mu.Lock()
-					ingestedRows += ir.Accepted
-					if ir.Refreshed {
-						refreshes++
-					}
-					mu.Unlock()
-					continue
+				c := reads[j%len(reads)]
+				if ingests != nil && j%opts.Ingest.Every == 0 {
+					c = ingests[(j/opts.Ingest.Every)%len(ingests)]
 				}
-				c := calls[j%len(calls)]
 				// The snapshot version travels as a URL override, so the
-				// pre-marshaled bodies stay shared across a version mix.
-				url := target + c.path
+				// pre-encoded bodies stay shared across a version mix.
+				url := opts.targetFor(baseURL, j) + c.path
 				if v := opts.versionFor(j); v > 0 {
 					url += "?version=" + strconv.Itoa(v)
 				}
 				t0 := time.Now()
-				resp, err := client.Post(url, "application/json", bytes.NewReader(c.body))
-				if err != nil {
-					fail(err.Error())
-					continue
-				}
-				body, rerr := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				latencies[j] = time.Since(t0).Nanoseconds()
-				if rerr != nil {
-					fail(rerr.Error())
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Sprintf("status %d: %s", resp.StatusCode, body))
-					continue
-				}
-				var probe struct {
-					Cached bool `json:"cached"`
-				}
-				if json.Unmarshal(body, &probe) == nil && probe.Cached {
+				status, body, err := post(client, url, c)
+				ns := time.Since(t0).Nanoseconds()
+				if c.queries == 0 {
+					ir, msg := ingestOutcome(status, body, err)
 					mu.Lock()
-					cachedHits++
+					res.IngestRequests++
+					ingestNS += ns
+					if msg != "" {
+						res.IngestErrors++
+					}
+					res.IngestedRows += ir.Accepted
+					if ir.Refreshed {
+						res.Refreshes++
+					}
+					if res.FirstError == "" {
+						res.FirstError = msg
+					}
 					mu.Unlock()
+					continue
 				}
+				if status != 0 {
+					latencies[j] = ns
+				}
+				errs, cached, msg := c.outcome(status, body, err)
+				mu.Lock()
+				res.Errors += errs
+				res.CachedResponses += cached
+				res.BytesOut += int64(len(c.body))
+				res.BytesIn += int64(len(body))
+				if res.FirstError == "" {
+					res.FirstError = msg
+				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -345,220 +258,9 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	res := &LoadResult{
-		Estimator:       estimator,
-		Requests:        total,
-		HTTPRequests:    total,
-		Errors:          errCount,
-		ElapsedNS:       elapsed.Nanoseconds(),
-		CachedResponses: cachedHits,
-		IngestRequests:  ingestReqs,
-		IngestErrors:    ingestErrs,
-		IngestedRows:    ingestedRows,
-		Refreshes:       refreshes,
-		FirstError:      firstErr,
-	}
-	if ingestReqs > 0 {
-		res.IngestMeanNS = ingestNS / int64(ingestReqs)
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		res.ThroughputQPS = float64(total) / secs
-	}
-	measured := latencies[:0]
-	for _, l := range latencies {
-		if l >= 0 {
-			measured = append(measured, l)
-		}
-	}
-	if n := len(measured); n > 0 {
-		var sum int64
-		for _, l := range measured {
-			sum += l
-		}
-		res.LatencyMeanNS = sum / int64(n)
-		sort.Slice(measured, func(i, j int) bool { return measured[i] < measured[j] })
-		res.LatencyP50NS = measured[int(0.50*float64(n-1))]
-		res.LatencyP95NS = measured[int(0.95*float64(n-1))]
-	}
-	return res, nil
-}
-
-// newLoadClient builds an HTTP client whose transport keeps one idle
-// connection per worker: the stock transport caps idle connections per
-// host at 2, so any Concurrency above that re-dials TCP mid-run and the
-// handshake tax dominates what should be a serving measurement.
-func newLoadClient(opts LoadOptions) *http.Client {
-	tr := &http.Transport{
-		MaxIdleConns:        2 * opts.Concurrency,
-		MaxIdleConnsPerHost: opts.Concurrency,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	return &http.Client{Timeout: opts.Timeout, Transport: tr}
-}
-
-// driveBatched is the POST /query/batch load path: the workload is cut
-// into Batch-sized round trips, each pre-encoded once on the selected wire,
-// and replayed Repeat times. Accounting is per query (Requests,
-// ThroughputQPS) with latency quantiles per round trip.
-func driveBatched(baseURL, estimator string, workload []Query, opts LoadOptions) (*LoadResult, error) {
-	// Wire and mix combinations were already vetted by Validate.
-	wire := opts.Wire
-	if wire == "" || wire == "json" {
-		wire = "json"
-	}
-	contentType := "application/json"
-	if wire == "binary" {
-		contentType = server.BinaryBatchContentType
-	}
-
-	type round struct {
-		body    []byte
-		queries int
-	}
-	var rounds []round
-	for off := 0; off < len(workload); off += opts.Batch {
-		end := off + opts.Batch
-		if end > len(workload) {
-			end = len(workload)
-		}
-		chunk := workload[off:end]
-		var body []byte
-		if wire == "binary" {
-			items := make([]query.BatchItem, len(chunk))
-			for i, q := range chunk {
-				items[i] = query.BatchItem{Pred: q.Pred, GroupBy: q.GroupBy}
-			}
-			// A fixed snapshot version rides in the frame itself (format v2);
-			// a version mix instead overrides per round trip via the URL, so
-			// pre-encoded frames stay shared.
-			frame, err := query.AppendBatchAt(nil, estimator, baseVersion(opts), items)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: encode batch frame: %w", err)
-			}
-			body = frame
-		} else {
-			req := server.BatchQueryRequest{Estimator: estimator, Version: baseVersion(opts)}
-			for _, q := range chunk {
-				req.Queries = append(req.Queries, server.BatchQueryItem{Predicate: q.Pred, GroupBy: q.GroupBy})
-			}
-			var err error
-			if body, err = json.Marshal(req); err != nil {
-				return nil, fmt.Errorf("experiment: marshal batch: %w", err)
-			}
-		}
-		rounds = append(rounds, round{body: body, queries: len(chunk)})
-	}
-
-	client := newLoadClient(opts)
-	totalRounds := len(rounds) * opts.Repeat
-	jobs := make(chan int)
-	latencies := make([]int64, totalRounds)
-	for i := range latencies {
-		latencies[i] = -1
-	}
-	var (
-		mu         sync.Mutex
-		errCount   int
-		cachedHits int
-		firstErr   string
-		bytesOut   int64
-		bytesIn    int64
-	)
-	account := func(errs, cached int, out, in int64, msg string) {
-		mu.Lock()
-		errCount += errs
-		cachedHits += cached
-		bytesOut += out
-		bytesIn += in
-		if msg != "" && firstErr == "" {
-			firstErr = msg
-		}
-		mu.Unlock()
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r := rounds[j%len(rounds)]
-				url := opts.targetFor(baseURL, j) + "/query/batch"
-				if len(opts.VersionMix) > 0 {
-					if v := opts.versionFor(j); v > 0 {
-						url += "?version=" + strconv.Itoa(v)
-					}
-				}
-				t0 := time.Now()
-				resp, err := client.Post(url, contentType, bytes.NewReader(r.body))
-				if err != nil {
-					// A transport failure loses the whole round trip.
-					account(r.queries, 0, int64(len(r.body)), 0, err.Error())
-					continue
-				}
-				rbody, rerr := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				latencies[j] = time.Since(t0).Nanoseconds()
-				out, in := int64(len(r.body)), int64(len(rbody))
-				if rerr != nil {
-					account(r.queries, 0, out, in, rerr.Error())
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					account(r.queries, 0, out, in, fmt.Sprintf("status %d: %s", resp.StatusCode, rbody))
-					continue
-				}
-				var answers []query.BatchAnswer
-				if wire == "binary" {
-					_, answers, err = query.DecodeAnswers(bytes.NewReader(rbody))
-				} else {
-					var br server.BatchQueryResponse
-					if err = json.Unmarshal(rbody, &br); err == nil {
-						answers = make([]query.BatchAnswer, len(br.Answers))
-						for i, a := range br.Answers {
-							answers[i] = query.BatchAnswer{Cached: a.Cached, Error: a.Error}
-						}
-					}
-				}
-				if err != nil {
-					account(r.queries, 0, out, in, err.Error())
-					continue
-				}
-				errs, cached := 0, 0
-				var msg string
-				for _, a := range answers {
-					if a.Error != "" {
-						errs++
-						msg = a.Error
-					}
-					if a.Cached {
-						cached++
-					}
-				}
-				account(errs, cached, out, in, msg)
-			}
-		}()
-	}
-	for j := 0; j < totalRounds; j++ {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := &LoadResult{
-		Estimator:       estimator,
-		Requests:        len(workload) * opts.Repeat,
-		HTTPRequests:    totalRounds,
-		Errors:          errCount,
-		ElapsedNS:       elapsed.Nanoseconds(),
-		CachedResponses: cachedHits,
-		BatchSize:       opts.Batch,
-		Wire:            wire,
-		BytesOut:        bytesOut,
-		BytesIn:         bytesIn,
-		FirstError:      firstErr,
+	res.ElapsedNS = elapsed.Nanoseconds()
+	if res.IngestRequests > 0 {
+		res.IngestMeanNS = ingestNS / int64(res.IngestRequests)
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.ThroughputQPS = float64(res.Requests) / secs
@@ -580,4 +282,138 @@ func driveBatched(baseURL, estimator string, workload []Query, opts LoadOptions)
 		res.LatencyP95NS = measured[int(0.95*float64(n-1))]
 	}
 	return res, nil
+}
+
+// readCalls encodes the workload once: one JSON single read per query, or
+// binary batches of batch queries when batch > 1.
+func readCalls(estimator string, workload []Query, batch int) ([]call, error) {
+	var calls []call
+	if batch <= 1 {
+		for _, q := range workload {
+			path := "/query"
+			var req interface{} = server.QueryRequest{Estimator: estimator, Predicate: q.Pred}
+			if q.IsGroupBy() {
+				path = "/groupby"
+				req = server.GroupByRequest{Estimator: estimator, Predicate: q.Pred, GroupBy: q.GroupBy}
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: marshal %s: %w", q.Name, err)
+			}
+			calls = append(calls, call{path: path, contentType: "application/json", body: body, queries: 1})
+		}
+		return calls, nil
+	}
+	for off := 0; off < len(workload); off += batch {
+		chunk := workload[off:min(off+batch, len(workload))]
+		items := make([]query.BatchItem, len(chunk))
+		for i, q := range chunk {
+			items[i] = query.BatchItem{Pred: q.Pred, GroupBy: q.GroupBy}
+		}
+		body, err := query.AppendBatch(nil, estimator, items)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: encode batch frame: %w", err)
+		}
+		calls = append(calls, call{path: "/query/batch", contentType: server.BinaryBatchContentType,
+			body: body, queries: len(chunk)})
+	}
+	return calls, nil
+}
+
+// ingestCalls encodes the ingest mix's rotating bodies; nil without a mix.
+func ingestCalls(mix *IngestMix) ([]call, error) {
+	if mix == nil || mix.Every < 1 {
+		return nil, nil
+	}
+	if mix.Dataset == "" {
+		return nil, fmt.Errorf("experiment: ingest mix needs a dataset name")
+	}
+	if len(mix.Rows) == 0 {
+		return nil, fmt.Errorf("experiment: ingest mix needs a row pool")
+	}
+	batch := mix.Batch
+	if batch <= 0 {
+		batch = 10
+	}
+	var calls []call
+	for off := 0; off < len(mix.Rows); off += batch {
+		body, err := json.Marshal(server.IngestRequest{Rows: mix.Rows[off:min(off+batch, len(mix.Rows))]})
+		if err != nil {
+			return nil, fmt.Errorf("experiment: marshal ingest batch: %w", err)
+		}
+		calls = append(calls, call{path: "/ingest/" + mix.Dataset, contentType: "application/json", body: body})
+	}
+	return calls, nil
+}
+
+// post sends one call and reads its reply to the end; status is 0 when the
+// request failed in transport.
+func post(client *http.Client, url string, c call) (int, []byte, error) {
+	resp, err := client.Post(url, c.contentType, bytes.NewReader(c.body))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// outcome scores a read's reply: how many of its queries failed and how
+// many the server answered from a cache, plus one failure message.
+func (c call) outcome(status int, body []byte, err error) (errs, cached int, msg string) {
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", status, body)
+	}
+	if err != nil {
+		// A failed round trip loses every query it carried.
+		return c.queries, 0, err.Error()
+	}
+	if c.contentType != server.BinaryBatchContentType {
+		var probe struct {
+			Cached bool `json:"cached"`
+		}
+		if json.Unmarshal(body, &probe) == nil && probe.Cached {
+			cached = 1
+		}
+		return 0, cached, ""
+	}
+	_, answers, err := query.DecodeAnswers(bytes.NewReader(body))
+	if err != nil {
+		return c.queries, 0, err.Error()
+	}
+	for _, a := range answers {
+		if a.Error != "" {
+			errs++
+			msg = a.Error
+		}
+		if a.Cached {
+			cached++
+		}
+	}
+	return errs, cached, msg
+}
+
+// ingestOutcome reads an ingest's reply: what it reported, or why it failed.
+func ingestOutcome(status int, body []byte, err error) (server.IngestResult, string) {
+	var ir server.IngestResult
+	if err != nil {
+		return ir, err.Error()
+	}
+	if status != http.StatusOK || json.Unmarshal(body, &ir) != nil {
+		return server.IngestResult{}, fmt.Sprintf("ingest status %d: %s", status, body)
+	}
+	return ir, ""
+}
+
+// newLoadClient builds an HTTP client whose transport keeps one idle
+// connection per worker: the stock transport caps idle connections per
+// host at 2, so any Concurrency above that re-dials TCP mid-run and the
+// handshake tax dominates what should be a serving measurement.
+func newLoadClient(opts LoadOptions) *http.Client {
+	tr := &http.Transport{
+		MaxIdleConns:        2 * opts.Concurrency,
+		MaxIdleConnsPerHost: opts.Concurrency,
+		IdleConnTimeout:     90 * time.Second,
+	}
+	return &http.Client{Timeout: opts.Timeout, Transport: tr}
 }

@@ -116,3 +116,50 @@ func TestDriveHTTPRouters(t *testing.T) {
 		t.Fatalf("baseURL received %d requests despite router targets", n)
 	}
 }
+
+// TestDriveHTTPOneLoop drives one workload through DriveHTTP's single
+// request loop every way it can be encoded — JSON single reads, binary
+// batches of 16, and those batches replayed — against one summaryd. Each run
+// answers every query without an error, and the replay is served from the
+// cache. TestDriveHTTPIngestMix runs the same loop with an ingest mix.
+func TestDriveHTTPOneLoop(t *testing.T) {
+	rel := experiment.SyntheticRelation(2000, rand.New(rand.NewSource(3)))
+	reg := server.NewRegistry()
+	if err := reg.Register("demo/exact", exact.New(rel), rel.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(reg, server.Options{}).Handler())
+	defer ts.Close()
+
+	workload := experiment.GenerateWorkload(rel.Schema(), 40, rand.New(rand.NewSource(4)))
+	for _, tc := range []struct {
+		name       string
+		opts       experiment.LoadOptions
+		roundTrips int
+		minCached  int
+	}{
+		{"unbatched", experiment.LoadOptions{Concurrency: 4}, 40, 0},
+		{"batch 16", experiment.LoadOptions{Concurrency: 4, Batch: 16}, 3, 0},
+		// The two runs above warmed every query, and the replay repeats them.
+		{"batch 16, repeat 2", experiment.LoadOptions{Concurrency: 4, Batch: 16, Repeat: 2}, 6, 80},
+	} {
+		res, err := experiment.DriveHTTP(ts.URL, "demo/exact", workload, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		queries := len(workload) * max(tc.opts.Repeat, 1)
+		if res.Requests != queries || res.HTTPRequests != tc.roundTrips {
+			t.Errorf("%s: %d queries in %d round trips, want %d in %d",
+				tc.name, res.Requests, res.HTTPRequests, queries, tc.roundTrips)
+		}
+		if res.Errors != 0 {
+			t.Errorf("%s: %d errors, first: %s", tc.name, res.Errors, res.FirstError)
+		}
+		if res.CachedResponses < tc.minCached {
+			t.Errorf("%s: %d cached answers, want at least %d", tc.name, res.CachedResponses, tc.minCached)
+		}
+		if res.BytesOut <= 0 || res.BytesIn <= 0 || res.LatencyP50NS <= 0 {
+			t.Errorf("%s: byte or latency accounting missing: %+v", tc.name, res)
+		}
+	}
+}

@@ -32,15 +32,6 @@ func (o *LoadOptions) Validate() error {
 	if o.Batch < 0 {
 		return fmt.Errorf("experiment: batch size must be non-negative, got %d", o.Batch)
 	}
-	switch o.Wire {
-	case "", "json":
-	case "binary":
-		if o.Batch <= 1 {
-			return fmt.Errorf("experiment: the binary wire requires batching (batch > 1)")
-		}
-	default:
-		return fmt.Errorf("experiment: unknown wire %q (use json or binary)", o.Wire)
-	}
 	if err := o.validVersions(); err != nil {
 		return err
 	}

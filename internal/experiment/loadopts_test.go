@@ -40,14 +40,10 @@ func TestLoadOptionsValidate(t *testing.T) {
 		{"zero value", LoadOptions{}, ""},
 		{"plain versioned", LoadOptions{Version: 2}, ""},
 		{"plain mix", LoadOptions{VersionMix: []int{0, 1}}, ""},
-		{"json batch", LoadOptions{Batch: 16}, ""},
-		{"binary batch", LoadOptions{Batch: 16, Wire: "binary"}, ""},
+		{"batch", LoadOptions{Batch: 16}, ""},
 		{"batched mix", LoadOptions{Batch: 16, VersionMix: []int{0, 2}}, ""},
 		{"ingest mix", LoadOptions{Ingest: mix}, ""},
 		{"negative batch", LoadOptions{Batch: -1}, "non-negative"},
-		{"unknown wire", LoadOptions{Batch: 8, Wire: "protobuf"}, "unknown wire"},
-		{"binary without batch", LoadOptions{Wire: "binary"}, "requires batching"},
-		{"binary with batch 1", LoadOptions{Batch: 1, Wire: "binary"}, "requires batching"},
 		{"negative version", LoadOptions{Version: -1}, "non-negative"},
 		{"negative mix entry", LoadOptions{VersionMix: []int{0, -2}}, "non-negative"},
 		// The bug this table exists for: -version with -version-mix used to
@@ -90,7 +86,7 @@ func TestDriveHTTPRejectsThroughValidate(t *testing.T) {
 	workload := []Query{{Name: "q0"}}
 	bad := []LoadOptions{
 		{Version: 1, VersionMix: []int{0, 2}},
-		{Wire: "binary"},
+		{Batch: -1},
 		{Batch: 4, Ingest: &IngestMix{Dataset: "demo", Every: 2, Rows: [][]int{{0}}}},
 	}
 	for i, opts := range bad {

@@ -38,7 +38,7 @@ func postTagged(t testing.TB, url string, body interface{}) (int, string, []byte
 
 // TestRouterCacheEquivalenceAndHotSwap is the read cache's correctness
 // oracle. A randomized workload is asked through the router twice on the
-// JSON wire and once through each batch wire: repeat asks must be served
+// JSON single endpoints and once as a binary batch: repeat asks must be served
 // from the router cache (X-Router-Cache: hit) and every answer — cached
 // or not — must stay bit-identical to a direct summaryd query. Then a
 // routed ingest crosses the refresh threshold and hot-swaps the
@@ -122,14 +122,12 @@ func TestRouterCacheEquivalenceAndHotSwap(t *testing.T) {
 		sameCount(t, label, direct.Count, got.Count)
 	}
 
-	// checkBatches drives the same workload through both batch wires and
-	// asserts the expected cache tag plus bitwise equivalence with the
-	// primary's own batch answers.
+	// checkBatches drives the same workload as one binary batch and asserts
+	// the expected cache tag plus bitwise equivalence with the primary's own
+	// batch answers.
 	items := make([]query.BatchItem, len(workload))
-	jsonItems := make([]server.BatchQueryItem, len(workload))
 	for i, q := range workload {
 		items[i] = query.BatchItem{Pred: q.Pred, GroupBy: q.GroupBy}
-		jsonItems[i] = server.BatchQueryItem{Predicate: q.Pred, GroupBy: q.GroupBy}
 	}
 	frame, err := query.AppendBatchAt(nil, est, 0, items)
 	if err != nil {
@@ -154,40 +152,6 @@ func TestRouterCacheEquivalenceAndHotSwap(t *testing.T) {
 		}
 		if err := sameAnswers(direct, answers); err != nil {
 			t.Fatalf("%s: binary batch: %v", phase, err)
-		}
-
-		var directJSON server.BatchQueryResponse
-		req := server.BatchQueryRequest{Estimator: est, Queries: jsonItems}
-		if s := postJSON(t, primary+"/query/batch", req, &directJSON); s != http.StatusOK {
-			t.Fatalf("%s: direct json batch status %d", phase, s)
-		}
-		s, jtag, raw := postTagged(t, routed+"/query/batch", req)
-		if s != http.StatusOK {
-			t.Fatalf("%s: routed json batch status %d: %s", phase, s, raw)
-		}
-		if jtag != "hit" {
-			// The binary pass above cached every item, so the JSON pass over
-			// the same items must be served on the router.
-			t.Fatalf("%s: json batch after binary batch was not a cache hit", phase)
-		}
-		var gotJSON server.BatchQueryResponse
-		if err := json.Unmarshal(raw, &gotJSON); err != nil {
-			t.Fatal(err)
-		}
-		if len(directJSON.Answers) != len(gotJSON.Answers) {
-			t.Fatalf("%s: routed %d json answers, direct %d", phase, len(gotJSON.Answers), len(directJSON.Answers))
-		}
-		for i := range directJSON.Answers {
-			w, g := directJSON.Answers[i], gotJSON.Answers[i]
-			label := fmt.Sprintf("%s: json batch item %d", phase, i)
-			if w.Error != g.Error || w.IsGroup != g.IsGroup {
-				t.Fatalf("%s: routed %+v, direct %+v", label, g, w)
-			}
-			if w.IsGroup {
-				sameGroups(t, label, w.Groups, g.Groups)
-			} else if w.Error == "" {
-				sameCount(t, label, w.Count, g.Count)
-			}
 		}
 	}
 

@@ -61,9 +61,9 @@ func sameGroups(t testing.TB, label string, want, got []server.GroupRow) {
 	}
 }
 
-// TestFleetEquivalence is the fleet's correctness oracle: every wire the
-// router serves — sequential /query and /groupby, JSON batch, binary
-// batch, and ?version=N time travel — must answer bit-identically to a
+// TestFleetEquivalence is the fleet's correctness oracle: every read the
+// router serves — sequential /query and /groupby, the binary batch, and
+// ?version=N time travel — must answer bit-identically to a
 // single summaryd over the same store, before AND after an ingest-driven
 // generation hot-swap propagates through the fleet.
 func TestFleetEquivalence(t *testing.T) {
@@ -109,40 +109,13 @@ func TestFleetEquivalence(t *testing.T) {
 	}
 
 	items := make([]query.BatchItem, 0, len(workload))
-	jsonItems := make([]server.BatchQueryItem, 0, len(workload))
 	for _, q := range workload {
 		items = append(items, query.BatchItem{Pred: q.Pred, GroupBy: q.GroupBy})
-		jsonItems = append(jsonItems, server.BatchQueryItem{Predicate: q.Pred, GroupBy: q.GroupBy})
 	}
 
 	checkBatches := func(phase string) {
 		t.Helper()
-		// JSON wire: the batch is big enough to fan out across nodes.
-		var want, got server.BatchQueryResponse
-		req := server.BatchQueryRequest{Estimator: est, Queries: jsonItems}
-		if s := postJSON(t, primary+"/query/batch", req, &want); s != http.StatusOK {
-			t.Fatalf("%s: direct batch status %d", phase, s)
-		}
-		if s := postJSON(t, routed+"/query/batch", req, &got); s != http.StatusOK {
-			t.Fatalf("%s: routed batch status %d", phase, s)
-		}
-		if len(want.Answers) != len(got.Answers) {
-			t.Fatalf("%s: routed %d answers, direct %d", phase, len(got.Answers), len(want.Answers))
-		}
-		for i := range want.Answers {
-			w, g := want.Answers[i], got.Answers[i]
-			label := fmt.Sprintf("%s: json batch item %d", phase, i)
-			if w.Error != g.Error || w.IsGroup != g.IsGroup {
-				t.Fatalf("%s: routed %+v, direct %+v", label, g, w)
-			}
-			if w.IsGroup {
-				sameGroups(t, label, w.Groups, g.Groups)
-			} else if w.Error == "" {
-				sameCount(t, label, w.Count, g.Count)
-			}
-		}
-
-		// Binary wire: same items as one frame, answers frame-decoded.
+		// One frame of every item: big enough to fan out across nodes.
 		frame, err := query.AppendBatchAt(nil, est, 0, items)
 		if err != nil {
 			t.Fatal(err)

@@ -16,10 +16,10 @@ import (
 )
 
 // The routed read path mirrors the node's (internal/server/read.go): every
-// read endpoint — POST and GET /query, /groupby, /query/batch on either wire
-// — is an edge codec around Router.read. The node's own decoders turn the
-// request into a server.ReadRequest, read answers it, and the handler
-// encodes the answers back; a single query is a batch of one.
+// read endpoint — JSON POST /query, JSON POST /groupby, and the binary POST
+// /query/batch — is an edge codec around Router.read. The node's own
+// decoders turn the request into a server.ReadRequest, read answers it, and
+// the handler encodes the answers back; a single query is a batch of one.
 
 // handleQuery routes /query and handleGroupBy /groupby.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -85,9 +85,8 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request,
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// handleBatch is the edge codec of POST /query/batch on both wires; the
-// response wire is the node's own negotiation rule. Per-item failures ride
-// in-band under a 200, exactly as a node reports them.
+// handleBatch is the edge codec of the binary POST /query/batch. Per-item
+// failures ride in-band under a 200, exactly as a node reports them.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, _, ok := rt.decodeRead(w, r, server.DecodeBatch)
 	if !ok {
@@ -96,11 +95,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	res, herr := rt.read(r.Context(), req)
 	if herr != nil {
 		writeError(w, herr.status, herr.msg)
-		return
-	}
-	if !server.WantBinaryAnswers(r, req.Binary) {
-		res.writeHeaders(w, "application/json")
-		_ = json.NewEncoder(w).Encode(server.BatchQueryResponse{Estimator: req.Estimator, Version: req.Version, Answers: res.answers})
 		return
 	}
 	res.writeHeaders(w, server.BinaryBatchContentType)
@@ -330,10 +324,7 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 	subGens := make([]uint64, len(assign))
 	nodes := make([]string, len(assign))
 	errs := make([]*routeError, len(assign))
-	header := http.Header{
-		"Content-Type": []string{server.BinaryBatchContentType},
-		"Accept":       []string{server.BinaryBatchContentType},
-	}
+	header := http.Header{"Content-Type": []string{server.BinaryBatchContentType}}
 	var wg sync.WaitGroup
 	for si, indexes := range assign {
 		wg.Add(1)
@@ -341,8 +332,9 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 			defer wg.Done()
 			frame, err := query.AppendBatchAt(nil, estimator, version, sub)
 			if err != nil {
-				// The decoders admitted something the binary wire cannot
-				// carry (a negative group_by attribute): the request's fault.
+				// The decoders admit only what the binary wire carries, so
+				// this is a decoder and encoder drifting apart: still the
+				// request's fault as far as the client can tell.
 				errs[si] = &routeError{status: http.StatusBadRequest, msg: err.Error()}
 				return
 			}

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +20,7 @@ import (
 	"repro/internal/server"
 )
 
-// routedEntryPoint is one of the five ways a read reaches the router —
+// routedEntryPoint is one of the three ways a read reaches the router —
 // the routed twin of the node's entry-point matrix
 // (internal/server/read_test.go). ask sends one item and returns the
 // status, the response headers and the item's answer; a non-200 body
@@ -107,34 +105,11 @@ var routedEntryPoints = []routedEntryPoint{
 				mustJSON(t, server.QueryRequest{Estimator: estimator, Predicate: it.Pred, Version: version}))
 			return s, h, oneAnswer(t, true, s, h, b)
 		}},
-	{name: "GET /query", counts: true,
-		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, http.Header, query.BatchAnswer) {
-			u := base + "/query?estimator=" + url.QueryEscape(estimator)
-			if it.Pred != nil {
-				u += "&predicate=" + url.QueryEscape(string(mustJSON(t, it.Pred)))
-			}
-			if version > 0 {
-				u += "&version=" + strconv.Itoa(version)
-			}
-			req, err := http.NewRequest(http.MethodGet, u, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, h, b := do(t, req)
-			return s, h, oneAnswer(t, true, s, h, b)
-		}},
 	{name: "POST /groupby", groups: true,
 		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, http.Header, query.BatchAnswer) {
 			s, h, b := postBody(t, base+"/groupby", "application/json",
 				mustJSON(t, server.GroupByRequest{Estimator: estimator, Predicate: it.Pred, GroupBy: it.GroupBy, Version: version}))
 			return s, h, oneAnswer(t, true, s, h, b)
-		}},
-	{name: "JSON batch", counts: true, groups: true, batch: true,
-		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, http.Header, query.BatchAnswer) {
-			s, h, b := postBody(t, base+"/query/batch", "application/json",
-				mustJSON(t, server.BatchQueryRequest{Estimator: estimator, Version: version,
-					Queries: []server.BatchQueryItem{{Predicate: it.Pred, GroupBy: it.GroupBy}}}))
-			return s, h, oneAnswer(t, false, s, h, b)
 		}},
 	{name: "binary batch", counts: true, groups: true, batch: true,
 		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, http.Header, query.BatchAnswer) {
@@ -202,7 +177,7 @@ func routerCacheEntries(t *testing.T, routerURL string) int {
 	return m.Cache.Entries
 }
 
-// TestRoutedEntryPointMatrix asks one pool through all five entry points
+// TestRoutedEntryPointMatrix asks one pool through all three entry points
 // of a caching router. Every answer must be Float64bits-identical to the
 // node's own, and every entry point must share one router cache entry per
 // distinct query: a miss through any of them is an X-Router-Cache hit
@@ -336,8 +311,8 @@ func secondRouter(t *testing.T, f *fleettest.Fleet, opts fleet.Options) string {
 
 // TestRoutedPartitionedBatches: "demo/partitioned" is read like every other
 // estimator — whichever node the router picks answers with its whole
-// summary.Partitioned. Through a caching and a cache-less router, on all five
-// entry points and as whole JSON and binary batches, the answers are
+// summary.Partitioned. Through a caching and a cache-less router, on all three
+// entry points and as a whole binary batch, the answers are
 // bit-identical to the primary's and carry its X-Estimator-Generation; on the
 // caching router the second ask of an item is a cache hit through any entry
 // point, and a routed ingest fences every one of them.
@@ -383,21 +358,19 @@ func TestRoutedPartitionedBatches(t *testing.T) {
 					miss = false
 				}
 			}
-			for _, binaryBody := range []bool{false, true} {
-				label := fmt.Sprintf("%s: whole batch, binary=%t (caching=%t)", phase, binaryBody, routed == caching)
-				status, header, raw := askBatch(t, routed, est, pool, binaryBody, "")
-				if status != http.StatusOK {
-					t.Fatalf("%s: status %d: %s", label, status, raw)
-				}
-				if err := sameAnswers(want, decodeBatchAnswers(t, header, raw)); err != nil {
-					t.Errorf("%s: %v", label, err)
-				}
-				if g := header.Get(server.EstimatorGenerationHeader); g != gen {
-					t.Errorf("%s: X-Estimator-Generation %q, the primary's %q", label, g, gen)
-				}
-				if hit := header.Get(fleet.RouterCacheHeader) == "hit"; hit != (routed == caching) {
-					t.Errorf("%s: X-Router-Cache hit=%t", label, hit)
-				}
+			label := fmt.Sprintf("%s: whole batch (caching=%t)", phase, routed == caching)
+			status, header, raw := askBatch(t, routed, est, pool)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", label, status, raw)
+			}
+			if err := sameAnswers(want, decodeBatchAnswers(t, header, raw)); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			if g := header.Get(server.EstimatorGenerationHeader); g != gen {
+				t.Errorf("%s: X-Estimator-Generation %q, the primary's %q", label, g, gen)
+			}
+			if hit := header.Get(fleet.RouterCacheHeader) == "hit"; hit != (routed == caching) {
+				t.Errorf("%s: X-Router-Cache hit=%t", label, hit)
 			}
 		}
 		return want

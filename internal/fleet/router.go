@@ -273,10 +273,8 @@ func (rt *Router) attempt(ctx context.Context, n *node, method, pathAndQuery str
 		cancel()
 		return nil, err
 	}
-	for _, k := range []string{"Content-Type", "Accept"} {
-		if v := header.Get(k); v != "" {
-			req.Header.Set(k, v)
-		}
+	if v := header.Get("Content-Type"); v != "" {
+		req.Header.Set("Content-Type", v)
 	}
 	n.inflight.Add(1)
 	resp, err := rt.opts.Client.Do(req)

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,74 +17,35 @@ import (
 	"repro/internal/server"
 )
 
-// askBatch posts one batch with the given body wire and Accept header ("" =
-// none) and returns the status, the response headers, and the raw body.
-func askBatch(t *testing.T, base, estimator string, items []query.BatchItem, binaryBody bool, accept string) (int, http.Header, []byte) {
+// askBatch posts one binary batch and returns the status, the response
+// headers, and the raw body.
+func askBatch(t *testing.T, base, estimator string, items []query.BatchItem) (int, http.Header, []byte) {
 	t.Helper()
-	var body []byte
-	contentType := "application/json"
-	if binaryBody {
-		contentType = server.BinaryBatchContentType
-		var err error
-		if body, err = query.AppendBatch(nil, estimator, items); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		req := server.BatchQueryRequest{Estimator: estimator}
-		for _, it := range items {
-			req.Queries = append(req.Queries, server.BatchQueryItem{Predicate: it.Pred, GroupBy: it.GroupBy})
-		}
-		var err error
-		if body, err = json.Marshal(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req, err := http.NewRequest(http.MethodPost, base+"/query/batch", bytes.NewReader(body))
+	frame, err := query.AppendBatch(nil, estimator, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header, raw
+	return postBody(t, base+"/query/batch", server.BinaryBatchContentType, frame)
 }
 
-// decodeBatchAnswers decodes a batch response on whichever wire its
-// Content-Type names.
+// decodeBatchAnswers decodes a binary batch response.
 func decodeBatchAnswers(t *testing.T, header http.Header, raw []byte) []query.BatchAnswer {
 	t.Helper()
-	if header.Get("Content-Type") == server.BinaryBatchContentType {
-		_, answers, err := query.DecodeAnswers(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("decode answer frame: %v", err)
-		}
-		return answers
+	if ct := header.Get("Content-Type"); ct != server.BinaryBatchContentType {
+		t.Fatalf("batch answered with Content-Type %q: %s", ct, raw)
 	}
-	var br server.BatchQueryResponse
-	if err := json.Unmarshal(raw, &br); err != nil {
-		t.Fatalf("decode %q: %v", raw, err)
+	_, answers, err := query.DecodeAnswers(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("decode answer frame: %v", err)
 	}
-	return br.Answers
+	return answers
 }
 
-// TestBatchWireNegotiation pins the one response-wire rule — an Accept
-// naming the binary type gets binary, one naming application/json gets
-// JSON, anything else mirrors the request — on every path a batch can take:
-// a node, a cache-less router forwarding whole, a caching router on an
-// all-miss and on an all-hit batch, and a fanned-out batch. Every column of
-// a row must return the same Content-Type and Float64bits-identical
-// answers.
-func TestBatchWireNegotiation(t *testing.T) {
+// TestBatchRoutesAgree asks one binary batch on every path a batch can
+// take — a node, a cache-less router forwarding whole, a caching router on
+// an all-miss and on an all-hit batch, and a fanned-out batch. Every path
+// must answer in a binary frame with Float64bits-identical answers.
+func TestBatchRoutesAgree(t *testing.T) {
 	relay := fleettest.New(t, fleettest.Options{Nodes: 1,
 		Router: fleet.Options{CacheSize: -1, Timeout: 5 * time.Second}})
 	caching := fleettest.New(t, fleettest.Options{Nodes: 1,
@@ -95,91 +56,128 @@ func TestBatchWireNegotiation(t *testing.T) {
 	const estimator = "demo/maxent"
 	n := experiment.SyntheticSchema().NumAttrs()
 
-	row := 0
-	for _, binaryBody := range []bool{false, true} {
-		for _, accept := range []string{"", "*/*", "application/json", server.BinaryBatchContentType} {
-			label := fmt.Sprintf("binary body=%t, Accept=%q", binaryBody, accept)
-			// Items no other row asks, so the caching router's first ask of
-			// the row is all-miss and its second all-hit.
-			items := []query.BatchItem{
-				{Pred: query.NewPredicate(n).WhereEq(3, row)},
-				{Pred: query.NewPredicate(n).WhereRange(3, row, 7).WhereEq(0, 1)},
-				{GroupBy: []int{1}, Pred: query.NewPredicate(n).WhereEq(3, row)},
-				{GroupBy: []int{0, 2}, Pred: query.NewPredicate(n).WhereEq(3, row)},
-				{Pred: query.NewPredicate(n).WhereIn(1, 0, 5).WhereEq(3, row)},
-				{Pred: query.NewPredicate(n + 1)}, // arity mismatch rides in-band
-			}
-			row++
-			wantBinary := binaryBody
-			switch accept {
-			case "application/json":
-				wantBinary = false
-			case server.BinaryBatchContentType:
-				wantBinary = true
-			}
-			wantType := "application/json"
-			if wantBinary {
-				wantType = server.BinaryBatchContentType
-			}
+	items := []query.BatchItem{
+		{Pred: query.NewPredicate(n).WhereEq(3, 0)},
+		{Pred: query.NewPredicate(n).WhereRange(3, 0, 7).WhereEq(0, 1)},
+		{GroupBy: []int{1}, Pred: query.NewPredicate(n).WhereEq(3, 0)},
+		{GroupBy: []int{0, 2}, Pred: query.NewPredicate(n).WhereEq(3, 0)},
+		{Pred: query.NewPredicate(n).WhereIn(1, 0, 5).WhereEq(3, 0)},
+		{Pred: query.NewPredicate(n + 1)}, // arity mismatch rides in-band
+	}
+	status, header, raw := askBatch(t, node, estimator, items)
+	if status != http.StatusOK {
+		t.Fatalf("node answered %d: %s", status, raw)
+	}
+	want := decodeBatchAnswers(t, header, raw)
 
-			status, header, raw := askBatch(t, node, estimator, items, binaryBody, accept)
-			if status != http.StatusOK {
-				t.Fatalf("%s: node answered %d: %s", label, status, raw)
-			}
-			if got := header.Get("Content-Type"); got != wantType {
-				t.Fatalf("%s: node Content-Type %q, want %q", label, got, wantType)
-			}
-			want := decodeBatchAnswers(t, header, raw)
-
-			// The in-band error is never cached, so the all-hit column asks
-			// only the cacheable prefix.
-			for _, col := range []struct {
-				name  string
-				base  string
-				items []query.BatchItem
-				cache string // expected X-Router-Cache
-			}{
-				{"router, cache off", relay.RouterURL(), items, ""},
-				{"caching router, all-miss", caching.RouterURL(), items, ""},
-				{"caching router, all-hit", caching.RouterURL(), items[:5], "hit"},
-				{"fanned-out batch", fanout.RouterURL(), items, ""},
-			} {
-				status, header, raw := askBatch(t, col.base, estimator, col.items, binaryBody, accept)
-				if status != http.StatusOK {
-					t.Errorf("%s via %s: status %d: %s", label, col.name, status, raw)
-					continue
-				}
-				if got := header.Get("Content-Type"); got != wantType {
-					t.Errorf("%s via %s: Content-Type %q, the node answers %q", label, col.name, got, wantType)
-					continue
-				}
-				if got := header.Get(fleet.RouterCacheHeader); got != col.cache {
-					t.Errorf("%s via %s: X-Router-Cache %q, want %q", label, col.name, got, col.cache)
-				}
-				got := decodeBatchAnswers(t, header, raw)
-				if len(got) != len(col.items) {
-					t.Errorf("%s via %s: %d answers for %d items", label, col.name, len(got), len(col.items))
-					continue
-				}
-				for i, a := range got {
-					if !sameBatchAnswer(a, want[i]) {
-						t.Errorf("%s via %s: item %d answered %+v, the node %+v", label, col.name, i, a, want[i])
-					}
-				}
+	// The in-band error is never cached, so the all-hit column asks only the
+	// cacheable prefix.
+	for _, col := range []struct {
+		name  string
+		base  string
+		items []query.BatchItem
+		cache string // expected X-Router-Cache
+	}{
+		{"router, cache off", relay.RouterURL(), items, ""},
+		{"caching router, all-miss", caching.RouterURL(), items, ""},
+		{"caching router, all-hit", caching.RouterURL(), items[:5], "hit"},
+		{"fanned-out batch", fanout.RouterURL(), items, ""},
+	} {
+		status, header, raw := askBatch(t, col.base, estimator, col.items)
+		if status != http.StatusOK {
+			t.Errorf("%s: status %d: %s", col.name, status, raw)
+			continue
+		}
+		if got := header.Get(fleet.RouterCacheHeader); got != col.cache {
+			t.Errorf("%s: X-Router-Cache %q, want %q", col.name, got, col.cache)
+		}
+		got := decodeBatchAnswers(t, header, raw)
+		if len(got) != len(col.items) {
+			t.Errorf("%s: %d answers for %d items", col.name, len(got), len(col.items))
+			continue
+		}
+		for i, a := range got {
+			if !sameBatchAnswer(a, want[i]) {
+				t.Errorf("%s: item %d answered %+v, the node %+v", col.name, i, a, want[i])
 			}
 		}
 	}
-	var m fleet.FleetMetricsResponse
-	resp, err := http.Get(fanout.RouterURL() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	if m := routerMetrics(t, fanout.RouterURL()); m.FannedOut != 1 {
+		t.Errorf("fan-out router fanned out %d batches, want 1", m.FannedOut)
 	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+}
+
+// TestRetiredReadFormsAreRefused pins the two refusals of a read the
+// surface does not take — a JSON body on /query/batch (415) and a GET
+// /query (405) — each naming what to send instead. The router forwards
+// what the node's decoders refuse as it came, so a node, a caching router
+// and a cache-less router answer with the same status and the same bytes.
+func TestRetiredReadFormsAreRefused(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 1, Router: fleet.Options{Timeout: 5 * time.Second}})
+	bases := map[string]string{
+		"node":              f.Primary().URL(),
+		"caching router":    f.RouterURL(),
+		"cache-less router": secondRouter(t, f, fleet.Options{CacheSize: -1, Timeout: 5 * time.Second}),
 	}
-	if m.FannedOut != uint64(row) {
-		t.Errorf("fan-out router fanned out %d batches, want %d", m.FannedOut, row)
+	for _, tc := range []struct {
+		name, method, path, ctype, body string
+		status                          int
+		msg                             string
+	}{
+		{"JSON batch", http.MethodPost, "/query/batch", "application/json",
+			`{"estimator":"demo/maxent","queries":[{}]}`, http.StatusUnsupportedMediaType,
+			"/query/batch takes a binary frame (Content-Type: " + server.BinaryBatchContentType +
+				"); send a JSON read to POST /query or POST /groupby"},
+		{"untyped batch", http.MethodPost, "/query/batch", "text/plain",
+			"EDBBATQ1", http.StatusUnsupportedMediaType,
+			"/query/batch takes a binary frame (Content-Type: " + server.BinaryBatchContentType +
+				"); send a JSON read to POST /query or POST /groupby"},
+		{"GET /query", http.MethodGet, "/query?estimator=demo/maxent&version=1", "", "",
+			http.StatusMethodNotAllowed, "use POST /query with a JSON body (?version=N selects a snapshot)"},
+	} {
+		var first []byte
+		for name, base := range bases {
+			req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.ctype != "" {
+				req.Header.Set("Content-Type", tc.ctype)
+			}
+			status, _, raw := do(t, req)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if status != tc.status || json.Unmarshal(raw, &e) != nil || e.Error != tc.msg {
+				t.Errorf("%s at the %s: status %d, body %s; want %d %q", tc.name, name, status, raw, tc.status, tc.msg)
+			}
+			if first == nil {
+				first = raw
+			} else if !bytes.Equal(raw, first) {
+				t.Errorf("%s at the %s: body %s differs from %s", tc.name, name, raw, first)
+			}
+		}
+	}
+}
+
+// TestNegativeGroupByRefusedAlike: a negative grouping attribute on POST
+// /groupby is refused at decode time, in the binary decoder's words, so the
+// node, a caching router and a cache-less router answer with one status and
+// one body. Before, the node named the schema range, the caching router its
+// sub-frame encoder, and the cache-less router relayed the node.
+func TestNegativeGroupByRefusedAlike(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 1, Router: fleet.Options{Timeout: 5 * time.Second}})
+	body := []byte(`{"estimator":"demo/maxent","group_by":[-1]}`)
+	want := []byte(`{"error":"group-by attribute -1 must be non-negative"}` + "\n")
+	for name, base := range map[string]string{
+		"node":              f.Primary().URL(),
+		"caching router":    f.RouterURL(),
+		"cache-less router": secondRouter(t, f, fleet.Options{CacheSize: -1, Timeout: 5 * time.Second}),
+	} {
+		status, _, raw := postBody(t, base+"/groupby", "application/json", body)
+		if status != http.StatusBadRequest || !bytes.Equal(raw, want) {
+			t.Errorf("%s: status %d, body %q; want 400 %q", name, status, raw, want)
+		}
 	}
 }
 
@@ -205,12 +203,10 @@ func TestFanoutRelaysNodeStatus(t *testing.T) {
 	f := fleettest.New(t, fleettest.Options{Nodes: 2,
 		Router: fleet.Options{CacheSize: -1, FanoutBatch: 4, Timeout: 5 * time.Second}})
 	items := make([]query.BatchItem, 8)
-	for _, binaryBody := range []bool{false, true} {
-		want, _, _ := askBatch(t, f.Primary().URL(), "demo/nope", items, binaryBody, "")
-		got, _, raw := askBatch(t, f.RouterURL(), "demo/nope", items, binaryBody, "")
-		if want != http.StatusNotFound || got != want {
-			t.Errorf("binary body=%t: node answered %d, the fanned-out batch %d (%s)", binaryBody, want, got, raw)
-		}
+	want, _, _ := askBatch(t, f.Primary().URL(), "demo/nope", items)
+	got, _, raw := askBatch(t, f.RouterURL(), "demo/nope", items)
+	if want != http.StatusNotFound || got != want {
+		t.Errorf("node answered %d, the fanned-out batch %d (%s)", want, got, raw)
 	}
 }
 
@@ -232,7 +228,7 @@ func TestRoutedBatchHeaders(t *testing.T) {
 		items[i] = query.BatchItem{Pred: query.NewPredicate(n).WhereEq(3, i)}
 	}
 	nodeGen := func(node *fleettest.Node) string {
-		_, header, _ := askBatch(t, node.URL(), estimator, items[:1], true, "")
+		_, header, _ := askBatch(t, node.URL(), estimator, items[:1])
 		gen := header.Get(server.EstimatorGenerationHeader)
 		if gen == "" {
 			t.Fatalf("%s answers a live batch without a generation", node.Name)
@@ -241,7 +237,7 @@ func TestRoutedBatchHeaders(t *testing.T) {
 	}
 
 	gen := nodeGen(caching.Primary())
-	for i, step := range []struct {
+	for _, step := range []struct {
 		name  string
 		items []query.BatchItem
 		cache string
@@ -252,8 +248,7 @@ func TestRoutedBatchHeaders(t *testing.T) {
 		{"all-hit", items[:5], "hit", ""},
 		{"all-hit again", items[:5], "hit", ""},
 	} {
-		binaryBody := i%2 == 1 // both wires, one ask per step
-		status, header, raw := askBatch(t, caching.RouterURL(), estimator, step.items, binaryBody, "")
+		status, header, raw := askBatch(t, caching.RouterURL(), estimator, step.items)
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", step.name, status, raw)
 		}
@@ -263,7 +258,7 @@ func TestRoutedBatchHeaders(t *testing.T) {
 			fleet.FleetNodeHeader:            step.node,
 		} {
 			if got := header.Get(name); got != want {
-				t.Errorf("%s (binary body=%t): %s %q, want %q", step.name, binaryBody, name, got, want)
+				t.Errorf("%s: %s %q, want %q", step.name, name, got, want)
 			}
 		}
 	}
@@ -287,7 +282,7 @@ func TestRoutedBatchHeaders(t *testing.T) {
 	if nodeGen(fanout.Nodes[1]) != want {
 		want = ""
 	}
-	status, header, raw := askBatch(t, fanout.RouterURL(), estimator, items, true, "")
+	status, header, raw := askBatch(t, fanout.RouterURL(), estimator, items)
 	if status != http.StatusOK {
 		t.Fatalf("fan-out: status %d: %s", status, raw)
 	}

@@ -131,17 +131,16 @@ type GroupRow struct {
 // BatchGroup is the name the batch wire knows a GroupRow by.
 type BatchGroup = GroupRow
 
-// BatchAnswer is the answer to one BatchItem, on both wires (the JSON tags
-// are the answers array of a JSON batch response). Exactly one of Count,
-// Groups, or Error is meaningful: Error is set when the item failed
-// (arity mismatch, estimator failure), Groups when the item was a
+// BatchAnswer is the answer to one BatchItem, on every read path. Exactly
+// one of Count, Groups, or Error is meaningful: Error is set when the item
+// failed (arity mismatch, estimator failure), Groups when the item was a
 // group-by, Count otherwise.
 type BatchAnswer struct {
-	Count   float64    `json:"count"`
-	Groups  []GroupRow `json:"groups,omitempty"`
-	IsGroup bool       `json:"is_group,omitempty"`
-	Cached  bool       `json:"cached,omitempty"`
-	Error   string     `json:"error,omitempty"`
+	Count   float64
+	Groups  []GroupRow
+	IsGroup bool
+	Cached  bool
+	Error   string
 }
 
 // --- encoding ---------------------------------------------------------
@@ -221,9 +220,10 @@ func AppendBatchAt(dst []byte, estimator string, version int, items []BatchItem)
 	return w.seal(base, batchRequestMagic, format)
 }
 
-// checkGroupBy refuses a grouping attribute the wire cannot carry; the range
-// check against the schema is the server's.
-func checkGroupBy(attrs []int) error {
+// CheckGroupBy refuses a grouping attribute the wire cannot carry: the one
+// admission rule for group-by attributes of every decoder, binary and JSON
+// alike. The range check against the schema is the server's.
+func CheckGroupBy(attrs []int) error {
 	for _, a := range attrs {
 		if a < 0 {
 			return fmt.Errorf("group-by attribute %d must be non-negative", a)
@@ -242,7 +242,7 @@ func encodeItem(w *frameWriter, it BatchItem) error {
 	// wire carries 0 and the server resolves it against the estimator.
 	w.uvarint(uint64(numAttrs))
 	w.uvarint(uint64(len(it.GroupBy)))
-	if err := checkGroupBy(it.GroupBy); err != nil {
+	if err := CheckGroupBy(it.GroupBy); err != nil {
 		return err
 	}
 	for _, a := range it.GroupBy {
@@ -515,7 +515,7 @@ func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
 		if it.GroupBy, err = d.readInts(ng, left); err != nil {
 			return err
 		}
-		if err := checkGroupBy(it.GroupBy); err != nil {
+		if err := CheckGroupBy(it.GroupBy); err != nil {
 			return err
 		}
 	}

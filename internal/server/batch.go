@@ -4,63 +4,28 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/query"
 )
 
 // BinaryBatchContentType is the media type of the binary batch frames on
 // POST /query/batch (request and response; the frame magic distinguishes
-// the two directions). Anything else is treated as JSON.
+// the two directions). The endpoint refuses any other body with a 415.
 const BinaryBatchContentType = "application/x-entropydb-batch"
 
-// BatchQueryItem is one query of a JSON POST /query/batch body. An empty
-// group_by asks for a count; a non-empty one for a group-by.
-type BatchQueryItem struct {
-	Predicate *query.Predicate `json:"predicate,omitempty"`
-	GroupBy   []int            `json:"group_by,omitempty"`
-}
-
-// BatchQueryRequest is the JSON body of POST /query/batch. Version > 0
-// answers the whole batch from that retained snapshot of the estimator's
-// dataset key (the binary wire carries the same field in its format v2
-// frame); a ?version=N URL parameter overrides it on either wire.
-type BatchQueryRequest struct {
-	Estimator string           `json:"estimator"`
-	Version   int              `json:"version,omitempty"`
-	Queries   []BatchQueryItem `json:"queries"`
-}
-
-// BatchResult is one answer of a JSON batch response. Exactly one of
-// count/groups/error is meaningful: error for a per-query failure, groups
-// when is_group, count otherwise.
-type BatchResult = query.BatchAnswer
-
-// BatchQueryResponse is the JSON body of a successful POST /query/batch.
-// Version echoes the snapshot version that answered (0 = live).
-type BatchQueryResponse struct {
-	Estimator string        `json:"estimator"`
-	Version   int           `json:"version,omitempty"`
-	Answers   []BatchResult `json:"answers"`
-	LatencyNS int64         `json:"latency_ns"`
-}
-
 // handleBatch serves POST /query/batch: N queries answered in one round
-// trip. The request wire is chosen by Content-Type and the response wire
-// by Accept (WantBinaryAnswers); both JSON and the binary frame of
-// internal/query are supported, and they produce bit-identical answers
-// because both are codecs around the same read.
+// trip, as binary frames of internal/query both ways.
 //
-// Batch-level problems (malformed body, unknown estimator, empty or
-// oversized batch, admission failure) are HTTP errors; per-query problems
-// (arity mismatch, estimator refusal) land in that answer's error field
-// under a 200, so one bad query cannot void its batchmates.
+// Batch-level problems (malformed frame, unknown estimator, oversized
+// batch, admission failure) are HTTP errors; per-query problems (arity
+// mismatch, estimator refusal) land in that answer's error field under a
+// 200, so one bad query cannot void its batchmates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
-	s.finish(w, start, s.serveBatch(w, r, start))
+	s.finish(w, start, s.serveBatch(w, r))
 }
 
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, start time.Time) *httpError {
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) *httpError {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)}
 	req, err := DecodeBatch(r, body)
 	if err != nil {
@@ -73,19 +38,10 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, start time.T
 	if ent.Estimator != nil {
 		// A batch counts once its estimator resolved, whatever admission
 		// decided afterwards.
-		s.metrics.RecordBatch(len(req.Items), body.n, req.Binary)
+		s.metrics.RecordBatch(len(req.Items), body.n)
 	}
 	if herr != nil {
 		return herr
-	}
-	if !WantBinaryAnswers(r, req.Binary) {
-		writeJSON(w, http.StatusOK, BatchQueryResponse{
-			Estimator: ent.Name,
-			Version:   ent.Snapshot,
-			Answers:   answers,
-			LatencyNS: s.opts.Now().Sub(start).Nanoseconds(),
-		})
-		return nil
 	}
 	if ferr := WriteBinaryAnswers(w, ent.Name, answers); ferr != nil {
 		return &httpError{status: http.StatusInternalServerError, msg: ferr.Error()}

@@ -60,34 +60,6 @@ func postBinaryBatch(t *testing.T, url, estimator string, items []query.BatchIte
 	return answers
 }
 
-// postJSONBatch sends items as a JSON body and normalizes the response
-// into the same answer shape as the binary wire.
-func postJSONBatch(t *testing.T, url, estimator string, items []query.BatchItem) []query.BatchAnswer {
-	t.Helper()
-	req := server.BatchQueryRequest{Estimator: estimator}
-	for _, it := range items {
-		req.Queries = append(req.Queries, server.BatchQueryItem{Predicate: it.Pred, GroupBy: it.GroupBy})
-	}
-	resp, body := postJSON(t, url+"/query/batch", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("json batch: status %d: %s", resp.StatusCode, body)
-	}
-	var br server.BatchQueryResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("decode json batch: %v", err)
-	}
-	answers := make([]query.BatchAnswer, len(br.Answers))
-	for i, a := range br.Answers {
-		answers[i] = query.BatchAnswer{
-			Count: a.Count, Cached: a.Cached, IsGroup: a.IsGroup, Error: a.Error,
-		}
-		for _, g := range a.Groups {
-			answers[i].Groups = append(answers[i].Groups, query.BatchGroup{Values: g.Values, Estimate: g.Estimate})
-		}
-	}
-	return answers
-}
-
 // sequentialAnswer runs one query through the single-query endpoints.
 func sequentialAnswer(t *testing.T, url, estimator string, it query.BatchItem) query.BatchAnswer {
 	t.Helper()
@@ -147,9 +119,9 @@ func sameAnswer(a, b query.BatchAnswer) bool {
 	return true
 }
 
-// TestBatchEquivalence is the acceptance-criterion test: a batch (JSON and
-// binary wires, mixed cache hits and misses) must return bit-identical
-// answers to N sequential /query and /groupby calls.
+// TestBatchEquivalence is the acceptance-criterion test: a binary batch
+// (mixed cache hits and misses) must return bit-identical answers to N
+// sequential /query and /groupby calls.
 func TestBatchEquivalence(t *testing.T) {
 	ts, _, _ := newTestServer(t, server.Options{})
 	rng := rand.New(rand.NewSource(17))
@@ -191,21 +163,7 @@ func TestBatchEquivalence(t *testing.T) {
 		}
 	}
 
-	// The JSON wire must agree with the binary wire, all cached now.
-	jsonAns := postJSONBatch(t, ts.URL, estimator, items)
-	if len(jsonAns) != len(items) {
-		t.Fatalf("json batch: %d answers, want %d", len(jsonAns), len(items))
-	}
-	for i := range items {
-		if !sameAnswer(jsonAns[i], binary[i]) {
-			t.Errorf("item %d: json %+v != binary %+v", i, jsonAns[i], binary[i])
-		}
-		if jsonAns[i].Error == "" && !jsonAns[i].Cached {
-			t.Errorf("item %d: fully warmed json batch missed the cache", i)
-		}
-	}
-
-	// /metrics must account the three batch calls and their shape.
+	// /metrics must account the batch call and its shape.
 	resp, body := get(t, ts.URL+"/metrics")
 	if resp.StatusCode != 200 {
 		t.Fatalf("metrics status %d", resp.StatusCode)
@@ -214,11 +172,8 @@ func TestBatchEquivalence(t *testing.T) {
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.BatchRequestsTotal != 2 || m.BatchQueriesTotal != 64 {
-		t.Fatalf("batch totals %d/%d, want 2 calls / 64 queries", m.BatchRequestsTotal, m.BatchQueriesTotal)
-	}
-	if m.BatchBinaryTotal != 1 || m.BatchJSONTotal != 1 {
-		t.Fatalf("wire split binary=%d json=%d, want 1/1", m.BatchBinaryTotal, m.BatchJSONTotal)
+	if m.BatchRequestsTotal != 1 || m.BatchQueriesTotal != 32 {
+		t.Fatalf("batch totals %d/%d, want 1 call / 32 queries", m.BatchRequestsTotal, m.BatchQueriesTotal)
 	}
 	if len(m.BatchSizeHist) == 0 || len(m.BytesPerQueryHist) == 0 {
 		t.Fatalf("batch histograms missing: %+v", m.MetricsSnapshot)
@@ -287,9 +242,9 @@ func TestBatchAcrossGenerationSwap(t *testing.T) {
 func TestBatchErrors(t *testing.T) {
 	ts, _, _ := newTestServer(t, server.Options{MaxBatch: 8})
 
-	post := func(contentType, body string) (*http.Response, string) {
+	post := func(contentType string, body []byte) (*http.Response, string) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/query/batch", contentType, strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/query/batch", contentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,21 +253,26 @@ func TestBatchErrors(t *testing.T) {
 		_, _ = buf.ReadFrom(resp.Body)
 		return resp, buf.String()
 	}
-
-	if resp, body := post("application/json", `{not json`); resp.StatusCode != 400 {
-		t.Errorf("bad json: status %d (%s)", resp.StatusCode, body)
+	frameOf := func(estimator string, items []query.BatchItem) []byte {
+		t.Helper()
+		frame, err := query.AppendBatch(nil, estimator, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
-	if resp, body := post(server.BinaryBatchContentType, "garbage frame"); resp.StatusCode != 400 || !strings.Contains(body, "frame") {
+
+	if resp, body := post(server.BinaryBatchContentType, []byte("garbage frame")); resp.StatusCode != 400 || !strings.Contains(body, "frame") {
 		t.Errorf("bad frame: status %d (%s)", resp.StatusCode, body)
 	}
-	if resp, body := post("application/json", `{"estimator":"demo/maxent","queries":[]}`); resp.StatusCode != 400 || !strings.Contains(body, "empty") {
+	// Hand-sealed: AppendBatch refuses to write an empty batch.
+	if resp, body := post(server.BinaryBatchContentType, sealBatchFrame(t, "demo/maxent", 0)); resp.StatusCode != 400 || !strings.Contains(body, "at least one item") {
 		t.Errorf("empty batch: status %d (%s)", resp.StatusCode, body)
 	}
-	if resp, body := post("application/json", `{"estimator":"nope","queries":[{}]}`); resp.StatusCode != 404 {
+	if resp, body := post(server.BinaryBatchContentType, frameOf("nope", make([]query.BatchItem, 1))); resp.StatusCode != 404 {
 		t.Errorf("unknown estimator: status %d (%s)", resp.StatusCode, body)
 	}
-	big := `{"estimator":"demo/maxent","queries":[` + strings.Repeat("{},", 8) + `{}]}`
-	if resp, body := post("application/json", big); resp.StatusCode != 400 || !strings.Contains(body, "exceeds") {
+	if resp, body := post(server.BinaryBatchContentType, frameOf("demo/maxent", make([]query.BatchItem, 9))); resp.StatusCode != 400 || !strings.Contains(body, "exceeds") {
 		t.Errorf("oversized batch: status %d (%s)", resp.StatusCode, body)
 	}
 	if resp, err := http.Get(ts.URL + "/query/batch"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
@@ -320,48 +280,44 @@ func TestBatchErrors(t *testing.T) {
 	}
 
 	// A bad query mid-batch fails alone; its batchmates answer normally.
-	bad := `{"estimator":"demo/maxent","queries":[{},{"predicate":{"num_attrs":7}},{"group_by":[1,1]}]}`
-	resp, body := post("application/json", bad)
+	resp, body := post(server.BinaryBatchContentType, frameOf("demo/maxent", []query.BatchItem{
+		{}, {Pred: query.NewPredicate(7)}, {GroupBy: []int{1, 1}},
+	}))
 	if resp.StatusCode != 200 {
 		t.Fatalf("mixed batch: status %d (%s)", resp.StatusCode, body)
 	}
-	var br server.BatchQueryResponse
-	if err := json.Unmarshal([]byte(body), &br); err != nil {
+	_, answers, err := query.DecodeAnswers(strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Answers) != 3 {
-		t.Fatalf("%d answers, want 3", len(br.Answers))
+	if len(answers) != 3 {
+		t.Fatalf("%d answers, want 3", len(answers))
 	}
-	if br.Answers[0].Error != "" || br.Answers[0].Count <= 0 {
-		t.Errorf("healthy query poisoned: %+v", br.Answers[0])
+	if answers[0].Error != "" || answers[0].Count <= 0 {
+		t.Errorf("healthy query poisoned: %+v", answers[0])
 	}
-	if !strings.Contains(br.Answers[1].Error, "num_attrs=7") {
-		t.Errorf("arity error missing: %+v", br.Answers[1])
+	if !strings.Contains(answers[1].Error, "num_attrs=7") {
+		t.Errorf("arity error missing: %+v", answers[1])
 	}
-	if !strings.Contains(br.Answers[2].Error, "duplicate") {
-		t.Errorf("group_by error missing: %+v", br.Answers[2])
+	if !strings.Contains(answers[2].Error, "duplicate") {
+		t.Errorf("group_by error missing: %+v", answers[2])
 	}
+}
 
-	// Accept negotiation: a JSON request may ask for binary answers and a
-	// binary request for JSON answers.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query/batch",
-		strings.NewReader(`{"estimator":"demo/maxent","queries":[{}]}`))
-	if err != nil {
+// sealBatchFrame seals a batch request frame by hand — the estimator name,
+// then the given varints — for inputs AppendBatch refuses to write.
+func sealBatchFrame(t *testing.T, estimator string, varints ...uint64) []byte {
+	t.Helper()
+	raw := make([]byte, frame.HeaderSize)
+	raw = binary.AppendUvarint(raw, uint64(len(estimator)))
+	raw = append(raw, estimator...)
+	for _, v := range varints {
+		raw = binary.AppendUvarint(raw, v)
+	}
+	if _, err := frame.Seal(raw, "EDBBATQ1", 1, query.MaxBatchFrameBytes); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", server.BinaryBatchContentType)
-	hresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	if ct := hresp.Header.Get("Content-Type"); ct != server.BinaryBatchContentType {
-		t.Fatalf("Accept negotiation ignored: Content-Type %q", ct)
-	}
-	if _, answers, err := query.DecodeAnswers(hresp.Body); err != nil || len(answers) != 1 {
-		t.Fatalf("binary answers for json request: %d answers, err %v", len(answers), err)
-	}
+	return raw
 }
 
 func newBenchServer(b *testing.B, srv *server.Server) string {
@@ -509,32 +465,24 @@ func BenchmarkServeBatch32Hit(b *testing.B) {
 }
 
 // TestBatchWiresRefuseAlike posts the same mistake — a range with negative
-// bounds — to /query/batch on both wires. The binary wire used to wrap it
-// into the query A0∈[-5,-1] and answer 200; now both are a 400 naming the
-// mistake in the same words, behind each wire's own account of where it
-// stood.
+// bounds — as a binary batch and as a JSON POST /query. The binary wire used
+// to wrap it into the query A0∈[-5,-1] and answer 200; now both are a 400
+// naming the mistake in the same words, behind each wire's own account of
+// where it stood.
 func TestBatchWiresRefuseAlike(t *testing.T) {
 	ts, _, _ := newTestServer(t, server.Options{})
 	const reason = "range lo -5 must be non-negative"
 
 	// Hand-sealed: AppendBatch refuses to write this item.
-	raw := make([]byte, frame.HeaderSize)
-	raw = binary.AppendUvarint(raw, uint64(len("demo/maxent")))
-	raw = append(raw, "demo/maxent"...)
 	neg := func(v int) uint64 { return uint64(v) }
-	for _, v := range []uint64{1, 4, 0, 1, 0, 'r', neg(-5), neg(-1)} {
-		raw = binary.AppendUvarint(raw, v) // 'r' < 128: its varint is the tag byte
-	}
-	if _, err := frame.Seal(raw, "EDBBATQ1", 1, query.MaxBatchFrameBytes); err != nil {
-		t.Fatal(err)
-	}
+	raw := sealBatchFrame(t, "demo/maxent", 1, 4, 0, 1, 0, 'r', neg(-5), neg(-1)) // 'r' < 128: its varint is the tag byte
 	if _, err := query.AppendBatch(nil, "demo/maxent",
 		[]query.BatchItem{{Pred: query.NewPredicate(4).WhereRange(0, -5, -1)}}); err == nil || !strings.HasSuffix(err.Error(), reason) {
 		t.Fatalf("AppendBatch wrote the item: %v", err)
 	}
 
-	errorOf := func(wire, ctype string, body []byte) string {
-		resp, err := http.Post(ts.URL+"/query/batch", ctype, bytes.NewReader(body))
+	errorOf := func(wire, path, ctype string, body []byte) string {
+		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,9 +495,9 @@ func TestBatchWiresRefuseAlike(t *testing.T) {
 		}
 		return e.Error
 	}
-	bin := errorOf("binary", server.BinaryBatchContentType, raw)
-	js := errorOf("JSON", "application/json", []byte(
-		`{"estimator":"demo/maxent","queries":[{"predicate":{"num_attrs":4,"where":[{"attr":0,"kind":"range","lo":-5,"hi":-1}]}}]}`))
+	bin := errorOf("binary", "/query/batch", server.BinaryBatchContentType, raw)
+	js := errorOf("JSON", "/query", "application/json", []byte(
+		`{"estimator":"demo/maxent","predicate":{"num_attrs":4,"where":[{"attr":0,"kind":"range","lo":-5,"hi":-1}]}}`))
 	if bin != "malformed batch frame: query: batch item 0: "+reason {
 		t.Errorf("binary wire said %q", bin)
 	}

@@ -1,12 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"strings"
 
@@ -66,14 +66,14 @@ func ExampleServer_timeTravel() {
 
 	pred := query.NewPredicate(4)
 	pred.WhereEq(0, 3) // region = LATAM
-	pj, _ := json.Marshal(pred)
+	body, _ := json.Marshal(server.QueryRequest{Estimator: "demo/maxent", Predicate: pred})
 
 	for _, version := range []string{"1", "2", ""} {
-		u := ts.URL + "/query?estimator=demo/maxent&predicate=" + url.QueryEscape(string(pj))
+		u := ts.URL + "/query"
 		if version != "" {
-			u += "&version=" + version
+			u += "?version=" + version
 		}
-		resp, err := http.Get(u)
+		resp, err := http.Post(u, "application/json", bytes.NewReader(body))
 		if err != nil {
 			panic(err)
 		}

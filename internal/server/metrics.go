@@ -26,8 +26,6 @@ type Metrics struct {
 
 	batchRequests atomic.Uint64 // /query/batch calls
 	batchQueries  atomic.Uint64 // queries carried by those calls
-	batchJSON     atomic.Uint64 // batch calls on the JSON wire
-	batchBinary   atomic.Uint64 // batch calls on the binary wire
 
 	batchSize     histogram // queries per batch call
 	bytesPerQuery histogram // request body bytes / batch size
@@ -99,15 +97,10 @@ func (m *Metrics) Record(d time.Duration, failed bool) {
 	m.ring[slot].Store(d.Nanoseconds())
 }
 
-// RecordBatch accounts one /query/batch call: how many queries it carried,
-// how many request-body bytes it took, and which wire format it used.
-func (m *Metrics) RecordBatch(queries int, bodyBytes int64, binary bool) {
+// RecordBatch accounts one /query/batch call: how many queries it carried
+// and how many request-body bytes it took.
+func (m *Metrics) RecordBatch(queries int, bodyBytes int64) {
 	m.batchRequests.Add(1)
-	if binary {
-		m.batchBinary.Add(1)
-	} else {
-		m.batchJSON.Add(1)
-	}
 	if queries <= 0 {
 		return
 	}
@@ -130,12 +123,10 @@ type MetricsSnapshot struct {
 	LatencyP95NS  int64 `json:"latency_p95_ns"`
 	LatencyMaxNS  int64 `json:"latency_max_ns"`
 	WindowSamples int   `json:"window_samples"`
-	// Batch accounting: totals by wire format plus the shape histograms
-	// (omitted until the first batch call arrives).
+	// Batch accounting: totals plus the shape histograms (omitted until the
+	// first batch call arrives).
 	BatchRequestsTotal uint64            `json:"batch_requests_total"`
 	BatchQueriesTotal  uint64            `json:"batch_queries_total"`
-	BatchJSONTotal     uint64            `json:"batch_json_total"`
-	BatchBinaryTotal   uint64            `json:"batch_binary_total"`
 	BatchSizeHist      []HistogramBucket `json:"batch_size_hist,omitempty"`
 	BytesPerQueryHist  []HistogramBucket `json:"bytes_per_query_hist,omitempty"`
 }
@@ -147,8 +138,6 @@ func (m *Metrics) Snapshot(now time.Time) MetricsSnapshot {
 		ErrorsTotal:        m.errors.Load(),
 		BatchRequestsTotal: m.batchRequests.Load(),
 		BatchQueriesTotal:  m.batchQueries.Load(),
-		BatchJSONTotal:     m.batchJSON.Load(),
-		BatchBinaryTotal:   m.batchBinary.Load(),
 		BatchSizeHist:      m.batchSize.snapshot(),
 		BytesPerQueryHist:  m.bytesPerQuery.snapshot(),
 	}

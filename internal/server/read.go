@@ -11,13 +11,13 @@ import (
 	"repro/internal/query"
 )
 
-// The read path. Every read endpoint — POST /query, GET /query, /groupby,
-// and /query/batch on either wire — is an edge codec around one executor:
-// a decoder below turns the HTTP request into a ReadRequest, Server.read
-// answers it, and the handler encodes the answers back. A single query is
-// a batch of one. The decoders, the response-wire rule, and the identity
-// half of the cache key are exported because the fleet router speaks the
-// same request language and must agree with the node on all three.
+// The read path. Every read endpoint — JSON POST /query, JSON POST
+// /groupby, and the binary POST /query/batch — is an edge codec around one
+// executor: a decoder below turns the HTTP request into a ReadRequest,
+// Server.read answers it, and the handler encodes the answers back. A single
+// query is a batch of one. The decoders and the identity half of the cache
+// key are exported because the fleet router speaks the same request language
+// and must agree with the node on both.
 
 // ReadRequest is one decoded read: N items against one estimator at one
 // version. Version is already resolved — a ?version=N URL parameter
@@ -27,37 +27,24 @@ type ReadRequest struct {
 	Estimator string
 	Version   int
 	Items     []query.BatchItem
-	// Binary reports that the request body was a binary batch frame.
-	Binary bool
 }
 
-// DecodeQuery decodes a /query request: the JSON body of a POST, or the
-// URL parameters of a GET (estimator, version, and an optional URL-encoded
-// JSON predicate — the curl-able time-travel form).
+// DecodeQuery decodes the JSON body of a POST /query request.
 func DecodeQuery(r *http.Request, body io.Reader) (ReadRequest, error) {
+	if r.Method != http.MethodPost {
+		return ReadRequest{}, errUsePostQuery
+	}
 	var req QueryRequest
-	switch r.Method {
-	case http.MethodPost:
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			return ReadRequest{}, badRequest("malformed request body: %v", err)
-		}
-	case http.MethodGet:
-		q := r.URL.Query()
-		req.Estimator = q.Get("estimator")
-		if raw := q.Get("predicate"); raw != "" {
-			req.Predicate = new(query.Predicate)
-			if err := json.Unmarshal([]byte(raw), req.Predicate); err != nil {
-				return ReadRequest{}, badRequest("malformed predicate parameter: %v", err)
-			}
-		}
-	default:
-		return ReadRequest{}, errUsePost
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return ReadRequest{}, badRequest("malformed request body: %v", err)
 	}
 	return resolveVersion(r, ReadRequest{Estimator: req.Estimator, Version: req.Version,
 		Items: []query.BatchItem{{Pred: req.Predicate}}})
 }
 
-// DecodeGroupBy decodes a POST /groupby request.
+// DecodeGroupBy decodes a POST /groupby request. A grouping attribute the
+// binary wire could not carry is refused here, in the words its decoder
+// uses, so a mistake reads the same on every tier.
 func DecodeGroupBy(r *http.Request, body io.Reader) (ReadRequest, error) {
 	if r.Method != http.MethodPost {
 		return ReadRequest{}, errUsePost
@@ -71,38 +58,27 @@ func DecodeGroupBy(r *http.Request, body io.Reader) (ReadRequest, error) {
 		// such reading.
 		return ReadRequest{}, errGroupByArity(0)
 	}
+	if err := query.CheckGroupBy(req.GroupBy); err != nil {
+		return ReadRequest{}, badRequest("%v", err)
+	}
 	return resolveVersion(r, ReadRequest{Estimator: req.Estimator, Version: req.Version,
 		Items: []query.BatchItem{{Pred: req.Predicate, GroupBy: req.GroupBy}}})
 }
 
-// DecodeBatch decodes a POST /query/batch request on the wire its
-// Content-Type names: the binary frame of internal/query, or JSON.
+// DecodeBatch decodes a POST /query/batch request: the binary frame of
+// internal/query, and nothing else.
 func DecodeBatch(r *http.Request, body io.Reader) (ReadRequest, error) {
 	if r.Method != http.MethodPost {
 		return ReadRequest{}, errUsePost
 	}
-	read := ReadRequest{Binary: strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType)}
-	if read.Binary {
-		var err error
-		read.Estimator, read.Version, read.Items, err = query.DecodeBatchAt(body)
-		if err != nil {
-			return ReadRequest{}, badRequest("malformed batch frame: %v", err)
-		}
-	} else {
-		var req BatchQueryRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			return ReadRequest{}, badRequest("malformed request body: %v", err)
-		}
-		read.Estimator, read.Version = req.Estimator, req.Version
-		read.Items = make([]query.BatchItem, len(req.Queries))
-		for i, q := range req.Queries {
-			read.Items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
-		}
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType) {
+		return ReadRequest{}, errBatchMediaType
 	}
-	if len(read.Items) == 0 {
-		return ReadRequest{}, badRequest("batch is empty")
+	estimator, version, items, err := query.DecodeBatchAt(body)
+	if err != nil {
+		return ReadRequest{}, badRequest("malformed batch frame: %v", err)
 	}
-	return resolveVersion(r, read)
+	return resolveVersion(r, ReadRequest{Estimator: estimator, Version: version, Items: items})
 }
 
 // resolveVersion applies the ?version=N override and folds every
@@ -134,22 +110,14 @@ func urlVersion(r *http.Request) (int, *httpError) {
 	return v, nil
 }
 
-// WantBinaryAnswers picks the response wire of a batch, on the node and on
-// the router alike: an Accept naming the binary media type gets binary, one
-// naming application/json gets JSON, and anything else — absent, */* —
-// mirrors the request wire.
-func WantBinaryAnswers(r *http.Request, binaryReq bool) bool {
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, BinaryBatchContentType) {
-		return true
-	}
-	if strings.Contains(accept, "application/json") {
-		return false
-	}
-	return binaryReq
-}
-
-var errUsePost = &httpError{status: http.StatusMethodNotAllowed, msg: "use POST"}
+var (
+	errUsePost      = &httpError{status: http.StatusMethodNotAllowed, msg: "use POST"}
+	errUsePostQuery = &httpError{status: http.StatusMethodNotAllowed,
+		msg: "use POST /query with a JSON body (?version=N selects a snapshot)"}
+	errBatchMediaType = &httpError{status: http.StatusUnsupportedMediaType,
+		msg: "/query/batch takes a binary frame (Content-Type: " + BinaryBatchContentType +
+			"); send a JSON read to POST /query or POST /groupby"}
+)
 
 func errGroupByArity(n int) *httpError {
 	return badRequest("group_by needs 1..4 attributes, got %d", n)

@@ -9,8 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -24,7 +22,7 @@ import (
 	"repro/internal/summary"
 )
 
-// entryPoint is one of the five ways a read reaches the node. ask sends one
+// entryPoint is one of the three ways a read reaches the node. ask sends one
 // item and returns the HTTP status plus the item's answer; on a single
 // endpoint a non-200 body becomes the answer's Error, so singles and
 // batches compare in one shape.
@@ -57,18 +55,12 @@ func batchAnswer(t *testing.T, resp *http.Response, body []byte) (int, query.Bat
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, query.BatchAnswer{Error: string(body)}
 	}
-	var answers []query.BatchAnswer
-	if resp.Header.Get("Content-Type") == server.BinaryBatchContentType {
-		var err error
-		if _, answers, err = query.DecodeAnswers(bytes.NewReader(body)); err != nil {
-			t.Fatalf("decode answer frame: %v", err)
-		}
-	} else {
-		var br server.BatchQueryResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatalf("decode %s: %v", body, err)
-		}
-		answers = br.Answers
+	if ct := resp.Header.Get("Content-Type"); ct != server.BinaryBatchContentType {
+		t.Fatalf("batch answered with Content-Type %q", ct)
+	}
+	_, answers, err := query.DecodeAnswers(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("decode answer frame: %v", err)
 	}
 	if len(answers) != 1 {
 		t.Fatalf("%d answers for a batch of one", len(answers))
@@ -83,34 +75,11 @@ var entryPoints = []entryPoint{
 				server.QueryRequest{Estimator: estimator, Predicate: it.Pred, Version: version})
 			return singleAnswer(t, resp, body)
 		}},
-	{name: "GET /query", counts: true,
-		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, query.BatchAnswer) {
-			u := base + "/query?estimator=" + url.QueryEscape(estimator)
-			if it.Pred != nil {
-				pj, err := json.Marshal(it.Pred)
-				if err != nil {
-					t.Fatal(err)
-				}
-				u += "&predicate=" + url.QueryEscape(string(pj))
-			}
-			if version > 0 {
-				u += "&version=" + strconv.Itoa(version)
-			}
-			resp, body := get(t, u)
-			return singleAnswer(t, resp, body)
-		}},
 	{name: "POST /groupby", groups: true,
 		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, query.BatchAnswer) {
 			resp, body := postJSON(t, base+"/groupby",
 				server.GroupByRequest{Estimator: estimator, Predicate: it.Pred, GroupBy: it.GroupBy, Version: version})
 			return singleAnswer(t, resp, body)
-		}},
-	{name: "JSON batch", counts: true, groups: true, batch: true,
-		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, query.BatchAnswer) {
-			resp, body := postJSON(t, base+"/query/batch",
-				server.BatchQueryRequest{Estimator: estimator, Version: version,
-					Queries: []server.BatchQueryItem{{Predicate: it.Pred, GroupBy: it.GroupBy}}})
-			return batchAnswer(t, resp, body)
 		}},
 	{name: "binary batch", counts: true, groups: true, batch: true,
 		ask: func(t *testing.T, base, estimator string, version int, it query.BatchItem) (int, query.BatchAnswer) {
@@ -237,7 +206,7 @@ func oracle(t *testing.T, est core.Estimator, it query.BatchItem) query.BatchAns
 	return query.BatchAnswer{IsGroup: true, Groups: g}
 }
 
-// TestEntryPointMatrix asks one pool through all five entry points. Every
+// TestEntryPointMatrix asks one pool through all three entry points. Every
 // answer must be Float64bits-identical to the in-process estimator, and
 // every entry point must share one cache entry per distinct query: a miss
 // through any of them is a cached hit through every other, and the cache
@@ -408,12 +377,7 @@ func TestReadsAcrossSwapRace(t *testing.T) {
 					}
 					continue
 				}
-				var answers []query.BatchAnswer
-				if round%2 == 0 {
-					answers = postBinaryBatch(t, ts.URL, "demo/maxent", pool)
-				} else {
-					answers = postJSONBatch(t, ts.URL, "demo/maxent", pool)
-				}
+				answers := postBinaryBatch(t, ts.URL, "demo/maxent", pool)
 				common := 3
 				for i, got := range answers {
 					common &= generations(i, got)

@@ -192,7 +192,7 @@ func (s *Server) Cache() *Cache { return s.cache }
 // for the full relation cardinality. Version > 0 answers from that
 // retained snapshot of the estimator's dataset key instead of the live
 // entry (time travel); a ?version=N URL parameter overrides the body
-// field on both GET and POST.
+// field.
 type QueryRequest struct {
 	Estimator string           `json:"estimator"`
 	Predicate *query.Predicate `json:"predicate,omitempty"`

@@ -301,15 +301,14 @@ func TestMalformedRequests(t *testing.T) {
 		}
 	}
 
-	// Wrong methods. GET /query is a supported wire (versioned reads), so a
-	// bare GET there is a 400 (no estimator), not a 405.
+	// Wrong methods.
 	resp, err := http.Get(ts.URL + "/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("GET /query: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /query: status %d, want 405", resp.StatusCode)
 	}
 	resp, err = http.Get(ts.URL + "/groupby")
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"testing"
 
@@ -87,37 +86,29 @@ func BenchmarkHistoryRestore(b *testing.B) {
 	}
 }
 
-// countAtVersion asks GET /query?version=N and returns the count plus the
-// echoed version.
+// countAtVersion asks POST /query?version=N — the version in the URL, not
+// the body — and returns the count plus the echoed version.
 func countAtVersion(t *testing.T, tsURL, estimator string, version int, pred *query.Predicate) (float64, int) {
 	t.Helper()
-	pj, err := json.Marshal(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := tsURL + "/query?estimator=" + url.QueryEscape(estimator) + "&predicate=" + url.QueryEscape(string(pj))
+	u := tsURL + "/query"
 	if version > 0 {
-		u += "&version=" + strconv.Itoa(version)
+		u += "?version=" + strconv.Itoa(version)
 	}
-	resp, err := http.Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var qr server.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
+	resp, body := postJSON(t, u, server.QueryRequest{Estimator: estimator, Predicate: pred})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /query v%d: status %d", version, resp.StatusCode)
+		t.Fatalf("POST /query?version=%d: status %d: %s", version, resp.StatusCode, body)
+	}
+	var qr server.QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
 	}
 	return qr.Count, qr.Version
 }
 
 // TestQueryAtVersionBitIdentical is the tentpole acceptance test: a
-// versioned query over HTTP (GET and POST wires) must return answers
-// bit-identical to restoring the same snapshot in-process and evaluating
-// it directly.
+// versioned query over HTTP (the version in the URL or in the body) must
+// return answers bit-identical to restoring the same snapshot in-process
+// and evaluating it directly.
 func TestQueryAtVersionBitIdentical(t *testing.T) {
 	ts, st, _ := newVersionedServer(t, 2000, 2, server.Options{CacheSize: -1})
 
@@ -144,10 +135,10 @@ func TestQueryAtVersionBitIdentical(t *testing.T) {
 
 			got, echoed := countAtVersion(t, ts.URL, "demo/maxent", version, pred)
 			if echoed != version {
-				t.Fatalf("GET response echoed version %d, want %d", echoed, version)
+				t.Fatalf("?version=%d response echoed version %d", version, echoed)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("v%d query %d: GET served %v, in-process restore %v", version, q, got, want)
+				t.Fatalf("v%d query %d: ?version served %v, in-process restore %v", version, q, got, want)
 			}
 
 			resp, body := postJSON(t, ts.URL+"/query", server.QueryRequest{
@@ -188,9 +179,9 @@ func TestQueryAtVersionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestVersionedBatchOverHTTP drives /query/batch at a snapshot version on
-// both wires (JSON body field and binary v2 frame) and checks agreement
-// with the in-process restore.
+// TestVersionedBatchOverHTTP drives /query/batch at a snapshot version both
+// ways a batch can name one (a binary v2 frame, and a v1 frame under a
+// ?version=N URL override) and checks agreement with the in-process restore.
 func TestVersionedBatchOverHTTP(t *testing.T) {
 	ts, st, _ := newVersionedServer(t, 1500, 1, server.Options{CacheSize: -1})
 
@@ -201,62 +192,48 @@ func TestVersionedBatchOverHTTP(t *testing.T) {
 	sch := experiment.SyntheticSchema()
 	preds := make([]*query.Predicate, 4)
 	items := make([]query.BatchItem, len(preds))
-	jsonItems := make([]server.BatchQueryItem, len(preds))
 	want := make([]float64, len(preds))
 	for i := range preds {
 		p := query.NewPredicate(sch.NumAttrs())
 		p.WhereEq(0, i%sch.Attr(0).Size())
 		preds[i] = p
 		items[i] = query.BatchItem{Pred: p}
-		jsonItems[i] = server.BatchQueryItem{Predicate: p}
 		if want[i], err = est.(core.Estimator).EstimateCount(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// JSON wire.
-	resp, body := postJSON(t, ts.URL+"/query/batch", server.BatchQueryRequest{
-		Estimator: "demo/maxent", Version: 1, Queries: jsonItems,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON batch: %d %s", resp.StatusCode, body)
-	}
-	var br server.BatchQueryResponse
-	if err := json.Unmarshal(body, &br); err != nil {
+	v2, err := query.AppendBatchAt(nil, "demo/maxent", 1, items)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Version != 1 {
-		t.Fatalf("JSON batch echoed version %d, want 1", br.Version)
+	v1, err := query.AppendBatch(nil, "demo/maxent", items)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, a := range br.Answers {
-		if a.Error != "" || math.Float64bits(a.Count) != math.Float64bits(want[i]) {
-			t.Fatalf("JSON batch answer %d: %+v, want count %v", i, a, want[i])
+	for _, tc := range []struct {
+		name, url string
+		frame     []byte
+	}{
+		{"v2 frame", ts.URL + "/query/batch", v2},
+		{"v1 frame, ?version=1", ts.URL + "/query/batch?version=1", v1},
+	} {
+		resp, err := http.Post(tc.url, server.BinaryBatchContentType, bytes.NewReader(tc.frame))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Binary wire: a format-v2 frame carrying the snapshot version.
-	frame, err := query.AppendBatchAt(nil, "demo/maxent", 1, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpResp, err := http.Post(ts.URL+"/query/batch", server.BinaryBatchContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("binary batch: status %d", httpResp.StatusCode)
-	}
-	_, answers, err := query.DecodeAnswers(httpResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != len(want) {
-		t.Fatalf("binary batch: %d answers, want %d", len(answers), len(want))
-	}
-	for i, a := range answers {
-		if a.Error != "" || math.Float64bits(a.Count) != math.Float64bits(want[i]) {
-			t.Fatalf("binary batch answer %d: %+v, want count %v", i, a, want[i])
+		_, answers, err := query.DecodeAnswers(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, decode %v", tc.name, resp.StatusCode, err)
+		}
+		if len(answers) != len(want) {
+			t.Fatalf("%s: %d answers, want %d", tc.name, len(answers), len(want))
+		}
+		for i, a := range answers {
+			if a.Error != "" || math.Float64bits(a.Count) != math.Float64bits(want[i]) {
+				t.Fatalf("%s answer %d: %+v, want count %v", tc.name, i, a, want[i])
+			}
 		}
 	}
 }
