@@ -44,7 +44,6 @@ func main() {
 		heuristic     = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps        = flag.Int("sweeps", 200, "solver sweep budget")
 		relax         = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
-		partitions    = flag.Int("partitions", 0, "when > 0, also build a K-way partitioned summary (built concurrently)")
 		storeDir      = flag.String("store", "", "when set, snapshot the built summaries into this store directory (created if missing)")
 		dataset       = flag.String("dataset", "demo", "dataset name snapshots are stored under (with -store)")
 		streamBatches = flag.Int("stream", 0, "when > 0, run the streaming-drift scenario with this many append batches instead of the static report")
@@ -53,7 +52,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validate(*rows, *queries, *rate, *partitions, *sweeps); err != nil {
+	if err := validate(*rows, *queries, *rate, *sweeps); err != nil {
 		fmt.Fprintf(os.Stderr, "experiment: %v\n", err)
 		os.Exit(2)
 	}
@@ -155,11 +154,10 @@ func main() {
 	sch := rel.Schema()
 	fmt.Fprintf(os.Stderr, "relation: %s, %d rows\n", sch, rel.NumRows())
 	// The strategies are a served dataset's own, reported in the golden
-	// report's order: the summary and the samples, then the partitioned
-	// summary, with the exact engine last as the ground truth.
+	// report's order: the summary and the samples, with the exact engine last
+	// as the ground truth.
 	list, info, err := server.Derive(*dataset, rel, server.DatasetOptions{
 		Summary:    buildOpts,
-		Partitions: *partitions,
 		SampleRate: *rate,
 		SampleSeed: *seed,
 	}, nil, 0)
@@ -168,18 +166,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "%s\n", info.Solver)
 	var truth *exact.Engine
-	var estimators, partitioned []core.Estimator
+	var estimators []core.Estimator
 	for _, s := range list {
-		switch e := s.Estimator.(type) {
-		case *exact.Engine:
+		if e, ok := s.Estimator.(*exact.Engine); ok {
 			truth = e
-		case *summary.Partitioned:
-			for k, rep := range e.SolverReports() {
-				fmt.Fprintf(os.Stderr, "partition %d/%d: %s\n", k+1, e.NumPartitions(), rep)
-			}
-			partitioned = append(partitioned, e)
-		default:
-			estimators = append(estimators, e)
+		} else {
+			estimators = append(estimators, s.Estimator)
 		}
 		if st != nil && s.Snapshot {
 			saved, err := st.Save(s.Name, s.Estimator)
@@ -189,7 +181,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", saved.Dataset, saved.Version, saved.Bytes)
 		}
 	}
-	estimators = append(estimators, partitioned...)
 
 	workload := experiment.GenerateWorkload(sch, *queries, rand.New(rand.NewSource(*seed+3)))
 	report, err := experiment.Run(truth, append(estimators, truth), workload, experiment.Options{})
@@ -204,7 +195,7 @@ func main() {
 // validate rejects nonsensical flag values up front with actionable
 // messages, instead of letting them panic or log.Fatal deep inside the
 // pipeline.
-func validate(rows, queries int, rate float64, partitions, sweeps int) error {
+func validate(rows, queries int, rate float64, sweeps int) error {
 	if rows <= 0 {
 		return fmt.Errorf("-rows must be positive, got %d", rows)
 	}
@@ -213,9 +204,6 @@ func validate(rows, queries int, rate float64, partitions, sweeps int) error {
 	}
 	if rate <= 0 || rate > 1 {
 		return fmt.Errorf("-rate must be in (0,1], got %g", rate)
-	}
-	if partitions < 0 {
-		return fmt.Errorf("-partitions must be non-negative, got %d", partitions)
 	}
 	if sweeps <= 0 {
 		return fmt.Errorf("-sweeps must be positive, got %d", sweeps)

@@ -11,9 +11,8 @@
 // The input is either the repository's standard synthetic generator
 // (-rows/-seed) or a CSV file (-csv) loaded through the relation
 // package's schema inference (numeric columns are equi-width binned via
-// -bins, everything else is categorical). With -partitions > 0 a K-way
-// partitioned summary is snapshotted alongside the single one. Snapshot
-// metadata is printed as JSON on stdout; progress goes to stderr.
+// -bins, everything else is categorical). Snapshot metadata is printed as
+// JSON on stdout; progress goes to stderr.
 package main
 
 import (
@@ -46,12 +45,11 @@ func main() {
 		heuristic  = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps     = flag.Int("sweeps", 200, "solver sweep budget")
 		relax      = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
-		partitions = flag.Int("partitions", 0, "when > 0, also snapshot a K-way partitioned summary")
 		keep       = flag.Int("keep", 0, "after saving, prune each dataset to its newest N versions (0 keeps all)")
 	)
 	flag.Parse()
 
-	if err := validate(*storeDir, *rows, *bins, *partitions, *sweeps, *keep); err != nil {
+	if err := validate(*storeDir, *rows, *bins, *sweeps, *keep); err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 		os.Exit(2)
 	}
@@ -85,9 +83,8 @@ func main() {
 	// summaryd started on this store restores exactly what it would build.
 	buildStart := time.Now()
 	list, built, err := server.Derive(*dataset, rel, server.DatasetOptions{
-		Summary:    opts,
-		Partitions: *partitions,
-		SkipExact:  true,
+		Summary:   opts,
+		SkipExact: true,
 	}, nil, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
@@ -142,7 +139,7 @@ func loadRelation(csvPath string, bins, rows int, seed int64) (*relation.Relatio
 
 // validate rejects nonsensical flag values up front, consistent with the
 // other commands.
-func validate(storeDir string, rows, bins, partitions, sweeps, keep int) error {
+func validate(storeDir string, rows, bins, sweeps, keep int) error {
 	if storeDir == "" {
 		return fmt.Errorf("-store is required (the directory snapshots are written to)")
 	}
@@ -151,9 +148,6 @@ func validate(storeDir string, rows, bins, partitions, sweeps, keep int) error {
 	}
 	if bins <= 0 {
 		return fmt.Errorf("-bins must be positive, got %d", bins)
-	}
-	if partitions < 0 {
-		return fmt.Errorf("-partitions must be non-negative, got %d", partitions)
 	}
 	if sweeps <= 0 {
 		return fmt.Errorf("-sweeps must be positive, got %d", sweeps)

@@ -1,8 +1,8 @@
 // Command summaryd is the long-lived serving shape of the reproduction: it
-// builds MaxEnt summaries (plus optional partitioned summaries and
-// sampling baselines) over a dataset, registers them in the estimator
-// registry, and serves counting and group-by queries over HTTP/JSON with
-// an LRU result cache, admission control, and latency/QPS metrics.
+// builds a MaxEnt summary (plus optional sampling baselines) over a
+// dataset, registers them in the estimator registry, and serves counting
+// and group-by queries over HTTP/JSON with an LRU result cache, admission
+// control, and latency/QPS metrics.
 //
 // With -store, summaryd is restartable: at startup it restores every
 // snapshot in the store (cold start in O(summary bytes), no data scan, no
@@ -18,8 +18,8 @@
 // -refresh-interval ticker) folds the backlog into new estimator versions
 // that are hot-swapped in with zero downtime. The maxent model refreshes
 // incrementally on small deltas — delta statistics plus a warm-started
-// solve — while the data-bound strategies (exact, samples) and the
-// partitioned summary are rebuilt from the grown relation each refresh.
+// solve — while the data-bound strategies (exact, samples) are rebuilt
+// from the grown relation each refresh.
 // Every new model version is published to the snapshot store when -store
 // is set; /metrics reports per-dataset generation and staleness. On a
 // snapshot restart the demo relation is regenerated from -seed, so a
@@ -54,7 +54,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -80,7 +79,6 @@ func main() {
 		heuristic   = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps      = flag.Int("sweeps", 200, "solver sweep budget")
 		relax       = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
-		partitions  = flag.Int("partitions", 0, "when > 0, also serve a K-way partitioned summary")
 		noExact     = flag.Bool("no-exact", false, "do not serve the exact full-scan engine")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
 		maxConc     = flag.Int("max-concurrent", 64, "maximum concurrent estimator evaluations")
@@ -96,7 +94,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validate(*rows, *rate, *partitions, *sweeps); err != nil {
+	if err := validate(*rows, *rate, *sweeps); err != nil {
 		fmt.Fprintf(os.Stderr, "summaryd: %v\n", err)
 		os.Exit(2)
 	}
@@ -158,22 +156,9 @@ func main() {
 			log.Printf("restored %d estimator(s) from %s in %v: %v",
 				len(restored), st.Dir(), time.Since(restoreStart).Round(time.Millisecond), restored)
 		}
-		// Serve -dataset from snapshots only when the store satisfied
-		// every snapshot-able estimator these flags ask for; otherwise
-		// drop the partial restore and rebuild the full strategy set (a
-		// rebuild re-registers, so leftovers would collide).
-		_, haveMaxent := reg.Get(*dataset + "/maxent")
-		_, havePartitioned := reg.Get(*dataset + "/partitioned")
-		fromSnapshot = haveMaxent && (*partitions == 0 || havePartitioned)
-		// A replica serves whatever it restored and syncs the rest; only a
-		// building node drops a partial restore to rebuild cleanly.
-		if !fromSnapshot && *peer == "" {
-			for _, name := range restored {
-				if strings.HasPrefix(name, *dataset+"/") {
-					reg.Unregister(name)
-				}
-			}
-		}
+		// Serve -dataset from snapshots when the store holds its summary, the
+		// one snapshot-able strategy; otherwise build it (a replica syncs it).
+		_, fromSnapshot = reg.Get(*dataset + "/maxent")
 	}
 
 	liveOpts := server.LiveOptions{
@@ -184,7 +169,6 @@ func main() {
 				Heuristic:     h,
 				Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
 			},
-			Partitions: *partitions,
 			SampleRate: *rate,
 			SampleSeed: *seed,
 			SkipExact:  *noExact,
@@ -312,15 +296,12 @@ func main() {
 
 // validate rejects nonsensical flag combinations up front, before any work
 // is attempted.
-func validate(rows int, rate float64, partitions, sweeps int) error {
+func validate(rows int, rate float64, sweeps int) error {
 	if rows <= 0 {
 		return fmt.Errorf("-rows must be positive, got %d", rows)
 	}
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("-rate must be in [0,1] (0 disables the baselines), got %g", rate)
-	}
-	if partitions < 0 {
-		return fmt.Errorf("-partitions must be non-negative, got %d", partitions)
 	}
 	if sweeps <= 0 {
 		return fmt.Errorf("-sweeps must be positive, got %d", sweeps)

@@ -44,9 +44,9 @@ type GroupEstimate = query.GroupRow
 
 // GroupKey identifies one group in a group-by result: the packed tuple of
 // encoded values of the grouping attributes, in the order they were given.
-// It is the single key layout shared by the exact engine, the sampling
-// baselines, and MergeGroupEstimates, so the four-attribute limit and the
-// -1 unused-slot sentinel live in one place.
+// It is the single key layout shared by the exact engine and the sampling
+// baselines, so the four-attribute limit and the -1 unused-slot sentinel
+// live in one place.
 type GroupKey [4]int32
 
 // MakeGroupKey packs up to four encoded values into a GroupKey; unused
@@ -71,35 +71,6 @@ func (k GroupKey) Values(n int) []int {
 	for i := 0; i < n; i++ {
 		out[i] = int(k[i])
 	}
-	return out
-}
-
-// MergeGroupEstimates sums group estimates across several partial results
-// (for example, the per-partition answers of a partitioned estimator):
-// groups with identical value tuples are combined by adding their
-// estimates, and the merged result is returned in the canonical
-// SortGroupEstimates order.
-func MergeGroupEstimates(parts ...[]GroupEstimate) []GroupEstimate {
-	sums := make(map[GroupKey]GroupEstimate)
-	for _, part := range parts {
-		for _, g := range part {
-			k := MakeGroupKey(g.Values)
-			if have, ok := sums[k]; ok {
-				have.Estimate += g.Estimate
-				sums[k] = have
-				continue
-			}
-			sums[k] = GroupEstimate{
-				Values:   append([]int(nil), g.Values...),
-				Estimate: g.Estimate,
-			}
-		}
-	}
-	out := make([]GroupEstimate, 0, len(sums))
-	for _, g := range sums {
-		out = append(out, g)
-	}
-	SortGroupEstimates(out)
 	return out
 }
 

@@ -203,47 +203,3 @@ func TestFleetEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetPartitionedEquivalence: a partitioned estimator has no read plan
-// of its own — whichever node the router picks answers with its whole
-// summary.Partitioned — so routed answers (counts and group-bys), through a
-// caching and a cache-less router alike, are bit-identical to the primary's.
-func TestFleetPartitionedEquivalence(t *testing.T) {
-	f := fleettest.New(t, fleettest.Options{
-		Nodes:      3,
-		Partitions: 3,
-		Router:     fleet.Options{Timeout: 5 * time.Second},
-	})
-	primary := f.Primary().URL()
-	est := "demo/partitioned"
-	workload := experiment.GenerateWorkload(experiment.SyntheticSchema(), 20, rand.New(rand.NewSource(12)))
-
-	for _, routed := range []string{f.RouterURL(), secondRouter(t, f, fleet.Options{CacheSize: -1, Timeout: 5 * time.Second})} {
-		for qi, q := range workload {
-			label := fmt.Sprintf("partitioned query %d", qi)
-			if q.IsGroupBy() {
-				var want, got server.GroupByResponse
-				req := server.GroupByRequest{Estimator: est, Predicate: q.Pred, GroupBy: q.GroupBy}
-				ws := postJSON(t, primary+"/groupby", req, &want)
-				gs := postJSON(t, routed+"/groupby", req, &got)
-				if ws != gs {
-					t.Fatalf("%s: direct status %d, routed %d", label, ws, gs)
-				}
-				if ws == http.StatusOK {
-					sameGroups(t, label, want.Groups, got.Groups)
-				}
-				continue
-			}
-			var want, got server.QueryResponse
-			req := server.QueryRequest{Estimator: est, Predicate: q.Pred}
-			ws := postJSON(t, primary+"/query", req, &want)
-			gs := postJSON(t, routed+"/query", req, &got)
-			if ws != gs {
-				t.Fatalf("%s: direct status %d, routed %d", label, ws, gs)
-			}
-			if ws == http.StatusOK {
-				sameCount(t, label, want.Count, got.Count)
-			}
-		}
-	}
-}

@@ -52,9 +52,6 @@ type Options struct {
 	// RefreshRows is the primary's ingest auto-refresh threshold
 	// (default 0: refreshes are triggered explicitly by tests).
 	RefreshRows int
-	// Partitions additionally builds a K-way partitioned summary
-	// ("demo/partitioned") when > 0.
-	Partitions int
 	// SyncInterval is the replicas' poll period (default 50ms).
 	SyncInterval time.Duration
 	// MaxSweeps bounds the solver so fleet tests stay fast (default 60).
@@ -186,9 +183,8 @@ func New(t testing.TB, opts Options) *Fleet {
 	mut := relation.NewMutable(experiment.SyntheticRelation(opts.Rows, rand.New(rand.NewSource(opts.Seed))))
 	live, _, err := server.BuildLiveDataset(reg, f.Dataset, mut, server.LiveOptions{
 		Dataset: server.DatasetOptions{
-			Summary:    summary.Options{Solver: solver.Options{MaxSweeps: opts.MaxSweeps}},
-			Partitions: opts.Partitions,
-			Store:      st,
+			Summary: summary.Options{Solver: solver.Options{MaxSweeps: opts.MaxSweeps}},
+			Store:   st,
 		},
 		RefreshRows: opts.RefreshRows,
 	})

@@ -309,7 +309,7 @@ func (rt *Router) fanoutWays(n int) int {
 // node answered everything. The items are dealt round-robin across the
 // healthy nodes when they clear the fan-out threshold, one sub-frame
 // otherwise, and the answers are gathered back positionally; whichever node
-// is asked answers with its whole estimator, "<dataset>/partitioned" included.
+// is asked answers with its whole estimator.
 //
 // A node error keeps its own status so a single-node refusal (unknown
 // estimator, oversized batch) reaches the client as the node sent it.

@@ -309,19 +309,18 @@ func secondRouter(t *testing.T, f *fleettest.Fleet, opts fleet.Options) string {
 	return ts.URL
 }
 
-// TestRoutedPartitionedBatches: "demo/partitioned" is read like every other
-// estimator — whichever node the router picks answers with its whole
-// summary.Partitioned. Through a caching and a cache-less router, on all three
-// entry points and as a whole binary batch, the answers are
+// TestRoutedReadsAcrossRefresh: through a caching and a cache-less router, on
+// all three entry points and as a whole binary batch, routed answers are
 // bit-identical to the primary's and carry its X-Estimator-Generation; on the
 // caching router the second ask of an item is a cache hit through any entry
-// point, and a routed ingest fences every one of them.
-func TestRoutedPartitionedBatches(t *testing.T) {
-	f := fleettest.New(t, fleettest.Options{Nodes: 3, Partitions: 3, RefreshRows: 300,
+// point, and a routed ingest that refreshes the model fences every one of
+// them.
+func TestRoutedReadsAcrossRefresh(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 3, RefreshRows: 300,
 		Router: fleet.Options{Timeout: 5 * time.Second}})
 	node, caching := f.Primary().URL(), f.RouterURL()
 	cacheless := secondRouter(t, f, fleet.Options{CacheSize: -1, Timeout: 5 * time.Second})
-	const est = "demo/partitioned"
+	const est = "demo/maxent"
 	pool := routedPool()
 	frame, err := query.AppendBatchAt(nil, est, 0, pool)
 	if err != nil {

@@ -218,8 +218,7 @@ func (r *Relation) FrequencyVector() ([]int, error) {
 // Slice returns a read-only view of the contiguous row range [lo, hi):
 // the view shares the column storage of the receiver, so it costs O(m)
 // regardless of the range size. Appending to either relation afterwards is
-// not supported. It is the horizontal-partitioning primitive the
-// partitioned summary builder is built on.
+// not supported. Refresh deltas, branch forks and frozen views are slices.
 func (r *Relation) Slice(lo, hi int) (*Relation, error) {
 	if lo < 0 || hi > r.rows || lo > hi {
 		return nil, fmt.Errorf("relation: slice [%d,%d) out of range [0,%d)", lo, hi, r.rows)
@@ -229,39 +228,6 @@ func (r *Relation) Slice(lo, hi int) (*Relation, error) {
 		cols[a] = col[lo:hi:hi]
 	}
 	return &Relation{sch: r.sch, cols: cols, rows: hi - lo}, nil
-}
-
-// Partition splits the relation into k contiguous horizontal partitions of
-// near-equal size (the first rows%k partitions hold one extra row). The
-// partitions are read-only views sharing the receiver's storage. k is
-// clamped to [1, rows] so no partition is empty — except for an empty
-// relation, which yields a single empty partition.
-func (r *Relation) Partition(k int) []*Relation {
-	if k < 1 {
-		k = 1
-	}
-	if k > r.rows {
-		k = r.rows
-	}
-	if k <= 1 {
-		return []*Relation{r}
-	}
-	parts := make([]*Relation, 0, k)
-	base, extra := r.rows/k, r.rows%k
-	lo := 0
-	for i := 0; i < k; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		p, err := r.Slice(lo, lo+size)
-		if err != nil {
-			panic(err) // unreachable: bounds are derived from rows
-		}
-		parts = append(parts, p)
-		lo += size
-	}
-	return parts
 }
 
 // Select returns a new relation containing the rows with the given indexes

@@ -166,7 +166,7 @@ func Uniform(rel *relation.Relation, rate float64, rng *rand.Rand) (*Sample, err
 	return &Sample{name: fmt.Sprintf("Uniform(%.2f%%)", rate*100), rel: sub, weights: weights}, nil
 }
 
-// Stratified draws a stratified sample: rows are partitioned by the values
+// Stratified draws a stratified sample: rows are grouped by the values
 // of the strata attributes; each stratum contributes ceil(rate·|stratum|)
 // rows but never fewer than minPerStratum (or the whole stratum when it is
 // smaller). Each retained row is weighted by |stratum| / |sampled stratum|.

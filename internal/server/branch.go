@@ -125,7 +125,7 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 	// as the branch's own v1. Both names must be new, and once one is
 	// registered every later failure unwinds it.
 	branchOpts := parentLive.opts
-	branchOpts.Dataset.SkipExact, branchOpts.Dataset.Partitions, branchOpts.Dataset.SampleRate = false, 0, 0
+	branchOpts.Dataset.SkipExact, branchOpts.Dataset.SampleRate = false, 0
 	list, _, err := Derive(name, view, branchOpts.Dataset, sum, 0)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})

@@ -23,9 +23,6 @@ import (
 type DatasetOptions struct {
 	// Summary configures the MaxEnt build.
 	Summary summary.Options
-	// Partitions, when > 0, additionally builds a K-way partitioned
-	// summary (registered as "<dataset>/partitioned").
-	Partitions int
 	// SampleRate, when > 0, additionally builds uniform and stratified
 	// sampling baselines at this rate ("<dataset>/uniform",
 	// "<dataset>/stratified").
@@ -52,8 +49,8 @@ type Strategy struct {
 }
 
 // Derive computes every strategy the options ask for over rel, in serving
-// order: "<dataset>/maxent" first, then "/exact", "/partitioned", "/uniform"
-// and "/stratified" as configured. With prev == nil the MaxEnt summary is
+// order: "<dataset>/maxent" first, then "/exact", "/uniform" and
+// "/stratified" as configured. With prev == nil the MaxEnt summary is
 // built from scratch; otherwise rel is prev's relation grown by appended rows
 // and the summary is prev refreshed by that suffix (incrementally, or by the
 // recount summary.Refresh falls back to). gen is the dataset's generation —
@@ -83,16 +80,6 @@ func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *s
 
 	if !opts.SkipExact {
 		list = append(list, Strategy{dataset + "/exact", exact.New(rel), false})
-	}
-	if opts.Partitions > 0 {
-		psum, err := summary.BuildPartitioned(rel, summary.PartitionedOptions{
-			Partitions: opts.Partitions,
-			Base:       opts.Summary,
-		})
-		if err != nil {
-			return nil, info, fmt.Errorf("server: dataset %q: partitioned: %w", dataset, err)
-		}
-		list = append(list, Strategy{dataset + "/partitioned", psum, true})
 	}
 	if opts.SampleRate > 0 {
 		seed := opts.SampleSeed + int64(gen)<<16
@@ -161,8 +148,8 @@ func publish(reg *Registry, cache *Cache, st *store.Store, s Strategy, sch *sche
 
 // BuildDataset runs the summarization pipeline over one relation and
 // registers every resulting estimator under "<dataset>/<strategy>" names:
-// always "<dataset>/maxent", plus "/exact", "/partitioned", "/uniform",
-// and "/stratified" as configured. It returns the registered names. With a
+// always "<dataset>/maxent", plus "/exact", "/uniform" and "/stratified"
+// as configured. It returns the registered names. With a
 // store configured a failed save fails the build: a deployment that asked
 // for persistence should not limp along serving an unsaved model.
 func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts DatasetOptions) ([]string, error) {

@@ -276,9 +276,6 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 		return ok
 	}
 	opts.SkipExact = !serving("exact")
-	if !serving("partitioned") {
-		opts.Partitions = 0
-	}
 	if !serving("uniform") {
 		opts.SampleRate = 0
 	}

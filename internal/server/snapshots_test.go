@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -9,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/frame"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -31,10 +34,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	// First process lifetime: build from data, snapshotting on build.
 	reg1 := server.NewRegistry()
 	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
-	names, err := server.BuildDataset(reg1, "demo", rel, server.DatasetOptions{
-		Partitions: 2,
-		Store:      st,
-	})
+	names, err := server.BuildDataset(reg1, "demo", rel, server.DatasetOptions{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func TestRestartRoundTrip(t *testing.T) {
 		t.Fatalf("restore problems: %+v", problems)
 	}
 	sort.Strings(restored)
-	want := []string{"demo/maxent", "demo/partitioned"}
-	if len(restored) != len(want) || restored[0] != want[0] || restored[1] != want[1] {
+	want := []string{"demo/maxent"}
+	if len(restored) != len(want) || restored[0] != want[0] {
 		t.Fatalf("restored %v, want %v (built: %v)", restored, want, names)
 	}
 
@@ -259,5 +259,73 @@ func TestRestoreFindsKeyWithoutManifest(t *testing.T) {
 	}
 	if _, err := reopened.Prune("demo/maxent", 1); err != nil {
 		t.Fatalf("Prune of the key: %v", err)
+	}
+}
+
+// TestRestoreRefusesRetiredKind: stores written by earlier builds can hold
+// kind-tag-2 snapshots (K per-partition summaries), a kind no longer served.
+// Restoring such a store serves everything else and reports that key as its
+// one problem, while the key stays listed and prunable.
+func TestRestoreRefusesRetiredKind(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(3)))
+	if _, err := server.BuildDataset(server.NewRegistry(), "demo", rel, server.DatasetOptions{SkipExact: true, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	// The retired layout, framed like the maxent file: kind 2, name, N, K = 1,
+	// then the one summary's payload without its kind tag.
+	framed, _, err := st.ReadFramed("demo/maxent", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldName = "partitioned[K=1]×maxent"
+	old := append([]byte(nil), framed[:frame.HeaderSize]...)
+	old = append(old, 2)
+	old = binary.AppendUvarint(old, uint64(len(oldName)))
+	old = append(old, oldName...)
+	old = binary.LittleEndian.AppendUint64(old, math.Float64bits(float64(rel.NumRows())))
+	old = binary.AppendUvarint(old, 1)
+	old = append(old, framed[frame.HeaderSize+1:]...)
+	if _, err := frame.Seal(old, string(framed[:8]), binary.LittleEndian.Uint16(framed[8:10]), 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 2; v++ {
+		if _, err := st.ImportFramed("demo/partitioned", v, old); err != nil {
+			t.Fatalf("import of a retired-kind file, v%d: %v", v, err)
+		}
+	}
+
+	reg := server.NewRegistry()
+	restored, problems, err := server.RestoreStore(reg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored) != 1 || restored[0] != "demo/maxent" {
+		t.Fatalf("restored %v, want [demo/maxent]", restored)
+	}
+	if len(problems) != 1 || problems[0].Dataset != "demo/partitioned" ||
+		!strings.Contains(problems[0].Err.Error(), "partitioned snapshots are no longer served; prune the key or rebuild") {
+		t.Fatalf("problems = %+v, want exactly the demo/partitioned refusal", problems)
+	}
+
+	ts := httptest.NewServer(server.New(reg, server.Options{Store: st}).Handler())
+	defer ts.Close()
+	resp, body := get(t, ts.URL+"/snapshots")
+	var listed server.SnapshotsResponse
+	if err := json.Unmarshal(body, &listed); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /snapshots: %d %s (%v)", resp.StatusCode, body, err)
+	}
+	keys := map[string]int{}
+	for _, man := range listed.Datasets {
+		keys[man.Dataset] = len(man.Snapshots)
+	}
+	if len(keys) != 2 || keys["demo/maxent"] != 1 || keys["demo/partitioned"] != 2 {
+		t.Fatalf("GET /snapshots lists %v, want demo/maxent at 1 version and demo/partitioned at 2", keys)
+	}
+	if removed, err := st.Prune("demo/partitioned", 1); err != nil || len(removed) != 1 || removed[0].Version != 1 {
+		t.Fatalf("Prune of the retired key removed %+v, %v; want v1", removed, err)
 	}
 }

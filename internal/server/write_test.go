@@ -20,7 +20,6 @@ import (
 func writeOptions(st *store.Store) server.DatasetOptions {
 	return server.DatasetOptions{
 		Summary:    summary.Options{Solver: solver.Options{MaxSweeps: 60}},
-		Partitions: 2,
 		SampleRate: 0.05,
 		SampleSeed: 7,
 		Store:      st,
@@ -38,7 +37,7 @@ func TestDeriveIsOneList(t *testing.T) {
 		snapshot bool
 	}
 	want := []flagged{
-		{"demo/maxent", true}, {"demo/exact", false}, {"demo/partitioned", true},
+		{"demo/maxent", true}, {"demo/exact", false},
 		{"demo/uniform", false}, {"demo/stratified", false},
 	}
 	shape := func(list []server.Strategy) []flagged {
@@ -130,7 +129,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 	}
 	reg := server.NewRegistry()
 	opts := writeOptions(st)
-	opts.Partitions, opts.SampleRate = 0, 0
+	opts.SampleRate = 0
 	live, _, err := server.BuildLiveDataset(reg, "demo",
 		relation.NewMutable(experiment.SyntheticRelation(2000, rand.New(rand.NewSource(1)))),
 		server.LiveOptions{Dataset: opts})

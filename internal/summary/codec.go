@@ -34,10 +34,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Estimator kind tags, the first byte of every encoded estimator.
+// Estimator kind tags, the first byte of every encoded estimator. Tag 2
+// (K per-partition summaries) is retired: stores written by earlier builds
+// may still hold such files, so PeekName describes them (listing, pruning
+// and replica sync keep working) while DecodeEstimator refuses them.
 const (
-	kindSummary     = 1
-	kindPartitioned = 2
+	kindSummary = 1
+	kindRetired = 2
 )
 
 // Sanity caps on decoded counts, so a corrupted length prefix fails with a
@@ -47,7 +50,6 @@ const (
 	maxDomain    = 1 << 22
 	maxMulti     = 1 << 20
 	maxStringLen = 1 << 16
-	maxParts     = 1 << 12
 )
 
 // ErrNotSnapshotable is reported by EncodeEstimator for estimator kinds
@@ -56,24 +58,18 @@ const (
 var ErrNotSnapshotable = errors.New("estimator is not snapshot-able")
 
 // EncodeEstimator writes the snapshot payload of a solved estimator. Only
-// the model-based estimators are snapshot-able: *Summary and *Partitioned
-// answer queries from solved weights alone, while the exact engine and the
-// sampling baselines would have to serialize (part of) the data itself.
+// the model-based estimator is snapshot-able: a *Summary answers queries
+// from solved weights alone, while the exact engine and the sampling
+// baselines would have to serialize (part of) the data itself.
 func EncodeEstimator(w io.Writer, est core.Estimator) error {
-	switch e := est.(type) {
-	case *Summary:
-		ew := newEncoder(w)
-		ew.byte(kindSummary)
-		e.encode(ew)
-		return ew.flush()
-	case *Partitioned:
-		ew := newEncoder(w)
-		ew.byte(kindPartitioned)
-		e.encode(ew)
-		return ew.flush()
-	default:
+	s, ok := est.(*Summary)
+	if !ok {
 		return fmt.Errorf("summary: estimator %q (%T): %w", est.Name(), est, ErrNotSnapshotable)
 	}
+	ew := newEncoder(w)
+	ew.byte(kindSummary)
+	s.encode(ew)
+	return ew.flush()
 }
 
 // DecodeEstimator reads a snapshot payload written by EncodeEstimator and
@@ -91,8 +87,8 @@ func DecodeEstimator(r io.Reader) (core.Estimator, error) {
 			return nil, err
 		}
 		return s, nil
-	case kindPartitioned:
-		return decodePartitioned(dr)
+	case kindRetired:
+		return nil, errors.New("summary: decode: partitioned snapshots are no longer served; prune the key or rebuild")
 	default:
 		return nil, fmt.Errorf("summary: decode: unknown estimator kind %d", kind)
 	}
@@ -101,8 +97,8 @@ func DecodeEstimator(r io.Reader) (core.Estimator, error) {
 // PeekName reads just the estimator kind tag and name from the head of a
 // snapshot payload, without reconstructing the model — the store uses it
 // to describe the snapshot files it finds on disk.
-// Both estimator kinds serialize their name first, so this prefix is
-// stable across the payload layouts.
+// Every estimator kind, the retired one included, serializes its name
+// first, so this prefix is stable across the payload layouts.
 func PeekName(r io.Reader) (string, error) {
 	dr := newDecoder(r)
 	kind := dr.byte()
@@ -110,7 +106,7 @@ func PeekName(r io.Reader) (string, error) {
 	if dr.err != nil {
 		return "", fmt.Errorf("summary: peek: %w", dr.err)
 	}
-	if kind != kindSummary && kind != kindPartitioned {
+	if kind != kindSummary && kind != kindRetired {
 		return "", fmt.Errorf("summary: peek: unknown estimator kind %d", kind)
 	}
 	return name, nil
@@ -119,10 +115,6 @@ func PeekName(r io.Reader) (string, error) {
 // EncodeTo writes the summary's snapshot payload (kind tag included), so a
 // single summary can be persisted without going through EncodeEstimator.
 func (s *Summary) EncodeTo(w io.Writer) error { return EncodeEstimator(w, s) }
-
-// EncodeTo writes the partitioned summary's snapshot payload (kind tag
-// included).
-func (p *Partitioned) EncodeTo(w io.Writer) error { return EncodeEstimator(w, p) }
 
 // --- Summary ----------------------------------------------------------
 
@@ -319,48 +311,6 @@ func decodeSummary(r *decoder) (*Summary, error) {
 		p:           p,
 		maxCombos:   maxCombos,
 	}, nil
-}
-
-// --- Partitioned ------------------------------------------------------
-
-func (p *Partitioned) encode(w *encoder) {
-	w.str(p.name)
-	w.f64(p.n)
-	w.uvarint(uint64(len(p.parts)))
-	for _, s := range p.parts {
-		s.encode(w)
-	}
-}
-
-func decodePartitioned(r *decoder) (*Partitioned, error) {
-	fail := func(err error) (*Partitioned, error) {
-		return nil, fmt.Errorf("summary: decode partitioned: %w", err)
-	}
-	name := r.str()
-	n := r.f64()
-	k := int(r.uvarint(maxParts))
-	if r.err != nil {
-		return fail(r.err)
-	}
-	if k < 1 {
-		return fail(fmt.Errorf("snapshot holds %d partitions", k))
-	}
-	parts := make([]*Summary, k)
-	for i := range parts {
-		s, err := decodeSummary(r)
-		if err != nil {
-			return fail(fmt.Errorf("partition %d/%d: %w", i+1, k, err))
-		}
-		parts[i] = s
-	}
-	sch := parts[0].Schema()
-	for i, s := range parts[1:] {
-		if s.Schema().String() != sch.String() {
-			return fail(fmt.Errorf("partition %d/%d schema %s differs from partition 1 schema %s",
-				i+2, k, s.Schema(), sch))
-		}
-	}
-	return &Partitioned{name: name, sch: sch, n: n, parts: parts}, nil
 }
 
 // --- schema -----------------------------------------------------------

@@ -92,54 +92,47 @@ func TestCodecRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psum, err := BuildPartitioned(rel, PartitionedOptions{Partitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, est := range []core.Estimator{sum, psum} {
-		est := est
-		t.Run(est.Name(), func(t *testing.T) {
-			dec := roundTrip(t, est)
-			if dec.Name() != est.Name() {
-				t.Fatalf("decoded name %q, want %q", dec.Name(), est.Name())
+	est := core.Estimator(sum)
+	t.Run(est.Name(), func(t *testing.T) {
+		dec := roundTrip(t, est)
+		if dec.Name() != est.Name() {
+			t.Fatalf("decoded name %q, want %q", dec.Name(), est.Name())
+		}
+		if dec.ApproxBytes() != est.ApproxBytes() {
+			t.Errorf("decoded ApproxBytes %d, want %d", dec.ApproxBytes(), est.ApproxBytes())
+		}
+		rng := rand.New(rand.NewSource(42))
+		for q := 0; q < 200; q++ {
+			pred := randomPredicate(rel.Schema(), rng)
+			want, err1 := est.EstimateCount(pred)
+			got, err2 := dec.EstimateCount(pred)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("query %d: errors %v / %v", q, err1, err2)
 			}
-			if dec.ApproxBytes() != est.ApproxBytes() {
-				t.Errorf("decoded ApproxBytes %d, want %d", dec.ApproxBytes(), est.ApproxBytes())
+			if math.Float64bits(want) != math.Float64bits(got) {
+				t.Fatalf("query %d (%s): decoded count %v != original %v (diff %g)",
+					q, pred, got, want, math.Abs(got-want))
 			}
-			rng := rand.New(rand.NewSource(42))
-			for q := 0; q < 200; q++ {
-				pred := randomPredicate(rel.Schema(), rng)
-				want, err1 := est.EstimateCount(pred)
-				got, err2 := dec.EstimateCount(pred)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("query %d: errors %v / %v", q, err1, err2)
-				}
-				if math.Float64bits(want) != math.Float64bits(got) {
-					t.Fatalf("query %d (%s): decoded count %v != original %v (diff %g)",
-						q, pred, got, want, math.Abs(got-want))
-				}
+		}
+		for q := 0; q < 20; q++ {
+			pred := randomPredicate(rel.Schema(), rng)
+			attrs := []int{rng.Intn(rel.NumAttrs())}
+			want, err1 := est.EstimateGroupBy(attrs, pred)
+			got, err2 := dec.EstimateGroupBy(attrs, pred)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("group-by %d: errors %v / %v", q, err1, err2)
 			}
-			for q := 0; q < 20; q++ {
-				pred := randomPredicate(rel.Schema(), rng)
-				attrs := []int{rng.Intn(rel.NumAttrs())}
-				want, err1 := est.EstimateGroupBy(attrs, pred)
-				got, err2 := dec.EstimateGroupBy(attrs, pred)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("group-by %d: errors %v / %v", q, err1, err2)
-				}
-				if len(want) != len(got) {
-					t.Fatalf("group-by %d: %d groups decoded, want %d", q, len(got), len(want))
-				}
-				for i := range want {
-					if math.Float64bits(want[i].Estimate) != math.Float64bits(got[i].Estimate) {
-						t.Fatalf("group-by %d row %d: decoded %v != original %v",
-							q, i, got[i].Estimate, want[i].Estimate)
-					}
+			if len(want) != len(got) {
+				t.Fatalf("group-by %d: %d groups decoded, want %d", q, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(want[i].Estimate) != math.Float64bits(got[i].Estimate) {
+					t.Fatalf("group-by %d row %d: decoded %v != original %v",
+						q, i, got[i].Estimate, want[i].Estimate)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCodecRoundTripRebuildsPruningIndex pins the interaction between the

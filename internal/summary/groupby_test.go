@@ -12,18 +12,13 @@ import (
 // TestGroupByRejectsRepeatedAttribute: grouping twice by one attribute has
 // only diagonal groups, which the per-attribute pinning cannot express (the
 // second pin would overwrite the first and every cell would be a phantom),
-// so both model estimators reject it like the HTTP layer does.
+// so the summary rejects it like the HTTP layer does.
 func TestGroupByRejectsRepeatedAttribute(t *testing.T) {
 	rel := testRelation(t, 1200, 5)
-	single, err := Build(rel, Options{Solver: solver.Options{MaxSweeps: 50}})
+	sum, err := Build(rel, Options{Solver: solver.Options{MaxSweeps: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := BuildPartitioned(rel, PartitionedOptions{Partitions: 2, Base: Options{Solver: solver.Options{MaxSweeps: 50}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	estimators := map[string]core.Estimator{"summary": single, "partitioned": part}
 	cases := []struct {
 		attrs []int
 		ok    bool
@@ -34,22 +29,20 @@ func TestGroupByRejectsRepeatedAttribute(t *testing.T) {
 		{[]int{1, 0}, true},
 		{[]int{2, 1, 0}, true},
 	}
-	for name, est := range estimators {
-		for _, c := range cases {
-			groups, err := est.EstimateGroupBy(c.attrs, nil)
-			if c.ok != (err == nil) {
-				t.Errorf("%s: group-by %v: error %v, want accepted=%v", name, c.attrs, err, c.ok)
-			}
-			if !c.ok {
-				continue
-			}
-			sum := 0.0
-			for _, g := range groups {
-				sum += g.Estimate
-			}
-			if n := float64(rel.NumRows()); math.Abs(sum-n) > 1e-6*n {
-				t.Errorf("%s: group-by %v sums to %g, want %g", name, c.attrs, sum, n)
-			}
+	for _, c := range cases {
+		groups, err := sum.EstimateGroupBy(c.attrs, nil)
+		if c.ok != (err == nil) {
+			t.Errorf("group-by %v: error %v, want accepted=%v", c.attrs, err, c.ok)
+		}
+		if !c.ok {
+			continue
+		}
+		total := 0.0
+		for _, g := range groups {
+			total += g.Estimate
+		}
+		if n := float64(rel.NumRows()); math.Abs(total-n) > 1e-6*n {
+			t.Errorf("group-by %v sums to %g, want %g", c.attrs, total, n)
 		}
 	}
 }
@@ -96,7 +89,7 @@ func cellMap(groups []core.GroupEstimate) map[core.GroupKey]float64 {
 // count estimate of pred ∧ cell and exactly the positive cells are
 // returned; an unfiltered group-by sums to N; multi-attribute group-bys
 // marginalize to the single-attribute one; a filter on the grouping
-// attribute only removes cells; and K = 1 partitioning changes nothing.
+// attribute only removes cells.
 func TestGroupByInvariantsFlightsShape(t *testing.T) {
 	sum := flightsShapedSummary(t, 120)
 	if terms := sum.System().Poly().NumTerms(); terms < 2000 {
@@ -231,27 +224,6 @@ func TestGroupByInvariantsFlightsShape(t *testing.T) {
 		}
 	}
 
-	// K = 1 partitioning answers bit for bit like the summary it wraps.
-	part := &Partitioned{name: "k1", sch: sum.Schema(), n: sum.N(), parts: []*Summary{sum}}
-	for _, attrs := range [][]int{{origin}, {origin, dest}} {
-		want, err := sum.EstimateGroupBy(attrs, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := part.EstimateGroupBy(attrs, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("partitioned(K=1) group-by %v has %d cells, summary %d", attrs, len(got), len(want))
-		}
-		for i := range want {
-			if core.MakeGroupKey(got[i].Values) != core.MakeGroupKey(want[i].Values) ||
-				math.Float64bits(got[i].Estimate) != math.Float64bits(want[i].Estimate) {
-				t.Fatalf("partitioned(K=1) group-by %v cell %d = %v, summary %v", attrs, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // BenchmarkEstimateGroupBy measures the group-by path at the repository
