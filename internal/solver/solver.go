@@ -26,6 +26,14 @@
 // variables, so it keeps its single-variable step. Once per sweep the
 // caches are resynchronized with a full evaluation, so floating-point drift
 // cannot accumulate, and the violations are judged from the same columns.
+//
+// Only coupled attributes are swept. An attribute is free when no
+// multi-dimensional statistic names it, every value carries a 1D constraint
+// and the targets sum exactly to n (a stats.Set always meets the last two).
+// It is then a common factor of every term, P = F_a·R with F_a = Σ_v α_{a,v},
+// so α_{a,v} = s_v/n solves its constraints exactly and F_a cancels out of
+// every other update: it is written once before the first sweep, and each
+// convergence check reads its constant column P/F_a without a term pass.
 package solver
 
 import (
@@ -201,12 +209,23 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 		}
 	}
 
+	// Solve the free attributes once, in closed form; they leave the sweep.
+	free := freeAttrs(sys.Poly(), constraints, opts.N)
+	for a, vals := range free {
+		if vals != nil {
+			sys.SetOneDColumn(a, vals)
+		}
+	}
+
 	// Pin zero-target statistics once: their variables stay at 0 for the
 	// whole run, and they are excluded from the sweep (their constraints
 	// are satisfied by construction). Under a warm start this also resets
 	// variables whose target dropped to 0 since the previous solve.
 	active := make([]Constraint, 0, len(constraints))
 	for _, c := range constraints {
+		if c.Var.Kind == polynomial.OneD && free[c.Var.Attr] != nil {
+			continue
+		}
 		if c.Target == 0 {
 			sys.Set(c.Var, 0)
 			continue
@@ -250,7 +269,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 		// before judging convergence, so sweep-to-sweep drift is bounded
 		// by one sweep's worth of incremental updates.
 		sys.Recompute()
-		rep.MaxViolation = violations(sys, constraints, opts.N, cols, nil)
+		rep.MaxViolation = violations(sys, constraints, opts.N, cols, free, nil)
 		if opts.Progress != nil {
 			opts.Progress(sweep, rep.MaxViolation)
 		}
@@ -318,17 +337,83 @@ func columnsFor(sys *polynomial.System, constraints []Constraint) [][]float64 {
 	return cols
 }
 
+// freeAttrs returns, for each free attribute — no multi-dimensional
+// statistic names it, each of its values carries exactly one 1D constraint,
+// and the targets sum exactly to n — its closed-form solution
+// α_{a,v} = s_v / n, and nil for every other attribute.
+//
+// A free attribute is a common factor of every term, P = F_a·R with
+// F_a = Σ_v α_{a,v}, so its derivative column is the constant P/F_a, its
+// expectations are n·α_v/F_a, and s_v/n satisfies its constraints exactly
+// whatever the other variables hold. Nor does it move any other update: the
+// coupled closed forms depend on P and their derivatives only through ratios
+// in which F_a cancels.
+func freeAttrs(poly *polynomial.Compressed, constraints []Constraint, n float64) [][]float64 {
+	sizes := poly.DomainSizes()
+	touched := make([]bool, len(sizes))
+	for j := 0; j < poly.NumMultiStats(); j++ {
+		for _, a := range poly.MultiStat(j).Attrs {
+			touched[a] = true
+		}
+	}
+	// Values start at -1, below any target: one left there is unconstrained,
+	// and one constrained twice disqualifies its attribute.
+	free := make([][]float64, len(sizes))
+	for _, c := range constraints {
+		a := c.Var.Attr
+		if c.Var.Kind != polynomial.OneD || touched[a] {
+			continue
+		}
+		if free[a] == nil {
+			free[a] = make([]float64, sizes[a])
+			for v := range free[a] {
+				free[a][v] = -1
+			}
+		}
+		if free[a][c.Var.Value] >= 0 {
+			touched[a] = true
+		}
+		free[a][c.Var.Value] = c.Target
+	}
+	for a, s := range free {
+		sum := 0.0
+		for _, t := range s {
+			sum += t
+		}
+		if s == nil || touched[a] || slices.Min(s) < 0 || sum != n {
+			free[a] = nil
+			continue
+		}
+		for v := range s {
+			s[v] /= n
+		}
+	}
+	return free
+}
+
 // violations returns max_j |s_j − E[⟨c_j,I⟩]| / N under the current
 // assignment and, when out is non-nil, stores each constraint's violation
 // at its index. The 1D expectations come from one column read per attribute
-// into cols (as columnsFor shapes it); a non-positive P violates
+// into cols (as columnsFor shapes it), except that a free attribute (free[a]
+// non-nil, as freeAttrs returns it; free may be nil) fills its column with
+// the constant P/F_a without a term pass; a non-positive P violates
 // everything.
-func violations(sys *polynomial.System, constraints []Constraint, n float64, cols [][]float64, out []float64) float64 {
+func violations(sys *polynomial.System, constraints []Constraint, n float64, cols, free [][]float64, out []float64) float64 {
 	p := sys.Total()
 	ok := p > 0
 	if ok {
 		for a, col := range cols {
-			if col != nil {
+			switch {
+			case col == nil:
+			case free != nil && free[a] != nil:
+				f := 0.0
+				for v := range col {
+					f += sys.OneD(a, v)
+				}
+				for v := range col {
+					col[v] = p / f
+				}
+			default:
 				sys.DerivColumn(a, nil, col)
 			}
 		}
@@ -358,7 +443,7 @@ func violations(sys *polynomial.System, constraints []Constraint, n float64, col
 // by diagnostics and tests.
 func Violations(sys *polynomial.System, constraints []Constraint, n float64) []float64 {
 	out := make([]float64, len(constraints))
-	violations(sys, constraints, n, columnsFor(sys, constraints), out)
+	violations(sys, constraints, n, columnsFor(sys, constraints), nil, out)
 	return out
 }
 

@@ -114,11 +114,48 @@ func maxViolation(sys *polynomial.System, constraints []solver.Constraint, n flo
 	return worst
 }
 
+// Free reports which attributes solver.Solve leaves out of its sweep: no
+// multi-dimensional statistic names them, each of their values carries
+// exactly one 1D constraint, and those targets sum exactly to n.
+func Free(comp *polynomial.Compressed, cs []solver.Constraint, n float64) []bool {
+	sizes := comp.DomainSizes()
+	touched := make([]bool, len(sizes))
+	for j := 0; j < comp.NumMultiStats(); j++ {
+		for _, a := range comp.MultiStat(j).Attrs {
+			touched[a] = true
+		}
+	}
+	seen := make([]map[int]bool, len(sizes))
+	sums := make([]float64, len(sizes))
+	dup := make([]bool, len(sizes))
+	for _, c := range cs {
+		if c.Var.Kind != polynomial.OneD {
+			continue
+		}
+		a := c.Var.Attr
+		if seen[a] == nil {
+			seen[a] = make(map[int]bool)
+		}
+		dup[a] = dup[a] || seen[a][c.Var.Value]
+		seen[a][c.Var.Value] = true
+		sums[a] += c.Target
+	}
+	free := make([]bool, len(sizes))
+	for a, size := range sizes {
+		free[a] = !touched[a] && !dup[a] && len(seen[a]) == size && sums[a] == n
+	}
+	return free
+}
+
 // Match solves a fresh system over comp with solver.Solve and with the
 // oracle and fails tb unless they agree: the same sweeps and convergence,
 // the maximum violation within 1e-9 relative (above the rounding floor),
-// every α and δ within 1e-9 relative, and — for the plain ω = 1 update — a
-// dual that never decreases from one sweep to the next.
+// every coupled α and every δ within 1e-9 relative, each free attribute's
+// shares α_{a,v} / Σ_u α_{a,u} within 1e-9 relative (the closed form fixes
+// its scale where the sweep leaves whichever one it reached, and the model
+// does not depend on it), and — for the plain ω = 1 update — a dual that
+// never decreases from one sweep to the next (Ψ is invariant under scaling
+// one attribute).
 func Match(tb testing.TB, what string, comp *polynomial.Compressed, cs []solver.Constraint, opts solver.Options) {
 	tb.Helper()
 	got := polynomial.NewSystem(comp)
@@ -128,7 +165,24 @@ func Match(tb testing.TB, what string, comp *polynomial.Compressed, cs []solver.
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// The oracle starts its free attributes at s_v/n and still sweeps them:
+	// from all ones they would converge geometrically, and a loose tolerance
+	// would stop the oracle before they had. Were s_v/n not the per-variable
+	// sweep's fixed point, the shares below would drift apart.
 	want := polynomial.NewSystem(comp)
+	free := Free(comp, cs, opts.N)
+	for a, n := range comp.DomainSizes() {
+		if !free[a] {
+			continue
+		}
+		vals := make([]float64, n)
+		for _, c := range cs {
+			if c.Var.Kind == polynomial.OneD && c.Var.Attr == a {
+				vals[c.Var.Value] = c.Target / opts.N
+			}
+		}
+		want.SetOneDColumn(a, vals)
+	}
 	opts.Progress = nil
 	oracle := Solve(want, cs, opts)
 
@@ -141,9 +195,18 @@ func Match(tb testing.TB, what string, comp *polynomial.Compressed, cs []solver.
 		tb.Errorf("%s: max violation %g, oracle %g", what, rep.MaxViolation, oracle.MaxViolation)
 	}
 	for a, n := range comp.DomainSizes() {
+		gotSum, wantSum := 1.0, 1.0
+		if free[a] {
+			gotSum, wantSum = 0, 0
+			for v := 0; v < n; v++ {
+				gotSum += got.OneD(a, v)
+				wantSum += want.OneD(a, v)
+			}
+		}
 		for v := 0; v < n; v++ {
-			if d := relDiff(got.OneD(a, v), want.OneD(a, v)); d > 1e-9 {
-				tb.Errorf("%s: α[%d,%d] = %g, oracle %g (relative %g)", what, a, v, got.OneD(a, v), want.OneD(a, v), d)
+			g, w := got.OneD(a, v)/gotSum, want.OneD(a, v)/wantSum
+			if d := relDiff(g, w); d > 1e-9 {
+				tb.Errorf("%s: α[%d,%d] = %g, oracle %g (relative %g, free %t)", what, a, v, g, w, d, free[a])
 			}
 		}
 	}

@@ -91,7 +91,7 @@ func cellMap(groups []core.GroupEstimate) map[core.GroupKey]float64 {
 // marginalize to the single-attribute one; a filter on the grouping
 // attribute only removes cells.
 func TestGroupByInvariantsFlightsShape(t *testing.T) {
-	sum := flightsShapedSummary(t, 120)
+	sum := flightsShapedSummary(t, 120, 0)
 	if terms := sum.System().Poly().NumTerms(); terms < 2000 {
 		t.Fatalf("model has %d terms, want ≥ 2000", terms)
 	}
@@ -230,7 +230,7 @@ func TestGroupByInvariantsFlightsShape(t *testing.T) {
 // benchmark's model shape (2 pairs x 300 statistics, ~10k terms): one column
 // pass, one column pass under a filter, and one pass per outer value.
 func BenchmarkEstimateGroupBy(b *testing.B) {
-	sum := flightsShapedSummary(b, 300)
+	sum := flightsShapedSummary(b, 300, 0)
 	cases := []struct {
 		name  string
 		attrs []int
@@ -260,8 +260,8 @@ func BenchmarkEstimateGroupBy(b *testing.B) {
 // that reach the 2D statistics (origin, dest, distance) and masks that only
 // rescale (fl_date, fl_time), as `polynomial.eval_*_us` does.
 func BenchmarkEstimateCount(b *testing.B) {
-	sum := flightsShapedSummary(b, 300)
-	rel := flightsShapedRelation(b, 2000, 11)
+	sum := flightsShapedSummary(b, 300, 0)
+	rel := flightsShapedRelation(b, 2000, 11, 0)
 	sizes := sum.System().Poly().DomainSizes()
 	var subsets [][][]int // by size
 	for size := 0; size <= 3; size++ {

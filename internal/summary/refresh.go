@@ -9,7 +9,9 @@
 //   - Small deltas: the statistic counts are updated incrementally from
 //     the delta alone (stats.Set.ApplyDelta — no rescan of the base data)
 //     and the MaxEnt solve is warm-started from the previous solution
-//     (solver.Options.Init), converging in a few sweeps.
+//     (solver.Options.Init). At the repository benchmark's shape this saves
+//     no sweeps: neither start meets the tolerance within the budget, so
+//     the warm and the cold solve both run all 30.
 //   - Large deltas: the statistics are recounted from the full relation
 //     and the solve restarts cold. The statistic *structure* (which 1D
 //     families and 2D buckets exist) is kept from the original build in

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,19 +21,27 @@ import (
 // skewed origin, a dozen destinations per origin, and a distance the route
 // fixes up to a small jitter — so the two most correlated pairs share an
 // attribute and their statistics combine into cross-pair terms. The last
-// origin never occurs, which leaves one α pinned at exactly 0.
-func flightsShapedRelation(tb testing.TB, rows int, seed int64) *relation.Relation {
+// origin never occurs, which leaves one α pinned at exactly 0. extra (at
+// most 3) appends that many uniform, independent attributes, which no pair
+// selection picks.
+func flightsShapedRelation(tb testing.TB, rows int, seed int64, extra int) *relation.Relation {
 	tb.Helper()
 	const dates, airports, times, dists, routes = 307, 54, 62, 81, 12
-	sch := schema.MustNew(
+	attrs := []schema.Attribute{
 		schema.MustBinned("fl_date", 0, dates, dates),
 		schema.MustBinned("origin", 0, airports, airports),
 		schema.MustBinned("dest", 0, airports, airports),
 		schema.MustBinned("fl_time", 0, times, times),
 		schema.MustBinned("distance", 0, dists, dists),
-	)
+	}
+	extraSizes := []int{24, 7, 40}[:extra]
+	for k, n := range extraSizes {
+		attrs = append(attrs, schema.MustBinned(fmt.Sprintf("extra%d", k), 0, float64(n), n))
+	}
+	sch := schema.MustNew(attrs...)
 	rng := rand.New(rand.NewSource(seed))
 	rel := relation.NewWithCapacity(sch, rows)
+	tuple := make([]int, len(attrs))
 	for i := 0; i < rows; i++ {
 		u := rng.Float64()
 		origin := int(u * u * (airports - 1)) // 0..airports-2
@@ -42,17 +51,22 @@ func flightsShapedRelation(tb testing.TB, rows int, seed int64) *relation.Relati
 			gap = -gap
 		}
 		dist := gap*(dists-5)/airports + rng.Intn(5)
-		rel.MustAppend([]int{rng.Intn(dates), origin, dest, rng.Intn(times), dist})
+		tuple[0], tuple[1], tuple[2], tuple[3], tuple[4] = rng.Intn(dates), origin, dest, rng.Intn(times), dist
+		for k, n := range extraSizes {
+			tuple[5+k] = rng.Intn(n)
+		}
+		rel.MustAppend(tuple)
 	}
 	return rel
 }
 
 // flightsShapedSummary builds the benchmark-shaped model: two COMPOSITE
-// pairs of perPair rectangles each. The sweep budget is tiny — restore
-// equivalence is about the weights the solver left, not about convergence.
-func flightsShapedSummary(tb testing.TB, perPair int) *Summary {
+// pairs of perPair rectangles each, over the relation with extra
+// independent attributes. The sweep budget is tiny — restore equivalence is
+// about the weights the solver left, not about convergence.
+func flightsShapedSummary(tb testing.TB, perPair, extra int) *Summary {
 	tb.Helper()
-	rel := flightsShapedRelation(tb, 60000, 7)
+	rel := flightsShapedRelation(tb, 60000, 7, extra)
 	sum, err := Build(rel, Options{
 		PairBudget:    2,
 		PerPairBudget: perPair,
@@ -118,7 +132,7 @@ func sameBits(t *testing.T, what string, got, want *polynomial.System, probes []
 // estimates. A second assignment with extra zero weights covers the
 // zero-factor bookkeeping of the term caches.
 func TestRestoreEquivalenceFlightsShape(t *testing.T) {
-	sum := flightsShapedSummary(t, 120)
+	sum := flightsShapedSummary(t, 120, 0)
 	poly := sum.System().Poly()
 	if poly.NumAttrs() != 5 || poly.NumTerms() < 2000 {
 		t.Fatalf("model has %d attributes and %d terms, want 5 and ≥ 2000", poly.NumAttrs(), poly.NumTerms())
@@ -224,7 +238,7 @@ func TestRestoreEquivalenceFlightsShape(t *testing.T) {
 // maximum violation, the same weights — the absent origin's pinned α
 // included — to 1e-9 relative, and a dual that never decreases.
 func TestSolveMatchesPerVariableSweepFlightsShape(t *testing.T) {
-	sum := flightsShapedSummary(t, 120)
+	sum := flightsShapedSummary(t, 120, 0)
 	opts := solver.Options{N: sum.N(), MaxSweeps: 30, Tolerance: 1e-6, MinValue: 1e-12, Relaxation: 1}
 	solvertest.Match(t, "flights shape", sum.System().Poly(), sum.Constraints(), opts)
 }
@@ -262,7 +276,7 @@ func TestEncodingIsDeterministic(t *testing.T) {
 // (2 pairs x 300 statistics, ~10k terms): the cost under store.Load, the
 // server's History first hit, and a replica's import.
 func BenchmarkDecodeEstimator(b *testing.B) {
-	sum := flightsShapedSummary(b, 300)
+	sum := flightsShapedSummary(b, 300, 0)
 	var buf bytes.Buffer
 	if err := EncodeEstimator(&buf, sum); err != nil {
 		b.Fatal(err)
@@ -283,10 +297,31 @@ func BenchmarkDecodeEstimator(b *testing.B) {
 // budget: what a build pays, and a refresh too while warm start saves no
 // sweeps there.
 func BenchmarkSolveFlightsShape(b *testing.B) {
-	sum := flightsShapedSummary(b, 300)
+	benchmarkSolve(b, "flights", flightsShapedSummary(b, 300, 0), 2)
+}
+
+// BenchmarkSolveWideShape is BenchmarkSolveFlightsShape with three more
+// attributes that no pair selects: 5 of 8 attributes are free, so a solve
+// should cost about what the 5-attribute shape does.
+func BenchmarkSolveWideShape(b *testing.B) {
+	benchmarkSolve(b, "wide", flightsShapedSummary(b, 300, 3), 5)
+}
+
+// benchmarkSolve times one cold 30-sweep solve of sum's model, after checking
+// that it has the given number of free attributes.
+func benchmarkSolve(b *testing.B, name string, sum *Summary, free int) {
 	poly, cs := sum.System().Poly(), sum.Constraints()
+	got := 0
+	for _, f := range solvertest.Free(poly, cs, sum.N()) {
+		if f {
+			got++
+		}
+	}
+	if got != free {
+		b.Fatalf("%s: %d free attributes, want %d", name, got, free)
+	}
 	opts := solver.Options{N: sum.N(), MaxSweeps: 30}
-	b.Run("flights", func(b *testing.B) {
+	b.Run(name, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
