@@ -244,15 +244,16 @@ func (s *System) SetOneDColumn(attr int, vals []float64) {
 	s.dirty[attr] = true
 	s.refresh(attr)
 	s.dropSums()
-	pre, m := s.prefix[attr], len(s.alpha)
+	pre, m, p := s.prefix[attr], len(s.alpha), s.total
 	for i := range s.nz {
 		k := i*m + attr
 		r := s.poly.ranges[k]
 		if nf, old := pre[r.hi+1]-pre[r.lo], s.fac[k]; nf != old {
 			s.fac[k] = nf
-			s.replaceFactor(i, old, nf)
+			p, s.nz[i], s.zeros[i] = swapFactor(p, s.nz[i], s.zeros[i], old, nf)
 		}
 	}
+	s.total = p
 	s.noteUpdate()
 }
 
@@ -279,22 +280,31 @@ func (s *System) dropSums() {
 // replaceFactor swaps one factor of term i from value old to value nf,
 // updating nz/zeros and the running total.
 func (s *System) replaceFactor(i int, old, nf float64) {
-	if s.zeros[i] == 0 {
-		s.total -= s.nz[i]
+	s.total, s.nz[i], s.zeros[i] = swapFactor(s.total, s.nz[i], s.zeros[i], old, nf)
+}
+
+// swapFactor swaps one factor of a term — nz its product of non-zero
+// factors, zeros its count of zero factors — from value old to value nf and
+// moves the running total p by the change in the term's value. It returns
+// the updated p, nz and zeros.
+func swapFactor(p, nz float64, zeros int, old, nf float64) (float64, float64, int) {
+	if zeros == 0 {
+		p -= nz
 	}
 	if old == 0 {
-		s.zeros[i]--
+		zeros--
 	} else {
-		s.nz[i] /= old
+		nz /= old
 	}
 	if nf == 0 {
-		s.zeros[i]++
+		zeros++
 	} else {
-		s.nz[i] *= nf
+		nz *= nf
 	}
-	if s.zeros[i] == 0 {
-		s.total += s.nz[i]
+	if zeros == 0 {
+		p += nz
 	}
+	return p, nz, zeros
 }
 
 // noteUpdate counts one variable update and triggers a full cache rebuild
@@ -346,8 +356,8 @@ func (s *System) rebuild() {
 
 // Recompute discards the incremental caches and rebuilds them from the
 // current variable values, re-synchronizing the cached P with a full
-// evaluation. The solver calls it once per sweep so incremental
-// floating-point drift cannot accumulate across sweeps.
+// evaluation. The solver calls it before each full convergence check, so the
+// violation it reports is judged on drift-free caches.
 func (s *System) Recompute() { s.rebuild() }
 
 // Get returns the value of the referenced variable.

@@ -1,7 +1,10 @@
 package polynomial
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -111,6 +114,56 @@ func TestSystemDriftRebuildTriggers(t *testing.T) {
 	}
 	if got, want := sys.Eval(nil), sys.Clone().Eval(nil); !approxEqual(got, want) {
 		t.Fatalf("after %d updates: incremental P = %g, rebuilt P = %g", rebuildEvery+100, got, want)
+	}
+}
+
+// TestSweepsWithoutRecomputeStayNearRebuild pins the drift contract the
+// solver relies on between its convergence checks: 30 sweeps of the
+// benchmark-shaped model — every attribute's column written with
+// SetOneDColumn, then every δ with SetMulti, and never a Recompute — keep
+// Total, a masked Eval and every unmasked and masked DerivColumn within
+// 1e-12 relative of a freshly rebuilt clone. The sweeps cross rebuildEvery
+// more than once, so the automatic rebuild runs between them too.
+func TestSweepsWithoutRecomputeStayNearRebuild(t *testing.T) {
+	const sweeps = 30
+	rng := rand.New(rand.NewSource(31))
+	sys := flightsShapedSystem(t, rng)
+	comp := sys.Poly()
+	sizes := comp.DomainSizes()
+	if updates := sweeps * (len(sizes) + comp.NumMultiStats()); updates < 2*rebuildEvery {
+		t.Fatalf("%d updates cross rebuildEvery = %d fewer than twice", updates, rebuildEvery)
+	}
+	near := func(what string, sweep int, got, want float64) {
+		t.Helper()
+		if d := math.Abs(got - want); d > 1e-12*math.Abs(want) {
+			t.Fatalf("sweep %d: %s = %.17g, rebuilt %.17g (relative %.3g)", sweep, what, got, want, d/math.Abs(want))
+		}
+	}
+	pred := query.NewPredicate(len(sizes)).WhereRange(1, 10, 40).WhereIn(4, 3, 17, 60)
+	got, want := make([]float64, slices.Max(sizes)), make([]float64, slices.Max(sizes))
+	for sweep := 1; sweep <= sweeps; sweep++ {
+		for a, n := range sizes {
+			vals := make([]float64, n)
+			for v := range vals {
+				vals[v] = sys.OneD(a, v) * (0.7 + 0.6*rng.Float64())
+			}
+			sys.SetOneDColumn(a, vals)
+		}
+		for j := 0; j < comp.NumMultiStats(); j++ {
+			sys.SetMulti(j, sys.MultiVar(j)*(0.7+0.6*rng.Float64()))
+		}
+		fresh := sys.Clone()
+		near("Total", sweep, sys.Total(), fresh.Total())
+		near("masked Eval", sweep, sys.Eval(pred), fresh.Eval(pred))
+		for a, n := range sizes {
+			for _, p := range []*query.Predicate{nil, pred} {
+				sys.DerivColumn(a, p, got[:n])
+				fresh.DerivColumn(a, p, want[:n])
+				for v := 0; v < n; v++ {
+					near(fmt.Sprintf("DerivColumn(%d, %v)[%d]", a, p, v), sweep, got[v], want[v])
+				}
+			}
+		}
 	}
 }
 

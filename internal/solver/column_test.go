@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -108,6 +109,59 @@ func TestSolveMatchesPerVariableSweep(t *testing.T) {
 	if withFree == 0 || withoutFree == 0 {
 		t.Errorf("%d instances with a free attribute, %d without: want both kinds", withFree, withoutFree)
 	}
+}
+
+// TestSolveProgressBoundsTheViolation pins what Progress reports after each
+// sweep: never more than the exact maximum violation of the state the sweep
+// ended in, and that maximum itself (to 1e-12 relative, above the rounding
+// floor) whenever the report is below the tolerance or the sweep is the
+// last. Report.MaxViolation is the exact maximum after the solve. Both kinds
+// of opening block — an attribute column and a single δ — supply the bound.
+func TestSolveProgressBoundsTheViolation(t *testing.T) {
+	const maxSweeps = 25
+	same := func(got, exact float64) bool { return math.Abs(got-exact) <= 1e-12*exact+1e-15 }
+	rng := rand.New(rand.NewSource(31))
+	opensWith := map[polynomial.VarKind]int{}
+	for i := 0; i < 40; i++ {
+		comp, cs, n := randomInstance(rng)
+		opensWith[firstSwept(comp, cs, n)]++
+		for _, tol := range []float64{1e-4, 1e-7} {
+			sys := polynomial.NewSystem(comp)
+			exact := func() float64 { return slices.Max(solver.Violations(sys, cs, n)) }
+			opts := solver.Options{N: n, MaxSweeps: maxSweeps, Tolerance: tol}
+			opts.Progress = func(sweep int, got float64) {
+				want := exact()
+				if got > want {
+					t.Errorf("instance %d, tolerance %g, sweep %d: reported %g above the exact maximum %g", i, tol, sweep, got, want)
+				}
+				if (got < tol || sweep == maxSweeps) && !same(got, want) {
+					t.Errorf("instance %d, tolerance %g, sweep %d: reported %g, exact maximum %g", i, tol, sweep, got, want)
+				}
+			}
+			rep, err := solver.Solve(sys, cs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := exact(); !same(rep.MaxViolation, want) {
+				t.Errorf("instance %d, tolerance %g: Report.MaxViolation %g, exact maximum %g", i, tol, rep.MaxViolation, want)
+			}
+		}
+	}
+	if opensWith[polynomial.OneD] == 0 || opensWith[polynomial.Multi] == 0 {
+		t.Errorf("sweeps opened with an attribute block %d times, a δ block %d times: want both", opensWith[polynomial.OneD], opensWith[polynomial.Multi])
+	}
+}
+
+// firstSwept returns the kind of the first constraint the solver sweeps: the
+// first one in cs with a positive target that is not on a free attribute.
+func firstSwept(comp *polynomial.Compressed, cs []solver.Constraint, n float64) polynomial.VarKind {
+	free := solvertest.Free(comp, cs, n)
+	for _, c := range cs {
+		if c.Target > 0 && (c.Var.Kind != polynomial.OneD || !free[c.Var.Attr]) {
+			return c.Var.Kind
+		}
+	}
+	return -1
 }
 
 // TestSolveSweepAllocatesNothing pins that the column and value buffers are

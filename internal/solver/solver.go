@@ -23,9 +23,17 @@
 // column back with one SetOneDColumn: two passes over the terms per
 // attribute, where a per-variable step paid about one per value. A
 // multi-dimensional statistic's derivative does depend on the other δ
-// variables, so it keeps its single-variable step. Once per sweep the
-// caches are resynchronized with a full evaluation, so floating-point drift
-// cannot accumulate, and the violations are judged from the same columns.
+// variables, so it keeps its single-variable step.
+//
+// A sweep pays for its updates only. The violations of the first block
+// under the state a sweep ends in are exact, so their maximum bounds the
+// maximum over all constraints from below, and their column is the read the
+// next sweep opens with anyway. Only when that bound falls below the
+// tolerance, or after the last sweep, are the caches rebuilt with a full
+// evaluation and every constraint judged: the same stop rule as a check
+// after every sweep, and every solve ends on freshly rebuilt caches. In
+// between, the System's own drift budget (a full rebuild every few thousand
+// updates) bounds floating-point drift.
 //
 // Only coupled attributes are swept. An attribute is free when no
 // multi-dimensional statistic names it, every value carries a 1D constraint
@@ -97,12 +105,17 @@ type Options struct {
 	// this previously solved system is copied into sys before the first
 	// sweep, replacing the all-ones cold start. When the constraint targets
 	// moved only a little (a small ingestion delta), the previous optimum is
-	// already near-feasible and the solve converges in a few sweeps. Init
-	// must have the same shape as sys (domain sizes and statistic count);
-	// it is read-only during the solve.
+	// already near-feasible, so a solve that converges needs fewer sweeps
+	// from it; one that exhausts MaxSweeps either way saves none (at the
+	// repository benchmark's shape, a warm and a cold solve both run all 30).
+	// Init must have the same shape as sys (domain sizes and statistic
+	// count); it is read-only during the solve.
 	Init *polynomial.System
 	// Progress, when non-nil, is called after every sweep with the sweep
-	// number and current maximum violation.
+	// number and a violation that is never above the exact maximum: the
+	// first block's maximum (a lower bound) while that stays at or above
+	// Tolerance, and the exact maximum after a sweep whose bound fell below
+	// it and after the last sweep. It must not modify the system.
 	Progress func(sweep int, maxViolation float64)
 }
 
@@ -237,18 +250,24 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 	vals := make([]float64, slices.Max(sys.Poly().DomainSizes()))
 
 	rep := Report{Constraints: len(constraints)}
+	// primed marks that the last sweep's bound left the first block's
+	// derivatives (pd0, or its column in cols) read under the current state.
+	primed, pd0 := false, 0.0
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
 		rep.Sweeps = sweep
-		for _, b := range blocks {
+		for i, b := range blocks {
+			pd := pd0
+			if i > 0 || !primed {
+				pd = read(sys, b, cols)
+			}
 			if b.attr < 0 {
 				c := b.cs[0]
-				if next, ok := update(sys.Get(c.Var), sys.Deriv(c.Var), sys.Total(), c.Target, opts); ok {
+				if next, ok := update(sys.Get(c.Var), pd, sys.Total(), c.Target, opts); ok {
 					sys.Set(c.Var, next)
 				}
 				continue
 			}
 			col := cols[b.attr]
-			sys.DerivColumn(b.attr, nil, col)
 			vals = vals[:len(col)]
 			for v := range vals {
 				vals[v] = sys.OneD(b.attr, v)
@@ -265,11 +284,20 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 			}
 			sys.SetOneDColumn(b.attr, vals)
 		}
-		// Resynchronize the incremental caches with a full evaluation
-		// before judging convergence, so sweep-to-sweep drift is bounded
-		// by one sweep's worth of incremental updates.
-		sys.Recompute()
-		rep.MaxViolation = violations(sys, constraints, opts.N, cols, free, nil)
+		// The first block's violations under the state the sweep ended in
+		// bound the maximum from below, and their read is the one the next
+		// sweep opens with. Only a bound below the tolerance, or the last
+		// sweep, pays for the full check: a rebuild of the caches, then every
+		// constraint judged on it.
+		primed, rep.MaxViolation = false, 0
+		if sweep < opts.MaxSweeps && len(blocks) > 0 {
+			pd0 = read(sys, blocks[0], cols)
+			primed, rep.MaxViolation = true, blockViolation(sys, blocks[0], cols, pd0, opts.N)
+		}
+		if rep.MaxViolation < opts.Tolerance {
+			sys.Recompute()
+			primed, rep.MaxViolation = false, violations(sys, constraints, opts.N, cols, free, nil)
+		}
 		if opts.Progress != nil {
 			opts.Progress(sweep, rep.MaxViolation)
 		}
@@ -322,6 +350,41 @@ func update(cur, pd, p, target float64, opts Options) (float64, bool) {
 		}
 	}
 	return next, true
+}
+
+// read reads block b's derivatives under the current assignment: an
+// attribute block's column into cols[b.attr], or a δ block's single
+// derivative, which it returns (0 for an attribute block).
+func read(sys *polynomial.System, b block, cols [][]float64) float64 {
+	if b.attr < 0 {
+		return sys.Deriv(b.cs[0].Var)
+	}
+	sys.DerivColumn(b.attr, nil, cols[b.attr])
+	return 0
+}
+
+// blockViolation returns the largest violation among block b's constraints
+// from the derivatives read left for it: pd for a δ block, cols[b.attr] for
+// an attribute block.
+func blockViolation(sys *polynomial.System, b block, cols [][]float64, pd, n float64) float64 {
+	p, worst := sys.Total(), 0.0
+	for _, c := range b.cs {
+		if b.attr >= 0 {
+			pd = cols[b.attr][c.Var.Value]
+		}
+		worst = max(worst, violation(c.Target, sys.Get(c.Var), pd, p, n))
+	}
+	return worst
+}
+
+// violation is |s_j − E[⟨c_j,I⟩]| / n for a constraint with the given
+// target whose variable holds x with partial derivative pd under the
+// polynomial value p; a non-positive p violates everything.
+func violation(target, x, pd, p, n float64) float64 {
+	if !(p > 0) {
+		return math.Inf(1)
+	}
+	return math.Abs(target-n*x*pd/p) / n
 }
 
 // columnsFor allocates one derivative column per attribute some 1D
@@ -428,7 +491,7 @@ func violations(sys *polynomial.System, constraints []Constraint, n float64, col
 			} else {
 				pd = sys.Deriv(c.Var)
 			}
-			v = math.Abs(c.Target-n*sys.Get(c.Var)*pd/p) / n
+			v = violation(c.Target, sys.Get(c.Var), pd, p, n)
 		}
 		if out != nil {
 			out[i] = v

@@ -2,7 +2,9 @@
 // solver.Solve's per-attribute column sweep replaced, as the oracle the
 // equivalence tests hold the solver to (Match), on random instances in
 // internal/solver and on the benchmark-shaped model in internal/summary.
-// Nothing outside tests may import it.
+// The oracle also keeps, as the reference, the full rebuild and exact check
+// after every sweep that solver.Solve runs only once a lower bound says the
+// tolerance may be met. Nothing outside tests may import it.
 package solvertest
 
 import (
@@ -14,12 +16,13 @@ import (
 	"repro/internal/solver"
 )
 
-// Solve is the pre-column solver: the same pins, block order, closed-form
-// update and per-sweep resynchronization as solver.Solve, but every 1D
-// variable takes its own Deriv → update → Set step and the violations are
-// one Deriv per constraint. opts must be complete — N, MaxSweeps,
-// Tolerance, MinValue and Relaxation all set — and Init is not supported
-// (warm-start by copying into sys first). Progress runs after every sweep.
+// Solve is the pre-column solver: the same pins, block order and
+// closed-form update as solver.Solve, but every 1D variable takes its own
+// Deriv → update → Set step, and every sweep ends with a full rebuild of the
+// caches and the exact maximum violation, one Deriv per constraint. opts
+// must be complete — N, MaxSweeps, Tolerance, MinValue and Relaxation all
+// set — and Init is not supported (warm-start by copying into sys first).
+// Progress runs after every sweep with the exact maximum.
 func Solve(sys *polynomial.System, constraints []solver.Constraint, opts solver.Options) solver.Report {
 	if opts.N <= 0 || opts.MaxSweeps <= 0 || opts.Tolerance <= 0 || opts.MinValue <= 0 || opts.Relaxation <= 0 || opts.Init != nil {
 		panic(fmt.Sprintf("solvertest: incomplete options %+v", opts))
