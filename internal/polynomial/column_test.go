@@ -3,6 +3,7 @@ package polynomial
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -99,10 +100,9 @@ func TestDerivColumnMatchesPerValue(t *testing.T) {
 	}
 }
 
-// TestDerivColumnFallbacks covers the two shapes the pruned column pass
-// hands to the per-value full walk: a constrained attribute whose
-// full-domain sum is exactly zero, and a schema of more than 64 attributes
-// (no attribute bitmasks).
+// TestDerivColumnFallbacks covers the shape the pruned column pass hands to
+// the per-value full walk: a constrained attribute whose full-domain sum is
+// exactly zero.
 func TestDerivColumnFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 40; trial++ {
@@ -122,39 +122,26 @@ func TestDerivColumnFallbacks(t *testing.T) {
 			checkDerivColumn(t, "zero full-domain sum", sys, nv, attr, pred)
 		}
 	}
+}
 
-	// 66 attributes, all but three of size 1, so the tuple space stays small
-	// enough for the naive oracle.
-	sizes := make([]int, 66)
+// TestNewCompressedRefusesWideSchemas pins the attribute cap the masked
+// paths rely on: 64 attributes build, with every term's attribute mask, and
+// 65 are refused.
+func TestNewCompressedRefusesWideSchemas(t *testing.T) {
+	sizes := make([]int, 65)
 	for a := range sizes {
-		sizes[a] = 1
+		sizes[a] = 2
 	}
-	sizes[2], sizes[40], sizes[65] = 4, 3, 5
-	specs := []MultiStatSpec{
-		{Attrs: []int{2, 65}, Ranges: []query.Range{query.NewRange(1, 2), query.NewRange(0, 3)}},
-		{Attrs: []int{40, 65}, Ranges: []query.Range{query.Point(1), query.NewRange(2, 4)}},
-		{Attrs: []int{2, 40}, Ranges: []query.Range{query.NewRange(0, 1), query.NewRange(1, 2)}},
-	}
-	comp, err := NewCompressed(sizes, specs)
+	specs := []MultiStatSpec{{Attrs: []int{0, 63}, Ranges: []query.Range{query.Point(1), query.Point(0)}}}
+	comp, err := NewCompressed(sizes[:64], specs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("64 attributes: %v", err)
 	}
-	if comp.PrunedIndexed() {
-		t.Fatal("a 66-attribute polynomial built the 64-bit attribute index")
+	if got := comp.attrBits[1]; got != 1|1<<63 {
+		t.Fatalf("the statistic's term has attribute mask %#x, want bits 0 and 63", got)
 	}
-	sys := NewSystem(comp)
-	for _, ref := range sys.Variables() {
-		sys.Set(ref, 0.1+2*rng.Float64())
-	}
-	sys.Eval(nil)
-	nv, err := NewNaive(sizes, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, attr := range []int{2, 40, 65, 7} {
-		checkDerivColumn(t, "66 attributes", sys, nv, attr, nil)
-		pred := query.NewPredicate(len(sizes)).WhereRange(2, 1, 3).WhereIn(65, 4, 0, 2)
-		checkDerivColumn(t, "66 attributes", sys, nv, attr, pred)
+	if _, err := NewCompressed(sizes, specs); err == nil || !strings.Contains(err.Error(), "65 attributes, more than the 64") {
+		t.Fatalf("65 attributes: %v, want the cap refused", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package polynomial
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/raceflag"
 )
 
 // referenceSets enumerates, by brute force over every subset of the specs,
@@ -95,8 +97,9 @@ func randomSpecs(rng *rand.Rand) ([]int, []MultiStatSpec) {
 }
 
 // TestBuildTermsMatchesBruteForce checks the level-wise enumeration against
-// the subset-by-subset reference: the same compatible sets with the same
-// effective ranges, each exactly once, in (|S|, lexicographic S) order.
+// the subset-by-subset reference — the same compatible sets with the same
+// effective ranges, each exactly once, in (|S|, lexicographic S) order — and
+// every table and index against the oracle's.
 func TestBuildTermsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	deepest := 0
@@ -106,6 +109,7 @@ func TestBuildTermsMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		checkMatchesOracle(t, fmt.Sprintf("trial %d", trial), comp, oracleCompressed(sizes, specs, bitsetTerms(specs)))
 		want := referenceSets(len(sizes), specs)
 		if comp.NumTerms() != len(want) {
 			t.Fatalf("trial %d: %d terms, brute force finds %d compatible sets (specs %v)",
@@ -179,23 +183,22 @@ func manySpecs(rng *rand.Rand) ([]int, []MultiStatSpec) {
 	return sizes, specs
 }
 
-// TestBuildTermsMatchesLevelWalk holds the bitset enumeration to the
-// per-(term, later statistic) walk on inputs past one bitset word: the same
-// statistic sets with the same effective ranges, in the same order.
+// TestBuildTermsMatchesLevelWalk holds the structure to the per-(term,
+// later statistic) walk on inputs past one bitset word: the same statistic
+// sets with the same effective ranges, in the same order, and the same
+// indexes, field by field.
 func TestBuildTermsMatchesLevelWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	deepest := 0
 	for trial := 0; trial < 40; trial++ {
 		sizes, specs := manySpecs(rng)
-		want := levelWalkTerms(specs)
-		got := (&Compressed{sizes: sizes, specs: specs}).buildTerms()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (%d statistics): %d terms, the level walk finds %d", trial, len(specs), len(got), len(want))
+		terms := levelWalkTerms(specs)
+		got, err := NewCompressed(sizes, specs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, w := range want {
-			if !reflect.DeepEqual(got[i], w) {
-				t.Fatalf("trial %d term %d: got %+v, want %+v", trial, i, got[i], w)
-			}
+		checkMatchesOracle(t, fmt.Sprintf("trial %d (%d statistics)", trial, len(specs)), got, oracleCompressed(sizes, specs, terms))
+		for _, w := range terms {
 			deepest = max(deepest, len(w.stats))
 		}
 	}
@@ -232,17 +235,19 @@ func flightsShapedSpecs() ([]int, []MultiStatSpec) {
 	return sizes, specs
 }
 
-// TestFlightsShapeEnumeration pins the benchmark-shaped structure: every
-// term is the base, a singleton, or a cross-pair couple, the sets ascend
-// strictly in (|S|, numeric-lexicographic S) order — which at three-digit
-// statistic indexes differs from a decimal-string order and rules out
-// duplicates — and the Size report agrees with a direct per-term count.
+// TestFlightsShapeEnumeration pins the benchmark-shaped structure: it
+// equals the oracle's field by field, every term is the base, a singleton,
+// or a cross-pair couple, the sets ascend strictly in (|S|,
+// numeric-lexicographic S) order — which at three-digit statistic indexes
+// differs from a decimal-string order and rules out duplicates — and the
+// Size report agrees with a direct per-term count.
 func TestFlightsShapeEnumeration(t *testing.T) {
 	sizes, specs := flightsShapedSpecs()
 	comp, err := NewCompressed(sizes, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkMatchesOracle(t, "flights shape", comp, oracleCompressed(sizes, specs, bitsetTerms(specs)))
 	if n := comp.NumTerms(); n != 9301 {
 		t.Fatalf("flights-shaped model has %d terms, want 9301", n)
 	}
@@ -300,6 +305,26 @@ func termRange(t term, a int) (query.Range, bool) {
 		}
 	}
 	return query.Range{}, false
+}
+
+// TestNewCompressedAllocations pins the structure build at the benchmark's
+// shape to a fixed number of allocations: the tables grow once per level
+// and every index is carved from one slab, so the count does not grow with
+// the 9,301 terms.
+func TestNewCompressedAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	sizes, specs := flightsShapedSpecs()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewCompressed(sizes, specs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 300 {
+		t.Fatalf("NewCompressed at the flights shape makes %.0f allocations, want at most 300", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
 }
 
 var sinkCompressed *Compressed

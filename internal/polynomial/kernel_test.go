@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/query"
 )
@@ -340,5 +342,28 @@ func TestCandidateInvariant(t *testing.T) {
 		sizes, _, sys := randomInstance(rng)
 		sys.Eval(nil)
 		check(fmt.Sprintf("trial %d", trial), sys, shapedPredicate(sizes, 1+trial%4, rng))
+	}
+}
+
+// TestReadSystemIsCollected holds the scratch pool to not keeping models
+// alive: a System that has answered masked reads and column passes becomes
+// unreachable at the first collection after its last use. A pool owned by
+// the System kept it reachable for a second collection, and with it every
+// model a loop had built since the collection before.
+func TestReadSystemIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		_, _, sys := randomInstance(rand.New(rand.NewSource(5)))
+		sys.Eval(nil)
+		pred := query.NewPredicate(sys.Poly().NumAttrs()).WhereRange(0, 0, 1)
+		sys.Eval(pred)
+		sys.DerivColumn(1, pred, make([]float64, sys.Poly().DomainSizes()[1]))
+		runtime.SetFinalizer(sys, func(*System) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a System that answered masked reads is still reachable after a collection")
 	}
 }

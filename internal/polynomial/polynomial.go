@@ -101,18 +101,6 @@ func (s MultiStatSpec) rangeOn(a int) (query.Range, bool) {
 	return query.Range{}, false
 }
 
-// term is one summand of the compressed polynomial while it is being
-// enumerated: the set I of attributes covered by the statistics in S, the
-// intersected per-attribute ranges ρ_iS, and the statistic indexes S
-// themselves. The base term has empty attrs and stats. Once the indexes are
-// built only stats is kept (Compressed.stats); the attribute set and the
-// ranges live on in attrBits and the flat range table.
-type term struct {
-	attrs  []int         // sorted attribute indexes in I
-	ranges []query.Range // aligned with attrs: the intersection ρ_iS
-	stats  []int         // sorted multi-statistic indexes in S
-}
-
 // span is one entry of the flat range table: an inclusive, non-empty,
 // in-domain value range.
 type span struct{ lo, hi int32 }
@@ -158,24 +146,30 @@ type Compressed struct {
 	// attrBits[i] is the bitmask of term i's attribute set I (bit a set
 	// iff the term constrains a). It makes the membership test against a
 	// constrained attribute set and the lowest-constrained-attribute dedup of
-	// the candidate lists O(1). nil when the schema has more than 64
-	// attributes, which disables the pruned masked paths (they fall back to
-	// the full walk).
+	// the candidate lists O(1).
 	attrBits []uint64
 	// attrSets are the distinct values of attrBits in order of first
 	// appearance and termSet[i] is the position of term i's set in it. The
 	// terms of one set react to a mask the same way — all of them rescale or
 	// all of them are candidates — which is what lets a solved System answer
-	// the rescaled part from one partial sum per set. nil with attrBits.
+	// the rescaled part from one partial sum per set.
 	attrSets []uint64
 	termSet  []int32
 }
+
+// maxAttrs is the widest schema a polynomial covers: a term's attribute set
+// is one uint64 mask (Compressed.attrBits). schema.New refuses wider
+// schemas up front.
+const maxAttrs = 64
 
 // NewCompressed builds the compressed polynomial for the given active-domain
 // sizes and multi-dimensional statistics, closing the statistic sets under
 // compatible combination exactly as described after Theorem 4.1.
 func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error) {
 	sizes := append([]int(nil), domainSizes...)
+	if len(sizes) > maxAttrs {
+		return nil, fmt.Errorf("polynomial: %d attributes, more than the %d a polynomial may cover", len(sizes), maxAttrs)
+	}
 	for i, n := range sizes {
 		if n <= 0 {
 			return nil, fmt.Errorf("polynomial: attribute %d has non-positive domain size %d", i, n)
@@ -187,124 +181,202 @@ func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error
 		}
 	}
 	c := &Compressed{sizes: sizes, specs: append([]MultiStatSpec(nil), specs...)}
-	c.buildIndexes(c.buildTerms())
+	c.enumerate(c.compatibility())
+	c.index()
 	return c, nil
 }
 
-// buildTerms enumerates the compatible statistic sets level by level
-// (|S| = 0, 1, 2, ...), extending each term of the previous level only with
-// statistics j > max(S). Compatibility is hereditary — every subset of a
-// compatible set is compatible — so each set S is produced exactly once,
-// from S \ {max(S)}, and the terms come out already ordered by
-// (|S|, lexicographic S): no deduplication and no sort.
+// compatibility returns one bitset row per statistic, words = ⌈n/64⌉ words
+// each: row i holds the statistics j > i whose ranges meet i's on every
+// attribute both constrain. The rows are computed word by word, one
+// attribute at a time. On attribute a the statistics overlapping i are
+// those that start at or before i's end and end at or after i's start — a
+// prefix of the statistics on a ordered by start, ANDed with a suffix of
+// them ordered by end. ORing in the statistics that do not constrain a
+// gives those compatible with i on a, and i's row is the AND of that over
+// i's attributes. The cost is O(n·m·n/64) word operations.
+func (c *Compressed) compatibility() []uint64 {
+	n := len(c.specs)
+	words := (n + 63) / 64
+	later := make([]uint64, n*words)
+	for i := range n {
+		row := later[i*words : (i+1)*words]
+		for w := i / 64; w < words; w++ {
+			row[w] = ^uint64(0)
+		}
+		row[i/64] &^= 1<<uint(i%64+1) - 1
+		if n%64 != 0 {
+			row[words-1] &= 1<<uint(n%64) - 1
+		}
+	}
+	type on struct{ j, lo, hi int }
+	var (
+		byStart, byEnd []on
+		pre, suf       = make([]uint64, (n+1)*words), make([]uint64, (n+1)*words)
+		free, ok       = make([]uint64, words), make([]uint64, words)
+	)
+	for a := range c.sizes {
+		byStart = byStart[:0]
+		for j := range c.specs {
+			if r, hit := c.specs[j].rangeOn(a); hit {
+				byStart = append(byStart, on{j, r.Lo, r.Hi})
+			}
+		}
+		if len(byStart) == 0 {
+			continue
+		}
+		byEnd = append(byEnd[:0], byStart...)
+		slices.SortFunc(byStart, func(x, y on) int { return x.lo - y.lo })
+		slices.SortFunc(byEnd, func(x, y on) int { return x.hi - y.hi })
+		// pre[k] is the set of the k earliest-starting statistics on a,
+		// suf[k] the set of all but the k earliest-ending ones, and free
+		// the statistics that do not constrain a.
+		k := len(byStart)
+		clear(pre[:words])
+		clear(suf[k*words : (k+1)*words])
+		for q := range k {
+			row := pre[(q+1)*words : (q+2)*words]
+			copy(row, pre[q*words:])
+			row[byStart[q].j/64] |= 1 << uint(byStart[q].j%64)
+			e := k - 1 - q
+			row = suf[e*words : (e+1)*words]
+			copy(row, suf[(e+1)*words:])
+			row[byEnd[e].j/64] |= 1 << uint(byEnd[e].j%64)
+		}
+		for w := range free {
+			free[w] = ^uint64(0)
+		}
+		for _, x := range byStart {
+			free[x.j/64] &^= 1 << uint(x.j%64)
+		}
+		for _, x := range byStart {
+			starting := sort.Search(k, func(q int) bool { return byStart[q].lo > x.hi })
+			ending := sort.Search(k, func(q int) bool { return byEnd[q].hi >= x.lo })
+			for w := range ok {
+				ok[w] = pre[starting*words+w]&suf[ending*words+w] | free[w]
+			}
+			row := later[x.j*words : (x.j+1)*words]
+			for w, y := range ok {
+				row[w] &= y
+			}
+		}
+	}
+	return later
+}
+
+// enumerate writes the terms straight into the flat tables: the statistic
+// sets, the range table, the attribute masks and the attribute sets. It
+// goes level by level (|S| = 0, 1, 2, ...), extending each term of a level
+// only with statistics j > max(S). Compatibility is hereditary — every
+// subset of a compatible set is compatible — so each set S is produced
+// exactly once, from S \ {max(S)}, and the terms come out already ordered
+// by (|S|, lexicographic S): no deduplication and no sort.
 //
 // Compatibility is also pairwise. On one attribute, ranges that pairwise
 // overlap share a point (Helly's theorem for intervals), so a compatible S
 // extends to a compatible S ∪ {j} iff j is compatible with every member of
-// S. The pairs are tested once, up front, into one bitset row per statistic
-// (later[i] holds the compatible j > i), and a term is extended by exactly
-// the set bits of ⋀_{s∈S} later[s], in ascending j. The cost is the
-// n(n−1)/2 pair tests, one AND of |S| rows per term, and the surviving terms
-// themselves.
-func (c *Compressed) buildTerms() []term {
-	n := len(c.specs)
+// S: a term is extended by exactly the set bits of ⋀_{s∈S} later[s], in
+// ascending j (every statistic for the base term).
+//
+// The new term's range-table row is its parent's row intersected with
+// statistic j's ranges, its attribute mask is its parent's OR j's, and its
+// statistic set is its parent's followed by j, written to one slab in which
+// every set of a level has the same length. The next level's size is
+// counted as its terms are written — the candidates of S ∪ {j} are those
+// of S that are compatible with j — so every table grows once per level.
+func (c *Compressed) enumerate(later []uint64) {
+	m, n := len(c.sizes), len(c.specs)
 	words := (n + 63) / 64
-	later := make([]uint64, n*words)
-	for i := range c.specs {
-		row := later[i*words : (i+1)*words]
-		x := &c.specs[i]
-		for j := i + 1; j < n; j++ {
-			if compatible(x, &c.specs[j]) {
-				row[j/64] |= 1 << uint(j%64)
-			}
+	specBits := make([]uint64, n)
+	for j, s := range c.specs {
+		for _, a := range s.Attrs {
+			specBits[j] |= 1 << uint(a)
 		}
 	}
-
-	terms := make([]term, 1, 1+n)
-	for j, spec := range c.specs {
-		terms = append(terms, terms[0].extend(j, spec))
+	c.ranges = make([]span, m)
+	for a, size := range c.sizes {
+		c.ranges[a] = span{0, int32(size - 1)}
 	}
+	c.attrBits = []uint64{0}
+	c.termSet = []int32{0}
+	c.attrSets = []uint64{0}
+	setIndex := map[uint64]int32{0: 0}
+	var slab []int
 	cand := make([]uint64, words)
-	for lo, hi := 1, len(terms); lo < hi; lo, hi = hi, len(terms) {
+	// Level k is the terms [lo, hi) = [levels[k], levels[k+1]); their sets
+	// are slab[first:] in order.
+	levels := []int{0, 1}
+	for lo, hi, k, first, next := 0, 1, 0, 0, n; lo < hi; lo, hi, k = hi, len(c.attrBits), k+1 {
+		c.ranges = slices.Grow(c.ranges, next*m)
+		c.attrBits = slices.Grow(c.attrBits, next)
+		c.termSet = slices.Grow(c.termSet, next)
+		slab = slices.Grow(slab, next*(k+1))
+		next = 0
 		for i := lo; i < hi; i++ {
-			t := terms[i]
-			copy(cand, later[t.stats[0]*words:])
-			for _, s := range t.stats[1:] {
-				for w, x := range later[s*words : (s+1)*words] {
-					cand[w] &= x
+			set := slab[first : first+k]
+			first += k
+			if k == 0 {
+				for w := range cand {
+					cand[w] = ^uint64(0)
+				}
+				if n%64 != 0 {
+					cand[words-1] = 1<<uint(n%64) - 1
+				}
+			} else {
+				copy(cand, later[set[0]*words:])
+				for _, s := range set[1:] {
+					for w, x := range later[s*words : (s+1)*words] {
+						cand[w] &= x
+					}
 				}
 			}
+			parent := c.ranges[i*m : (i+1)*m]
 			for w, x := range cand {
 				for ; x != 0; x &= x - 1 {
 					j := w*64 + bits.TrailingZeros64(x)
-					terms = append(terms, t.extend(j, c.specs[j]))
+					row := len(c.ranges)
+					c.ranges = append(c.ranges, parent...)
+					spec := &c.specs[j]
+					for q, a := range spec.Attrs {
+						r, s := spec.Ranges[q], &c.ranges[row+a]
+						s.lo, s.hi = max(s.lo, int32(r.Lo)), min(s.hi, int32(r.Hi))
+					}
+					b := c.attrBits[i] | specBits[j]
+					t, seen := setIndex[b]
+					if !seen {
+						t = int32(len(c.attrSets))
+						setIndex[b] = t
+						c.attrSets = append(c.attrSets, b)
+					}
+					c.attrBits = append(c.attrBits, b)
+					c.termSet = append(c.termSet, t)
+					slab = append(append(slab, set...), j)
+					for v, y := range later[j*words+w : (j+1)*words] {
+						next += bits.OnesCount64(cand[w+v] & y)
+					}
 				}
 			}
 		}
+		levels = append(levels, len(c.attrBits))
 	}
-	return terms
+	// The base term's set stays nil; level k's sets are k long.
+	c.stats = make([][]int, len(c.attrBits))
+	for k := 1; k+1 < len(levels); k++ {
+		for i := levels[k]; i < levels[k+1]; i++ {
+			c.stats[i], slab = slab[:k:k], slab[k:]
+		}
+	}
 }
 
-// compatible reports whether two statistics' ranges intersect on every
-// attribute they share, by a merge walk over their sorted attribute lists.
-func compatible(x, y *MultiStatSpec) bool {
-	k := 0
-	for i, a := range y.Attrs {
-		for k < len(x.Attrs) && x.Attrs[k] < a {
-			k++
-		}
-		if k < len(x.Attrs) && x.Attrs[k] == a && !x.Ranges[k].Overlaps(y.Ranges[i]) {
-			return false
-		}
-	}
-	return true
-}
+// index derives the inverted variable→term indexes from the range table,
+// the attribute masks and the statistic sets. Every list is sized by a
+// counting pass and carved out of one slab per index, in term order.
+func (c *Compressed) index() {
+	m, terms := len(c.sizes), len(c.stats)
 
-// extend returns the term for S ∪ {j}, j > max(S): the merged attribute
-// list with the ranges intersected on shared attributes. The statistic must
-// be compatible with the term.
-func (t term) extend(j int, spec MultiStatSpec) term {
-	n := len(t.attrs) + len(spec.Attrs)
-	nt := term{
-		attrs:  make([]int, 0, n),
-		ranges: make([]query.Range, 0, n),
-		stats:  append(append(make([]int, 0, len(t.stats)+1), t.stats...), j),
-	}
-	k := 0
-	for i, a := range spec.Attrs {
-		for ; k < len(t.attrs) && t.attrs[k] < a; k++ {
-			nt.attrs = append(nt.attrs, t.attrs[k])
-			nt.ranges = append(nt.ranges, t.ranges[k])
-		}
-		r := spec.Ranges[i]
-		if k < len(t.attrs) && t.attrs[k] == a {
-			r = r.Intersect(t.ranges[k])
-			k++
-		}
-		nt.attrs = append(nt.attrs, a)
-		nt.ranges = append(nt.ranges, r)
-	}
-	nt.attrs = append(nt.attrs, t.attrs[k:]...)
-	nt.ranges = append(nt.ranges, t.ranges[k:]...)
-	return nt
-}
-
-// buildIndexes derives the flat range table and the inverted variable→term
-// indexes from the enumerated terms, and keeps of the terms themselves only
-// their statistic sets. Every list is sized by a counting pass and carved
-// out of one slab per index, in term order.
-func (c *Compressed) buildIndexes(terms []term) {
-	m := len(c.sizes)
-	c.stats = make([][]int, len(terms))
-	c.ranges = make([]span, len(terms)*m)
-	if m <= 64 {
-		c.attrBits = make([]uint64, len(terms))
-		c.termSet = make([]int32, len(terms))
-	}
-
-	// Pass 1: the range table, the attribute sets, and the list lengths.
-	// covers[a][v] first holds the difference of the number of ranges on a
-	// covering v and v−1, so a term costs O(|I|) here instead of O(Σ|ρ|).
+	// Pass 1: the list lengths. covers[a][v] first holds the difference of
+	// the number of ranges on a covering v and v−1, so a term costs O(|I|)
+	// here instead of O(Σ|ρ|).
 	covers := make([][]int32, m)
 	begins := make([][]int32, m)
 	for a, n := range c.sizes {
@@ -313,34 +385,18 @@ func (c *Compressed) buildIndexes(terms []term) {
 	}
 	constraining := make([]int, m)
 	perStat := make([]int, len(c.specs))
-	setIndex := map[uint64]int32{}
-	for i, t := range terms {
-		c.stats[i] = t.stats
-		row := i * m
-		for a, n := range c.sizes {
-			c.ranges[row+a].hi = int32(n - 1)
-		}
-		var bits uint64
-		for k, a := range t.attrs {
-			r := t.ranges[k]
-			c.ranges[row+a] = span{int32(r.Lo), int32(r.Hi)}
-			covers[a][r.Lo]++
-			covers[a][r.Hi+1]--
-			begins[a][r.Lo]++
+	for i, b := range c.attrBits {
+		row := c.ranges[i*m : (i+1)*m]
+		for x := b; x != 0; x &= x - 1 {
+			a := bits.TrailingZeros64(x)
+			r := row[a]
+			covers[a][r.lo]++
+			covers[a][r.hi+1]--
+			begins[a][r.lo]++
 			constraining[a]++
-			bits |= 1 << uint(a)
 		}
-		for _, j := range t.stats {
+		for _, j := range c.stats[i] {
 			perStat[j]++
-		}
-		if c.attrBits != nil {
-			k, ok := setIndex[bits]
-			if !ok {
-				k = int32(len(c.attrSets))
-				setIndex[bits] = k
-				c.attrSets = append(c.attrSets, bits)
-			}
-			c.attrBits[i], c.termSet[i] = bits, k
 		}
 	}
 
@@ -359,7 +415,7 @@ func (c *Compressed) buildIndexes(terms []term) {
 	}
 	touchSlab := make([]int32, nTouch)
 	startSlab := make([]int32, nCon)
-	looseSlab := make([]int32, len(terms)*m-nCon)
+	looseSlab := make([]int32, terms*m-nCon)
 	c.touch = make([][][]int32, m)
 	c.loose = make([][]int32, m)
 	c.starts = make([][]int32, m)
@@ -372,7 +428,7 @@ func (c *Compressed) buildIndexes(terms []term) {
 			c.touch[a][v], touchSlab = touchSlab[:0:k], touchSlab[k:]
 		}
 		c.starts[a], startSlab = startSlab[:constraining[a]], startSlab[constraining[a]:]
-		k := len(terms) - constraining[a]
+		k := terms - constraining[a]
 		c.loose[a], looseSlab = looseSlab[:0:k], looseSlab[k:]
 		off := int32(0)
 		for v, k := range begins[a] {
@@ -392,24 +448,19 @@ func (c *Compressed) buildIndexes(terms []term) {
 	}
 
 	// Pass 2: fill, in term order.
-	for i := range terms {
-		row := i * m
-		t := terms[i]
-		k := 0
-		for a := range c.sizes {
-			if k == len(t.attrs) || t.attrs[k] != a {
+	for i, b := range c.attrBits {
+		for a, r := range c.ranges[i*m : (i+1)*m] {
+			if b&(1<<uint(a)) == 0 {
 				c.loose[a] = append(c.loose[a], int32(i))
 				continue
 			}
-			k++
-			r := c.ranges[row+a]
 			for v := r.lo; v <= r.hi; v++ {
 				c.touch[a][v] = append(c.touch[a][v], int32(i))
 			}
 			c.starts[a][cursor[a][r.lo]] = int32(i)
 			cursor[a][r.lo]++
 		}
-		for _, j := range t.stats {
+		for _, j := range c.stats[i] {
 			c.statTerms[j] = append(c.statTerms[j], int32(i))
 		}
 	}
@@ -436,13 +487,6 @@ func (c *Compressed) MultiStat(j int) MultiStatSpec { return c.specs[j] }
 // NumTerms returns the number of terms of the compressed representation
 // (including the base term).
 func (c *Compressed) NumTerms() int { return len(c.stats) }
-
-// PrunedIndexed reports whether the attribute-set index is available, i.e.
-// whether masked reads can cost their candidate terms (polynomials over
-// more than 64 attributes fall back to the full walk). Every construction
-// path — including codec restore, which rebuilds the polynomial via
-// NewCompressed — populates the index.
-func (c *Compressed) PrunedIndexed() bool { return c.attrBits != nil }
 
 // SizeReport summarizes the memory shape of the representation, mirroring
 // the size analysis of Sec. 4.1.

@@ -58,12 +58,14 @@ type System struct {
 	// them.
 	sums  atomic.Pointer[partialSums]
 	spare atomic.Pointer[partialSums]
-
-	// scratchPool recycles the per-call scratch of masked Eval/Deriv so
-	// the hot path is allocation-free yet still safe for concurrent
-	// read-only use.
-	scratchPool sync.Pool
 }
+
+// scratchPool recycles the per-call scratch of masked Eval/Deriv so the hot
+// path is allocation-free yet still safe for concurrent read-only use. It is
+// one pool for the package, not one per System: the runtime keeps every
+// pool that has been used reachable until two collections later, and a
+// pool inside a System kept the whole model reachable with it.
+var scratchPool sync.Pool
 
 // partialSums are the sums over the terms of one attribute set
 // (Compressed.attrSets) that masked reads are answered from. The two halves
@@ -175,16 +177,6 @@ func newSystemShell(poly *Compressed) *System {
 	s.fac = make([]float64, poly.NumTerms()*m)
 	s.nz = make([]float64, poly.NumTerms())
 	s.zeros = make([]int, poly.NumTerms())
-	s.scratchPool.New = func() any {
-		return &evalScratch{
-			cons:    make([]query.Constraint, m),
-			attrs:   make([]int, 0, m),
-			lo:      make([]int, m),
-			hi:      make([]int, m),
-			pre:     make([][]float64, m),
-			mprefix: make([][]float64, m),
-		}
-	}
 	return s
 }
 
@@ -569,7 +561,20 @@ func constraintFor(pred *query.Predicate, attr int) query.Constraint {
 // of each mask. The prefix caches must be fresh. Callers must return it with
 // putScratch.
 func (s *System) getScratch(pred *query.Predicate) *evalScratch {
-	sc := s.scratchPool.Get().(*evalScratch)
+	m := len(s.alpha)
+	sc, _ := scratchPool.Get().(*evalScratch)
+	if sc == nil || cap(sc.cons) < m {
+		sc = &evalScratch{
+			cons:    make([]query.Constraint, m),
+			attrs:   make([]int, 0, m),
+			lo:      make([]int, m),
+			hi:      make([]int, m),
+			pre:     make([][]float64, m),
+			mprefix: make([][]float64, m),
+		}
+	}
+	sc.cons, sc.lo, sc.hi = sc.cons[:m], sc.lo[:m], sc.hi[:m]
+	sc.pre, sc.mprefix = sc.pre[:m], sc.mprefix[:m]
 	sc.attrs = sc.attrs[:0]
 	sc.vals = sc.vals[:0]
 	sc.void = false
@@ -635,7 +640,7 @@ func (sc *evalScratch) canonValues(vals []int, n int) []int {
 	return vals[lo:hi]
 }
 
-func (s *System) putScratch(sc *evalScratch) { s.scratchPool.Put(sc) }
+func (s *System) putScratch(sc *evalScratch) { scratchPool.Put(sc) }
 
 // Total returns the incrementally maintained full polynomial value P in
 // O(1), without flushing the prefix caches — the solver's hot-path
@@ -670,9 +675,9 @@ func (s *System) Eval(pred *query.Predicate) float64 {
 
 // evalFullWalk is the pre-index reference implementation of masked
 // evaluation: every term re-derives its full product under the
-// constraints. It is the fallback when the pruned path cannot run (more
-// than 64 attributes, a zero or non-finite full-domain sum) and the oracle
-// the randomized equivalence tests compare against.
+// constraints. It is the fallback when the pruned path cannot run (a zero
+// or non-finite full-domain sum) and the oracle the randomized equivalence
+// tests compare against.
 func (s *System) evalFullWalk(cons []query.Constraint) float64 {
 	total := 0.0
 	for i := range s.nz {
@@ -701,7 +706,7 @@ func (s *System) evalFullWalk(cons []query.Constraint) float64 {
 // false the caller must fall back to evalFullWalk.
 func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 	p := s.poly
-	if p.attrBits == nil || !isFinite(s.total) {
+	if !isFinite(s.total) {
 		return 0, false
 	}
 	if len(sc.attrs) == 0 {
@@ -1001,7 +1006,7 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	out = out[:len(s.alpha[attr])]
 	p := s.poly
 	scaleExcl, sMask, ok := s.maskScale(sc, attr)
-	if !ok || p.attrBits == nil {
+	if !ok {
 		for v := range out {
 			out[v] = s.derivOneD(attr, v, sc.cons)
 		}

@@ -9,6 +9,9 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -167,12 +170,12 @@ rows:
 
 // Histogram1D returns the per-value counts of a single attribute.
 func (r *Relation) Histogram1D(attr int) []int {
-	n := r.sch.Attr(attr).Size()
-	out := make([]int, n)
-	for _, v := range r.cols[attr] {
-		out[v]++
-	}
-	return out
+	col := r.cols[attr][:r.rows]
+	return r.countBlocks(r.sch.Attr(attr).Size(), func(out []int, lo, hi int) {
+		for _, v := range col[lo:hi] {
+			out[v]++
+		}
+	})
 }
 
 // Histogram2D returns the joint count matrix counts[v1][v2] of the attribute
@@ -181,15 +184,67 @@ func (r *Relation) Histogram1D(attr int) []int {
 func (r *Relation) Histogram2D(a1, a2 int) [][]int {
 	n1 := r.sch.Attr(a1).Size()
 	n2 := r.sch.Attr(a2).Size()
-	flat := make([]int, n1*n2)
 	c1 := r.cols[a1][:r.rows]
-	c2 := r.cols[a2][:len(c1)]
-	for i, v1 := range c1 {
-		flat[int(v1)*n2+int(c2[i])]++
-	}
+	c2 := r.cols[a2][:r.rows]
+	flat := r.countBlocks(n1*n2, func(out []int, lo, hi int) {
+		c2 := c2[lo:hi]
+		for i, v1 := range c1[lo:hi] {
+			out[int(v1)*n2+int(c2[i])]++
+		}
+	})
 	out := make([][]int, n1)
 	for i := range out {
 		out[i], flat = flat[:n2:n2], flat[n2:]
+	}
+	return out
+}
+
+// blockRows is the fewest rows a counting block holds: below it, a worker
+// and its private table cost more than the rows they count.
+const blockRows = 1 << 16
+
+// countBlocks returns a table of n counts filled by count, which adds rows
+// [lo, hi) of the relation into out. The rows are cut into contiguous
+// blocks of max(blockRows, n) rows, so merging a table costs no more than
+// counting one block, and w = min(GOMAXPROCS, rows/block) workers count
+// them, each into a private table, each claiming the next uncounted block
+// until none is left — a worker whose core is busy elsewhere counts fewer
+// blocks instead of holding the others up. The tables are then summed.
+// Counts are integers, so the result depends neither on w nor on which
+// worker counted which block.
+func (r *Relation) countBlocks(n int, count func(out []int, lo, hi int)) []int {
+	out := make([]int, n)
+	block := max(blockRows, n)
+	w := min(runtime.GOMAXPROCS(0), r.rows/block)
+	if w <= 1 {
+		count(out, 0, r.rows)
+		return out
+	}
+	var claimed atomic.Int64
+	tables := make([][]int, w)
+	tables[0] = out
+	var wg sync.WaitGroup
+	for k := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if k > 0 {
+				tables[k] = make([]int, n)
+			}
+			for {
+				lo := int(claimed.Add(int64(block))) - block
+				if lo >= r.rows {
+					return
+				}
+				count(tables[k], lo, min(lo+block, r.rows))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, t := range tables[1:] {
+		for i, c := range t {
+			out[i] += c
+		}
 	}
 	return out
 }

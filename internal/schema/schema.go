@@ -36,6 +36,10 @@ func (k Kind) String() string {
 // relation stores every encoded value in two bytes.
 const maxDomain = 1 << 16
 
+// maxAttrs is the most attributes a schema may have: the summary's
+// polynomial keeps each term's attribute set in one 64-bit mask.
+const maxAttrs = 64
+
 // Attribute is a single column with a finite, ordered active domain.
 // Domain values are addressed by their index in [0, Size()).
 type Attribute struct {
@@ -195,10 +199,13 @@ type Schema struct {
 }
 
 // New builds a schema from the given attributes. Attribute names must be
-// unique.
+// unique, and there may be at most 64 attributes.
 func New(attrs ...Attribute) (*Schema, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("schema: a schema needs at least one attribute")
+	}
+	if len(attrs) > maxAttrs {
+		return nil, fmt.Errorf("schema: %d attributes, more than the %d a schema may hold", len(attrs), maxAttrs)
 	}
 	byName := make(map[string]int, len(attrs))
 	for i, a := range attrs {

@@ -33,3 +33,18 @@ func TestDomainCap(t *testing.T) {
 		}
 	}
 }
+
+// TestAttributeCap pins the widest schema: 64 attributes are accepted, 65
+// refused with a message naming the cap.
+func TestAttributeCap(t *testing.T) {
+	attrs := make([]Attribute, 65)
+	for i := range attrs {
+		attrs[i] = MustCategorical("a"+strconv.Itoa(i), labels(2))
+	}
+	if s, err := New(attrs[:64]...); err != nil || s.NumAttrs() != 64 {
+		t.Fatalf("New with 64 attributes: %v", err)
+	}
+	if _, err := New(attrs...); err == nil || !strings.Contains(err.Error(), "65 attributes, more than the 64") {
+		t.Fatalf("New with 65 attributes: %v, want the cap refused", err)
+	}
+}

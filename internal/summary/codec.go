@@ -295,7 +295,7 @@ func decodeSummary(r *decoder) (*Summary, error) {
 		return fail(err)
 	}
 	p := sys.Eval(nil)
-	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+	if degenerate(p) {
 		return fail(fmt.Errorf("restored polynomial evaluates to %g; snapshot is degenerate", p))
 	}
 

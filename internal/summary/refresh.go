@@ -132,7 +132,7 @@ func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (
 	info.Solver = report
 
 	p := sys.Eval(nil)
-	if p <= 0 {
+	if degenerate(p) {
 		return nil, RefreshInfo{}, fmt.Errorf("summary: refreshed polynomial evaluates to %g; model is degenerate", p)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/polynomial"
@@ -267,6 +268,37 @@ func TestEncodingIsDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), first) {
 			t.Fatalf("build %d encodes to %d bytes that differ from build 0's %d bytes", run, buf.Len(), len(first))
+		}
+	}
+}
+
+// TestBuildIsIndependentOfWorkers builds one relation of four counting
+// blocks at GOMAXPROCS 1 and 4: the snapshots must be byte-identical, since
+// the block-split counts are integers and everything after them is
+// sequential.
+func TestBuildIsIndependentOfWorkers(t *testing.T) {
+	rel := flightsShapedRelation(t, 4<<16+1000, 11, 0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first []byte
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		sum, err := Build(rel, Options{
+			PairBudget:    2,
+			PerPairBudget: 60,
+			Heuristic:     stats.Composite,
+			Solver:        solver.Options{MaxSweeps: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeEstimator(&buf, sum); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("GOMAXPROCS=%d encodes %d bytes that differ from GOMAXPROCS=1's %d", procs, buf.Len(), len(first))
 		}
 	}
 }

@@ -20,6 +20,7 @@ package summary
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -132,7 +133,7 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 	// solver's final variable updates, making subsequent concurrent
 	// read-only evaluation safe, and pins the normalization constant.
 	p := sys.Eval(nil)
-	if p <= 0 {
+	if degenerate(p) {
 		return nil, fmt.Errorf("summary: solved polynomial evaluates to %g; model is degenerate", p)
 	}
 
@@ -149,6 +150,11 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 		maxCombos:   opts.MaxGroupCombos,
 	}, nil
 }
+
+// degenerate reports whether a polynomial's value P cannot normalize a
+// model: it is not positive, or not finite. Build, Refresh and decode share
+// it, so every model that builds or refreshes also restores.
+func degenerate(p float64) bool { return !(p > 0) || math.IsInf(p, 1) }
 
 // Name identifies the summary configuration in reports.
 func (s *Summary) Name() string { return s.name }

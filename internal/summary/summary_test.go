@@ -220,3 +220,25 @@ func TestPureIndependenceModel(t *testing.T) {
 		t.Errorf("independence estimate %g, want marginal product %g", got, want)
 	}
 }
+
+// TestDegenerateNormalizer pins the one rule Build, Refresh and decode apply
+// to a model's P: a model normalizes only by a positive, finite value.
+func TestDegenerateNormalizer(t *testing.T) {
+	for _, tc := range []struct {
+		p    float64
+		want bool
+	}{
+		{0, true},
+		{-1, true},
+		{math.NaN(), true},
+		{math.Inf(1), true},
+		{math.Inf(-1), true},
+		{math.SmallestNonzeroFloat64, false},
+		{1234.5, false},
+		{math.MaxFloat64, false},
+	} {
+		if got := degenerate(tc.p); got != tc.want {
+			t.Errorf("degenerate(%g) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+}
