@@ -43,7 +43,6 @@ func main() {
 		perPair       = flag.Int("per-pair", 8, "2D statistics per pair (B_s)")
 		heuristic     = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps        = flag.Int("sweeps", 200, "solver sweep budget")
-		relax         = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
 		storeDir      = flag.String("store", "", "when set, snapshot the built summaries into this store directory (created if missing)")
 		dataset       = flag.String("dataset", "demo", "dataset name snapshots are stored under (with -store)")
 		streamBatches = flag.Int("stream", 0, "when > 0, run the streaming-drift scenario with this many append batches instead of the static report")
@@ -76,7 +75,7 @@ func main() {
 		PairBudget:    *pairBudget,
 		PerPairBudget: *perPair,
 		Heuristic:     h,
-		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
+		Solver:        solver.Options{MaxSweeps: *sweeps},
 	}
 
 	// The branch-compare scenario forks two lineages off one fork-point

@@ -5,23 +5,23 @@
 // latency as JSON — the numbers the BENCH.md serving table records.
 //
 // With -ingest-every N, one request slot in N becomes a POST
-// /ingest/{dataset} carrying -ingest-batch random schema-compatible rows:
-// the mixed read/write workload of a live deployment, exercising the
-// refresh + hot-swap path under concurrent queries.
+// /ingest/{dataset} to the estimator's dataset (the name before its '/'),
+// carrying -ingest-batch random schema-compatible rows in place of that
+// slot's read: the mixed read/write workload of a live deployment,
+// exercising the refresh + hot-swap path under concurrent queries.
 //
 // With -batch N, queries travel N to a round trip over POST /query/batch as
 // the compact binary frames of internal/query; without it each query is one
 // JSON POST /query or /groupby. Batching is the high-throughput client mode
 // the BENCH.md batched-serving table measures.
 //
-// With -version N, every query is answered from retained snapshot version
-// N instead of the live estimators (time travel; needs a summaryd started
-// with -store). -version-mix 0,1,2 instead cycles requests through a list
-// of versions (0 = live), stressing the server's historical-estimator
-// cache with a mixed live/time-travel workload. The two are mutually
-// exclusive, as are ingest mixes with batching or versioned reads;
-// experiment.LoadOptions.Validate is the single authority on which flag
-// combinations are accepted.
+// With -version-mix 0,1,2 requests cycle through a list of retained
+// snapshot versions (0 = live; time travel needs a summaryd started with
+// -store), each sent as ?version=N; a one-entry list such as -version-mix 1
+// answers every query from that version. A mixed live/time-travel list
+// stresses the server's historical-estimator cache. Ingest mixes exclude
+// batching and versioned reads; experiment.LoadOptions.Validate is the
+// single authority on which flag combinations are accepted.
 //
 // With -routers a,b,... requests rotate round-robin across several
 // summaryrouter front-ends of the same fleet (schema discovery still uses
@@ -34,7 +34,7 @@
 //	go run ./cmd/loadgen -addr http://localhost:8080 -estimator demo/maxent -requests 2000
 //	go run ./cmd/loadgen -estimator demo/maxent -requests 2000 -ingest-every 10 -ingest-batch 50
 //	go run ./cmd/loadgen -estimator demo/maxent -requests 4000 -batch 32
-//	go run ./cmd/loadgen -estimator demo/maxent -requests 1000 -version 1
+//	go run ./cmd/loadgen -estimator demo/maxent -requests 1000 -version-mix 1
 //	go run ./cmd/loadgen -estimator demo/maxent -requests 1000 -version-mix 0,1,2
 package main
 
@@ -65,9 +65,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		ingestEvery = flag.Int("ingest-every", 0, "make every Nth request an ingest (0 disables the write mix)")
 		ingestBatch = flag.Int("ingest-batch", 10, "rows per ingest request")
-		ingestData  = flag.String("ingest-dataset", "", "dataset for POST /ingest/{dataset} (default: the estimator's dataset prefix)")
 		batch       = flag.Int("batch", 0, "queries per binary POST /query/batch round trip (0 or 1 = JSON single-query endpoints)")
-		version     = flag.Int("version", 0, "answer every query from this retained snapshot version (0 = live estimators)")
 		versionMix  = flag.String("version-mix", "", "comma-separated snapshot versions cycled across requests, 0 meaning live (e.g. 0,1,2) — a mixed live/time-travel workload")
 		routers     = flag.String("routers", "", "comma-separated base URLs fronting the same fleet; requests rotate round-robin across them (-addr still serves schema discovery; incompatible with -ingest-every)")
 	)
@@ -98,18 +96,11 @@ func main() {
 		Concurrency: *concurrency,
 		Timeout:     *timeout,
 		Batch:       *batch,
-		Version:     *version,
 		VersionMix:  mixVersions,
 		Routers:     splitRouters(*routers),
 	}
 	if *ingestEvery > 0 {
-		dataset := *ingestData
-		if dataset == "" {
-			dataset = *estimator
-			if i := strings.IndexByte(dataset, '/'); i >= 0 {
-				dataset = dataset[:i]
-			}
-		}
+		dataset, _, _ := strings.Cut(*estimator, "/")
 		opts.Ingest = &experiment.IngestMix{
 			Dataset: dataset,
 			Every:   *ingestEvery,

@@ -44,7 +44,6 @@ func main() {
 		perPair    = flag.Int("per-pair", 8, "2D statistics per pair (B_s)")
 		heuristic  = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps     = flag.Int("sweeps", 200, "solver sweep budget")
-		relax      = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
 		keep       = flag.Int("keep", 0, "after saving, prune each dataset to its newest N versions (0 keeps all)")
 	)
 	flag.Parse()
@@ -76,7 +75,7 @@ func main() {
 		PairBudget:    *pairBudget,
 		PerPairBudget: *perPair,
 		Heuristic:     h,
-		Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
+		Solver:        solver.Options{MaxSweeps: *sweeps},
 	}
 
 	// The summaries are a served dataset's snapshot-able strategies, so a

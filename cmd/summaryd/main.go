@@ -78,7 +78,6 @@ func main() {
 		perPair     = flag.Int("per-pair", 8, "2D statistics per pair (B_s)")
 		heuristic   = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps      = flag.Int("sweeps", 200, "solver sweep budget")
-		relax       = flag.Float64("relax", 1, "solver over-relaxation exponent ω in (0,2); 0 selects the default plain update (ω=1)")
 		noExact     = flag.Bool("no-exact", false, "do not serve the exact full-scan engine")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
 		maxConc     = flag.Int("max-concurrent", 64, "maximum concurrent estimator evaluations")
@@ -167,7 +166,7 @@ func main() {
 				PairBudget:    *pairBudget,
 				PerPairBudget: *perPair,
 				Heuristic:     h,
-				Solver:        solver.Options{MaxSweeps: *sweeps, Relaxation: *relax},
+				Solver:        solver.Options{MaxSweeps: *sweeps},
 			},
 			SampleRate: *rate,
 			SampleSeed: *seed,

@@ -27,13 +27,19 @@ func ExtractFlags(src string) []string {
 	return names
 }
 
+// flagRow matches a flag-table row of the doc, e.g. "| `-store` | ...",
+// capturing the flag name.
+var flagRow = regexp.MustCompile("(?m)^\\| `-([a-zA-Z0-9][a-zA-Z0-9-]*)` \\|")
+
 // DocLint checks that an API reference documents the server's full
-// serving surface: every registered HTTP route must appear verbatim in
-// the doc, and every command flag must appear as `-name` (matched with a
-// boundary, so documenting -version-mix cannot mask a missing -version).
-// It returns one problem string per omission; an empty slice means the
-// doc covers everything. This is the drift gate: adding an endpoint or a
-// flag without documenting it fails CI.
+// serving surface and nothing more: every registered HTTP route must
+// appear verbatim in the doc, every command flag must appear as `-name`
+// (matched with a boundary, so documenting -version-mix cannot mask a
+// missing -version), and every flag-table row must name a flag some
+// command declares. It returns one problem string per omission or stale
+// row; an empty slice means the doc covers everything. This is the drift
+// gate: adding an endpoint or a flag without documenting it, or deleting a
+// flag and leaving its row, fails CI.
 func DocLint(doc string, routes []string, flags map[string][]string) []string {
 	var problems []string
 	for _, route := range routes {
@@ -52,6 +58,17 @@ func DocLint(doc string, routes []string, flags map[string][]string) []string {
 			if !re.MatchString(doc) {
 				problems = append(problems, fmt.Sprintf("%s flag -%s is not documented", cmd, name))
 			}
+		}
+	}
+	declared := make(map[string]bool)
+	for _, names := range flags {
+		for _, name := range names {
+			declared[name] = true
+		}
+	}
+	for _, m := range flagRow.FindAllStringSubmatch(doc, -1) {
+		if !declared[m[1]] {
+			problems = append(problems, fmt.Sprintf("doc row -%s names no declared flag", m[1]))
 		}
 	}
 	return problems

@@ -72,4 +72,12 @@ func TestDocLintFailsOnOmissions(t *testing.T) {
 	if len(problems) != 1 {
 		t.Fatalf("substring route match leaked through: %v", problems)
 	}
+
+	// A table row for a flag no command declares any more is stale, even
+	// though its name prefixes a declared one.
+	doc = "| Flag | Meaning |\n|---|---|\n| `-version-mix` | Versions. |\n| `-version` | One version. |\n"
+	problems = DocLint(doc, nil, map[string][]string{"loadgen": {"version-mix"}})
+	if len(problems) != 1 || problems[0] != "doc row -version names no declared flag" {
+		t.Fatalf("problems = %v, want exactly the stale -version row", problems)
+	}
 }

@@ -7,8 +7,6 @@
 package exact
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -46,14 +44,6 @@ func (e *Engine) Count(pred *query.Predicate) float64 {
 // EstimateCount implements core.Estimator; the "estimate" is exact.
 func (e *Engine) EstimateCount(pred *query.Predicate) (float64, error) {
 	return e.Count(pred), nil
-}
-
-// TimedCount returns the exact count together with the scan latency; the
-// scalability experiment (Fig. 7) reports runtime shapes.
-func (e *Engine) TimedCount(pred *query.Predicate) (float64, time.Duration) {
-	start := time.Now()
-	c := e.Count(pred)
-	return c, time.Since(start)
 }
 
 // GroupBy returns the exact COUNT(*) per combination of values of the

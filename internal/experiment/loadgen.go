@@ -50,14 +50,11 @@ type LoadOptions struct {
 	// /query/batch round trip (0 or 1 keeps the JSON single-query
 	// endpoints). Batched runs do not support an ingest mix.
 	Batch int
-	// Version > 0 answers every query from that retained snapshot version
-	// of the estimator's dataset key (time travel); 0 queries the live
-	// estimators.
-	Version int
-	// VersionMix cycles request slots through these snapshot versions
-	// (0 = live), producing a mixed live/historical workload that
-	// exercises the server's historical-estimator cache. Overrides
-	// Version when non-empty.
+	// VersionMix cycles request slots through these snapshot versions of
+	// the estimator's dataset key (0 = live; time travel), each sent as
+	// ?version=N. One entry answers every query from that version; several
+	// make a mixed live/historical workload that exercises the server's
+	// historical-estimator cache. Empty queries the live estimators.
 	VersionMix []int
 	// Routers lists alternative base URLs that request slots rotate
 	// through round-robin (slot j targets Routers[j % len]); they must
@@ -76,32 +73,20 @@ func (o *LoadOptions) targetFor(baseURL string, j int) string {
 
 // versionFor returns the snapshot version request slot j should target.
 func (o *LoadOptions) versionFor(j int) int {
-	if len(o.VersionMix) > 0 {
-		return o.VersionMix[j%len(o.VersionMix)]
+	if len(o.VersionMix) == 0 {
+		return 0
 	}
-	return o.Version
-}
-
-// validVersions rejects negative versions up front.
-func (o *LoadOptions) validVersions() error {
-	if o.Version < 0 {
-		return fmt.Errorf("experiment: version must be non-negative, got %d", o.Version)
-	}
-	for _, v := range o.VersionMix {
-		if v < 0 {
-			return fmt.Errorf("experiment: version mix must be non-negative, got %d", v)
-		}
-	}
-	return nil
+	return o.VersionMix[j%len(o.VersionMix)]
 }
 
 // LoadResult aggregates one load-generation run; it is the payload
 // cmd/loadgen prints and the number source of BENCH.md's serving table.
 type LoadResult struct {
 	Estimator string `json:"estimator"`
-	// Requests counts queries answered; with batching each HTTP round trip
-	// carries several, so Requests >= HTTPRequests and ThroughputQPS is
-	// always queries per second.
+	// Requests counts the queries the read round trips carried, and
+	// HTTPRequests those round trips; ingest slots count in neither. With
+	// batching each round trip carries several queries, so Requests >=
+	// HTTPRequests and ThroughputQPS is always queries per second.
 	Requests      int     `json:"requests"`
 	HTTPRequests  int     `json:"http_requests"`
 	Errors        int     `json:"errors"`
@@ -185,10 +170,15 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 	// -1 marks round trips that failed in transport (and ingest slots); they
 	// are excluded from the latency quantiles.
 	latencies := make([]int64, total)
-	for i := range latencies {
-		latencies[i] = -1
+	res := &LoadResult{Estimator: estimator}
+	for j := range latencies {
+		latencies[j] = -1
+		if !isIngest(ingests, opts, j) {
+			// An ingest slot sends its write in place of this read.
+			res.Requests += reads[j%len(reads)].queries
+			res.HTTPRequests++
+		}
 	}
-	res := &LoadResult{Estimator: estimator, Requests: len(workload) * opts.Repeat, HTTPRequests: total}
 	if opts.Batch > 1 {
 		res.BatchSize = opts.Batch
 	}
@@ -205,7 +195,7 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 			defer wg.Done()
 			for j := range jobs {
 				c := reads[j%len(reads)]
-				if ingests != nil && j%opts.Ingest.Every == 0 {
+				if isIngest(ingests, opts, j) {
 					c = ingests[(j/opts.Ingest.Every)%len(ingests)]
 				}
 				// The snapshot version travels as a URL override, so the
@@ -318,6 +308,12 @@ func readCalls(estimator string, workload []Query, batch int) ([]call, error) {
 			body: body, queries: len(chunk)})
 	}
 	return calls, nil
+}
+
+// isIngest reports whether request slot j sends an ingest in place of its
+// read.
+func isIngest(ingests []call, opts LoadOptions, j int) bool {
+	return ingests != nil && j%opts.Ingest.Every == 0
 }
 
 // ingestCalls encodes the ingest mix's rotating bodies; nil without a mix.

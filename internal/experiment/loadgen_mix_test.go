@@ -58,9 +58,13 @@ func TestDriveHTTPIngestMix(t *testing.T) {
 	if res.Errors > 0 || res.IngestErrors > 0 {
 		t.Fatalf("errors=%d ingest_errors=%d, first: %s", res.Errors, res.IngestErrors, res.FirstError)
 	}
-	// 160 slots, every 8th is an ingest → 20 ingests × 20 rows.
+	// 160 slots, every 8th is an ingest → 20 ingests × 20 rows, and the
+	// other 140 slots each send one read carrying one query.
 	if res.IngestRequests != 20 || res.IngestedRows != 400 {
 		t.Fatalf("ingests=%d rows=%d, want 20/400", res.IngestRequests, res.IngestedRows)
+	}
+	if res.Requests != 140 || res.HTTPRequests != 140 {
+		t.Fatalf("requests=%d http_requests=%d, want 140/140", res.Requests, res.HTTPRequests)
 	}
 	if res.Refreshes == 0 {
 		t.Fatal("no ingest crossed the 50-row refresh threshold")

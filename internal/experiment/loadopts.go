@@ -32,19 +32,16 @@ func (o *LoadOptions) Validate() error {
 	if o.Batch < 0 {
 		return fmt.Errorf("experiment: batch size must be non-negative, got %d", o.Batch)
 	}
-	if err := o.validVersions(); err != nil {
-		return err
-	}
-	if o.Version > 0 && len(o.VersionMix) > 0 {
-		// Accepting both silently served the mix and ignored the fixed
-		// version — refuse the ambiguity instead.
-		return fmt.Errorf("experiment: a fixed version and a version mix are mutually exclusive (the mix already covers fixed versions)")
+	for _, v := range o.VersionMix {
+		if v < 0 {
+			return fmt.Errorf("experiment: version mix must be non-negative, got %d", v)
+		}
 	}
 	if o.Ingest != nil && o.Ingest.Every >= 1 {
 		if o.Batch > 1 {
 			return fmt.Errorf("experiment: the ingest mix requires unbatched mode")
 		}
-		if o.Version > 0 || len(o.VersionMix) > 0 {
+		if len(o.VersionMix) > 0 {
 			return fmt.Errorf("experiment: versioned reads and an ingest mix are mutually exclusive (snapshots are immutable)")
 		}
 		if len(o.Routers) > 0 {

@@ -38,20 +38,17 @@ func TestLoadOptionsValidate(t *testing.T) {
 		want string // "" = valid; otherwise a substring of the error
 	}{
 		{"zero value", LoadOptions{}, ""},
-		{"plain versioned", LoadOptions{Version: 2}, ""},
+		{"one version", LoadOptions{VersionMix: []int{2}}, ""},
 		{"plain mix", LoadOptions{VersionMix: []int{0, 1}}, ""},
 		{"batch", LoadOptions{Batch: 16}, ""},
 		{"batched mix", LoadOptions{Batch: 16, VersionMix: []int{0, 2}}, ""},
 		{"ingest mix", LoadOptions{Ingest: mix}, ""},
 		{"negative batch", LoadOptions{Batch: -1}, "non-negative"},
-		{"negative version", LoadOptions{Version: -1}, "non-negative"},
+		{"negative version", LoadOptions{VersionMix: []int{-1}}, "non-negative"},
 		{"negative mix entry", LoadOptions{VersionMix: []int{0, -2}}, "non-negative"},
-		// The bug this table exists for: -version with -version-mix used to
-		// silently serve the mix and drop the fixed version.
-		{"version and mix", LoadOptions{Version: 1, VersionMix: []int{0, 2}}, "mutually exclusive"},
 		{"ingest with batch", LoadOptions{Batch: 8, Ingest: mix}, "unbatched"},
-		{"ingest with version", LoadOptions{Version: 1, Ingest: mix}, "mutually exclusive"},
-		{"ingest with mix", LoadOptions{VersionMix: []int{1}, Ingest: mix}, "mutually exclusive"},
+		{"ingest with version", LoadOptions{VersionMix: []int{1}, Ingest: mix}, "mutually exclusive"},
+		{"ingest with mix", LoadOptions{VersionMix: []int{0, 1}, Ingest: mix}, "mutually exclusive"},
 		{"dormant ingest with batch", LoadOptions{Batch: 8, Ingest: &IngestMix{Dataset: "demo"}}, ""},
 		{"router targets", LoadOptions{Routers: []string{"http://a:8090", "http://b:8090"}}, ""},
 		{"routers with batch", LoadOptions{Batch: 16, Routers: []string{"http://a:8090"}}, ""},
@@ -85,7 +82,7 @@ func TestLoadOptionsValidate(t *testing.T) {
 func TestDriveHTTPRejectsThroughValidate(t *testing.T) {
 	workload := []Query{{Name: "q0"}}
 	bad := []LoadOptions{
-		{Version: 1, VersionMix: []int{0, 2}},
+		{VersionMix: []int{-1}},
 		{Batch: -1},
 		{Batch: 4, Ingest: &IngestMix{Dataset: "demo", Every: 2, Rows: [][]int{{0}}}},
 	}

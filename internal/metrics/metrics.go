@@ -165,11 +165,3 @@ func (o *RareValueOutcome) Recall() float64 {
 func (o *RareValueOutcome) F() float64 {
 	return FMeasure(o.Precision(), o.Recall())
 }
-
-// Merge adds the counts of another outcome into o.
-func (o *RareValueOutcome) Merge(other RareValueOutcome) {
-	o.LightPredictedPositive += other.LightPredictedPositive
-	o.LightTotal += other.LightTotal
-	o.NullPredictedPositive += other.NullPredictedPositive
-	o.NullTotal += other.NullTotal
-}

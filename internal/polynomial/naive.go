@@ -108,15 +108,6 @@ func (nv *Naive) Deriv(sys *System, ref VarRef, pred *query.Predicate) float64 {
 	return total
 }
 
-// NumMonomials returns the number of monomials of the sum-of-products form.
-func (nv *Naive) NumMonomials() int64 {
-	d := int64(1)
-	for _, n := range nv.sizes {
-		d *= int64(n)
-	}
-	return d
-}
-
 func (nv *Naive) enumerate(tuple []int, attr int, visit func([]int)) {
 	if attr == len(nv.sizes) {
 		visit(tuple)

@@ -1144,16 +1144,6 @@ func (s *System) derivOneD(attr, value int, cons []query.Constraint) float64 {
 	return total
 }
 
-// Expectation returns E[⟨c,I⟩] = n · x · ∂P/∂x / P for the statistic whose
-// variable is ref (Eq. (8)), given the relation cardinality n and the
-// current full polynomial value p (p must equal Eval(nil)).
-func (s *System) Expectation(ref VarRef, n, p float64) float64 {
-	if p == 0 {
-		return 0
-	}
-	return n * s.Get(ref) * s.Deriv(ref) / p
-}
-
 // TupleWeight returns the monomial value of a single encoded tuple under the
 // current variable assignment: Π_i α_{i,t_i} · Π_{j: t ⊨ stat_j} δ_j. The
 // tuple probability is TupleWeight(t) / Eval(nil).

@@ -53,14 +53,6 @@ func (r Range) Intersect(o Range) Range {
 // Overlaps reports whether the two ranges share at least one value.
 func (r Range) Overlaps(o Range) bool { return !r.Intersect(o).Empty() }
 
-// ContainsRange reports whether o is entirely inside r.
-func (r Range) ContainsRange(o Range) bool {
-	if o.Empty() {
-		return true
-	}
-	return r.Lo <= o.Lo && o.Hi <= r.Hi
-}
-
 // String renders the range as "[lo,hi]".
 func (r Range) String() string {
 	if r.Empty() {

@@ -13,8 +13,6 @@ import (
 // CSVOptions configure LoadCSV. The zero value requests the defaults
 // noted on each field.
 type CSVOptions struct {
-	// Comma is the field separator (default ',').
-	Comma rune
 	// NoHeader treats the first record as data; attributes are then named
 	// col0, col1, ….
 	NoHeader bool
@@ -29,9 +27,6 @@ type CSVOptions struct {
 }
 
 func (o *CSVOptions) setDefaults() {
-	if o.Comma == 0 {
-		o.Comma = ','
-	}
 	if o.Bins <= 0 {
 		o.Bins = 16
 	}
@@ -40,7 +35,7 @@ func (o *CSVOptions) setDefaults() {
 	}
 }
 
-// LoadCSV reads a delimited file into an encoded relation, inferring the
+// LoadCSV reads a comma-separated file into an encoded relation, inferring the
 // schema from the data: a column whose every value parses as a float
 // becomes a Binned attribute (equi-width over the observed [min, max]
 // range), any other column becomes a Categorical attribute over its
@@ -50,7 +45,6 @@ func (o *CSVOptions) setDefaults() {
 func LoadCSV(r io.Reader, opts CSVOptions) (*Relation, error) {
 	opts.setDefaults()
 	cr := csv.NewReader(r)
-	cr.Comma = opts.Comma
 	cr.ReuseRecord = false
 	records, err := cr.ReadAll()
 	if err != nil {

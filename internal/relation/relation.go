@@ -8,7 +8,6 @@ package relation
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -249,27 +248,6 @@ func (r *Relation) countBlocks(n int, count func(out []int, lo, hi int)) []int {
 	return out
 }
 
-// FrequencyVector returns the d-dimensional frequency vector n^I of the
-// relation (Fig. 1 of the paper), indexed in row-major order over the tuple
-// space. It is only usable for small schemas and is primarily a testing aid.
-func (r *Relation) FrequencyVector() ([]int, error) {
-	d := r.sch.TupleSpace()
-	const limit = 1 << 24
-	if d > limit {
-		return nil, fmt.Errorf("relation: tuple space %d too large for an explicit frequency vector", d)
-	}
-	sizes := r.sch.DomainSizes()
-	out := make([]int, d)
-	for i := 0; i < r.rows; i++ {
-		idx := 0
-		for a := 0; a < len(sizes); a++ {
-			idx = idx*sizes[a] + int(r.cols[a][i])
-		}
-		out[idx]++
-	}
-	return out, nil
-}
-
 // Slice returns a read-only view of the contiguous row range [lo, hi):
 // the view shares the column storage of the receiver, so it costs O(m)
 // regardless of the range size. Appending to either relation afterwards is
@@ -294,28 +272,6 @@ func (r *Relation) Select(rows []int) *Relation {
 		out.MustAppend(r.Row(i, buf))
 	}
 	return out
-}
-
-// SampleUniform returns a uniform random sample (without replacement) of
-// approximately rate*n rows using the given random source.
-func (r *Relation) SampleUniform(rate float64, rng *rand.Rand) *Relation {
-	if rate <= 0 {
-		return New(r.sch)
-	}
-	if rate >= 1 {
-		rows := make([]int, r.rows)
-		for i := range rows {
-			rows[i] = i
-		}
-		return r.Select(rows)
-	}
-	rows := make([]int, 0, int(rate*float64(r.rows))+16)
-	for i := 0; i < r.rows; i++ {
-		if rng.Float64() < rate {
-			rows = append(rows, i)
-		}
-	}
-	return r.Select(rows)
 }
 
 // ApproxBytes returns the in-memory footprint of the encoded relation (2

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -91,13 +90,6 @@ rows:
 // EstimateCount implements core.Estimator.
 func (s *Sample) EstimateCount(pred *query.Predicate) (float64, error) {
 	return s.Count(pred), nil
-}
-
-// TimedCount returns the estimate together with the scan latency.
-func (s *Sample) TimedCount(pred *query.Predicate) (float64, time.Duration) {
-	start := time.Now()
-	c := s.Count(pred)
-	return c, time.Since(start)
 }
 
 // GroupBy estimates COUNT(*) per combination of values of the grouping

@@ -6,7 +6,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -182,15 +181,6 @@ func (a Attribute) Bin(x float64) (int, error) {
 	return v, nil
 }
 
-// BinCenter returns the midpoint of bucket v of a binned attribute.
-func (a Attribute) BinCenter(v int) float64 {
-	if a.kind != Binned || v < 0 || v >= a.bins {
-		return 0
-	}
-	w := (a.hi - a.lo) / float64(a.bins)
-	return a.lo + (float64(v)+0.5)*w
-}
-
 // Schema is an ordered list of attributes describing a single relation
 // R(A_1, ..., A_m).
 type Schema struct {
@@ -247,15 +237,6 @@ func (s *Schema) Index(name string) (int, error) {
 	return i, nil
 }
 
-// MustIndex is like Index but panics when the attribute does not exist.
-func (s *Schema) MustIndex(name string) int {
-	i, err := s.Index(name)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
 // DomainSizes returns [N_1, ..., N_m].
 func (s *Schema) DomainSizes() []int {
 	out := make([]int, len(s.attrs))
@@ -265,41 +246,6 @@ func (s *Schema) DomainSizes() []int {
 	return out
 }
 
-// TupleSpace returns d = Π N_i, the number of possible tuples, saturating at
-// the maximum int64 when the product overflows.
-func (s *Schema) TupleSpace() int64 {
-	d := int64(1)
-	for _, a := range s.attrs {
-		n := int64(a.Size())
-		if d > (1<<62)/n {
-			return 1 << 62
-		}
-		d *= n
-	}
-	return d
-}
-
-// Project returns a new schema containing only the named attributes, in the
-// given order, together with the index of each kept attribute in the
-// original schema.
-func (s *Schema) Project(names ...string) (*Schema, []int, error) {
-	attrs := make([]Attribute, 0, len(names))
-	idx := make([]int, 0, len(names))
-	for _, name := range names {
-		i, err := s.Index(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		attrs = append(attrs, s.attrs[i])
-		idx = append(idx, i)
-	}
-	proj, err := New(attrs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return proj, idx, nil
-}
-
 // String renders the schema as "R(a:N1, b:N2, ...)".
 func (s *Schema) String() string {
 	parts := make([]string, len(s.attrs))
@@ -307,15 +253,4 @@ func (s *Schema) String() string {
 		parts[i] = fmt.Sprintf("%s:%d", a.Name(), a.Size())
 	}
 	return "R(" + strings.Join(parts, ", ") + ")"
-}
-
-// SortedNames returns the attribute names in alphabetical order. It is a
-// convenience for deterministic iteration in reports.
-func (s *Schema) SortedNames() []string {
-	names := make([]string, 0, len(s.attrs))
-	for _, a := range s.attrs {
-		names = append(names, a.Name())
-	}
-	sort.Strings(names)
-	return names
 }

@@ -189,7 +189,7 @@ func TestSolveNotFreeStaysInSweep(t *testing.T) {
 			t.Fatalf("%s: free attributes %v, want attribute 2 swept and 3 free", tc.what, free)
 		}
 		for _, tol := range []float64{1e-4, 1e-7} {
-			solvertest.Match(t, tc.what, tc.comp, tc.cs, solver.Options{N: n, MaxSweeps: 25, Tolerance: tol, MinValue: 1e-12, Relaxation: 1})
+			solvertest.Match(t, tc.what, tc.comp, tc.cs, solver.Options{N: n, MaxSweeps: 25, Tolerance: tol})
 		}
 	}
 }

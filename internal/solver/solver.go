@@ -79,7 +79,12 @@ func MultiConstraint(stat int, target float64) Constraint {
 	}
 }
 
-// Options configure the solver.
+// MinValue is the floor a variable with a positive target is clamped to,
+// protecting against numerical underflow.
+const MinValue = 1e-12
+
+// Options configure the solver. The update itself has no knobs: every
+// step is Algorithm 1's closed form, clamped below at MinValue.
 type Options struct {
 	// N is the relation cardinality (required, > 0).
 	N float64
@@ -90,17 +95,6 @@ type Options struct {
 	// constraint violation max_j |s_j − E[⟨c_j,I⟩]| / N (default 1e-6, the
 	// paper's threshold).
 	Tolerance float64
-	// MinValue clamps variable updates away from zero for statistics with a
-	// positive target, protecting against numerical underflow (default
-	// 1e-12).
-	MinValue float64
-	// Relaxation is the over-relaxation exponent ω applied geometrically to
-	// every coordinate update, α ← α·(α*/α)^ω where α* is the closed-form
-	// solution. Zero means unset and selects the default 1, the plain
-	// update of Algorithm 1. Values in (1, 2) extrapolate past the
-	// coordinate optimum and accelerate the sublinear tail of coordinate
-	// descent; non-zero values outside (0, 2) are rejected.
-	Relaxation float64
 	// Init, when non-nil, warm-starts the solve: the variable assignment of
 	// this previously solved system is copied into sys before the first
 	// sweep, replacing the all-ones cold start. When the constraint targets
@@ -128,15 +122,6 @@ func (o *Options) setDefaults() error {
 	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = 1e-6
-	}
-	if o.MinValue <= 0 {
-		o.MinValue = 1e-12
-	}
-	if o.Relaxation == 0 {
-		o.Relaxation = 1
-	}
-	if !(o.Relaxation > 0 && o.Relaxation < 2) { // also rejects NaN
-		return fmt.Errorf("solver: Options.Relaxation must lie in (0,2), got %g", o.Relaxation)
 	}
 	return nil
 }
@@ -262,7 +247,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 			}
 			if b.attr < 0 {
 				c := b.cs[0]
-				if next, ok := update(sys.Get(c.Var), pd, sys.Total(), c.Target, opts); ok {
+				if next, ok := update(sys.Get(c.Var), pd, sys.Total(), c.Target, opts.N); ok {
 					sys.Set(c.Var, next)
 				}
 				continue
@@ -277,7 +262,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 			p := sys.Total()
 			for _, c := range b.cs {
 				v := c.Var.Value
-				if next, ok := update(vals[v], col[v], p, c.Target, opts); ok {
+				if next, ok := update(vals[v], col[v], p, c.Target, opts.N); ok {
 					p += (next - vals[v]) * col[v]
 					vals[v] = next
 				}
@@ -313,7 +298,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 // update is the closed-form coordinate update of Algorithm 1 for a variable
 // at cur whose partial derivative is pd under the polynomial value p. It
 // reports false when there is nothing to solve for.
-func update(cur, pd, p, target float64, opts Options) (float64, bool) {
+func update(cur, pd, p, target, n float64) (float64, bool) {
 	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 		return 0, false
 	}
@@ -327,27 +312,18 @@ func update(cur, pd, p, target float64, opts Options) (float64, bool) {
 	if rest < 0 {
 		rest = 0
 	}
-	denom := (opts.N - target) * pd
+	denom := (n - target) * pd
 	if denom <= 0 {
 		// Target equals the relation size: drive the variable as high as is
 		// numerically sensible so the statistic captures (almost) all mass.
 		return math.Max(cur, 1) * 1e6, true
 	}
 	next := target * rest / denom
-	if next < opts.MinValue {
-		next = opts.MinValue
+	if next < MinValue {
+		next = MinValue
 	}
 	if math.IsNaN(next) || math.IsInf(next, 0) {
 		return 0, false
-	}
-	if w := opts.Relaxation; w != 1 && cur > 0 {
-		next = cur * math.Pow(next/cur, w)
-		if next < opts.MinValue {
-			next = opts.MinValue
-		}
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			return 0, false
-		}
 	}
 	return next, true
 }

@@ -196,56 +196,6 @@ func TestSolveRejectsBadTargets(t *testing.T) {
 	if _, err := Solve(sys, nil, Options{N: 0}); err == nil {
 		t.Error("non-positive N accepted")
 	}
-	sys2, cs := tinyInstance(t)
-	if _, err := Solve(sys2, cs, Options{N: 10, Relaxation: 2.5}); err == nil {
-		t.Error("relaxation outside (0,2) accepted")
-	}
-	sys3, cs3 := tinyInstance(t)
-	if _, err := Solve(sys3, cs3, Options{N: 10, Relaxation: -1}); err == nil {
-		t.Error("negative relaxation accepted")
-	}
-	sys4, cs4 := tinyInstance(t)
-	if _, err := Solve(sys4, cs4, Options{N: 10, Relaxation: math.NaN()}); err == nil {
-		t.Error("NaN relaxation accepted")
-	}
-}
-
-// TestSolveOverRelaxationConvergesFaster verifies that the geometric
-// over-relaxation option accelerates the sublinear tail of coordinate
-// descent: on the hand-checked relation, ω = 1.2 must converge to the same
-// solution in strictly fewer sweeps than the plain ω = 1 update.
-func TestSolveOverRelaxationConvergesFaster(t *testing.T) {
-	const n, tol = 10, 1e-9
-	plainSys, constraints := tinyInstance(t)
-	plain, err := Solve(plainSys, constraints, Options{N: n, MaxSweeps: 5000, Tolerance: tol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relaxedSys, _ := tinyInstance(t)
-	relaxed, err := Solve(relaxedSys, constraints, Options{N: n, MaxSweeps: 5000, Tolerance: tol, Relaxation: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Converged || !relaxed.Converged {
-		t.Fatalf("not converged: plain %v, relaxed %v", plain, relaxed)
-	}
-	if relaxed.Sweeps >= plain.Sweeps {
-		t.Errorf("over-relaxation took %d sweeps, plain descent %d; want fewer", relaxed.Sweeps, plain.Sweeps)
-	}
-	// Both runs must land on the same MaxEnt distribution. The α values
-	// themselves are not unique (the overcomplete 1D families leave a
-	// per-attribute scale degeneracy), so compare tuple probabilities.
-	pPlain, pRelaxed := plainSys.Eval(nil), relaxedSys.Eval(nil)
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			tuple := []int{a, b}
-			x := plainSys.TupleWeight(tuple) / pPlain
-			y := relaxedSys.TupleWeight(tuple) / pRelaxed
-			if math.Abs(x-y) > 1e-6 {
-				t.Errorf("tuple %v: plain probability %g, relaxed %g", tuple, x, y)
-			}
-		}
-	}
 }
 
 // TestSolveMatchesLegacyViolation is the cross-PR acceptance check: the

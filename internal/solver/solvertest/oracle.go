@@ -20,11 +20,11 @@ import (
 // closed-form update as solver.Solve, but every 1D variable takes its own
 // Deriv → update → Set step, and every sweep ends with a full rebuild of the
 // caches and the exact maximum violation, one Deriv per constraint. opts
-// must be complete — N, MaxSweeps, Tolerance, MinValue and Relaxation all
-// set — and Init is not supported (warm-start by copying into sys first).
+// must be complete — N, MaxSweeps and Tolerance all set — and Init is not
+// supported (warm-start by copying into sys first).
 // Progress runs after every sweep with the exact maximum.
 func Solve(sys *polynomial.System, constraints []solver.Constraint, opts solver.Options) solver.Report {
-	if opts.N <= 0 || opts.MaxSweeps <= 0 || opts.Tolerance <= 0 || opts.MinValue <= 0 || opts.Relaxation <= 0 || opts.Init != nil {
+	if opts.N <= 0 || opts.MaxSweeps <= 0 || opts.Tolerance <= 0 || opts.Init != nil {
 		panic(fmt.Sprintf("solvertest: incomplete options %+v", opts))
 	}
 	var active []solver.Constraint
@@ -90,15 +90,9 @@ func applyUpdate(sys *polynomial.System, c solver.Constraint, pd float64, opts s
 		sys.Set(c.Var, math.Max(cur, 1)*1e6)
 		return
 	}
-	next := math.Max(c.Target*rest/denom, opts.MinValue)
+	next := math.Max(c.Target*rest/denom, solver.MinValue)
 	if math.IsNaN(next) || math.IsInf(next, 0) {
 		return
-	}
-	if w := opts.Relaxation; w != 1 && cur > 0 {
-		next = math.Max(cur*math.Pow(next/cur, w), opts.MinValue)
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			return
-		}
 	}
 	sys.Set(c.Var, next)
 }
@@ -156,9 +150,8 @@ func Free(comp *polynomial.Compressed, cs []solver.Constraint, n float64) []bool
 // every coupled α and every δ within 1e-9 relative, each free attribute's
 // shares α_{a,v} / Σ_u α_{a,u} within 1e-9 relative (the closed form fixes
 // its scale where the sweep leaves whichever one it reached, and the model
-// does not depend on it), and — for the plain ω = 1 update — a dual that
-// never decreases from one sweep to the next (Ψ is invariant under scaling
-// one attribute).
+// does not depend on it), and a dual that never decreases from one sweep to
+// the next (Ψ is invariant under scaling one attribute).
 func Match(tb testing.TB, what string, comp *polynomial.Compressed, cs []solver.Constraint, opts solver.Options) {
 	tb.Helper()
 	got := polynomial.NewSystem(comp)
@@ -218,11 +211,9 @@ func Match(tb testing.TB, what string, comp *polynomial.Compressed, cs []solver.
 			tb.Errorf("%s: δ[%d] = %g, oracle %g (relative %g)", what, j, got.MultiVar(j), want.MultiVar(j), d)
 		}
 	}
-	if opts.Relaxation == 1 {
-		for i := 1; i < len(duals); i++ {
-			if duals[i] < duals[i-1]-1e-9*math.Abs(duals[i-1]) {
-				tb.Errorf("%s: dual fell from %.12g to %.12g at sweep %d", what, duals[i-1], duals[i], i+1)
-			}
+	for i := 1; i < len(duals); i++ {
+		if duals[i] < duals[i-1]-1e-9*math.Abs(duals[i-1]) {
+			tb.Errorf("%s: dual fell from %.12g to %.12g at sweep %d", what, duals[i-1], duals[i], i+1)
 		}
 	}
 }

@@ -27,11 +27,6 @@ type Statistic struct {
 	Count float64
 }
 
-// Is1D reports whether the statistic is a single-attribute point statistic.
-func (s Statistic) Is1D() bool {
-	return len(s.Attrs) == 1 && s.Ranges[0].Lo == s.Ranges[0].Hi
-}
-
 // Predicate converts the statistic's structural part into a query predicate
 // over a relation with numAttrs attributes.
 func (s Statistic) Predicate(numAttrs int) *query.Predicate {
@@ -216,14 +211,4 @@ func (s *Set) MultiSpecs() []polynomial.MultiStatSpec {
 		specs[j] = st.Spec()
 	}
 	return specs
-}
-
-// Budget returns the multi-dimensional budget usage B_a (distinct attribute
-// sets) and the total number of multi-dimensional statistics.
-func (s *Set) Budget() (attributeSets, total int) {
-	seen := make(map[string]struct{})
-	for _, st := range s.Multi {
-		seen[fmt.Sprint(st.Attrs)] = struct{}{}
-	}
-	return len(seen), len(s.Multi)
 }

@@ -112,10 +112,6 @@ func PeekName(r io.Reader) (string, error) {
 	return name, nil
 }
 
-// EncodeTo writes the summary's snapshot payload (kind tag included), so a
-// single summary can be persisted without going through EncodeEstimator.
-func (s *Summary) EncodeTo(w io.Writer) error { return EncodeEstimator(w, s) }
-
 // --- Summary ----------------------------------------------------------
 
 func (s *Summary) encode(w *encoder) {

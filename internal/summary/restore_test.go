@@ -240,7 +240,7 @@ func TestRestoreEquivalenceFlightsShape(t *testing.T) {
 // included — to 1e-9 relative, and a dual that never decreases.
 func TestSolveMatchesPerVariableSweepFlightsShape(t *testing.T) {
 	sum := flightsShapedSummary(t, 120, 0)
-	opts := solver.Options{N: sum.N(), MaxSweeps: 30, Tolerance: 1e-6, MinValue: 1e-12, Relaxation: 1}
+	opts := solver.Options{N: sum.N(), MaxSweeps: 30, Tolerance: 1e-6}
 	solvertest.Match(t, "flights shape", sum.System().Poly(), sum.Constraints(), opts)
 }
 

@@ -51,10 +51,12 @@ type Options struct {
 	// Solver configures the MaxEnt solve; N is filled in from the
 	// relation and must be left zero.
 	Solver solver.Options
-	// MaxGroupCombos bounds the number of value combinations
-	// EstimateGroupBy will enumerate (default 65536).
-	MaxGroupCombos int
 }
+
+// maxGroupCombos bounds the number of value combinations a built summary's
+// EstimateGroupBy will enumerate. A snapshot records the bound its summary
+// was built with.
+const maxGroupCombos = 1 << 16
 
 func (o *Options) setDefaults() {
 	if o.PairBudget == 0 {
@@ -62,9 +64,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.PerPairBudget == 0 {
 		o.PerPairBudget = 8
-	}
-	if o.MaxGroupCombos <= 0 {
-		o.MaxGroupCombos = 1 << 16
 	}
 }
 
@@ -147,7 +146,7 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 		pairs:       pairs,
 		report:      report,
 		p:           p,
-		maxCombos:   opts.MaxGroupCombos,
+		maxCombos:   maxGroupCombos,
 	}, nil
 }
 
