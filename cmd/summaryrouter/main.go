@@ -18,10 +18,8 @@
 // identical misses collapse into a single node round trip. Responses
 // answered entirely on the router carry "X-Router-Cache: hit".
 //
-// The misses reach the fleet as binary sub-frames: to one node, or — at
-// -fanout-batch items and up — dealt round-robin across the healthy nodes
-// and reassembled in the original item order, positionally and bitwise
-// identical to a single node's answer stream.
+// The misses of one read reach the fleet as one binary sub-frame to one
+// node, whose answers are bitwise identical to asking that node directly.
 //
 // Endpoints: the proxied summaryd surface (POST /query,
 // POST /query/batch, POST /groupby, GET /estimators, GET /snapshots,
@@ -57,7 +55,6 @@ func main() {
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive failures that open a node's circuit breaker")
 		brkCooldown  = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker sheds traffic before probing the node again")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "proxied request body cap in bytes (bodies are buffered for retries)")
-		fanoutBatch  = flag.Int("fanout-batch", 64, "batch size at and above which /query/batch fans out across healthy nodes (-1 forwards every batch whole)")
 		cacheSize    = flag.Int("cache", 4096, "router read cache size in entries; warm reads are answered without a node round trip, kept fresh by generation fencing (-1 disables)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	)
@@ -76,7 +73,6 @@ func main() {
 		BreakerThreshold: *brkThreshold,
 		BreakerCooldown:  *brkCooldown,
 		MaxBodyBytes:     *maxBody,
-		FanoutBatch:      *fanoutBatch,
 		CacheSize:        *cacheSize,
 	})
 	if err != nil {

@@ -272,6 +272,59 @@ func TestRouterCacheOversizedResponseStreamsWhole(t *testing.T) {
 	}
 }
 
+// TestRoutedWriteRelaysWholeResponse: MaxBodyBytes bounds request bodies,
+// never a write's response. A routed ingest's result reaches the client
+// whole, and the router decides from the whole result that the ingest
+// refreshed the model, so the next routed read is fenced off the cache and
+// asks a node. A snapshot save's response is relayed whole too.
+func TestRoutedWriteRelaysWholeResponse(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{
+		Nodes:       1,
+		RefreshRows: 1,
+		Router: fleet.Options{
+			Timeout: 5 * time.Second,
+			// Above every request body here, below the ingest result
+			// (~120 bytes) and the snapshot save response.
+			MaxBodyBytes: 100,
+		},
+	})
+	primary := f.Primary().URL()
+	routed := f.RouterURL()
+	count := server.QueryRequest{Estimator: "demo/maxent"}
+	for ask, wantTag := range []string{"", "hit"} {
+		if s, tag, raw := postTagged(t, routed+"/query", count); s != http.StatusOK || tag != wantTag {
+			t.Fatalf("warm-up ask %d: status %d, X-Router-Cache %q, want %q: %s", ask, s, tag, wantTag, raw)
+		}
+	}
+
+	s, _, raw := postTagged(t, routed+"/ingest/demo", server.IngestRequest{Rows: fleettest.Rows(2, 1)})
+	var ing server.IngestResult
+	if s != http.StatusOK || json.Unmarshal(raw, &ing) != nil || len(raw) <= 100 {
+		t.Fatalf("routed ingest: status %d, %d bytes, body %q; want 200 and the whole result", s, len(raw), raw)
+	}
+	if !ing.Refreshed || ing.TotalRows != 3002 {
+		t.Fatalf("ingest of 2 rows above a 1-row threshold: %+v", ing)
+	}
+
+	var direct, got server.QueryResponse
+	if s := postJSON(t, primary+"/query", count, &direct); s != http.StatusOK {
+		t.Fatalf("direct count status %d", s)
+	}
+	s, tag, raw := postTagged(t, routed+"/query", count)
+	if s != http.StatusOK || tag == "hit" || json.Unmarshal(raw, &got) != nil {
+		t.Fatalf("routed count after the ingest: status %d, X-Router-Cache %q, body %s; want a 200 miss", s, tag, raw)
+	}
+	if math.Float64bits(got.Count) != math.Float64bits(direct.Count) {
+		t.Fatalf("routed count after the ingest %v, the primary %v", got.Count, direct.Count)
+	}
+
+	s, _, raw = postTagged(t, routed+"/snapshots/demo", struct{}{})
+	var saved server.SnapshotSaveResponse
+	if s != http.StatusOK || json.Unmarshal(raw, &saved) != nil || saved.Dataset != "demo" || len(raw) <= 100 {
+		t.Fatalf("routed snapshot save: status %d, %d bytes, body %q; want 200 and the whole response", s, len(raw), raw)
+	}
+}
+
 // TestRouterSingleflightCollapse proves the duplicate-suppression
 // guarantee: N concurrent identical cold reads cost the fleet exactly ONE
 // node round trip. The node-side request counters are the ground truth —
@@ -285,21 +338,7 @@ func TestRouterSingleflightCollapse(t *testing.T) {
 	routed := f.RouterURL()
 
 	nodeRequests := func() uint64 {
-		var total uint64
-		for _, n := range f.Nodes {
-			resp, err := http.Get(n.URL() + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m server.MetricsResponse
-			err = json.NewDecoder(resp.Body).Decode(&m)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += m.RequestsTotal
-		}
-		return total
+		return sumNodeMetrics(t, f, func(m server.MetricsResponse) uint64 { return m.RequestsTotal })
 	}
 
 	// The oracle answer, fetched directly BEFORE the baseline is taken.

@@ -70,7 +70,7 @@ func TestFleetEquivalence(t *testing.T) {
 	f := fleettest.New(t, fleettest.Options{
 		Nodes:       3,
 		RefreshRows: 300,
-		Router:      fleet.Options{FanoutBatch: 8, Timeout: 5 * time.Second},
+		Router:      fleet.Options{Timeout: 5 * time.Second},
 	})
 	primary := f.Primary().URL()
 	routed := f.RouterURL()
@@ -115,7 +115,7 @@ func TestFleetEquivalence(t *testing.T) {
 
 	checkBatches := func(phase string) {
 		t.Helper()
-		// One frame of every item: big enough to fan out across nodes.
+		// One frame of every item, which the router fetches from one node.
 		frame, err := query.AppendBatchAt(nil, est, 0, items)
 		if err != nil {
 			t.Fatal(err)

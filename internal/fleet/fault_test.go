@@ -34,6 +34,26 @@ func routerMetrics(t testing.TB, routerURL string) fleet.FleetMetricsResponse {
 	return m
 }
 
+// sumNodeMetrics adds up one counter of every node's /metrics.
+func sumNodeMetrics(t testing.TB, f *fleettest.Fleet, counter func(server.MetricsResponse) uint64) uint64 {
+	t.Helper()
+	var total uint64
+	for _, n := range f.Nodes {
+		resp, err := http.Get(n.URL() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m server.MetricsResponse
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += counter(m)
+	}
+	return total
+}
+
 // nodeStatus finds one node's routing state in the router metrics.
 func nodeStatus(t testing.TB, routerURL, name string) fleet.NodeStatus {
 	t.Helper()
@@ -57,7 +77,6 @@ func TestFleetKillReplicaMidLoad(t *testing.T) {
 	f := fleettest.New(t, fleettest.Options{
 		Nodes: 3,
 		Router: fleet.Options{
-			FanoutBatch:  8,
 			RetryBackoff: time.Millisecond,
 			Timeout:      5 * time.Second,
 			CacheSize:    -1,

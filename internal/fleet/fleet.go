@@ -7,7 +7,7 @@
 // checkable by version sets and answers are bit-identical wherever they
 // are served from), and a Router proxies the query surface with
 // health-aware, load-aware node selection, retry-with-backoff, per-node
-// circuit breaking, and batch fan-out.
+// circuit breaking, and a generation-fenced read cache.
 // See docs/FLEET.md for the topology, the sync protocol, and the failure
 // semantics.
 package fleet

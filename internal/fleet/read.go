@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/query"
 	"repro/internal/server"
@@ -33,9 +32,8 @@ func (rt *Router) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 // decodeRead buffers one read request and decodes it with the node's own
 // decoder. ok is false when the request was instead forwarded as it came
 // and is already answered: the decoder rejected it — one place, the node,
-// decides what a malformed read looks like — or the router has nothing to
-// add to it (no cache to consult, too few items to fan out), so decoding and
-// re-encoding the answer would only cost.
+// decides what a malformed read looks like — or the router has no cache to
+// consult, so decoding and re-encoding the answer would only cost.
 func (rt *Router) decodeRead(w http.ResponseWriter, r *http.Request,
 	decode func(*http.Request, io.Reader) (server.ReadRequest, error)) (server.ReadRequest, []byte, bool) {
 	body, ok := rt.readBody(w, r)
@@ -43,7 +41,7 @@ func (rt *Router) decodeRead(w http.ResponseWriter, r *http.Request,
 		return server.ReadRequest{}, nil, false
 	}
 	req, err := decode(r, bytes.NewReader(body))
-	if err != nil || (rt.cache == nil && rt.fanoutWays(len(req.Items)) == 1) {
+	if err != nil || rt.cache == nil {
 		rt.forward(w, r, body, -1)
 		return req, nil, false
 	}
@@ -111,10 +109,12 @@ type readResult struct {
 	// cache or from an identical in-flight read it joined.
 	hit bool
 	// gen is the live generation every answer shares, 0 when they share
-	// none: versioned reads, or a fan-out whose nodes differ.
+	// none: versioned reads, or answers cached or fetched under different
+	// generations.
 	gen uint64
 	// node names the one node that answered every item this request
-	// fetched; "" when it fetched nothing or several nodes answered.
+	// fetched; "" when it fetched nothing or two fetches were answered by
+	// different nodes.
 	node string
 }
 
@@ -149,9 +149,9 @@ type routedMiss struct {
 // fleet in one fetchMisses and stored under genTable.observe; then it
 // collects the answers of the flights it followed, fetching for itself
 // whatever a leader could not vouch for. Leaders always fetch before they
-// wait, so two requests following each other's items cannot deadlock. With
-// the cache off every item is a miss this request fetches, and nothing is
-// stored.
+// wait, so two requests following each other's items cannot deadlock. It
+// runs only on a caching router: without a cache, decodeRead forwards the
+// read as it came.
 //
 // The *routeError fails the whole read (no healthy replica, a node's own
 // refusal of the estimator or version); a per-item failure rides in that
@@ -166,10 +166,6 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 	key := routerQueryKey(keyBuf[:0], req.Estimator, req.Version)
 	prefixLen := len(key)
 	for i, it := range req.Items {
-		if rt.cache == nil {
-			lead = append(lead, routedMiss{idx: i})
-			continue
-		}
 		key = it.AppendIdentity(key[:prefixLen])
 		if v, ok := rt.cache.Lookup(key); ok {
 			if e := v.(cachedRead); rt.entryCurrent(req, e) {
@@ -192,12 +188,12 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 		for j, m := range misses {
 			items[j] = req.Items[m.idx]
 		}
-		answers, fetchedGens, node, herr := rt.fetchMisses(ctx, req.Estimator, req.Version, items)
+		answers, gen, node, herr := rt.fetchMisses(ctx, req.Estimator, req.Version, items)
 		if herr != nil {
 			return herr
 		}
 		for j, m := range misses {
-			res.answers[m.idx], gens[m.idx] = answers[j], fetchedGens[j]
+			res.answers[m.idx], gens[m.idx] = answers[j], gen
 		}
 		if !res.hit && node != res.node {
 			node = "" // an earlier fetch of this request was answered elsewhere
@@ -219,9 +215,6 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 			return res, herr
 		}
 		for j, m := range lead {
-			if rt.cache == nil {
-				break // nothing to store, no flights to leave
-			}
 			e := cachedRead{gen: gens[m.idx], answer: res.answers[m.idx]}
 			e.answer.Cached = true
 			stored := false
@@ -293,105 +286,49 @@ func (rt *Router) entryCurrent(req server.ReadRequest, e cachedRead) bool {
 	return ok && e.gen == gen
 }
 
-// fanoutWays is how many nodes a fetch of n items is dealt across: every
-// healthy node at FanoutBatch items and above, one otherwise.
-func (rt *Router) fanoutWays(n int) int {
-	if ways := rt.healthyCount(); rt.opts.FanoutBatch >= 0 && n >= rt.opts.FanoutBatch && ways >= 2 {
-		return ways
-	}
-	return 1
-}
-
 // fetchMisses is how a miss reaches a node — the only code that builds a
-// read sub-request. It fetches the items from the fleet as binary sub-frames
-// and returns the answers in item order, the generation the answering node
-// vouched for per item (0 when none did), and the node's name when a single
-// node answered everything. The items are dealt round-robin across the
-// healthy nodes when they clear the fan-out threshold, one sub-frame
-// otherwise, and the answers are gathered back positionally; whichever node
-// is asked answers with its whole estimator.
+// read sub-request. It sends the items to one node as one binary sub-frame
+// and returns the answers in item order, the generation that node vouched
+// for (0 when it vouched for none: a versioned read), and the node's name.
 //
 // A node error keeps its own status so a single-node refusal (unknown
 // estimator, oversized batch) reaches the client as the node sent it.
-func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int, items []query.BatchItem) ([]query.BatchAnswer, []uint64, string, *routeError) {
-	ways := rt.fanoutWays(len(items))
-	if ways > 1 {
-		rt.fannedOut.Add(1)
-	}
-	assign := query.AssignRoundRobin(len(items), ways)
-
-	got := make([][]query.BatchAnswer, len(assign))
-	subGens := make([]uint64, len(assign))
-	nodes := make([]string, len(assign))
-	errs := make([]*routeError, len(assign))
-	header := http.Header{"Content-Type": []string{server.BinaryBatchContentType}}
-	var wg sync.WaitGroup
-	for si, indexes := range assign {
-		wg.Add(1)
-		go func(si int, sub []query.BatchItem) {
-			defer wg.Done()
-			frame, err := query.AppendBatchAt(nil, estimator, version, sub)
-			if err != nil {
-				// The decoders admit only what the binary wire carries, so
-				// this is a decoder and encoder drifting apart: still the
-				// request's fault as far as the client can tell.
-				errs[si] = &routeError{status: http.StatusBadRequest, msg: err.Error()}
-				return
-			}
-			resp, n, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, -1)
-			if herr != nil {
-				errs[si] = herr
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-				msg := strings.TrimSpace(string(b))
-				var e struct {
-					Error string `json:"error"`
-				}
-				if json.Unmarshal(b, &e) == nil && e.Error != "" {
-					msg = e.Error
-				}
-				errs[si] = &routeError{status: resp.StatusCode, msg: msg}
-				return
-			}
-			// Absent on a versioned read: the generation stays 0.
-			if g, perr := strconv.ParseUint(resp.Header.Get(server.EstimatorGenerationHeader), 10, 64); perr == nil {
-				subGens[si] = g
-			}
-			_, answers, err := query.DecodeAnswers(resp.Body)
-			if err == nil && len(answers) != len(sub) {
-				err = fmt.Errorf("%d answers for %d items", len(answers), len(sub))
-			}
-			if err != nil {
-				errs[si] = &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("sub-batch %d: %v", si, err)}
-				return
-			}
-			got[si], nodes[si] = answers, n.name
-		}(si, query.Pick(items, indexes))
-	}
-	wg.Wait()
-	for _, herr := range errs {
-		if herr != nil {
-			return nil, nil, "", herr
-		}
-	}
-	node := nodes[0]
-	for _, name := range nodes[1:] {
-		if name != node {
-			node = ""
-		}
-	}
-	gens := make([]uint64, len(items))
-	answers, err := query.GatherAnswers(len(items), assign, got)
+func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int, items []query.BatchItem) ([]query.BatchAnswer, uint64, string, *routeError) {
+	frame, err := query.AppendBatchAt(nil, estimator, version, items)
 	if err != nil {
-		return nil, nil, "", &routeError{status: http.StatusBadGateway, msg: err.Error()}
+		// The decoders admit only what the binary wire carries, so this is a
+		// decoder and encoder drifting apart: still the request's fault as
+		// far as the client can tell.
+		return nil, 0, "", &routeError{status: http.StatusBadRequest, msg: err.Error()}
 	}
-	for si, indexes := range assign {
-		for _, idx := range indexes {
-			gens[idx] = subGens[si]
+	header := http.Header{"Content-Type": []string{server.BinaryBatchContentType}}
+	resp, n, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, -1)
+	if herr != nil {
+		return nil, 0, "", herr
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		msg := strings.TrimSpace(string(b))
+		var e struct {
+			Error string `json:"error"`
 		}
+		if json.Unmarshal(b, &e) == nil && e.Error != "" {
+			msg = e.Error
+		}
+		return nil, 0, "", &routeError{status: resp.StatusCode, msg: msg}
 	}
-	return answers, gens, node, nil
+	// Absent on a versioned read: the generation stays 0.
+	var gen uint64
+	if g, err := strconv.ParseUint(resp.Header.Get(server.EstimatorGenerationHeader), 10, 64); err == nil {
+		gen = g
+	}
+	_, answers, err := query.DecodeAnswers(resp.Body)
+	if err == nil && len(answers) != len(items) {
+		err = fmt.Errorf("%d answers for %d items", len(answers), len(items))
+	}
+	if err != nil {
+		return nil, 0, "", &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("%s: %v", n.name, err)}
+	}
+	return answers, gen, n.name, nil
 }

@@ -400,21 +400,7 @@ func TestRouterBatchSingleflightCollapse(t *testing.T) {
 	f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
 	routed := f.RouterURL()
 	nodeRequests := func() uint64 {
-		var total uint64
-		for _, n := range f.Nodes {
-			resp, err := http.Get(n.URL() + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m server.MetricsResponse
-			err = json.NewDecoder(resp.Body).Decode(&m)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += m.RequestsTotal
-		}
-		return total
+		return sumNodeMetrics(t, f, func(m server.MetricsResponse) uint64 { return m.RequestsTotal })
 	}
 	frame, err := query.AppendBatch(nil, "demo/maxent", []query.BatchItem{{GroupBy: []int{1}}})
 	if err != nil {

@@ -47,10 +47,6 @@ type Options struct {
 	// MaxBodyBytes bounds proxied request bodies (default 1 MiB) — the
 	// router buffers bodies so retries can resend them.
 	MaxBodyBytes int64
-	// FanoutBatch is the batch size at and above which /query/batch is
-	// split across healthy nodes instead of forwarded whole (default 64;
-	// < 0 disables fan-out).
-	FanoutBatch int
 	// CacheSize bounds the router's read cache in entries (default 4096;
 	// < 0 disables router-side caching). Warm reads are then answered on
 	// the router without a node round trip, kept provably fresh by the
@@ -78,9 +74,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.FanoutBatch == 0 {
-		o.FanoutBatch = 64
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
@@ -128,7 +121,6 @@ type Router struct {
 	retries    atomic.Uint64
 	notifies   atomic.Uint64
 	exhausted  atomic.Uint64
-	fannedOut  atomic.Uint64
 	collapsed  atomic.Uint64
 	staleSkips atomic.Uint64
 }
@@ -243,17 +235,6 @@ func (rt *Router) pick(tried map[*node]bool, prefer int) *node {
 		}
 		lost = append(lost, best)
 	}
-}
-
-// healthyCount counts nodes whose breaker currently passes traffic.
-func (rt *Router) healthyCount() int {
-	n := 0
-	for _, nd := range rt.nodes {
-		if st, _ := nd.breaker.State(); st != BreakerOpen {
-			n++
-		}
-	}
-	return n
 }
 
 // --- proxy core -------------------------------------------------------
@@ -477,13 +458,12 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		primary.proxied.Add(1)
 	}
 
-	// Relay the response, keeping a copy to decide whether new snapshot
-	// versions were published (ingest refresh or snapshot save).
-	bodyCopy, _ := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
-	for _, k := range []string{"Content-Type"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
+	// Relay the response whole — MaxBodyBytes bounds request bodies only —
+	// keeping the copy that decides whether new snapshot versions were
+	// published (ingest refresh or snapshot save).
+	bodyCopy, _ := io.ReadAll(resp.Body)
+	if v := resp.Header.Get("Content-Type"); v != "" {
+		w.Header().Set("Content-Type", v)
 	}
 	w.Header().Set(FleetNodeHeader, primary.name)
 	w.WriteHeader(resp.StatusCode)
@@ -568,7 +548,6 @@ type FleetMetricsResponse struct {
 	Retries       uint64  `json:"retries"`
 	Exhausted     uint64  `json:"exhausted"`
 	Notifies      uint64  `json:"notifies"`
-	FannedOut     uint64  `json:"fanned_out"`
 	// Collapsed counts reads answered by joining an identical in-flight
 	// miss (singleflight): they paid no node round trip of their own.
 	Collapsed uint64 `json:"singleflight_collapsed"`
@@ -632,7 +611,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Retries:       rt.retries.Load(),
 		Exhausted:     rt.exhausted.Load(),
 		Notifies:      rt.notifies.Load(),
-		FannedOut:     rt.fannedOut.Load(),
 		Collapsed:     rt.collapsed.Load(),
 		StaleSkips:    rt.staleSkips.Load(),
 		Nodes:         rt.nodeStatuses(),

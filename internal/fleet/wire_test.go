@@ -42,16 +42,14 @@ func decodeBatchAnswers(t *testing.T, header http.Header, raw []byte) []query.Ba
 }
 
 // TestBatchRoutesAgree asks one binary batch on every path a batch can
-// take — a node, a cache-less router forwarding whole, a caching router on
-// an all-miss and on an all-hit batch, and a fanned-out batch. Every path
-// must answer in a binary frame with Float64bits-identical answers.
+// take — a node, a cache-less router forwarding whole, and a caching router
+// on an all-miss and on an all-hit batch. Every path must answer in a
+// binary frame with Float64bits-identical answers.
 func TestBatchRoutesAgree(t *testing.T) {
 	relay := fleettest.New(t, fleettest.Options{Nodes: 1,
 		Router: fleet.Options{CacheSize: -1, Timeout: 5 * time.Second}})
 	caching := fleettest.New(t, fleettest.Options{Nodes: 1,
 		Router: fleet.Options{Timeout: 5 * time.Second}})
-	fanout := fleettest.New(t, fleettest.Options{Nodes: 2,
-		Router: fleet.Options{CacheSize: -1, FanoutBatch: 4, Timeout: 5 * time.Second}})
 	node := relay.Primary().URL()
 	const estimator = "demo/maxent"
 	n := experiment.SyntheticSchema().NumAttrs()
@@ -81,7 +79,6 @@ func TestBatchRoutesAgree(t *testing.T) {
 		{"router, cache off", relay.RouterURL(), items, ""},
 		{"caching router, all-miss", caching.RouterURL(), items, ""},
 		{"caching router, all-hit", caching.RouterURL(), items[:5], "hit"},
-		{"fanned-out batch", fanout.RouterURL(), items, ""},
 	} {
 		status, header, raw := askBatch(t, col.base, estimator, col.items)
 		if status != http.StatusOK {
@@ -102,8 +99,50 @@ func TestBatchRoutesAgree(t *testing.T) {
 			}
 		}
 	}
-	if m := routerMetrics(t, fanout.RouterURL()); m.FannedOut != 1 {
-		t.Errorf("fan-out router fanned out %d batches, want 1", m.FannedOut)
+}
+
+// TestRoutedMissFetchIsOneNodeRequest: every miss of one routed read
+// reaches the fleet as one sub-frame to one node, however many items miss
+// and however many nodes are healthy, and the answers are the node's bit
+// for bit.
+func TestRoutedMissFetchIsOneNodeRequest(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
+	const estimator = "demo/maxent"
+	n := experiment.SyntheticSchema().NumAttrs()
+	// Distinct items, so none joins another's in-flight read.
+	items := make([]query.BatchItem, 128)
+	for i := range items {
+		items[i] = query.BatchItem{Pred: query.NewPredicate(n).
+			WhereRange(3, i%8, 7).WhereRange(1, (i/8)%6, 5).WhereEq(0, i/48)}
+	}
+	status, header, raw := askBatch(t, f.Primary().URL(), estimator, items)
+	if status != http.StatusOK {
+		t.Fatalf("node answered %d: %s", status, raw)
+	}
+	want := decodeBatchAnswers(t, header, raw)
+	batchRequests := func() uint64 {
+		return sumNodeMetrics(t, f, func(m server.MetricsResponse) uint64 { return m.BatchRequestsTotal })
+	}
+
+	before := batchRequests()
+	status, header, raw = askBatch(t, f.RouterURL(), estimator, items)
+	if status != http.StatusOK {
+		t.Fatalf("router answered %d: %s", status, raw)
+	}
+	if d := batchRequests() - before; d != 1 {
+		t.Errorf("an all-miss batch of %d items reached the nodes in %d requests, want 1", len(items), d)
+	}
+	if hdr := header.Get(fleet.RouterCacheHeader); hdr != "" {
+		t.Errorf("all-miss batch: X-Router-Cache %q", hdr)
+	}
+	got := decodeBatchAnswers(t, header, raw)
+	if len(got) != len(items) {
+		t.Fatalf("%d answers for %d items", len(got), len(items))
+	}
+	for i, a := range got {
+		if !sameBatchAnswer(a, want[i]) {
+			t.Errorf("item %d answered %+v, the node %+v", i, a, want[i])
+		}
 	}
 }
 
@@ -197,46 +236,43 @@ func sameBatchAnswer(a, b query.BatchAnswer) bool {
 	return true
 }
 
-// TestFanoutRelaysNodeStatus: a fanned-out batch a node refuses reaches
-// the client with the node's own status, not a blanket 502.
-func TestFanoutRelaysNodeStatus(t *testing.T) {
+// TestMissFetchRelaysNodeStatus: a miss fetch every node refuses reaches
+// the client with the node's own status, not a blanket 502 — the soft 404
+// is retried on the other node, then relayed.
+func TestMissFetchRelaysNodeStatus(t *testing.T) {
 	f := fleettest.New(t, fleettest.Options{Nodes: 2,
-		Router: fleet.Options{CacheSize: -1, FanoutBatch: 4, Timeout: 5 * time.Second}})
+		Router: fleet.Options{Timeout: 5 * time.Second}})
+	n := experiment.SyntheticSchema().NumAttrs()
 	items := make([]query.BatchItem, 8)
+	for i := range items {
+		items[i] = query.BatchItem{Pred: query.NewPredicate(n).WhereEq(3, i)}
+	}
 	want, _, _ := askBatch(t, f.Primary().URL(), "demo/nope", items)
 	got, _, raw := askBatch(t, f.RouterURL(), "demo/nope", items)
 	if want != http.StatusNotFound || got != want {
-		t.Errorf("node answered %d, the fanned-out batch %d (%s)", want, got, raw)
+		t.Errorf("node answered %d, the router %d (%s)", want, got, raw)
 	}
 }
 
 // TestRoutedBatchHeaders pins what a batch the router assembles says about
 // where its answers came from: X-Estimator-Generation when every answer
 // shares one live generation (all-miss, partial hit and all-hit alike — a
-// node batch carries it, so must the router's), nothing when they do not
-// (versioned reads, a fan-out whose nodes differ), and X-Fleet-Node only
-// when a single node answered every item that was fetched.
+// node batch carries it, so must the router's), nothing on a versioned
+// read, and X-Fleet-Node only when this request fetched from a node.
 func TestRoutedBatchHeaders(t *testing.T) {
 	caching := fleettest.New(t, fleettest.Options{Nodes: 1,
 		Router: fleet.Options{Timeout: 5 * time.Second}})
-	fanout := fleettest.New(t, fleettest.Options{Nodes: 2,
-		Router: fleet.Options{CacheSize: -1, FanoutBatch: 4, Timeout: 5 * time.Second}})
 	const estimator = "demo/maxent"
 	n := experiment.SyntheticSchema().NumAttrs()
 	items := make([]query.BatchItem, 8)
 	for i := range items {
 		items[i] = query.BatchItem{Pred: query.NewPredicate(n).WhereEq(3, i)}
 	}
-	nodeGen := func(node *fleettest.Node) string {
-		_, header, _ := askBatch(t, node.URL(), estimator, items[:1])
-		gen := header.Get(server.EstimatorGenerationHeader)
-		if gen == "" {
-			t.Fatalf("%s answers a live batch without a generation", node.Name)
-		}
-		return gen
+	_, header, _ := askBatch(t, caching.Primary().URL(), estimator, items[:1])
+	gen := header.Get(server.EstimatorGenerationHeader)
+	if gen == "" {
+		t.Fatal("the node answers a live batch without a generation")
 	}
-
-	gen := nodeGen(caching.Primary())
 	for _, step := range []struct {
 		name  string
 		items []query.BatchItem
@@ -274,22 +310,5 @@ func TestRoutedBatchHeaders(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get(server.EstimatorGenerationHeader); resp.StatusCode != http.StatusOK || got != "" {
 		t.Errorf("versioned batch: status %d, X-Estimator-Generation %q, want none", resp.StatusCode, got)
-	}
-
-	// A fan-out is answered by both nodes: no one node to name, and one
-	// generation only if the two agree.
-	want := nodeGen(fanout.Nodes[0])
-	if nodeGen(fanout.Nodes[1]) != want {
-		want = ""
-	}
-	status, header, raw := askBatch(t, fanout.RouterURL(), estimator, items)
-	if status != http.StatusOK {
-		t.Fatalf("fan-out: status %d: %s", status, raw)
-	}
-	if got := header.Get(server.EstimatorGenerationHeader); got != want {
-		t.Errorf("fan-out: X-Estimator-Generation %q, want %q", got, want)
-	}
-	if got := header.Get(fleet.FleetNodeHeader); got != "" {
-		t.Errorf("fan-out: X-Fleet-Node %q on a batch two nodes answered", got)
 	}
 }
