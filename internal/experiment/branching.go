@@ -121,7 +121,7 @@ func RunBranchCompare(opts BranchOptions) (*BranchReport, error) {
 
 	// Two mutable lineages over the same frozen prefix: each wraps its own
 	// capacity-capped view of the base columns, so the fork rows are shared
-	// zero-copy but the first append on either side reallocates — the same
+	// zero-copy and the first append on either side opens a new part — the same
 	// isolation POST /branch relies on. Wrapping `base` itself twice would
 	// alias one relation under two mutation logs.
 	mainView, err := base.Slice(0, base.NumRows())

@@ -13,11 +13,17 @@ import (
 // (statistics, solver, summaries, serving) still operates on immutable
 // *Relation values, while appends accumulate here.
 //
+// Appends fill the relation's last part up to its capacity and then open a
+// new part of blockRows rows, so an append costs its own rows and never
+// copies the rows stored before it: wrapping a capped view (a frozen or
+// sliced relation, whose last part is full) starts a new part at the first
+// append instead of copying the view.
+//
 // Concurrency: Append/AppendRows/Freeze/NumRows/Generation may be called
-// from any goroutine. Freeze returns a read-only view sharing the column
-// storage: appends only ever write array slots past the view's capped
-// length (or reallocate), so frozen views stay valid and race-free while
-// ingestion continues.
+// from any goroutine. Freeze returns a read-only view sharing the parts:
+// appends only ever write slots past the length of the view's capped last
+// part, or into a part the view does not hold, so frozen views stay valid
+// and race-free while ingestion continues.
 type Mutable struct {
 	mu  sync.Mutex
 	rel *Relation
@@ -80,13 +86,10 @@ func (m *Mutable) AppendRows(rows [][]int) (int, error) {
 			}
 		}
 	}
-	// Everything validated above; append straight into the columns rather
+	// Everything validated above; append straight into the parts rather
 	// than paying Append's per-row validation a second time.
 	for _, tuple := range rows {
-		for a, v := range tuple {
-			m.rel.cols[a] = append(m.rel.cols[a], uint16(v))
-		}
-		m.rel.rows++
+		m.rel.appendValid(tuple)
 	}
 	if len(rows) > 0 {
 		m.gen++
@@ -96,10 +99,10 @@ func (m *Mutable) AppendRows(rows [][]int) (int, error) {
 
 // Freeze returns an immutable zero-copy view of the current rows together
 // with the generation it captures. The view shares the column storage of
-// the live relation — O(attrs) regardless of size — and stays valid while
-// appends continue: its capacity is capped at its length, so a later
-// append either writes past the cap or reallocates, never through the
-// view.
+// the live relation — O(attrs · parts) regardless of size — and stays
+// valid while appends continue: its parts are capped at their lengths, so
+// a later append writes past the view's last row or into a new part,
+// never through the view.
 func (m *Mutable) Freeze() (*Relation, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

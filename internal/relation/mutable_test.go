@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -87,19 +88,25 @@ func TestMutableAppendRowsAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestMutableConcurrentFreezeAndAppend drives appends and freezes from
-// many goroutines; under -race this proves the zero-copy freeze contract
-// (appends never write through a frozen view).
+// TestMutableConcurrentFreezeAndAppend drives batched appends across
+// several part boundaries and freezes from many goroutines; under -race
+// this proves the zero-copy freeze contract (appends never write through a
+// frozen view). Readers read every row of each view twice and must see the
+// same rows both times, and every row a writer appended.
 func TestMutableConcurrentFreezeAndAppend(t *testing.T) {
 	m := NewMutable(New(mutableTestSchema()))
-	const writers, rounds = 4, 200
+	const writers, rounds, batch = 4, 40, 1000 // 160,000 rows: three parts
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			rows := make([][]int, batch)
 			for i := 0; i < rounds; i++ {
-				if _, err := m.AppendRows([][]int{{w % 3, i % 2}}); err != nil {
+				for k := range rows {
+					rows[k] = []int{w % 3, (i + k) % 2}
+				}
+				if _, err := m.AppendRows(rows); err != nil {
 					t.Error(err)
 					return
 				}
@@ -119,11 +126,21 @@ func TestMutableConcurrentFreezeAndAppend(t *testing.T) {
 				default:
 				}
 				view, _ := m.Freeze()
-				// Touch every row of the view so a racing write would trip
-				// the race detector.
-				n := view.Count(nil)
-				if n != view.NumRows() {
-					t.Errorf("count(nil) = %d, rows = %d", n, view.NumRows())
+				// Histograms touch every row of the view, so a racing write
+				// would trip the race detector.
+				first := view.Histogram2D(0, 1)
+				total := 0
+				for _, row := range first {
+					for _, c := range row {
+						total += c
+					}
+				}
+				if total != view.NumRows() || total%batch != 0 {
+					t.Errorf("histogram counts %d rows, view has %d", total, view.NumRows())
+					return
+				}
+				if again := view.Histogram2D(0, 1); !reflect.DeepEqual(again, first) {
+					t.Error("a frozen view changed under concurrent appends")
 					return
 				}
 			}
@@ -132,7 +149,18 @@ func TestMutableConcurrentFreezeAndAppend(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if got := m.NumRows(); got != writers*rounds {
-		t.Fatalf("rows = %d, want %d", got, writers*rounds)
+	if got := m.NumRows(); got != writers*rounds*batch {
+		t.Fatalf("rows = %d, want %d", got, writers*rounds*batch)
+	}
+	view, _ := m.Freeze()
+	if parts := numParts(view); parts != 3 {
+		t.Fatalf("%d rows in %d parts, want 3", view.NumRows(), parts)
+	}
+	h := view.Histogram1D(0)
+	for w := 0; w < writers; w++ {
+		h[w%3] -= rounds * batch
+	}
+	if !reflect.DeepEqual(h, []int{0, 0, 0}) {
+		t.Fatalf("attribute a counts off by %v from what the writers appended", h)
 	}
 }

@@ -1,14 +1,17 @@
 // Package relation implements the in-memory columnar store for a single
 // encoded relation: an ordered bag of tuples over the active domains of a
 // schema (the "slotted possible world" of Sec. 2.1). It also provides the
-// counting primitives (selection counts, group-by counts, 2D histograms and
-// frequency vectors) that the statistics subsystem, the exact ground-truth
-// engine, and the sampling baselines are built on.
+// counting primitives (selection counts, group-by counts, 2D histograms,
+// frequency vectors and box counts) that the statistics subsystem, the
+// exact ground-truth engine, and the sampling baselines are built on.
 package relation
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,28 +20,50 @@ import (
 	"repro/internal/schema"
 )
 
-// Relation is an ordered bag of encoded tuples stored column-major. Each
-// column value is the index of the tuple's value in the attribute's active
-// domain, stored in two bytes: a schema admits no domain of more than 65536
-// values, so every index fits.
+// Relation is an ordered bag of encoded tuples stored column-major in a
+// list of parts. Each column value is the index of the tuple's value in the
+// attribute's active domain, stored in two bytes: a schema admits no domain
+// of more than 65536 values, so every index fits.
+//
+// A part holds one column per attribute, all of the same length. A relation
+// made with NewWithCapacity (and so every loaded or generated one) is a
+// single part; appends past a part's capacity open a new part of blockRows
+// rows instead of copying the rows already stored, so a growing relation
+// never moves its earlier rows and views of it share them.
 type Relation struct {
-	sch  *schema.Schema
-	cols [][]uint16
-	rows int
+	sch   *schema.Schema
+	parts []part
+	rows  int
+}
+
+// part is a run of consecutive rows: its columns, and the index of its
+// first row in the relation.
+type part struct {
+	start int
+	cols  [][]uint16
+}
+
+func (p *part) len() int { return len(p.cols[0]) }
+
+func newPart(m, start, capacity int) part {
+	cols := make([][]uint16, m)
+	for a := range cols {
+		cols[a] = make([]uint16, 0, capacity)
+	}
+	return part{start: start, cols: cols}
 }
 
 // New creates an empty relation over the given schema.
 func New(sch *schema.Schema) *Relation {
-	cols := make([][]uint16, sch.NumAttrs())
-	return &Relation{sch: sch, cols: cols}
+	return &Relation{sch: sch}
 }
 
 // NewWithCapacity creates an empty relation with storage preallocated for n
-// rows.
+// rows in one part.
 func NewWithCapacity(sch *schema.Schema, n int) *Relation {
 	r := New(sch)
-	for i := range r.cols {
-		r.cols[i] = make([]uint16, 0, n)
+	if n > 0 {
+		r.parts = []part{newPart(sch.NumAttrs(), 0, n)}
 	}
 	return r
 }
@@ -64,11 +89,24 @@ func (r *Relation) Append(tuple []int) error {
 				v, r.sch.Attr(i).Size(), r.sch.Attr(i).Name())
 		}
 	}
-	for i, v := range tuple {
-		r.cols[i] = append(r.cols[i], uint16(v))
+	r.appendValid(tuple)
+	return nil
+}
+
+// appendValid appends a tuple already checked against the schema into the
+// last part, first opening a new part of blockRows rows when the last one
+// is full.
+func (r *Relation) appendValid(tuple []int) {
+	k := len(r.parts) - 1
+	if k < 0 || r.parts[k].len() == cap(r.parts[k].cols[0]) {
+		r.parts = append(r.parts, newPart(len(tuple), r.rows, blockRows))
+		k++
+	}
+	p := &r.parts[k]
+	for a, v := range tuple {
+		p.cols[a] = append(p.cols[a], uint16(v))
 	}
 	r.rows++
-	return nil
 }
 
 // MustAppend is like Append but panics on error. Generators use it for
@@ -79,8 +117,21 @@ func (r *Relation) MustAppend(tuple []int) {
 	}
 }
 
+// partOf returns the part holding row i, found by binary search over the
+// parts' first rows.
+func (r *Relation) partOf(i int) *part {
+	if len(r.parts) == 1 {
+		return &r.parts[0]
+	}
+	k := sort.Search(len(r.parts), func(k int) bool { return r.parts[k].start > i }) - 1
+	return &r.parts[k]
+}
+
 // Value returns the encoded value of attribute attr in row i.
-func (r *Relation) Value(row, attr int) int { return int(r.cols[attr][row]) }
+func (r *Relation) Value(row, attr int) int {
+	p := r.partOf(row)
+	return int(p.cols[attr][row-p.start])
+}
 
 // Row copies row i into dst (allocating when dst is too small) and returns
 // it.
@@ -90,15 +141,40 @@ func (r *Relation) Row(i int, dst []int) []int {
 		dst = make([]int, m)
 	}
 	dst = dst[:m]
-	for a := 0; a < m; a++ {
-		dst[a] = int(r.cols[a][i])
+	p := r.partOf(i)
+	for a, col := range p.cols {
+		dst[a] = int(col[i-p.start])
 	}
 	return dst
 }
 
-// Column returns a read-only view of the encoded values of one attribute.
-// Callers must not modify the returned slice.
-func (r *Relation) Column(attr int) []uint16 { return r.cols[attr] }
+// Column returns the encoded values of one attribute. For a single-part
+// relation it is a view of the column storage, which callers must not
+// modify; for a relation of several parts it is a fresh copy, costing
+// O(rows) — scans that care walk Parts instead.
+func (r *Relation) Column(attr int) []uint16 {
+	if len(r.parts) == 1 {
+		return r.parts[0].cols[attr]
+	}
+	out := make([]uint16, 0, r.rows)
+	for _, p := range r.parts {
+		out = append(out, p.cols[attr]...)
+	}
+	return out
+}
+
+// Parts yields, in row order, the index of each part's first row and the
+// part's columns, one per attribute and all of one length. Callers must
+// not modify the columns.
+func (r *Relation) Parts() iter.Seq2[int, [][]uint16] {
+	return func(yield func(int, [][]uint16) bool) {
+		for _, p := range r.parts {
+			if !yield(p.start, p.cols) {
+				return
+			}
+		}
+	}
+}
 
 // Count returns |σ_π(I)|, the number of rows satisfying the predicate.
 func (r *Relation) Count(pred *query.Predicate) int {
@@ -114,14 +190,16 @@ func (r *Relation) Count(pred *query.Predicate) int {
 	for k, a := range attrs {
 		constraints[k] = pred.Constraint(a)
 	}
-rows:
-	for i := 0; i < r.rows; i++ {
-		for k, a := range attrs {
-			if !constraints[k].Matches(int(r.cols[a][i])) {
-				continue rows
+	for _, p := range r.parts {
+	rows:
+		for i := range p.len() {
+			for k, a := range attrs {
+				if !constraints[k].Matches(int(p.cols[a][i])) {
+					continue rows
+				}
 			}
+			count++
 		}
-		count++
 	}
 	return count
 }
@@ -152,26 +230,27 @@ func (r *Relation) GroupCounts(groupAttrs []int, pred *query.Predicate) map[Grou
 		}
 	}
 	vals := make([]int, len(groupAttrs))
-rows:
-	for i := 0; i < r.rows; i++ {
-		for k, a := range predAttrs {
-			if !constraints[k].Matches(int(r.cols[a][i])) {
-				continue rows
+	for _, p := range r.parts {
+	rows:
+		for i := range p.len() {
+			for k, a := range predAttrs {
+				if !constraints[k].Matches(int(p.cols[a][i])) {
+					continue rows
+				}
 			}
+			for k, a := range groupAttrs {
+				vals[k] = int(p.cols[a][i])
+			}
+			out[MakeGroupKey(vals)]++
 		}
-		for k, a := range groupAttrs {
-			vals[k] = int(r.cols[a][i])
-		}
-		out[MakeGroupKey(vals)]++
 	}
 	return out
 }
 
 // Histogram1D returns the per-value counts of a single attribute.
 func (r *Relation) Histogram1D(attr int) []int {
-	col := r.cols[attr][:r.rows]
-	return r.countBlocks(r.sch.Attr(attr).Size(), func(out []int, lo, hi int) {
-		for _, v := range col[lo:hi] {
+	return r.countBlocks(r.sch.Attr(attr).Size(), func(out []int, cols [][]uint16, lo, hi int) {
+		for _, v := range cols[attr][lo:hi] {
 			out[v]++
 		}
 	})
@@ -183,11 +262,9 @@ func (r *Relation) Histogram1D(attr int) []int {
 func (r *Relation) Histogram2D(a1, a2 int) [][]int {
 	n1 := r.sch.Attr(a1).Size()
 	n2 := r.sch.Attr(a2).Size()
-	c1 := r.cols[a1][:r.rows]
-	c2 := r.cols[a2][:r.rows]
-	flat := r.countBlocks(n1*n2, func(out []int, lo, hi int) {
-		c2 := c2[lo:hi]
-		for i, v1 := range c1[lo:hi] {
+	flat := r.countBlocks(n1*n2, func(out []int, cols [][]uint16, lo, hi int) {
+		c2 := cols[a2][lo:hi]
+		for i, v1 := range cols[a1][lo:hi] {
 			out[int(v1)*n2+int(c2[i])]++
 		}
 	})
@@ -198,26 +275,82 @@ func (r *Relation) Histogram2D(a1, a2 int) [][]int {
 	return out
 }
 
+// CountBoxes returns, index-aligned with boxes, the number of rows inside
+// each box: a conjunction of inclusive ranges aligned with attrs, which
+// names at least one attribute. One scan
+// counts every box. Each value of each attribute maps to the bitset of the
+// boxes whose range on that attribute holds it; a row lies in the boxes
+// left in the AND of its values' bitsets. The scan costs
+// O(rows · len(attrs) · ⌈len(boxes)/64⌉) whatever the boxes, and builds no
+// joint table over the attributes' domains. It is exact for overlapping
+// boxes too, though at most one bit survives when the boxes are pairwise
+// disjoint, as the statistics over one attribute set are.
+func (r *Relation) CountBoxes(attrs []int, boxes [][]query.Range) []int {
+	words := (len(boxes) + 63) / 64
+	masks := make([][]uint64, len(attrs))
+	for k, a := range attrs {
+		n := r.sch.Attr(a).Size()
+		mask := make([]uint64, n*words)
+		for b, box := range boxes {
+			for v := max(box[k].Lo, 0); v <= min(box[k].Hi, n-1); v++ {
+				mask[v*words+b/64] |= 1 << (b % 64)
+			}
+		}
+		masks[k] = mask
+	}
+	return r.countBlocks(len(boxes), func(out []int, cols [][]uint16, lo, hi int) {
+		off := make([]int, len(attrs)) // the row's values' offsets into masks
+		for i := lo; i < hi; i++ {
+			for k, a := range attrs {
+				off[k] = int(cols[a][i]) * words
+			}
+			for j := 0; j < words; j++ {
+				in := masks[0][off[0]+j]
+				for k := 1; in != 0 && k < len(attrs); k++ {
+					in &= masks[k][off[k]+j]
+				}
+				for ; in != 0; in &= in - 1 {
+					out[j*64+bits.TrailingZeros64(in)]++
+				}
+			}
+		}
+	})
+}
+
 // blockRows is the fewest rows a counting block holds: below it, a worker
-// and its private table cost more than the rows they count.
+// and its private table cost more than the rows they count. It is also the
+// capacity of every part an append opens.
 const blockRows = 1 << 16
 
 // countBlocks returns a table of n counts filled by count, which adds rows
-// [lo, hi) of the relation into out. The rows are cut into contiguous
-// blocks of max(blockRows, n) rows, so merging a table costs no more than
-// counting one block, and w = min(GOMAXPROCS, rows/block) workers count
-// them, each into a private table, each claiming the next uncounted block
-// until none is left — a worker whose core is busy elsewhere counts fewer
-// blocks instead of holding the others up. The tables are then summed.
-// Counts are integers, so the result depends neither on w nor on which
-// worker counted which block.
-func (r *Relation) countBlocks(n int, count func(out []int, lo, hi int)) []int {
+// [lo, hi) of one part, whose columns are cols, into out. Each part is cut
+// into contiguous blocks of max(blockRows, n) rows, so merging a table
+// costs no more than counting one block, and w = min(GOMAXPROCS,
+// rows/block) workers count them, each into a private table, each claiming
+// the next uncounted block until none is left — a worker whose core is busy
+// elsewhere counts fewer blocks instead of holding the others up. The
+// tables are then summed. Counts are integers, so the result depends
+// neither on w, nor on which worker counted which block, nor on where the
+// parts begin.
+func (r *Relation) countBlocks(n int, count func(out []int, cols [][]uint16, lo, hi int)) []int {
 	out := make([]int, n)
 	block := max(blockRows, n)
 	w := min(runtime.GOMAXPROCS(0), r.rows/block)
 	if w <= 1 {
-		count(out, 0, r.rows)
+		for _, p := range r.parts {
+			count(out, p.cols, 0, p.len())
+		}
 		return out
+	}
+	type span struct {
+		cols   [][]uint16
+		lo, hi int
+	}
+	spans := make([]span, 0, r.rows/block+len(r.parts))
+	for _, p := range r.parts {
+		for lo := 0; lo < p.len(); lo += block {
+			spans = append(spans, span{p.cols, lo, min(lo+block, p.len())})
+		}
 	}
 	var claimed atomic.Int64
 	tables := make([][]int, w)
@@ -231,11 +364,11 @@ func (r *Relation) countBlocks(n int, count func(out []int, lo, hi int)) []int {
 				tables[k] = make([]int, n)
 			}
 			for {
-				lo := int(claimed.Add(int64(block))) - block
-				if lo >= r.rows {
+				b := int(claimed.Add(1)) - 1
+				if b >= len(spans) {
 					return
 				}
-				count(tables[k], lo, min(lo+block, r.rows))
+				count(tables[k], spans[b].cols, spans[b].lo, spans[b].hi)
 			}
 		}()
 	}
@@ -249,18 +382,30 @@ func (r *Relation) countBlocks(n int, count func(out []int, lo, hi int)) []int {
 }
 
 // Slice returns a read-only view of the contiguous row range [lo, hi):
-// the view shares the column storage of the receiver, so it costs O(m)
-// regardless of the range size. Appending to either relation afterwards is
-// not supported. Refresh deltas, branch forks and frozen views are slices.
+// the view shares the column storage of the receiver, so it costs
+// O(m · parts) regardless of the range size. Each of the view's parts is
+// capped at its length, so an append to the view opens a new part and an
+// append to the receiver writes only past the view's rows: neither moves
+// or overwrites the other's rows. Refresh deltas, branch forks and frozen
+// views are slices.
 func (r *Relation) Slice(lo, hi int) (*Relation, error) {
 	if lo < 0 || hi > r.rows || lo > hi {
 		return nil, fmt.Errorf("relation: slice [%d,%d) out of range [0,%d)", lo, hi, r.rows)
 	}
-	cols := make([][]uint16, len(r.cols))
-	for a, col := range r.cols {
-		cols[a] = col[lo:hi:hi]
+	out := New(r.sch)
+	out.rows = hi - lo
+	for _, p := range r.parts {
+		from, to := max(lo, p.start)-p.start, min(hi, p.start+p.len())-p.start
+		if from >= to {
+			continue
+		}
+		cols := make([][]uint16, len(p.cols))
+		for a, col := range p.cols {
+			cols[a] = col[from:to:to]
+		}
+		out.parts = append(out.parts, part{start: p.start + from - lo, cols: cols})
 	}
-	return &Relation{sch: r.sch, cols: cols, rows: hi - lo}, nil
+	return out, nil
 }
 
 // Select returns a new relation containing the rows with the given indexes

@@ -75,14 +75,16 @@ func (s *Sample) Count(pred *query.Predicate) float64 {
 		}
 	}
 	total := 0.0
-rows:
-	for i := 0; i < s.rel.NumRows(); i++ {
-		for k, a := range attrs {
-			if !cons[k].Matches(s.rel.Value(i, a)) {
-				continue rows
+	for start, cols := range s.rel.Parts() {
+	rows:
+		for i := range cols[0] {
+			for k, a := range attrs {
+				if !cons[k].Matches(int(cols[a][i])) {
+					continue rows
+				}
 			}
+			total += s.weights[start+i]
 		}
-		total += s.weights[i]
 	}
 	return total
 }
@@ -110,17 +112,19 @@ func (s *Sample) GroupBy(groupAttrs []int, pred *query.Predicate) []core.GroupEs
 	}
 	acc := make(map[relation.GroupKey]float64)
 	vals := make([]int, len(groupAttrs))
-rows:
-	for i := 0; i < s.rel.NumRows(); i++ {
-		for k, a := range attrs {
-			if !cons[k].Matches(s.rel.Value(i, a)) {
-				continue rows
+	for start, cols := range s.rel.Parts() {
+	rows:
+		for i := range cols[0] {
+			for k, a := range attrs {
+				if !cons[k].Matches(int(cols[a][i])) {
+					continue rows
+				}
 			}
+			for k, a := range groupAttrs {
+				vals[k] = int(cols[a][i])
+			}
+			acc[relation.MakeGroupKey(vals)] += s.weights[start+i]
 		}
-		for k, a := range groupAttrs {
-			vals[k] = s.rel.Value(i, a)
-		}
-		acc[relation.MakeGroupKey(vals)] += s.weights[i]
 	}
 	out := make([]core.GroupEstimate, 0, len(acc))
 	for key, est := range acc {
@@ -181,12 +185,14 @@ func Stratified(rel *relation.Relation, strataAttrs []int, rate float64, minPerS
 	// Bucket row indexes per stratum.
 	strata := make(map[relation.GroupKey][]int)
 	vals := make([]int, len(strataAttrs))
-	for i := 0; i < rel.NumRows(); i++ {
-		for k, a := range strataAttrs {
-			vals[k] = rel.Value(i, a)
+	for start, cols := range rel.Parts() {
+		for i := range cols[0] {
+			for k, a := range strataAttrs {
+				vals[k] = int(cols[a][i])
+			}
+			key := relation.MakeGroupKey(vals)
+			strata[key] = append(strata[key], start+i)
 		}
-		key := relation.MakeGroupKey(vals)
-		strata[key] = append(strata[key], i)
 	}
 	// Deterministic stratum order for reproducibility.
 	keys := make([]relation.GroupKey, 0, len(strata))

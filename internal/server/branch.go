@@ -36,7 +36,7 @@ type BranchResponse struct {
 // storage up to the fork point — the restored fork summary is served
 // as-is (bit-identical answers, no re-solve) and the branch relation is a
 // zero-copy capacity-capped view of the parent's first N-version rows, so
-// divergent appends on either side reallocate instead of overwriting
+// divergent appends on either side open new parts instead of overwriting
 // shared columns. The fork summary is saved as the branch's snapshot v1
 // with its lineage recorded beside it (store.SetParent), which also
 // implicitly pins the parent's fork-point version against pruning.

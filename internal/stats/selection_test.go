@@ -208,3 +208,24 @@ func BenchmarkSelectMulti(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkApplyDelta measures the statistics half of a refresh at the
+// repository benchmark's shape: a 5,000-row flights-shaped delta folded
+// into the 1D families and the 2 × 300 COMPOSITE statistics chosen over
+// 1M rows.
+func BenchmarkApplyDelta(b *testing.B) {
+	rel := flightsShaped(1_000_000, 1)
+	set := NewSet(rel)
+	if _, err := SelectMulti(rel, set, 2, 300, ByCorrelation, Composite); err != nil {
+		b.Fatal(err)
+	}
+	delta := flightsShaped(5000, 2)
+	b.Run("flights", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := set.ApplyDelta(delta); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -27,16 +27,6 @@ type Statistic struct {
 	Count float64
 }
 
-// Predicate converts the statistic's structural part into a query predicate
-// over a relation with numAttrs attributes.
-func (s Statistic) Predicate(numAttrs int) *query.Predicate {
-	p := query.NewPredicate(numAttrs)
-	for k, a := range s.Attrs {
-		p.Where(a, query.ValueIn(s.Ranges[k]))
-	}
-	return p
-}
-
 // Spec converts a multi-dimensional statistic to its polynomial
 // specification.
 func (s Statistic) Spec() polynomial.MultiStatSpec {
@@ -101,13 +91,36 @@ func (s *Set) Clone() *Set {
 		c.OneD[a] = append([]float64(nil), col...)
 	}
 	for j, st := range s.Multi {
-		c.Multi[j] = Statistic{
-			Attrs:  append([]int(nil), st.Attrs...),
-			Ranges: append([]query.Range(nil), st.Ranges...),
-			Count:  st.Count,
-		}
+		c.Multi[j] = st.withCount(st.Count)
 	}
 	return c
+}
+
+// withCount returns a deep copy of the statistic's structure observing
+// count.
+func (s Statistic) withCount(count float64) Statistic {
+	return Statistic{
+		Attrs:  append([]int(nil), s.Attrs...),
+		Ranges: append([]query.Range(nil), s.Ranges...),
+		Count:  count,
+	}
+}
+
+// Recount returns a set with the receiver's structure — the same 1D
+// families and multi-dimensional statistics — observed over rel: N, every
+// 1D count and every multi-dimensional count come from rel alone. It
+// costs the 1D histograms plus one scan of rel per attribute set of the
+// multi-dimensional statistics.
+func (s *Set) Recount(rel *relation.Relation) (*Set, error) {
+	if err := s.checkDomains(rel); err != nil {
+		return nil, err
+	}
+	out := NewSet(rel)
+	out.Multi = make([]Statistic, len(s.Multi))
+	for j, c := range s.multiCounts(rel) {
+		out.Multi[j] = s.Multi[j].withCount(float64(c))
+	}
+	return out, nil
 }
 
 // ApplyDelta folds a batch of appended tuples into the counts: N, every
@@ -115,29 +128,70 @@ func (s *Set) Clone() *Set {
 // statistics. The structural part of the set (which statistics exist, and
 // over which ranges) is unchanged — that is what makes the incremental
 // update sound: the statistics stay the complete families of Sec. 3.1 over
-// the grown relation, just with refreshed observations. Cost is
-// O(delta rows · (attrs + multi statistics)) — no rescan of the base data.
+// the grown relation, just with refreshed observations. The
+// multi-dimensional statistics are counted in one scan of the delta per
+// attribute set, so the cost is
+// O(delta rows · (attrs + attribute sets · ⌈statistics per set/64⌉)) — no
+// rescan of the base data, and no scan per statistic.
 func (s *Set) ApplyDelta(delta *relation.Relation) error {
-	sizes := delta.Schema().DomainSizes()
-	if len(sizes) != len(s.DomainSizes) {
-		return fmt.Errorf("stats: delta has %d attributes, set has %d", len(sizes), len(s.DomainSizes))
-	}
-	for a, n := range sizes {
-		if n != s.DomainSizes[a] {
-			return fmt.Errorf("stats: delta domain size %d for attribute %d, set has %d", n, a, s.DomainSizes[a])
-		}
+	if err := s.checkDomains(delta); err != nil {
+		return err
 	}
 	for a := range s.OneD {
 		for v, c := range delta.Histogram1D(a) {
 			s.OneD[a][v] += float64(c)
 		}
 	}
-	for j := range s.Multi {
-		st := &s.Multi[j]
-		st.Count += float64(delta.Count(st.Predicate(len(sizes))))
+	for j, c := range s.multiCounts(delta) {
+		s.Multi[j].Count += float64(c)
 	}
 	s.N += delta.NumRows()
 	return nil
+}
+
+// checkDomains refuses a relation whose domain sizes differ from the
+// set's.
+func (s *Set) checkDomains(rel *relation.Relation) error {
+	sizes := rel.Schema().DomainSizes()
+	if len(sizes) != len(s.DomainSizes) {
+		return fmt.Errorf("stats: relation has %d attributes, set has %d", len(sizes), len(s.DomainSizes))
+	}
+	for a, n := range sizes {
+		if n != s.DomainSizes[a] {
+			return fmt.Errorf("stats: relation domain size %d for attribute %d, set has %d", n, a, s.DomainSizes[a])
+		}
+	}
+	return nil
+}
+
+// multiCounts returns the number of rows of rel inside each
+// multi-dimensional statistic, index-aligned with Multi. The statistics
+// are grouped by attribute set, and each group is counted by one
+// relation.CountBoxes scan: AddMulti keeps a group pairwise disjoint, so a
+// row lands in at most one of its statistics.
+func (s *Set) multiCounts(rel *relation.Relation) []int {
+	counts := make([]int, len(s.Multi))
+	var groups [][]int // indexes into Multi, one slice per attribute set
+next:
+	for j, st := range s.Multi {
+		for g, members := range groups {
+			if sameAttrs(s.Multi[members[0]].Attrs, st.Attrs) {
+				groups[g] = append(members, j)
+				continue next
+			}
+		}
+		groups = append(groups, []int{j})
+	}
+	for _, members := range groups {
+		boxes := make([][]query.Range, len(members))
+		for b, j := range members {
+			boxes[b] = s.Multi[j].Ranges
+		}
+		for b, c := range rel.CountBoxes(s.Multi[members[0]].Attrs, boxes) {
+			counts[members[b]] = c
+		}
+	}
+	return counts
 }
 
 // AddMulti appends multi-dimensional statistics, verifying that statistics

@@ -7,13 +7,15 @@
 // Two regimes, picked by the drift fraction (delta rows / new total):
 //
 //   - Small deltas: the statistic counts are updated incrementally from
-//     the delta alone (stats.Set.ApplyDelta — no rescan of the base data)
-//     and the MaxEnt solve is warm-started from the previous solution
-//     (solver.Options.Init). At the repository benchmark's shape this saves
-//     no sweeps: neither start meets the tolerance within the budget, so
-//     the warm and the cold solve both run all 30.
+//     the delta alone (stats.Set.ApplyDelta — no rescan of the base data,
+//     one scan of the delta per attribute set of the multi-dimensional
+//     statistics) and the MaxEnt solve is warm-started from the previous
+//     solution (solver.Options.Init). At the repository benchmark's shape
+//     this saves no sweeps: neither start meets the tolerance within the
+//     budget, so the warm and the cold solve both run all 30.
 //   - Large deltas: the statistics are recounted from the full relation
-//     and the solve restarts cold. The statistic *structure* (which 1D
+//     (stats.Set.Recount, the same one scan per attribute set) and the
+//     solve restarts cold. The statistic *structure* (which 1D
 //     families and 2D buckets exist) is kept from the original build in
 //     both regimes, so refreshed summaries stay comparable across
 //     versions; re-running bucket selection is a full Build, not a
@@ -26,7 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/polynomial"
-	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/solver"
 	"repro/internal/stats"
@@ -106,7 +107,7 @@ func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (
 		err error
 	)
 	if info.Rebuilt {
-		set, err = s.recountStats(full)
+		set, err = s.set.Recount(full)
 	} else {
 		set = s.set.Clone()
 		err = set.ApplyDelta(delta)
@@ -148,23 +149,4 @@ func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (
 		p:           p,
 		maxCombos:   s.maxCombos,
 	}, info, nil
-}
-
-// recountStats recomputes the statistic counts from the full relation
-// while keeping the structure (1D families and multi-dimensional buckets)
-// of the summary's original set.
-func (s *Summary) recountStats(full *relation.Relation) (*stats.Set, error) {
-	set := stats.NewSet(full)
-	recounted := make([]stats.Statistic, len(s.set.Multi))
-	for j, st := range s.set.Multi {
-		recounted[j] = stats.Statistic{
-			Attrs:  append([]int(nil), st.Attrs...),
-			Ranges: append([]query.Range(nil), st.Ranges...),
-			Count:  float64(full.Count(st.Predicate(full.NumAttrs()))),
-		}
-	}
-	if err := set.AddMulti(recounted...); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

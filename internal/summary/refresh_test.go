@@ -3,6 +3,7 @@ package summary
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/query"
@@ -240,5 +241,47 @@ func TestRefreshValidation(t *testing.T) {
 	}
 	if _, _, err := sum.Refresh(full, delta, RefreshOptions{Solver: solver.Options{N: 1}}); err == nil {
 		t.Fatal("Refresh accepted a pre-set solver N")
+	}
+}
+
+// TestRefreshRebuildRecountsExactly holds the rebuild path's statistics
+// to NewSet over the grown relation plus one Count scan per
+// multi-dimensional statistic: bit-identical, over a relation whose rows
+// span several parts.
+func TestRefreshRebuildRecountsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	sch := refreshTestSchema()
+	mut := relation.NewMutable(relation.New(sch))
+	drawCorrelated(mut, 60000, rng)
+	base, _ := mut.Freeze()
+	sum, err := Build(base, Options{PairBudget: 3, PerPairBudget: 6, Heuristic: stats.Composite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drawCorrelated(mut, 10000, rng)
+	full, _ := mut.Freeze()
+	delta, err := full.Slice(base.NumRows(), full.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, info, err := sum.Refresh(full, delta, RefreshOptions{ForceRebuild: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Rebuilt {
+		t.Fatal("ForceRebuild took the incremental path")
+	}
+	want := stats.NewSet(full)
+	for _, st := range sum.Stats().Multi {
+		st.Count = float64(full.Count(statPredicate(st, sch.NumAttrs())))
+		if err := want.AddMulti(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(want.Multi) == 0 {
+		t.Fatal("the build chose no multi-dimensional statistics")
+	}
+	if !reflect.DeepEqual(rebuilt.Stats(), want) {
+		t.Fatal("rebuilt statistics differ from NewSet plus per-statistic counts")
 	}
 }

@@ -84,7 +84,7 @@ func TestBuildMatchesConstraintStatistics(t *testing.T) {
 		}
 		// Every multi-dimensional statistic, via its own predicate.
 		for _, st := range set.Multi {
-			q := st.Predicate(rel.NumAttrs())
+			q := statPredicate(st, rel.NumAttrs())
 			got, err := s.EstimateCount(q)
 			if err != nil {
 				t.Fatal(err)
@@ -94,6 +94,16 @@ func TestBuildMatchesConstraintStatistics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// statPredicate is the query predicate a statistic counts: its ranges on
+// its attributes, over a relation of numAttrs attributes.
+func statPredicate(st stats.Statistic, numAttrs int) *query.Predicate {
+	p := query.NewPredicate(numAttrs)
+	for k, a := range st.Attrs {
+		p.Where(a, query.ValueIn(st.Ranges[k]))
+	}
+	return p
 }
 
 // TestEstimateCountBasics pins the trivial cases.
