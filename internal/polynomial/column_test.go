@@ -58,17 +58,64 @@ func checkDerivColumn(t *testing.T, what string, sys *System, nv *Naive, attr in
 	}
 }
 
+// sharedRangeInstance is a polynomial whose range groups on attribute 0
+// include one range, [1,2], in three attribute sets — {0,1}, {0,2} and, for
+// the couple of the first two statistics, {0,1,2} — and a one-value range,
+// [3,3], whose α is pinned at 0, so that group's factor is exactly zero.
+func sharedRangeInstance(t *testing.T, rng *rand.Rand) ([]int, []MultiStatSpec, *System) {
+	t.Helper()
+	sizes := []int{4, 3, 5}
+	specs := []MultiStatSpec{
+		{Attrs: []int{0, 1}, Ranges: []query.Range{query.NewRange(1, 2), query.NewRange(0, 1)}},
+		{Attrs: []int{0, 2}, Ranges: []query.Range{query.NewRange(1, 2), query.NewRange(2, 4)}},
+		{Attrs: []int{0, 1}, Ranges: []query.Range{query.Point(3), query.Point(2)}},
+	}
+	comp, err := NewCompressed(sizes, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(comp)
+	for _, ref := range sys.Variables() {
+		sys.Set(ref, 0.1+2*rng.Float64())
+	}
+	sys.SetOneD(0, 3, 0)
+	sys.Recompute()
+	sets := map[span]int{}
+	zero := false
+	for _, g := range comp.groups[0] {
+		if comp.attrSets[g.set]&1 != 0 {
+			sets[g.span]++
+		}
+		zero = zero || sys.fac[int(g.first)*len(sizes)] == 0 && g.lo == g.hi
+	}
+	if sets[span{1, 2}] != 3 || !zero {
+		t.Fatalf("attribute 0 has range [1,2] in %d attribute sets and a zero one-value group %t, want 3 and true", sets[span{1, 2}], zero)
+	}
+	return sizes, specs, sys
+}
+
 // TestDerivColumnMatchesPerValue is the randomized kernel equivalence test:
 // across instances, attributes and predicate shapes — none, Any / InRange /
 // InSet on other attributes, and every constraint shape on the column
 // attribute itself (point, range, unsorted-duplicate set, empty and
 // out-of-domain) — one column pass equals the per-value derivatives. Every
 // other instance carries exactly-zero α values and zero (δ−1) factors, which
-// drive the zeros bookkeeping of the term caches.
+// drive the zeros bookkeeping of the term caches. The 150 random instances
+// are followed by 30 of sharedRangeInstance, drawn from their own source:
+// range groups of one range in several attribute sets, and a group whose
+// factor is zero.
 func TestDerivColumnMatchesPerValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 150; trial++ {
-		sizes, specs, sys := randomInstance(rng)
+	shared := rand.New(rand.NewSource(102))
+	for trial := 0; trial < 180; trial++ {
+		var sizes []int
+		var specs []MultiStatSpec
+		var sys *System
+		if trial < 150 {
+			sizes, specs, sys = randomInstance(rng)
+		} else {
+			sizes, specs, sys = sharedRangeInstance(t, shared)
+		}
 		if trial%2 == 1 {
 			for _, ref := range sys.Variables() {
 				switch {

@@ -269,4 +269,47 @@ func checkMatchesOracle(t *testing.T, what string, got, want *Compressed) {
 			t.Fatalf("%s: %s differs from the oracle's", what, f.name)
 		}
 	}
+	checkRangeGroups(t, what, got)
+}
+
+// checkRangeGroups holds the range groups to their definition: on every
+// attribute, each term's group has the term's attribute set and range, and
+// its first term is the group's lowest one; two groups never share both;
+// and a set that does not constrain the attribute is one group over the
+// whole domain.
+func checkRangeGroups(t *testing.T, what string, c *Compressed) {
+	t.Helper()
+	m := len(c.sizes)
+	for a, n := range c.sizes {
+		type key struct {
+			set int32
+			r   span
+		}
+		seen := map[key]int32{}
+		lowest := make([]int32, len(c.groups[a]))
+		for g := range lowest {
+			lowest[g] = -1
+		}
+		for i, g := range c.termGroup[a] {
+			gr := c.groups[a][g]
+			if gr.set != c.termSet[i] || gr.span != c.ranges[i*m+a] {
+				t.Fatalf("%s: attribute %d term %d (set %d, range %v) is in group %d (set %d, range %v)", what, a, i, c.termSet[i], c.ranges[i*m+a], g, gr.set, gr.span)
+			}
+			if lowest[g] < 0 {
+				lowest[g] = int32(i)
+			}
+			seen[key{gr.set, gr.span}] = g
+		}
+		for g, gr := range c.groups[a] {
+			if lowest[g] != gr.first {
+				t.Fatalf("%s: attribute %d group %d has first term %d, lowest member %d", what, a, g, gr.first, lowest[g])
+			}
+			if seen[key{gr.set, gr.span}] != int32(g) {
+				t.Fatalf("%s: attribute %d groups %d and %d share set %d and range %v", what, a, g, seen[key{gr.set, gr.span}], gr.set, gr.span)
+			}
+			if c.attrSets[gr.set]&(1<<uint(a)) == 0 && gr.span != (span{0, int32(n - 1)}) {
+				t.Fatalf("%s: attribute %d group %d of a set not constraining it has range %v", what, a, g, gr.span)
+			}
+		}
+	}
 }

@@ -155,6 +155,23 @@ type Compressed struct {
 	// the rescaled part from one partial sum per set.
 	attrSets []uint64
 	termSet  []int32
+	// termGroup[a][i] is term i's range group on attribute a, and
+	// groups[a][g] describes group g: the terms of one attribute set whose
+	// effective range on a is the same. The terms of a group share their
+	// a-factor, so a column read of a sums the group's all-but-a products
+	// once and spreads that sum over the group's range once, and a column
+	// write computes the group's new factor once. A set that does not
+	// constrain a is one group with the full domain.
+	termGroup [][]int32
+	groups    [][]rangeGroup
+}
+
+// rangeGroup is one range group of an attribute: its attribute set (an
+// index into attrSets), its effective range on the attribute, and its
+// first term, whose cached factor every member shares.
+type rangeGroup struct {
+	span
+	set, first int32
 }
 
 // maxAttrs is the widest schema a polynomial covers: a term's attribute set
@@ -463,6 +480,89 @@ func (c *Compressed) index() {
 		for _, j := range c.stats[i] {
 			c.statTerms[j] = append(c.statTerms[j], int32(i))
 		}
+	}
+	c.rangeGroups()
+}
+
+// rangeGroups numbers the range groups of every attribute
+// (Compressed.groups): first one group per attribute set that does not
+// constrain the attribute, in order of first appearance, then the
+// constrained (set, range) pairs in the order of starts — by the value the
+// range begins at, then by first term. Within one begin value, a group is
+// found by the end of its range and then its set, from a chain of the
+// groups ending there, so no term costs more than the sets that share its
+// range. An attribute no term constrains has one group per set, numbered
+// like the sets, so its term→group table is termSet itself; the others'
+// are carved from one slab.
+func (c *Compressed) rangeGroups() {
+	m, terms := len(c.sizes), len(c.stats)
+	constrained := 0
+	for a := range c.sizes {
+		if len(c.starts[a]) > 0 {
+			constrained++
+		}
+	}
+	slab := make([]int32, terms*constrained)
+	c.termGroup = make([][]int32, m)
+	c.groups = make([][]rangeGroup, m)
+	loose := make([]int32, len(c.attrSets))
+	// For an end value hi: seenAt[hi] is 1 + the begin value whose terms last
+	// ended there, and head[hi] the last group so found; chain[g] is the
+	// group found there before g.
+	seenAt := make([]int32, slices.Max(c.sizes))
+	head := make([]int32, len(seenAt))
+	var all []rangeGroup
+	var chain []int32
+	ends := make([]int, m)
+	for a, n := range c.sizes {
+		first, tg, own := len(all), c.termSet, len(c.starts[a]) > 0
+		if own {
+			tg, slab = slab[:terms:terms], slab[terms:]
+		}
+		c.termGroup[a] = tg
+		for k := range loose {
+			loose[k] = -1
+		}
+		chain = chain[:0]
+		for _, t := range c.loose[a] {
+			set := c.termSet[t]
+			if loose[set] < 0 {
+				loose[set] = int32(len(all) - first)
+				all = append(all, rangeGroup{span{0, int32(n - 1)}, set, t})
+				chain = append(chain, -1)
+			}
+			if own {
+				tg[t] = loose[set]
+			}
+		}
+		clear(seenAt)
+		for lo := range n {
+			for _, t := range c.starts[a][c.startOff[a][lo]:c.startOff[a][lo+1]] {
+				set, r := c.termSet[t], c.ranges[int(t)*m+a]
+				g := int32(-1)
+				if seenAt[r.hi] == int32(lo+1) {
+					for h := head[r.hi]; h >= 0 && g < 0; h = chain[h] {
+						if all[first+int(h)].set == set {
+							g = h
+						}
+					}
+				} else {
+					seenAt[r.hi], head[r.hi] = int32(lo+1), -1
+				}
+				if g < 0 {
+					g = int32(len(all) - first)
+					all = append(all, rangeGroup{r, set, t})
+					chain = append(chain, head[r.hi])
+					head[r.hi] = g
+				}
+				tg[t] = g
+			}
+		}
+		ends[a] = len(all)
+	}
+	start := 0
+	for a, end := range ends {
+		c.groups[a], start = all[start:end:end], end
 	}
 }
 

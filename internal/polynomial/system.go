@@ -89,10 +89,16 @@ type partialSums struct {
 // split by attribute set. For a set k that contains a, col[k][v] sums the
 // all-but-a products of the set's terms whose range on a holds v; for a set
 // that does not, every value receives the same loose[k] = Σ all-but-a
-// products and col[k] is nil. Memory: Σ_{k ∋ a} N_a floats.
+// products and col[k] is nil. sum[g] is range group g's share
+// (Compressed.groups): the all-but-a products of its terms, so that
+// P = Σ_g f_g·sum[g] with f_g the group's a-factor. work is per-group
+// scratch for the build and for SetOneDColumn. Memory: Σ_{k ∋ a} N_a floats
+// plus two per group.
 type setColumns struct {
 	col   [][]float64
 	loose []float64
+	sum   []float64
+	work  []float64
 }
 
 // publish installs v unless another reader got there first and returns the
@@ -209,7 +215,11 @@ func (s *System) SetOneD(attr, value int, x float64) {
 }
 
 // SetMulti assigns δ_stat, incrementally maintaining the cached term
-// factors and the polynomial total.
+// factors and the polynomial total. The statistic's terms share its
+// (δ_stat − 1) factor, so their cached products are multiplied by the ratio
+// of the new factor to the old one, and P moves by the statistic's
+// derivative times the change — unless a factor is zero or the ratio is not
+// representable, when each term's factor is swapped on its own.
 func (s *System) SetMulti(stat int, x float64) {
 	old := s.delta[stat]
 	if x == old {
@@ -217,45 +227,90 @@ func (s *System) SetMulti(stat int, x float64) {
 	}
 	s.delta[stat] = x
 	s.dropSums()
-	for _, ti := range s.poly.statTerms[stat] {
-		s.replaceFactor(int(ti), old-1, x-1)
+	of, nf := old-1, x-1
+	terms := s.poly.statTerms[stat]
+	if r := nf / of; of != 0 && nf != 0 && r != 0 && isFinite(r) {
+		sum := 0.0
+		for _, ti := range terms {
+			if s.zeros[ti] == 0 {
+				sum += s.nz[ti]
+			}
+			s.nz[ti] *= r
+		}
+		s.total += (x - old) * (sum / of)
+	} else {
+		for _, ti := range terms {
+			var d float64
+			s.nz[ti], s.zeros[ti], d = swapFactor(s.nz[ti], s.zeros[ti], of, nf)
+			s.total += d
+		}
 	}
 	s.noteUpdate()
 }
 
 // SetOneDColumn assigns every α_{attr,·} at once (len(vals) must be N_attr):
-// one pass over the terms rewrites each term's attribute-attr factor from
-// the new prefix sums, the factor the full rebuild computes, where N_attr
-// SetOneD calls would visit the terms not constraining attr once per value.
-// It is the solver's write-back of one attribute block.
+// the solver's write-back of one attribute block. The terms of one range
+// group (Compressed.groups) share their attribute-attr factor, so the new
+// factor and its ratio to the old one are computed once per group, and one
+// pass over the terms multiplies each term's cached product by its group's
+// ratio. P is not carried through that pass: it is Σ_g f'_g·sum[g] over the
+// groups, from the group sums of the attribute's column (setColumns) — which
+// the solver's read of the column just built, and which are built here
+// otherwise.
 func (s *System) SetOneDColumn(attr int, vals []float64) {
 	if len(vals) != len(s.alpha[attr]) {
 		panic(fmt.Sprintf("polynomial: SetOneDColumn(%d) given %d values, domain has %d", attr, len(vals), len(s.alpha[attr])))
 	}
+	c := s.setColumns(attr)
+	s.dropSums()
 	copy(s.alpha[attr], vals)
 	s.dirty[attr] = true
 	s.refresh(attr)
-	s.dropSums()
-	pre, m, p := s.prefix[attr], len(s.alpha), s.total
-	for i := range s.nz {
-		k := i*m + attr
-		r := s.poly.ranges[k]
-		if nf, old := pre[r.hi+1]-pre[r.lo], s.fac[k]; nf != old {
-			s.fac[k] = nf
-			p, s.nz[i], s.zeros[i] = swapFactor(p, s.nz[i], s.zeros[i], old, nf)
+	pre, m := s.prefix[attr], len(s.alpha)
+	// Per group: the new factor replaces its sum in c.sum, and c.work holds
+	// the ratio to the old factor — 1 when the factor is unchanged, 0 when a
+	// zero factor or an unrepresentable ratio needs swapFactor.
+	total := 0.0
+	for g, gr := range s.poly.groups[attr] {
+		nf, old := pre[gr.hi+1]-pre[gr.lo], s.fac[int(gr.first)*m+attr]
+		total += nf * c.sum[g]
+		r := 1.0
+		if nf != old {
+			if r = nf / old; old == 0 || nf == 0 || r == 0 || r == 1 || !isFinite(r) {
+				r = 0
+			}
 		}
+		c.sum[g], c.work[g] = nf, r
 	}
-	s.total = p
+	tg := s.poly.termGroup[attr]
+	nz, zeros, fac, ratio, facs := s.nz[:len(tg)], s.zeros[:len(tg)], s.fac, c.work, c.sum
+	for i, g := range tg {
+		r := ratio[g]
+		if r == 1 {
+			continue
+		}
+		k, nf := i*m+attr, facs[g]
+		if r != 0 {
+			nz[i] *= r
+		} else {
+			nz[i], zeros[i], _ = swapFactor(nz[i], zeros[i], fac[k], nf)
+		}
+		fac[k] = nf
+	}
+	s.total = total
 	s.noteUpdate()
 }
 
-// shiftFactor adds dx to term i's attribute-attr range-sum factor.
+// shiftFactor adds dx to term i's attribute-attr range-sum factor,
+// updating nz/zeros and the running total.
 func (s *System) shiftFactor(i, attr int, dx float64) {
 	k := i*len(s.alpha) + attr
 	old := s.fac[k]
 	nf := old + dx
 	s.fac[k] = nf
-	s.replaceFactor(i, old, nf)
+	var d float64
+	s.nz[i], s.zeros[i], d = swapFactor(s.nz[i], s.zeros[i], old, nf)
+	s.total += d
 }
 
 // dropSums discards the partial sums after a write to the term caches,
@@ -269,19 +324,13 @@ func (s *System) dropSums() {
 	}
 }
 
-// replaceFactor swaps one factor of term i from value old to value nf,
-// updating nz/zeros and the running total.
-func (s *System) replaceFactor(i int, old, nf float64) {
-	s.total, s.nz[i], s.zeros[i] = swapFactor(s.total, s.nz[i], s.zeros[i], old, nf)
-}
-
 // swapFactor swaps one factor of a term — nz its product of non-zero
-// factors, zeros its count of zero factors — from value old to value nf and
-// moves the running total p by the change in the term's value. It returns
-// the updated p, nz and zeros.
-func swapFactor(p, nz float64, zeros int, old, nf float64) (float64, float64, int) {
+// factors, zeros its count of zero factors — from value old to value nf. It
+// returns the updated nz and zeros and the change in the term's value.
+func swapFactor(nz float64, zeros int, old, nf float64) (float64, int, float64) {
+	was := 0.0
 	if zeros == 0 {
-		p -= nz
+		was = nz
 	}
 	if old == 0 {
 		zeros--
@@ -294,9 +343,9 @@ func swapFactor(p, nz float64, zeros int, old, nf float64) (float64, float64, in
 		nz *= nf
 	}
 	if zeros == 0 {
-		p += nz
+		return nz, zeros, nz - was
 	}
-	return p, nz, zeros
+	return nz, zeros, -was
 }
 
 // noteUpdate counts one variable update and triggers a full cache rebuild
@@ -812,7 +861,7 @@ func (s *System) candidates(sc *evalScratch, skip int) []int32 {
 
 // maskedFactorSwap replaces, in the running (value, zero-count) product
 // state of term i, each constrained attribute's cached factor with its
-// masked counterpart — the term-local analogue of replaceFactor, without
+// masked counterpart — the term-local analogue of swapFactor, without
 // writing the caches. The factor of attribute skip (pass -1 for none) is
 // left untouched; derivative paths use it for the differentiated
 // attribute, whose factor they remove separately.
@@ -926,14 +975,25 @@ func (s *System) derivOneDCached(attr, value int) float64 {
 }
 
 // derivMultiCached computes ∂P/∂δ_stat from the cached factors: the terms
-// containing the statistic each carry a (δ_stat − 1) factor.
+// containing the statistic each carry the same (δ_stat − 1) factor f, so the
+// derivative is the sum of their products divided by f once — or, when f is
+// zero, the sum of the products whose only zero factor is f.
 func (s *System) derivMultiCached(stat int) float64 {
 	f := s.delta[stat] - 1
-	total := 0.0
+	nonzero, onlyF := 0.0, 0.0
+	nz, zeros := s.nz, s.zeros
 	for _, ti := range s.poly.statTerms[stat] {
-		total += s.exceptFactor(int(ti), f)
+		switch zeros[ti] {
+		case 0:
+			nonzero += nz[ti]
+		case 1:
+			onlyF += nz[ti]
+		}
 	}
-	return total
+	if f == 0 {
+		return onlyF
+	}
+	return nonzero / f
 }
 
 // maskScale prepares a masked pass: over the constrained attributes except
@@ -1062,14 +1122,19 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 
 // setColumns returns the attribute's unmasked derivative column split by
 // attribute set, building and publishing it on the first column read of the
-// attribute after a write: one pass over the terms, the cost of the
-// unmasked column itself, into the spare buffers when a write left some.
+// attribute after a write, into the spare buffers when a write left some.
+// The build is one pass over the terms that adds each term's cached product
+// to its range group's sum (Compressed.groups) — one addition per term —
+// then one division by the group's factor and one spread of the group's sum
+// over its range per group. A zero factor is no exception: the group's
+// share is then the sum of the products whose only zero factor it is.
 func (s *System) setColumns(attr int) *setColumns {
 	ps := s.partials()
 	if c := ps.cols[attr].Load(); c != nil {
 		return c
 	}
 	p := s.poly
+	groups := p.groups[attr]
 	c := ps.spare[attr].Swap(nil)
 	if c != nil {
 		for _, col := range c.col {
@@ -1077,7 +1142,12 @@ func (s *System) setColumns(attr int) *setColumns {
 		}
 		clear(c.loose)
 	} else {
-		c = &setColumns{col: make([][]float64, len(p.attrSets)), loose: make([]float64, len(p.attrSets))}
+		c = &setColumns{
+			col:   make([][]float64, len(p.attrSets)),
+			loose: make([]float64, len(p.attrSets)),
+			sum:   make([]float64, len(groups)),
+			work:  make([]float64, len(groups)),
+		}
 		aBit := uint64(1) << uint(attr)
 		for k, bits := range p.attrSets {
 			if bits&aBit != 0 {
@@ -1085,16 +1155,32 @@ func (s *System) setColumns(attr int) *setColumns {
 			}
 		}
 	}
+	nonzero, onlyF := c.sum, c.work
+	clear(nonzero)
+	clear(onlyF)
+	tg := p.termGroup[attr]
+	nz, zeros := s.nz[:len(tg)], s.zeros[:len(tg)]
+	for i, g := range tg {
+		switch zeros[i] {
+		case 0:
+			nonzero[g] += nz[i]
+		case 1:
+			onlyF[g] += nz[i]
+		}
+	}
 	m := len(s.alpha)
-	for i, k := range p.termSet {
-		x := s.exceptFactor(i, s.fac[i*m+attr])
-		col := c.col[k]
+	for g, gr := range groups {
+		x := onlyF[g]
+		if f := s.fac[int(gr.first)*m+attr]; f != 0 {
+			x = nonzero[g] / f
+		}
+		c.sum[g] = x
+		col := c.col[gr.set]
 		if col == nil {
-			c.loose[k] += x
+			c.loose[gr.set] += x
 			continue
 		}
-		r := p.ranges[i*m+attr]
-		for v := r.lo; v <= r.hi; v++ {
+		for v := gr.lo; v <= gr.hi; v++ {
 			col[v] += x
 		}
 	}

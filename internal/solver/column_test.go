@@ -15,10 +15,14 @@ import (
 
 // randomInstance draws a small solve whose targets count real tuples (so
 // they are feasible): 2–4 attributes of 2–9 values, one or two attribute
-// pairs carrying disjoint 2D rectangles, a correlated tuple stream, and the
-// last value of attribute 0 never drawn, so at least one 1D variable is
-// pinned at 0 inside a block that is still solved. The constraints come
-// back shuffled, so the solver's block grouping is exercised too.
+// pairs carrying 2D rectangles, a correlated tuple stream, and the last
+// value of attribute 0 never drawn, so at least one 1D variable is pinned at
+// 0 inside a block that is still solved. A pair's rectangles are one or two
+// values wide on its first attribute and start one to three values apart, so
+// some of them overlap — which a stats.Set would refuse, but the polynomial
+// allows — and in other instances all of a pair's are disjoint. The
+// constraints come back shuffled, so the solver's block grouping is
+// exercised too.
 func randomInstance(rng *rand.Rand) (*polynomial.Compressed, []solver.Constraint, float64) {
 	m := 2 + rng.Intn(3)
 	sizes := make([]int, m)
@@ -83,21 +87,28 @@ func randomInstance(rng *rand.Rand) (*polynomial.Compressed, []solver.Constraint
 	return comp, cs, rows
 }
 
-// TestSolveMatchesPerVariableSweep holds the column sweep to the
+// TestSolveMatchesPerVariableSweep holds the block sweep to the
 // per-variable sweep it replaced on random small instances, to a loose and
 // a tight tolerance (neither at the rounding floor, where "converged" would
 // be a coin toss). Instances with no free attribute keep the strict
 // per-weight comparison exercised on every α; the others hold free
-// attributes to their shares.
+// attributes to their shares. Instances whose same-pair rectangles are
+// pairwise disjoint, as a stats.Set's are, must occur, and so must
+// instances with an overlap, which the polynomial allows.
 func TestSolveMatchesPerVariableSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	withFree, withoutFree := 0, 0
+	withFree, withoutFree, exclusive, overlapping := 0, 0, 0, 0
 	for i := 0; i < 40; i++ {
 		comp, cs, n := randomInstance(rng)
 		if slices.Contains(solvertest.Free(comp, cs, n), true) {
 			withFree++
 		} else {
 			withoutFree++
+		}
+		if sameSetOverlap(comp) {
+			overlapping++
+		} else {
+			exclusive++
 		}
 		for _, tol := range []float64{1e-4, 1e-7} {
 			opts := solver.Options{N: n, MaxSweeps: 25, Tolerance: tol}
@@ -107,6 +118,27 @@ func TestSolveMatchesPerVariableSweep(t *testing.T) {
 	if withFree == 0 || withoutFree == 0 {
 		t.Errorf("%d instances with a free attribute, %d without: want both kinds", withFree, withoutFree)
 	}
+	if exclusive == 0 || overlapping == 0 {
+		t.Errorf("%d instances with pairwise exclusive same-pair statistics, %d with an overlap: want both kinds", exclusive, overlapping)
+	}
+}
+
+// sameSetOverlap reports whether two multi-dimensional statistics over the
+// same attributes overlap.
+func sameSetOverlap(comp *polynomial.Compressed) bool {
+	for j := range comp.NumMultiStats() {
+		for k := range j {
+			a, b := comp.MultiStat(j), comp.MultiStat(k)
+			meet := slices.Equal(a.Attrs, b.Attrs)
+			for q := range a.Ranges {
+				meet = meet && a.Ranges[q].Overlaps(b.Ranges[q])
+			}
+			if meet {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestSolveProgressBoundsTheViolation pins what Progress reports after each

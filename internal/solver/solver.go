@@ -22,8 +22,11 @@
 // one-at-a-time sweep, since P is linear in each variable — and writes the
 // column back with one SetOneDColumn: two passes over the terms per
 // attribute, where a per-variable step paid about one per value. A
-// multi-dimensional statistic's derivative does depend on the other δ
-// variables, so it keeps its single-variable step.
+// multi-dimensional statistic's derivative does depend on the δ variables
+// it shares a term with, so it keeps its single-variable step. The
+// statistics of one pair in a stats.Set share no term and could form one
+// block, but that block would do the same work as their single steps: one
+// Deriv and one SetMulti each.
 //
 // A sweep pays for its updates only. The violations of the first block
 // under the state a sweep ends in are exact, so their maximum bounds the
@@ -165,7 +168,7 @@ type block struct {
 func planBlocks(active []Constraint) []block {
 	var blocks []block
 	attrBlock := make(map[int]int)
-	for _, c := range active {
+	for i, c := range active {
 		if c.Var.Kind == polynomial.OneD {
 			bi, ok := attrBlock[c.Var.Attr]
 			if !ok {
@@ -176,7 +179,7 @@ func planBlocks(active []Constraint) []block {
 			blocks[bi].cs = append(blocks[bi].cs, c)
 			continue
 		}
-		blocks = append(blocks, block{attr: -1, cs: []Constraint{c}})
+		blocks = append(blocks, block{attr: -1, cs: active[i : i+1 : i+1]})
 	}
 	return blocks
 }

@@ -9,6 +9,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/polynomial"
@@ -171,18 +172,7 @@ func (s *Set) checkDomains(rel *relation.Relation) error {
 // row lands in at most one of its statistics.
 func (s *Set) multiCounts(rel *relation.Relation) []int {
 	counts := make([]int, len(s.Multi))
-	var groups [][]int // indexes into Multi, one slice per attribute set
-next:
-	for j, st := range s.Multi {
-		for g, members := range groups {
-			if sameAttrs(s.Multi[members[0]].Attrs, st.Attrs) {
-				groups[g] = append(members, j)
-				continue next
-			}
-		}
-		groups = append(groups, []int{j})
-	}
-	for _, members := range groups {
+	for _, members := range attrGroups(s.Multi) {
 		boxes := make([][]query.Range, len(members))
 		for b, j := range members {
 			boxes[b] = s.Multi[j].Ranges
@@ -196,35 +186,97 @@ next:
 
 // AddMulti appends multi-dimensional statistics, verifying that statistics
 // over the same attribute set are pairwise disjoint (an assumption of the
-// compression in Sec. 4.1).
+// compression in Sec. 4.1). It appends all of them or, refusing one, none.
+// The refusal is the one a check of each statistic in turn, against every
+// statistic before it, would make first.
 func (s *Set) AddMulti(stats ...Statistic) error {
-	for _, st := range stats {
-		if len(st.Attrs) < 2 {
-			return fmt.Errorf("stats: multi-dimensional statistic needs at least two attributes, got %v", st.Attrs)
+	bad, badErr := len(stats), error(nil)
+	for k, st := range stats {
+		if err := s.checkMulti(st); err != nil {
+			bad, badErr = k, err
+			break
 		}
-		if len(st.Attrs) != len(st.Ranges) {
-			return fmt.Errorf("stats: statistic has %d attributes but %d ranges", len(st.Attrs), len(st.Ranges))
+	}
+	all := append(s.Multi[:len(s.Multi):len(s.Multi)], stats[:bad]...)
+	if i, j, ok := firstOverlap(all, len(s.Multi)); ok {
+		return fmt.Errorf("stats: statistics %v and %v over the same attributes overlap", all[i], all[j])
+	}
+	if badErr != nil {
+		return badErr
+	}
+	s.Multi = all
+	return nil
+}
+
+// checkMulti refuses a malformed multi-dimensional statistic.
+func (s *Set) checkMulti(st Statistic) error {
+	if len(st.Attrs) < 2 {
+		return fmt.Errorf("stats: multi-dimensional statistic needs at least two attributes, got %v", st.Attrs)
+	}
+	if len(st.Attrs) != len(st.Ranges) {
+		return fmt.Errorf("stats: statistic has %d attributes but %d ranges", len(st.Attrs), len(st.Ranges))
+	}
+	if !sort.IntsAreSorted(st.Attrs) {
+		return fmt.Errorf("stats: statistic attributes must be sorted, got %v", st.Attrs)
+	}
+	for k, a := range st.Attrs {
+		if a < 0 || a >= len(s.DomainSizes) {
+			return fmt.Errorf("stats: attribute %d out of range", a)
 		}
-		if !sort.IntsAreSorted(st.Attrs) {
-			return fmt.Errorf("stats: statistic attributes must be sorted, got %v", st.Attrs)
+		r := st.Ranges[k]
+		if r.Empty() || r.Lo < 0 || r.Hi >= s.DomainSizes[a] {
+			return fmt.Errorf("stats: range %v out of domain for attribute %d", r, a)
 		}
-		for k, a := range st.Attrs {
-			if a < 0 || a >= len(s.DomainSizes) {
-				return fmt.Errorf("stats: attribute %d out of range", a)
-			}
-			r := st.Ranges[k]
-			if r.Empty() || r.Lo < 0 || r.Hi >= s.DomainSizes[a] {
-				return fmt.Errorf("stats: range %v out of domain for attribute %d", r, a)
-			}
-		}
-		for _, existing := range s.Multi {
-			if sameAttrs(existing.Attrs, st.Attrs) && overlaps(existing, st) {
-				return fmt.Errorf("stats: statistics %v and %v over the same attributes overlap", existing, st)
-			}
-		}
-		s.Multi = append(s.Multi, st)
 	}
 	return nil
+}
+
+// firstOverlap finds, among the statistics of all from index old on, the
+// first one that overlaps an earlier statistic over the same attributes,
+// and the first such earlier one: it returns their indexes i < j. The
+// statistics before old are known to be disjoint. Each attribute set is
+// checked alone, in order of its statistics' first range, comparing each
+// statistic only with those whose first range is still open — so disjoint
+// statistics cost O(n log n) plus the pairs whose first ranges meet, not
+// O(n²).
+func firstOverlap(all []Statistic, old int) (i, j int, found bool) {
+	var open []int
+	for _, members := range attrGroups(all) {
+		if members[len(members)-1] < old {
+			continue
+		}
+		slices.SortStableFunc(members, func(a, b int) int { return all[a].Ranges[0].Lo - all[b].Ranges[0].Lo })
+		open = open[:0]
+		for _, k := range members {
+			lo := all[k].Ranges[0].Lo
+			open = slices.DeleteFunc(open, func(o int) bool { return all[o].Ranges[0].Hi < lo })
+			for _, o := range open {
+				a, b := min(o, k), max(o, k)
+				if b >= old && overlaps(all[a], all[b]) && (!found || b < j || b == j && a < i) {
+					i, j, found = a, b, true
+				}
+			}
+			open = append(open, k)
+		}
+	}
+	return i, j, found
+}
+
+// attrGroups groups the statistics by attribute set: one slice of indexes
+// into multi per set, ascending, in order of the sets' first statistics.
+func attrGroups(multi []Statistic) [][]int {
+	var groups [][]int
+next:
+	for j, st := range multi {
+		for g, members := range groups {
+			if sameAttrs(multi[members[0]].Attrs, st.Attrs) {
+				groups[g] = append(members, j)
+				continue next
+			}
+		}
+		groups = append(groups, []int{j})
+	}
+	return groups
 }
 
 func sameAttrs(a, b []int) bool {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -254,6 +256,39 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		if _, err := DecodeEstimator(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("decoding a %d/%d-byte truncation succeeded", cut, len(full))
 		}
+	}
+}
+
+// TestCodecRefusesOverlappingStatistics pins the decoder's disjointness
+// check: a snapshot in which two statistics over the same attributes
+// overlap — the last of one pair's statistics given the first one's ranges
+// — is refused, not decoded into a model the compression does not cover.
+func TestCodecRefusesOverlappingStatistics(t *testing.T) {
+	sum, err := Build(codecTestRelation(t, 2000, 5), Options{Solver: solver.Options{MaxSweeps: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := slices.Clone(sum.Stats().Multi)
+	last := -1
+	for j := range multi {
+		if slices.Equal(multi[j].Attrs, multi[0].Attrs) {
+			last = j
+		}
+	}
+	if last < 2 {
+		t.Fatalf("the first pair has %d statistics, want at least 3", last+1)
+	}
+	multi[last].Ranges = slices.Clone(multi[0].Ranges)
+	set := *sum.Stats()
+	set.Multi = multi
+	bad := *sum
+	bad.set = &set
+	var buf bytes.Buffer
+	if err := EncodeEstimator(&buf, &bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEstimator(&buf); err == nil || !strings.Contains(err.Error(), "over the same attributes overlap") {
+		t.Fatalf("decoding overlapping statistics: %v, want the overlap refused", err)
 	}
 }
 
