@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -196,7 +197,7 @@ func TestIngestCSVBody(t *testing.T) {
 
 // TestIngestValidation exercises the failure paths of the ingest endpoint.
 func TestIngestValidation(t *testing.T) {
-	ts, _, _, _ := newLiveServer(t, 500, server.LiveOptions{
+	ts, _, _, live := newLiveServer(t, 500, server.LiveOptions{
 		Dataset: server.DatasetOptions{Summary: summary.Options{Solver: solver.Options{MaxSweeps: 100}}},
 	})
 
@@ -216,6 +217,62 @@ func TestIngestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out of domain: status %d, want 400", resp.StatusCode)
 	}
+
+	// Raw JSON bodies: a refusal is a 400 naming the problem that appends
+	// nothing, and every accepted spelling of the batch appends its row.
+	for _, tc := range []struct {
+		name, body string
+		refusal    string // "" when the body is accepted
+	}{
+		{"syntax error", `{"rows":[[1,2,0,3]`, "malformed request body: unexpected end of JSON input"},
+		{"string value", `{"rows":[[1,"2",0,3]]}`, "malformed request body: json: cannot unmarshal string"},
+		{"float", `{"rows":[[1,1.0,0,3]]}`, "malformed request body: json: cannot unmarshal number 1.0"},
+		{"exponent", `{"rows":[[1,1e2,0,3]]}`, "malformed request body: json: cannot unmarshal number 1e2"},
+		{"overflow", `{"rows":[[9223372036854775808,2,0,3]]}`, "malformed request body: json: cannot unmarshal number 9223372036854775808"},
+		{"negative value", `{"rows":[[1,-1,0,3]]}`, "value -1 out of domain [0,6)"},
+		{"null row", `{"rows":[[1,2,0,3],null]}`, "row 1 has 0 values, schema has 4 attributes"},
+		{"trailing second batch", `{"rows":[[0,0,0,0]]}{"rows":[[1,1,1,1]]}`, "malformed request body: invalid character '{' after top-level value"},
+		{"empty object", `{}`, "ingest batch is empty"},
+		{"empty rows", `{"rows":[]}`, "ingest batch is empty"},
+		{"pretty-printed", "{\n\t\"rows\": [\n\t\t[1, 2, 0, 3]\n\t]\n}", ""},
+		{"unknown field", `{"rows":[[1,2,0,3]],"source":"sensor-7"}`, ""},
+		{"key case", `{"Rows":[[1,2,0,3]]}`, ""},
+		{"encoder newline", "{\"rows\":[[1,2,0,3]]}\n", ""},
+	} {
+		before := live.Mutable().NumRows()
+		resp, err := http.Post(ts.URL+"/ingest/demo", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct {
+			Error     string `json:"error"`
+			TotalRows int    `json:"total_rows"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: response: %v", tc.name, err)
+		}
+		got := live.Mutable().NumRows()
+		if tc.refusal != "" {
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, tc.refusal) {
+				t.Errorf("%s: status %d %q, want 400 containing %q", tc.name, resp.StatusCode, msg.Error, tc.refusal)
+			}
+			if got != before {
+				t.Errorf("%s: refused body changed total_rows %d -> %d", tc.name, before, got)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK || msg.TotalRows != before+1 || got != before+1 {
+			t.Errorf("%s: status %d, total_rows %d (relation %d), want 200 and %d", tc.name, resp.StatusCode, msg.TotalRows, got, before+1)
+			continue
+		}
+		frozen, _ := live.Mutable().Freeze()
+		if row := frozen.Row(before, nil); !slices.Equal(row, []int{1, 2, 0, 3}) {
+			t.Errorf("%s: appended row %v, want [1 2 0 3]", tc.name, row)
+		}
+	}
+
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/ingest/demo", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -446,26 +447,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	sch := live.Mutable().Schema()
 	var rows [][]int
-	contentType := r.Header.Get("Content-Type")
-	if strings.HasPrefix(contentType, "text/csv") {
-		decoded, err := DecodeCSVRows(live.Mutable().Schema(), body)
-		if err != nil {
-			fail(http.StatusBadRequest, err.Error())
-			return
-		}
-		rows = decoded
+	var err error
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
+		rows, err = DecodeCSVRows(sch, body)
 	} else {
-		var req IngestRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			fail(http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err))
-			return
+		// Presized from Content-Length (bounded by the body limit), the
+		// buffer takes a whole batch without regrowing.
+		buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.opts.MaxBodyBytes)+bytes.MinRead))
+		if _, err = buf.ReadFrom(body); err != nil {
+			err = fmt.Errorf("malformed request body: %v", err)
+		} else {
+			rows, err = DecodeJSONRows(sch, buf.Bytes())
 		}
-		if err := DecodeJSONRows(live.Mutable().Schema(), req.Rows); err != nil {
-			fail(http.StatusBadRequest, err.Error())
-			return
-		}
-		rows = req.Rows
+	}
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
 	}
 	if len(rows) == 0 {
 		fail(http.StatusBadRequest, "ingest batch is empty")
