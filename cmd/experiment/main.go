@@ -1,8 +1,11 @@
-// Command experiment is the repository's end-to-end scenario: it generates
-// a synthetic correlated relation, builds a MaxEnt summary plus the
-// sampling baselines, runs a mixed counting/group-by workload through
-// every strategy behind the shared core.Estimator interface, and prints
-// the machine-readable accuracy/latency report as JSON on stdout.
+// Command experiment is the repository's end-to-end scenario and the home of
+// the paper's comparison: it generates a synthetic correlated relation,
+// builds a MaxEnt summary and draws the uniform and stratified sampling
+// baselines itself (a served dataset holds only the model and the exact
+// engine), runs a mixed counting/group-by workload through every strategy
+// behind the shared core.Estimator interface, and prints the
+// machine-readable accuracy/latency report as JSON on stdout. With -store
+// the summary is saved as the next "<dataset>/maxent" snapshot version.
 //
 // Two alternative scenarios replace the static report: -stream N runs the
 // streaming-drift comparison (stale vs per-batch-refreshed summaries
@@ -19,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -26,7 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/experiment"
-	"repro/internal/server"
+	"repro/internal/sampling"
 	"repro/internal/solver"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -148,47 +152,53 @@ func main() {
 		return
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	rel := experiment.SyntheticRelation(*rows, rng)
-	sch := rel.Schema()
-	fmt.Fprintf(os.Stderr, "relation: %s, %d rows\n", sch, rel.NumRows())
-	// The strategies are a served dataset's own, reported in the golden
-	// report's order: the summary and the samples, with the exact engine last
-	// as the ground truth.
-	list, info, err := server.Derive(*dataset, rel, server.DatasetOptions{
-		Summary:    buildOpts,
-		SampleRate: *rate,
-		SampleSeed: *seed,
-	}, nil, 0)
+	report, sum, err := staticReport(*rows, *queries, *seed, *rate, buildOpts, os.Stderr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "%s\n", info.Solver)
-	var truth *exact.Engine
-	var estimators []core.Estimator
-	for _, s := range list {
-		if e, ok := s.Estimator.(*exact.Engine); ok {
-			truth = e
-		} else {
-			estimators = append(estimators, s.Estimator)
+	if st != nil {
+		saved, err := st.Save(*dataset+"/maxent", sum)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if st != nil && s.Snapshot {
-			saved, err := st.Save(s.Name, s.Estimator)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", saved.Dataset, saved.Version, saved.Bytes)
-		}
-	}
-
-	workload := experiment.GenerateWorkload(sch, *queries, rand.New(rand.NewSource(*seed+3)))
-	report, err := experiment.Run(truth, append(estimators, truth), workload, experiment.Options{})
-	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", saved.Dataset, saved.Version, saved.Bytes)
 	}
 	if err := report.WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// staticReport is the paper's static comparison (Sec. 6). Over a synthetic
+// relation of the given size it builds the MaxEnt summary and the uniform and
+// stratified samples at rate, then scores them and the exact engine — the
+// ground truth, reported last — on one generated workload. The seed draws the
+// data; seed+1 and seed+2 the two samples; seed+3 the workload. Progress goes
+// to progress; the summary is returned for -store.
+func staticReport(rows, queries int, seed int64, rate float64, opts summary.Options, progress io.Writer) (*experiment.Report, *summary.Summary, error) {
+	rel := experiment.SyntheticRelation(rows, rand.New(rand.NewSource(seed)))
+	fmt.Fprintf(progress, "relation: %s, %d rows\n", rel.Schema(), rel.NumRows())
+	sum, err := summary.Build(rel, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("maxent: %w", err)
+	}
+	fmt.Fprintf(progress, "%s\n", sum.SolverReport())
+	uni, err := sampling.Uniform(rel, rate, rand.New(rand.NewSource(seed+1)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("uniform sample: %w", err)
+	}
+	// Stratify on the attributes the model itself found most correlated.
+	strata := []int{0, 1}
+	if pcs := sum.ChosenPairs(); len(pcs) > 0 {
+		strata = []int{pcs[0].A1, pcs[0].A2}
+	}
+	strat, err := sampling.Stratified(rel, strata, rate, 1, rand.New(rand.NewSource(seed+2)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("stratified sample: %w", err)
+	}
+	truth := exact.New(rel)
+	workload := experiment.GenerateWorkload(rel.Schema(), queries, rand.New(rand.NewSource(seed+3)))
+	report, err := experiment.Run(truth, []core.Estimator{sum, uni, strat, truth}, workload, experiment.Options{})
+	return report, sum, err
 }
 
 // validate rejects nonsensical flag values up front with actionable

@@ -84,7 +84,7 @@ func main() {
 	list, built, err := server.Derive(*dataset, rel, server.DatasetOptions{
 		Summary:   opts,
 		SkipExact: true,
-	}, nil, 0)
+	}, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 		os.Exit(1)

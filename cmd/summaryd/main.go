@@ -1,8 +1,8 @@
 // Command summaryd is the long-lived serving shape of the reproduction: it
-// builds a MaxEnt summary (plus optional sampling baselines) over a
-// dataset, registers them in the estimator registry, and serves counting
-// and group-by queries over HTTP/JSON with an LRU result cache, admission
-// control, and latency/QPS metrics.
+// builds a MaxEnt summary (plus, unless -no-exact, the exact full-scan
+// engine) over a dataset, registers them in the estimator registry, and
+// serves counting and group-by queries over HTTP/JSON with an LRU result
+// cache, admission control, and latency/QPS metrics.
 //
 // With -store, summaryd is restartable: at startup it restores every
 // snapshot in the store (cold start in O(summary bytes), no data scan, no
@@ -18,8 +18,8 @@
 // -refresh-interval ticker) folds the backlog into new estimator versions
 // that are hot-swapped in with zero downtime. The maxent model refreshes
 // incrementally on small deltas — delta statistics plus a warm-started
-// solve — while the data-bound strategies (exact, samples) are rebuilt
-// from the grown relation each refresh.
+// solve — while the exact engine is rebuilt over the grown relation each
+// refresh.
 // Every new model version is published to the snapshot store when -store
 // is set; /metrics reports per-dataset generation and staleness. On a
 // snapshot restart the demo relation is regenerated from -seed, so a
@@ -72,8 +72,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		dataset     = flag.String("dataset", "demo", "dataset name estimators are registered under")
 		rows        = flag.Int("rows", 20000, "synthetic relation cardinality")
-		seed        = flag.Int64("seed", 1, "seed for data and samples")
-		rate        = flag.Float64("rate", 0.01, "sampling rate of the baselines (0 disables them)")
+		seed        = flag.Int64("seed", 1, "seed for the synthetic data")
 		pairBudget  = flag.Int("pairs", 2, "attribute pairs receiving 2D statistics (B_a)")
 		perPair     = flag.Int("per-pair", 8, "2D statistics per pair (B_s)")
 		heuristic   = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
@@ -93,7 +92,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validate(*rows, *rate, *sweeps); err != nil {
+	if err := validate(*rows, *sweeps); err != nil {
 		fmt.Fprintf(os.Stderr, "summaryd: %v\n", err)
 		os.Exit(2)
 	}
@@ -168,10 +167,8 @@ func main() {
 				Heuristic:     h,
 				Solver:        solver.Options{MaxSweeps: *sweeps},
 			},
-			SampleRate: *rate,
-			SampleSeed: *seed,
-			SkipExact:  *noExact,
-			Store:      st,
+			SkipExact: *noExact,
+			Store:     st,
 		},
 		RefreshRows: *refreshRows,
 	}
@@ -193,8 +190,8 @@ func main() {
 		log.Printf("replica mode: pulling snapshots from %s every %v (POST /sync/notify wakes the pull early)", *peer, *syncIvl)
 	} else if fromSnapshot {
 		log.Printf("dataset %q: serving from snapshot, skipping build", *dataset)
-		if *rate > 0 || !*noExact {
-			log.Printf("dataset %q: note: the exact engine and sampling baselines are data-bound and cannot be restored from snapshots; pass -rate 0 -no-exact to silence", *dataset)
+		if !*noExact {
+			log.Printf("dataset %q: note: the exact engine is data-bound and cannot be restored from snapshots; pass -no-exact to silence", *dataset)
 		}
 		live, err = server.NewLive(reg, *dataset, mut, st, liveOpts)
 		if err != nil {
@@ -295,12 +292,9 @@ func main() {
 
 // validate rejects nonsensical flag combinations up front, before any work
 // is attempted.
-func validate(rows int, rate float64, sweeps int) error {
+func validate(rows, sweeps int) error {
 	if rows <= 0 {
 		return fmt.Errorf("-rows must be positive, got %d", rows)
-	}
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("-rate must be in [0,1] (0 disables the baselines), got %g", rate)
 	}
 	if sweeps <= 0 {
 		return fmt.Errorf("-sweeps must be positive, got %d", sweeps)

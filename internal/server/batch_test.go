@@ -334,10 +334,7 @@ func newBenchServer(b *testing.B, srv *server.Server) string {
 func BenchmarkBatchQueryLoopback(b *testing.B) {
 	reg := server.NewRegistry()
 	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
-	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{
-		Summary:    summary.Options{},
-		SampleRate: 0.05,
-	}); err != nil {
+	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{}); err != nil {
 		b.Fatalf("BuildDataset: %v", err)
 	}
 	srv := server.New(reg, server.Options{})

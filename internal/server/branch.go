@@ -120,13 +120,12 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 
 	// A branch is a refresh by nothing: derived over exactly the rows the fork
 	// summary covers, the summary stands as it is (bit-identical answers, no
-	// re-solve) beside an exact engine over the shared rows. The branch
-	// serves — and from here on refreshes — those two; the summary is saved
-	// as the branch's own v1. Both names must be new, and once one is
-	// registered every later failure unwinds it.
-	branchOpts := parentLive.opts
-	branchOpts.Dataset.SkipExact, branchOpts.Dataset.SampleRate = false, 0
-	list, _, err := Derive(name, view, branchOpts.Dataset, sum, 0)
+	// re-solve), beside an exact engine over the shared rows unless the
+	// parent's options skip it. The branch inherits those options, serves —
+	// and from here on refreshes — what they derive, and saves the summary as
+	// its own v1. Every name must be new, and once one is registered every
+	// later failure unwinds it.
+	list, _, err := Derive(name, view, parentLive.opts.Dataset, sum)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
@@ -157,7 +156,7 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusInternalServerError, err)
 		return
 	}
-	live, err := NewLive(s.reg, name, relation.NewMutable(view), s.opts.Store, branchOpts)
+	live, err := NewLive(s.reg, name, relation.NewMutable(view), s.opts.Store, parentLive.opts)
 	if err != nil {
 		fail(http.StatusInternalServerError, err)
 		return

@@ -1,13 +1,12 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/relation"
-	"repro/internal/sampling"
 	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/summary"
@@ -23,12 +22,6 @@ import (
 type DatasetOptions struct {
 	// Summary configures the MaxEnt build.
 	Summary summary.Options
-	// SampleRate, when > 0, additionally builds uniform and stratified
-	// sampling baselines at this rate ("<dataset>/uniform",
-	// "<dataset>/stratified").
-	SampleRate float64
-	// SampleSeed seeds the baselines' reservoir draws.
-	SampleSeed int64
 	// SkipExact leaves the full-scan engine out (for deployments that must
 	// not retain the relation).
 	SkipExact bool
@@ -43,21 +36,16 @@ type DatasetOptions struct {
 type Strategy struct {
 	Name      string
 	Estimator core.Estimator
-	// Snapshot marks a solved model the store can hold; the data-bound
-	// strategies (exact, the samples) answer from rows and are rebuilt.
-	Snapshot bool
 }
 
 // Derive computes every strategy the options ask for over rel, in serving
-// order: "<dataset>/maxent" first, then "/exact", "/uniform" and
-// "/stratified" as configured. With prev == nil the MaxEnt summary is
-// built from scratch; otherwise rel is prev's relation grown by appended rows
-// and the summary is prev refreshed by that suffix (incrementally, or by the
-// recount summary.Refresh falls back to). gen is the dataset's generation —
-// 0 for a first build — and is folded into the sample seeds so successive
-// refreshes draw fresh but reproducible samples. Nothing is registered or
-// saved; the RefreshInfo carries the MaxEnt solve's report either way.
-func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *summary.Summary, gen uint64) ([]Strategy, summary.RefreshInfo, error) {
+// order: "<dataset>/maxent" first, then "/exact" unless skipped. With
+// prev == nil the MaxEnt summary is built from scratch; otherwise rel is
+// prev's relation grown by appended rows and the summary is prev refreshed by
+// that suffix (incrementally, or by the recount summary.Refresh falls back
+// to). Nothing is registered or saved; the RefreshInfo carries the MaxEnt
+// solve's report either way.
+func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *summary.Summary) ([]Strategy, summary.RefreshInfo, error) {
 	var (
 		sum  *summary.Summary
 		info summary.RefreshInfo
@@ -76,29 +64,9 @@ func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *s
 	if err != nil {
 		return nil, info, fmt.Errorf("server: dataset %q: maxent: %w", dataset, err)
 	}
-	list := []Strategy{{dataset + "/maxent", sum, true}}
-
+	list := []Strategy{{dataset + "/maxent", sum}}
 	if !opts.SkipExact {
-		list = append(list, Strategy{dataset + "/exact", exact.New(rel), false})
-	}
-	if opts.SampleRate > 0 {
-		seed := opts.SampleSeed + int64(gen)<<16
-		uni, err := sampling.Uniform(rel, opts.SampleRate, rand.New(rand.NewSource(seed+1)))
-		if err != nil {
-			return nil, info, fmt.Errorf("server: dataset %q: uniform sample: %w", dataset, err)
-		}
-		// Stratify on the attributes the model itself found most correlated.
-		strataAttrs := []int{0}
-		if pcs := sum.ChosenPairs(); len(pcs) > 0 {
-			strataAttrs = []int{pcs[0].A1, pcs[0].A2}
-		} else if rel.Schema().NumAttrs() > 1 {
-			strataAttrs = []int{0, 1}
-		}
-		strat, err := sampling.Stratified(rel, strataAttrs, opts.SampleRate, 1, rand.New(rand.NewSource(seed+2)))
-		if err != nil {
-			return nil, info, fmt.Errorf("server: dataset %q: stratified sample: %w", dataset, err)
-		}
-		list = append(list, Strategy{dataset + "/uniform", uni, false}, Strategy{dataset + "/stratified", strat, false})
+		list = append(list, Strategy{dataset + "/exact", exact.New(rel)})
 	}
 	return list, info, nil
 }
@@ -111,8 +79,9 @@ func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *s
 // restore, a branch), the atomic register-or-swap otherwise — and the replaced
 // generation's cached answers go with it, so nothing below can cost freshness.
 // Then the model's store version is settled: adopt > 0 names the version s
-// was loaded from (a restore, a replica's import), otherwise a Snapshot
-// strategy is saved as its key's next version when a store is configured. The
+// was loaded from (a restore, a replica's import), otherwise s is saved as its
+// key's next version when a store is configured and s is a solved model (the
+// exact engine answers from rows; the store refuses it before any I/O). The
 // version is recorded on the entry (Entry.Served) and the serving pin follows
 // it, so a prune can never delete what a restart would need.
 //
@@ -129,10 +98,13 @@ func publish(reg *Registry, cache *Cache, st *store.Store, s Strategy, sch *sche
 	}
 	version := adopt
 	if version == 0 {
-		if !s.Snapshot || st == nil {
+		if st == nil {
 			return ent, nil
 		}
 		info, err := st.Save(s.Name, s.Estimator)
+		if errors.Is(err, summary.ErrNotSnapshotable) {
+			return ent, nil
+		}
 		if err != nil {
 			return ent, fmt.Errorf("server: snapshot %q: %w", s.Name, err)
 		}
@@ -148,15 +120,15 @@ func publish(reg *Registry, cache *Cache, st *store.Store, s Strategy, sch *sche
 
 // BuildDataset runs the summarization pipeline over one relation and
 // registers every resulting estimator under "<dataset>/<strategy>" names:
-// always "<dataset>/maxent", plus "/exact", "/uniform" and "/stratified"
-// as configured. It returns the registered names. With a
+// always "<dataset>/maxent", plus "/exact" unless skipped. It returns the
+// registered names. With a
 // store configured a failed save fails the build: a deployment that asked
 // for persistence should not limp along serving an unsaved model.
 func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts DatasetOptions) ([]string, error) {
 	if dataset == "" {
 		return nil, fmt.Errorf("server: dataset name must not be empty")
 	}
-	list, _, err := Derive(dataset, rel, opts, nil, 0)
+	list, _, err := Derive(dataset, rel, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -271,21 +271,15 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 	}
 
 	// A refresh maintains the strategies being served, which after a
-	// snapshot restore or on a branch are fewer than the options name (the
-	// data-bound ones do not restore); it never invents serving entries.
+	// snapshot restore lack the exact engine (it answers from rows and does
+	// not restore); it never invents serving entries.
 	opts := l.opts.Dataset
-	serving := func(strategy string) bool {
-		_, ok := l.reg.Get(l.dataset + "/" + strategy)
-		return ok
-	}
-	opts.SkipExact = !serving("exact")
-	if !serving("uniform") {
-		opts.SampleRate = 0
-	}
+	_, serving := l.reg.Get(l.dataset + "/exact")
+	opts.SkipExact = !serving
 
 	// Every new version is derived before anything is published, so a
 	// failure here leaves serving untouched.
-	list, info, err := Derive(l.dataset, full, opts, sum, gen)
+	list, info, err := Derive(l.dataset, full, opts, sum)
 	if err != nil {
 		return out, err
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/sampling"
 	"repro/internal/server"
 	"repro/internal/solver"
 	"repro/internal/store"
@@ -312,12 +313,21 @@ func TestEntryPointFailureClasses(t *testing.T) {
 }
 
 // TestReadsAcrossSwapRace hammers the same keys through concurrent singles
-// and batches while the estimator is swapped underneath (run under -race).
-// Every answer must equal one of the two generations' in-process answers,
-// and all items of one batch must come from the same generation: a batch
-// is one registry snapshot.
+// and batches while the estimator is swapped underneath (run under -race)
+// between the served summary and a uniform sample of the same rows, whose
+// answers differ. Every answer must equal one of the two generations'
+// in-process answers, and all items of one batch must come from the same
+// generation: a batch is one registry snapshot.
 func TestReadsAcrossSwapRace(t *testing.T) {
 	ts, reg, _ := newTestServer(t, server.Options{})
+	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
+	uni, err := sampling.Uniform(rel, 0.05, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("demo/uniform", uni, rel.Schema()); err != nil {
+		t.Fatal(err)
+	}
 	a, _ := reg.Get("demo/maxent")
 	b, _ := reg.Get("demo/uniform")
 	pool := matrixPool()

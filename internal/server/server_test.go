@@ -16,7 +16,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/query"
 	"repro/internal/server"
-	"repro/internal/summary"
 )
 
 // newTestServer builds a small synthetic dataset, registers the standard
@@ -25,10 +24,7 @@ func newTestServer(t *testing.T, opts server.Options) (*httptest.Server, *server
 	t.Helper()
 	reg := server.NewRegistry()
 	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
-	_, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{
-		Summary:    summary.Options{},
-		SampleRate: 0.05,
-	})
+	_, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{})
 	if err != nil {
 		t.Fatalf("BuildDataset: %v", err)
 	}

@@ -77,7 +77,7 @@ func adopt(reg *Registry, cache *Cache, st *store.Store, key string, mustBeNew b
 	if !ok {
 		return Entry{}, fmt.Errorf("server: adopt %q (v%d): estimator %T carries no schema", key, info.Version, est)
 	}
-	ent, err := publish(reg, cache, st, Strategy{key, est, true}, sc.Schema(), info.Version, mustBeNew)
+	ent, err := publish(reg, cache, st, Strategy{key, est}, sc.Schema(), info.Version, mustBeNew)
 	if err != nil {
 		return ent, fmt.Errorf("server: adopt %q (v%d): %w", key, info.Version, err)
 	}
@@ -91,7 +91,7 @@ var ErrNoEstimators = errors.New("no estimators registered under dataset")
 // SaveDataset snapshots every snapshot-able estimator registered under
 // "<dataset>/" into the store and returns the saved snapshot infos plus
 // the names that were skipped (estimators that answer from data rather
-// than from a solved model, like "/exact" and the sampling baselines).
+// than from a solved model, like "/exact").
 func SaveDataset(reg *Registry, st *store.Store, dataset string) (saved []store.SnapshotInfo, skipped []string, err error) {
 	prefix := dataset + "/"
 	matched := false

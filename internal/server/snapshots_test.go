@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -105,8 +106,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	reg := server.NewRegistry()
 	rel := experiment.SyntheticRelation(2000, rand.New(rand.NewSource(2)))
 	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{
-		SampleRate: 0.05,
-		Store:      st, // v1 of demo/maxent saved on build
+		Store: st, // v1 of demo/maxent saved on build
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// POST /snapshots/demo: saves maxent v2, skips exact and the samples.
+	// POST /snapshots/demo: saves maxent v2, skips exact.
 	resp, body := postJSON(t, ts.URL+"/snapshots/demo", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /snapshots/demo: %d %s", resp.StatusCode, body)
@@ -126,8 +126,8 @@ func TestSnapshotEndpoints(t *testing.T) {
 	if len(saveResp.Saved) != 1 || saveResp.Saved[0].Dataset != "demo/maxent" || saveResp.Saved[0].Version != 2 {
 		t.Fatalf("saved %+v, want demo/maxent v2", saveResp.Saved)
 	}
-	if len(saveResp.Skipped) != 3 { // exact, uniform, stratified
-		t.Fatalf("skipped %v, want the 3 data-bound estimators", saveResp.Skipped)
+	if !reflect.DeepEqual(saveResp.Skipped, []string{"demo/exact"}) {
+		t.Fatalf("skipped %v, want [demo/exact]", saveResp.Skipped)
 	}
 
 	// GET /snapshots lists both versions.

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,53 +20,48 @@ import (
 // writeOptions ask for every strategy a dataset can serve.
 func writeOptions(st *store.Store) server.DatasetOptions {
 	return server.DatasetOptions{
-		Summary:    summary.Options{Solver: solver.Options{MaxSweeps: 60}},
-		SampleRate: 0.05,
-		SampleSeed: 7,
-		Store:      st,
+		Summary: summary.Options{Solver: solver.Options{MaxSweeps: 60}},
+		Store:   st,
 	}
 }
 
 // TestDeriveIsOneList: a build and a refresh run the same derivation, so
-// they yield the same strategies in the same order with the same snapshot
-// flags — and a live dataset built and then grown by a 5000-row ingest leaves
-// the registry, the store and the serving pins exactly where the hand-copied
-// build and refresh lists left them.
+// they yield the same strategies in the same order — and a live dataset built
+// and then grown by a 5000-row ingest leaves the registry, the store and the
+// serving pins exactly where the hand-copied build and refresh lists left
+// them: the summary saved at every generation, the exact engine never.
 func TestDeriveIsOneList(t *testing.T) {
-	type flagged struct {
-		name     string
-		snapshot bool
-	}
-	want := []flagged{
-		{"demo/maxent", true}, {"demo/exact", false},
-		{"demo/uniform", false}, {"demo/stratified", false},
-	}
-	shape := func(list []server.Strategy) []flagged {
-		out := make([]flagged, len(list))
+	want := []struct {
+		name  string
+		saved bool
+	}{{"demo/maxent", true}, {"demo/exact", false}}
+	shape := func(list []server.Strategy) []string {
+		out := make([]string, len(list))
 		for i, s := range list {
-			out[i] = flagged{s.Name, s.Snapshot}
+			out[i] = s.Name
 		}
 		return out
 	}
+	wantNames := []string{"demo/maxent", "demo/exact"}
 	mut := relation.NewMutable(experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1))))
 	rel, _ := mut.Freeze()
-	built, _, err := server.Derive("demo", rel, writeOptions(nil), nil, 0)
+	built, _, err := server.Derive("demo", rel, writeOptions(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shape(built); !reflect.DeepEqual(got, want) {
-		t.Fatalf("a build derives %v, want %v", got, want)
+	if got := shape(built); !reflect.DeepEqual(got, wantNames) {
+		t.Fatalf("a build derives %v, want %v", got, wantNames)
 	}
 	if _, err := mut.AppendRows(syntheticRows(400, 3)); err != nil {
 		t.Fatal(err)
 	}
 	grown, _ := mut.Freeze()
-	refreshed, info, err := server.Derive("demo", grown, writeOptions(nil), built[0].Estimator.(*summary.Summary), 1)
+	refreshed, info, err := server.Derive("demo", grown, writeOptions(nil), built[0].Estimator.(*summary.Summary))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shape(refreshed); !reflect.DeepEqual(got, want) {
-		t.Fatalf("a refresh derives %v, want %v", got, want)
+	if got := shape(refreshed); !reflect.DeepEqual(got, wantNames) {
+		t.Fatalf("a refresh derives %v, want %v", got, wantNames)
 	}
 	if info.DeltaRows != 400 || refreshed[0].Estimator.(*summary.Summary).N() != 3400 {
 		t.Fatalf("the refresh folded %d rows into a summary of %v", info.DeltaRows, refreshed[0].Estimator.(*summary.Summary).N())
@@ -101,7 +97,7 @@ func TestDeriveIsOneList(t *testing.T) {
 			}
 		}
 		wantVersions, wantPins := []int(nil), []int(nil)
-		if w.snapshot {
+		if w.saved {
 			wantVersions, wantPins = []int{1, 2}, []int{2}
 		}
 		if !reflect.DeepEqual(versions, wantVersions) {
@@ -128,11 +124,9 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := server.NewRegistry()
-	opts := writeOptions(st)
-	opts.SampleRate = 0
 	live, _, err := server.BuildLiveDataset(reg, "demo",
 		relation.NewMutable(experiment.SyntheticRelation(2000, rand.New(rand.NewSource(1)))),
-		server.LiveOptions{Dataset: opts})
+		server.LiveOptions{Dataset: writeOptions(st)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,5 +280,43 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 				t.Errorf("%s: %d cache entries invalidated, want %d", step.name, dropped, step.dropped)
 			}
 		}
+	}
+}
+
+// TestBranchInheritsSkipExact: a branch derives what its parent's options ask
+// for, so a branch of a dataset built without the exact engine serves only
+// its summary.
+func TestBranchInheritsSkipExact(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	opts := writeOptions(st)
+	opts.SkipExact = true
+	live, _, err := server.BuildLiveDataset(reg, "demo",
+		relation.NewMutable(experiment.SyntheticRelation(2000, rand.New(rand.NewSource(1)))),
+		server.LiveOptions{Dataset: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Options{Store: st})
+	srv.AttachLive(live)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/branch/demo?name=fork", struct{}{})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("branch: %d %s", resp.StatusCode, body)
+	}
+	var br server.BranchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"fork/maxent"}; !reflect.DeepEqual(br.Registered, want) {
+		t.Errorf("the branch registered %v, want %v", br.Registered, want)
+	}
+	if _, ok := reg.Get("fork/exact"); ok {
+		t.Error("fork/exact is served although the parent skips the exact engine")
 	}
 }
