@@ -158,6 +158,63 @@ func TestIngestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEstimatorsCertificateAcrossRefresh reads the solver certificate GET
+// /estimators reports for a model that stops at its sweep cap: a threshold
+// ingest swaps in a refreshed model whose max_violation is no higher than
+// the one it replaced, still unconverged, and /exact carries no certificate.
+func TestEstimatorsCertificateAcrossRefresh(t *testing.T) {
+	ts, _, _, _ := newLiveServer(t, 3000, server.LiveOptions{
+		Dataset: server.DatasetOptions{
+			Summary: summary.Options{Solver: solver.Options{MaxSweeps: 3}},
+		},
+		RefreshRows: 500,
+	})
+	certificates := func() (maxent server.EstimatorInfo) {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/estimators")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimators: status %d: %s", resp.StatusCode, body)
+		}
+		var er server.EstimatorsResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatal(err)
+		}
+		var exact server.EstimatorInfo
+		for _, e := range er.Estimators {
+			switch e.Name {
+			case "demo/maxent":
+				maxent = e
+			case "demo/exact":
+				exact = e
+			}
+		}
+		// Absent fields leave the embedded pointer nil.
+		if exact.Name == "" || exact.Certificate != nil {
+			t.Fatalf("demo/exact missing or carrying a certificate: %s", body)
+		}
+		if maxent.Certificate == nil {
+			t.Fatalf("demo/maxent has no certificate: %s", body)
+		}
+		return maxent
+	}
+	before := certificates()
+	if before.Converged || before.Sweeps != 3 || before.MaxViolation <= 0 {
+		t.Fatalf("the build's certificate %+v, want 3 sweeps, unconverged", *before.Certificate)
+	}
+	resp, body := postJSON(t, ts.URL+"/ingest/demo", server.IngestRequest{Rows: syntheticRows(600, 3)})
+	var ir server.IngestResult
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ir) != nil || !ir.Refreshed {
+		t.Fatalf("ingest: status %d: %s", resp.StatusCode, body)
+	}
+	after := certificates()
+	if after.Generation != before.Generation+1 {
+		t.Fatalf("generation %d -> %d across a threshold ingest", before.Generation, after.Generation)
+	}
+	if after.MaxViolation > before.MaxViolation || after.Converged {
+		t.Fatalf("certificate %+v after the refresh, %+v before: max_violation must not rise", *after.Certificate, *before.Certificate)
+	}
+}
+
 // TestIngestCSVBody round-trips a CSV ingest: raw values (labels and
 // numbers) encoded server-side.
 func TestIngestCSVBody(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/store"
+	"repro/internal/summary"
 )
 
 // Options configure the HTTP service. The zero value requests the defaults
@@ -243,6 +244,19 @@ type EstimatorInfo struct {
 	// Generation counts the hot-swapped versions served under this name
 	// (1 = the initial build or restore).
 	Generation uint64 `json:"generation"`
+	// Certificate is how converged a summary-backed entry's model is; nil,
+	// and its fields absent from the JSON, for other estimators.
+	*Certificate
+}
+
+// Certificate is the outcome of the MaxEnt solve behind a served summary
+// (summary.Summary.SolverReport), as built, refreshed or restored.
+type Certificate struct {
+	Sweeps int `json:"sweeps"`
+	// MaxViolation is the model's maximum relative constraint violation.
+	MaxViolation float64 `json:"max_violation"`
+	// Converged reports whether MaxViolation is below the solver tolerance.
+	Converged bool `json:"converged"`
 }
 
 // EstimatorsResponse is the body of GET /estimators.
@@ -501,6 +515,10 @@ func (s *Server) estimatorInfos() []EstimatorInfo {
 			NumAttrs:    e.Schema.NumAttrs(),
 			DomainSizes: e.Schema.DomainSizes(),
 			Generation:  e.Generation,
+		}
+		if sum, ok := e.Estimator.(*summary.Summary); ok {
+			rep := sum.SolverReport()
+			info.Certificate = &Certificate{Sweeps: rep.Sweeps, MaxViolation: rep.MaxViolation, Converged: rep.Converged}
 		}
 		for i := 0; i < e.Schema.NumAttrs(); i++ {
 			info.AttrNames = append(info.AttrNames, e.Schema.Attr(i).Name())

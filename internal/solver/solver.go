@@ -86,6 +86,10 @@ func MultiConstraint(stat int, target float64) Constraint {
 // protecting against numerical underflow.
 const MinValue = 1e-12
 
+// DefaultTolerance is the convergence threshold a zero Options.Tolerance
+// asks for: the paper's 1e-6 on the maximum relative constraint violation.
+const DefaultTolerance = 1e-6
+
 // Options configure the solver. The update itself has no knobs: every
 // step is Algorithm 1's closed form, clamped below at MinValue.
 type Options struct {
@@ -95,16 +99,19 @@ type Options struct {
 	// (default 30, the paper's iteration budget).
 	MaxSweeps int
 	// Tolerance is the convergence threshold on the maximum relative
-	// constraint violation max_j |s_j − E[⟨c_j,I⟩]| / N (default 1e-6, the
-	// paper's threshold).
+	// constraint violation max_j |s_j − E[⟨c_j,I⟩]| / N (default
+	// DefaultTolerance, the paper's threshold).
 	Tolerance float64
 	// Init, when non-nil, warm-starts the solve: the variable assignment of
 	// this previously solved system is copied into sys before the first
 	// sweep, replacing the all-ones cold start. When the constraint targets
 	// moved only a little (a small ingestion delta), the previous optimum is
 	// already near-feasible, so a solve that converges needs fewer sweeps
-	// from it; one that exhausts MaxSweeps either way saves none (at the
-	// repository benchmark's shape, a warm and a cold solve both run all 30).
+	// from it. At the same Tolerance, one that exhausts MaxSweeps either way
+	// saves none (at the repository benchmark's shape, a warm and a cold
+	// solve both run all 30); summary.Refresh therefore raises the Tolerance
+	// of its warm solve to the violation of the model it replaces, which a
+	// warm start from that model meets there within one or two sweeps.
 	// Init must have the same shape as sys (domain sizes and statistic
 	// count); it is read-only during the solve.
 	Init *polynomial.System
@@ -124,7 +131,7 @@ func (o *Options) setDefaults() error {
 		o.MaxSweeps = 30
 	}
 	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
+		o.Tolerance = DefaultTolerance
 	}
 	return nil
 }

@@ -285,3 +285,122 @@ func TestRefreshRebuildRecountsExactly(t *testing.T) {
 		t.Fatal("rebuilt statistics differ from NewSet plus per-statistic counts")
 	}
 }
+
+// certificateBase builds the benchmark-shaped model (2 COMPOSITE pairs of 300
+// statistics) at the default 30-sweep budget over the first base rows of rel.
+// The build stops at the cap, unconverged.
+func certificateBase(t testing.TB, rel *relation.Relation, base int) *Summary {
+	t.Helper()
+	head, err := rel.Slice(0, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Build(head, Options{PairBudget: 2, PerPairBudget: 300, Heuristic: stats.Composite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := sum.SolverReport(); rep.Converged || rep.Sweeps != 30 {
+		t.Fatalf("the base build must stop unconverged at the 30-sweep cap: %v", rep)
+	}
+	return sum
+}
+
+// grow slices the full relation and the delta for refreshing a summary of
+// rel's first from rows to its first to rows.
+func grow(t testing.TB, rel *relation.Relation, from, to int) (full, delta *relation.Relation) {
+	t.Helper()
+	full, err := rel.Slice(0, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err = rel.Slice(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full, delta
+}
+
+// TestRefreshStopsAtParentCertificate pins the warm solve's stopping rule on
+// a model whose build ends unconverged: each small-delta refresh stops before
+// the sweep cap, at a certificate strictly below the one of the model it
+// replaces, and reports itself unconverged at the caller's tolerance.
+func TestRefreshStopsAtParentCertificate(t *testing.T) {
+	const base, step, refreshes = 60000, 300, 12
+	rel := flightsShapedRelation(t, base+step*refreshes, 11, 0)
+	sum := certificateBase(t, rel, base)
+	for k := 0; k < refreshes; k++ {
+		full, delta := grow(t, rel, base+k*step, base+(k+1)*step)
+		next, info, err := sum.Refresh(full, delta, RefreshOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, got := sum.SolverReport(), info.Solver
+		if info.Rebuilt {
+			t.Fatalf("refresh %d took the rebuild path", k)
+		}
+		if got.Sweeps >= 30 {
+			t.Fatalf("refresh %d ran %d sweeps; it must stop before the cap", k, got.Sweeps)
+		}
+		if !(got.MaxViolation < parent.MaxViolation) {
+			t.Fatalf("refresh %d: certificate %g, parent's %g; it must be strictly below", k, got.MaxViolation, parent.MaxViolation)
+		}
+		if got.Converged {
+			t.Fatalf("refresh %d reports converged at max violation %g (tolerance %g)", k, got.MaxViolation, solver.DefaultTolerance)
+		}
+		if next.SolverReport() != got {
+			t.Fatalf("refresh %d: the model's report %v differs from RefreshInfo's %v", k, next.SolverReport(), got)
+		}
+		sum = next
+	}
+}
+
+// TestRefreshOfRestoredSummaryMatches refreshes a codec round-tripped model
+// and the one it was encoded from by the same delta: the snapshot carries
+// the certificate the warm solve stops at, so both refreshes leave
+// bit-identical variables and the same report.
+func TestRefreshOfRestoredSummaryMatches(t *testing.T) {
+	const base, step = 60000, 500
+	rel := flightsShapedRelation(t, base+step, 13, 0)
+	sum := certificateBase(t, rel, base)
+	restored := roundTrip(t, sum).(*Summary)
+	full, delta := grow(t, rel, base, base+step)
+	want, winfo, err := sum.Refresh(full, delta, RefreshOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ginfo, err := restored.Refresh(full, delta, RefreshOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "refresh of the restored model", got.System(), want.System(), nil)
+	gr, wr := ginfo.Solver, winfo.Solver
+	gr.Duration, wr.Duration = 0, 0
+	if gr != wr || math.Float64bits(gr.MaxViolation) != math.Float64bits(wr.MaxViolation) {
+		t.Fatalf("report after restore %v, want %v", gr, wr)
+	}
+	if wr.Sweeps >= 30 {
+		t.Fatalf("the refresh ran %d sweeps; it must stop at the parent's certificate", wr.Sweeps)
+	}
+}
+
+// BenchmarkRefreshSmallDelta measures one incremental refresh at the
+// repository benchmark's shape (2 pairs x 300 statistics) by a 5,000-row
+// delta: the statistics fold, the structure reuse and the warm solve that
+// stops at the replaced model's certificate.
+func BenchmarkRefreshSmallDelta(b *testing.B) {
+	const base, step = 1000000, 5000
+	rel := flightsShapedRelation(b, base+step, 7, 0)
+	sum := certificateBase(b, rel, base)
+	full, delta := grow(b, rel, base, base+step)
+	b.Run("flights", func(b *testing.B) {
+		b.ReportAllocs()
+		var info RefreshInfo
+		for i := 0; i < b.N; i++ {
+			var err error
+			if _, info, err = sum.Refresh(full, delta, RefreshOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(info.Solver.Sweeps), "sweeps")
+	})
+}

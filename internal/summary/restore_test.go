@@ -326,8 +326,9 @@ func BenchmarkDecodeEstimator(b *testing.B) {
 
 // BenchmarkSolveFlightsShape measures one cold solve at the repository
 // benchmark's model shape (2 pairs x 300 statistics, ~10k terms) and sweep
-// budget: what a build pays, and a refresh too while warm start saves no
-// sweeps there.
+// budget: what a build pays, and a refresh that falls back to a cold solve.
+// A warm refresh stops at its parent's certificate instead
+// (BenchmarkRefreshSmallDelta).
 func BenchmarkSolveFlightsShape(b *testing.B) {
 	benchmarkSolve(b, "flights", flightsShapedSummary(b, 300, 0), 2)
 }
