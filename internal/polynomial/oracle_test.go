@@ -274,7 +274,8 @@ func checkMatchesOracle(t *testing.T, what string, got, want *Compressed) {
 
 // checkRangeGroups holds the range groups to their definition: on every
 // attribute, each term's group has the term's attribute set and range, and
-// its first term is the group's lowest one; two groups never share both;
+// its first term is the group's lowest one; the groups ascend by the value
+// their range begins at; two groups never share both;
 // and a set that does not constrain the attribute is one group over the
 // whole domain.
 func checkRangeGroups(t *testing.T, what string, c *Compressed) {
@@ -301,6 +302,9 @@ func checkRangeGroups(t *testing.T, what string, c *Compressed) {
 			seen[key{gr.set, gr.span}] = g
 		}
 		for g, gr := range c.groups[a] {
+			if g > 0 && gr.lo < c.groups[a][g-1].lo {
+				t.Fatalf("%s: attribute %d group %d begins at %d, before group %d at %d", what, a, g, gr.lo, g-1, c.groups[a][g-1].lo)
+			}
 			if lowest[g] != gr.first {
 				t.Fatalf("%s: attribute %d group %d has first term %d, lowest member %d", what, a, g, gr.first, lowest[g])
 			}

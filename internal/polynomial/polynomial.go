@@ -157,7 +157,8 @@ type Compressed struct {
 	termSet  []int32
 	// termGroup[a][i] is term i's range group on attribute a, and
 	// groups[a][g] describes group g: the terms of one attribute set whose
-	// effective range on a is the same. The terms of a group share their
+	// effective range on a is the same. The groups ascend by the value their
+	// range begins at. The terms of a group share their
 	// a-factor, so a column read of a sums the group's all-but-a products
 	// once and spreads that sum over the group's range once, and a column
 	// write computes the group's new factor once. A set that does not

@@ -136,6 +136,24 @@ type evalScratch struct {
 	void    bool
 	vals    []int   // backing storage for canonicalized InSet values
 	cand    []int32 // the candidate terms of the current call
+	// gm[a] is the mask on attribute a seen by its range groups, and kern
+	// the group masks of the current pass's constrained attributes, in
+	// ascending order: what maskedTerm reads. exact records that some ratio
+	// of the pass is not finite. All three are set by groupRatios; the
+	// backing arrays persist in the pool across calls.
+	gm    []groupMask
+	kern  []groupMask
+	exact bool
+}
+
+// groupMask is the mask on one attribute a seen by its range groups
+// (Compressed.groups): for group g, m[g] is the masked factor M_a(ρ_g) and,
+// where that is not zero, f[g] the cached a-factor F_g every member of the
+// group shares and r[g] the ratio m[g]/f[g] (0 where m[g] is); tg is the
+// term→group table Compressed.termGroup[a].
+type groupMask struct {
+	tg      []int32
+	f, m, r []float64
 }
 
 // NewSystem creates a System over the polynomial with every variable
@@ -620,10 +638,11 @@ func (s *System) getScratch(pred *query.Predicate) *evalScratch {
 			hi:      make([]int, m),
 			pre:     make([][]float64, m),
 			mprefix: make([][]float64, m),
+			gm:      make([]groupMask, m),
 		}
 	}
 	sc.cons, sc.lo, sc.hi = sc.cons[:m], sc.lo[:m], sc.hi[:m]
-	sc.pre, sc.mprefix = sc.pre[:m], sc.mprefix[:m]
+	sc.pre, sc.mprefix, sc.gm = sc.pre[:m], sc.mprefix[:m], sc.gm[:m]
 	sc.attrs = sc.attrs[:0]
 	sc.vals = sc.vals[:0]
 	sc.void = false
@@ -747,9 +766,12 @@ func (s *System) evalFullWalk(cons []query.Constraint) float64 {
 // overlaps the mask on every attribute of I ∩ S, so it is among the
 // candidates of its lowest such attribute:
 //
-//	Eval(pred) = scale·Σ_{k: attrSets[k]∩S=∅} set[k] + Σ_{t∈candidates(S)} masked(t)
+//	Eval(pred) = scale·Σ_{k: attrSets[k]∩S=∅} set[k] + Σ_{t∈candidates(S)} nz[t]·Π_{a∈S} r_a[g_a(t)]
 //
-// a sum of disjoint parts that visits only the candidates.
+// a sum of disjoint parts that visits only the candidates. The members of a
+// range group share their a-factor F_g, so the ratio r_a[g] = M_a(ρ_g)/F_g is
+// computed once per group (groupRatios) and a candidate costs one multiply
+// per constrained attribute (maskedTerm).
 //
 // The second return reports whether the pruned path was applicable; when
 // false the caller must fall back to evalFullWalk.
@@ -777,11 +799,10 @@ func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 		}
 	}
 	total *= scale
+	s.groupRatios(sc, -1)
+	nz, zeros := s.nz, s.zeros
 	for _, ti := range s.candidates(sc, -1) {
-		i := int(ti)
-		if val, z := s.maskedFactorSwap(i, -1, sc, s.nz[i], s.zeros[i]); z == 0 {
-			total += val
-		}
+		total += sc.maskedTerm(int(ti), nz[ti], zeros[ti])
 	}
 	return total, true
 }
@@ -843,6 +864,13 @@ func (s *System) candidates(sc *evalScratch, skip int) []int32 {
 			continue
 		}
 		lo, hi := sc.lo[a], sc.hi[a]
+		if seen == 0 {
+			// The first attribute: no lower one listed or ruled out a term.
+			cand = append(cand, p.touch[a][lo]...)
+			cand = append(cand, p.starts[a][p.startOff[a][lo+1]:p.startOff[a][hi+1]]...)
+			seen = 1 << uint(a)
+			continue
+		}
 		for _, ti := range p.touch[a][lo] {
 			if p.attrBits[ti]&seen == 0 {
 				cand = append(cand, ti)
@@ -859,50 +887,96 @@ func (s *System) candidates(sc *evalScratch, skip int) []int32 {
 	return cand
 }
 
-// maskedFactorSwap replaces, in the running (value, zero-count) product
-// state of term i, each constrained attribute's cached factor with its
-// masked counterpart — the term-local analogue of swapFactor, without
-// writing the caches. The factor of attribute skip (pass -1 for none) is
-// left untouched; derivative paths use it for the differentiated
-// attribute, whose factor they remove separately.
-func (s *System) maskedFactorSwap(i, skip int, sc *evalScratch, val float64, z int) (float64, int) {
-	row := i * len(s.alpha)
-	ranges, fac := s.poly.ranges[row:row+len(s.alpha)], s.fac[row:row+len(s.alpha)]
-	if z == 0 {
-		// Fast path: no cached factor is zero, so every fOld divides
-		// cleanly and the first zero masked factor decides the term.
-		for _, a := range sc.attrs {
-			if a == skip {
-				continue
-			}
-			fNew := sc.masked(a, int(ranges[a].lo), int(ranges[a].hi))
-			if fNew == 0 {
-				return 0, 1
-			}
-			if fOld := fac[a]; fOld != fNew {
-				val = val / fOld * fNew
-			}
-		}
-		return val, 0
-	}
+// groupRatios prepares the per-term kernel of a masked pass: for each
+// constrained attribute a other than skip (the differentiated attribute; -1
+// for none), in ascending order, and each range group g of a, the group's
+// masked factor M_a(ρ_g) off the mask's prefix column and, where that is not
+// zero, the cached factor F_g every member shares and the ratio
+// r_a[g] = M_a(ρ_g)/F_g (0 where M_a(ρ_g) is), into sc.kern. The cost is one
+// clipped difference and at most one division per group that begins before
+// the mask's hull ends, and a clear of the rest. sc.exact records whether
+// some ratio is not finite — F_g = 0 with M_a(ρ_g) ≠ 0, which needs negative
+// α, or an overflow — and so whether maskedTerm must look for the terms that
+// need the exact swap.
+func (s *System) groupRatios(sc *evalScratch, skip int) {
+	p, m := s.poly, len(s.alpha)
+	sc.kern, sc.exact = sc.kern[:0], false
 	for _, a := range sc.attrs {
 		if a == skip {
 			continue
 		}
-		fOld := fac[a]
-		fNew := sc.masked(a, int(ranges[a].lo), int(ranges[a].hi))
-		if fOld == fNew {
-			continue
+		groups, g := p.groups[a], sc.gm[a]
+		n := len(groups)
+		if cap(g.r) < n {
+			g.f, g.m, g.r = make([]float64, n), make([]float64, n), make([]float64, n)
 		}
-		if fOld == 0 {
-			z--
-		} else {
-			val /= fOld
+		g.tg, g.f, g.m, g.r = p.termGroup[a], g.f[:n], g.m[:n], g.r[:n]
+		// The groups ascend by the value their range begins at, so those
+		// beginning past the mask's hull, whose masked factor is zero, are a
+		// suffix.
+		end := sort.Search(n, func(k int) bool { return int(groups[k].lo) > sc.hi[a] })
+		clear(g.m[end:])
+		clear(g.r[end:])
+		for k, gr := range groups[:end] {
+			mk, r := sc.masked(a, int(gr.lo), int(gr.hi)), 0.0
+			if mk != 0 {
+				f := s.fac[int(gr.first)*m+a]
+				g.f[k], r = f, mk/f
+				sc.exact = sc.exact || !isFinite(r)
+			}
+			g.m[k], g.r[k] = mk, r
 		}
+		sc.gm[a] = g
+		sc.kern = append(sc.kern, g)
+	}
+}
+
+// maskedTerm is the per-term kernel of every masked read: the masked value
+// of term i given its (product of non-zero factors, zero count) state (val,
+// z) with the attributes of sc.kern still at their cached factors. A term
+// with no zero factor is val·Π r_a[g_a(i)] — one multiply per attribute,
+// exact when the mask leaves a factor unchanged (r = 1). When every ratio of
+// the read is finite, a term with a zero factor stays zero: a zero cached
+// factor has a zero masked one. Otherwise (sc.exact) such a term, and a term
+// whose product is not finite, take maskedFactorSwap instead.
+func (sc *evalScratch) maskedTerm(i int, val float64, z int) float64 {
+	if z == 0 {
+		x := val
+		for k := range sc.kern {
+			g := &sc.kern[k]
+			x *= g.r[g.tg[i]]
+		}
+		if !sc.exact || isFinite(x) {
+			return x
+		}
+	} else if !sc.exact {
+		return 0
+	}
+	if val, z = sc.maskedFactorSwap(i, val, z); z != 0 {
+		return 0
+	}
+	return val
+}
+
+// maskedFactorSwap replaces, in the running (value, zero-count) product
+// state of term i, the cached factor F_g of each attribute of sc.kern with
+// its masked counterpart M_g, both read off the term's range group — the
+// term-local analogue of swapFactor, without writing the caches, and
+// maskedTerm's exact fallback. A zero M_g decides the term: it returns the
+// zero state (0, 1).
+func (sc *evalScratch) maskedFactorSwap(i int, val float64, z int) (float64, int) {
+	for k := range sc.kern {
+		g := &sc.kern[k]
+		gi := g.tg[i]
+		fNew := g.m[gi]
 		if fNew == 0 {
-			z++
-		} else {
+			return 0, 1
+		}
+		if fOld := g.f[gi]; fOld == 0 {
+			z--
 			val *= fNew
+		} else if fOld != fNew {
+			val = val / fOld * fNew
 		}
 	}
 	return val, z
@@ -1019,28 +1093,18 @@ func (s *System) maskScale(sc *evalScratch, skip int) (scale float64, sMask uint
 	return scale, sMask, isFinite(scale)
 }
 
-// maskedExceptAttr returns term i's masked product of all factors except
-// the attribute attr's one (already known to admit the differentiated
-// value). sMask/scaleExcl describe the constrained attributes minus attr.
-func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch, sMask uint64, scaleExcl float64) float64 {
-	f := s.fac[i*len(s.alpha)+attr]
-	if s.poly.attrBits[i]&sMask == 0 {
-		// The term constrains no masked attribute besides possibly attr:
-		// its remaining factors are the cached ones with every a ∈ S\{attr}
-		// full-domain factor F_a replaced by M_a — a pure rescale.
-		return scaleExcl * s.exceptFactor(i, f)
-	}
+// maskedExceptAttr returns candidate term i's masked product of all factors
+// except the attribute attr's one: its cached attr factor removed from the
+// (nz, zeros) state, then maskedTerm over the group ratios of the
+// constrained attributes other than attr (groupRatios(sc, attr)).
+func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch) float64 {
 	val, z := s.nz[i], s.zeros[i]
-	if f == 0 {
+	if f := s.fac[i*len(s.alpha)+attr]; f == 0 {
 		z--
 	} else {
 		val /= f
 	}
-	val, z = s.maskedFactorSwap(i, attr, sc, val, z)
-	if z != 0 {
-		return 0
-	}
-	return val
+	return sc.maskedTerm(i, val, z)
 }
 
 // DerivColumn fills out[v] = ∂P_π/∂α_{attr,v} for every value v of the
@@ -1056,9 +1120,11 @@ func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch, sMask uint64, sc
 // each candidate's masked all-but-attr product is computed once and added
 // to the values of its range on attr; values the predicate excludes on attr
 // itself are zero. Every cell is a sum of disjoint parts — nothing is
-// subtracted. The cost is O(|sets|·N_attr + candidates·|S'| + their range
-// lengths). Shapes the pruned path cannot cover fall back to one full-walk
-// derivOneD per value, as Eval falls back to evalFullWalk.
+// subtracted. The cost is O(|sets|·N_attr + groups of S' + candidates·|S'| +
+// their range lengths): at most one ratio per range group of S'
+// (groupRatios), then one multiply per candidate and attribute of S'. Shapes
+// the pruned path cannot cover fall back to one full-walk derivOneD per
+// value, as Eval falls back to evalFullWalk.
 func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	s.refreshAll()
 	sc := s.getScratch(pred)
@@ -1098,9 +1164,10 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	// attr, or to every value when it does not constrain attr.
 	everywhere := 0.0
 	m, aBit := len(s.alpha), uint64(1)<<uint(attr)
+	s.groupRatios(sc, attr)
 	for _, ti := range s.candidates(sc, attr) {
 		i := int(ti)
-		x := s.maskedExceptAttr(i, attr, sc, sMask, scaleExcl)
+		x := s.maskedExceptAttr(i, attr, sc)
 		if p.attrBits[i]&aBit == 0 {
 			everywhere += x
 			continue

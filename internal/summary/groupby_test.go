@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/raceflag"
 	"repro/internal/solver"
 )
 
@@ -224,6 +225,48 @@ func TestGroupByInvariantsFlightsShape(t *testing.T) {
 		}
 	}
 
+}
+
+// TestMaskedReadAllocations holds the masked reads to their allocation
+// budgets at the repository benchmark's model shape, which the benchmark
+// gate does not compare: a warm EstimateCount allocates nothing, whatever
+// the predicate's shape, and a one-attribute EstimateGroupBy under a filter
+// on an attribute that carries statistics — one masked column pass —
+// allocates only its column, its value buffer and its result (7
+// allocations).
+func TestMaskedReadAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	sum := flightsShapedSummary(t, 300, 0)
+	counts := []*query.Predicate{
+		query.NewPredicate(5).WhereEq(1, 3),
+		query.NewPredicate(5).WhereEq(1, 3).WhereEq(2, 17),
+		query.NewPredicate(5).WhereRange(4, 10, 30).WhereEq(1, 8).WhereEq(0, 40),
+		query.NewPredicate(5).WhereIn(2, 40, 3, 9).WhereEq(1, 5),
+	}
+	for _, pred := range counts {
+		if n := testing.AllocsPerRun(50, func() {
+			if _, err := sum.EstimateCount(pred); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("EstimateCount(%v) allocates %.0f times, want 0", pred, n)
+		}
+	}
+	const groupByBudget = 7
+	for _, pred := range []*query.Predicate{
+		query.NewPredicate(5).WhereEq(2, 17),
+		query.NewPredicate(5).WhereRange(4, 10, 30).WhereEq(0, 40),
+	} {
+		if n := testing.AllocsPerRun(50, func() {
+			if _, err := sum.EstimateGroupBy([]int{1}, pred); err != nil {
+				t.Fatal(err)
+			}
+		}); n > groupByBudget {
+			t.Errorf("EstimateGroupBy(origin | %v) allocates %.0f times, want at most %d", pred, n, groupByBudget)
+		}
+	}
 }
 
 // BenchmarkEstimateGroupBy measures the group-by path at the repository
