@@ -85,7 +85,7 @@ func main() {
 		storeDir    = flag.String("store", "", "snapshot store directory: restore summaries at startup, save on build (created if missing)")
 		refreshRows = flag.Int("refresh-rows", 1000, "hot-swap refreshed estimators once this many ingested rows are pending (0 disables threshold refreshes)")
 		refreshIvl  = flag.Duration("refresh-interval", 0, "additionally refresh pending ingested rows on this period (0 disables)")
-		histBytes   = flag.Int64("history-cache-bytes", 0, "byte budget of the historical-estimator cache behind ?version=N time-travel queries (0 selects 4 MiB; needs -store)")
+		histBytes   = flag.Int64("history-cache-bytes", 0, "heap budget of the historical-estimator cache behind ?version=N time-travel queries (0 selects 64 MiB, ~75 versions of a 10k-term model; needs -store)")
 		nodeName    = flag.String("node-name", "", "fleet identity reported on /healthz and /metrics (required with -peer)")
 		peer        = flag.String("peer", "", "replica mode: pull snapshots from this summaryd base URL instead of building (needs -store; disables the build pipeline and ingestion)")
 		syncIvl     = flag.Duration("sync-interval", 2*time.Second, "replica snapshot poll period (with -peer; /sync/notify wakes it early)")

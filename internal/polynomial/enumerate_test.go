@@ -331,7 +331,8 @@ var sinkCompressed *Compressed
 
 // BenchmarkNewCompressed measures the structure build (term enumeration and
 // the inverted indexes) at the repository benchmark's model shape — the cost
-// behind every Build and every snapshot restore.
+// behind every Build, and every snapshot restore that finds no resident
+// model of its structure (Shared).
 func BenchmarkNewCompressed(b *testing.B) {
 	sizes, specs := flightsShapedSpecs()
 	b.Run("flights", func(b *testing.B) {

@@ -11,7 +11,8 @@
 // The package provides:
 //
 //   - Compressed: the structural representation (terms), built from the
-//     multi-dimensional statistic specifications.
+//     multi-dimensional statistic specifications. It is immutable, and
+//     Shared hands the live one of a structure to every model that needs it.
 //   - System: a Compressed polynomial together with concrete variable values
 //     (α for 1D statistics, δ for multi-dimensional statistics), supporting
 //     masked evaluation (Sec. 4.2: "set the non-qualifying 1D variables to
@@ -182,7 +183,8 @@ const maxAttrs = 64
 
 // NewCompressed builds the compressed polynomial for the given active-domain
 // sizes and multi-dimensional statistics, closing the statistic sets under
-// compatible combination exactly as described after Theorem 4.1.
+// compatible combination exactly as described after Theorem 4.1. It always
+// builds, and records what it builds in the structure table (Shared).
 func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error) {
 	sizes := append([]int(nil), domainSizes...)
 	if len(sizes) > maxAttrs {
@@ -201,6 +203,7 @@ func NewCompressed(domainSizes []int, specs []MultiStatSpec) (*Compressed, error
 	c := &Compressed{sizes: sizes, specs: append([]MultiStatSpec(nil), specs...)}
 	c.enumerate(c.compatibility())
 	c.index()
+	record(digest(c.sizes, c.specs), c)
 	return c, nil
 }
 
@@ -445,8 +448,9 @@ func (c *Compressed) index() {
 			k := int(covers[a][v])
 			c.touch[a][v], touchSlab = touchSlab[:0:k], touchSlab[k:]
 		}
-		c.starts[a], startSlab = startSlab[:constraining[a]], startSlab[constraining[a]:]
-		k := terms - constraining[a]
+		k := constraining[a]
+		c.starts[a], startSlab = startSlab[:k:k], startSlab[k:]
+		k = terms - constraining[a]
 		c.loose[a], looseSlab = looseSlab[:0:k], looseSlab[k:]
 		off := int32(0)
 		for v, k := range begins[a] {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/polynomial"
 	"repro/internal/store"
 )
 
@@ -21,18 +22,33 @@ type histKey struct {
 	version int
 }
 
-// histEntry is one resident historical estimator.
+// histEntry is one resident historical estimator: its own heap, and the
+// polynomial structure it shares with other models.
 type histEntry struct {
-	key   histKey
-	ent   Entry
-	bytes int64
+	key       histKey
+	ent       Entry
+	bytes     int64
+	structure *polynomial.Compressed
+}
+
+// heapSizer is an estimator that reports the heap it holds: its own part,
+// and a polynomial structure that every resident model of the same
+// structure shares. Every estimator the store loads is one
+// (summary.Summary).
+type heapSizer interface {
+	HeapBytes() (own int64, structure *polynomial.Compressed)
 }
 
 // History is the lazily-populated LRU cache of historical estimators
 // behind time-travel queries (/query?version=N, /diff, /branch): a cold
-// version restores from the snapshot store on first hit (≈20ms at the
-// repository benchmark's 10k-term shape) and stays resident until the byte
-// budget pushes it out. Resident versions are pinned in the store so a concurrent prune
+// version restores from the snapshot store on first hit (≈1 ms at the
+// repository benchmark's 10k-term shape when a model of the same structure
+// is resident — the served generation, or another version — and ≈5 ms when
+// the decode must build the structure) and stays resident until the byte
+// budget pushes it out. The budget counts what the versions hold in
+// memory: each entry's own heap (its solved system and caches), plus each
+// polynomial structure once while any resident entry shares it. Resident
+// versions are pinned in the store so a concurrent prune
 // can never delete a snapshot that is actively answering queries; the pin
 // is released on eviction.
 type History struct {
@@ -40,10 +56,13 @@ type History struct {
 	maxBytes int64
 	now      func() time.Time
 
-	mu        sync.Mutex
-	entries   map[histKey]*list.Element
-	lru       *list.List // front = most recently used
-	bytes     int64
+	mu      sync.Mutex
+	entries map[histKey]*list.Element
+	lru     *list.List // front = most recently used
+	bytes   int64
+	// shared counts the resident entries using each polynomial structure,
+	// which is charged to bytes once while any of them is resident.
+	shared    map[*polynomial.Compressed]int
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -53,14 +72,18 @@ type History struct {
 	restores   uint64
 }
 
+// defaultHistoryBytes is the history cache's default budget: about 75
+// versions of the repository benchmark's 10k-term model, which share one
+// ~2 MB structure and hold ~0.8 MB each of their own.
+const defaultHistoryBytes = 64 << 20
+
 // NewHistory builds a history cache over the store. maxBytes bounds the
-// resident estimators' summed ApproxBytes (<= 0 selects 4 MiB — thousands
-// of paper-sized summaries); the most recently restored version is always
-// admitted, even alone over budget. now overrides the clock for tests
-// (nil = time.Now).
+// heap the resident estimators hold (<= 0 selects defaultHistoryBytes);
+// the most recently restored version is always admitted, even alone over
+// budget. now overrides the clock for tests (nil = time.Now).
 func NewHistory(st *store.Store, maxBytes int64, now func() time.Time) *History {
 	if maxBytes <= 0 {
-		maxBytes = 4 << 20
+		maxBytes = defaultHistoryBytes
 	}
 	if now == nil {
 		now = time.Now
@@ -71,6 +94,7 @@ func NewHistory(st *store.Store, maxBytes int64, now func() time.Time) *History 
 		now:      now,
 		entries:  make(map[histKey]*list.Element),
 		lru:      list.New(),
+		shared:   make(map[*polynomial.Compressed]int),
 	}
 }
 
@@ -97,7 +121,7 @@ func (h *History) Get(dataset string, version int) (Entry, error) {
 	// O(summary bytes) — far cheaper than the duplicated work it prevents.
 	h.misses++
 	start := h.now()
-	est, info, err := h.st.Load(dataset, version)
+	est, _, err := h.st.Load(dataset, version)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -111,12 +135,14 @@ func (h *History) Get(dataset string, version int) (Entry, error) {
 		return Entry{}, fmt.Errorf("server: snapshot %q v%d: estimator %T carries no schema", dataset, version, est)
 	}
 	ent := Entry{Name: dataset, Estimator: est, Schema: sc.Schema(), Snapshot: version}
-	he := &histEntry{key: key, ent: ent, bytes: est.ApproxBytes()}
-	if he.bytes <= 0 {
-		he.bytes = info.Bytes
-	}
+	he := &histEntry{key: key, ent: ent}
+	he.bytes, he.structure = est.(heapSizer).HeapBytes()
 	h.entries[key] = h.lru.PushFront(he)
 	h.bytes += he.bytes
+	if h.shared[he.structure] == 0 {
+		h.bytes += he.structure.HeapBytes()
+	}
+	h.shared[he.structure]++
 	h.st.Pin(dataset, version)
 	for h.bytes > h.maxBytes && h.lru.Len() > 1 {
 		h.evictLocked(h.lru.Back())
@@ -131,6 +157,10 @@ func (h *History) evictLocked(el *list.Element) {
 	h.lru.Remove(el)
 	delete(h.entries, he.key)
 	h.bytes -= he.bytes
+	if h.shared[he.structure]--; h.shared[he.structure] == 0 {
+		delete(h.shared, he.structure)
+		h.bytes -= he.structure.HeapBytes()
+	}
 	h.evictions++
 	h.st.Unpin(he.key.dataset, he.key.version)
 }

@@ -41,9 +41,9 @@ type Options struct {
 	// (GET /snapshots, POST /snapshots/{dataset}) and the versioned-serving
 	// endpoints (/query?version=N, /branch, /diff); nil serves 501 on them.
 	Store *store.Store
-	// HistoryBytes bounds the historical-estimator cache behind
-	// time-travel queries, in summed estimator ApproxBytes (<= 0 selects
-	// 4 MiB). Ignored without a Store.
+	// HistoryBytes bounds the heap the historical-estimator cache behind
+	// time-travel queries holds (<= 0 selects 64 MiB; see History).
+	// Ignored without a Store.
 	HistoryBytes int64
 	// NodeName identifies this node in a fleet; it is echoed on /healthz
 	// and /metrics so routers and operators can tell replicas apart.

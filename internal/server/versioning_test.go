@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -62,7 +63,10 @@ func newVersionedServer(t *testing.T, rows, extraVersions int, opts server.Optio
 // BenchmarkHistoryRestore measures a first-hit time-travel restore: a
 // cold ?version=N query's extra cost over a live one (store.Load +
 // decode + cache insert). Each iteration uses a fresh History, so every
-// Get is a miss. BENCH.md records the p50; the acceptance bar is ≤ 1ms.
+// Get is a miss. The built model stays resident, as the served generation
+// does beside a History, so the decode takes its polynomial structure
+// (polynomial.Shared) instead of building one. BENCH.md records the p50;
+// the acceptance bar is ≤ 1ms.
 func BenchmarkHistoryRestore(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
@@ -84,6 +88,7 @@ func BenchmarkHistoryRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	runtime.KeepAlive(sum)
 }
 
 // countAtVersion asks POST /query?version=N — the version in the URL, not

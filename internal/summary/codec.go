@@ -2,13 +2,16 @@
 // snapshot store (internal/store). A solved summary is fully determined by
 // its schema, the statistic set Φ it was fit to, and the converged variable
 // weights (α, δ) of the polynomial — the polynomial structure itself is a
-// deterministic function of the statistics, so it is rebuilt on decode
-// rather than stored. Decoding therefore reconstructs a query-ready
-// estimator without re-running the solver: the weights are restored
-// bit-exactly (IEEE 754 bits are written verbatim) and the term caches are
-// recomputed with the same deterministic full rebuild the solver's last
-// sweep used, so a decoded summary answers every query bit-identically to
-// the freshly-built one it was encoded from.
+// deterministic function of the statistics, so it is not stored: decode
+// takes the one a resident model of the same structure already holds
+// (polynomial.Shared; consecutive generations share one, since a refresh
+// keeps the structure), and builds it only when the process holds none.
+// Decoding therefore reconstructs a query-ready estimator without
+// re-running the solver: the weights are restored bit-exactly (IEEE 754
+// bits are written verbatim) and the term caches are recomputed with the
+// same deterministic full rebuild the solver's last sweep used, so a
+// decoded summary answers every query bit-identically to the freshly-built
+// one it was encoded from, whether its structure was shared or built.
 //
 // The payload is a little-endian stream of uvarints, length-prefixed
 // strings, and raw float64 bits. It carries no header or checksum of its
@@ -276,9 +279,10 @@ func decodeSummary(r *decoder) (*Summary, error) {
 		return fail(r.err)
 	}
 
-	// Rebuild the polynomial structure from the statistics — it is a
-	// deterministic function of the specs — and restore the solved weights.
-	comp, err := polynomial.NewCompressed(set.DomainSizes, set.MultiSpecs())
+	// The polynomial structure is a deterministic function of the specs:
+	// take the one a resident model of the same structure holds, or build
+	// it, and restore the solved weights over it.
+	comp, err := polynomial.Shared(set.DomainSizes, set.MultiSpecs())
 	if err != nil {
 		return fail(err)
 	}

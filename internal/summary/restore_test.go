@@ -131,7 +131,9 @@ func sameBits(t *testing.T, what string, got, want *polynomial.System, probes []
 // NewSystem, one Set per variable, Recompute — bit for bit: every weight,
 // the normalization constant, and 1-, 2- and 3-attribute point and range
 // estimates. A second assignment with extra zero weights covers the
-// zero-factor bookkeeping of the term caches.
+// zero-factor bookkeeping of the term caches. A decode beside the built
+// model shares its structure; one after every model of the structure is
+// gone builds it, and must answer and re-encode the same.
 func TestRestoreEquivalenceFlightsShape(t *testing.T) {
 	sum := flightsShapedSummary(t, 120, 0)
 	poly := sum.System().Poly()
@@ -231,6 +233,20 @@ func TestRestoreEquivalenceFlightsShape(t *testing.T) {
 			t.Fatalf("probe %d (%v): decoded EstimateCount = %v, built = %v", i, pred, got, want)
 		}
 	}
+
+	// The decode shared the built model's structure. Once no model of it is
+	// resident, a fresh decode builds it again and must answer and
+	// re-encode exactly like the shared one.
+	if dec.System().Poly() != poly {
+		t.Fatal("a decode beside the built model did not share its structure")
+	}
+	snap := encodeBytes(t, sum)
+	reencoded := encodeBytes(t, dec)
+	if !bytes.Equal(reencoded, snap) {
+		t.Fatal("a shared-structure decode re-encodes to other bytes than the built model")
+	}
+	checkSharedDecodeMatchesFresh(t, snap, answerBits(t, dec, probes), reencoded, probes,
+		sum.Stats().DomainSizes, sum.Stats().MultiSpecs())
 }
 
 // TestSolveMatchesPerVariableSweepFlightsShape holds the solver's column
@@ -303,20 +319,38 @@ func TestBuildIsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeEstimator measures snapshot restore — decode, structure
-// rebuild, and one cache rebuild — at the repository benchmark's model shape
-// (2 pairs x 300 statistics, ~10k terms): the cost under store.Load, the
-// server's History first hit, and a replica's import.
+// BenchmarkDecodeEstimator measures snapshot restore at the repository
+// benchmark's model shape (2 pairs x 300 statistics, ~10k terms): the cost
+// under store.Load, the server's History first hit, and a replica's import.
+// "flights" is a cold decode — decode, structure build, one cache rebuild —
+// with no model of the structure resident: each iteration drops the last
+// one's model and collects with the timer stopped. "flights-shared" decodes
+// beside the built model, so it takes the resident structure
+// (polynomial.Shared) and pays for the variables and caches only.
 func BenchmarkDecodeEstimator(b *testing.B) {
 	sum := flightsShapedSummary(b, 300, 0)
 	var buf bytes.Buffer
 	if err := EncodeEstimator(&buf, sum); err != nil {
 		b.Fatal(err)
 	}
+	terms := float64(sum.System().Poly().NumTerms())
+	b.Run("flights-shared", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(terms, "terms")
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeEstimator(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runtime.KeepAlive(sum)
 	b.Run("flights", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ReportMetric(float64(sum.System().Poly().NumTerms()), "terms")
+		b.ReportMetric(terms, "terms")
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
 			if _, err := DecodeEstimator(bytes.NewReader(buf.Bytes())); err != nil {
 				b.Fatal(err)
 			}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/polynomial"
@@ -211,6 +212,26 @@ func (s *Summary) ApproxBytes() int64 {
 		bytes += int64(len(st.Attrs)) * 12 // attr index + range lo/hi
 	}
 	return bytes
+}
+
+// HeapBytes returns the heap the summary holds in memory, split into what
+// is its own — the solved system with its caches, the statistics and the
+// constraints — and the polynomial structure, which every resident model of
+// the same structure shares (polynomial.Shared) and whose size is
+// structure.HeapBytes(). ApproxBytes, the paper's summary size, counts
+// neither.
+func (s *Summary) HeapBytes() (own int64, structure *polynomial.Compressed) {
+	own = int64(unsafe.Sizeof(*s)) + s.sys.HeapBytes() +
+		polynomial.SliceBytes(s.constraints) + polynomial.SliceBytes(s.pairs) +
+		polynomial.SliceBytes(s.set.OneD) + polynomial.SliceBytes(s.set.Multi) +
+		polynomial.SliceBytes(s.set.DomainSizes)
+	for _, col := range s.set.OneD {
+		own += polynomial.SliceBytes(col)
+	}
+	for _, st := range s.set.Multi {
+		own += polynomial.SliceBytes(st.Attrs) + polynomial.SliceBytes(st.Ranges)
+	}
+	return own, s.sys.Poly()
 }
 
 // EstimateCount answers COUNT(σ_π(I)) as n · P_π / P (Eq. 16). A nil
