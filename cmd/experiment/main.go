@@ -7,12 +7,9 @@
 // machine-readable accuracy/latency report as JSON on stdout. With -store
 // the summary is saved as the next "<dataset>/maxent" snapshot version.
 //
-// Two alternative scenarios replace the static report: -stream N runs the
+// An alternative scenario replaces the static report: -stream N runs the
 // streaming-drift comparison (stale vs per-batch-refreshed summaries
-// under drifting appends), and -branch N runs the branch-compare scenario
-// (two lineages forked from one summary, diverging independently, scored
-// with per-attribute drift diffs — the offline twin of the server's
-// /branch and /diff endpoints).
+// under drifting appends).
 //
 // All randomness is seeded, so two runs with the same flags produce the
 // same report (modulo latency fields).
@@ -51,7 +48,6 @@ func main() {
 		dataset       = flag.String("dataset", "demo", "dataset name snapshots are stored under (with -store)")
 		streamBatches = flag.Int("stream", 0, "when > 0, run the streaming-drift scenario with this many append batches instead of the static report")
 		streamRows    = flag.Int("stream-rows", 1000, "rows per streaming batch (with -stream)")
-		branchBatches = flag.Int("branch", 0, "when > 0, run the branch-compare scenario: fork two lineages and diverge them over this many batches each")
 	)
 	flag.Parse()
 
@@ -80,44 +76,6 @@ func main() {
 		PerPairBudget: *perPair,
 		Heuristic:     h,
 		Solver:        solver.Options{MaxSweeps: *sweeps},
-	}
-
-	// The branch-compare scenario forks two lineages off one fork-point
-	// summary — "main" drifts, "branch" stays stationary — refreshing each
-	// independently and reporting the pairwise per-attribute drift after
-	// every batch (the offline twin of the server's /branch + /diff flow).
-	if *branchBatches > 0 {
-		if *streamBatches > 0 {
-			fmt.Fprintf(os.Stderr, "experiment: -branch and -stream are mutually exclusive\n")
-			os.Exit(2)
-		}
-		if *streamRows <= 0 {
-			fmt.Fprintf(os.Stderr, "experiment: -stream-rows must be positive, got %d\n", *streamRows)
-			os.Exit(2)
-		}
-		rep, err := experiment.RunBranchCompare(experiment.BranchOptions{
-			BaseRows:  *rows,
-			Batches:   *branchBatches,
-			BatchRows: *streamRows,
-			Queries:   *queries,
-			Seed:      *seed,
-			Summary:   buildOpts,
-			Refresh:   summary.RefreshOptions{Solver: buildOpts.Solver},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, s := range rep.Steps {
-			fmt.Fprintf(os.Stderr, "batch %d: main-vs-branch TV %.4f (attr %s), main-vs-fork %.4f, branch-vs-fork %.4f\n",
-				s.Batch, s.MainVsBranchTV, s.MaxDriftAttr, s.MainVsForkTV, s.BranchVsForkTV)
-		}
-		fmt.Fprintf(os.Stderr, "final accuracy: main err %.4f, branch err %.4f\n", rep.MainMeanError, rep.BranchMeanError)
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-		return
 	}
 
 	// The streaming-drift scenario replaces the static accuracy report: it

@@ -26,19 +26,15 @@
 // model that already absorbed ingested rows is served read-only (the
 // rows exist only in the model; ingestion re-enables after a rebuild).
 //
-// The snapshot store doubles as a time-travel and branching surface:
-// POST /query?version=N (and /groupby, /query/batch) answer from any retained
+// The snapshot store doubles as a time-travel surface: POST
+// /query?version=N (and /groupby, /query/batch) answer from any retained
 // snapshot version through an LRU of lazily-restored historical
-// estimators (budget set by -history-cache-bytes),
-// POST /branch/{dataset}?from=N&name=X forks a dataset at a snapshot
-// into an independently-ingestable branch whose lineage is recorded in
-// the store, and GET /diff/{dataset}?a=N&b=M reports per-attribute
-// distribution drift between two versions. See docs/VERSIONING.md.
+// estimators (budget set by -history-cache-bytes). See
+// docs/VERSIONING.md.
 //
 // Endpoints: POST /query, POST /query/batch, POST /groupby,
-// POST /ingest/{dataset}, POST /branch/{parent}, GET /diff/{dataset},
-// GET /estimators, GET /healthz, GET /metrics, GET /snapshots,
-// POST /snapshots/{dataset}. See docs/API.md for the full wire reference
+// POST /ingest/{dataset}, GET /estimators, GET /healthz, GET /metrics,
+// GET /snapshots, POST /snapshots/{dataset}. See docs/API.md for the full wire reference
 // and the README's "Serving summaries" section for a curl walkthrough.
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.

@@ -8,7 +8,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -322,6 +324,76 @@ func TestRoutedWriteRelaysWholeResponse(t *testing.T) {
 	var saved server.SnapshotSaveResponse
 	if s != http.StatusOK || json.Unmarshal(raw, &saved) != nil || saved.Dataset != "demo" || len(raw) <= 100 {
 		t.Fatalf("routed snapshot save: status %d, %d bytes, body %q; want 200 and the whole response", s, len(raw), raw)
+	}
+}
+
+// TestRoutedWriteGETGoesOnceToThePrimary: no write route has a read form,
+// so a GET on one goes, like any write, once to the primary. The router
+// relays the primary's 405, notifies no replica and fences no cached answer;
+// a GET the primary fails is not retried on a replica.
+func TestRoutedWriteGETGoesOnceToThePrimary(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
+	routed := f.RouterURL()
+	count := server.QueryRequest{Estimator: "demo/maxent"}
+	for ask, wantTag := range []string{"", "hit"} {
+		if s, tag, raw := postTagged(t, routed+"/query", count); s != http.StatusOK || tag != wantTag {
+			t.Fatalf("warm-up ask %d: status %d, X-Router-Cache %q, want %q: %s", ask, s, tag, wantTag, raw)
+		}
+	}
+	before := routerMetrics(t, routed)
+
+	const asks = 4 // a load-balanced GET would reach the replica among these
+	for _, path := range []string{"/ingest/demo", "/snapshots/demo"} {
+		for i := 0; i < asks; i++ {
+			resp, err := http.Get(routed + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get(fleet.FleetNodeHeader) != f.Primary().Name {
+				t.Fatalf("GET %s: status %d from %q: %s; want the primary's 405", path, resp.StatusCode, resp.Header.Get(fleet.FleetNodeHeader), raw)
+			}
+		}
+	}
+
+	after := routerMetrics(t, routed)
+	if after.Notifies != before.Notifies {
+		t.Errorf("the GETs sent %d sync notifications", after.Notifies-before.Notifies)
+	}
+	if after.Cache.Invalidations != before.Cache.Invalidations {
+		t.Errorf("the GETs invalidated %d cached answers", after.Cache.Invalidations-before.Cache.Invalidations)
+	}
+	if s, tag, raw := postTagged(t, routed+"/query", count); s != http.StatusOK || tag != "hit" {
+		t.Fatalf("read after the GETs: status %d, X-Router-Cache %q: %s; want a hit", s, tag, raw)
+	}
+
+	var replicaAsks atomic.Int64
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer failing.Close()
+	replica := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { replicaAsks.Add(1) }))
+	defer replica.Close()
+	rt, err := fleet.NewRouter([]fleet.NodeConfig{{Name: "primary", URL: failing.URL}, {Name: "replica", URL: replica.URL}},
+		fleet.Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/ingest/demo", "/snapshots/demo"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s past a failing primary: status %d, want its 503", path, resp.StatusCode)
+		}
+	}
+	if n := replicaAsks.Load(); n != 0 {
+		t.Fatalf("the replica was asked %d times", n)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 
 // NodeConfig names one summaryd node of the fleet. The first node of a
 // router's list is the primary: the only node holding the mutable
-// relations, so writes (/ingest, /snapshots save, /branch) always land
-// there while reads spread across every healthy replica.
+// relations, so writes (/ingest, /snapshots save) always land there while
+// reads spread across every healthy replica.
 type NodeConfig struct {
 	Name string
 	URL  string
@@ -171,8 +171,6 @@ func NewRouter(nodes []NodeConfig, opts Options) (*Router, error) {
 	rt.handle("/snapshots", rt.handleRead)
 	rt.handle("/snapshots/", rt.handleWrite)
 	rt.handle("/ingest/", rt.handleWrite)
-	rt.handle("/branch/", rt.handleWrite)
-	rt.handle("/diff/", rt.handleRead)
 	rt.handle("/healthz", rt.handleHealthz)
 	rt.handle("/metrics", rt.handleMetrics)
 	return rt, nil
@@ -424,21 +422,16 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, body, 0)
 }
 
-// handleWrite proxies a mutating endpoint to the primary, exactly once:
-// ingest and snapshot writes are not idempotent, so the router never
-// retries them — a failure is the client's to handle. A successful write
-// that published new snapshot versions triggers a sync notification to
-// every replica, so the fleet converges within one round trip instead of
-// one poll interval.
+// handleWrite proxies a mutating endpoint to the primary, exactly once,
+// whatever the method (no write route has a read form; the node answers
+// 405 to anything but POST): ingest and snapshot writes are not
+// idempotent, so the router never retries them — a failure is the
+// client's to handle. A successful write that published new snapshot
+// versions triggers a sync notification to every replica, so the fleet
+// converges within one round trip instead of one poll interval.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
-		return
-	}
-	if r.Method == http.MethodGet {
-		// The /snapshots/{dataset} and /branch/{...} prefixes also carry
-		// read forms; only actual writes are primary-pinned without retry.
-		rt.forward(w, r, body, 0)
 		return
 	}
 	primary := rt.nodes[0]
@@ -486,7 +479,7 @@ func (rt *Router) publishedSnapshots(path string, body []byte) bool {
 			return false
 		}
 		return res.Refreshed
-	case strings.HasPrefix(path, "/snapshots/"), strings.HasPrefix(path, "/branch/"):
+	case strings.HasPrefix(path, "/snapshots/"):
 		return true
 	default:
 		return false

@@ -386,8 +386,8 @@ func (r *Relation) countBlocks(n int, count func(out []int, cols [][]uint16, lo,
 // O(m · parts) regardless of the range size. Each of the view's parts is
 // capped at its length, so an append to the view opens a new part and an
 // append to the receiver writes only past the view's rows: neither moves
-// or overwrites the other's rows. Refresh deltas, branch forks and frozen
-// views are slices.
+// or overwrites the other's rows. Refresh deltas and frozen views are
+// slices.
 func (r *Relation) Slice(lo, hi int) (*Relation, error) {
 	if lo < 0 || hi > r.rows || lo > hi {
 		return nil, fmt.Errorf("relation: slice [%d,%d) out of range [0,%d)", lo, hi, r.rows)

@@ -75,8 +75,8 @@ func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *s
 // swaps or registers a served registry entry, fences the result cache for a
 // name, saves a served model or moves a serving pin.
 //
-// The registry moves first — Register when the name must be new (a build, a
-// restore, a branch), the atomic register-or-swap otherwise — and the replaced
+// The registry moves first — Register when the name must be new (a build or a
+// restore), the atomic register-or-swap otherwise — and the replaced
 // generation's cached answers go with it, so nothing below can cost freshness.
 // Then the model's store version is settled: adopt > 0 names the version s
 // was loaded from (a restore, a replica's import), otherwise s is saved as its

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/query"
@@ -88,35 +87,4 @@ func ExampleServer_timeTravel() {
 	// requested "1" -> answered from version 1 (status 200)
 	// requested "2" -> answered from version 2 (status 200)
 	// requested "" -> answered from version 0 (status 200)
-}
-
-// ExampleServer_branch forks a live dataset at a retained snapshot into
-// an independently-ingestable branch. The fork summary serves the branch
-// as-is (bit-identical answers at the fork point), the branch relation is
-// a zero-copy view of the parent's rows, and the lineage is recorded
-// beside the branch's snapshots — which also shields the parent's
-// fork-point version from pruning.
-func ExampleServer_branch() {
-	ts, st, cleanup := exampleServer()
-	defer cleanup()
-
-	resp, err := http.Post(ts.URL+"/branch/demo?from=1&name=audit", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		panic(err)
-	}
-	var br server.BranchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		panic(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("branch %q forked from %s v%d with %d rows\n", br.Branch, br.Parent, br.FromVersion, br.Rows)
-
-	man, err := st.Versions("audit/maxent")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("lineage: %s <- %s v%d\n", "audit/maxent", man.Parent.Dataset, man.Parent.Version)
-	// Output:
-	// branch "audit" forked from demo v1 with 2000 rows
-	// lineage: audit/maxent <- demo/maxent v1
 }

@@ -40,7 +40,7 @@ type heapSizer interface {
 }
 
 // History is the lazily-populated LRU cache of historical estimators
-// behind time-travel queries (/query?version=N, /diff, /branch): a cold
+// behind time-travel queries (/query?version=N): a cold
 // version restores from the snapshot store on first hit (≈1 ms at the
 // repository benchmark's 10k-term shape when a model of the same structure
 // is resident — the served generation, or another version — and ≈5 ms when

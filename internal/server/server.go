@@ -39,7 +39,8 @@ type Options struct {
 	MaxBatch int
 	// Store, when non-nil, backs the snapshot admin endpoints
 	// (GET /snapshots, POST /snapshots/{dataset}) and the versioned-serving
-	// endpoints (/query?version=N, /branch, /diff); nil serves 501 on them.
+	// reads (/query?version=N and its batch and group-by forms); nil serves
+	// 501 on them.
 	Store *store.Store
 	// HistoryBytes bounds the heap the historical-estimator cache behind
 	// time-travel queries holds (<= 0 selects 64 MiB; see History).
@@ -124,8 +125,6 @@ func New(reg *Registry, opts Options) *Server {
 	s.handle("/snapshots", s.handleSnapshotList)
 	s.handle("/snapshots/", s.handleSnapshotSave)
 	s.handle("/ingest/", s.handleIngest)
-	s.handle("/branch/", s.handleBranch)
-	s.handle("/diff/", s.handleDiff)
 	s.handle("/sync/snapshot", s.handleSyncSnapshot)
 	s.handle("/sync/notify", s.handleSyncNotify)
 	return s

@@ -145,7 +145,7 @@ func (s *Server) requireStore(w http.ResponseWriter) bool {
 
 // handleSnapshotList serves GET /snapshots: every dataset key of the
 // configured store with the versions its directory holds (sizes, checksums
-// and timestamps as read off the snapshot files) and its lineage.
+// and timestamps as read off the snapshot files).
 func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})

@@ -262,6 +262,74 @@ func TestRestoreFindsKeyWithoutManifest(t *testing.T) {
 	}
 }
 
+// TestRestoreOlderBuildBranch: an older build kept a branch as its own
+// dataset key whose MANIFEST.json named the parent snapshot it was forked
+// from. The branch's v1 is a full snapshot of its own, so a restart serves
+// that key as a plain dataset: no problem, answers equal to an in-process
+// load of it, and a GET /snapshots listing without the old parent record.
+func TestRestoreOlderBuildBranch(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"demo", "fork"} {
+		rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(int64(3+i))))
+		if _, err := server.BuildDataset(server.NewRegistry(), name, rel, server.DatasetOptions{SkipExact: true, Store: st}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record := `{"dataset": "fork/maxent", "parent": {"dataset": "demo/maxent", "version": 1}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "fork", "maxent", "MANIFEST.json"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	restored, problems, err := server.RestoreStore(reg, reopened)
+	if err != nil || len(problems) != 0 || !reflect.DeepEqual(restored, []string{"demo/maxent", "fork/maxent"}) {
+		t.Fatalf("restored %v, problems %+v, err %v; want [demo/maxent fork/maxent]", restored, problems, err)
+	}
+	ts := httptest.NewServer(server.New(reg, server.Options{Store: reopened, CacheSize: -1}).Handler())
+	defer ts.Close()
+
+	est, _, err := reopened.Load("fork/maxent", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := experiment.SyntheticSchema()
+	for v := 0; v < sch.Attr(0).Size(); v++ {
+		pred := query.NewPredicate(sch.NumAttrs()).WhereEq(0, v)
+		want, err := est.EstimateCount(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ts.URL+"/query", server.QueryRequest{Estimator: "fork/maxent", Predicate: pred})
+		var qr server.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /query: %d %s (%v)", resp.StatusCode, body, err)
+		}
+		if math.Float64bits(qr.Count) != math.Float64bits(want) {
+			t.Fatalf("fork/maxent attr 0 = %d: served %v, in-process load %v", v, qr.Count, want)
+		}
+	}
+
+	resp, body := get(t, ts.URL+"/snapshots")
+	var listed server.SnapshotsResponse
+	if err := json.Unmarshal(body, &listed); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /snapshots: %d %s (%v)", resp.StatusCode, body, err)
+	}
+	if len(listed.Datasets) != 2 || listed.Datasets[1].Dataset != "fork/maxent" || len(listed.Datasets[1].Snapshots) != 1 {
+		t.Fatalf("GET /snapshots = %+v, want fork/maxent at one version", listed.Datasets)
+	}
+	if strings.Contains(string(body), "parent") {
+		t.Fatalf("GET /snapshots carries the old parent record: %s", body)
+	}
+}
+
 // TestRestoreRefusesRetiredKind: stores written by earlier builds can hold
 // kind-tag-2 snapshots (K per-partition summaries), a kind no longer served.
 // Restoring such a store serves everything else and reports that key as its

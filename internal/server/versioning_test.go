@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -44,7 +47,7 @@ func newVersionedServer(t *testing.T, rows, extraVersions int, opts server.Optio
 	}
 	for v := 0; v < extraVersions; v++ {
 		// Each round is skewed toward a different region so successive
-		// versions answer differently (drift the diff endpoint can see).
+		// versions answer differently.
 		if _, err := live.Ingest(syntheticRows(100, v)); err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +116,18 @@ func countAtVersion(t *testing.T, tsURL, estimator string, version int, pred *qu
 // TestQueryAtVersionBitIdentical is the tentpole acceptance test: a
 // versioned query over HTTP (the version in the URL or in the body) must
 // return answers bit-identical to restoring the same snapshot in-process
-// and evaluating it directly.
+// and evaluating it directly. The live model is its newest snapshot served
+// as-is, so it answers bit-identically to that version too, and a later
+// ingest moves no retained version's answers.
 func TestQueryAtVersionBitIdentical(t *testing.T) {
-	ts, st, _ := newVersionedServer(t, 2000, 2, server.Options{CacheSize: -1})
+	ts, st, live := newVersionedServer(t, 2000, 2, server.Options{CacheSize: -1})
 
+	type asked struct {
+		version int
+		pred    *query.Predicate
+		want    float64
+	}
+	var answered []asked
 	rng := rand.New(rand.NewSource(7))
 	sch := experiment.SyntheticSchema()
 	for version := 1; version <= 3; version++ {
@@ -144,6 +155,12 @@ func TestQueryAtVersionBitIdentical(t *testing.T) {
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("v%d query %d: ?version served %v, in-process restore %v", version, q, got, want)
+			}
+			answered = append(answered, asked{version, pred, want})
+			if version == 3 {
+				if got, _ := countAtVersion(t, ts.URL, "demo/maxent", 0, pred); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("query %d: the live model answers %v, its snapshot v3 %v", q, got, want)
+				}
 			}
 
 			resp, body := postJSON(t, ts.URL+"/query", server.QueryRequest{
@@ -181,6 +198,20 @@ func TestQueryAtVersionBitIdentical(t *testing.T) {
 	}
 	if qr.Version != 0 {
 		t.Fatalf("live query echoed version %d, want 0", qr.Version)
+	}
+
+	// An ingest and refresh publish v4; every retained version still
+	// answers exactly as before.
+	if _, err := live.Ingest(syntheticRows(300, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range answered {
+		if got, _ := countAtVersion(t, ts.URL, "demo/maxent", a.version, a.pred); math.Float64bits(got) != math.Float64bits(a.want) {
+			t.Fatalf("after an ingest, v%d query %d answers %v, want %v", a.version, i, got, a.want)
+		}
 	}
 }
 
@@ -243,160 +274,105 @@ func TestVersionedBatchOverHTTP(t *testing.T) {
 	}
 }
 
-// TestBranchThenIngestIsolation forks a branch at the parent's v1 and
-// checks the three isolation properties: the branch answers from the fork
-// summary (bit-identical to the parent's v1), parent ingests never leak
-// into the branch, and branch ingests never leak into the parent. The
-// fork's lineage must land in the branch's record and shield the parent's
-// fork-point version from pruning.
+// TestBranchThenIngestIsolation: a branch an older build forked from
+// demo/maxent v1 is a dataset key of its own, restored beside its live
+// parent. An ingest into the parent moves neither the branch's answers nor
+// the parent's retained v1; the branch takes no ingest, so nothing leaks the
+// other way; and pruning the parent to its newest version leaves the branch
+// loadable, because its v1 is a full snapshot, not a pin on the fork point.
 func TestBranchThenIngestIsolation(t *testing.T) {
-	ts, st, parentLive := newVersionedServer(t, 1500, 2, server.Options{CacheSize: -1})
-
-	// Fork at v1 (the pre-ingest build).
-	resp, body := postJSON(t, ts.URL+"/branch/demo?from=1&name=fork", struct{}{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("branch: %d %s", resp.StatusCode, body)
-	}
-	var br server.BranchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Branch != "fork" || br.Parent != "demo" || br.FromVersion != 1 || br.Rows != 1500 {
-		t.Fatalf("branch response: %+v", br)
-	}
-
-	// Lineage is durable: the fork's record names demo/maxent v1.
-	man, err := st.Versions("fork/maxent")
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Parent == nil || man.Parent.Dataset != "demo/maxent" || man.Parent.Version != 1 {
-		t.Fatalf("fork lineage = %+v, want demo/maxent v1", man.Parent)
+	reg := server.NewRegistry()
+	mut := relation.NewMutable(experiment.SyntheticRelation(1500, rand.New(rand.NewSource(1))))
+	live, _, err := server.BuildLiveDataset(reg, "demo", mut, server.LiveOptions{
+		Dataset: server.DatasetOptions{
+			Summary: summary.Options{Solver: solver.Options{MaxSweeps: 200}},
+			Store:   st,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Branch answers == parent's v1 answers, bit-identical.
-	sch := experiment.SyntheticSchema()
-	pred := query.NewPredicate(sch.NumAttrs())
-	pred.WhereEq(0, 3)
+	// The branch as an older build left it: the parent's v1 under its own
+	// key, with a MANIFEST.json naming the fork point.
+	v1, _, err := st.Load("demo/maxent", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save("fork/maxent", v1); err != nil {
+		t.Fatal(err)
+	}
+	record := `{"dataset": "fork/maxent", "parent": {"dataset": "demo/maxent", "version": 1}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "fork", "maxent", "MANIFEST.json"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, problems, err := server.RestoreStore(reg, st, "demo/")
+	if err != nil || len(problems) != 0 || !reflect.DeepEqual(restored, []string{"fork/maxent"}) {
+		t.Fatalf("restored %v, problems %+v, err %v; want [fork/maxent]", restored, problems, err)
+	}
+	srv := server.New(reg, server.Options{Store: st, CacheSize: -1})
+	srv.AttachLive(live)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The branch answers as the parent's v1, bit for bit.
+	pred := query.NewPredicate(experiment.SyntheticSchema().NumAttrs())
+	pred.WhereEq(0, 0)
 	v1Count, _ := countAtVersion(t, ts.URL, "demo/maxent", 1, pred)
 	forkCount, _ := countAtVersion(t, ts.URL, "fork/maxent", 0, pred)
 	if math.Float64bits(forkCount) != math.Float64bits(v1Count) {
-		t.Fatalf("fresh fork answers %v, parent v1 answers %v", forkCount, v1Count)
+		t.Fatalf("branch answers %v, parent v1 answers %v", forkCount, v1Count)
 	}
 
-	// Ingest into the parent (region=0 rows) and refresh: the fork must not
-	// move.
-	if _, err := parentLive.Ingest(syntheticRows(200, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parentLive.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := countAtVersion(t, ts.URL, "fork/maxent", 0, pred)
-	if math.Float64bits(after) != math.Float64bits(forkCount) {
-		t.Fatalf("parent ingest leaked into the fork: %v -> %v", forkCount, after)
-	}
-
-	// Ingest into the fork over HTTP (region=3 rows, the predicate's
-	// region): the fork's exact engine grows by exactly the batch, the
-	// parent's serving entry keeps its own count.
+	// Ingest into the parent (region=0 rows, the predicate's region) and
+	// refresh: the parent's live answer grows, the branch and v1 stay put.
 	parentBefore, _ := countAtVersion(t, ts.URL, "demo/maxent", 0, pred)
-	forkExactBefore, _ := countAtVersion(t, ts.URL, "fork/exact", 0, pred)
-	resp, body = postJSON(t, ts.URL+"/ingest/fork", server.IngestRequest{Rows: syntheticRows(300, 3)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fork ingest: %d %s", resp.StatusCode, body)
+	if _, err := live.Ingest(syntheticRows(200, 0)); err != nil {
+		t.Fatal(err)
 	}
-	forkExactAfter, _ := countAtVersion(t, ts.URL, "fork/exact", 0, pred)
-	if forkExactAfter != forkExactBefore+300 { // all 300 ingested rows are region=3
-		t.Fatalf("fork exact count %g -> %g, want +300", forkExactBefore, forkExactAfter)
+	if _, err := live.Refresh(); err != nil {
+		t.Fatal(err)
 	}
 	parentAfter, _ := countAtVersion(t, ts.URL, "demo/maxent", 0, pred)
-	if math.Float64bits(parentAfter) != math.Float64bits(parentBefore) {
-		t.Fatalf("fork ingest leaked into the parent: %v -> %v", parentBefore, parentAfter)
+	if parentAfter < parentBefore+100 {
+		t.Fatalf("parent count %v -> %v after 200 region=0 rows, want about +200", parentBefore, parentAfter)
+	}
+	if got, _ := countAtVersion(t, ts.URL, "fork/maxent", 0, pred); math.Float64bits(got) != math.Float64bits(forkCount) {
+		t.Fatalf("parent ingest leaked into the branch: %v -> %v", forkCount, got)
+	}
+	if got, _ := countAtVersion(t, ts.URL, "demo/maxent", 1, pred); math.Float64bits(got) != math.Float64bits(v1Count) {
+		t.Fatalf("parent ingest moved its v1: %v -> %v", v1Count, got)
 	}
 
-	// The fork point (demo/maxent v1) survives an aggressive prune because
-	// the fork's lineage pins it implicitly.
+	// The restored branch has no live relation: an ingest into it is a 404
+	// and the parent keeps its count.
+	resp, body := postJSON(t, ts.URL+"/ingest/fork", server.IngestRequest{Rows: syntheticRows(300, 0)})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("branch ingest: %d %s, want 404", resp.StatusCode, body)
+	}
+	if got, _ := countAtVersion(t, ts.URL, "demo/maxent", 0, pred); math.Float64bits(got) != math.Float64bits(parentAfter) {
+		t.Fatalf("branch ingest reached the parent: %v -> %v", parentAfter, got)
+	}
+
+	// Pruning the parent to its newest version leaves the branch's own v1.
 	if _, err := st.Prune("demo/maxent", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Load("demo/maxent", 1); err != nil {
-		t.Fatalf("prune removed the fork point: %v", err)
+	est, _, err := st.Load("fork/maxent", 1)
+	if err != nil {
+		t.Fatalf("parent prune removed the branch: %v", err)
 	}
-
-	// Conflicts: re-branching under a taken name is a 409, unknown parent a
-	// 404, missing name a 400.
-	resp, _ = postJSON(t, ts.URL+"/branch/demo?from=1&name=fork", struct{}{})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate branch: %d, want 409", resp.StatusCode)
+	want, err := est.(core.Estimator).EstimateCount(pred)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, _ = postJSON(t, ts.URL+"/branch/nosuch?name=x", struct{}{})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown parent: %d, want 404", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/branch/demo", struct{}{})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing name: %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestDiffEndpoint checks the drift report: zero self-diff, visible drift
-// across a skewed ingest, cross-dataset comparison, and clean failures.
-func TestDiffEndpoint(t *testing.T) {
-	ts, _, _ := newVersionedServer(t, 1500, 2, server.Options{})
-
-	getDiff := func(path string) (int, server.DiffResponse) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var dr server.DiffResponse
-		if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil && resp.StatusCode == http.StatusOK {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, dr
-	}
-
-	// Self-diff is exactly zero.
-	status, dr := getDiff("/diff/demo?a=1&b=1")
-	if status != http.StatusOK {
-		t.Fatalf("self diff: status %d", status)
-	}
-	if dr.MeanTotalVariation != 0 || dr.MaxTotalVariation != 0 || dr.MaxDriftAttr != "" {
-		t.Fatalf("self diff is nonzero: %+v", dr)
-	}
-	if dr.A != 1 || dr.B != 1 || dr.Dataset != "demo" || dr.Strategy != "maxent" {
-		t.Fatalf("self diff header: %+v", dr)
-	}
-
-	// v1 vs latest: the skewed ingest rounds moved the marginals.
-	status, dr = getDiff("/diff/demo?a=1")
-	if status != http.StatusOK {
-		t.Fatalf("v1-vs-latest diff: status %d", status)
-	}
-	if dr.B != 3 {
-		t.Fatalf("latest resolved to v%d, want 3", dr.B)
-	}
-	if dr.MaxTotalVariation <= 0 {
-		t.Fatalf("skewed ingest produced zero drift: %+v", dr)
-	}
-
-	// Symmetry: swapping a and b changes nothing but the header.
-	_, rev := getDiff("/diff/demo?a=3&b=1")
-	if rev.MaxTotalVariation != dr.MaxTotalVariation || rev.MeanTotalVariation != dr.MeanTotalVariation {
-		t.Fatalf("diff is asymmetric: %+v vs %+v", dr, rev)
-	}
-
-	// Failure shapes.
-	if status, _ := getDiff("/diff/nosuch"); status != http.StatusNotFound {
-		t.Fatalf("unknown dataset: %d, want 404", status)
-	}
-	if status, _ := getDiff("/diff/demo?a=99"); status != http.StatusNotFound {
-		t.Fatalf("unknown version: %d, want 404", status)
-	}
-	if status, _ := getDiff("/diff/demo?a=-1"); status != http.StatusBadRequest {
-		t.Fatalf("negative version: %d, want 400", status)
+	if math.Float64bits(want) != math.Float64bits(forkCount) {
+		t.Fatalf("branch v1 after the parent's prune answers %v, want %v", want, forkCount)
 	}
 }
 
@@ -473,20 +449,16 @@ func TestVersionedQueryWithoutStoreIs501(t *testing.T) {
 	}
 }
 
-// TestRoutesListsServingSurface pins Routes() as the machine-readable
-// source of truth the docs gate checks against.
+// TestRoutesListsServingSurface pins Routes() — the machine-readable source
+// of truth the docs gate checks against — to the exact serving surface, so
+// a route added or dropped without updating this list fails here.
 func TestRoutesListsServingSurface(t *testing.T) {
 	srv := server.New(server.NewRegistry(), server.Options{})
-	got := map[string]bool{}
-	for _, r := range srv.Routes() {
-		got[r] = true
+	want := []string{
+		"/estimators", "/groupby", "/healthz", "/ingest/", "/metrics", "/query",
+		"/query/batch", "/snapshots", "/snapshots/", "/sync/notify", "/sync/snapshot",
 	}
-	for _, want := range []string{
-		"/query", "/query/batch", "/groupby", "/estimators", "/healthz",
-		"/metrics", "/snapshots", "/snapshots/", "/ingest/", "/branch/", "/diff/",
-	} {
-		if !got[want] {
-			t.Errorf("Routes() is missing %q (got %v)", want, srv.Routes())
-		}
+	if got := srv.Routes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Routes() = %v, want %v", got, want)
 	}
 }

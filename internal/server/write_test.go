@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -113,8 +112,8 @@ func TestDeriveIsOneList(t *testing.T) {
 }
 
 // TestPublishIsTheOneWriter walks one dataset through every way a model
-// becomes the served one — build, refresh, restore, a replica's adoption of an
-// imported version, branch — and checks after each that the registry
+// becomes the served one — build, refresh, restore, and a replica's adoption
+// of an imported version — and checks after each that the registry
 // generation, the recorded served version, the store's newest version, the
 // serving pin and the cache entries dropped are what that path promises.
 func TestPublishIsTheOneWriter(t *testing.T) {
@@ -247,23 +246,6 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		},
 			reg: rreg, st: rst, cache: rsrv.Cache(), dropped: 4,
 			want: map[string]state{"demo/maxent": {2, 2, 2, []int{2}}}},
-		{name: "branch", do: func() {
-			warm(ts.URL, "demo/maxent", 1) // the parent's cache is not the branch's to fence
-			resp, err := http.Post(ts.URL+"/branch/demo?name=fork", "application/json", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("branch: status %d", resp.StatusCode)
-			}
-		},
-			reg: reg, st: st, cache: srv.Cache(),
-			want: map[string]state{
-				"fork/maxent": {1, 1, 1, []int{1}},
-				"fork/exact":  {1, 0, 0, nil},
-				"demo/maxent": {2, 2, 2, []int{2}},
-			}},
 	} {
 		var before uint64
 		if step.cache != nil {
@@ -280,43 +262,5 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 				t.Errorf("%s: %d cache entries invalidated, want %d", step.name, dropped, step.dropped)
 			}
 		}
-	}
-}
-
-// TestBranchInheritsSkipExact: a branch derives what its parent's options ask
-// for, so a branch of a dataset built without the exact engine serves only
-// its summary.
-func TestBranchInheritsSkipExact(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := server.NewRegistry()
-	opts := writeOptions(st)
-	opts.SkipExact = true
-	live, _, err := server.BuildLiveDataset(reg, "demo",
-		relation.NewMutable(experiment.SyntheticRelation(2000, rand.New(rand.NewSource(1)))),
-		server.LiveOptions{Dataset: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(reg, server.Options{Store: st})
-	srv.AttachLive(live)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.URL+"/branch/demo?name=fork", struct{}{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("branch: %d %s", resp.StatusCode, body)
-	}
-	var br server.BranchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"fork/maxent"}; !reflect.DeepEqual(br.Registered, want) {
-		t.Errorf("the branch registered %v, want %v", br.Registered, want)
-	}
-	if _, ok := reg.Get("fork/exact"); ok {
-		t.Error("fork/exact is served although the parent skips the exact engine")
 	}
 }

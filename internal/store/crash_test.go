@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -44,8 +46,12 @@ func listedVersions(man Manifest) []int {
 	return out
 }
 
+// oldManifestName is the record older builds kept beside the snapshot files.
+// This build never reads, writes or deletes it.
+const oldManifestName = "MANIFEST.json"
+
 // oldManifest is the MANIFEST.json an older build kept beside the snapshot
-// files: the lineage plus a "snapshots" array re-describing them.
+// files: a branch's parent plus a "snapshots" array re-describing them.
 func oldManifest(dataset, parent string, versions ...string) []byte {
 	return []byte(`{"dataset": "` + dataset + `",` + parent + `"snapshots": [` + strings.Join(versions, ",") + `]}`)
 }
@@ -80,7 +86,7 @@ func TestReopenAfterCrash(t *testing.T) {
 				writeFile(t, filepath.Join(dir, snapshotFile(1)), framed)
 				writeFile(t, filepath.Join(dir, snapshotFile(2)), framed)
 				writeFile(t, filepath.Join(dir, ".snap.tmp-123456"), framed[:len(framed)/2])
-				writeFile(t, filepath.Join(dir, manifestName+".tmp-654321"), []byte(`{"dataset": "demo/ma`))
+				writeFile(t, filepath.Join(dir, oldManifestName+".tmp-654321"), []byte(`{"dataset": "demo/ma`))
 			},
 			sound: []int{1, 2}, highest: 2,
 		},
@@ -89,7 +95,7 @@ func TestReopenAfterCrash(t *testing.T) {
 			fabricate: func(dir string) {
 				writeFile(t, filepath.Join(dir, snapshotFile(1)), framed)
 				writeFile(t, filepath.Join(dir, snapshotFile(2)), framed)
-				writeFile(t, filepath.Join(dir, manifestName), oldManifest(key, "", oldEntry(key, "1"), oldEntry(key, "3")))
+				writeFile(t, filepath.Join(dir, oldManifestName), oldManifest(key, "", oldEntry(key, "1"), oldEntry(key, "3")))
 			},
 			sound: []int{1, 2}, highest: 2,
 		},
@@ -139,28 +145,20 @@ func TestReopenAfterCrash(t *testing.T) {
 				t.Fatalf("Load(latest) with a damaged newest file: %v, want ErrCorrupt", err)
 			}
 
-			// Any linked version is forkable.
-			if _, err := st.Save("fork/maxent", buildTestSummary(t, 500, 1)); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.SetParent("fork/maxent", Lineage{Dataset: key, Version: newestSound}); err != nil {
-				t.Fatalf("SetParent onto linked v%d: %v", newestSound, err)
-			}
-
 			saved, err := st.Save(key, buildTestSummary(t, 500, 1))
 			if err != nil || saved.Version != tc.highest+1 {
 				t.Fatalf("Save claimed v%d, %v; want v%d", saved.Version, err, tc.highest+1)
 			}
 
 			// Prune counts files, not a record of them: what stays is the
-			// newest keep versions, the fork point, and a damaged file, which
-			// is not Prune's to delete.
+			// newest keep versions and a damaged file, which is not Prune's to
+			// delete.
 			if _, err := st.Prune(key, 1); err != nil {
 				t.Fatal(err)
 			}
-			want := []string{snapshotFile(newestSound), snapshotFile(saved.Version)}
+			want := []string{snapshotFile(saved.Version)}
 			if newestSound != tc.highest {
-				want = []string{snapshotFile(newestSound), snapshotFile(tc.highest), snapshotFile(saved.Version)}
+				want = []string{snapshotFile(tc.highest), snapshotFile(saved.Version)}
 			}
 			var left []string
 			entries, err := os.ReadDir(dir)
@@ -175,7 +173,7 @@ func TestReopenAfterCrash(t *testing.T) {
 			if !reflect.DeepEqual(left, want) {
 				t.Fatalf("after Prune(keep=1) the directory holds %v, want %v", left, want)
 			}
-			if man, err := st.Versions(key); err != nil || !reflect.DeepEqual(listedVersions(man), []int{newestSound, saved.Version}) {
+			if man, err := st.Versions(key); err != nil || !reflect.DeepEqual(listedVersions(man), []int{saved.Version}) {
 				t.Fatalf("after Prune(keep=1): Versions = %+v, %v", man, err)
 			}
 		})
@@ -184,9 +182,8 @@ func TestReopenAfterCrash(t *testing.T) {
 
 // TestOpensOlderBuildDirectory builds the directory an older build left —
 // every key with a MANIFEST.json that re-describes its files, a branch's
-// also carrying its parent — and checks it opens, lists, loads, prunes and
-// reports its lineage unchanged, and that the one record this build still
-// writes carries the lineage alone.
+// also carrying its parent — and checks that both keys open, list, load and
+// prune as plain keys, and that this build never touches either record.
 func TestOpensOlderBuildDirectory(t *testing.T) {
 	const base, fork = "base/maxent", "fork/maxent"
 	framed := testFrame(t)
@@ -194,10 +191,14 @@ func TestOpensOlderBuildDirectory(t *testing.T) {
 	for _, v := range []int{1, 2, 3} {
 		writeFile(t, filepath.Join(root, base, snapshotFile(v)), framed)
 	}
-	writeFile(t, filepath.Join(root, base, manifestName), oldManifest(base, "", oldEntry(base, "1"), oldEntry(base, "2"), oldEntry(base, "3")))
+	records := map[string][]byte{
+		base: oldManifest(base, "", oldEntry(base, "1"), oldEntry(base, "2"), oldEntry(base, "3")),
+		fork: oldManifest(fork, `"parent": {"dataset": "base/maxent", "version": 2},`, oldEntry(fork, "1")),
+	}
+	for key, rec := range records {
+		writeFile(t, filepath.Join(root, key, oldManifestName), rec)
+	}
 	writeFile(t, filepath.Join(root, fork, snapshotFile(1)), framed)
-	writeFile(t, filepath.Join(root, fork, manifestName),
-		oldManifest(fork, `"parent": {"dataset": "base/maxent", "version": 2},`, oldEntry(fork, "1")))
 
 	st, err := Open(root)
 	if err != nil {
@@ -207,12 +208,14 @@ func TestOpensOlderBuildDirectory(t *testing.T) {
 	if err != nil || len(mans) != 2 || mans[0].Dataset != base || mans[1].Dataset != fork {
 		t.Fatalf("List = %+v, %v", mans, err)
 	}
-	if got := listedVersions(mans[0]); !reflect.DeepEqual(got, []int{1, 2, 3}) || mans[0].Parent != nil {
+	if got := listedVersions(mans[0]); !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Fatalf("base listed as %+v", mans[0])
 	}
-	want := Lineage{Dataset: base, Version: 2}
-	if mans[1].Parent == nil || *mans[1].Parent != want || !reflect.DeepEqual(listedVersions(mans[1]), []int{1}) {
-		t.Fatalf("fork listed as %+v, want v1 with parent %+v", mans[1], want)
+	if got := listedVersions(mans[1]); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("fork listed as %+v", mans[1])
+	}
+	if data, err := json.Marshal(mans); err != nil || strings.Contains(string(data), "parent") {
+		t.Fatalf("the listing carries a parent: %s, %v", data, err)
 	}
 	if sn := mans[0].Snapshots[0]; sn.Estimator == "stale" || sn.Checksum == 1 {
 		t.Fatalf("v1 described from the old manifest, not its file: %+v", sn)
@@ -220,25 +223,31 @@ func TestOpensOlderBuildDirectory(t *testing.T) {
 	if _, info, err := st.Load(fork, 0); err != nil || info.Version != 1 {
 		t.Fatalf("Load(fork) = %+v, %v", info, err)
 	}
-	// The recorded fork point still shields base v2 from a prune.
+
+	// The parent the fork's record names is no fork point: base prunes to
+	// its newest version.
 	removed, err := st.Prune(base, 1)
-	if err != nil || len(removed) != 1 || removed[0].Version != 1 {
-		t.Fatalf("Prune(base, 1) removed %+v, %v; want v1 alone", removed, err)
+	if err != nil || !reflect.DeepEqual(listedVersions(Manifest{Snapshots: removed}), []int{1, 2}) {
+		t.Fatalf("Prune(base, 1) removed %+v, %v; want v1 and v2", removed, err)
+	}
+	if man, err := st.Versions(base); err != nil || !reflect.DeepEqual(listedVersions(man), []int{3}) {
+		t.Fatalf("base after Prune(keep=1): %+v, %v", man, err)
 	}
 
-	// Re-recording the same parent rewrites the record in this build's shape.
-	if err := st.SetParent(fork, want); err != nil {
-		t.Fatal(err)
+	// A save and a prune of each key leave both records byte for byte.
+	for key := range records {
+		if _, err := st.Save(key, buildTestSummary(t, 500, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Prune(key, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data, err := os.ReadFile(filepath.Join(root, fork, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "snapshots") || !strings.Contains(string(data), `"parent"`) {
-		t.Fatalf("lineage record re-describes the files:\n%s", data)
-	}
-	if man, err := st.Versions(fork); err != nil || man.Parent == nil || *man.Parent != want {
-		t.Fatalf("lineage after rewrite: %+v, %v", man, err)
+	for key, rec := range records {
+		data, err := os.ReadFile(filepath.Join(root, key, oldManifestName))
+		if err != nil || !bytes.Equal(data, rec) {
+			t.Fatalf("%s's MANIFEST.json changed: %v\n%s", key, err, data)
+		}
 	}
 }
 

@@ -12,11 +12,11 @@
 // everything the store says about it (size, checksum, estimator name,
 // creation time) is read off that file's verified frame and its mtime.
 // Nothing re-describes the files, so there is nothing a crash can leave
-// inconsistent with them. The one record kept beside the snapshots is a
-// branch's lineage: MANIFEST.json names the parent snapshot a dataset was
-// forked from (see SetParent). Every file is written to a temporary name
-// and linked or renamed into place, so readers never observe a partial
-// file and a crashed writer leaves at most a *.tmp-* straggler.
+// inconsistent with them. Any other file in a dataset directory (such as
+// the MANIFEST.json older builds kept there) is never read, written or
+// deleted. Every snapshot is written to a temporary name and linked into
+// place, so readers never observe a partial file and a crashed writer
+// leaves at most a *.tmp-* straggler.
 //
 // On-disk snapshot framing (internal/frame): an 8-byte magic, a format
 // version, the payload length, and a CRC32-C checksum, followed by the
@@ -27,7 +27,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,8 +53,6 @@ const (
 	formatVersion = 1
 	// headerSize is the frame header in front of every payload.
 	headerSize = frame.HeaderSize
-	// manifestName is the per-dataset lineage record.
-	manifestName = "MANIFEST.json"
 	// maxPayload bounds how large a payload Load will read (1 GiB), so a
 	// corrupted length field cannot drive an absurd allocation.
 	maxPayload = 1 << 30
@@ -92,32 +89,12 @@ type SnapshotInfo struct {
 	CreatedAt time.Time `json:"created_at"`
 }
 
-// Lineage names the snapshot a branched dataset was forked from: the
-// parent dataset key and the parent version that is the branch's fork
-// point. It is recorded in the branch's MANIFEST.json so tooling can walk
-// the version DAG, and so Prune on the parent treats the fork point as
-// implicitly pinned (a branch whose origin snapshot is gone can no longer
-// be diffed against, or re-forked from, where it diverged).
-type Lineage struct {
-	Dataset string `json:"dataset"`
-	Version int    `json:"version"`
-}
-
 // Manifest is the view of one dataset key: its sound snapshots, ascending
-// by version, and — when set — its branch lineage (see Lineage). It is
-// assembled from the directory on every call, never stored.
+// by version. It is assembled from the directory on every call, never
+// stored.
 type Manifest struct {
 	Dataset   string         `json:"dataset"`
-	Parent    *Lineage       `json:"parent,omitempty"`
 	Snapshots []SnapshotInfo `json:"snapshots"`
-}
-
-// lineageFile is what MANIFEST.json holds. Files written by older builds
-// also carry a "snapshots" array re-describing the directory; it is
-// ignored.
-type lineageFile struct {
-	Dataset string   `json:"dataset"`
-	Parent  *Lineage `json:"parent,omitempty"`
 }
 
 // Latest returns the newest snapshot of the manifest.
@@ -454,7 +431,7 @@ func (s *Store) Load(dataset string, version int) (core.Estimator, SnapshotInfo,
 }
 
 // Versions returns the view of one dataset key: every linked version whose
-// file verifies, and the key's lineage. A key with no linked snapshot file
+// file verifies. A key with no linked snapshot file
 // is ErrNotFound.
 func (s *Store) Versions(dataset string) (Manifest, error) {
 	if err := validateKey(dataset); err != nil {
@@ -470,16 +447,13 @@ func (s *Store) manifest(dataset string, linked []int) (Manifest, error) {
 	if len(linked) == 0 {
 		return Manifest{}, fmt.Errorf("store: dataset %q: %w", dataset, ErrNotFound)
 	}
-	parent, err := s.readLineage(dataset)
-	if err != nil {
-		return Manifest{}, err
-	}
-	man := Manifest{Dataset: dataset, Parent: parent, Snapshots: make([]SnapshotInfo, 0, len(linked))}
+	man := Manifest{Dataset: dataset, Snapshots: make([]SnapshotInfo, 0, len(linked))}
 	for _, v := range linked {
 		s.knownMu.Lock()
 		info, ok := s.known[snapshotID{dataset, v}]
 		s.knownMu.Unlock()
 		if !ok {
+			var err error
 			if _, info, err = s.readSnapshot(dataset, v); err != nil {
 				if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) {
 					continue
@@ -490,40 +464,6 @@ func (s *Store) manifest(dataset string, linked []int) (Manifest, error) {
 		man.Snapshots = append(man.Snapshots, info)
 	}
 	return man, nil
-}
-
-// SetParent records branch lineage beside the dataset's snapshots: the
-// parent snapshot the dataset was forked from. The parent version must be
-// linked, and the dataset must already hold a snapshot (fork first, then
-// record parentage). Lineage is immutable once set — re-parenting a branch
-// would silently rewrite history, so SetParent refuses to overwrite a
-// different existing parent.
-func (s *Store) SetParent(dataset string, parent Lineage) error {
-	if err := validateKey(dataset); err != nil {
-		return err
-	}
-	if err := validateKey(parent.Dataset); err != nil {
-		return err
-	}
-	if dataset == parent.Dataset {
-		return fmt.Errorf("store: dataset %q cannot be its own lineage parent", dataset)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := os.Stat(s.snapshotPath(parent.Dataset, parent.Version)); err != nil {
-		return fmt.Errorf("store: lineage parent %q has no version %d: %w", parent.Dataset, parent.Version, ErrNotFound)
-	}
-	if s.latestLinked(dataset) == 0 {
-		return fmt.Errorf("store: dataset %q: %w", dataset, ErrNotFound)
-	}
-	have, err := s.readLineage(dataset)
-	if err != nil {
-		return err
-	}
-	if have != nil && *have != parent {
-		return fmt.Errorf("store: dataset %q already has lineage parent %s v%d", dataset, have.Dataset, have.Version)
-	}
-	return s.writeManifest(dataset, parent)
 }
 
 // keyVersions is one dataset key found by scan and its linked versions,
@@ -593,12 +533,9 @@ func (s *Store) List() ([]Manifest, error) {
 // Versions pinned by a live serving process (see Pin) are never removed,
 // even when they fall outside the newest keep: pruning the snapshot a
 // registry entry is currently serving would leave a restart with nothing
-// to restore that entry from. Versions recorded as another dataset's
-// lineage parent (see SetParent) are implicitly pinned for the same
-// reason: removing a branch's fork point would orphan the branch's
-// history. A file that fails verification is not a snapshot: Prune neither
-// counts nor deletes it (deleting a damaged newest file would hand its
-// version number out again).
+// to restore that entry from. A file that fails verification is not a
+// snapshot: Prune neither counts nor deletes it (deleting a damaged newest
+// file would hand its version number out again).
 func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 	if err := validateKey(dataset); err != nil {
 		return nil, err
@@ -616,14 +553,10 @@ func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 	if len(man.Snapshots) <= keep {
 		return nil, nil
 	}
-	forks, err := s.forkPoints(dataset)
-	if err != nil {
-		return nil, err
-	}
 	var removed []SnapshotInfo
 	pinned := s.pins[dataset]
 	for _, sn := range man.Snapshots[:len(man.Snapshots)-keep] {
-		if pinned[sn.Version] > 0 || forks[sn.Version] {
+		if pinned[sn.Version] > 0 {
 			continue
 		}
 		if err := os.Remove(s.snapshotPath(dataset, sn.Version)); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -633,64 +566,6 @@ func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 		removed = append(removed, sn)
 	}
 	return removed, nil
-}
-
-// forkPoints returns the versions of dataset that some other dataset key
-// records as its lineage parent. Prune treats these as implicitly pinned.
-func (s *Store) forkPoints(dataset string) (map[int]bool, error) {
-	keys, err := s.scan()
-	if err != nil {
-		return nil, fmt.Errorf("store: scanning lineage before prune: %w", err)
-	}
-	out := make(map[int]bool)
-	for _, kv := range keys {
-		// A damaged sibling lineage record must not unblock pruning a fork
-		// point it might have recorded — fail closed.
-		parent, err := s.readLineage(kv.key)
-		if err != nil {
-			return nil, fmt.Errorf("store: scanning lineage before prune: %w", err)
-		}
-		if parent != nil && parent.Dataset == dataset {
-			out[parent.Version] = true
-		}
-	}
-	return out, nil
-}
-
-// --- lineage record -----------------------------------------------------
-
-// readLineage returns the parent recorded in the dataset's MANIFEST.json,
-// nil when there is no record.
-func (s *Store) readLineage(dataset string) (*Lineage, error) {
-	data, err := os.ReadFile(filepath.Join(s.datasetDir(dataset), manifestName))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: manifest of %q: %w", dataset, err)
-	}
-	var rec lineageFile
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("store: manifest of %q: %w: %v", dataset, ErrCorrupt, err)
-	}
-	return rec.Parent, nil
-}
-
-func (s *Store) writeManifest(dataset string, parent Lineage) error {
-	data, err := json.MarshalIndent(lineageFile{Dataset: dataset, Parent: &parent}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: manifest of %q: %w", dataset, err)
-	}
-	dir := s.datasetDir(dataset)
-	tmp, err := stageFile(dir, manifestName+".tmp-*", append(data, '\n'))
-	if err == nil {
-		defer os.Remove(tmp) // gone already once the rename consumed it
-		err = os.Rename(tmp, filepath.Join(dir, manifestName))
-	}
-	if err != nil {
-		return fmt.Errorf("store: manifest of %q: %w", dataset, err)
-	}
-	return nil
 }
 
 // stageFile writes data to a new temporary file in dir, fsyncs it and
