@@ -4,8 +4,7 @@
 // baselines itself (a served dataset holds only the model and the exact
 // engine), runs a mixed counting/group-by workload through every strategy
 // behind the shared core.Estimator interface, and prints the
-// machine-readable accuracy/latency report as JSON on stdout. With -store
-// the summary is saved as the next "<dataset>/maxent" snapshot version.
+// machine-readable accuracy/latency report as JSON on stdout.
 //
 // An alternative scenario replaces the static report: -stream N runs the
 // streaming-drift comparison (stale vs per-batch-refreshed summaries
@@ -30,7 +29,6 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/solver"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/summary"
 )
 
@@ -44,8 +42,6 @@ func main() {
 		perPair       = flag.Int("per-pair", 8, "2D statistics per pair (B_s)")
 		heuristic     = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps        = flag.Int("sweeps", 200, "solver sweep budget")
-		storeDir      = flag.String("store", "", "when set, snapshot the built summaries into this store directory (created if missing)")
-		dataset       = flag.String("dataset", "demo", "dataset name snapshots are stored under (with -store)")
 		streamBatches = flag.Int("stream", 0, "when > 0, run the streaming-drift scenario with this many append batches instead of the static report")
 		streamRows    = flag.Int("stream-rows", 1000, "rows per streaming batch (with -stream)")
 	)
@@ -59,17 +55,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiment: %v\n", err)
 		os.Exit(2)
-	}
-	// Validate the store path before the pipeline runs: create-if-missing
-	// plus a writability probe, so a bad -store fails fast instead of
-	// discarding a finished run.
-	var st *store.Store
-	if *storeDir != "" {
-		st, err = store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment: %v\n", err)
-			os.Exit(2)
-		}
 	}
 	buildOpts := summary.Options{
 		PairBudget:    *pairBudget,
@@ -110,16 +95,9 @@ func main() {
 		return
 	}
 
-	report, sum, err := staticReport(*rows, *queries, *seed, *rate, buildOpts, os.Stderr)
+	report, err := staticReport(*rows, *queries, *seed, *rate, buildOpts, os.Stderr)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if st != nil {
-		saved, err := st.Save(*dataset+"/maxent", sum)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "snapshot %s v%d (%d bytes)\n", saved.Dataset, saved.Version, saved.Bytes)
 	}
 	if err := report.WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)
@@ -131,18 +109,18 @@ func main() {
 // stratified samples at rate, then scores them and the exact engine — the
 // ground truth, reported last — on one generated workload. The seed draws the
 // data; seed+1 and seed+2 the two samples; seed+3 the workload. Progress goes
-// to progress; the summary is returned for -store.
-func staticReport(rows, queries int, seed int64, rate float64, opts summary.Options, progress io.Writer) (*experiment.Report, *summary.Summary, error) {
+// to progress.
+func staticReport(rows, queries int, seed int64, rate float64, opts summary.Options, progress io.Writer) (*experiment.Report, error) {
 	rel := experiment.SyntheticRelation(rows, rand.New(rand.NewSource(seed)))
 	fmt.Fprintf(progress, "relation: %s, %d rows\n", rel.Schema(), rel.NumRows())
 	sum, err := summary.Build(rel, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("maxent: %w", err)
+		return nil, fmt.Errorf("maxent: %w", err)
 	}
 	fmt.Fprintf(progress, "%s\n", sum.SolverReport())
 	uni, err := sampling.Uniform(rel, rate, rand.New(rand.NewSource(seed+1)))
 	if err != nil {
-		return nil, nil, fmt.Errorf("uniform sample: %w", err)
+		return nil, fmt.Errorf("uniform sample: %w", err)
 	}
 	// Stratify on the attributes the model itself found most correlated.
 	strata := []int{0, 1}
@@ -151,12 +129,11 @@ func staticReport(rows, queries int, seed int64, rate float64, opts summary.Opti
 	}
 	strat, err := sampling.Stratified(rel, strata, rate, 1, rand.New(rand.NewSource(seed+2)))
 	if err != nil {
-		return nil, nil, fmt.Errorf("stratified sample: %w", err)
+		return nil, fmt.Errorf("stratified sample: %w", err)
 	}
 	truth := exact.New(rel)
 	workload := experiment.GenerateWorkload(rel.Schema(), queries, rand.New(rand.NewSource(seed+3)))
-	report, err := experiment.Run(truth, []core.Estimator{sum, uni, strat, truth}, workload, experiment.Options{})
-	return report, sum, err
+	return experiment.Run(truth, []core.Estimator{sum, uni, strat, truth}, workload, experiment.Options{})
 }
 
 // validate rejects nonsensical flag values up front with actionable

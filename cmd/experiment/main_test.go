@@ -22,7 +22,7 @@ func TestStaticReportMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, err := staticReport(20000, 40, 1, 0.01, summary.Options{
+	report, err := staticReport(20000, 40, 1, 0.01, summary.Options{
 		PairBudget:    2,
 		PerPairBudget: 8,
 		Heuristic:     stats.Composite,

@@ -8,9 +8,8 @@
 // snapshot in the store (cold start in O(summary bytes), no data scan, no
 // solver), and only rebuilds the -dataset pipeline when the store holds
 // no summary for it yet — saving the result as a new snapshot version, so
-// the next start restores instead. POST /snapshots/{dataset} saves new
-// versions of the live estimators and GET /snapshots lists what is
-// stored.
+// the next start restores instead. A version is born at a build or a
+// refresh only; GET /snapshots lists what is stored.
 //
 // summaryd also serves live ingestion: POST /ingest/{dataset} appends
 // rows (JSON-encoded domain values or a raw CSV body) to the dataset's
@@ -34,8 +33,8 @@
 //
 // Endpoints: POST /query, POST /query/batch, POST /groupby,
 // POST /ingest/{dataset}, GET /estimators, GET /healthz, GET /metrics,
-// GET /snapshots, POST /snapshots/{dataset}. See docs/API.md for the full wire reference
-// and the README's "Serving summaries" section for a curl walkthrough.
+// GET /snapshots. See docs/API.md for the full wire reference and the
+// README's "Serving summaries" section for a curl walkthrough.
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.
 package main

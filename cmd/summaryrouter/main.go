@@ -3,11 +3,11 @@
 // request with health-aware, load-aware node selection. Reads go to the
 // least-loaded node whose circuit breaker passes traffic and are retried
 // with backoff across peers on replica failure (transport errors and
-// 502/503/504); writes — POST /ingest/{dataset} and POST
-// /snapshots/{dataset} — go to the primary (the first -nodes entry)
-// exactly once, and a write that published new snapshot versions fans a
-// POST /sync/notify out to the replicas so the fleet converges within one
-// round trip instead of one poll interval.
+// 502/503/504); writes — POST /ingest/{dataset} — go to the primary (the
+// first -nodes entry) exactly once, and an ingest that refreshed (so
+// published new snapshot versions) fans a POST /sync/notify out to the
+// replicas so the fleet converges within one round trip instead of one
+// poll interval.
 //
 // Every read — JSON POST /query, JSON POST /groupby, binary POST
 // /query/batch; a single read is a batch of one — is served item by item
@@ -23,7 +23,7 @@
 //
 // Endpoints: the proxied summaryd surface (POST /query,
 // POST /query/batch, POST /groupby, GET /estimators, GET /snapshots,
-// POST /snapshots/{dataset}, POST /ingest/{dataset}) plus the router's
+// POST /ingest/{dataset}) plus the router's
 // own GET /healthz and GET /metrics reporting per-node breaker state,
 // in-flight load, and retry counters.
 // See docs/FLEET.md for the full topology walkthrough.

@@ -34,8 +34,8 @@ var flagRow = regexp.MustCompile("(?m)^\\| `-([a-zA-Z0-9][a-zA-Z0-9-]*)` \\|")
 // DocLint checks that an API reference documents the server's full
 // serving surface and nothing more: every registered HTTP route must
 // appear verbatim in the doc, every command flag must appear as `-name`
-// (matched with a boundary, so documenting -version-mix cannot mask a
-// missing -version), and every flag-table row must name a flag some
+// (matched with a boundary, so documenting -stream-rows cannot mask a
+// missing -stream), and every flag-table row must name a flag some
 // command declares. It returns one problem string per omission or stale
 // row; an empty slice means the doc covers everything. This is the drift
 // gate: adding an endpoint or a flag without documenting it, or deleting a

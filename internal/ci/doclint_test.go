@@ -13,11 +13,11 @@ func TestExtractFlags(t *testing.T) {
 		addr := flag.String("addr", ":8080", "listen address")
 		rows = flag.Int("rows", 20000, "cardinality")
 		dup := flag.Int("rows", 1, "duplicate declaration")
-		mix := flag.String("version-mix", "", "versions")
+		per := flag.Int("stream-rows", 1000, "rows per batch")
 		sub := fs.String("baseline", "", "subcommand flag, ignored")
 	`
 	got := ExtractFlags(src)
-	want := []string{"addr", "rows", "version-mix"}
+	want := []string{"addr", "rows", "stream-rows"}
 	if len(got) != len(want) {
 		t.Fatalf("ExtractFlags = %v, want %v", got, want)
 	}
@@ -34,13 +34,13 @@ func TestDocLintPassesOnCompleteDoc(t *testing.T) {
 	doc := strings.Join([]string{
 		"POST /query answers counts; POST /query/batch carries many.",
 		"GET /diff/{dataset} reports drift. POST /branch/{parent} forks.",
-		"summaryd takes -store DIR and -version N; loadgen takes -version-mix 0,1,2.",
+		"summaryd takes -store DIR and -version N; experiment takes -stream-rows 500.",
 	}, "\n")
 	problems := DocLint(doc,
 		[]string{"/query", "/query/batch", "/diff/", "/branch/"},
 		map[string][]string{
-			"summaryd": {"store", "version"},
-			"loadgen":  {"version-mix"},
+			"summaryd":   {"store", "version"},
+			"experiment": {"stream-rows"},
 		})
 	if len(problems) != 0 {
 		t.Fatalf("complete doc flagged: %v", problems)
@@ -49,21 +49,21 @@ func TestDocLintPassesOnCompleteDoc(t *testing.T) {
 
 // TestDocLintFailsOnOmissions is the acceptance-criterion failure demo:
 // an undocumented route and an undocumented flag each produce a problem,
-// and a documented -version-mix cannot mask a missing -version (boundary
+// and a documented -stream-rows cannot mask a missing -stream (boundary
 // matching).
 func TestDocLintFailsOnOmissions(t *testing.T) {
-	doc := "POST /query is documented. loadgen takes -version-mix 0,1,2."
+	doc := "POST /query is documented. experiment takes -stream-rows 500."
 	problems := DocLint(doc,
 		[]string{"/query", "/branch/"},
-		map[string][]string{"loadgen": {"version", "version-mix"}})
+		map[string][]string{"experiment": {"stream", "stream-rows"}})
 	if len(problems) != 2 {
-		t.Fatalf("problems = %v, want exactly the /branch/ route and the -version flag", problems)
+		t.Fatalf("problems = %v, want exactly the /branch/ route and the -stream flag", problems)
 	}
 	if !strings.Contains(problems[0], `"/branch/"`) {
 		t.Errorf("first problem %q does not name the missing route", problems[0])
 	}
-	if !strings.Contains(problems[1], "-version ") && !strings.HasSuffix(problems[1], "-version is not documented") {
-		t.Errorf("second problem %q does not name the missing -version flag", problems[1])
+	if !strings.Contains(problems[1], "-stream ") && !strings.HasSuffix(problems[1], "-stream is not documented") {
+		t.Errorf("second problem %q does not name the missing -stream flag", problems[1])
 	}
 
 	// A route mentioned only as a longer path does not count: /query must
@@ -75,9 +75,9 @@ func TestDocLintFailsOnOmissions(t *testing.T) {
 
 	// A table row for a flag no command declares any more is stale, even
 	// though its name prefixes a declared one.
-	doc = "| Flag | Meaning |\n|---|---|\n| `-version-mix` | Versions. |\n| `-version` | One version. |\n"
-	problems = DocLint(doc, nil, map[string][]string{"loadgen": {"version-mix"}})
-	if len(problems) != 1 || problems[0] != "doc row -version names no declared flag" {
-		t.Fatalf("problems = %v, want exactly the stale -version row", problems)
+	doc = "| Flag | Meaning |\n|---|---|\n| `-stream-rows` | Rows per batch. |\n| `-stream` | Batches. |\n"
+	problems = DocLint(doc, nil, map[string][]string{"experiment": {"stream-rows"}})
+	if len(problems) != 1 || problems[0] != "doc row -stream names no declared flag" {
+		t.Fatalf("problems = %v, want exactly the stale -stream row", problems)
 	}
 }

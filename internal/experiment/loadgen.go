@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,23 +15,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/server"
 )
-
-// IngestMix turns a read-only load run into a mixed read/write one:
-// every Every-th request slot becomes a POST /ingest/{Dataset} carrying
-// Batch rows from the Rows pool instead of a query — the
-// serving-while-ingesting workload a live deployment sees.
-type IngestMix struct {
-	// Dataset is the target of POST /ingest/{dataset}.
-	Dataset string
-	// Every makes one request slot in Every an ingest (must be >= 1; 1
-	// means every request is an ingest).
-	Every int
-	// Batch is the number of rows per ingest request (default 10).
-	Batch int
-	// Rows is the pool of pre-generated encoded rows ingests draw from
-	// (batches rotate through it).
-	Rows [][]int
-}
 
 // LoadOptions configure DriveHTTP.
 type LoadOptions struct {
@@ -43,19 +25,10 @@ type LoadOptions struct {
 	Repeat int
 	// Timeout bounds each request (default 30s).
 	Timeout time.Duration
-	// Ingest, when non-nil with Every >= 1, interleaves ingest requests
-	// with the query workload.
-	Ingest *IngestMix
 	// Batch > 1 groups that many workload queries into one binary POST
 	// /query/batch round trip (0 or 1 keeps the JSON single-query
-	// endpoints). Batched runs do not support an ingest mix.
+	// endpoints).
 	Batch int
-	// VersionMix cycles request slots through these snapshot versions of
-	// the estimator's dataset key (0 = live; time travel), each sent as
-	// ?version=N. One entry answers every query from that version; several
-	// make a mixed live/historical workload that exercises the server's
-	// historical-estimator cache. Empty queries the live estimators.
-	VersionMix []int
 	// Routers lists alternative base URLs that request slots rotate
 	// through round-robin (slot j targets Routers[j % len]); they must
 	// front the same fleet or answers will diverge. Empty keeps every
@@ -71,30 +44,22 @@ func (o *LoadOptions) targetFor(baseURL string, j int) string {
 	return strings.TrimRight(o.Routers[j%len(o.Routers)], "/")
 }
 
-// versionFor returns the snapshot version request slot j should target.
-func (o *LoadOptions) versionFor(j int) int {
-	if len(o.VersionMix) == 0 {
-		return 0
-	}
-	return o.VersionMix[j%len(o.VersionMix)]
-}
-
 // LoadResult aggregates one load-generation run; it is the payload
 // cmd/loadgen prints and the number source of BENCH.md's serving table.
 type LoadResult struct {
 	Estimator string `json:"estimator"`
-	// Requests counts the queries the read round trips carried, and
-	// HTTPRequests those round trips; ingest slots count in neither. With
-	// batching each round trip carries several queries, so Requests >=
-	// HTTPRequests and ThroughputQPS is always queries per second.
+	// Requests counts the queries the round trips carried, and
+	// HTTPRequests those round trips. With batching each round trip
+	// carries several queries, so Requests >= HTTPRequests and
+	// ThroughputQPS is always queries per second.
 	Requests      int     `json:"requests"`
 	HTTPRequests  int     `json:"http_requests"`
 	Errors        int     `json:"errors"`
 	ElapsedNS     int64   `json:"elapsed_ns"`
 	ThroughputQPS float64 `json:"throughput_qps"`
 	// BatchSize is LoadOptions.Batch on batched runs. Bytes are summed over
-	// the read requests' and responses' bodies — the wire-format tax per
-	// query is (BytesOut+BytesIn)/Requests.
+	// the requests' and responses' bodies — the wire-format tax per query
+	// is (BytesOut+BytesIn)/Requests.
 	BatchSize     int   `json:"batch_size,omitempty"`
 	BytesOut      int64 `json:"bytes_out,omitempty"`
 	BytesIn       int64 `json:"bytes_in,omitempty"`
@@ -103,23 +68,12 @@ type LoadResult struct {
 	LatencyMeanNS int64 `json:"latency_mean_ns"`
 	// CachedResponses counts answers the server reported as cache hits.
 	CachedResponses int `json:"cached_responses"`
-	// Ingest accounting (zero unless LoadOptions.Ingest was set). Ingest
-	// latencies are tracked separately from the query quantiles: a
-	// refresh-triggering ingest legitimately takes milliseconds and would
-	// otherwise drown the read-path signal.
-	IngestRequests int   `json:"ingest_requests,omitempty"`
-	IngestErrors   int   `json:"ingest_errors,omitempty"`
-	IngestedRows   int   `json:"ingested_rows,omitempty"`
-	IngestMeanNS   int64 `json:"ingest_mean_ns,omitempty"`
-	// Refreshes counts ingest responses that reported a hot swap.
-	Refreshes int `json:"refreshes,omitempty"`
 	// FirstError carries one representative failure for diagnostics.
 	FirstError string `json:"first_error,omitempty"`
 }
 
-// call is one pre-encoded round trip: a read carrying queries workload
-// queries — a JSON single read or a binary batch — or, with queries 0, an
-// ingest.
+// call is one pre-encoded read round trip carrying queries workload
+// queries: a JSON single read or a binary batch.
 type call struct {
 	path, contentType string
 	body              []byte
@@ -136,7 +90,7 @@ type call struct {
 // request/response handling: one JSON POST /query or /groupby per query, or
 // with Batch > 1 one binary POST /query/batch per Batch queries. Accounting
 // is per query (Requests, Errors, ThroughputQPS) with latency quantiles per
-// round trip; ingest slots are accounted apart.
+// round trip.
 func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*LoadResult, error) {
 	if len(workload) == 0 {
 		return nil, fmt.Errorf("experiment: the workload is empty")
@@ -160,32 +114,21 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	ingests, err := ingestCalls(opts.Ingest)
-	if err != nil {
-		return nil, err
-	}
 
 	client := newLoadClient(opts)
 	total := len(reads) * opts.Repeat
-	// -1 marks round trips that failed in transport (and ingest slots); they
-	// are excluded from the latency quantiles.
+	// -1 marks round trips that failed in transport; they are excluded from
+	// the latency quantiles.
 	latencies := make([]int64, total)
-	res := &LoadResult{Estimator: estimator}
+	res := &LoadResult{Estimator: estimator, HTTPRequests: total}
 	for j := range latencies {
 		latencies[j] = -1
-		if !isIngest(ingests, opts, j) {
-			// An ingest slot sends its write in place of this read.
-			res.Requests += reads[j%len(reads)].queries
-			res.HTTPRequests++
-		}
+		res.Requests += reads[j%len(reads)].queries
 	}
 	if opts.Batch > 1 {
 		res.BatchSize = opts.Batch
 	}
-	var (
-		mu       sync.Mutex
-		ingestNS int64
-	)
+	var mu sync.Mutex
 	jobs := make(chan int)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -195,36 +138,9 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 			defer wg.Done()
 			for j := range jobs {
 				c := reads[j%len(reads)]
-				if isIngest(ingests, opts, j) {
-					c = ingests[(j/opts.Ingest.Every)%len(ingests)]
-				}
-				// The snapshot version travels as a URL override, so the
-				// pre-encoded bodies stay shared across a version mix.
-				url := opts.targetFor(baseURL, j) + c.path
-				if v := opts.versionFor(j); v > 0 {
-					url += "?version=" + strconv.Itoa(v)
-				}
 				t0 := time.Now()
-				status, body, err := post(client, url, c)
+				status, body, err := post(client, opts.targetFor(baseURL, j)+c.path, c)
 				ns := time.Since(t0).Nanoseconds()
-				if c.queries == 0 {
-					ir, msg := ingestOutcome(status, body, err)
-					mu.Lock()
-					res.IngestRequests++
-					ingestNS += ns
-					if msg != "" {
-						res.IngestErrors++
-					}
-					res.IngestedRows += ir.Accepted
-					if ir.Refreshed {
-						res.Refreshes++
-					}
-					if res.FirstError == "" {
-						res.FirstError = msg
-					}
-					mu.Unlock()
-					continue
-				}
 				if status != 0 {
 					latencies[j] = ns
 				}
@@ -249,9 +165,6 @@ func DriveHTTP(baseURL, estimator string, workload []Query, opts LoadOptions) (*
 	elapsed := time.Since(start)
 
 	res.ElapsedNS = elapsed.Nanoseconds()
-	if res.IngestRequests > 0 {
-		res.IngestMeanNS = ingestNS / int64(res.IngestRequests)
-	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.ThroughputQPS = float64(res.Requests) / secs
 	}
@@ -310,38 +223,6 @@ func readCalls(estimator string, workload []Query, batch int) ([]call, error) {
 	return calls, nil
 }
 
-// isIngest reports whether request slot j sends an ingest in place of its
-// read.
-func isIngest(ingests []call, opts LoadOptions, j int) bool {
-	return ingests != nil && j%opts.Ingest.Every == 0
-}
-
-// ingestCalls encodes the ingest mix's rotating bodies; nil without a mix.
-func ingestCalls(mix *IngestMix) ([]call, error) {
-	if mix == nil || mix.Every < 1 {
-		return nil, nil
-	}
-	if mix.Dataset == "" {
-		return nil, fmt.Errorf("experiment: ingest mix needs a dataset name")
-	}
-	if len(mix.Rows) == 0 {
-		return nil, fmt.Errorf("experiment: ingest mix needs a row pool")
-	}
-	batch := mix.Batch
-	if batch <= 0 {
-		batch = 10
-	}
-	var calls []call
-	for off := 0; off < len(mix.Rows); off += batch {
-		body, err := json.Marshal(server.IngestRequest{Rows: mix.Rows[off:min(off+batch, len(mix.Rows))]})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: marshal ingest batch: %w", err)
-		}
-		calls = append(calls, call{path: "/ingest/" + mix.Dataset, contentType: "application/json", body: body})
-	}
-	return calls, nil
-}
-
 // post sends one call and reads its reply to the end; status is 0 when the
 // request failed in transport.
 func post(client *http.Client, url string, c call) (int, []byte, error) {
@@ -387,18 +268,6 @@ func (c call) outcome(status int, body []byte, err error) (errs, cached int, msg
 		}
 	}
 	return errs, cached, msg
-}
-
-// ingestOutcome reads an ingest's reply: what it reported, or why it failed.
-func ingestOutcome(status int, body []byte, err error) (server.IngestResult, string) {
-	var ir server.IngestResult
-	if err != nil {
-		return ir, err.Error()
-	}
-	if status != http.StatusOK || json.Unmarshal(body, &ir) != nil {
-		return server.IngestResult{}, fmt.Sprintf("ingest status %d: %s", status, body)
-	}
-	return ir, ""
 }
 
 // newLoadClient builds an HTTP client whose transport keeps one idle

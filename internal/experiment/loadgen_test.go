@@ -121,7 +121,7 @@ func TestDriveHTTPRouters(t *testing.T) {
 // request loop every way it can be encoded — JSON single reads, binary
 // batches of 16, and those batches replayed — against one summaryd. Each run
 // answers every query without an error, and the replay is served from the
-// cache. TestDriveHTTPIngestMix runs the same loop with an ingest mix.
+// cache.
 func TestDriveHTTPOneLoop(t *testing.T) {
 	rel := experiment.SyntheticRelation(2000, rand.New(rand.NewSource(3)))
 	reg := server.NewRegistry()

@@ -278,7 +278,7 @@ func TestRouterCacheOversizedResponseStreamsWhole(t *testing.T) {
 // never a write's response. A routed ingest's result reaches the client
 // whole, and the router decides from the whole result that the ingest
 // refreshed the model, so the next routed read is fenced off the cache and
-// asks a node. A snapshot save's response is relayed whole too.
+// asks a node.
 func TestRoutedWriteRelaysWholeResponse(t *testing.T) {
 	f := fleettest.New(t, fleettest.Options{
 		Nodes:       1,
@@ -286,7 +286,7 @@ func TestRoutedWriteRelaysWholeResponse(t *testing.T) {
 		Router: fleet.Options{
 			Timeout: 5 * time.Second,
 			// Above every request body here, below the ingest result
-			// (~120 bytes) and the snapshot save response.
+			// (~120 bytes).
 			MaxBodyBytes: 100,
 		},
 	})
@@ -319,16 +319,10 @@ func TestRoutedWriteRelaysWholeResponse(t *testing.T) {
 	if math.Float64bits(got.Count) != math.Float64bits(direct.Count) {
 		t.Fatalf("routed count after the ingest %v, the primary %v", got.Count, direct.Count)
 	}
-
-	s, _, raw = postTagged(t, routed+"/snapshots/demo", struct{}{})
-	var saved server.SnapshotSaveResponse
-	if s != http.StatusOK || json.Unmarshal(raw, &saved) != nil || saved.Dataset != "demo" || len(raw) <= 100 {
-		t.Fatalf("routed snapshot save: status %d, %d bytes, body %q; want 200 and the whole response", s, len(raw), raw)
-	}
 }
 
-// TestRoutedWriteGETGoesOnceToThePrimary: no write route has a read form,
-// so a GET on one goes, like any write, once to the primary. The router
+// TestRoutedWriteGETGoesOnceToThePrimary: the ingest route has no read
+// form, so a GET on it goes, like any write, once to the primary. The router
 // relays the primary's 405, notifies no replica and fences no cached answer;
 // a GET the primary fails is not retried on a replica.
 func TestRoutedWriteGETGoesOnceToThePrimary(t *testing.T) {
@@ -343,17 +337,15 @@ func TestRoutedWriteGETGoesOnceToThePrimary(t *testing.T) {
 	before := routerMetrics(t, routed)
 
 	const asks = 4 // a load-balanced GET would reach the replica among these
-	for _, path := range []string{"/ingest/demo", "/snapshots/demo"} {
-		for i := 0; i < asks; i++ {
-			resp, err := http.Get(routed + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get(fleet.FleetNodeHeader) != f.Primary().Name {
-				t.Fatalf("GET %s: status %d from %q: %s; want the primary's 405", path, resp.StatusCode, resp.Header.Get(fleet.FleetNodeHeader), raw)
-			}
+	for i := 0; i < asks; i++ {
+		resp, err := http.Get(routed + "/ingest/demo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get(fleet.FleetNodeHeader) != f.Primary().Name {
+			t.Fatalf("GET /ingest/demo: status %d from %q: %s; want the primary's 405", resp.StatusCode, resp.Header.Get(fleet.FleetNodeHeader), raw)
 		}
 	}
 
@@ -382,18 +374,110 @@ func TestRoutedWriteGETGoesOnceToThePrimary(t *testing.T) {
 	}
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/ingest/demo", "/snapshots/demo"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("GET %s past a failing primary: status %d, want its 503", path, resp.StatusCode)
-		}
+	resp, err := http.Get(ts.URL + "/ingest/demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("GET /ingest/demo past a failing primary: status %d, want its 503", resp.StatusCode)
 	}
 	if n := replicaAsks.Load(); n != 0 {
 		t.Fatalf("the replica was asked %d times", n)
+	}
+}
+
+// TestRoutedSnapshotSaveIsNoRoute: a version is born at a build or a
+// refresh only, so the router has no explicit-save route. A routed POST
+// /snapshots/demo gets the router's own 404: it reaches no node, sends no
+// /sync/notify, mints no version and leaves a cached read a hit.
+func TestRoutedSnapshotSaveIsNoRoute(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
+	routed := f.RouterURL()
+	count := server.QueryRequest{Estimator: "demo/maxent"}
+	for ask, wantTag := range []string{"", "hit"} {
+		if s, tag, raw := postTagged(t, routed+"/query", count); s != http.StatusOK || tag != wantTag {
+			t.Fatalf("warm-up ask %d: status %d, X-Router-Cache %q, want %q: %s", ask, s, tag, wantTag, raw)
+		}
+	}
+	before := routerMetrics(t, routed)
+
+	resp, err := http.Post(routed+"/snapshots/demo", "application/json", bytes.NewReader([]byte("{}")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get(fleet.FleetNodeHeader) != "" {
+		t.Fatalf("routed POST /snapshots/demo: status %d from node %q: %s; want the router's own 404",
+			resp.StatusCode, resp.Header.Get(fleet.FleetNodeHeader), raw)
+	}
+
+	after := routerMetrics(t, routed)
+	for i, n := range after.Nodes {
+		if was := before.Nodes[i]; n.Proxied != was.Proxied || n.Failures != was.Failures {
+			t.Errorf("node %s was asked: proxied %d -> %d, failures %d -> %d",
+				n.Name, was.Proxied, n.Proxied, was.Failures, n.Failures)
+		}
+	}
+	if after.Notifies != before.Notifies {
+		t.Errorf("the POST sent %d sync notifications", after.Notifies-before.Notifies)
+	}
+	man, err := f.Primary().Store.Versions("demo/maxent")
+	if err != nil || len(man.Snapshots) != 1 {
+		t.Fatalf("primary store after the POST: %+v, %v; want the build's one version", man, err)
+	}
+	if s, tag, raw := postTagged(t, routed+"/query", count); s != http.StatusOK || tag != "hit" {
+		t.Fatalf("read after the POST: status %d, X-Router-Cache %q: %s; want a hit", s, tag, raw)
+	}
+}
+
+// TestRoutedIngestKeepsGenerationsAligned: one version number names one
+// model on every node, so after each routed ingest that refreshes, once the
+// fleet converges, the primary and the replica serve demo/maxent at the same
+// generation and the same store version, and the caching router refuses
+// none of their answers (cache_stale_skips does not move). The router is
+// warmed with reads first: a write before any read fences estimators the
+// router has never seen.
+func TestRoutedIngestKeepsGenerationsAligned(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{
+		Nodes:       2,
+		RefreshRows: 1,
+		Router:      fleet.Options{Timeout: 5 * time.Second},
+	})
+	routed := f.RouterURL()
+	workload := experiment.GenerateWorkload(experiment.SyntheticSchema(), 20, rand.New(rand.NewSource(45)))
+	readPass := func(phase string) {
+		t.Helper()
+		for i, q := range workload {
+			if s, _, raw := postTagged(t, routed+"/query", server.QueryRequest{Estimator: "demo/maxent", Predicate: q.Pred}); s != http.StatusOK {
+				t.Fatalf("%s: read %d: status %d: %s", phase, i, s, raw)
+			}
+		}
+	}
+	readPass("warm-up")
+
+	for ingest := 1; ingest <= 3; ingest++ {
+		phase := fmt.Sprintf("ingest %d", ingest)
+		var res server.IngestResult
+		if s := postJSON(t, routed+"/ingest/demo", server.IngestRequest{Rows: fleettest.Rows(2, ingest)}, &res); s != http.StatusOK || !res.Refreshed {
+			t.Fatalf("%s: status %d, result %+v; want a refresh", phase, s, res)
+		}
+		if err := f.WaitConverged(10 * time.Second); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		primary, _ := f.Primary().Registry.Get("demo/maxent")
+		replica, _ := f.Nodes[1].Registry.Get("demo/maxent")
+		if primary.Generation != replica.Generation || primary.Served != replica.Served {
+			t.Fatalf("%s: primary at generation %d (v%d), replica at generation %d (v%d)",
+				phase, primary.Generation, primary.Served, replica.Generation, replica.Served)
+		}
+		before := routerMetrics(t, routed).StaleSkips
+		readPass(phase)
+		readPass(phase + " again")
+		if skips := routerMetrics(t, routed).StaleSkips - before; skips != 0 {
+			t.Fatalf("%s: the router refused %d node answers as stale", phase, skips)
+		}
 	}
 }
 

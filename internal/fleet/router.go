@@ -20,7 +20,7 @@ import (
 
 // NodeConfig names one summaryd node of the fleet. The first node of a
 // router's list is the primary: the only node holding the mutable
-// relations, so writes (/ingest, /snapshots save) always land there while
+// relations, so writes (/ingest) always land there while
 // reads spread across every healthy replica.
 type NodeConfig struct {
 	Name string
@@ -169,7 +169,6 @@ func NewRouter(nodes []NodeConfig, opts Options) (*Router, error) {
 	rt.handle("/query/batch", rt.handleBatch)
 	rt.handle("/estimators", rt.handleRead)
 	rt.handle("/snapshots", rt.handleRead)
-	rt.handle("/snapshots/", rt.handleWrite)
 	rt.handle("/ingest/", rt.handleWrite)
 	rt.handle("/healthz", rt.handleHealthz)
 	rt.handle("/metrics", rt.handleMetrics)
@@ -422,13 +421,13 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, body, 0)
 }
 
-// handleWrite proxies a mutating endpoint to the primary, exactly once,
-// whatever the method (no write route has a read form; the node answers
-// 405 to anything but POST): ingest and snapshot writes are not
-// idempotent, so the router never retries them — a failure is the
-// client's to handle. A successful write that published new snapshot
-// versions triggers a sync notification to every replica, so the fleet
-// converges within one round trip instead of one poll interval.
+// handleWrite proxies an ingest to the primary, exactly once, whatever the
+// method (the node answers 405 to anything but POST): an ingest is not
+// idempotent, so the router never retries it — a failure is the client's
+// to handle. An ingest whose response reports a refresh published new
+// snapshot versions, so it triggers a sync notification to every replica
+// and the fleet converges within one round trip instead of one poll
+// interval.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -452,8 +451,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Relay the response whole — MaxBodyBytes bounds request bodies only —
-	// keeping the copy that decides whether new snapshot versions were
-	// published (ingest refresh or snapshot save).
+	// keeping the copy that says whether the ingest refreshed.
 	bodyCopy, _ := io.ReadAll(resp.Body)
 	if v := resp.Header.Get("Content-Type"); v != "" {
 		w.Header().Set("Content-Type", v)
@@ -462,27 +460,11 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(bodyCopy)
 
-	if resp.StatusCode == http.StatusOK && rt.publishedSnapshots(r.URL.Path, bodyCopy) {
+	var res server.IngestResult
+	if resp.StatusCode == http.StatusOK && json.Unmarshal(bodyCopy, &res) == nil && res.Refreshed {
 		dataset := datasetOfWrite(r.URL.Path)
 		rt.invalidateDataset(dataset)
 		rt.notifyReplicas(r.Context(), dataset)
-	}
-}
-
-// publishedSnapshots reports whether a successful write response implies
-// new snapshot versions replicas should pull.
-func (rt *Router) publishedSnapshots(path string, body []byte) bool {
-	switch {
-	case strings.HasPrefix(path, "/ingest/"):
-		var res server.IngestResult
-		if err := json.Unmarshal(body, &res); err != nil {
-			return false
-		}
-		return res.Refreshed
-	case strings.HasPrefix(path, "/snapshots/"):
-		return true
-	default:
-		return false
 	}
 }
 

@@ -37,10 +37,9 @@ type Options struct {
 	// MaxBatch bounds how many queries one POST /query/batch call may
 	// carry (default 1024, hard cap query.MaxBatchItems).
 	MaxBatch int
-	// Store, when non-nil, backs the snapshot admin endpoints
-	// (GET /snapshots, POST /snapshots/{dataset}) and the versioned-serving
-	// reads (/query?version=N and its batch and group-by forms); nil serves
-	// 501 on them.
+	// Store, when non-nil, saves every model the node publishes and backs
+	// GET /snapshots and the versioned-serving reads (/query?version=N and
+	// its batch and group-by forms); nil serves 501 on them.
 	Store *store.Store
 	// HistoryBytes bounds the heap the historical-estimator cache behind
 	// time-travel queries holds (<= 0 selects 64 MiB; see History).
@@ -123,7 +122,6 @@ func New(reg *Registry, opts Options) *Server {
 	s.handle("/healthz", s.handleHealthz)
 	s.handle("/metrics", s.handleMetrics)
 	s.handle("/snapshots", s.handleSnapshotList)
-	s.handle("/snapshots/", s.handleSnapshotSave)
 	s.handle("/ingest/", s.handleIngest)
 	s.handle("/sync/snapshot", s.handleSyncSnapshot)
 	s.handle("/sync/notify", s.handleSyncNotify)

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/schema"
 	"repro/internal/store"
-	"repro/internal/summary"
 )
 
 // schemed is implemented by estimators that know the schema they answer
@@ -26,8 +23,7 @@ type RestoreProblem struct {
 }
 
 // RestoreStore loads the latest snapshot of every dataset key in the
-// store — skipping keys matching one of the exceptPrefixes — and
-// registers each restored estimator in the registry under its key
+// store and registers each restored estimator in the registry under its key
 // ("<dataset>/<strategy>", exactly the names BuildDataset would have
 // used). Restoring is O(total summary bytes): no relation is scanned and
 // no solver runs, which is the whole point of snapshotting.
@@ -36,18 +32,12 @@ type RestoreProblem struct {
 // service that could serve every other dataset, so per-dataset failures
 // are returned as problems for the caller to log, not as the error; the
 // error is reserved for the store listing itself failing.
-func RestoreStore(reg *Registry, st *store.Store, exceptPrefixes ...string) (names []string, problems []RestoreProblem, err error) {
+func RestoreStore(reg *Registry, st *store.Store) (names []string, problems []RestoreProblem, err error) {
 	manifests, err := st.List()
 	if err != nil {
 		return nil, nil, err
 	}
-datasets:
 	for _, man := range manifests {
-		for _, p := range exceptPrefixes {
-			if strings.HasPrefix(man.Dataset, p) {
-				continue datasets
-			}
-		}
 		if _, err := adopt(reg, nil, st, man.Dataset, true); err != nil {
 			problems = append(problems, RestoreProblem{man.Dataset, err})
 			continue
@@ -84,52 +74,11 @@ func adopt(reg *Registry, cache *Cache, st *store.Store, key string, mustBeNew b
 	return ent, nil
 }
 
-// ErrNoEstimators is reported by SaveDataset when no estimator at all is
-// registered under the requested dataset prefix.
-var ErrNoEstimators = errors.New("no estimators registered under dataset")
-
-// SaveDataset snapshots every snapshot-able estimator registered under
-// "<dataset>/" into the store and returns the saved snapshot infos plus
-// the names that were skipped (estimators that answer from data rather
-// than from a solved model, like "/exact").
-func SaveDataset(reg *Registry, st *store.Store, dataset string) (saved []store.SnapshotInfo, skipped []string, err error) {
-	prefix := dataset + "/"
-	matched := false
-	for _, e := range reg.Entries() {
-		if !strings.HasPrefix(e.Name, prefix) {
-			continue
-		}
-		matched = true
-		info, err := st.Save(e.Name, e.Estimator)
-		if err != nil {
-			if errors.Is(err, summary.ErrNotSnapshotable) {
-				skipped = append(skipped, e.Name)
-				continue
-			}
-			return saved, skipped, err
-		}
-		saved = append(saved, info)
-	}
-	if !matched {
-		return nil, nil, fmt.Errorf("server: %w: %q", ErrNoEstimators, prefix)
-	}
-	return saved, skipped, nil
-}
-
 // --- HTTP endpoints ---------------------------------------------------
 
 // SnapshotsResponse is the body of GET /snapshots.
 type SnapshotsResponse struct {
 	Datasets []store.Manifest `json:"datasets"`
-}
-
-// SnapshotSaveResponse is the body of a successful POST
-// /snapshots/{dataset}.
-type SnapshotSaveResponse struct {
-	Dataset   string               `json:"dataset"`
-	Saved     []store.SnapshotInfo `json:"saved"`
-	Skipped   []string             `json:"skipped,omitempty"`
-	ElapsedNS int64                `json:"elapsed_ns"`
 }
 
 // requireStore writes the no-store error and reports whether a store is
@@ -160,39 +109,4 @@ func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SnapshotsResponse{Datasets: manifests})
-}
-
-// handleSnapshotSave serves POST /snapshots/{dataset}: it snapshots every
-// snapshot-able estimator registered under "<dataset>/" as a new
-// immutable version each.
-func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
-		return
-	}
-	if !s.requireStore(w) {
-		return
-	}
-	dataset := strings.TrimPrefix(r.URL.Path, "/snapshots/")
-	if dataset == "" || strings.Contains(dataset, "/") {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: "use POST /snapshots/{dataset} with a single-segment dataset name"})
-		return
-	}
-	start := s.opts.Now()
-	saved, skipped, err := SaveDataset(s.reg, s.opts.Store, dataset)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNoEstimators) {
-			status = http.StatusNotFound
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, SnapshotSaveResponse{
-		Dataset:   dataset,
-		Saved:     saved,
-		Skipped:   skipped,
-		ElapsedNS: s.opts.Now().Sub(start).Nanoseconds(),
-	})
 }

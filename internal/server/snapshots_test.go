@@ -95,9 +95,10 @@ func TestRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndpoints drives the admin surface: GET /snapshots lists
-// versions, POST /snapshots/{dataset} saves new ones (skipping the
-// data-bound estimators), and both fail cleanly without a store.
+// TestSnapshotEndpoints drives the admin surface: GET /snapshots lists the
+// versions the build saved, a version is born at a build or a refresh only
+// (POST /snapshots/{dataset} is no route), and the listing fails cleanly
+// without a store.
 func TestSnapshotEndpoints(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -114,23 +115,13 @@ func TestSnapshotEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// POST /snapshots/demo: saves maxent v2, skips exact.
+	// No explicit save: POST /snapshots/demo is no route, even with a store.
 	resp, body := postJSON(t, ts.URL+"/snapshots/demo", struct{}{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /snapshots/demo: %d %s", resp.StatusCode, body)
-	}
-	var saveResp server.SnapshotSaveResponse
-	if err := json.Unmarshal(body, &saveResp); err != nil {
-		t.Fatal(err)
-	}
-	if len(saveResp.Saved) != 1 || saveResp.Saved[0].Dataset != "demo/maxent" || saveResp.Saved[0].Version != 2 {
-		t.Fatalf("saved %+v, want demo/maxent v2", saveResp.Saved)
-	}
-	if !reflect.DeepEqual(saveResp.Skipped, []string{"demo/exact"}) {
-		t.Fatalf("skipped %v, want [demo/exact]", saveResp.Skipped)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /snapshots/demo: %d %s, want 404", resp.StatusCode, body)
 	}
 
-	// GET /snapshots lists both versions.
+	// GET /snapshots lists the one version the build saved.
 	getResp, err := http.Get(ts.URL + "/snapshots")
 	if err != nil {
 		t.Fatal(err)
@@ -140,27 +131,19 @@ func TestSnapshotEndpoints(t *testing.T) {
 	if err := json.NewDecoder(getResp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Datasets) != 1 || list.Datasets[0].Dataset != "demo/maxent" || len(list.Datasets[0].Snapshots) != 2 {
+	if len(list.Datasets) != 1 || list.Datasets[0].Dataset != "demo/maxent" || len(list.Datasets[0].Snapshots) != 1 {
 		t.Fatalf("GET /snapshots: %+v", list.Datasets)
 	}
 
-	// Unknown dataset → 404; bad method → 405.
-	resp, _ = postJSON(t, ts.URL+"/snapshots/nosuch", struct{}{})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("POST /snapshots/nosuch: %d, want 404", resp.StatusCode)
-	}
+	// Bad method → 405.
 	resp, _ = postJSON(t, ts.URL+"/snapshots", struct{}{})
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /snapshots: %d, want 405", resp.StatusCode)
 	}
 
-	// Without a store, the endpoints report 501.
+	// Without a store, the listing reports 501.
 	bare := httptest.NewServer(server.New(reg, server.Options{}).Handler())
 	defer bare.Close()
-	resp, _ = postJSON(t, bare.URL+"/snapshots/demo", struct{}{})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("storeless POST /snapshots/demo: %d, want 501", resp.StatusCode)
-	}
 	getResp2, err := http.Get(bare.URL + "/snapshots")
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +157,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 // TestRestoreProblemsAreIsolated: a name collision (or any per-dataset
 // failure) is reported as a problem and skipped — it must neither
 // silently shadow the registered estimator nor abort the rest of the
-// restore. Except-prefixes exclude datasets up front.
+// restore.
 func TestRestoreProblemsAreIsolated(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -206,16 +189,6 @@ func TestRestoreProblemsAreIsolated(t *testing.T) {
 	}
 	if len(restored) != 1 || restored[0] != "other/maxent" {
 		t.Fatalf("restored = %v, want [other/maxent]", restored)
-	}
-
-	// Except-prefixes skip silently: no problem, no registration.
-	reg2 := server.NewRegistry()
-	restored, problems, err = server.RestoreStore(reg2, st, "demo/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 0 || len(restored) != 1 || restored[0] != "other/maxent" {
-		t.Fatalf("excepted restore: restored=%v problems=%+v", restored, problems)
 	}
 }
 

@@ -70,7 +70,7 @@ var ErrNotFound = errors.New("snapshot not found")
 var keySegment = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]*$`)
 
 // SnapshotInfo describes one stored snapshot, as read off its file; it is
-// also the wire shape of the summaryd snapshot endpoints.
+// also the wire shape of each version GET /snapshots lists.
 type SnapshotInfo struct {
 	// Dataset is the key the snapshot is stored under, conventionally
 	// "<dataset>/<strategy>".
