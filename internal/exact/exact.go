@@ -7,6 +7,8 @@
 package exact
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -49,12 +51,12 @@ func (e *Engine) EstimateCount(pred *query.Predicate) (float64, error) {
 // GroupBy returns the exact COUNT(*) per combination of values of the
 // grouping attributes among rows satisfying pred (pred may be nil). Only
 // observed groups are returned, in descending count order with
-// deterministic tie-breaking.
+// deterministic tie-breaking. The estimates are built straight from the
+// groups the relation counts (relation.Groups), with no map between.
 func (e *Engine) GroupBy(groupAttrs []int, pred *query.Predicate) []core.GroupEstimate {
-	counts := e.rel.GroupCounts(groupAttrs, pred)
-	out := make([]core.GroupEstimate, 0, len(counts))
-	for key, c := range counts {
-		out = append(out, core.GroupEstimate{Values: key.Values(len(groupAttrs)), Estimate: float64(c)})
+	out := []core.GroupEstimate{} // no group is an empty list, not nil
+	for vals, c := range e.rel.Groups(groupAttrs, pred) {
+		out = append(out, core.GroupEstimate{Values: slices.Clone(vals), Estimate: float64(c)})
 	}
 	core.SortGroupEstimates(out)
 	return out

@@ -68,7 +68,13 @@ type genState struct {
 //     router has observed. The fence also covers estimators the router
 //     has NEVER observed: their dataset is remembered as fenced, and the
 //     first generation seen afterwards is refused (it may be a lagging
-//     replica's pre-write answer) — only a strictly newer one is cached.
+//     replica's pre-write answer) — only a strictly newer one is cached;
+//   - an answer the primary gave to a fetch sent after the estimator's
+//     last fence is post-write whatever its generation: the primary swaps
+//     before its ingest returns, and the router fences only after that. So
+//     such an answer lifts the floor to its own generation when it is the
+//     newest seen, and a static estimator first observed after a write
+//     becomes cacheable at its first primary answer.
 //
 // Writes that bypass the router are invisible to it (same contract as
 // /sync/notify: the router is the write path). Snapshot reads never
@@ -76,47 +82,61 @@ type genState struct {
 type genTable struct {
 	mu sync.Mutex
 	m  map[string]*genState
-	// fenced remembers datasets a routed write has fenced, so estimators
-	// first observed AFTER the write start behind a floor too; all is the
-	// same flag for a fence of everything (unparseable write path).
-	fenced map[string]bool
-	all    bool
+	// epoch counts the fences so far. fenced maps each fenced dataset to
+	// the epoch of its last fence, so estimators first observed AFTER the
+	// write start behind a floor too; all is the epoch of the last fence
+	// of everything (unparseable write path), 0 if none.
+	epoch  uint64
+	fenced map[string]uint64
+	all    uint64
 }
 
 func newGenTable() *genTable {
-	return &genTable{m: make(map[string]*genState), fenced: make(map[string]bool)}
+	return &genTable{m: make(map[string]*genState), fenced: make(map[string]uint64)}
 }
 
-// fencedLocked reports whether any past fence covers the estimator name.
-// Callers hold t.mu.
-func (t *genTable) fencedLocked(name string) bool {
-	if t.all {
-		return true
-	}
-	for d := range t.fenced {
-		if name == d || strings.HasPrefix(name, d+"/") {
-			return true
+// sent returns the epoch a fetch takes before it is sent: the fetch is
+// post-fence for every fence whose epoch is at most this one.
+func (t *genTable) sent() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.epoch
+}
+
+// lastFenceLocked returns the epoch of the last fence covering the
+// estimator name, 0 if none. Callers hold t.mu.
+func (t *genTable) lastFenceLocked(name string) uint64 {
+	last := t.all
+	for d, e := range t.fenced {
+		if e > last && (name == d || strings.HasPrefix(name, d+"/")) {
+			last = e
 		}
 	}
-	return false
+	return last
 }
 
 // observe records a node response's generation and reports whether an
 // answer at that generation may be cached: it must not predate the last
-// routed write, and it must be the newest generation seen.
-func (t *genTable) observe(name string, gen uint64) bool {
+// routed write, and it must be the newest generation seen. sent is the
+// epoch the fetch took before it was sent, and primary whether the
+// primary answered it.
+func (t *genTable) observe(name string, gen, sent uint64, primary bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	last := t.lastFenceLocked(name)
 	st := t.m[name]
 	if st == nil {
 		st = &genState{}
-		if t.fencedLocked(name) {
+		if last > 0 {
 			// A routed write predates every observation of this estimator:
-			// this answer cannot be proven post-write, so refuse it and
-			// admit only a strictly newer generation.
+			// unless proven post-write below, refuse this answer and admit
+			// only a strictly newer generation.
 			st.floor = gen + 1
 		}
 		t.m[name] = st
+	}
+	if primary && sent >= last && gen >= st.gen && gen < st.floor {
+		st.floor = gen // the primary answered after the last fence
 	}
 	if gen < st.floor {
 		return false // node behind: it has not applied a routed write yet
@@ -142,17 +162,19 @@ func (t *genTable) current(name string) (uint64, bool) {
 
 // fence marks every estimator of dataset as written-over: no cached live
 // answer may be served and no response at an already-seen generation may
-// be cached until a strictly newer generation is observed. An empty
-// dataset fences everything. The dataset is also remembered so estimators
+// be cached until a strictly newer generation, or the primary's answer to
+// a fetch sent after the fence, is observed. An empty dataset fences
+// everything. The fence's epoch is remembered per dataset, so estimators
 // first observed after the write start fenced too (see observe).
 func (t *genTable) fence(dataset string) {
 	prefix := dataset + "/"
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.epoch++
 	if dataset == "" {
-		t.all = true
+		t.all = t.epoch
 	} else {
-		t.fenced[dataset] = true
+		t.fenced[dataset] = t.epoch
 	}
 	for name, st := range t.m {
 		if dataset == "" || name == dataset || strings.HasPrefix(name, prefix) {

@@ -437,9 +437,21 @@ func TestRoutedSnapshotSaveIsNoRoute(t *testing.T) {
 // fleet converges, the primary and the replica serve demo/maxent at the same
 // generation and the same store version, and the caching router refuses
 // none of their answers (cache_stale_skips does not move). The router is
-// warmed with reads first: a write before any read fences estimators the
-// router has never seen.
+// warmed with reads first.
 func TestRoutedIngestKeepsGenerationsAligned(t *testing.T) {
+	routedIngestsStayAligned(t, true)
+}
+
+// TestRoutedIngestBeforeAnyReadLiftsItsFence is the same drill without the
+// warm-up: the first write fences estimators the router has never observed.
+// The primary's answer to a read sent after the fence is post-write, so the
+// converged fleet's first reads are cached and the repeat pass refuses none
+// of them; a third pass is answered from the router cache alone.
+func TestRoutedIngestBeforeAnyReadLiftsItsFence(t *testing.T) {
+	routedIngestsStayAligned(t, false)
+}
+
+func routedIngestsStayAligned(t *testing.T, warmUp bool) {
 	f := fleettest.New(t, fleettest.Options{
 		Nodes:       2,
 		RefreshRows: 1,
@@ -447,15 +459,22 @@ func TestRoutedIngestKeepsGenerationsAligned(t *testing.T) {
 	})
 	routed := f.RouterURL()
 	workload := experiment.GenerateWorkload(experiment.SyntheticSchema(), 20, rand.New(rand.NewSource(45)))
-	readPass := func(phase string) {
+	readPass := func(phase string) (hits int) {
 		t.Helper()
 		for i, q := range workload {
-			if s, _, raw := postTagged(t, routed+"/query", server.QueryRequest{Estimator: "demo/maxent", Predicate: q.Pred}); s != http.StatusOK {
+			s, tag, raw := postTagged(t, routed+"/query", server.QueryRequest{Estimator: "demo/maxent", Predicate: q.Pred})
+			if s != http.StatusOK {
 				t.Fatalf("%s: read %d: status %d: %s", phase, i, s, raw)
 			}
+			if tag == "hit" {
+				hits++
+			}
 		}
+		return hits
 	}
-	readPass("warm-up")
+	if warmUp {
+		readPass("warm-up")
+	}
 
 	for ingest := 1; ingest <= 3; ingest++ {
 		phase := fmt.Sprintf("ingest %d", ingest)
@@ -472,11 +491,23 @@ func TestRoutedIngestKeepsGenerationsAligned(t *testing.T) {
 			t.Fatalf("%s: primary at generation %d (v%d), replica at generation %d (v%d)",
 				phase, primary.Generation, primary.Served, replica.Generation, replica.Served)
 		}
-		before := routerMetrics(t, routed).StaleSkips
+		if warmUp {
+			before := routerMetrics(t, routed).StaleSkips
+			readPass(phase)
+			readPass(phase + " again")
+			if skips := routerMetrics(t, routed).StaleSkips - before; skips != 0 {
+				t.Fatalf("%s: the router refused %d node answers as stale", phase, skips)
+			}
+			continue
+		}
 		readPass(phase)
+		before := routerMetrics(t, routed).StaleSkips
 		readPass(phase + " again")
 		if skips := routerMetrics(t, routed).StaleSkips - before; skips != 0 {
-			t.Fatalf("%s: the router refused %d node answers as stale", phase, skips)
+			t.Fatalf("%s: the router refused %d node answers as stale on the repeat pass", phase, skips)
+		}
+		if hits := readPass(phase + " third"); hits != len(workload) {
+			t.Fatalf("%s: %d of %d reads of the third pass were router cache hits", phase, hits, len(workload))
 		}
 	}
 }

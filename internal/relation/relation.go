@@ -177,31 +177,19 @@ func (r *Relation) Parts() iter.Seq2[int, [][]uint16] {
 }
 
 // Count returns |σ_π(I)|, the number of rows satisfying the predicate.
+// The predicate is compiled once (NewFilter) and the rows are counted on
+// every core by countBlocks.
 func (r *Relation) Count(pred *query.Predicate) int {
-	if pred == nil {
+	f := NewFilter(r.sch, pred)
+	switch {
+	case f.none:
+		return 0
+	case len(f.attrs) == 0:
 		return r.rows
 	}
-	attrs := pred.ConstrainedAttrs()
-	if len(attrs) == 0 {
-		return r.rows
-	}
-	count := 0
-	constraints := make([]query.Constraint, len(attrs))
-	for k, a := range attrs {
-		constraints[k] = pred.Constraint(a)
-	}
-	for _, p := range r.parts {
-	rows:
-		for i := range p.len() {
-			for k, a := range attrs {
-				if !constraints[k].Matches(int(p.cols[a][i])) {
-					continue rows
-				}
-			}
-			count++
-		}
-	}
-	return count
+	return r.countBlocks(1, func(out []int, cols [][]uint16, lo, hi int) {
+		out[0] += f.countRows(cols, lo, hi)
+	})[0]
 }
 
 // GroupKey identifies one group in a group-by count; it aliases the shared
@@ -212,39 +200,121 @@ type GroupKey = core.GroupKey
 func MakeGroupKey(values []int) GroupKey { return core.MakeGroupKey(values) }
 
 // GroupCounts returns the exact COUNT(*) per combination of values of the
-// grouping attributes among rows satisfying pred (pred may be nil). At most
-// four grouping attributes are supported, matching the paper's 2–4D
-// selection templates.
+// grouping attributes among rows satisfying pred (pred may be nil): the
+// groups Groups yields, as a map.
 func (r *Relation) GroupCounts(groupAttrs []int, pred *query.Predicate) map[GroupKey]int {
+	out := make(map[GroupKey]int)
+	for vals, c := range r.Groups(groupAttrs, pred) {
+		out[MakeGroupKey(vals)] = c
+	}
+	return out
+}
+
+// Groups yields the values of the grouping attributes of every group that
+// some row satisfying pred (nil for every row) falls in, with the group's
+// COUNT(*); the scan runs when the sequence is ranged over. The values
+// slice is reused from one group to the next: a caller that keeps it must
+// copy it. At most four grouping attributes are supported, matching the
+// paper's 2–4D selection templates.
+//
+// When the group space (the product of the grouping attributes' domain
+// sizes) has no more cells than the relation has rows, countBlocks counts
+// the rows into a dense mixed-radix table on every core, and the groups
+// come in ascending lexicographic order of their values. A wider space is
+// counted row by row into a map, and its groups come in no set order.
+func (r *Relation) Groups(groupAttrs []int, pred *query.Predicate) iter.Seq2[[]int, int] {
 	if len(groupAttrs) == 0 || len(groupAttrs) > 4 {
 		panic(fmt.Sprintf("relation: group-by needs 1..4 attributes, got %d", len(groupAttrs)))
 	}
-	out := make(map[GroupKey]int)
-	var predAttrs []int
-	var constraints []query.Constraint
-	if pred != nil {
-		predAttrs = pred.ConstrainedAttrs()
-		constraints = make([]query.Constraint, len(predAttrs))
-		for k, a := range predAttrs {
-			constraints[k] = pred.Constraint(a)
+	return func(yield func([]int, int) bool) {
+		f := NewFilter(r.sch, pred)
+		if f.none {
+			return
 		}
-	}
-	vals := make([]int, len(groupAttrs))
-	for _, p := range r.parts {
-	rows:
-		for i := range p.len() {
-			for k, a := range predAttrs {
-				if !constraints[k].Matches(int(p.cols[a][i])) {
-					continue rows
+		vals := make([]int, len(groupAttrs))
+		if strides, ok := r.groupStrides(groupAttrs); ok {
+			for i, c := range r.denseGroupCounts(groupAttrs, strides, f) {
+				if c == 0 {
+					continue
+				}
+				rem := i
+				for k, s := range strides {
+					vals[k], rem = rem/s, rem%s
+				}
+				if !yield(vals, c) {
+					return
 				}
 			}
-			for k, a := range groupAttrs {
-				vals[k] = int(p.cols[a][i])
+			return
+		}
+		counts := make(map[GroupKey]int)
+		for _, p := range r.parts {
+			for i := range p.len() {
+				if !f.Admits(p.cols, i) {
+					continue
+				}
+				for k, a := range groupAttrs {
+					vals[k] = int(p.cols[a][i])
+				}
+				counts[MakeGroupKey(vals)]++
 			}
-			out[MakeGroupKey(vals)]++
+		}
+		for key, c := range counts {
+			for k := range vals {
+				vals[k] = int(key[k])
+			}
+			if !yield(vals, c) {
+				return
+			}
 		}
 	}
-	return out
+}
+
+// groupStrides returns the mixed-radix strides of the dense group table
+// over groupAttrs (the last attribute varies fastest), and whether the
+// table has no more cells than the relation has rows. The check divides
+// rather than multiplies, so no product of domain sizes can overflow.
+func (r *Relation) groupStrides(groupAttrs []int) ([]int, bool) {
+	strides := make([]int, len(groupAttrs))
+	cells := 1
+	for k := len(groupAttrs) - 1; k >= 0; k-- {
+		n := r.sch.Attr(groupAttrs[k]).Size()
+		if cells > r.rows/n {
+			return nil, false
+		}
+		strides[k] = cells
+		cells *= n
+	}
+	return strides, true
+}
+
+// denseGroupCounts counts the rows f admits into the dense table of
+// groupStrides, whose cell for values v is the sum of v[k]·strides[k]. A
+// chunk of rows computes its cells column by column, then adds each row's
+// filter mark (0 or 1) to its cell, so the scan does not branch per row.
+func (r *Relation) denseGroupCounts(groupAttrs, strides []int, f *Filter) []int {
+	return r.countBlocks(strides[0]*r.sch.Attr(groupAttrs[0]).Size(), func(out []int, cols [][]uint16, lo, hi int) {
+		var cell [chunkRows]int
+		var sel [chunkRows]uint8
+		for ; lo < hi; lo += chunkRows {
+			m := min(chunkRows, hi-lo)
+			c := cell[:m]
+			for j, v := range cols[groupAttrs[0]][lo : lo+m] {
+				c[j] = int(v) * strides[0]
+			}
+			for k, a := range groupAttrs[1:] {
+				s := strides[k+1]
+				for j, v := range cols[a][lo : lo+m] {
+					c[j] += int(v) * s
+				}
+			}
+			s := sel[:m]
+			f.mark(s, cols, lo)
+			for j, i := range c {
+				out[i] += int(s[j])
+			}
+		}
+	})
 }
 
 // Histogram1D returns the per-value counts of a single attribute.

@@ -65,25 +65,13 @@ func (s *Sample) ApproxBytes() int64 {
 // Count estimates COUNT(*) for the predicate as the weighted count of
 // matching sampled rows.
 func (s *Sample) Count(pred *query.Predicate) float64 {
-	var attrs []int
-	var cons []query.Constraint
-	if pred != nil {
-		attrs = pred.ConstrainedAttrs()
-		cons = make([]query.Constraint, len(attrs))
-		for k, a := range attrs {
-			cons[k] = pred.Constraint(a)
-		}
-	}
+	f := relation.NewFilter(s.rel.Schema(), pred)
 	total := 0.0
 	for start, cols := range s.rel.Parts() {
-	rows:
 		for i := range cols[0] {
-			for k, a := range attrs {
-				if !cons[k].Matches(int(cols[a][i])) {
-					continue rows
-				}
+			if f.Admits(cols, i) {
+				total += s.weights[start+i]
 			}
-			total += s.weights[start+i]
 		}
 	}
 	return total
@@ -101,24 +89,13 @@ func (s *Sample) GroupBy(groupAttrs []int, pred *query.Predicate) []core.GroupEs
 	if len(groupAttrs) == 0 || len(groupAttrs) > 4 {
 		panic(fmt.Sprintf("sampling: group-by needs 1..4 attributes, got %d", len(groupAttrs)))
 	}
-	var attrs []int
-	var cons []query.Constraint
-	if pred != nil {
-		attrs = pred.ConstrainedAttrs()
-		cons = make([]query.Constraint, len(attrs))
-		for k, a := range attrs {
-			cons[k] = pred.Constraint(a)
-		}
-	}
+	f := relation.NewFilter(s.rel.Schema(), pred)
 	acc := make(map[relation.GroupKey]float64)
 	vals := make([]int, len(groupAttrs))
 	for start, cols := range s.rel.Parts() {
-	rows:
 		for i := range cols[0] {
-			for k, a := range attrs {
-				if !cons[k].Matches(int(cols[a][i])) {
-					continue rows
-				}
+			if !f.Admits(cols, i) {
+				continue
 			}
 			for k, a := range groupAttrs {
 				vals[k] = int(cols[a][i])
