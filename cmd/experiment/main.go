@@ -78,7 +78,6 @@ func main() {
 			Queries:   *queries,
 			Seed:      *seed,
 			Summary:   buildOpts,
-			Refresh:   summary.RefreshOptions{Solver: buildOpts.Solver},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -12,11 +12,14 @@ import (
 )
 
 // mapGroupBy is GroupBy as it was built before the dense table: every
-// group of the relation's map count, sorted. It is the reference the
-// dense path's output must equal, down to an empty result being an empty,
-// non-nil slice.
+// group the relation yields, collected through a map and sorted. It is the
+// reference the dense path's output must equal, down to an empty result
+// being an empty, non-nil slice.
 func mapGroupBy(rel *relation.Relation, groupAttrs []int, pred *query.Predicate) []core.GroupEstimate {
-	counts := rel.GroupCounts(groupAttrs, pred)
+	counts := make(map[core.GroupKey]int)
+	for vals, c := range rel.Groups(groupAttrs, pred) {
+		counts[core.MakeGroupKey(vals)] = c
+	}
 	out := make([]core.GroupEstimate, 0, len(counts))
 	for key, c := range counts {
 		out = append(out, core.GroupEstimate{Values: key.Values(len(groupAttrs)), Estimate: float64(c)})

@@ -25,10 +25,9 @@ type StreamingOptions struct {
 	Queries int
 	// Seed drives the data, the drift, and the workload.
 	Seed int64
-	// Summary configures the initial build.
+	// Summary configures the initial build; its Solver options configure
+	// the per-batch refreshes too.
 	Summary summary.Options
-	// Refresh configures the per-batch refreshes.
-	Refresh summary.RefreshOptions
 }
 
 func (o *StreamingOptions) setDefaults() {
@@ -59,10 +58,11 @@ type StreamingStep struct {
 	RefreshedMeanError float64 `json:"refreshed_mean_error"`
 	// RefreshSweeps is the solver sweep count of this batch's refresh.
 	RefreshSweeps int `json:"refresh_sweeps"`
-	// Rebuilt reports whether the refresh fell back to a full recount.
+	// Rebuilt reports whether the refresh solved cold, the batch being past
+	// the drift threshold.
 	Rebuilt bool `json:"rebuilt"`
 	// RefreshNS is the wall-clock cost of the whole Refresh call
-	// (statistics update/recount plus solve) in nanoseconds.
+	// (statistics update plus solve) in nanoseconds.
 	RefreshNS int64 `json:"refresh_ns"`
 }
 
@@ -162,7 +162,7 @@ func RunStreaming(opts StreamingOptions) (*StreamingReport, error) {
 		}
 
 		refreshStart := time.Now()
-		next, info, err := refreshed.Refresh(full, delta, opts.Refresh)
+		next, info, err := refreshed.Refresh(full, delta, summary.RefreshOptions{Solver: opts.Summary.Solver})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: streaming refresh %d: %w", batch, err)
 		}

@@ -19,7 +19,6 @@ func TestRunStreamingDriftScenario(t *testing.T) {
 		Queries:   32,
 		Seed:      1,
 		Summary:   summary.Options{Solver: solver.Options{MaxSweeps: 300}},
-		Refresh:   summary.RefreshOptions{Solver: solver.Options{MaxSweeps: 300}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package frame is the one integrity header under the snapshot store's
-// files and the batch wire's frames:
+// Package frame is the one binary layer under the snapshot store's files
+// and the batch wire's frames. Every frame starts with one integrity header:
 //
 //	magic (8) | u16 format version | 2 reserved | u64 payload length | CRC32-C (4)
 //
@@ -7,6 +7,13 @@
 // checks it; each caller brings its own magic, accepted version range and
 // payload bound, and tags Verify's errors with its own sentinel
 // (store.ErrCorrupt, query.ErrFrame).
+//
+// Both payloads — a snapshot's solved summary (internal/summary) and a
+// batch of queries or answers (internal/query) — are built from the same
+// primitives: unsigned varints, length-prefixed strings and the raw bits of
+// float64s. Writer appends them; Reader reads them back from a verified
+// payload, bounding every count by the bytes that remain and refusing
+// trailing bytes, so a format changes in one place.
 package frame
 
 import (

@@ -2,6 +2,8 @@ package frame
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -67,5 +69,91 @@ func TestVerifyRejections(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+var errTest = errors.New("test payload")
+
+func TestPayloadRoundTrip(t *testing.T) {
+	var w Writer
+	w.Byte(7)
+	w.Uvarint(0)
+	w.Uvarint(1 << 40)
+	w.Str("")
+	w.Str("naïve")
+	w.Float(math.Copysign(0, -1))
+	w.Float(math.Float64frombits(0x7ff8000000000001)) // a NaN with a payload
+	w.Uvarint(3)
+	r := NewReader(w.Buf, errTest)
+	if b := r.Byte(); b != 7 {
+		t.Errorf("Byte = %d", b)
+	}
+	if v := r.Uvarint(); v != 0 {
+		t.Errorf("Uvarint = %d", v)
+	}
+	if v := r.Int(); v != 1<<40 {
+		t.Errorf("Int = %d", v)
+	}
+	if s := r.Str(8, "string"); s != "" {
+		t.Errorf("empty Str = %q", s)
+	}
+	if s := r.Str(8, "string"); s != "naïve" {
+		t.Errorf("Str = %q", s)
+	}
+	if f := r.Float(); math.Float64bits(f) != 1<<63 {
+		t.Errorf("Float(-0) = %x", math.Float64bits(f))
+	}
+	if f := r.Float(); math.Float64bits(f) != 0x7ff8000000000001 {
+		t.Errorf("Float(NaN) = %x", math.Float64bits(f))
+	}
+	if n := r.Count(3, 0, "value"); n != 3 || r.Left() != 0 {
+		t.Errorf("Count = %d with %d bytes left", n, r.Left())
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReaderRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		read    func(r *Reader)
+		want    string
+	}{
+		{"truncated byte", nil, func(r *Reader) { r.Byte() }, "truncated byte at offset 0"},
+		{"truncated varint", []byte{0x80}, func(r *Reader) { r.Uvarint() }, "truncated varint at offset 0"},
+		{"overlong varint", []byte{1, 0x81, 0x00}, func(r *Reader) { r.Byte(); r.Uvarint() }, "overlong varint at offset 1"},
+		{"truncated float", make([]byte, 7), func(r *Reader) { r.Float() }, "truncated float at offset 0"},
+		{"count past its bound", []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count(8, 1, "item") }, "item count 9 exceeds the 8 bound"},
+		{"count past the bytes left", []byte{3, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count(8, 2, "item") }, "item count 3 cannot fit the 5 bytes remaining"},
+		{"string past the bytes left", []byte{4, 'a', 'b'}, func(r *Reader) { r.Str(8, "name") }, "name count 4 cannot fit the 2 bytes remaining"},
+		{"trailing bytes", []byte{1, 2, 3}, func(r *Reader) { r.Byte() }, "2 trailing payload bytes"},
+	} {
+		r := NewReader(tc.payload, errTest)
+		tc.read(&r)
+		err := r.Done()
+		if !errors.Is(err, errTest) || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+			t.Errorf("%s: err = %v, want the sentinel and %q", tc.name, err, tc.want)
+		}
+	}
+
+	// The first failure sticks: later reads return zeros and leave it be,
+	// and a caller's own refusal does not replace it.
+	r := NewReader([]byte{0x80}, errTest)
+	r.Uvarint()
+	first := r.Err()
+	if r.Byte() != 0 || r.Float() != 0 || r.Str(8, "name") != "" || r.Count(8, 1, "item") != 0 {
+		t.Error("a read after a failure returned a value")
+	}
+	r.Fail(errors.New("later"))
+	if r.Err() != first || r.Done() != first {
+		t.Errorf("err = %v, want the first failure %v", r.Err(), first)
+	}
+	r = NewReader(nil, errTest)
+	own := errors.New("caller's refusal")
+	r.Fail(own)
+	if r.Done() != own {
+		t.Errorf("Done = %v, want the caller's refusal", r.Done())
 	}
 }

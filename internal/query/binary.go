@@ -46,11 +46,9 @@
 package query
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"repro/internal/frame"
@@ -69,8 +67,6 @@ const (
 	// snapshot version (time-travel queries) after the estimator name.
 	// Decoders accept both.
 	batchFormatVersionAt = 2
-	// batchHeaderSize is the frame header in front of every payload.
-	batchHeaderSize = frame.HeaderSize
 	// MaxBatchFrameBytes bounds the payload a decoder will read (16 MiB),
 	// so a corrupted or hostile length field cannot drive an absurd
 	// allocation.
@@ -145,37 +141,20 @@ type BatchAnswer struct {
 
 // --- encoding ---------------------------------------------------------
 
-// frameWriter appends a payload after reserved header space and backfills
-// the frame header on seal, so a whole frame is built in one contiguous
-// buffer the caller can reuse across calls.
-type frameWriter struct {
-	buf []byte
+// beginFrame reserves header space at the end of dst, for sealFrame to fill
+// in once the payload behind it is written, so a whole frame is built in
+// one contiguous buffer the caller can reuse across calls.
+func beginFrame(dst []byte) frame.Writer {
+	return frame.Writer{Buf: append(dst, make([]byte, frame.HeaderSize)...)}
 }
 
-// zeroHeader is the header-sized zero block reserved at the front of a
-// frame before the payload is known; seal overwrites it in place.
-var zeroHeader [batchHeaderSize]byte
-
-func (w *frameWriter) uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-func (w *frameWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *frameWriter) float(f float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
-}
-
-// seal backfills the frame header reserved at base (magic, format
+// sealFrame fills in the frame header reserved at base (magic, format
 // version, payload length, CRC32-C) and returns the completed buffer.
-func (w *frameWriter) seal(base int, magic string, version uint16) ([]byte, error) {
-	if _, err := frame.Seal(w.buf[base:], magic, version, MaxBatchFrameBytes); err != nil {
+func sealFrame(w *frame.Writer, base int, magic string, version uint16) ([]byte, error) {
+	if _, err := frame.Seal(w.Buf[base:], magic, version, MaxBatchFrameBytes); err != nil {
 		return nil, fmt.Errorf("query: batch frame: %v", err)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // AppendBatch appends a complete framed batch request — the target
@@ -204,20 +183,20 @@ func AppendBatchAt(dst []byte, estimator string, version int, items []BatchItem)
 		return nil, fmt.Errorf("query: batch of %d items exceeds the %d-item bound", len(items), MaxBatchItems)
 	}
 	base := len(dst)
-	w := frameWriter{buf: append(dst, zeroHeader[:]...)}
-	w.str(estimator)
+	w := beginFrame(dst)
+	w.Str(estimator)
 	format := uint16(batchFormatVersion)
 	if version > 0 {
 		format = batchFormatVersionAt
-		w.uvarint(uint64(version))
+		w.Uvarint(uint64(version))
 	}
-	w.uvarint(uint64(len(items)))
+	w.Uvarint(uint64(len(items)))
 	for i, it := range items {
 		if err := encodeItem(&w, it); err != nil {
 			return nil, fmt.Errorf("query: batch item %d: %w", i, err)
 		}
 	}
-	return w.seal(base, batchRequestMagic, format)
+	return sealFrame(&w, base, batchRequestMagic, format)
 }
 
 // CheckGroupBy refuses a grouping attribute the wire cannot carry: the one
@@ -233,45 +212,45 @@ func CheckGroupBy(attrs []int) error {
 }
 
 // encodeItem appends one batch item to the payload.
-func encodeItem(w *frameWriter, it BatchItem) error {
+func encodeItem(w *frame.Writer, it BatchItem) error {
 	numAttrs := 0
 	if it.Pred != nil {
 		numAttrs = it.Pred.NumAttrs()
 	}
 	// A nil predicate still needs an arity for group-by validation; the
 	// wire carries 0 and the server resolves it against the estimator.
-	w.uvarint(uint64(numAttrs))
-	w.uvarint(uint64(len(it.GroupBy)))
+	w.Uvarint(uint64(numAttrs))
+	w.Uvarint(uint64(len(it.GroupBy)))
 	if err := CheckGroupBy(it.GroupBy); err != nil {
 		return err
 	}
 	for _, a := range it.GroupBy {
-		w.uvarint(uint64(a))
+		w.Uvarint(uint64(a))
 	}
 	if it.Pred == nil {
-		w.uvarint(0)
+		w.Uvarint(0)
 		return nil
 	}
-	w.uvarint(uint64(len(it.Pred.cons)))
+	w.Uvarint(uint64(len(it.Pred.cons)))
 	for _, ac := range it.Pred.cons {
 		a, c := ac.attr, ac.c
-		w.uvarint(uint64(a))
+		w.Uvarint(uint64(a))
 		switch c.Kind {
 		case InRange:
 			if err := checkRange(c.Range.Lo, c.Range.Hi); err != nil {
 				return err
 			}
-			w.buf = append(w.buf, 'r')
-			w.uvarint(uint64(c.Range.Lo))
-			w.uvarint(uint64(c.Range.Hi))
+			w.Byte('r')
+			w.Uvarint(uint64(c.Range.Lo))
+			w.Uvarint(uint64(c.Range.Hi))
 		case InSet:
 			if err := checkSet(c.Values); err != nil {
 				return err
 			}
-			w.buf = append(w.buf, 's')
-			w.uvarint(uint64(len(c.Values)))
+			w.Byte('s')
+			w.Uvarint(uint64(len(c.Values)))
 			for _, v := range c.Values {
-				w.uvarint(uint64(v))
+				w.Uvarint(uint64(v))
 			}
 		default:
 			return fmt.Errorf("cannot encode constraint kind %d on attribute %d", c.Kind, a)
@@ -287,9 +266,9 @@ func encodeItem(w *frameWriter, it BatchItem) error {
 // allocating. dst may be nil.
 func AppendAnswers(dst []byte, estimator string, answers []BatchAnswer) ([]byte, error) {
 	base := len(dst)
-	w := frameWriter{buf: append(dst, zeroHeader[:]...)}
-	w.str(estimator)
-	w.uvarint(uint64(len(answers)))
+	w := beginFrame(dst)
+	w.Str(estimator)
+	w.Uvarint(uint64(len(answers)))
 	for _, a := range answers {
 		var flags byte
 		if a.Cached {
@@ -301,67 +280,27 @@ func AppendAnswers(dst []byte, estimator string, answers []BatchAnswer) ([]byte,
 		if a.Error != "" {
 			flags |= 4
 		}
-		w.buf = append(w.buf, flags)
+		w.Byte(flags)
 		switch {
 		case a.Error != "":
-			w.str(a.Error)
+			w.Str(a.Error)
 		case a.IsGroup:
-			w.uvarint(uint64(len(a.Groups)))
+			w.Uvarint(uint64(len(a.Groups)))
 			for _, g := range a.Groups {
-				w.uvarint(uint64(len(g.Values)))
+				w.Uvarint(uint64(len(g.Values)))
 				for _, v := range g.Values {
-					w.uvarint(uint64(v))
+					w.Uvarint(uint64(v))
 				}
-				w.float(g.Estimate)
+				w.Float(g.Estimate)
 			}
 		default:
-			w.float(a.Count)
+			w.Float(a.Count)
 		}
 	}
-	return w.seal(base, batchAnswerMagic, batchFormatVersion)
+	return sealFrame(&w, base, batchAnswerMagic, batchFormatVersion)
 }
 
 // --- decoding ---------------------------------------------------------
-
-// frameReader walks a verified payload with bounds-checked reads.
-type frameReader struct {
-	buf []byte
-	off int
-}
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at offset %d", ErrFrame, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads a varint bounded by max, guarding slice pre-allocation
-// against length lies: a count can never exceed what the bytes remaining
-// could carry, every counted element being at least width bytes.
-func (r *frameReader) count(max, width int, what string) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds the %d bound", ErrFrame, what, v, max)
-	}
-	if left := len(r.buf) - r.off; v*uint64(width) > uint64(left) {
-		return 0, fmt.Errorf("%w: %s count %d cannot fit the %d bytes remaining", ErrFrame, what, v, left)
-	}
-	return int(v), nil
-}
-
-// int reads a varint as an int. A value past the int range wraps negative,
-// which every caller refuses the way the JSON wire refuses a negative
-// number — the one wording for one mistake.
-func (r *frameReader) int() (int, error) {
-	v, err := r.uvarint()
-	return int(v), err
-}
 
 // carve cuts n elements off the front of *slab, capped so an append to them
 // cannot reach a neighbour's. A slab too short is replaced by one sized for
@@ -377,41 +316,16 @@ func carve[T any](slab *[]T, n, left, limit int) []T {
 	return out
 }
 
-func (r *frameReader) str(max int, what string) (string, error) {
-	n, err := r.count(max, 1, what)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *frameReader) float() (float64, error) {
-	if len(r.buf)-r.off < 8 {
-		return 0, fmt.Errorf("%w: truncated float at offset %d", ErrFrame, r.off)
-	}
-	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-func (r *frameReader) done() error {
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrFrame, len(r.buf)-r.off)
-	}
-	return nil
-}
-
 // readFrame verifies the framing (magic, format version within
-// [1, maxVersion], length, CRC32-C) and returns the payload and the
-// format version the frame declared.
-func readFrame(in io.Reader, magic string, maxVersion uint16) ([]byte, uint16, error) {
+// [1, maxVersion], length, CRC32-C) and returns a reader over the payload,
+// whose own failures are ErrFrame, and the format version the frame
+// declared.
+func readFrame(in io.Reader, magic string, maxVersion uint16) (frame.Reader, uint16, error) {
 	payload, version, _, err := frame.Verify(in, magic, batchFormatVersion, maxVersion, MaxBatchFrameBytes)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrFrame, err)
+		return frame.Reader{}, 0, fmt.Errorf("%w: %v", ErrFrame, err)
 	}
-	return payload, version, nil
+	return frame.NewReader(payload, ErrFrame), version, nil
 }
 
 // DecodeBatchAt reads and validates a framed batch request, returning the
@@ -422,28 +336,21 @@ func readFrame(in io.Reader, magic string, maxVersion uint16) ([]byte, uint16, e
 // empty sets are rejected with errors that pinpoint the offending item —
 // so a malformed frame never becomes a silently-wrong query.
 func DecodeBatchAt(in io.Reader) (string, int, []BatchItem, error) {
-	payload, format, err := readFrame(in, batchRequestMagic, batchFormatVersionAt)
+	r, format, err := readFrame(in, batchRequestMagic, batchFormatVersionAt)
 	if err != nil {
 		return "", 0, nil, err
 	}
-	r := &frameReader{buf: payload}
-	estimator, err := r.str(1<<10, "estimator name")
-	if err != nil {
-		return "", 0, nil, err
-	}
+	estimator := r.Str(1<<10, "estimator name")
 	version := 0
 	if format >= batchFormatVersionAt {
-		v, err := r.uvarint()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		if v == 0 || v > 1<<31 {
-			return "", 0, nil, fmt.Errorf("%w: snapshot version %d out of range [1, 2^31]", ErrFrame, v)
+		v := r.Uvarint()
+		if r.Err() == nil && (v == 0 || v > 1<<31) {
+			r.Fail(fmt.Errorf("%w: snapshot version %d out of range [1, 2^31]", ErrFrame, v))
 		}
 		version = int(v)
 	}
-	n, err := r.count(MaxBatchItems, minItemBytes, "batch item")
-	if err != nil {
+	n := r.Count(MaxBatchItems, minItemBytes, "batch item")
+	if err := r.Err(); err != nil {
 		return "", 0, nil, err
 	}
 	if n == 0 {
@@ -454,13 +361,13 @@ func DecodeBatchAt(in io.Reader) (string, int, []BatchItem, error) {
 	// allocations per frame, not several per item.
 	items := make([]BatchItem, n)
 	preds := make([]Predicate, n)
-	d := itemDecoder{r: r}
+	var d itemDecoder
 	for i := range items {
-		if err := d.item(&items[i], &preds[i], n-i); err != nil {
+		if err := d.item(&r, &items[i], &preds[i], n-i); err != nil {
 			return "", 0, nil, fmt.Errorf("query: batch item %d: %w", i, err)
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return "", 0, nil, err
 	}
 	return estimator, version, items, nil
@@ -476,43 +383,38 @@ const (
 
 // itemDecoder decodes the items of one frame, carving their constraint and
 // integer (group-by attributes, set values) storage out of shared slabs.
+// It does not hold the frame's reader: the slabs end up in the decoded
+// items, and a reader held beside them would follow them onto the heap.
 type itemDecoder struct {
-	r    *frameReader
 	cons []attrConstraint
 	ints []int
 }
 
 // readInts reads n integers into storage carved for them.
-func (d *itemDecoder) readInts(n, left int) ([]int, error) {
-	out := carve(&d.ints, n, left, len(d.r.buf)-d.r.off)
+func (d *itemDecoder) readInts(r *frame.Reader, n, left int) []int {
+	out := carve(&d.ints, n, left, r.Left())
 	for k := range out {
-		v, err := d.r.int()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
+		out[k] = r.Int()
 	}
-	return out, nil
+	return out
 }
 
-// item reads and validates one batch item into it, the left-th from the end
-// of its frame; pred is the storage of its predicate, should it carry one.
-func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
-	r := d.r
-	numAttrs, err := r.int()
-	if err != nil {
+// item reads and validates one batch item from r into it, the left-th from
+// the end of its frame; pred is the storage of its predicate, should it
+// carry one. A read that fails leaves zeros behind it, so every check of a
+// value read waits on the reader's error first.
+func (d *itemDecoder) item(r *frame.Reader, it *BatchItem, pred *Predicate, left int) error {
+	numAttrs := r.Int()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if numAttrs < 0 || numAttrs > 1<<20 {
 		return fmt.Errorf("%w: num_attrs %d is absurd", ErrFrame, uint64(numAttrs))
 	}
 
-	ng, err := r.count(1<<10, 1, "group-by")
-	if err != nil {
-		return err
-	}
-	if ng > 0 {
-		if it.GroupBy, err = d.readInts(ng, left); err != nil {
+	if ng := r.Count(1<<10, 1, "group-by"); ng > 0 {
+		it.GroupBy = d.readInts(r, ng, left)
+		if err := r.Err(); err != nil {
 			return err
 		}
 		if err := CheckGroupBy(it.GroupBy); err != nil {
@@ -520,8 +422,8 @@ func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
 		}
 	}
 
-	nc, err := r.count(1<<16, minConstraintBytes, "constraint")
-	if err != nil {
+	nc := r.Count(1<<16, minConstraintBytes, "constraint")
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if nc == 0 && numAttrs == 0 {
@@ -533,11 +435,11 @@ func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
 		return errors.New("constraints without num_attrs")
 	}
 	pred.numAttrs = numAttrs
-	pred.cons = carve(&d.cons, nc, left, (len(r.buf)-r.off)/minConstraintBytes)
+	pred.cons = carve(&d.cons, nc, left, r.Left()/minConstraintBytes)
 	prev := -1
 	for k := range pred.cons {
-		attr, err := r.int()
-		if err != nil {
+		attr := r.Int()
+		if err := r.Err(); err != nil {
 			return err
 		}
 		if attr < 0 || attr >= numAttrs {
@@ -547,33 +449,22 @@ func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
 			return fmt.Errorf("constraints not strictly ascending by attribute (%d after %d)", attr, prev)
 		}
 		prev = attr
-		if r.off >= len(r.buf) {
-			return fmt.Errorf("%w: truncated constraint tag", ErrFrame)
-		}
-		tag := r.buf[r.off]
-		r.off++
 		var c Constraint
-		switch tag {
-		case 'r':
-			lo, err := r.int()
-			if err != nil {
-				return err
-			}
-			hi, err := r.int()
-			if err != nil {
+		switch tag := r.Byte(); {
+		case r.Err() != nil:
+			return r.Err()
+		case tag == 'r':
+			lo, hi := r.Int(), r.Int()
+			if err := r.Err(); err != nil {
 				return err
 			}
 			if err := checkRange(lo, hi); err != nil {
 				return err
 			}
 			c = ValueIn(NewRange(lo, hi))
-		case 's':
-			nv, err := r.count(1<<16, 1, "set value")
-			if err != nil {
-				return err
-			}
-			values, err := d.readInts(nv, left)
-			if err != nil {
+		case tag == 's':
+			values := d.readInts(r, r.Count(1<<16, 1, "set value"), left)
+			if err := r.Err(); err != nil {
 				return err
 			}
 			if err := checkSet(values); err != nil {
@@ -592,77 +483,44 @@ func (d *itemDecoder) item(it *BatchItem, pred *Predicate, left int) error {
 // DecodeAnswers reads and validates a framed batch answer, returning the
 // estimator name and the decoded answers.
 func DecodeAnswers(in io.Reader) (string, []BatchAnswer, error) {
-	payload, _, err := readFrame(in, batchAnswerMagic, batchFormatVersion)
+	r, _, err := readFrame(in, batchAnswerMagic, batchFormatVersion)
 	if err != nil {
 		return "", nil, err
 	}
-	r := &frameReader{buf: payload}
-	estimator, err := r.str(1<<10, "estimator name")
-	if err != nil {
-		return "", nil, err
-	}
-	n, err := r.count(MaxBatchItems, 1, "answer")
-	if err != nil {
-		return "", nil, err
-	}
-	answers := make([]BatchAnswer, n)
+	estimator := r.Str(1<<10, "estimator name")
+	answers := make([]BatchAnswer, r.Count(MaxBatchItems, 1, "answer"))
 	for i := range answers {
-		if r.off >= len(r.buf) {
-			return "", nil, fmt.Errorf("%w: truncated answer flags", ErrFrame)
+		flags := r.Byte()
+		if r.Err() != nil {
+			break
 		}
-		flags := r.buf[r.off]
-		r.off++
 		if flags&^7 != 0 {
 			return "", nil, fmt.Errorf("%w: answer %d has unknown flag bits %#x", ErrFrame, i, flags)
 		}
-		a := BatchAnswer{Cached: flags&1 != 0, IsGroup: flags&2 != 0}
+		a := &answers[i]
+		a.Cached, a.IsGroup = flags&1 != 0, flags&2 != 0
 		switch {
 		case flags&4 != 0:
-			msg, err := r.str(1<<12, "error message")
-			if err != nil {
-				return "", nil, err
-			}
-			if msg == "" {
+			a.Error = r.Str(1<<12, "error message")
+			if r.Err() == nil && a.Error == "" {
 				return "", nil, fmt.Errorf("%w: answer %d flags an error with an empty message", ErrFrame, i)
 			}
-			a.Error = msg
 		case a.IsGroup:
-			ngroups, err := r.count(1<<20, 1, "group")
-			if err != nil {
-				return "", nil, err
-			}
-			if ngroups > 0 {
+			if ngroups := r.Count(1<<20, 1, "group"); ngroups > 0 {
 				a.Groups = make([]BatchGroup, ngroups)
 			}
 			for g := range a.Groups {
-				nv, err := r.count(1<<8, 1, "group value")
-				if err != nil {
-					return "", nil, err
-				}
-				values := make([]int, nv)
+				values := make([]int, r.Count(1<<8, 1, "group value"))
 				for j := range values {
-					v, err := r.uvarint()
-					if err != nil {
-						return "", nil, err
-					}
-					values[j] = int(v)
+					values[j] = r.Int()
 				}
-				est, err := r.float()
-				if err != nil {
-					return "", nil, err
-				}
-				a.Groups[g] = BatchGroup{Values: values, Estimate: est}
+				a.Groups[g] = BatchGroup{Values: values, Estimate: r.Float()}
 			}
 		default:
-			c, err := r.float()
-			if err != nil {
-				return "", nil, err
-			}
-			a.Count = c
+			a.Count = r.Float()
 		}
-		answers[i] = a
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return "", nil, err
 	}
 	return estimator, answers, nil

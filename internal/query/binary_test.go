@@ -243,6 +243,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(versioned)
+	f.Add(readFixture(f, "batch_v1.bin"))
+	f.Add(readFixture(f, "batch_v2.bin"))
 	f.Add([]byte{})
 	f.Add([]byte(batchRequestMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -283,6 +285,7 @@ func FuzzDecodeAnswers(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frame)
+	f.Add(readFixture(f, "answers.bin"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = DecodeAnswers(bytes.NewReader(data))

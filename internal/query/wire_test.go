@@ -8,20 +8,22 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // rawBatch seals a hand-written request payload — estimator "e", then
 // whatever build appends — so tests can present frames no encoder writes.
-func rawBatch(t testing.TB, build func(w *frameWriter)) []byte {
+func rawBatch(t testing.TB, build func(w *frame.Writer)) []byte {
 	t.Helper()
-	w := frameWriter{buf: append([]byte(nil), zeroHeader[:]...)}
-	w.str("e")
+	w := beginFrame(nil)
+	w.Str("e")
 	build(&w)
-	frame, err := w.seal(0, batchRequestMagic, batchFormatVersion)
+	sealed, err := sealFrame(&w, 0, batchRequestMagic, batchFormatVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return frame
+	return sealed
 }
 
 // neg is how a negative int reaches the binary wire: as the varint of its
@@ -34,24 +36,24 @@ func neg(v int) uint64 { return uint64(v) }
 func TestWiresRefuseTheSameInputs(t *testing.T) {
 	// item writes a one-item batch of a 5-attribute predicate with one
 	// constraint on attribute attr, body being the tag and its arguments.
-	item := func(attr uint64, body ...uint64) func(w *frameWriter) {
-		return func(w *frameWriter) {
-			w.uvarint(1) // items
-			w.uvarint(5) // num_attrs
-			w.uvarint(0) // group-by
-			w.uvarint(1) // constraints
-			w.uvarint(attr)
-			w.buf = append(w.buf, byte(body[0]))
+	item := func(attr uint64, body ...uint64) func(w *frame.Writer) {
+		return func(w *frame.Writer) {
+			w.Uvarint(1) // items
+			w.Uvarint(5) // num_attrs
+			w.Uvarint(0) // group-by
+			w.Uvarint(1) // constraints
+			w.Uvarint(attr)
+			w.Byte(byte(body[0]))
 			for _, v := range body[1:] {
-				w.uvarint(v)
+				w.Uvarint(v)
 			}
 		}
 	}
 	for _, tc := range []struct {
 		name   string
-		json   string             // the JSON predicate making the mistake
-		frame  func(*frameWriter) // the binary frame making it
-		encode *BatchItem         // the item making it, nil when no Predicate can
+		json   string              // the JSON predicate making the mistake
+		frame  func(*frame.Writer) // the binary frame making it
+		encode *BatchItem          // the item making it, nil when no Predicate can
 		want   string
 	}{
 		{"negative range",
@@ -114,9 +116,9 @@ func TestWiresRefuseTheSameInputs(t *testing.T) {
 	if _, err := AppendBatch(nil, "e", []BatchItem{{GroupBy: []int{1, -2}}}); err == nil || err.Error() != want {
 		t.Errorf("encode of a negative group-by attribute: %v", err)
 	}
-	frame := rawBatch(t, func(w *frameWriter) {
+	frame := rawBatch(t, func(w *frame.Writer) {
 		for _, v := range []uint64{1, 0, 2, 1, neg(-2), 0} {
-			w.uvarint(v)
+			w.Uvarint(v)
 		}
 	})
 	if _, _, _, err := DecodeBatchAt(bytes.NewReader(frame)); err == nil || err.Error() != want {
@@ -225,14 +227,14 @@ func TestDecodedPredicateCostsItsBytes(t *testing.T) {
 	t.Run("a lying constraint count", func(t *testing.T) {
 		// One item claiming 60000 constraints in front of 64 bytes: refused
 		// on the count, before any slab is sized by it.
-		frame := rawBatch(t, func(w *frameWriter) {
+		framed := rawBatch(t, func(w *frame.Writer) {
 			for _, v := range []uint64{1, 5, 0, 60000} {
-				w.uvarint(v)
+				w.Uvarint(v)
 			}
-			w.buf = append(w.buf, make([]byte, 64)...)
+			w.Buf = append(w.Buf, make([]byte, 64)...)
 		})
 		var err error
-		got := allocated(func() { _, _, _, err = DecodeBatchAt(bytes.NewReader(frame)) })
+		got := allocated(func() { _, _, _, err = DecodeBatchAt(bytes.NewReader(framed)) })
 		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "constraint count 60000 cannot fit the 64 bytes remaining") {
 			t.Errorf("err = %v, want the count refused against the bytes remaining", err)
 		}
@@ -242,13 +244,13 @@ func TestDecodedPredicateCostsItsBytes(t *testing.T) {
 		// A count the bytes could carry sizes its slab by the count, never
 		// past what remains: 16 constraints claimed in front of 64 zero bytes
 		// (which then fail on their tag).
-		frame = rawBatch(t, func(w *frameWriter) {
+		framed = rawBatch(t, func(w *frame.Writer) {
 			for _, v := range []uint64{1, 5, 0, 16} {
-				w.uvarint(v)
+				w.Uvarint(v)
 			}
-			w.buf = append(w.buf, make([]byte, 64)...)
+			w.Buf = append(w.Buf, make([]byte, 64)...)
 		})
-		got = allocated(func() { _, _, _, err = DecodeBatchAt(bytes.NewReader(frame)) })
+		got = allocated(func() { _, _, _, err = DecodeBatchAt(bytes.NewReader(framed)) })
 		if err == nil || !strings.Contains(err.Error(), "unknown constraint tag") {
 			t.Errorf("err = %v, want the tag refused", err)
 		}

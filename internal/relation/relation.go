@@ -199,17 +199,6 @@ type GroupKey = core.GroupKey
 // MakeGroupKey packs up to four encoded values into a GroupKey.
 func MakeGroupKey(values []int) GroupKey { return core.MakeGroupKey(values) }
 
-// GroupCounts returns the exact COUNT(*) per combination of values of the
-// grouping attributes among rows satisfying pred (pred may be nil): the
-// groups Groups yields, as a map.
-func (r *Relation) GroupCounts(groupAttrs []int, pred *query.Predicate) map[GroupKey]int {
-	out := make(map[GroupKey]int)
-	for vals, c := range r.Groups(groupAttrs, pred) {
-		out[MakeGroupKey(vals)] = c
-	}
-	return out
-}
-
 // Groups yields the values of the grouping attributes of every group that
 // some row satisfying pred (nil for every row) falls in, with the group's
 // COUNT(*); the scan runs when the sequence is ranged over. The values

@@ -42,9 +42,9 @@ type Strategy struct {
 // order: "<dataset>/maxent" first, then "/exact" unless skipped. With
 // prev == nil the MaxEnt summary is built from scratch; otherwise rel is
 // prev's relation grown by appended rows and the summary is prev refreshed by
-// that suffix (incrementally, or by the recount summary.Refresh falls back
-// to). Nothing is registered or saved; the RefreshInfo carries the MaxEnt
-// solve's report either way.
+// that suffix (summary.Refresh: the delta folded in, then a warm or, past
+// its drift threshold, a cold solve). Nothing is registered or saved; the
+// RefreshInfo carries the MaxEnt solve's report either way.
 func Derive(dataset string, rel *relation.Relation, opts DatasetOptions, prev *summary.Summary) ([]Strategy, summary.RefreshInfo, error) {
 	var (
 		sum  *summary.Summary

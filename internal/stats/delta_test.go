@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/query"
@@ -172,15 +171,6 @@ func TestApplyDeltaMatchesFullRecount(t *testing.T) {
 		// The base set must be untouched (Clone isolated it).
 		if set.N != baseRows {
 			t.Fatalf("trial %d: ApplyDelta mutated the original set (N=%d)", trial, set.N)
-		}
-
-		// Recount over the grown relation is the same set again.
-		recount, err := set.Recount(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(recount, want) {
-			t.Fatalf("trial %d: Recount differs from NewSet plus per-statistic counts", trial)
 		}
 	}
 }

@@ -107,23 +107,6 @@ func (s Statistic) withCount(count float64) Statistic {
 	}
 }
 
-// Recount returns a set with the receiver's structure — the same 1D
-// families and multi-dimensional statistics — observed over rel: N, every
-// 1D count and every multi-dimensional count come from rel alone. It
-// costs the 1D histograms plus one scan of rel per attribute set of the
-// multi-dimensional statistics.
-func (s *Set) Recount(rel *relation.Relation) (*Set, error) {
-	if err := s.checkDomains(rel); err != nil {
-		return nil, err
-	}
-	out := NewSet(rel)
-	out.Multi = make([]Statistic, len(s.Multi))
-	for j, c := range s.multiCounts(rel) {
-		out.Multi[j] = s.Multi[j].withCount(float64(c))
-	}
-	return out, nil
-}
-
 // ApplyDelta folds a batch of appended tuples into the counts: N, every
 // 1-dimensional family, and the counts of the existing multi-dimensional
 // statistics. The structural part of the set (which statistics exist, and

@@ -14,22 +14,20 @@
 // one it was encoded from, whether its structure was shared or built.
 //
 // The payload is a little-endian stream of uvarints, length-prefixed
-// strings, and raw float64 bits. It carries no header or checksum of its
+// strings, and raw float64 bits, written and read with internal/frame's
+// primitives, the batch wire's too. It carries no header or checksum of its
 // own — framing, format versioning, and integrity are the store's job.
 
 package summary
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"time"
-
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/polynomial"
 	"repro/internal/query"
 	"repro/internal/schema"
@@ -48,6 +46,7 @@ const (
 
 // Sanity caps on decoded counts, so a corrupted length prefix fails with a
 // descriptive error instead of attempting a multi-gigabyte allocation.
+// Every count must also fit the bytes left behind it (frame.Reader.Count).
 const (
 	maxAttrs     = 1 << 12
 	maxDomain    = 1 << 22
@@ -60,37 +59,58 @@ const (
 // would mean serializing (part of) the relation itself.
 var ErrNotSnapshotable = errors.New("estimator is not snapshot-able")
 
+// errPayload tags the failures the payload reader finds itself: truncation,
+// a count past its bound or the bytes left, trailing bytes.
+var errPayload = errors.New("malformed payload")
+
 // EncodeEstimator writes the snapshot payload of a solved estimator. Only
 // the model-based estimator is snapshot-able: a *Summary answers queries
 // from solved weights alone, while the exact engine and the sampling
 // baselines would have to serialize (part of) the data itself.
-func EncodeEstimator(w io.Writer, est core.Estimator) error {
+func EncodeEstimator(out io.Writer, est core.Estimator) error {
 	s, ok := est.(*Summary)
 	if !ok {
 		return fmt.Errorf("summary: estimator %q (%T): %w", est.Name(), est, ErrNotSnapshotable)
 	}
-	ew := newEncoder(w)
-	ew.byte(kindSummary)
-	s.encode(ew)
-	return ew.flush()
+	var w frame.Writer
+	w.Byte(kindSummary)
+	if err := s.encode(&w); err != nil {
+		return err
+	}
+	_, err := out.Write(w.Buf)
+	return err
+}
+
+// readPayload reads all of in into one buffer, sized up front when in knows
+// how much it holds (a bytes.Reader over a verified frame, as the store
+// passes).
+func readPayload(in io.Reader) ([]byte, error) {
+	if l, ok := in.(interface{ Len() int }); ok {
+		buf := make([]byte, l.Len())
+		_, err := io.ReadFull(in, buf)
+		return buf, err
+	}
+	return io.ReadAll(in)
 }
 
 // DecodeEstimator reads a snapshot payload written by EncodeEstimator and
 // reconstructs the estimator, query-ready, without re-solving.
-func DecodeEstimator(r io.Reader) (core.Estimator, error) {
-	dr := newDecoder(r)
-	kind := dr.byte()
-	if dr.err != nil {
-		return nil, fmt.Errorf("summary: decode: %w", dr.err)
+func DecodeEstimator(in io.Reader) (core.Estimator, error) {
+	payload, err := readPayload(in)
+	if err != nil {
+		return nil, fmt.Errorf("summary: decode: %w", err)
 	}
-	switch kind {
-	case kindSummary:
-		s, err := decodeSummary(dr)
+	r := frame.NewReader(payload, errPayload)
+	switch kind := r.Byte(); {
+	case r.Err() != nil:
+		return nil, fmt.Errorf("summary: decode: %w", r.Err())
+	case kind == kindSummary:
+		s, err := decodeSummary(&r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("summary: decode: %w", err)
 		}
 		return s, nil
-	case kindRetired:
+	case kind == kindRetired:
 		return nil, errors.New("summary: decode: partitioned snapshots are no longer served; prune the key or rebuild")
 	default:
 		return nil, fmt.Errorf("summary: decode: unknown estimator kind %d", kind)
@@ -102,12 +122,16 @@ func DecodeEstimator(r io.Reader) (core.Estimator, error) {
 // to describe the snapshot files it finds on disk.
 // Every estimator kind, the retired one included, serializes its name
 // first, so this prefix is stable across the payload layouts.
-func PeekName(r io.Reader) (string, error) {
-	dr := newDecoder(r)
-	kind := dr.byte()
-	name := dr.str()
-	if dr.err != nil {
-		return "", fmt.Errorf("summary: peek: %w", dr.err)
+func PeekName(in io.Reader) (string, error) {
+	payload, err := readPayload(in)
+	if err != nil {
+		return "", fmt.Errorf("summary: peek: %w", err)
+	}
+	r := frame.NewReader(payload, errPayload)
+	kind := r.Byte()
+	name := r.Str(maxStringLen, "name")
+	if err := r.Err(); err != nil {
+		return "", fmt.Errorf("summary: peek: %w", err)
 	}
 	if kind != kindSummary && kind != kindRetired {
 		return "", fmt.Errorf("summary: peek: unknown estimator kind %d", kind)
@@ -117,166 +141,179 @@ func PeekName(r io.Reader) (string, error) {
 
 // --- Summary ----------------------------------------------------------
 
-func (s *Summary) encode(w *encoder) {
-	w.str(s.name)
-	encodeSchema(w, s.sch)
-	w.f64(s.n)
-	w.uvarint(uint64(s.maxCombos))
+// encode writes the summary's payload after its kind tag. A name or label
+// longer than the decoder reads back is refused.
+func (s *Summary) encode(w *frame.Writer) error {
+	var long error
+	str := func(x string) {
+		if len(x) > maxStringLen && long == nil {
+			long = fmt.Errorf("summary: string of %d bytes exceeds the %d-byte codec limit", len(x), maxStringLen)
+		}
+		w.Str(x)
+	}
+	str(s.name)
+	encodeSchema(w, s.sch, str)
+	w.Float(s.n)
+	w.Uvarint(uint64(s.maxCombos))
 
 	// Statistic set Φ.
-	w.uvarint(uint64(s.set.N))
+	w.Uvarint(uint64(s.set.N))
 	for _, col := range s.set.OneD {
-		w.uvarint(uint64(len(col)))
+		w.Uvarint(uint64(len(col)))
 		for _, x := range col {
-			w.f64(x)
+			w.Float(x)
 		}
 	}
-	w.uvarint(uint64(len(s.set.Multi)))
+	w.Uvarint(uint64(len(s.set.Multi)))
 	for _, st := range s.set.Multi {
-		w.uvarint(uint64(len(st.Attrs)))
+		w.Uvarint(uint64(len(st.Attrs)))
 		for k, a := range st.Attrs {
-			w.uvarint(uint64(a))
-			w.uvarint(uint64(st.Ranges[k].Lo))
-			w.uvarint(uint64(st.Ranges[k].Hi))
+			w.Uvarint(uint64(a))
+			w.Uvarint(uint64(st.Ranges[k].Lo))
+			w.Uvarint(uint64(st.Ranges[k].Hi))
 		}
-		w.f64(st.Count)
+		w.Float(st.Count)
 	}
 
 	// Chosen pairs (reporting metadata).
-	w.uvarint(uint64(len(s.pairs)))
+	w.Uvarint(uint64(len(s.pairs)))
 	for _, pc := range s.pairs {
-		w.uvarint(uint64(pc.A1))
-		w.uvarint(uint64(pc.A2))
-		w.f64(pc.Chi2)
-		w.f64(pc.V)
+		w.Uvarint(uint64(pc.A1))
+		w.Uvarint(uint64(pc.A2))
+		w.Float(pc.Chi2)
+		w.Float(pc.V)
 	}
 
 	// Solver report.
-	w.uvarint(uint64(s.report.Sweeps))
-	w.f64(s.report.MaxViolation)
-	w.bool(s.report.Converged)
+	w.Uvarint(uint64(s.report.Sweeps))
+	w.Float(s.report.MaxViolation)
+	converged := byte(0)
+	if s.report.Converged {
+		converged = 1
+	}
+	w.Byte(converged)
 	// The solve's wall-clock time is not part of the model: writing it would
 	// make the same model encode to a different length and checksum on every
 	// build. The slot stays (as 0) so the wire layout is unchanged.
-	w.uvarint(0)
-	w.uvarint(uint64(s.report.Constraints))
+	w.Uvarint(0)
+	w.Uvarint(uint64(s.report.Constraints))
 
 	// Converged variable weights, raw IEEE 754 bits.
 	for a := 0; a < s.sch.NumAttrs(); a++ {
 		for v := 0; v < s.sch.Attr(a).Size(); v++ {
-			w.f64(s.sys.OneD(a, v))
+			w.Float(s.sys.OneD(a, v))
 		}
 	}
 	for j := 0; j < len(s.set.Multi); j++ {
-		w.f64(s.sys.MultiVar(j))
+		w.Float(s.sys.MultiVar(j))
 	}
+	return long
 }
 
-func decodeSummary(r *decoder) (*Summary, error) {
-	fail := func(err error) (*Summary, error) {
-		return nil, fmt.Errorf("summary: decode: %w", err)
-	}
+const (
+	// minStatisticBytes, minStatAttrBytes and minPairBytes are the fewest
+	// bytes a multi-dimensional statistic (attribute count, count), one of
+	// its attributes (index, range bounds) and a chosen pair (two indexes,
+	// two floats) take in the payload.
+	minStatisticBytes = 1 + 8
+	minStatAttrBytes  = 3
+	minPairBytes      = 2 + 2*8
+)
 
-	name := r.str()
+// decodeSummary reads what encode wrote. A payload that decodes is the one
+// encoding of its model: a Converged byte other than 0 or 1, a solve-time
+// slot other than 0, or bytes past the last weight are refused.
+func decodeSummary(r *frame.Reader) (*Summary, error) {
+	name := r.Str(maxStringLen, "name")
 	sch, err := decodeSchema(r)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	n := r.f64()
-	maxCombos := int(r.uvarint(1 << 32))
-	if r.err != nil {
-		return fail(r.err)
+	n := r.Float()
+	maxCombos := r.Count(1<<32, 0, "group-by combination")
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if n <= 0 || math.IsNaN(n) || math.IsInf(n, 0) {
-		return fail(fmt.Errorf("invalid cardinality %g", n))
+		return nil, fmt.Errorf("invalid cardinality %g", n)
 	}
 	if maxCombos <= 0 {
-		return fail(fmt.Errorf("invalid group-by combination bound %d", maxCombos))
+		return nil, fmt.Errorf("invalid group-by combination bound %d", maxCombos)
 	}
 
 	set := &stats.Set{
-		N:           int(r.uvarint(1 << 40)),
+		N:           r.Count(1<<40, 0, "row"),
 		DomainSizes: sch.DomainSizes(),
 		OneD:        make([][]float64, sch.NumAttrs()),
 	}
 	for a := range set.OneD {
-		ln := int(r.uvarint(maxDomain))
-		if r.err != nil {
-			return fail(r.err)
+		ln := r.Count(maxDomain, 8, "1D statistic")
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		if ln != sch.Attr(a).Size() {
-			return fail(fmt.Errorf("attribute %d: %d 1D statistics for a domain of size %d", a, ln, sch.Attr(a).Size()))
+			return nil, fmt.Errorf("attribute %d: %d 1D statistics for a domain of size %d", a, ln, sch.Attr(a).Size())
 		}
 		col := make([]float64, ln)
 		for v := range col {
-			col[v] = r.f64()
+			col[v] = r.Float()
 		}
 		set.OneD[a] = col
 	}
-	numMulti := int(r.uvarint(maxMulti))
-	if r.err != nil {
-		return fail(r.err)
-	}
-	multi := make([]stats.Statistic, 0, numMulti)
-	for j := 0; j < numMulti; j++ {
-		nAttrs := int(r.uvarint(maxAttrs))
-		if r.err != nil {
-			return fail(r.err)
-		}
-		st := stats.Statistic{
-			Attrs:  make([]int, nAttrs),
-			Ranges: make([]query.Range, nAttrs),
-		}
+	multi := make([]stats.Statistic, r.Count(maxMulti, minStatisticBytes, "statistic"))
+	for j := range multi {
+		st := &multi[j]
+		nAttrs := r.Count(maxAttrs, minStatAttrBytes, "statistic attribute")
+		st.Attrs, st.Ranges = make([]int, nAttrs), make([]query.Range, nAttrs)
 		for k := range st.Attrs {
-			st.Attrs[k] = int(r.uvarint(maxAttrs))
-			st.Ranges[k].Lo = int(r.uvarint(maxDomain))
-			st.Ranges[k].Hi = int(r.uvarint(maxDomain))
+			st.Attrs[k] = r.Count(maxAttrs, 0, "attribute index")
+			st.Ranges[k].Lo = r.Count(maxDomain, 0, "range bound")
+			st.Ranges[k].Hi = r.Count(maxDomain, 0, "range bound")
 		}
-		st.Count = r.f64()
-		if r.err != nil {
-			return fail(r.err)
-		}
-		multi = append(multi, st)
+		st.Count = r.Float()
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	// AddMulti re-validates attribute order, domain bounds, and pairwise
 	// disjointness, so a corrupted statistic cannot slip into the model.
 	if err := set.AddMulti(multi...); err != nil {
-		return fail(err)
+		return nil, err
 	}
 
-	numPairs := int(r.uvarint(maxAttrs * maxAttrs))
-	if r.err != nil {
-		return fail(r.err)
-	}
-	pairs := make([]stats.PairCorrelation, numPairs)
+	pairs := make([]stats.PairCorrelation, r.Count(maxAttrs*maxAttrs, minPairBytes, "chosen pair"))
 	for i := range pairs {
-		pairs[i].A1 = int(r.uvarint(maxAttrs))
-		pairs[i].A2 = int(r.uvarint(maxAttrs))
-		pairs[i].Chi2 = r.f64()
-		pairs[i].V = r.f64()
+		pairs[i].A1 = r.Count(maxAttrs, 0, "attribute index")
+		pairs[i].A2 = r.Count(maxAttrs, 0, "attribute index")
+		pairs[i].Chi2 = r.Float()
+		pairs[i].V = r.Float()
 	}
 
 	var report solver.Report
-	report.Sweeps = int(r.uvarint(1 << 32))
-	report.MaxViolation = r.f64()
-	report.Converged = r.bool()
-	report.Duration = time.Duration(r.uvarint(math.MaxInt64))
-	report.Constraints = int(r.uvarint(1 << 32))
+	report.Sweeps = r.Count(1<<32, 0, "sweep")
+	report.MaxViolation = r.Float()
+	converged := r.Byte()
+	solveTime := r.Uvarint()
+	report.Converged = converged == 1
+	report.Constraints = r.Count(1<<32, 0, "constraint")
+	if r.Err() == nil && (converged > 1 || solveTime != 0) {
+		return nil, fmt.Errorf("solver report: converged byte %d and solve-time slot %d, want 0 or 1 and 0", converged, solveTime)
+	}
 
 	alpha := make([][]float64, sch.NumAttrs())
 	for a := range alpha {
 		col := make([]float64, sch.Attr(a).Size())
 		for v := range col {
-			col[v] = r.f64()
+			col[v] = r.Float()
 		}
 		alpha[a] = col
 	}
 	delta := make([]float64, len(set.Multi))
 	for j := range delta {
-		delta[j] = r.f64()
+		delta[j] = r.Float()
 	}
-	if r.err != nil {
-		return fail(r.err)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 
 	// The polynomial structure is a deterministic function of the specs:
@@ -284,7 +321,7 @@ func decodeSummary(r *decoder) (*Summary, error) {
 	// it, and restore the solved weights over it.
 	comp, err := polynomial.Shared(set.DomainSizes, set.MultiSpecs())
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	// NewSystemFrom's single full rebuild recomputes the cached P with
 	// exactly the summation order the solver's final sweep used, so the
@@ -292,11 +329,11 @@ func decodeSummary(r *decoder) (*Summary, error) {
 	// build bit-for-bit.
 	sys, err := polynomial.NewSystemFrom(comp, alpha, delta)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	p := sys.Eval(nil)
 	if degenerate(p) {
-		return fail(fmt.Errorf("restored polynomial evaluates to %g; snapshot is degenerate", p))
+		return nil, fmt.Errorf("restored polynomial evaluates to %g; snapshot is degenerate", p)
 	}
 
 	return &Summary{
@@ -320,209 +357,63 @@ const (
 	schemaKindBinned      = 1
 )
 
-func encodeSchema(w *encoder, sch *schema.Schema) {
-	w.uvarint(uint64(sch.NumAttrs()))
+// encodeSchema writes sch, its names and labels through str.
+func encodeSchema(w *frame.Writer, sch *schema.Schema, str func(string)) {
+	w.Uvarint(uint64(sch.NumAttrs()))
 	for i := 0; i < sch.NumAttrs(); i++ {
 		a := sch.Attr(i)
-		w.str(a.Name())
+		str(a.Name())
 		switch a.Kind() {
 		case schema.Categorical:
-			w.byte(schemaKindCategorical)
-			w.uvarint(uint64(a.Size()))
+			w.Byte(schemaKindCategorical)
+			w.Uvarint(uint64(a.Size()))
 			for v := 0; v < a.Size(); v++ {
-				w.str(a.Label(v))
+				str(a.Label(v))
 			}
 		case schema.Binned:
-			w.byte(schemaKindBinned)
+			w.Byte(schemaKindBinned)
 			lo, hi := a.Bounds()
-			w.f64(lo)
-			w.f64(hi)
-			w.uvarint(uint64(a.Size()))
+			w.Float(lo)
+			w.Float(hi)
+			w.Uvarint(uint64(a.Size()))
 		}
 	}
 }
 
-func decodeSchema(r *decoder) (*schema.Schema, error) {
-	numAttrs := int(r.uvarint(maxAttrs))
-	if r.err != nil {
-		return nil, r.err
-	}
-	attrs := make([]schema.Attribute, 0, numAttrs)
-	for i := 0; i < numAttrs; i++ {
-		name := r.str()
-		kind := r.byte()
-		if r.err != nil {
-			return nil, r.err
-		}
-		switch kind {
-		case schemaKindCategorical:
-			nLabels := int(r.uvarint(maxDomain))
-			if r.err != nil {
-				return nil, r.err
-			}
-			labels := make([]string, nLabels)
+func decodeSchema(r *frame.Reader) (*schema.Schema, error) {
+	// An attribute takes at least its name's length and its kind byte.
+	attrs := make([]schema.Attribute, r.Count(maxAttrs, 2, "attribute"))
+	for i := range attrs {
+		name := r.Str(maxStringLen, "attribute name")
+		var err error
+		switch kind := r.Byte(); {
+		case r.Err() != nil:
+			return nil, r.Err()
+		case kind == schemaKindCategorical:
+			labels := make([]string, r.Count(maxDomain, 1, "label"))
 			for v := range labels {
-				labels[v] = r.str()
+				labels[v] = r.Str(maxStringLen, "label")
 			}
-			if r.err != nil {
-				return nil, r.err
-			}
-			a, err := schema.NewCategorical(name, labels)
-			if err != nil {
+			if err := r.Err(); err != nil {
 				return nil, err
 			}
-			attrs = append(attrs, a)
-		case schemaKindBinned:
-			lo := r.f64()
-			hi := r.f64()
-			bins := int(r.uvarint(maxDomain))
-			if r.err != nil {
-				return nil, r.err
-			}
-			a, err := schema.NewBinned(name, lo, hi, bins)
-			if err != nil {
+			attrs[i], err = schema.NewCategorical(name, labels)
+		case kind == schemaKindBinned:
+			lo, hi := r.Float(), r.Float()
+			bins := r.Count(maxDomain, 0, "bin")
+			if err := r.Err(); err != nil {
 				return nil, err
 			}
-			attrs = append(attrs, a)
+			attrs[i], err = schema.NewBinned(name, lo, hi, bins)
 		default:
 			return nil, fmt.Errorf("unknown attribute kind %d", kind)
 		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return schema.New(attrs...)
-}
-
-// --- primitive stream -------------------------------------------------
-
-// encoder is a sticky-error little-endian writer over a buffered stream.
-type encoder struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func newEncoder(w io.Writer) *encoder { return &encoder{w: bufio.NewWriter(w)} }
-
-func (e *encoder) flush() error {
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
-}
-
-func (e *encoder) byte(b byte) {
-	if e.err != nil {
-		return
-	}
-	e.err = e.w.WriteByte(b)
-}
-
-func (e *encoder) uvarint(x uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], x)
-	_, e.err = e.w.Write(e.buf[:n])
-}
-
-func (e *encoder) f64(x float64) {
-	if e.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(x))
-	_, e.err = e.w.Write(e.buf[:8])
-}
-
-func (e *encoder) bool(b bool) {
-	if b {
-		e.byte(1)
-	} else {
-		e.byte(0)
-	}
-}
-
-func (e *encoder) str(s string) {
-	if len(s) > maxStringLen {
-		if e.err == nil {
-			e.err = fmt.Errorf("summary: string of %d bytes exceeds the %d-byte codec limit", len(s), maxStringLen)
-		}
-		return
-	}
-	e.uvarint(uint64(len(s)))
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.WriteString(s)
-}
-
-// decoder is the sticky-error counterpart of encoder. Every length read is
-// bounded, so corrupted prefixes fail instead of driving allocations.
-type decoder struct {
-	r   *bufio.Reader
-	buf [8]byte
-	err error
-}
-
-func newDecoder(r io.Reader) *decoder { return &decoder{r: bufio.NewReader(r)} }
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		d.err = err
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.fail(err)
-		return 0
-	}
-	return b
-}
-
-func (d *decoder) uvarint(max uint64) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	x, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.fail(err)
-		return 0
-	}
-	if x > max {
-		d.fail(fmt.Errorf("count %d exceeds the sanity bound %d", x, max))
-		return 0
-	}
-	return x
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(d.r, d.buf[:8]); err != nil {
-		d.fail(err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[:8]))
-}
-
-func (d *decoder) bool() bool { return d.byte() != 0 }
-
-func (d *decoder) str() string {
-	n := d.uvarint(maxStringLen)
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.fail(err)
-		return ""
-	}
-	return string(buf)
 }

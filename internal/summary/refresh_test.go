@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/polynomial"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -61,12 +62,32 @@ func refreshWorkload(sch *schema.Schema) []*query.Predicate {
 	return preds
 }
 
+// coldSolve is the reference a refresh is held to: sum's statistics with
+// delta folded in, solved cold over sum's polynomial with opts.
+func coldSolve(t *testing.T, sum *Summary, delta *relation.Relation, opts solver.Options) (*Summary, solver.Report) {
+	t.Helper()
+	set := sum.Stats().Clone()
+	if err := set.ApplyDelta(delta); err != nil {
+		t.Fatal(err)
+	}
+	sys := polynomial.NewSystem(sum.System().Poly())
+	constraints := constraintsOf(set)
+	opts.N = float64(set.N)
+	report, err := solver.Solve(sys, constraints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := *sum
+	cold.n, cold.set, cold.sys, cold.constraints, cold.report, cold.p = opts.N, set, sys, constraints, report, sys.Eval(nil)
+	return &cold, report
+}
+
 // TestRefreshMatchesRebuild is the randomized equivalence test of the
 // acceptance criteria: after random appends, the incrementally refreshed
 // summary (delta statistics + warm-start solve) must answer every
-// workload query within solver tolerance of a from-scratch model over the
-// grown relation (full recount + cold solve, same statistic structure —
-// both paths then share one unique MaxEnt optimum).
+// workload query within solver tolerance of a cold solve of the same
+// statistics (same statistic structure — both then share one unique MaxEnt
+// optimum).
 func TestRefreshMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sch := refreshTestSchema()
@@ -94,10 +115,8 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		ropts := RefreshOptions{
-			DriftThreshold: -1, // force the incremental path
-			Solver:         solver.Options{MaxSweeps: 500, Tolerance: 1e-8},
-		}
+		// A delta of at most a tenth of the base takes the warm path.
+		ropts := RefreshOptions{Solver: solver.Options{MaxSweeps: 500, Tolerance: 1e-8}}
 		inc, info, err := sum.Refresh(full, delta, ropts)
 		if err != nil {
 			t.Fatal(err)
@@ -109,15 +128,9 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: warm solve did not converge: %v", trial, info.Solver)
 		}
 
-		cold, cinfo, err := sum.Refresh(full, delta, RefreshOptions{
-			ForceRebuild: true,
-			Solver:       solver.Options{MaxSweeps: 500, Tolerance: 1e-8},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cinfo.Rebuilt || !cinfo.Solver.Converged {
-			t.Fatalf("trial %d: rebuild path: %+v", trial, cinfo)
+		cold, creport := coldSolve(t, sum, delta, solver.Options{MaxSweeps: 500, Tolerance: 1e-8})
+		if !creport.Converged {
+			t.Fatalf("trial %d: cold solve did not converge: %v", trial, creport)
 		}
 
 		if inc.N() != float64(full.NumRows()) || cold.N() != float64(full.NumRows()) {
@@ -149,8 +162,8 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 }
 
 // TestRefreshWarmStartCheaper pins the operational claim: on a small
-// delta, the warm-started refresh needs fewer sweeps than the cold
-// rebuild of the same grown relation.
+// delta, the warm-started refresh needs fewer sweeps than a cold solve of
+// the same statistics.
 func TestRefreshWarmStartCheaper(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sch := refreshTestSchema()
@@ -171,21 +184,18 @@ func TestRefreshWarmStartCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cold, err := sum.Refresh(full, delta, RefreshOptions{ForceRebuild: true, Solver: solver.Options{MaxSweeps: 500}})
-	if err != nil {
-		t.Fatal(err)
+	if warm.Rebuilt {
+		t.Fatal("a 0.25% delta solved cold")
 	}
-	if warm.Rebuilt || !cold.Rebuilt {
-		t.Fatalf("unexpected paths: warm.Rebuilt=%t cold.Rebuilt=%t", warm.Rebuilt, cold.Rebuilt)
-	}
-	if warm.Solver.Sweeps >= cold.Solver.Sweeps {
-		t.Fatalf("warm refresh took %d sweeps, cold rebuild %d — warm must be cheaper on a 0.25%% delta",
-			warm.Solver.Sweeps, cold.Solver.Sweeps)
+	_, cold := coldSolve(t, sum, delta, solver.Options{MaxSweeps: 500})
+	if warm.Solver.Sweeps >= cold.Sweeps {
+		t.Fatalf("warm refresh took %d sweeps, cold solve %d — warm must be cheaper on a 0.25%% delta",
+			warm.Solver.Sweeps, cold.Sweeps)
 	}
 }
 
 // TestRefreshDriftFallback checks the threshold policy: a delta larger
-// than the drift threshold triggers the rebuild path automatically.
+// than the drift threshold solves cold.
 func TestRefreshDriftFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	sch := refreshTestSchema()
@@ -204,7 +214,7 @@ func TestRefreshDriftFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !info.Rebuilt {
-		t.Fatalf("47%% drift did not trigger the rebuild fallback (drift=%g)", info.Drift)
+		t.Fatalf("47%% drift did not solve cold (drift=%g)", info.Drift)
 	}
 
 	// A zero-row delta returns the summary unchanged.
@@ -244,32 +254,32 @@ func TestRefreshValidation(t *testing.T) {
 	}
 }
 
-// TestRefreshRebuildRecountsExactly holds the rebuild path's statistics
-// to NewSet over the grown relation plus one Count scan per
-// multi-dimensional statistic: bit-identical, over a relation whose rows
-// span several parts.
+// TestRefreshRebuildRecountsExactly holds the cold path's statistics — a
+// delta past the drift threshold, folded in like any other — to NewSet
+// over the grown relation plus one Count scan per multi-dimensional
+// statistic: bit-identical, over a relation whose rows span several parts.
 func TestRefreshRebuildRecountsExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	sch := refreshTestSchema()
 	mut := relation.NewMutable(relation.New(sch))
-	drawCorrelated(mut, 60000, rng)
+	drawCorrelated(mut, 50000, rng)
 	base, _ := mut.Freeze()
 	sum, err := Build(base, Options{PairBudget: 3, PerPairBudget: 6, Heuristic: stats.Composite})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drawCorrelated(mut, 10000, rng)
+	drawCorrelated(mut, 20000, rng)
 	full, _ := mut.Freeze()
 	delta, err := full.Slice(base.NumRows(), full.NumRows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, info, err := sum.Refresh(full, delta, RefreshOptions{ForceRebuild: true})
+	rebuilt, info, err := sum.Refresh(full, delta, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.Rebuilt {
-		t.Fatal("ForceRebuild took the incremental path")
+		t.Fatalf("a %.0f%% delta took the warm path", 100*info.Drift)
 	}
 	want := stats.NewSet(full)
 	for _, st := range sum.Stats().Multi {
