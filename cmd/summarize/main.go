@@ -78,45 +78,36 @@ func main() {
 		Solver:        solver.Options{MaxSweeps: *sweeps},
 	}
 
-	// The summaries are a served dataset's snapshot-able strategies, so a
-	// summaryd started on this store restores exactly what it would build.
+	// The model is exactly what a summaryd primary builds and saves for the
+	// dataset, so a summaryd started on this store restores it instead.
 	buildStart := time.Now()
-	list, built, err := server.Derive(*dataset, rel, server.DatasetOptions{
-		Summary:   opts,
-		SkipExact: true,
-	}, nil)
+	ent, err := server.BuildDataset(server.NewRegistry(), *dataset, rel, server.DatasetOptions{Summary: opts, Store: st})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "built %d summaries in %v (maxent: %s)\n",
-		len(list), time.Since(buildStart).Round(time.Millisecond), built.Solver)
-	var infos []store.SnapshotInfo
-	for _, s := range list {
-		info, err := st.Save(s.Name, s.Estimator)
+	fmt.Fprintf(os.Stderr, "built %s in %v (%s)\n",
+		ent.Name, time.Since(buildStart).Round(time.Millisecond), ent.Estimator.(*summary.Summary).SolverReport())
+
+	if *keep > 0 {
+		removed, err := st.Prune(ent.Name, *keep)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 			os.Exit(1)
 		}
-		infos = append(infos, info)
-	}
-
-	if *keep > 0 {
-		for _, in := range infos {
-			removed, err := st.Prune(in.Dataset, *keep)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
-				os.Exit(1)
-			}
-			if len(removed) > 0 {
-				fmt.Fprintf(os.Stderr, "pruned %d old version(s) of %s\n", len(removed), in.Dataset)
-			}
+		if len(removed) > 0 {
+			fmt.Fprintf(os.Stderr, "pruned %d old version(s) of %s\n", len(removed), ent.Name)
 		}
+	}
+	_, info, err := st.ReadFramed(ent.Name, ent.Served)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
+		os.Exit(1)
 	}
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(infos); err != nil {
+	if err := enc.Encode([]store.SnapshotInfo{info}); err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 		os.Exit(1)
 	}

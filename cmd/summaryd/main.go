@@ -1,29 +1,25 @@
 // Command summaryd is the long-lived serving shape of the reproduction: it
-// builds a MaxEnt summary (plus, unless -no-exact, the exact full-scan
-// engine) over a dataset, registers them in the estimator registry, and
-// serves counting and group-by queries over HTTP/JSON with an LRU result
-// cache, admission control, and latency/QPS metrics.
+// builds a MaxEnt summary over a dataset, registers it in the estimator
+// registry, and serves counting and group-by queries over HTTP/JSON with an
+// LRU result cache, admission control, and latency/QPS metrics. Queries are
+// answered from the summary alone; no node keeps the rows.
 //
 // With -store, summaryd is restartable: at startup it restores every
 // snapshot in the store (cold start in O(summary bytes), no data scan, no
-// solver), and only rebuilds the -dataset pipeline when the store holds
-// no summary for it yet — saving the result as a new snapshot version, so
-// the next start restores instead. A version is born at a build or a
-// refresh only; GET /snapshots lists what is stored.
+// solver), and only builds the -dataset model when the store holds none for
+// it yet — saving the result as a new snapshot version, so the next start
+// restores instead. A version is born at a build or a refresh only; GET
+// /snapshots lists what is stored.
 //
-// summaryd also serves live ingestion: POST /ingest/{dataset} appends
-// rows (JSON-encoded domain values or a raw CSV body) to the dataset's
-// relation, and a refresh policy (-refresh-rows threshold and/or the
-// -refresh-interval ticker) folds the backlog into new estimator versions
-// that are hot-swapped in with zero downtime. The maxent model refreshes
-// incrementally on small deltas — delta statistics plus a warm-started
-// solve — while the exact engine is rebuilt over the grown relation each
-// refresh.
+// summaryd also serves live ingestion: POST /ingest/{dataset} accepts rows
+// (JSON-encoded domain values or a raw CSV body) as pending, and a refresh
+// policy (-refresh-rows threshold and/or the -refresh-interval ticker) folds
+// them into a new model version — delta statistics plus a re-solve — that
+// is hot-swapped in with zero downtime, after which the rows are dropped.
 // Every new model version is published to the snapshot store when -store
-// is set; /metrics reports per-dataset generation and staleness. On a
-// snapshot restart the demo relation is regenerated from -seed, so a
-// model that already absorbed ingested rows is served read-only (the
-// rows exist only in the model; ingestion re-enables after a rebuild).
+// is set, so a restarted primary resumes ingestion from its restored model;
+// rows still pending at exit are lost. /metrics reports per-dataset
+// generation and staleness.
 //
 // The snapshot store doubles as a time-travel surface: POST
 // /query?version=N (and /groupby, /query/batch) answer from any retained
@@ -54,7 +50,6 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/fleet"
-	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/solver"
 	"repro/internal/stats"
@@ -72,7 +67,6 @@ func main() {
 		perPair     = flag.Int("per-pair", 8, "2D statistics per pair (B_s)")
 		heuristic   = flag.String("heuristic", "COMPOSITE", "bucket heuristic: LARGE, ZERO, or COMPOSITE")
 		sweeps      = flag.Int("sweeps", 200, "solver sweep budget")
-		noExact     = flag.Bool("no-exact", false, "do not serve the exact full-scan engine")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
 		maxConc     = flag.Int("max-concurrent", 64, "maximum concurrent estimator evaluations")
 		cacheSize   = flag.Int("cache", 4096, "result-cache capacity in entries (-1 disables)")
@@ -133,7 +127,6 @@ func main() {
 	}
 
 	reg := server.NewRegistry()
-	fromSnapshot := false
 	if st != nil {
 		restoreStart := time.Now()
 		restored, problems, err := server.RestoreStore(reg, st)
@@ -149,9 +142,6 @@ func main() {
 			log.Printf("restored %d estimator(s) from %s in %v: %v",
 				len(restored), st.Dir(), time.Since(restoreStart).Round(time.Millisecond), restored)
 		}
-		// Serve -dataset from snapshots when the store holds its summary, the
-		// one snapshot-able strategy; otherwise build it (a replica syncs it).
-		_, fromSnapshot = reg.Get(*dataset + "/maxent")
 	}
 
 	liveOpts := server.LiveOptions{
@@ -162,52 +152,36 @@ func main() {
 				Heuristic:     h,
 				Solver:        solver.Options{MaxSweeps: *sweeps},
 			},
-			SkipExact: *noExact,
-			Store:     st,
+			Store: st,
 		},
 		RefreshRows: *refreshRows,
 	}
 
-	// The live relation backs POST /ingest/{dataset} in both start modes;
-	// on a snapshot start it is regenerated from the same seed, so it is
-	// exactly the relation the restored summaries cover.
-	mut := relation.NewMutable(experiment.SyntheticRelation(*rows, rand.New(rand.NewSource(*seed))))
+	// A replica never builds or ingests: it pulls every snapshot version off
+	// its peer and hot-swaps the latest in, so the solver runs on exactly one
+	// node of a fleet. A primary builds -dataset only when the store did not
+	// restore its model, then takes writes from the served model either way.
 	var live *server.Live
 	var syncer *fleet.Syncer
-
-	// Build the configured dataset only when the store did not already
-	// provide its summaries — the restartable-service path: the solver is
-	// re-run exclusively on the first start. A replica never builds: it
-	// pulls every snapshot version off its peer and hot-swaps the latest
-	// in, so the solver runs on exactly one node of a fleet.
 	if *peer != "" {
 		syncer = fleet.NewSyncer(*peer, st, reg, fleet.SyncerOptions{Interval: *syncIvl})
 		log.Printf("replica mode: pulling snapshots from %s every %v (POST /sync/notify wakes the pull early)", *peer, *syncIvl)
-	} else if fromSnapshot {
-		log.Printf("dataset %q: serving from snapshot, skipping build", *dataset)
-		if !*noExact {
-			log.Printf("dataset %q: note: the exact engine is data-bound and cannot be restored from snapshots; pass -no-exact to silence", *dataset)
-		}
-		live, err = server.NewLive(reg, *dataset, mut, st, liveOpts)
-		if err != nil {
-			// The restored summary covers rows the regenerated synthetic
-			// relation does not hold — either the flags changed (-rows,
-			// -seed) or a previous run ingested rows, which live only in
-			// the snapshotted model, not in the demo's regenerated data.
-			// Serve the restored model read-only rather than refusing to
-			// start or silently dropping its ingested state.
-			log.Printf("warning: live ingestion disabled (restored model and regenerated relation disagree): %v", err)
-			live = nil
-		}
 	} else {
-		log.Printf("dataset %q: %s, %d rows", *dataset, mut.Schema(), mut.NumRows())
-		buildStart := time.Now()
-		var names []string
-		live, names, err = server.BuildLiveDataset(reg, *dataset, mut, liveOpts)
-		if err != nil {
+		if _, ok := reg.Get(*dataset + "/maxent"); ok {
+			log.Printf("dataset %q: serving from snapshot, skipping build", *dataset)
+		} else {
+			rel := experiment.SyntheticRelation(*rows, rand.New(rand.NewSource(*seed)))
+			log.Printf("dataset %q: %s, %d rows", *dataset, rel.Schema(), rel.NumRows())
+			buildStart := time.Now()
+			ent, err := server.BuildDataset(reg, *dataset, rel, liveOpts.Dataset)
+			if err != nil {
+				log.Fatal(err)
+			}
+			log.Printf("built %s in %v", ent.Name, time.Since(buildStart).Round(time.Millisecond))
+		}
+		if live, err = server.ResumeLive(reg, *dataset, liveOpts); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("built %d estimators in %v: %v", len(names), time.Since(buildStart).Round(time.Millisecond), names)
 	}
 
 	srvOpts := server.Options{

@@ -162,7 +162,7 @@ func RunStreaming(opts StreamingOptions) (*StreamingReport, error) {
 		}
 
 		refreshStart := time.Now()
-		next, info, err := refreshed.Refresh(full, delta, summary.RefreshOptions{Solver: opts.Summary.Solver})
+		next, info, err := refreshed.Fold(delta, summary.RefreshOptions{Solver: opts.Summary.Solver})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: streaming refresh %d: %w", batch, err)
 		}

@@ -1,6 +1,6 @@
 // Package fleettest is the in-process multi-node harness every fleet
 // behavior is proven against: it boots N real summaryd instances (one
-// ingest primary with a live relation, N-1 replicas pulling snapshots off
+// ingest primary with a live dataset, N-1 replicas pulling snapshots off
 // it) plus a router over httptest, and injects the failures a real fleet
 // sees — dead nodes, hung nodes, hard kills mid-request. Everything runs
 // in one process, so the race detector watches the entire sync/query

@@ -15,7 +15,7 @@
 //
 // Request payload layout (all ints unsigned varints unless noted):
 //
-//	estimator   len + UTF-8 bytes
+//	estimator   len + UTF-8 bytes (at most 1 KiB)
 //	version     (format v2 only) snapshot version, > 0
 //	count       number of batch items (1..MaxBatchItems)
 //	per item:
@@ -32,10 +32,10 @@
 //
 // Answer payload layout:
 //
-//	estimator   len + UTF-8 bytes
+//	estimator   len + UTF-8 bytes (at most 1 KiB)
 //	count       number of answers
 //	per answer: flags byte (bit0 cached, bit1 group-by, bit2 error), then
-//	  error:    len + message
+//	  error:    len + message (at most 4 KiB)
 //	  group-by: count + per group (len + values, float64 estimate bits)
 //	  count:    float64 bits (little-endian IEEE 754)
 //
@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/frame"
 )
@@ -73,6 +74,12 @@ const (
 	MaxBatchFrameBytes = 16 << 20
 	// MaxBatchItems bounds the number of queries (and answers) per frame.
 	MaxBatchItems = 1 << 16
+	// maxNameBytes bounds the estimator name of a frame: both encoders
+	// refuse a longer one, both decoders refuse to read one.
+	maxNameBytes = 1 << 10
+	// maxErrorBytes bounds an answer's error message: AppendAnswers clips a
+	// longer one, DecodeAnswers refuses to read one.
+	maxErrorBytes = 1 << 12
 )
 
 // ErrFrame tags every framing/integrity failure of the batch decoders
@@ -182,6 +189,9 @@ func AppendBatchAt(dst []byte, estimator string, version int, items []BatchItem)
 	if len(items) > MaxBatchItems {
 		return nil, fmt.Errorf("query: batch of %d items exceeds the %d-item bound", len(items), MaxBatchItems)
 	}
+	if err := checkName(estimator); err != nil {
+		return nil, err
+	}
 	base := len(dst)
 	w := beginFrame(dst)
 	w.Str(estimator)
@@ -197,6 +207,25 @@ func AppendBatchAt(dst []byte, estimator string, version int, items []BatchItem)
 		}
 	}
 	return sealFrame(&w, base, batchRequestMagic, format)
+}
+
+// checkName refuses an estimator name longer than the decoders read.
+func checkName(estimator string) error {
+	if len(estimator) > maxNameBytes {
+		return fmt.Errorf("query: %d-byte estimator name exceeds the %d-byte bound", len(estimator), maxNameBytes)
+	}
+	return nil
+}
+
+// clip cuts s to at most n bytes, at the start of a UTF-8 sequence.
+func clip(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n]
 }
 
 // CheckGroupBy refuses a grouping attribute the wire cannot carry: the one
@@ -261,10 +290,15 @@ func encodeItem(w *frame.Writer, it BatchItem) error {
 
 // AppendAnswers appends a complete framed batch answer — the answering
 // estimator name and one BatchAnswer per request item, in request order —
-// to dst and returns the extended slice. It reuses dst's spare capacity, so a server that
+// to dst and returns the extended slice. An error message longer than the
+// decoder reads is clipped at a UTF-8 boundary, so one long error cannot
+// void its batchmates. It reuses dst's spare capacity, so a server that
 // pools response buffers assembles steady-state answers without
 // allocating. dst may be nil.
 func AppendAnswers(dst []byte, estimator string, answers []BatchAnswer) ([]byte, error) {
+	if err := checkName(estimator); err != nil {
+		return nil, err
+	}
 	base := len(dst)
 	w := beginFrame(dst)
 	w.Str(estimator)
@@ -283,7 +317,7 @@ func AppendAnswers(dst []byte, estimator string, answers []BatchAnswer) ([]byte,
 		w.Byte(flags)
 		switch {
 		case a.Error != "":
-			w.Str(a.Error)
+			w.Str(clip(a.Error, maxErrorBytes))
 		case a.IsGroup:
 			w.Uvarint(uint64(len(a.Groups)))
 			for _, g := range a.Groups {
@@ -340,7 +374,7 @@ func DecodeBatchAt(in io.Reader) (string, int, []BatchItem, error) {
 	if err != nil {
 		return "", 0, nil, err
 	}
-	estimator := r.Str(1<<10, "estimator name")
+	estimator := r.Str(maxNameBytes, "estimator name")
 	version := 0
 	if format >= batchFormatVersionAt {
 		v := r.Uvarint()
@@ -487,7 +521,7 @@ func DecodeAnswers(in io.Reader) (string, []BatchAnswer, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	estimator := r.Str(1<<10, "estimator name")
+	estimator := r.Str(maxNameBytes, "estimator name")
 	answers := make([]BatchAnswer, r.Count(MaxBatchItems, 1, "answer"))
 	for i := range answers {
 		flags := r.Byte()
@@ -501,7 +535,7 @@ func DecodeAnswers(in io.Reader) (string, []BatchAnswer, error) {
 		a.Cached, a.IsGroup = flags&1 != 0, flags&2 != 0
 		switch {
 		case flags&4 != 0:
-			a.Error = r.Str(1<<12, "error message")
+			a.Error = r.Str(maxErrorBytes, "error message")
 			if r.Err() == nil && a.Error == "" {
 				return "", nil, fmt.Errorf("%w: answer %d flags an error with an empty message", ErrFrame, i)
 			}

@@ -90,6 +90,15 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 			}
 		}
 	}
+
+	// A name the decoder would refuse is refused at encode.
+	long := strings.Repeat("n", 2000)
+	if _, err := AppendBatch(nil, long, []BatchItem{{}}); err == nil {
+		t.Error("a 2000-byte estimator name encoded")
+	}
+	if _, err := AppendBatchAt(nil, long, 3, []BatchItem{{}}); err == nil {
+		t.Error("a 2000-byte estimator name encoded at a version")
+	}
 }
 
 // TestBatchAnswerRoundTrip covers all three answer shapes, including exact
@@ -104,11 +113,18 @@ func TestBatchAnswerRoundTrip(t *testing.T) {
 		}},
 		{IsGroup: true, Groups: nil, Cached: true}, // empty group answer
 		{Error: "summary: group-by space exceeds 65536 combinations"},
+		// 5000 bytes whose 4096-byte cut falls inside a 3-byte rune: the
+		// encoder clips it to the decoder's bound at the rune's start.
+		{Error: strings.Repeat("e", 4095) + strings.Repeat("€", 1) + strings.Repeat("e", 902)},
+	}
+	if _, err := AppendAnswers(nil, strings.Repeat("n", 2000), answers); err == nil {
+		t.Error("a 2000-byte estimator name encoded")
 	}
 	frame, err := AppendAnswers(nil, "demo/exact", answers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	answers[len(answers)-1].Error = strings.Repeat("e", 4095)
 	estimator, got, err := DecodeAnswers(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,16 @@
 package relation
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/schema"
 )
 
-// Mutable is the live-ingestion wrapper around a Relation: an append log
-// with a generation counter and a zero-copy freeze. It is the mutation
-// boundary of the dataset lifecycle — everything downstream of a Freeze
-// (statistics, solver, summaries, serving) still operates on immutable
-// *Relation values, while appends accumulate here.
+// Mutable is a Relation that grows while readers hold views of it: an
+// append log with a generation counter and a zero-copy freeze. Everything
+// downstream of a Freeze (statistics, solver, ground truth) operates on
+// immutable *Relation values, while appends accumulate here. The streaming
+// experiment keeps its ground truth in one; a serving node keeps no rows.
 //
 // Appends fill the relation's last part up to its capacity and then open a
 // new part of blockRows rows, so an append costs its own rows and never
@@ -67,29 +66,14 @@ func (m *Mutable) Append(tuple []int) error {
 	return nil
 }
 
-// AppendRows adds a batch of encoded tuples all-or-nothing: every row is
-// validated against the schema before any is appended, so a bad row in the
-// middle of a batch cannot leave a half-ingested prefix behind. It returns
-// the number of rows appended (len(rows) on success, 0 on error).
+// AppendRows adds a batch of encoded tuples all-or-nothing (see
+// Relation.AppendRows) and bumps the generation once. It returns the number
+// of rows appended (len(rows) on success, 0 on error).
 func (m *Mutable) AppendRows(rows [][]int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sch := m.rel.sch
-	for i, tuple := range rows {
-		if len(tuple) != sch.NumAttrs() {
-			return 0, fmt.Errorf("relation: row %d has %d values, schema has %d attributes", i, len(tuple), sch.NumAttrs())
-		}
-		for a, v := range tuple {
-			if v < 0 || v >= sch.Attr(a).Size() {
-				return 0, fmt.Errorf("relation: row %d: value %d out of domain [0,%d) for attribute %q",
-					i, v, sch.Attr(a).Size(), sch.Attr(a).Name())
-			}
-		}
-	}
-	// Everything validated above; append straight into the parts rather
-	// than paying Append's per-row validation a second time.
-	for _, tuple := range rows {
-		m.rel.appendValid(tuple)
+	if err := m.rel.AppendRows(rows); err != nil {
+		return 0, err
 	}
 	if len(rows) > 0 {
 		m.gen++

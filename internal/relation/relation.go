@@ -93,6 +93,30 @@ func (r *Relation) Append(tuple []int) error {
 	return nil
 }
 
+// AppendRows adds a batch of encoded tuples all-or-nothing: every row is
+// validated against the schema before any is appended, so a bad row in the
+// middle of a batch cannot leave a half-ingested prefix behind.
+func (r *Relation) AppendRows(rows [][]int) error {
+	sch := r.sch
+	for i, tuple := range rows {
+		if len(tuple) != sch.NumAttrs() {
+			return fmt.Errorf("relation: row %d has %d values, schema has %d attributes", i, len(tuple), sch.NumAttrs())
+		}
+		for a, v := range tuple {
+			if v < 0 || v >= sch.Attr(a).Size() {
+				return fmt.Errorf("relation: row %d: value %d out of domain [0,%d) for attribute %q",
+					i, v, sch.Attr(a).Size(), sch.Attr(a).Name())
+			}
+		}
+	}
+	// Everything validated above; append straight into the parts rather
+	// than paying Append's per-row validation a second time.
+	for _, tuple := range rows {
+		r.appendValid(tuple)
+	}
+	return nil
+}
+
 // appendValid appends a tuple already checked against the schema into the
 // last part, first opening a new part of blockRows rows when the last one
 // is full.

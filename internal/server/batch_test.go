@@ -403,7 +403,7 @@ func warmBatch32(tb testing.TB) (serve func()) {
 	tb.Helper()
 	reg := server.NewRegistry()
 	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
-	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{SkipExact: true}); err != nil {
+	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{}); err != nil {
 		tb.Fatalf("BuildDataset: %v", err)
 	}
 	handler := server.New(reg, server.Options{}).Handler()

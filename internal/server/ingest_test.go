@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -140,35 +141,44 @@ func TestIngestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("count(region=LATAM) %g -> %g after ingesting 600 such rows; refresh not visible", before, after)
 	}
 
-	// The exact engine must have been swapped to the grown relation too.
-	resp, body = postJSON(t, ts.URL+"/query", server.QueryRequest{Estimator: "demo/exact", Predicate: pred})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exact query: status %d: %s", resp.StatusCode, body)
+	// A 1D count is a statistic the model matches: it must agree with a full
+	// scan of the grown relation, which no node keeps, so build it here.
+	truth := grownTruth(t, 3000, syntheticRows(200, 3), syntheticRows(400, 3)).Count(pred)
+	if math.Abs(after-truth) > 1 {
+		t.Fatalf("count(region=LATAM) = %g after the refresh, a scan of base + ingested rows gives %g", after, truth)
 	}
-	var qr server.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if want := float64(before) + 600; qr.Count < want-1 || qr.Count > want+1 {
-		// before is the maxent estimate; compare loosely against exact.
-		exactBefore := qr.Count - 600
-		if exactBefore < 0 {
-			t.Fatalf("exact count(region=3) = %g after ingest, too small", qr.Count)
+}
+
+// grownTruth is the exact engine over newLiveServer's base relation of rows
+// rows followed by the ingested batches.
+func grownTruth(t *testing.T, rows int, batches ...[][]int) *exact.Engine {
+	t.Helper()
+	mut := relation.NewMutable(experiment.SyntheticRelation(rows, rand.New(rand.NewSource(1))))
+	for _, b := range batches {
+		if _, err := mut.AppendRows(b); err != nil {
+			t.Fatal(err)
 		}
 	}
+	rel, _ := mut.Freeze()
+	return exact.New(rel)
 }
 
 // TestEstimatorsCertificateAcrossRefresh reads the solver certificate GET
 // /estimators reports for a model that stops at its sweep cap: a threshold
 // ingest swaps in a refreshed model whose max_violation is no higher than
-// the one it replaced, still unconverged, and /exact carries no certificate.
+// the one it replaced, still unconverged, and an estimator that is not a
+// summary (an exact engine registered beside it) carries no certificate.
 func TestEstimatorsCertificateAcrossRefresh(t *testing.T) {
-	ts, _, _, _ := newLiveServer(t, 3000, server.LiveOptions{
+	ts, reg, _, _ := newLiveServer(t, 3000, server.LiveOptions{
 		Dataset: server.DatasetOptions{
 			Summary: summary.Options{Solver: solver.Options{MaxSweeps: 3}},
 		},
 		RefreshRows: 500,
 	})
+	base := grownTruth(t, 3000).Relation()
+	if err := reg.Register("demo/exact", exact.New(base), base.Schema()); err != nil {
+		t.Fatal(err)
+	}
 	certificates := func() (maxent server.EstimatorInfo) {
 		t.Helper()
 		resp, body := get(t, ts.URL+"/estimators")
@@ -234,7 +244,7 @@ func TestIngestCSVBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || ir.Accepted != 2 {
 		t.Fatalf("csv ingest: status %d, result %+v", resp.StatusCode, ir)
 	}
-	if got := live.Mutable().NumRows(); got != 1002 {
+	if got := live.Status().TotalRows; got != 1002 {
 		t.Fatalf("rows = %d, want 1002", got)
 	}
 
@@ -247,7 +257,7 @@ func TestIngestCSVBody(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad csv: status %d, want 400", resp2.StatusCode)
 	}
-	if got := live.Mutable().NumRows(); got != 1002 {
+	if got := live.Status().TotalRows; got != 1002 {
 		t.Fatalf("bad csv appended rows: %d", got)
 	}
 }
@@ -296,7 +306,7 @@ func TestIngestValidation(t *testing.T) {
 		{"key case", `{"Rows":[[1,2,0,3]]}`, ""},
 		{"encoder newline", "{\"rows\":[[1,2,0,3]]}\n", ""},
 	} {
-		before := live.Mutable().NumRows()
+		before := live.Status().TotalRows
 		resp, err := http.Post(ts.URL+"/ingest/demo", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +320,7 @@ func TestIngestValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: response: %v", tc.name, err)
 		}
-		got := live.Mutable().NumRows()
+		got := live.Status().TotalRows
 		if tc.refusal != "" {
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, tc.refusal) {
 				t.Errorf("%s: status %d %q, want 400 containing %q", tc.name, resp.StatusCode, msg.Error, tc.refusal)
@@ -324,8 +334,8 @@ func TestIngestValidation(t *testing.T) {
 			t.Errorf("%s: status %d, total_rows %d (relation %d), want 200 and %d", tc.name, resp.StatusCode, msg.TotalRows, got, before+1)
 			continue
 		}
-		frozen, _ := live.Mutable().Freeze()
-		if row := frozen.Row(before, nil); !slices.Equal(row, []int{1, 2, 0, 3}) {
+		pending := server.PendingRows(live)
+		if row := pending.Row(pending.NumRows()-1, nil); !slices.Equal(row, []int{1, 2, 0, 3}) {
 			t.Errorf("%s: appended row %v, want [1 2 0 3]", tc.name, row)
 		}
 	}
@@ -353,6 +363,12 @@ func TestSwapWhileQuerying(t *testing.T) {
 		Dataset: server.DatasetOptions{Summary: summary.Options{Solver: solver.Options{MaxSweeps: 100}}},
 	})
 
+	// The swapped entry is an exact engine registered here beside the
+	// served model.
+	base := grownTruth(t, 1500).Relation()
+	if err := reg.Register("demo/exact", exact.New(base), base.Schema()); err != nil {
+		t.Fatal(err)
+	}
 	pred := query.NewPredicate(4)
 	pred.WhereEq(0, 1)
 	reqBody, err := json.Marshal(server.QueryRequest{Estimator: "demo/exact", Predicate: pred})
@@ -483,6 +499,63 @@ func TestIngestRefreshWhileQuerying(t *testing.T) {
 	}
 }
 
+// TestConcurrentIngestsFoldEveryRowOnce races ingests that cross the refresh
+// threshold against explicit refreshes: rows accepted while a refresh runs
+// stay pending for the next one, so once everything is folded the served
+// model's 1D statistics count every ingested row exactly once — they equal a
+// scan of the base plus every batch — and the live dataset holds no row.
+func TestConcurrentIngestsFoldEveryRowOnce(t *testing.T) {
+	_, reg, _, live := newLiveServer(t, 1000, server.LiveOptions{
+		Dataset:     server.DatasetOptions{Summary: summary.Options{Solver: solver.Options{MaxSweeps: 50}}},
+		RefreshRows: 90,
+	})
+	const writers, batches = 4, 12
+	var wg sync.WaitGroup
+	all := make([][][]int, writers*batches)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				rows := syntheticRows(20+w*7+b, w+b)
+				all[w*batches+b] = rows
+				if res, err := live.Ingest(rows); err != nil || res.RefreshError != "" {
+					t.Errorf("writer %d batch %d: %+v, %v", w, b, res, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if _, err := live.Refresh(); err != nil {
+				t.Errorf("refresh: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	if _, err := live.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if n := server.PendingRows(live).NumRows(); n != 0 {
+		t.Fatalf("%d rows still held after the last refresh", n)
+	}
+	ent, _ := reg.Get("demo/maxent")
+	got := ent.Estimator.(*summary.Summary).Stats().OneD
+	truth := grownTruth(t, 1000, all...).Relation()
+	for a := range got {
+		for v, c := range truth.Histogram1D(a) {
+			if got[a][v] != float64(c) {
+				t.Fatalf("attribute %d value %d: the served model counts %g rows, a scan %d", a, v, got[a][v], c)
+			}
+		}
+	}
+}
+
 // TestRefreshPublishesSnapshots checks snapshot publication + pinning:
 // every refresh saves a new version of the model estimators and keeps the
 // served version safe from pruning.
@@ -495,9 +568,8 @@ func TestRefreshPublishesSnapshots(t *testing.T) {
 	mut := relation.NewMutable(experiment.SyntheticRelation(1000, rand.New(rand.NewSource(1))))
 	live, _, err := server.BuildLiveDataset(reg, "demo", mut, server.LiveOptions{
 		Dataset: server.DatasetOptions{
-			Summary:   summary.Options{Solver: solver.Options{MaxSweeps: 200}},
-			SkipExact: true,
-			Store:     st,
+			Summary: summary.Options{Solver: solver.Options{MaxSweeps: 200}},
+			Store:   st,
 		},
 	})
 	if err != nil {
@@ -554,9 +626,8 @@ func TestIngestReportsPublishFailureWithoutFailing(t *testing.T) {
 	mut := relation.NewMutable(experiment.SyntheticRelation(1000, rand.New(rand.NewSource(1))))
 	live, _, err := server.BuildLiveDataset(reg, "demo", mut, server.LiveOptions{
 		Dataset: server.DatasetOptions{
-			Summary:   summary.Options{Solver: solver.Options{MaxSweeps: 200}},
-			SkipExact: true,
-			Store:     st,
+			Summary: summary.Options{Solver: solver.Options{MaxSweeps: 200}},
+			Store:   st,
 		},
 		RefreshRows: 10,
 	})
@@ -609,7 +680,7 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	pred := query.NewPredicate(4)
 	pred.WhereEq(0, 2)
 	ask := func() (float64, bool) {
-		resp, body := postJSON(t, ts.URL+"/query", server.QueryRequest{Estimator: "demo/exact", Predicate: pred})
+		resp, body := postJSON(t, ts.URL+"/query", server.QueryRequest{Estimator: "demo/maxent", Predicate: pred})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query: status %d: %s", resp.StatusCode, body)
 		}
@@ -628,8 +699,8 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 		t.Fatal("second identical query missed the cache")
 	}
 
-	// Ingest 300 region=APAC rows and refresh: the cached exact count is
-	// stale now and must not be served.
+	// Ingest 300 region=APAC rows and refresh: the cached count is stale now
+	// and must not be served.
 	if _, err := live.Ingest(syntheticRows(300, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -640,8 +711,15 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	if cached {
 		t.Fatal("post-swap query served a cached answer from the previous generation")
 	}
-	if after != first+300 {
-		t.Fatalf("exact count after ingest = %g, want %g", after, first+300)
+	// A 1D count is a statistic the model matches, so each answer agrees
+	// with a full scan of the rows it covers.
+	for _, c := range []struct {
+		got   float64
+		truth *exact.Engine
+	}{{first, grownTruth(t, 2000)}, {after, grownTruth(t, 2000, syntheticRows(300, 2))}} {
+		if want := c.truth.Count(pred); math.Abs(c.got-want) > 1 {
+			t.Fatalf("count(region=APAC) = %g over %d rows, a scan gives %g", c.got, c.truth.Relation().NumRows(), want)
+		}
 	}
 	if srv.Cache().Stats().Invalidations == 0 {
 		t.Fatal("swap did not invalidate any cache entries")

@@ -19,9 +19,9 @@ import (
 
 // LiveOptions configure live ingestion for one dataset.
 type LiveOptions struct {
-	// Dataset are the build options the dataset's estimators were (or will
-	// be) built with; refreshes maintain exactly the strategy set these
-	// options produced.
+	// Dataset are the build options the dataset's model was (or will be)
+	// built with; a refresh re-solves with their solver options and saves
+	// to their store.
 	Dataset DatasetOptions
 	// RefreshRows is the auto-refresh threshold: when at least this many
 	// rows are pending after an ingest, the ingest triggers a refresh
@@ -30,26 +30,30 @@ type LiveOptions struct {
 	RefreshRows int
 }
 
-// Live couples one dataset's mutable relation with the registry entries
-// serving it: appends accumulate in the relation, and Refresh folds them
-// into every registered estimator of the dataset with an atomic hot swap —
-// queries keep flowing against the previous versions until the new ones
-// are ready, then switch all at once.
+// Live couples one dataset's served model with the rows ingested since it
+// was last refreshed: appends accumulate as pending rows, and Refresh folds
+// them into the registered summary with an atomic hot swap — queries keep
+// flowing against the previous version until the new one is ready. A Live
+// keeps no other row: the summary's statistic counts are all a refresh
+// reads, so a model restored from a snapshot takes writes like a built one.
 type Live struct {
 	dataset string
 	reg     *Registry
-	st      *store.Store
 	opts    LiveOptions
-	mut     *relation.Mutable
+	sch     *schema.Schema
 	now     func() time.Time
 
-	// refreshMu serializes refreshes (the expensive derive-and-publish
-	// sequence) without blocking the cheap paths: counters and Status()
-	// are guarded by mu alone, so /metrics and ingest responses never
-	// wait behind a solve.
+	// refreshMu serializes refreshes (the expensive fold-and-publish
+	// sequence) without blocking the cheap paths: appends, counters and
+	// Status() are guarded by mu alone, so ingests and /metrics never wait
+	// behind a solve.
 	refreshMu sync.Mutex
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// pending holds the rows accepted since the last refresh's cut, in
+	// arrival order. A refresh folds a prefix of it and cuts that prefix
+	// off; rows appended while it ran stay pending.
+	pending      *relation.Relation
 	cache        *Cache // set by Server.AttachLive; nil until then
 	servedRows   int
 	generation   uint64
@@ -60,85 +64,84 @@ type Live struct {
 	lastRefresh  time.Time
 }
 
-// NewLive wires live ingestion over a dataset whose estimators are
-// already registered (either by BuildDataset or by a snapshot restore).
-// The mutable relation must hold exactly the rows the registered MaxEnt
-// summary covers; st may be nil (no snapshot publication).
-func NewLive(reg *Registry, dataset string, mut *relation.Mutable, st *store.Store, opts LiveOptions) (*Live, error) {
+// ResumeLive starts live ingestion for a dataset whose model is already
+// registered as "<dataset>/maxent", built (BuildDataset) or restored from a
+// snapshot (RestoreStore) alike, with no rows pending. Refreshes publish to
+// opts.Dataset.Store when it is set.
+func ResumeLive(reg *Registry, dataset string, opts LiveOptions) (*Live, error) {
 	if dataset == "" {
 		return nil, errors.New("server: live dataset name must not be empty")
 	}
-	ent, ok := reg.Get(dataset + "/maxent")
-	if !ok {
-		return nil, fmt.Errorf("server: live dataset %q: no %q registered", dataset, dataset+"/maxent")
+	sum, err := servedSummary(reg, dataset)
+	if err != nil {
+		return nil, err
 	}
-	sum, ok := ent.Estimator.(*summary.Summary)
-	if !ok {
-		return nil, fmt.Errorf("server: live dataset %q: %q is a %T, want a refreshable summary",
-			dataset, ent.Name, ent.Estimator)
+	return &Live{
+		dataset:    dataset,
+		reg:        reg,
+		opts:       opts,
+		sch:        sum.Schema(),
+		now:        time.Now,
+		pending:    relation.New(sum.Schema()),
+		servedRows: int(sum.N()),
+		generation: 1,
+	}, nil
+}
+
+// NewLive checks that mut holds as many rows as the served summary covers,
+// then is ResumeLive publishing to st; mut is not kept.
+// Kept only because the frozen bench/ module calls it.
+func NewLive(reg *Registry, dataset string, mut *relation.Mutable, st *store.Store, opts LiveOptions) (*Live, error) {
+	sum, err := servedSummary(reg, dataset)
+	if err != nil {
+		return nil, err
 	}
 	if got, want := mut.NumRows(), int(sum.N()); got != want {
 		return nil, fmt.Errorf("server: live dataset %q: relation has %d rows, served summary covers %d",
 			dataset, got, want)
 	}
-	// Row count alone cannot tell a regenerated relation from the one the
-	// summary was built over (e.g. same -rows, different -seed on a
-	// snapshot restart). The complete 1D statistic families are an exact
-	// content fingerprint of the per-attribute histograms — compare them,
-	// so a refresh can never silently fold deltas into a model of
-	// different base data.
-	frozen, _ := mut.Freeze()
-	set := sum.Stats()
-	if len(set.OneD) != frozen.NumAttrs() {
-		return nil, fmt.Errorf("server: live dataset %q: summary covers %d attributes, relation has %d",
-			dataset, len(set.OneD), frozen.NumAttrs())
-	}
-	for a := range set.OneD {
-		hist := frozen.Histogram1D(a)
-		if len(hist) != len(set.OneD[a]) {
-			return nil, fmt.Errorf("server: live dataset %q: attribute %d domain size %d vs summary's %d",
-				dataset, a, len(hist), len(set.OneD[a]))
-		}
-		for v, c := range hist {
-			if float64(c) != set.OneD[a][v] {
-				return nil, fmt.Errorf("server: live dataset %q: relation content differs from the served summary's statistics (attribute %d value %d: %d rows vs statistic %g)",
-					dataset, a, v, c, set.OneD[a][v])
-			}
-		}
-	}
-	return &Live{
-		dataset:    dataset,
-		reg:        reg,
-		st:         st,
-		opts:       opts,
-		mut:        mut,
-		servedRows: mut.NumRows(),
-		generation: 1,
-		now:        time.Now,
-	}, nil
+	opts.Dataset.Store = st
+	return ResumeLive(reg, dataset, opts)
 }
 
-// BuildLiveDataset builds and registers the dataset's estimators over the
+// servedSummary returns the summary registered as the dataset's model.
+func servedSummary(reg *Registry, dataset string) (*summary.Summary, error) {
+	name := dataset + "/maxent"
+	ent, ok := reg.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("server: live dataset %q: no %q registered", dataset, name)
+	}
+	sum, ok := ent.Estimator.(*summary.Summary)
+	if !ok {
+		return nil, fmt.Errorf("server: live dataset %q: %q is a %T, want a refreshable summary",
+			dataset, name, ent.Estimator)
+	}
+	return sum, nil
+}
+
+// BuildLiveDataset builds and registers the dataset's model over the
 // relation's current rows (see BuildDataset) and returns the Live handle
-// managing its ingestion lifecycle, plus the registered names.
-func BuildLiveDataset(reg *Registry, dataset string, mut *relation.Mutable, opts LiveOptions) (*Live, []string, error) {
+// managing its ingestion lifecycle, plus the registered entry. mut is not
+// kept.
+func BuildLiveDataset(reg *Registry, dataset string, mut *relation.Mutable, opts LiveOptions) (*Live, Entry, error) {
 	frozen, _ := mut.Freeze()
-	names, err := BuildDataset(reg, dataset, frozen, opts.Dataset)
+	ent, err := BuildDataset(reg, dataset, frozen, opts.Dataset)
 	if err != nil {
-		return nil, nil, err
+		return nil, Entry{}, err
 	}
-	live, err := NewLive(reg, dataset, mut, opts.Dataset.Store, opts)
+	live, err := ResumeLive(reg, dataset, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, Entry{}, err
 	}
-	return live, names, nil
+	return live, ent, nil
 }
 
 // Dataset returns the dataset name.
 func (l *Live) Dataset() string { return l.dataset }
 
-// Mutable returns the live relation.
-func (l *Live) Mutable() *relation.Mutable { return l.mut }
+// Schema returns the schema ingested rows are encoded against: the served
+// model's.
+func (l *Live) Schema() *schema.Schema { return l.sch }
 
 // attachCache hands the server's result cache to the live dataset so
 // refreshes can reclaim replaced entries.
@@ -149,7 +152,9 @@ func (l *Live) attachCache(c *Cache) {
 }
 
 // IngestResult is the outcome of one ingest batch (the body of a
-// successful POST /ingest/{dataset}).
+// successful POST /ingest/{dataset}). The batch survives a restart once a
+// result reports it refreshed without a RefreshError: the swapped model was
+// saved to the store. Pending rows live only in the process.
 type IngestResult struct {
 	Dataset     string `json:"dataset"`
 	Accepted    int    `json:"accepted"`
@@ -157,7 +162,7 @@ type IngestResult struct {
 	PendingRows int    `json:"pending_rows"`
 	Generation  uint64 `json:"generation"`
 	// Refreshed reports whether this ingest crossed the refresh threshold
-	// and hot-swapped new estimator versions before returning.
+	// and hot-swapped a new model version before returning.
 	Refreshed bool `json:"refreshed"`
 	// RefreshNS is the refresh duration when Refreshed is true.
 	RefreshNS int64 `json:"refresh_ns,omitempty"`
@@ -171,7 +176,7 @@ type IngestResult struct {
 
 // Ingest appends a batch of encoded rows (all-or-nothing) and, when the
 // pending backlog crosses the refresh threshold, refreshes the dataset's
-// estimators before returning. An error means nothing was appended;
+// model before returning. An error means nothing was appended;
 // conversely, once the rows are in, a refresh failure is reported in
 // IngestResult.RefreshError rather than as an error, so clients never
 // see a failure response for data that was actually accepted (a retry
@@ -180,19 +185,20 @@ func (l *Live) Ingest(rows [][]int) (IngestResult, error) {
 	if len(rows) == 0 {
 		return IngestResult{}, errors.New("server: ingest batch is empty")
 	}
-	if _, err := l.mut.AppendRows(rows); err != nil {
+	l.mu.Lock()
+	if l.pending.NumRows() == 0 {
+		// Size an empty buffer to its first batch: a threshold ingest is cut
+		// at once, and a default 65,536-row part would be garbage by then.
+		l.pending = relation.NewWithCapacity(l.sch, len(rows))
+	}
+	if err := l.pending.AppendRows(rows); err != nil {
+		l.mu.Unlock()
 		return IngestResult{}, err
 	}
-	l.mu.Lock()
 	l.ingestedRows += uint64(len(rows))
 	l.ingests++
-	res := IngestResult{
-		Dataset:     l.dataset,
-		Accepted:    len(rows),
-		TotalRows:   l.mut.NumRows(),
-		PendingRows: l.mut.NumRows() - l.servedRows,
-		Generation:  l.generation,
-	}
+	res := IngestResult{Dataset: l.dataset, Accepted: len(rows)}
+	l.fill(&res)
 	needRefresh := l.opts.RefreshRows > 0 && res.PendingRows >= l.opts.RefreshRows
 	l.mu.Unlock()
 
@@ -206,18 +212,24 @@ func (l *Live) Ingest(rows [][]int) (IngestResult, error) {
 			res.RefreshError = err.Error()
 		}
 		// A concurrent ingest may have refreshed first, leaving this one
-		// nothing to fold in; only report a refresh that swapped versions
+		// nothing to fold in; only report a refresh that swapped a version
 		// in (which can be true even under a publication error).
 		if out.DeltaRows > 0 && len(out.Swapped) > 0 {
 			res.Refreshed = true
 			res.RefreshNS = l.now().Sub(start).Nanoseconds()
 		}
 		l.mu.Lock()
-		res.PendingRows = l.mut.NumRows() - l.servedRows
-		res.Generation = l.generation
+		l.fill(&res)
 		l.mu.Unlock()
 	}
 	return res, nil
+}
+
+// fill sets res's row counts and generation; the caller holds mu.
+func (l *Live) fill(res *IngestResult) {
+	res.PendingRows = l.pending.NumRows()
+	res.TotalRows = l.servedRows + res.PendingRows
+	res.Generation = l.generation
 }
 
 // RefreshOutcome reports one refresh.
@@ -230,79 +242,52 @@ type RefreshOutcome struct {
 	Swapped    []string `json:"swapped,omitempty"`
 }
 
-// Refresh folds all pending rows into new versions of every registered
-// estimator of the dataset and hot-swaps them in. With no pending rows it
-// is a cheap no-op. All new versions are built before any swap happens,
-// so the strategy set moves between consistent states even if a build
-// fails halfway. Refreshes are serialized among themselves but never
-// block ingest responses or Status/metrics reads.
+// Refresh folds all pending rows into a new version of the dataset's model
+// and hot-swaps it in. With no pending rows it is a cheap no-op. A failed
+// fold leaves serving untouched and the rows pending. Refreshes are
+// serialized among themselves but never block ingest responses or
+// Status/metrics reads.
 func (l *Live) Refresh() (RefreshOutcome, error) {
 	l.refreshMu.Lock()
 	defer l.refreshMu.Unlock()
 	return l.refresh()
 }
 
-// refresh runs one refresh; the caller holds refreshMu (which is what
-// makes the servedRows read-then-advance below safe — only refresh paths
-// move it).
+// refresh runs one refresh; the caller holds refreshMu (which is what makes
+// the cut below safe — only refresh paths remove pending rows).
 func (l *Live) refresh() (RefreshOutcome, error) {
 	l.mu.Lock()
-	served := l.servedRows
-	gen := l.generation
+	delta, _ := l.pending.Slice(0, l.pending.NumRows())
+	out := RefreshOutcome{Dataset: l.dataset, Generation: l.generation}
 	cache := l.cache
 	l.mu.Unlock()
-
-	full, _ := l.mut.Freeze()
-	pending := full.NumRows() - served
-	out := RefreshOutcome{Dataset: l.dataset, Generation: gen}
-	if pending <= 0 {
+	if delta.NumRows() == 0 {
 		return out, nil
 	}
 
-	maxentName := l.dataset + "/maxent"
-	ent, ok := l.reg.Get(maxentName)
-	if !ok {
-		return out, fmt.Errorf("server: refresh %q: no %q registered", l.dataset, maxentName)
-	}
-	sum, ok := ent.Estimator.(*summary.Summary)
-	if !ok {
-		return out, fmt.Errorf("server: refresh %q: %q is a %T, want a refreshable summary",
-			l.dataset, maxentName, ent.Estimator)
-	}
-
-	// A refresh maintains the strategies being served, which after a
-	// snapshot restore lack the exact engine (it answers from rows and does
-	// not restore); it never invents serving entries.
-	opts := l.opts.Dataset
-	_, serving := l.reg.Get(l.dataset + "/exact")
-	opts.SkipExact = !serving
-
-	// Every new version is derived before anything is published, so a
-	// failure here leaves serving untouched.
-	list, info, err := Derive(l.dataset, full, opts, sum)
+	sum, err := servedSummary(l.reg, l.dataset)
 	if err != nil {
 		return out, err
 	}
-
-	// Each publish is an atomic hot swap that drops the replaced generation's
-	// cached answers and then persists the model; queries racing the loop see
-	// a consistent (name, estimator, generation) triple per entry. A failed
-	// save does not undo the swap — serving the fresh model matters more than
-	// persisting it — but is reported so the operator knows the store is
-	// behind.
-	var publishErr error
-	for _, s := range list {
-		ent, err := publish(l.reg, cache, l.st, s, full.Schema(), 0, false)
-		if err != nil {
-			publishErr = errors.Join(publishErr, err)
-		}
-		if ent.Generation > 0 {
-			out.Swapped = append(out.Swapped, s.Name)
-		}
+	next, info, err := sum.Fold(delta, summary.RefreshOptions{Solver: l.opts.Dataset.Summary.Solver})
+	if err != nil {
+		return out, fmt.Errorf("server: dataset %q: maxent: %w", l.dataset, err)
 	}
 
+	// The publish is an atomic hot swap that drops the replaced generation's
+	// cached answers and then persists the model. A failed save does not undo
+	// the swap — serving the fresh model matters more than persisting it —
+	// but is reported so the operator knows the store is behind.
+	ent, publishErr := publish(l.reg, cache, l.opts.Dataset.Store, l.dataset+"/maxent", next, l.sch, 0, false)
+	if ent.Generation == 0 {
+		return out, publishErr
+	}
+	out.Swapped = []string{ent.Name}
+
 	l.mu.Lock()
-	l.servedRows = full.NumRows()
+	// Cut the folded prefix; rows appended since the delta was taken stay.
+	l.pending, _ = l.pending.Slice(delta.NumRows(), l.pending.NumRows())
+	l.servedRows += delta.NumRows()
 	l.generation++
 	l.refreshes++
 	if info.Rebuilt {
@@ -312,7 +297,7 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 	out.Generation = l.generation
 	l.mu.Unlock()
 
-	out.DeltaRows = pending
+	out.DeltaRows = delta.NumRows()
 	out.Rebuilt = info.Rebuilt
 	out.Sweeps = info.Solver.Sweeps
 	return out, publishErr
@@ -334,21 +319,21 @@ type LiveStatus struct {
 }
 
 // Status returns the current ingestion counters. PendingRows is the
-// staleness measure: rows the served summaries have not seen yet.
+// staleness measure: rows the served model has not seen yet.
 func (l *Live) Status() LiveStatus {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := LiveStatus{
 		Dataset:      l.dataset,
 		Generation:   l.generation,
-		TotalRows:    l.mut.NumRows(),
 		ServedRows:   l.servedRows,
+		PendingRows:  l.pending.NumRows(),
 		IngestedRows: l.ingestedRows,
 		Ingests:      l.ingests,
 		Refreshes:    l.refreshes,
 		Rebuilds:     l.rebuilds,
 	}
-	st.PendingRows = st.TotalRows - st.ServedRows
+	st.TotalRows = st.ServedRows + st.PendingRows
 	if !l.lastRefresh.IsZero() {
 		st.LastRefreshUnixNS = l.lastRefresh.UnixNano()
 	}

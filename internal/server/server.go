@@ -427,8 +427,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngest serves POST /ingest/{dataset}: it appends a batch of rows
-// to the dataset's live relation and, when the refresh threshold is
-// crossed, hot-swaps refreshed estimators before responding. The append
+// to the live dataset's pending rows and, when the refresh threshold is
+// crossed, hot-swaps a refreshed model before responding. The append
 // and refresh run on the same bounded worker pool as query evaluation,
 // under the per-request timeout, so an ingest burst cannot hold
 // unbounded goroutines: excess requests queue for a slot (503 on
@@ -453,12 +453,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	live, ok := s.live(dataset)
 	if !ok {
-		fail(http.StatusNotFound, fmt.Sprintf("dataset %q does not accept ingestion (no live relation attached)", dataset))
+		fail(http.StatusNotFound, fmt.Sprintf("dataset %q does not accept ingestion (no live dataset attached)", dataset))
 		return
 	}
 
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	sch := live.Mutable().Schema()
+	sch := live.Schema()
 	var rows [][]int
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {

@@ -67,7 +67,7 @@ func adopt(reg *Registry, cache *Cache, st *store.Store, key string, mustBeNew b
 	if !ok {
 		return Entry{}, fmt.Errorf("server: adopt %q (v%d): estimator %T carries no schema", key, info.Version, est)
 	}
-	ent, err := publish(reg, cache, st, Strategy{key, est}, sc.Schema(), info.Version, mustBeNew)
+	ent, err := publish(reg, cache, st, key, est, sc.Schema(), info.Version, mustBeNew)
 	if err != nil {
 		return ent, fmt.Errorf("server: adopt %q (v%d): %w", key, info.Version, err)
 	}

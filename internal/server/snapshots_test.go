@@ -35,7 +35,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	// First process lifetime: build from data, snapshotting on build.
 	reg1 := server.NewRegistry()
 	rel := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
-	names, err := server.BuildDataset(reg1, "demo", rel, server.DatasetOptions{Store: st})
+	built, err := server.BuildDataset(reg1, "demo", rel, server.DatasetOptions{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	sort.Strings(restored)
 	want := []string{"demo/maxent"}
 	if len(restored) != len(want) || restored[0] != want[0] {
-		t.Fatalf("restored %v, want %v (built: %v)", restored, want, names)
+		t.Fatalf("restored %v, want %v (built: %v)", restored, want, built.Name)
 	}
 
 	srv := server.New(reg2, server.Options{Store: st})
@@ -165,16 +165,10 @@ func TestRestoreProblemsAreIsolated(t *testing.T) {
 	}
 	reg := server.NewRegistry()
 	rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(3)))
-	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{
-		SkipExact: true,
-		Store:     st,
-	}); err != nil {
+	if _, err := server.BuildDataset(reg, "demo", rel, server.DatasetOptions{Store: st}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.BuildDataset(server.NewRegistry(), "other", rel, server.DatasetOptions{
-		SkipExact: true,
-		Store:     st,
-	}); err != nil {
+	if _, err := server.BuildDataset(server.NewRegistry(), "other", rel, server.DatasetOptions{Store: st}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,7 +198,7 @@ func TestRestoreFindsKeyWithoutManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(3)))
-	if _, err := server.BuildDataset(server.NewRegistry(), "demo", rel, server.DatasetOptions{SkipExact: true, Store: st}); err != nil {
+	if _, err := server.BuildDataset(server.NewRegistry(), "demo", rel, server.DatasetOptions{Store: st}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, "demo", "maxent", "MANIFEST.json")); err != nil && !os.IsNotExist(err) {
@@ -248,7 +242,7 @@ func TestRestoreOlderBuildBranch(t *testing.T) {
 	}
 	for i, name := range []string{"demo", "fork"} {
 		rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(int64(3+i))))
-		if _, err := server.BuildDataset(server.NewRegistry(), name, rel, server.DatasetOptions{SkipExact: true, Store: st}); err != nil {
+		if _, err := server.BuildDataset(server.NewRegistry(), name, rel, server.DatasetOptions{Store: st}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +307,7 @@ func TestRestoreRefusesRetiredKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := experiment.SyntheticRelation(1500, rand.New(rand.NewSource(3)))
-	if _, err := server.BuildDataset(server.NewRegistry(), "demo", rel, server.DatasetOptions{SkipExact: true, Store: st}); err != nil {
+	if _, err := server.BuildDataset(server.NewRegistry(), "demo", rel, server.DatasetOptions{Store: st}); err != nil {
 		t.Fatal(err)
 	}
 	// The retired layout, framed like the maxent file: kind 2, name, N, K = 1,

@@ -352,7 +352,7 @@ func TestBranchThenIngestIsolation(t *testing.T) {
 		t.Fatalf("parent ingest moved its v1: %v -> %v", v1Count, got)
 	}
 
-	// The restored branch has no live relation: an ingest into it is a 404
+	// The restored branch has no live dataset attached: an ingest into it is a 404
 	// and the parent keeps its count.
 	resp, body := postJSON(t, ts.URL+"/ingest/fork", server.IngestRequest{Rows: syntheticRows(300, 0)})
 	if resp.StatusCode != http.StatusNotFound {

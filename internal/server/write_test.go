@@ -1,12 +1,14 @@
 package server_test
 
 import (
+	"bytes"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -16,7 +18,7 @@ import (
 	"repro/internal/summary"
 )
 
-// writeOptions ask for every strategy a dataset can serve.
+// writeOptions build the test datasets' models.
 func writeOptions(st *store.Store) server.DatasetOptions {
 	return server.DatasetOptions{
 		Summary: summary.Options{Solver: solver.Options{MaxSweeps: 60}},
@@ -24,91 +26,66 @@ func writeOptions(st *store.Store) server.DatasetOptions {
 	}
 }
 
-// TestDeriveIsOneList: a build and a refresh run the same derivation, so
-// they yield the same strategies in the same order — and a live dataset built
-// and then grown by a 5000-row ingest leaves the registry, the store and the
-// serving pins exactly where the hand-copied build and refresh lists left
-// them: the summary saved at every generation, the exact engine never.
-func TestDeriveIsOneList(t *testing.T) {
-	want := []struct {
-		name  string
-		saved bool
-	}{{"demo/maxent", true}, {"demo/exact", false}}
-	shape := func(list []server.Strategy) []string {
-		out := make([]string, len(list))
-		for i, s := range list {
-			out[i] = s.Name
-		}
-		return out
-	}
-	wantNames := []string{"demo/maxent", "demo/exact"}
-	mut := relation.NewMutable(experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1))))
-	rel, _ := mut.Freeze()
-	built, _, err := server.Derive("demo", rel, writeOptions(nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := shape(built); !reflect.DeepEqual(got, wantNames) {
-		t.Fatalf("a build derives %v, want %v", got, wantNames)
-	}
-	if _, err := mut.AppendRows(syntheticRows(400, 3)); err != nil {
-		t.Fatal(err)
-	}
-	grown, _ := mut.Freeze()
-	refreshed, info, err := server.Derive("demo", grown, writeOptions(nil), built[0].Estimator.(*summary.Summary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := shape(refreshed); !reflect.DeepEqual(got, wantNames) {
-		t.Fatalf("a refresh derives %v, want %v", got, wantNames)
-	}
-	if info.DeltaRows != 400 || refreshed[0].Estimator.(*summary.Summary).N() != 3400 {
-		t.Fatalf("the refresh folded %d rows into a summary of %v", info.DeltaRows, refreshed[0].Estimator.(*summary.Summary).N())
-	}
-
+// TestBuildAndRefreshPublishOneModel: a dataset serves one model. A live
+// dataset built over a store and grown by a 5000-row ingest leaves one
+// registry entry, "demo/maxent", at generation 2, saved at both generations
+// and pinned at the served one — and the served model is the built one with
+// the ingested rows folded in, bit for bit.
+func TestBuildAndRefreshPublishOneModel(t *testing.T) {
+	base := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
+	rows := syntheticRows(5000, 3)
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := server.NewRegistry()
-	live, names, err := server.BuildLiveDataset(reg, "demo",
-		relation.NewMutable(experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))),
+	live, built, err := server.BuildLiveDataset(reg, "demo", relation.NewMutable(base),
 		server.LiveOptions{Dataset: writeOptions(st), RefreshRows: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := live.Ingest(syntheticRows(5000, 3))
+	res, err := live.Ingest(rows)
 	if err != nil || !res.Refreshed || res.RefreshError != "" {
 		t.Fatalf("ingest: %+v, %v", res, err)
 	}
-	for i, w := range want {
-		if names[i] != w.name {
-			t.Errorf("registered name %d is %q, want %q", i, names[i], w.name)
-		}
-		ent, ok := reg.Get(w.name)
-		if !ok || ent.Generation != 2 {
-			t.Errorf("%s: registered=%t at generation %d, want generation 2", w.name, ok, ent.Generation)
-		}
-		var versions []int
-		if man, err := st.Versions(w.name); err == nil {
-			for _, sn := range man.Snapshots {
-				versions = append(versions, sn.Version)
-			}
-		}
-		wantVersions, wantPins := []int(nil), []int(nil)
-		if w.saved {
-			wantVersions, wantPins = []int{1, 2}, []int{2}
-		}
-		if !reflect.DeepEqual(versions, wantVersions) {
-			t.Errorf("%s: store versions %v, want %v", w.name, versions, wantVersions)
-		}
-		if pins := st.Pinned(w.name); len(pins)+len(wantPins) > 0 && !reflect.DeepEqual(pins, wantPins) {
-			t.Errorf("%s: pinned %v, want %v", w.name, pins, wantPins)
+	if built.Name != "demo/maxent" || reg.Len() != 1 {
+		t.Fatalf("built %q; %d registry entries, want demo/maxent alone", built.Name, reg.Len())
+	}
+	ent, _ := reg.Get("demo/maxent")
+	if ent.Generation != 2 || ent.Served != 2 {
+		t.Errorf("demo/maxent at generation %d serving version %d, want 2 and 2", ent.Generation, ent.Served)
+	}
+	var versions []int
+	if man, err := st.Versions("demo/maxent"); err == nil {
+		for _, sn := range man.Snapshots {
+			versions = append(versions, sn.Version)
 		}
 	}
-	if reg.Len() != len(want) {
-		t.Errorf("%d registry entries, want %d", reg.Len(), len(want))
+	if !reflect.DeepEqual(versions, []int{1, 2}) || !reflect.DeepEqual(st.Pinned("demo/maxent"), []int{2}) {
+		t.Errorf("store versions %v pinned %v, want [1 2] pinned [2]", versions, st.Pinned("demo/maxent"))
 	}
+
+	delta := relation.New(base.Schema())
+	if err := delta.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := built.Estimator.(*summary.Summary).Fold(delta, summary.RefreshOptions{Solver: writeOptions(nil).Summary.Solver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encoded(t, ent.Estimator), encoded(t, want)) {
+		t.Fatal("the refreshed model differs from the built one with the ingest folded in")
+	}
+}
+
+// encoded is est's snapshot payload.
+func encoded(t *testing.T, est core.Estimator) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := summary.EncodeEstimator(&buf, est); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestPublishIsTheOneWriter walks one dataset through every way a model
@@ -204,11 +181,9 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			reg: reg, st: st, cache: srv.Cache(),
 			want: map[string]state{
 				"demo/maxent": {1, 1, 1, []int{1}},
-				"demo/exact":  {1, 0, 0, nil},
 			}},
 		{name: "refresh", do: func() {
 			warm(ts.URL, "demo/maxent", 3)
-			warm(ts.URL, "demo/exact", 2)
 			if _, err := live.Ingest(syntheticRows(300, 2)); err != nil {
 				t.Fatal(err)
 			}
@@ -216,10 +191,9 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-			reg: reg, st: st, cache: srv.Cache(), dropped: 5,
+			reg: reg, st: st, cache: srv.Cache(), dropped: 3,
 			want: map[string]state{
 				"demo/maxent": {2, 2, 2, []int{2}},
-				"demo/exact":  {2, 0, 0, nil},
 			}},
 		{name: "restore", do: func() {
 			names, problems, err := server.RestoreStore(restored, reopened)

@@ -398,7 +398,7 @@ func verifyFrame(framed []byte) (uint32, string, error) {
 	if err != nil {
 		return 0, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	name, err := summary.PeekName(bytes.NewReader(payload))
+	name, err := summary.PeekName(payload)
 	if err != nil {
 		return 0, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

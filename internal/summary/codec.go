@@ -54,11 +54,6 @@ const (
 	maxStringLen = 1 << 16
 )
 
-// ErrNotSnapshotable is reported by EncodeEstimator for estimator kinds
-// that answer from data rather than from a solved model: serializing them
-// would mean serializing (part of) the relation itself.
-var ErrNotSnapshotable = errors.New("estimator is not snapshot-able")
-
 // errPayload tags the failures the payload reader finds itself: truncation,
 // a count past its bound or the bytes left, trailing bytes.
 var errPayload = errors.New("malformed payload")
@@ -70,7 +65,7 @@ var errPayload = errors.New("malformed payload")
 func EncodeEstimator(out io.Writer, est core.Estimator) error {
 	s, ok := est.(*Summary)
 	if !ok {
-		return fmt.Errorf("summary: estimator %q (%T): %w", est.Name(), est, ErrNotSnapshotable)
+		return fmt.Errorf("summary: estimator %q (%T) is not snapshot-able", est.Name(), est)
 	}
 	var w frame.Writer
 	w.Byte(kindSummary)
@@ -119,14 +114,11 @@ func DecodeEstimator(in io.Reader) (core.Estimator, error) {
 
 // PeekName reads just the estimator kind tag and name from the head of a
 // snapshot payload, without reconstructing the model — the store uses it
-// to describe the snapshot files it finds on disk.
+// to describe the snapshot files it finds on disk, on the payload it has
+// already verified, so nothing is copied.
 // Every estimator kind, the retired one included, serializes its name
 // first, so this prefix is stable across the payload layouts.
-func PeekName(in io.Reader) (string, error) {
-	payload, err := readPayload(in)
-	if err != nil {
-		return "", fmt.Errorf("summary: peek: %w", err)
-	}
+func PeekName(payload []byte) (string, error) {
 	r := frame.NewReader(payload, errPayload)
 	kind := r.Byte()
 	name := r.Str(maxStringLen, "name")

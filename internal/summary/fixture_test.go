@@ -29,7 +29,7 @@ func TestSnapshotFormatFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := est.(*Summary)
-	if name, err := PeekName(bytes.NewReader(want)); err != nil || name != sum.Name() {
+	if name, err := PeekName(want); err != nil || name != sum.Name() {
 		t.Errorf("PeekName = %q, %v; decoded %q", name, err, sum.Name())
 	}
 	if sum.Name() != "maxent[LARGE,Ba=2,Bs=8]" || sum.N() != 500 || sum.Schema().NumAttrs() != 4 ||

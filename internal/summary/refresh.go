@@ -1,8 +1,7 @@
-// Refresh: the live-ingestion path of the summary engine. A served
-// summary is immutable; when the underlying relation grows, Refresh
-// produces a NEW immutable *Summary reflecting the appended rows, leaving
-// the old one untouched for in-flight queries — the hot-swap contract the
-// serving layer builds on.
+// Fold: the live-ingestion path of the summary engine. A served summary
+// is immutable; when rows are appended to its dataset, Fold produces a NEW
+// immutable *Summary reflecting them, leaving the old one untouched for
+// in-flight queries — the hot-swap contract the serving layer builds on.
 //
 // The statistic counts are always updated from the delta alone
 // (stats.Set.ApplyDelta — no rescan of the base data, one scan of the delta
@@ -10,7 +9,7 @@
 // bit-identical to a recount of the grown relation. The statistic
 // *structure* (which 1D families and 2D buckets exist) is kept from the
 // original build, so refreshed summaries stay comparable across versions;
-// re-running bucket selection is a full Build, not a Refresh. The re-solve
+// re-running bucket selection is a full Build, not a Fold. The re-solve
 // has two regimes, picked by the drift fraction (delta rows / new total):
 //
 //   - Small deltas: the MaxEnt solve is warm-started from the previous
@@ -43,18 +42,18 @@ import (
 )
 
 // driftThreshold is the delta fraction (delta rows / new total) beyond
-// which Refresh solves cold instead of from the previous solution.
+// which Fold solves cold instead of from the previous solution.
 const driftThreshold = 0.25
 
-// RefreshOptions configure Refresh.
+// RefreshOptions configure Fold.
 type RefreshOptions struct {
-	// Solver configures the re-solve; N is filled in from the grown
-	// relation and must be left zero. The zero value inherits the solver
+	// Solver configures the re-solve; N is filled in from the folded
+	// counts and must be left zero. The zero value inherits the solver
 	// defaults (which are the paper's).
 	Solver solver.Options
 }
 
-// RefreshInfo reports what a Refresh did.
+// RefreshInfo reports what a Fold did.
 type RefreshInfo struct {
 	// DeltaRows is the number of appended rows folded in.
 	DeltaRows int
@@ -67,24 +66,31 @@ type RefreshInfo struct {
 	Solver solver.Report
 }
 
-// Refresh folds appended rows into the summary and returns a new immutable
-// *Summary answering over the grown relation. full must be the complete
-// grown relation (base + delta, typically a relation.Mutable freeze) and
-// delta the appended suffix; Refresh cross-checks their cardinalities
-// against the summary's, so a mis-sliced delta fails loudly instead of
-// silently double-counting. The receiver is never mutated and keeps
-// answering queries throughout.
+// Refresh is Fold behind a cross-check that full holds exactly the rows the
+// summary covers plus delta.
+// Kept only because the frozen bench/ module calls it.
 func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (*Summary, RefreshInfo, error) {
 	if full == nil || delta == nil {
 		return nil, RefreshInfo{}, errors.New("summary: Refresh needs the full relation and the delta")
 	}
-	if opts.Solver.N != 0 {
-		return nil, RefreshInfo{}, errors.New("summary: RefreshOptions.Solver.N is set from the relation; leave it zero")
-	}
-	base := int(s.n)
-	if full.NumRows() != base+delta.NumRows() {
+	if full.NumRows() != int(s.n)+delta.NumRows() {
 		return nil, RefreshInfo{}, fmt.Errorf("summary: full relation has %d rows, summary covers %d + delta %d",
-			full.NumRows(), base, delta.NumRows())
+			full.NumRows(), int(s.n), delta.NumRows())
+	}
+	return s.Fold(delta, opts)
+}
+
+// Fold folds delta, the rows appended since the summary was built or last
+// folded, into a new immutable *Summary. It reads the summary's statistic
+// counts and delta, and no other row: the counts are sufficient for the
+// model. The receiver is never mutated and keeps answering queries
+// throughout.
+func (s *Summary) Fold(delta *relation.Relation, opts RefreshOptions) (*Summary, RefreshInfo, error) {
+	if delta == nil {
+		return nil, RefreshInfo{}, errors.New("summary: Fold needs the delta")
+	}
+	if opts.Solver.N != 0 {
+		return nil, RefreshInfo{}, errors.New("summary: RefreshOptions.Solver.N is set from the folded counts; leave it zero")
 	}
 	if delta.NumRows() == 0 {
 		// Nothing to fold in; the summary is already current.
@@ -92,7 +98,7 @@ func (s *Summary) Refresh(full, delta *relation.Relation, opts RefreshOptions) (
 	}
 	info := RefreshInfo{
 		DeltaRows: delta.NumRows(),
-		Drift:     float64(delta.NumRows()) / float64(full.NumRows()),
+		Drift:     float64(delta.NumRows()) / float64(int(s.n)+delta.NumRows()),
 	}
 	info.Rebuilt = info.Drift > driftThreshold
 

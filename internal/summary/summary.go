@@ -152,7 +152,7 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 }
 
 // degenerate reports whether a polynomial's value P cannot normalize a
-// model: it is not positive, or not finite. Build, Refresh and decode share
+// model: it is not positive, or not finite. Build, Fold and decode share
 // it, so every model that builds or refreshes also restores.
 func degenerate(p float64) bool { return !(p > 0) || math.IsInf(p, 1) }
 
@@ -164,7 +164,7 @@ func (s *Summary) Schema() *schema.Schema { return s.sch }
 
 // constraintsOf lists one expected-value constraint per statistic of the
 // set: 1D by attribute and value, then multi-dimensional by index — the
-// order Build, Refresh and a snapshot restore all give the solver.
+// order Build, Fold and a snapshot restore all give the solver.
 func constraintsOf(set *stats.Set) []solver.Constraint {
 	constraints := make([]solver.Constraint, 0, set.NumStatistics())
 	for attr, col := range set.OneD {
