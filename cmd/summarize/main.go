@@ -99,7 +99,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pruned %d old version(s) of %s\n", len(removed), ent.Name)
 		}
 	}
-	_, info, err := st.ReadFramed(ent.Name, ent.Served)
+	_, info, err := st.ReadFramed(ent.Name, ent.Version)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
 		os.Exit(1)

@@ -15,11 +15,12 @@
 // (JSON-encoded domain values or a raw CSV body) as pending, and a refresh
 // policy (-refresh-rows threshold and/or the -refresh-interval ticker) folds
 // them into a new model version — delta statistics plus a re-solve — that
-// is hot-swapped in with zero downtime, after which the rows are dropped.
-// Every new model version is published to the snapshot store when -store
-// is set, so a restarted primary resumes ingestion from its restored model;
-// rows still pending at exit are lost. /metrics reports per-dataset
-// generation and staleness.
+// is saved to the snapshot store when -store is set and only then
+// hot-swapped in with zero downtime, after which the rows are dropped. So a
+// restarted primary resumes ingestion from the model it last served; rows
+// still pending at exit are lost. With -store a model's generation is its
+// store version, on this node and every replica synced from it; /metrics
+// reports it per dataset beside the staleness.
 //
 // The snapshot store doubles as a time-travel surface: POST
 // /query?version=N (and /groupby, /query/batch) answer from any retained
@@ -232,7 +233,7 @@ func main() {
 						continue
 					}
 					if out.DeltaRows > 0 {
-						log.Printf("interval refresh: folded %d rows (generation %d, %d sweeps, rebuilt=%t)",
+						log.Printf("interval refresh: folded %d rows into version %d (%d sweeps, rebuilt=%t)",
 							out.DeltaRows, out.Generation, out.Sweeps, out.Rebuilt)
 					}
 				}

@@ -14,9 +14,10 @@
 // through one path. Warm items never leave the router: answers are cached (-cache
 // entries, -1 disables), keyed by canonical query identity and proven
 // fresh by the generation each node stamps on its answers — a routed write
-// fences its dataset so no cached answer can outlive it, and concurrent
-// identical misses collapse into a single node round trip. Responses
-// answered entirely on the router carry "X-Router-Cache: hit".
+// fences its dataset at the generation it reports, so no cached answer can
+// outlive it — and concurrent identical misses collapse into a single node
+// round trip. Responses answered entirely on the router carry
+// "X-Router-Cache: hit".
 //
 // The misses of one read reach the fleet as one binary sub-frame to one
 // node, whose answers are bitwise identical to asking that node directly.

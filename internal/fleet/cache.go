@@ -34,7 +34,7 @@ func routerQueryKey(dst []byte, estimator string, version int) []byte {
 }
 
 // cachedRead is one stored answer: the answer itself, marked Cached, and
-// the generation of the node that gave it (0 for snapshot reads, which are
+// the version of the model that gave it (0 for snapshot reads, which are
 // immutable). Responses are encoded from it on a hit — never replayed raw —
 // so a hit is bit-identical to what the node would have sent (float64
 // counts survive Go's JSON round-trip exactly) while carrying an honest
@@ -44,143 +44,72 @@ type cachedRead struct {
 	answer query.BatchAnswer
 }
 
-// genState is one estimator's generation bookkeeping: gen is the highest
-// generation observed from any node response, floor the lowest generation
-// still admissible after the last routed write.
-type genState struct {
-	gen   uint64
-	floor uint64
-}
-
-// genTable tracks per-estimator generations so cached live answers can be
-// proven current without a node round trip. The invariant that makes the
-// cache never-stale:
+// genTable tracks which model version is current per estimator, so cached
+// live answers can be proven current without a node round trip. A version
+// names one model on every node (server.Entry.Version), which makes the
+// rule exact:
 //
-//   - a response at generation g is cached only when g >= floor (the node
-//     has applied every write the router proxied) and g is the highest
-//     generation seen (a lagging replica's answer is relayed, not cached);
-//   - a cached entry is served only while its generation still equals the
-//     table's — checked at serve time, so an entry stored by a request
-//     racing a write is fenced the moment the write lands;
-//   - a routed write fences its dataset: floor = gen+1, which no already-
-//     issued response can satisfy, because a published write always swaps
-//     the estimator to a strictly higher generation than any answer the
-//     router has observed. The fence also covers estimators the router
-//     has NEVER observed: their dataset is remembered as fenced, and the
-//     first generation seen afterwards is refused (it may be a lagging
-//     replica's pre-write answer) — only a strictly newer one is cached;
-//   - an answer the primary gave to a fetch sent after the estimator's
-//     last fence is post-write whatever its generation: the primary swaps
-//     before its ingest returns, and the router fences only after that. So
-//     such an answer lifts the floor to its own generation when it is the
-//     newest seen, and a static estimator first observed after a write
-//     becomes cacheable at its first primary answer.
+//   - a routed write fences its dataset at the version its response
+//     reports (IngestResult.Generation): the floor, below which no answer
+//     holds every write the router proxied;
+//   - a response at version v is cached only when v is at least its
+//     dataset's floor and is the newest version seen of its estimator (a
+//     lagging replica's answer is relayed, not cached);
+//   - a cached entry is served only while its version still equals the
+//     table's newest and meets the floor — checked at serve time, so an
+//     entry stored by a request racing a write is fenced the moment the
+//     write lands.
 //
 // Writes that bypass the router are invisible to it (same contract as
 // /sync/notify: the router is the write path). Snapshot reads never
 // consult the table — retained versions are immutable.
 type genTable struct {
-	mu sync.Mutex
-	m  map[string]*genState
-	// epoch counts the fences so far. fenced maps each fenced dataset to
-	// the epoch of its last fence, so estimators first observed AFTER the
-	// write start behind a floor too; all is the epoch of the last fence
-	// of everything (unparseable write path), 0 if none.
-	epoch  uint64
-	fenced map[string]uint64
-	all    uint64
+	mu     sync.Mutex
+	newest map[string]uint64 // per estimator
+	floor  map[string]uint64 // per dataset
 }
 
 func newGenTable() *genTable {
-	return &genTable{m: make(map[string]*genState), fenced: make(map[string]uint64)}
+	return &genTable{newest: make(map[string]uint64), floor: make(map[string]uint64)}
 }
 
-// sent returns the epoch a fetch takes before it is sent: the fetch is
-// post-fence for every fence whose epoch is at most this one.
-func (t *genTable) sent() uint64 {
+// floorLocked returns the floor of the estimator's dataset, the name's part
+// before its first "/". Callers hold t.mu.
+func (t *genTable) floorLocked(name string) uint64 {
+	dataset, _, _ := strings.Cut(name, "/")
+	return t.floor[dataset]
+}
+
+// observe records a node response's version and reports whether an answer
+// at that version may be cached.
+func (t *genTable) observe(name string, gen uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.epoch
+	if gen < t.floorLocked(name) {
+		return false // node behind: it does not serve a routed write yet
+	}
+	if gen > t.newest[name] {
+		t.newest[name] = gen
+	}
+	return gen == t.newest[name]
 }
 
-// lastFenceLocked returns the epoch of the last fence covering the
-// estimator name, 0 if none. Callers hold t.mu.
-func (t *genTable) lastFenceLocked(name string) uint64 {
-	last := t.all
-	for d, e := range t.fenced {
-		if e > last && (name == d || strings.HasPrefix(name, d+"/")) {
-			last = e
-		}
-	}
-	return last
-}
-
-// observe records a node response's generation and reports whether an
-// answer at that generation may be cached: it must not predate the last
-// routed write, and it must be the newest generation seen. sent is the
-// epoch the fetch took before it was sent, and primary whether the
-// primary answered it.
-func (t *genTable) observe(name string, gen, sent uint64, primary bool) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	last := t.lastFenceLocked(name)
-	st := t.m[name]
-	if st == nil {
-		st = &genState{}
-		if last > 0 {
-			// A routed write predates every observation of this estimator:
-			// unless proven post-write below, refuse this answer and admit
-			// only a strictly newer generation.
-			st.floor = gen + 1
-		}
-		t.m[name] = st
-	}
-	if primary && sent >= last && gen >= st.gen && gen < st.floor {
-		st.floor = gen // the primary answered after the last fence
-	}
-	if gen < st.floor {
-		return false // node behind: it has not applied a routed write yet
-	}
-	if gen > st.gen {
-		st.gen = gen
-	}
-	return gen == st.gen
-}
-
-// current returns the generation a cached live entry must carry to be
-// served; ok is false when nothing may be served (estimator never
-// observed, or fenced by a write no response has caught up to).
+// current returns the version a cached live entry must carry to be served;
+// ok is false when nothing may be served (estimator never observed, or its
+// newest version below the floor of a write no response has caught up to).
 func (t *genTable) current(name string) (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.m[name]
-	if st == nil || st.gen < st.floor {
-		return 0, false
-	}
-	return st.gen, true
+	gen, ok := t.newest[name]
+	return gen, ok && gen >= t.floorLocked(name)
 }
 
-// fence marks every estimator of dataset as written-over: no cached live
-// answer may be served and no response at an already-seen generation may
-// be cached until a strictly newer generation, or the primary's answer to
-// a fetch sent after the fence, is observed. An empty dataset fences
-// everything. The fence's epoch is remembered per dataset, so estimators
-// first observed after the write start fenced too (see observe).
-func (t *genTable) fence(dataset string) {
-	prefix := dataset + "/"
+// fence records that a routed write to dataset is held by version gen: no
+// answer of the dataset's estimators below it may be cached or served.
+func (t *genTable) fence(dataset string, gen uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.epoch++
-	if dataset == "" {
-		t.all = t.epoch
-	} else {
-		t.fenced[dataset] = t.epoch
-	}
-	for name, st := range t.m {
-		if dataset == "" || name == dataset || strings.HasPrefix(name, prefix) {
-			st.floor = st.gen + 1
-		}
-	}
+	t.floor[dataset] = max(t.floor[dataset], gen)
 }
 
 // flight is one in-flight cache miss; followers block on done and reuse
@@ -224,23 +153,4 @@ func (g *flightGroup) leave(key string, fl *flight, entry cachedRead, ok bool) {
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(fl.done)
-}
-
-// invalidateDataset fences and drops every cached answer a routed write
-// to dataset may have changed. The fence is what guarantees freshness —
-// an entry stored by a read racing this write is refused at serve time —
-// while the prefix drops just reclaim LRU capacity, mirroring the node-
-// side hot-swap invalidation. Snapshot entries of the dataset are dropped
-// too; they are immutable and simply re-warm on next touch.
-func (rt *Router) invalidateDataset(dataset string) {
-	if rt.cache == nil {
-		return
-	}
-	rt.gens.fence(dataset)
-	if dataset == "" {
-		rt.cache.InvalidatePrefix("")
-		return
-	}
-	rt.cache.InvalidatePrefix(dataset + "\x00")
-	rt.cache.InvalidatePrefix(dataset + "/")
 }

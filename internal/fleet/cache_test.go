@@ -434,19 +434,19 @@ func TestRoutedSnapshotSaveIsNoRoute(t *testing.T) {
 
 // TestRoutedIngestKeepsGenerationsAligned: one version number names one
 // model on every node, so after each routed ingest that refreshes, once the
-// fleet converges, the primary and the replica serve demo/maxent at the same
-// generation and the same store version, and the caching router refuses
-// none of their answers (cache_stale_skips does not move). The router is
-// warmed with reads first.
+// fleet converges, the primary and the replica serve demo/maxent at the
+// version the ingest reported, and the caching router refuses none of their
+// answers (cache_stale_skips does not move). The router is warmed with reads
+// first.
 func TestRoutedIngestKeepsGenerationsAligned(t *testing.T) {
 	routedIngestsStayAligned(t, true)
 }
 
 // TestRoutedIngestBeforeAnyReadLiftsItsFence is the same drill without the
 // warm-up: the first write fences estimators the router has never observed.
-// The primary's answer to a read sent after the fence is post-write, so the
-// converged fleet's first reads are cached and the repeat pass refuses none
-// of them; a third pass is answered from the router cache alone.
+// Every node of the converged fleet answers at the write's version, so the
+// first reads are cached and the repeat pass refuses none of them; a third
+// pass is answered from the router cache alone.
 func TestRoutedIngestBeforeAnyReadLiftsItsFence(t *testing.T) {
 	routedIngestsStayAligned(t, false)
 }
@@ -487,9 +487,9 @@ func routedIngestsStayAligned(t *testing.T, warmUp bool) {
 		}
 		primary, _ := f.Primary().Registry.Get("demo/maxent")
 		replica, _ := f.Nodes[1].Registry.Get("demo/maxent")
-		if primary.Generation != replica.Generation || primary.Served != replica.Served {
-			t.Fatalf("%s: primary at generation %d (v%d), replica at generation %d (v%d)",
-				phase, primary.Generation, primary.Served, replica.Generation, replica.Served)
+		if primary.Version != replica.Version || uint64(primary.Version) != res.Generation {
+			t.Fatalf("%s: primary at v%d, replica at v%d, the ingest reported v%d",
+				phase, primary.Version, replica.Version, res.Generation)
 		}
 		if warmUp {
 			before := routerMetrics(t, routed).StaleSkips

@@ -211,14 +211,9 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 				}
 			}
 		}()
-		// The fence epoch before the fetch is sent, and whether the primary
-		// answered it: together they may prove an answer post-write
-		// (genTable.observe).
-		sent := rt.gens.sent()
 		if herr := fetch(lead); herr != nil {
 			return res, herr
 		}
-		primary := res.node == rt.nodes[0].name
 		for j, m := range lead {
 			e := cachedRead{gen: gens[m.idx], answer: res.answers[m.idx]}
 			e.answer.Cached = true
@@ -229,7 +224,7 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 				stored = true // snapshots are immutable
 			case e.gen == 0:
 				// No node vouched for a live generation.
-			case rt.gens.observe(req.Estimator, e.gen, sent, primary):
+			case rt.gens.observe(req.Estimator, e.gen):
 				stored = true
 			default:
 				rt.staleSkips.Add(1)

@@ -424,10 +424,11 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 // handleWrite proxies an ingest to the primary, exactly once, whatever the
 // method (the node answers 405 to anything but POST): an ingest is not
 // idempotent, so the router never retries it — a failure is the client's
-// to handle. An ingest whose response reports a refresh published new
-// snapshot versions, so it triggers a sync notification to every replica
-// and the fleet converges within one round trip instead of one poll
-// interval.
+// to handle. An accepted ingest fences its dataset's cached reads at the
+// version its response reports (genTable). One whose response reports a
+// refresh published a new snapshot version, so it triggers a sync
+// notification to every replica and the fleet converges within one round
+// trip instead of one poll interval.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -461,21 +462,22 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(bodyCopy)
 
 	var res server.IngestResult
-	if resp.StatusCode == http.StatusOK && json.Unmarshal(bodyCopy, &res) == nil && res.Refreshed {
-		dataset := datasetOfWrite(r.URL.Path)
-		rt.invalidateDataset(dataset)
-		rt.notifyReplicas(r.Context(), dataset)
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(bodyCopy, &res) != nil {
+		return
 	}
-}
-
-// datasetOfWrite extracts the dataset segment of a write path ("" when
-// the path shape is unexpected — replicas then sync everything).
-func datasetOfWrite(path string) string {
-	parts := strings.SplitN(strings.Trim(path, "/"), "/", 3)
-	if len(parts) >= 2 {
-		return parts[1]
+	if rt.cache != nil {
+		rt.gens.fence(res.Dataset, res.Generation)
+		if res.Refreshed {
+			// The fence keeps the cache fresh; dropping the replaced
+			// version's entries only reclaims LRU capacity, as a node's hot
+			// swap does. Snapshot entries go too and re-warm on next touch.
+			rt.cache.InvalidatePrefix(res.Dataset + "\x00")
+			rt.cache.InvalidatePrefix(res.Dataset + "/")
+		}
 	}
-	return ""
+	if res.Refreshed {
+		rt.notifyReplicas(r.Context(), res.Dataset)
+	}
 }
 
 // notifyReplicas POSTs /sync/notify to every non-primary node,

@@ -161,6 +161,55 @@ func TestFleetSyncConvergence(t *testing.T) {
 	}
 }
 
+// TestLateReplicaServesThePrimarysVersion: a version names one model on every
+// node. A replica that joins after the primary published v3 — a build and
+// two refreshes — imports every version and serves v3 under version 3, not
+// under a count of its own swaps: its entry, its /estimators generation and
+// its X-Estimator-Generation all say 3, as the primary's do.
+func TestLateReplicaServesThePrimarysVersion(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 1})
+	const key = "demo/maxent"
+	for v := 2; v <= 3; v++ {
+		if _, err := f.Live.Ingest(fleettest.Rows(200, v)); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := f.Live.Refresh(); err != nil || out.Generation != uint64(v) {
+			t.Fatalf("refresh to v%d: %+v, %v", v, out, err)
+		}
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	syncer := fleet.NewSyncer(f.Primary().URL(), st, reg, fleet.SyncerOptions{})
+	if rep, err := syncer.SyncOnce(context.Background()); err != nil || rep.Imported != 3 || len(rep.Swapped) != 1 {
+		t.Fatalf("joining pass: %+v, %v; want three imports and one swap", rep, err)
+	}
+	if ent, _ := reg.Get(key); ent.Version != 3 {
+		t.Fatalf("late replica's entry at version %d, want 3", ent.Version)
+	}
+	replica := httptest.NewServer(server.New(reg, server.Options{Store: st}).Handler())
+	defer replica.Close()
+	for _, base := range []string{f.Primary().URL(), replica.URL} {
+		resp, err := http.Get(base + "/estimators")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var est server.EstimatorsResponse
+		err = json.NewDecoder(resp.Body).Decode(&est)
+		resp.Body.Close()
+		if err != nil || len(est.Estimators) != 1 || est.Estimators[0].Generation != 3 {
+			t.Fatalf("%s/estimators: %+v, %v; want %s at generation 3", base, est, err, key)
+		}
+		status, header, body := postBody(t, base+"/query", "application/json", mustJSON(t, server.QueryRequest{Estimator: key}))
+		if gen := header.Get(server.EstimatorGenerationHeader); status != http.StatusOK || gen != "3" {
+			t.Fatalf("%s/query: status %d, X-Estimator-Generation %q: %s; want 3", base, status, gen, body)
+		}
+	}
+}
+
 // damageOnClose is a transport whose snapshot bodies, once armed, run a hook
 // as the syncer closes them — which it does after importing the frame and
 // before loading it back to serve it.
@@ -256,8 +305,8 @@ func TestSyncServesAnImportItFailedToLoad(t *testing.T) {
 		t.Fatalf("recovery pass: %+v, %v — want no import and %s swapped", rep, err, key)
 	}
 	ent, _ := reg.Get(key)
-	if ent.Generation != 2 || ent.Served != 2 {
-		t.Fatalf("replica entry at generation %d serving v%d, want 2 and 2", ent.Generation, ent.Served)
+	if ent.Version != 2 {
+		t.Fatalf("replica entry at version %d, want 2", ent.Version)
 	}
 	gen, got := ask(replica.URL)
 	_, want := ask(f.Primary().URL())
@@ -315,8 +364,8 @@ func TestReplicaHealsDamagedSnapshot(t *testing.T) {
 		if _, err := syncer.SyncOnce(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if ent, _ := reg.Get(key); ent.Served != 2 {
-			t.Fatalf("replica converged serving v%d, want v2", ent.Served)
+		if ent, _ := reg.Get(key); ent.Version != 2 {
+			t.Fatalf("replica converged serving v%d, want v2", ent.Version)
 		}
 
 		newest := filepath.Join(dir, key, "v000002.snap")
@@ -345,8 +394,8 @@ func TestReplicaHealsDamagedSnapshot(t *testing.T) {
 			t.Fatalf("reopen=%v: the replica's v2 still does not verify: %v", reopen, err)
 		}
 		ent, _ := reg.Get(key)
-		if ent.Served != 2 {
-			t.Fatalf("reopen=%v: replica serves v%d after healing, want v2", reopen, ent.Served)
+		if ent.Version != 2 {
+			t.Fatalf("reopen=%v: replica serves v%d after healing, want v2", reopen, ent.Version)
 		}
 		got, err := ent.Estimator.EstimateCount(nil)
 		if err != nil {

@@ -79,7 +79,7 @@ func NewSyncer(origin string, st *store.Store, reg *server.Registry, opts Syncer
 }
 
 // AttachCache hands the syncer the serving result cache so a hot swap
-// invalidates the replaced generation's answers, mirroring Live.refresh.
+// invalidates the replaced version's answers, mirroring Live.refresh.
 func (s *Syncer) AttachCache(c *server.Cache) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -171,7 +171,7 @@ func (s *Syncer) SyncOnce(ctx context.Context) (SyncReport, error) {
 		// from state, not from what this pass fetched: a pass that imported
 		// a version and then failed to serve it leaves the next pass
 		// something to see.
-		if ent, _ := s.reg.Get(man.Dataset); newest == 0 || ent.Served == newest {
+		if ent, _ := s.reg.Get(man.Dataset); newest == 0 || ent.Version == newest {
 			continue
 		}
 		if err := s.swapLatest(man.Dataset); err != nil {

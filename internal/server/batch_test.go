@@ -212,7 +212,7 @@ func TestBatchAcrossGenerationSwap(t *testing.T) {
 	if !ir.Refreshed {
 		t.Fatalf("ingest did not refresh: %+v", ir)
 	}
-	if ent, ok := reg.Get(estimator); !ok || ent.Generation != 2 {
+	if ent, ok := reg.Get(estimator); !ok || ent.Version != 2 {
 		t.Fatalf("estimator generation after swap: %+v", ent)
 	}
 

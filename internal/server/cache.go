@@ -12,7 +12,7 @@ import (
 // never contend on a single mutex: keys are distributed over P =
 // GOMAXPROCS (rounded up to a power of two) independent LRU shards, each
 // with its own lock, capacity slice, and hit/miss accounting. Keys are
-// the canonical query strings of the server (estimator name + generation
+// the canonical query strings of the server (estimator name + version
 // + query kind + predicate CanonicalKey), so two requests hit the same
 // entry iff the estimator would compute the identical answer — and
 // because a key always lands on the same shard, the single-shard LRU
@@ -137,9 +137,9 @@ func (c *Cache) Put(key string, val interface{}) {
 // InvalidatePrefix removes every entry whose key starts with prefix and
 // returns how many were dropped, fanning out across all shards (a prefix
 // spans shards — only full keys hash to a home). The serving layer calls
-// it after an estimator hot-swap to reclaim the replaced generation's
+// it after an estimator hot-swap to reclaim the replaced version's
 // results — correctness does not depend on it (cache keys embed the entry
-// generation), it just stops dead entries from occupying LRU capacity
+// version), it just stops dead entries from occupying LRU capacity
 // until they age out. Cost is O(total entries), acceptable at the cache
 // sizes the server runs (thousands).
 func (c *Cache) InvalidatePrefix(prefix string) int {

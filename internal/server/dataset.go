@@ -32,50 +32,48 @@ type DatasetOptions struct {
 // swaps or registers a served registry entry, fences the result cache for a
 // name, saves a served model or moves a serving pin.
 //
-// The registry moves first — Register when the name must be new (a build or a
-// restore), the atomic register-or-swap otherwise — and the replaced
-// generation's cached answers go with it, so nothing below can cost freshness.
-// Then the model's store version is settled: adopt > 0 names the version est
-// was loaded from (a restore, a replica's import), otherwise est is saved as
-// its key's next version when a store is configured. The version is recorded
-// on the entry (Entry.Served) and the serving pin follows it, so a prune can
+// It saves first and swaps second, so a node with a store serves only what
+// its store holds. The model's version is settled first: adopt > 0 names the
+// store version est was loaded from (a restore, a replica's import);
+// otherwise est is saved as its key's next version when a store is
+// configured, and a storeless node numbers it after the one it replaces.
+// Then the registry moves — Register when the name must be new (a build or a
+// restore), the atomic register-or-swap otherwise — the replaced version's
+// cached answers go with it, and the serving pin follows, so a prune can
 // never delete what a restart would need.
 //
-// An error with a non-zero Entry means the model is served but not persisted;
-// what that costs is the caller's contract: a build fails, a refresh reports
-// it beside a successful swap.
+// On an error nothing was published and the previous model, if any, still
+// serves; what that costs is the caller's contract: a build fails, a refresh
+// keeps its rows pending.
 func publish(reg *Registry, cache *Cache, st *store.Store, name string, est core.Estimator, sch *schema.Schema, adopt int, mustBeNew bool) (Entry, error) {
-	ent, err := reg.put(name, est, sch, mustBeNew)
+	version := adopt
+	if version == 0 && st != nil {
+		info, err := st.Save(name, est)
+		if err != nil {
+			return Entry{}, fmt.Errorf("server: snapshot %q: %w", name, err)
+		}
+		version = info.Version
+	}
+	ent, old, err := reg.put(name, est, sch, version, mustBeNew)
 	if err != nil {
 		return Entry{}, err
 	}
 	if cache != nil {
 		cache.InvalidatePrefix(name + "\x00")
 	}
-	version := adopt
-	if version == 0 {
-		if st == nil {
-			return ent, nil
-		}
-		info, err := st.Save(name, est)
-		if err != nil {
-			return ent, fmt.Errorf("server: snapshot %q: %w", name, err)
-		}
-		version = info.Version
+	if st != nil {
+		st.Unpin(name, old.Version)
+		st.Pin(name, version)
 	}
-	if prev := reg.markServed(name, version); prev > 0 {
-		st.Unpin(name, prev)
-	}
-	st.Pin(name, version)
-	ent.Served = version
 	return ent, nil
 }
 
 // BuildDataset builds the MaxEnt summary of one relation and registers it as
 // "<dataset>/maxent", the dataset's one served model. With a store
-// configured the model is saved as the key's next version, and a failed save
-// fails the build: a deployment that asked for persistence should not limp
-// along serving an unsaved model.
+// configured the model is saved as the key's next version before it is
+// registered, and a failed save fails the build with nothing registered: a
+// deployment that asked for persistence should not limp along serving an
+// unsaved model.
 func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts DatasetOptions) (Entry, error) {
 	if dataset == "" {
 		return Entry{}, fmt.Errorf("server: dataset name must not be empty")

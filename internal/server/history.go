@@ -100,8 +100,8 @@ func NewHistory(st *store.Store, maxBytes int64, now func() time.Time) *History 
 
 // Get returns the estimator serving the dataset key at the given snapshot
 // version (> 0), restoring it from the store on first hit. The returned
-// Entry carries Snapshot = version and Generation = 0: snapshots are
-// immutable, so historical cache keys never need a generation. Store
+// Entry carries that version, the one the live entry carries while it
+// serves the same snapshot, so both key the same cached answers. Store
 // errors (store.ErrNotFound, store.ErrCorrupt) pass through for the
 // caller to map onto HTTP statuses.
 func (h *History) Get(dataset string, version int) (Entry, error) {
@@ -134,7 +134,7 @@ func (h *History) Get(dataset string, version int) (Entry, error) {
 	if !ok {
 		return Entry{}, fmt.Errorf("server: snapshot %q v%d: estimator %T carries no schema", dataset, version, est)
 	}
-	ent := Entry{Name: dataset, Estimator: est, Schema: sc.Schema(), Snapshot: version}
+	ent := Entry{Name: dataset, Estimator: est, Schema: sc.Schema(), Version: version}
 	he := &histEntry{key: key, ent: ent}
 	he.bytes, he.structure = est.(heapSizer).HeapBytes()
 	h.entries[key] = h.lru.PushFront(he)

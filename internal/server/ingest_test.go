@@ -406,13 +406,13 @@ func TestSwapWhileQuerying(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		rel := experiment.SyntheticRelation(100+i, rng)
-		if _, err := reg.Swap("demo/exact", exact.New(rel), rel.Schema()); err != nil {
+		if _, err := server.Swap(reg, "demo/exact", exact.New(rel), rel.Schema()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ent, ok := reg.Get("demo/exact")
-	if !ok || ent.Generation != 51 {
-		t.Fatalf("after 50 swaps: ok=%t generation=%d, want 51", ok, ent.Generation)
+	if !ok || ent.Version != 51 {
+		t.Fatalf("after 50 swaps: ok=%t version=%d, want 51", ok, ent.Version)
 	}
 	close(stop)
 	readers.Wait()
@@ -612,10 +612,12 @@ func TestRefreshPublishesSnapshots(t *testing.T) {
 }
 
 // TestIngestReportsPublishFailureWithoutFailing pins the accepted-rows
-// contract: once a batch is appended, even a snapshot-publication
-// failure during the triggered refresh must come back as refresh_error
-// on a success response — a 500 would invite the client to re-send rows
-// that are already in.
+// contract under save-then-swap: once a batch is appended, a snapshot save
+// failing during the triggered refresh comes back as refresh_error on a 200
+// — a 500 would invite the client to re-send rows that are already in — and
+// swaps nothing: the rows stay pending and the stored version keeps serving.
+// Once the store is writable again, the next refresh folds them in as the
+// next version.
 func TestIngestReportsPublishFailureWithoutFailing(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -634,39 +636,55 @@ func TestIngestReportsPublishFailureWithoutFailing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := server.New(reg, server.Options{Store: st})
+	srv.AttachLive(live)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
-	// Make snapshot publication fail (works even as root, where a chmod
-	// would be bypassed): the dataset key's directory path is occupied by
-	// a regular file, so Save's MkdirAll errors.
+	// Make the save fail (works even as root, where a chmod would be
+	// bypassed): the dataset key's directory is moved aside and its path
+	// occupied by a regular file, so Save's MkdirAll errors.
 	dsDir := filepath.Join(dir, "demo", "maxent")
-	if err := os.RemoveAll(dsDir); err != nil {
+	if err := os.Rename(dsDir, dsDir+".aside"); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(dsDir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := live.Ingest(syntheticRows(20, 1))
-	if err != nil {
-		t.Fatalf("ingest failed outright despite the rows being appended: %v", err)
+	resp, body := postJSON(t, ts.URL+"/ingest/demo", server.IngestRequest{Rows: syntheticRows(20, 1)})
+	var res server.IngestResult
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &res) != nil {
+		t.Fatalf("ingest failed outright despite the rows being appended: %d %s", resp.StatusCode, body)
 	}
-	if res.Accepted != 20 {
-		t.Fatalf("accepted = %d, want 20", res.Accepted)
+	if res.Accepted != 20 || res.RefreshError == "" {
+		t.Fatalf("want 20 rows accepted and the save failure in refresh_error: %+v", res)
 	}
-	if res.RefreshError == "" {
-		t.Fatal("publication failure was not reported in refresh_error")
+	if res.Refreshed || res.PendingRows != 20 || res.Generation != 1 {
+		t.Fatalf("a model the store could not save was swapped in: %+v", res)
 	}
-	if !res.Refreshed || res.PendingRows != 0 || res.Generation != 2 {
-		t.Fatalf("swap should still have happened: %+v", res)
-	}
-	// The swapped model serves the ingested rows even though the snapshot
-	// could not be published.
 	ent, ok := reg.Get("demo/maxent")
-	if !ok || ent.Generation != 2 {
-		t.Fatalf("demo/maxent generation = %d, want 2", ent.Generation)
+	if !ok || ent.Version != 1 || ent.Estimator.(*summary.Summary).N() != 1000 {
+		t.Fatalf("demo/maxent serves version %d over %g rows, want v1 over 1000", ent.Version, ent.Estimator.(*summary.Summary).N())
 	}
-	if got := ent.Estimator.(*summary.Summary).N(); got != 1020 {
-		t.Fatalf("served summary covers %g rows, want 1020", got)
+
+	if err := os.Remove(dsDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dsDir+".aside", dsDir); err != nil {
+		t.Fatal(err)
+	}
+	out, err := live.Refresh()
+	if err != nil || out.DeltaRows != 20 || out.Generation != 2 {
+		t.Fatalf("refresh after the repair: %+v, %v; want 20 rows folded as v2", out, err)
+	}
+	ent, _ = reg.Get("demo/maxent")
+	if ent.Version != 2 || ent.Estimator.(*summary.Summary).N() != 1020 || live.Status().PendingRows != 0 {
+		t.Fatalf("after the repair demo/maxent serves v%d over %g rows, %d pending; want v2 over 1020, none",
+			ent.Version, ent.Estimator.(*summary.Summary).N(), live.Status().PendingRows)
+	}
+	if _, info, err := st.ReadFramed("demo/maxent", 0); err != nil || info.Version != 2 {
+		t.Fatalf("the store's newest version is %d (%v), want 2", info.Version, err)
 	}
 }
 

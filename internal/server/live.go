@@ -32,9 +32,9 @@ type LiveOptions struct {
 
 // Live couples one dataset's served model with the rows ingested since it
 // was last refreshed: appends accumulate as pending rows, and Refresh folds
-// them into the registered summary with an atomic hot swap — queries keep
-// flowing against the previous version until the new one is ready. A Live
-// keeps no other row: the summary's statistic counts are all a refresh
+// them into a new model, saves it, then swaps it in atomically — queries
+// keep flowing against the previous version until the new one is ready. A
+// Live keeps no other row: the summary's statistic counts are all a refresh
 // reads, so a model restored from a snapshot takes writes like a built one.
 type Live struct {
 	dataset string
@@ -56,7 +56,6 @@ type Live struct {
 	pending      *relation.Relation
 	cache        *Cache // set by Server.AttachLive; nil until then
 	servedRows   int
-	generation   uint64
 	ingestedRows uint64
 	ingests      uint64
 	refreshes    uint64
@@ -84,7 +83,6 @@ func ResumeLive(reg *Registry, dataset string, opts LiveOptions) (*Live, error) 
 		now:        time.Now,
 		pending:    relation.New(sum.Schema()),
 		servedRows: int(sum.N()),
-		generation: 1,
 	}, nil
 }
 
@@ -152,23 +150,26 @@ func (l *Live) attachCache(c *Cache) {
 }
 
 // IngestResult is the outcome of one ingest batch (the body of a
-// successful POST /ingest/{dataset}). The batch survives a restart once a
-// result reports it refreshed without a RefreshError: the swapped model was
-// saved to the store. Pending rows live only in the process.
+// successful POST /ingest/{dataset}). On a node with a store the batch
+// survives a restart once a result reports it refreshed: a model is swapped
+// in only after it was saved. Pending rows live only in the process.
 type IngestResult struct {
 	Dataset     string `json:"dataset"`
 	Accepted    int    `json:"accepted"`
 	TotalRows   int    `json:"total_rows"`
 	PendingRows int    `json:"pending_rows"`
-	Generation  uint64 `json:"generation"`
+	// Generation is the version of the model serving when the ingest
+	// returned (Entry.Version): once Refreshed, the version that holds the
+	// batch.
+	Generation uint64 `json:"generation"`
 	// Refreshed reports whether this ingest crossed the refresh threshold
-	// and hot-swapped a new model version before returning.
+	// and saved and swapped in a new model version before returning.
 	Refreshed bool `json:"refreshed"`
 	// RefreshNS is the refresh duration when Refreshed is true.
 	RefreshNS int64 `json:"refresh_ns,omitempty"`
-	// RefreshError reports a failed (or partially failed, e.g. snapshot
-	// publication) threshold-triggered refresh. The append itself
-	// succeeded — the rows are in and will be folded in by the next
+	// RefreshError reports a failed threshold-triggered refresh (a solve or
+	// a snapshot save): the previous model still serves. The append itself
+	// succeeded — the rows are pending and will be folded in by the next
 	// refresh — so this is informational, not a request failure: clients
 	// must NOT retry the batch.
 	RefreshError string `json:"refresh_error,omitempty"`
@@ -212,9 +213,8 @@ func (l *Live) Ingest(rows [][]int) (IngestResult, error) {
 			res.RefreshError = err.Error()
 		}
 		// A concurrent ingest may have refreshed first, leaving this one
-		// nothing to fold in; only report a refresh that swapped a version
-		// in (which can be true even under a publication error).
-		if out.DeltaRows > 0 && len(out.Swapped) > 0 {
+		// nothing to fold in; only report a refresh that swapped a version in.
+		if out.DeltaRows > 0 {
 			res.Refreshed = true
 			res.RefreshNS = l.now().Sub(start).Nanoseconds()
 		}
@@ -229,24 +229,29 @@ func (l *Live) Ingest(rows [][]int) (IngestResult, error) {
 func (l *Live) fill(res *IngestResult) {
 	res.PendingRows = l.pending.NumRows()
 	res.TotalRows = l.servedRows + res.PendingRows
-	res.Generation = l.generation
+	res.Generation = l.version()
+}
+
+// version returns the served model's Entry.Version.
+func (l *Live) version() uint64 {
+	ent, _ := l.reg.Get(l.dataset + "/maxent")
+	return uint64(ent.Version)
 }
 
 // RefreshOutcome reports one refresh.
 type RefreshOutcome struct {
-	Dataset    string   `json:"dataset"`
-	DeltaRows  int      `json:"delta_rows"`
-	Rebuilt    bool     `json:"rebuilt"`
-	Sweeps     int      `json:"sweeps"`
-	Generation uint64   `json:"generation"`
-	Swapped    []string `json:"swapped,omitempty"`
+	Dataset    string `json:"dataset"`
+	DeltaRows  int    `json:"delta_rows"`
+	Rebuilt    bool   `json:"rebuilt"`
+	Sweeps     int    `json:"sweeps"`
+	Generation uint64 `json:"generation"`
 }
 
-// Refresh folds all pending rows into a new version of the dataset's model
-// and hot-swaps it in. With no pending rows it is a cheap no-op. A failed
-// fold leaves serving untouched and the rows pending. Refreshes are
-// serialized among themselves but never block ingest responses or
-// Status/metrics reads.
+// Refresh folds all pending rows into a new version of the dataset's model,
+// saves it when a store is configured, and hot-swaps it in. With no pending
+// rows it is a cheap no-op. A failed fold or save leaves the previous model
+// serving and the rows pending. Refreshes are serialized among themselves
+// but never block ingest responses or Status/metrics reads.
 func (l *Live) Refresh() (RefreshOutcome, error) {
 	l.refreshMu.Lock()
 	defer l.refreshMu.Unlock()
@@ -258,7 +263,7 @@ func (l *Live) Refresh() (RefreshOutcome, error) {
 func (l *Live) refresh() (RefreshOutcome, error) {
 	l.mu.Lock()
 	delta, _ := l.pending.Slice(0, l.pending.NumRows())
-	out := RefreshOutcome{Dataset: l.dataset, Generation: l.generation}
+	out := RefreshOutcome{Dataset: l.dataset, Generation: l.version()}
 	cache := l.cache
 	l.mu.Unlock()
 	if delta.NumRows() == 0 {
@@ -274,33 +279,31 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 		return out, fmt.Errorf("server: dataset %q: maxent: %w", l.dataset, err)
 	}
 
-	// The publish is an atomic hot swap that drops the replaced generation's
-	// cached answers and then persists the model. A failed save does not undo
-	// the swap — serving the fresh model matters more than persisting it —
-	// but is reported so the operator knows the store is behind.
-	ent, publishErr := publish(l.reg, cache, l.opts.Dataset.Store, l.dataset+"/maxent", next, l.sch, 0, false)
-	if ent.Generation == 0 {
-		return out, publishErr
+	// The publish saves the model, then swaps it in and drops the replaced
+	// version's cached answers. A failed save swaps nothing: a served model
+	// the store does not hold would be lost by a restart with the rows it
+	// folded, so they stay pending for the next refresh instead.
+	ent, err := publish(l.reg, cache, l.opts.Dataset.Store, l.dataset+"/maxent", next, l.sch, 0, false)
+	if err != nil {
+		return out, err
 	}
-	out.Swapped = []string{ent.Name}
 
 	l.mu.Lock()
 	// Cut the folded prefix; rows appended since the delta was taken stay.
 	l.pending, _ = l.pending.Slice(delta.NumRows(), l.pending.NumRows())
 	l.servedRows += delta.NumRows()
-	l.generation++
 	l.refreshes++
 	if info.Rebuilt {
 		l.rebuilds++
 	}
 	l.lastRefresh = l.now()
-	out.Generation = l.generation
 	l.mu.Unlock()
 
+	out.Generation = uint64(ent.Version)
 	out.DeltaRows = delta.NumRows()
 	out.Rebuilt = info.Rebuilt
 	out.Sweeps = info.Solver.Sweeps
-	return out, publishErr
+	return out, nil
 }
 
 // LiveStatus is the per-dataset ingestion/staleness block of /metrics.
@@ -325,7 +328,7 @@ func (l *Live) Status() LiveStatus {
 	defer l.mu.Unlock()
 	st := LiveStatus{
 		Dataset:      l.dataset,
-		Generation:   l.generation,
+		Generation:   l.version(),
 		ServedRows:   l.servedRows,
 		PendingRows:  l.pending.NumRows(),
 		IngestedRows: l.ingestedRows,

@@ -149,32 +149,26 @@ func checkShape(ent Entry, it query.BatchItem) *httpError {
 // queryKey appends the entry's freshness prefix, the node's half of every
 // result-cache key; query.BatchItem.AppendIdentity appends the other half.
 //
-// The entry generation is part of the key, so answers cached before a hot
+// The entry's version is part of the key, so answers cached before a hot
 // swap can never be served afterwards — even if an in-flight query of the
-// old generation stores its result after the swap's explicit invalidation
-// ran. Historical entries (Snapshot > 0) are immutable and key by snapshot
-// version instead, under a distinct "s" marker so a snapshot version can
-// never collide with a live generation.
+// old version stores its result after the swap's explicit invalidation ran.
+// A version names one model, so a live read and a ?version=N read of the
+// same version share their cached answers.
 func queryKey(dst []byte, ent Entry) []byte {
 	dst = append(dst, ent.Name...)
-	if ent.Snapshot > 0 {
-		dst = append(dst, "\x00s"...)
-		dst = strconv.AppendInt(dst, int64(ent.Snapshot), 10)
-	} else {
-		dst = append(dst, "\x00v"...)
-		dst = strconv.AppendUint(dst, ent.Generation, 10)
-	}
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(ent.Version), 10)
 	return append(dst, 0)
 }
 
 // read is the node's one read path, and the only code that touches the
 // result cache or asks an estimator for an answer. It resolves the
 // estimator once — every answer of a request comes from the same registry
-// snapshot (name + generation, or name + snapshot version for time
-// travel), even if an ingest swaps the estimator mid-flight — then keys
-// each item, serves hits from the cache without touching the worker pool,
-// evaluates all misses under a single admission slot (a request pays one
-// queue wait, not one per item), and stores what it computed.
+// snapshot (name + version), even if an ingest swaps the estimator
+// mid-flight — then keys each item, serves hits from the cache without
+// touching the worker pool, evaluates all misses under a single admission
+// slot (a request pays one queue wait, not one per item), and stores what it
+// computed.
 //
 // The *httpError fails the whole request: an unresolvable estimator, or a
 // 503 (no slot) / 504 (timed out mid-request) admission outcome — partial
@@ -187,7 +181,10 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 	if herr != nil {
 		return ent, nil, nil, herr
 	}
-	setGenerationHeader(w, ent)
+	if req.Version <= 0 {
+		// Time-travel answers are named by the version the client asked for.
+		w.Header().Set(EstimatorGenerationHeader, strconv.Itoa(ent.Version))
+	}
 
 	items := req.Items
 	answers := make([]query.BatchAnswer, len(items))

@@ -360,7 +360,7 @@ func TestReadsAcrossSwapRace(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := reg.Swap("demo/maxent", ests[i%2], a.Schema); err != nil {
+			if _, err := server.Swap(reg, "demo/maxent", ests[i%2], a.Schema); err != nil {
 				t.Error(err)
 				return
 			}

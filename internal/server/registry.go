@@ -24,21 +24,16 @@ type Entry struct {
 	Name      string
 	Estimator core.Estimator
 	Schema    *schema.Schema
-	// Generation counts the versions served under this name: 1 at first
-	// registration, +1 per Swap. It flows into cache keys (so a swap can
-	// never serve a previous generation's cached answers) and into the
-	// /metrics staleness report.
-	Generation uint64
-	// Served is the newest snapshot-store version published under this name
-	// — saved from, or adopted as, a model served here — and 0 when none was:
-	// the version a restart restores and the serving pin protects. Only
-	// publish moves it.
-	Served int
-	// Snapshot is 0 for live registry entries. Historical entries restored
-	// by the History cache carry the snapshot version they answer from
-	// instead of a generation: snapshots are immutable, so their cache
-	// keys are keyed by version, not by swap count.
-	Snapshot int
+	// Version is the one number that names the model an entry serves. On a
+	// node with a snapshot store it is the model's store version — saved by
+	// the build or refresh that made it, adopted by the restore or sync that
+	// loaded it — so it names one model on every node and across restarts.
+	// A storeless node counts its own publishes (1, 2, …); nothing syncs
+	// from such a node, so its numbers are never compared with another's.
+	// Historical entries (History) carry the version they were loaded at.
+	// The version keys the result cache and travels as the wire's
+	// "generation".
+	Version int
 }
 
 // Registry is a concurrent-safe map of named estimators. Registration,
@@ -58,53 +53,39 @@ func NewRegistry() *Registry {
 }
 
 // Register adds an estimator under the given name (conventionally
-// "dataset/strategy"). Names must be unique and non-empty.
+// "dataset/strategy") at version 1. Names must be unique and non-empty.
 func (r *Registry) Register(name string, est core.Estimator, sch *schema.Schema) error {
-	_, err := r.put(name, est, sch, true)
+	_, _, err := r.put(name, est, sch, 0, true)
 	return err
 }
 
-// Swap atomically makes est the estimator served under name and returns the
-// entry: a name never seen is registered at generation 1, a served one moves
-// to its next generation in one step, so two writers of one name can never
-// both believe they registered it. The previous estimator keeps answering
-// any queries that already looked it up — zero downtime — and becomes
-// garbage once they drain. Callers that mean "must be new" use Register.
-func (r *Registry) Swap(name string, est core.Estimator, sch *schema.Schema) (Entry, error) {
-	return r.put(name, est, sch, false)
-}
-
-// put is the one registry write under Register and Swap.
-func (r *Registry) put(name string, est core.Estimator, sch *schema.Schema, mustBeNew bool) (Entry, error) {
+// put is the one registry write: it serves est under name at version, or
+// at the name's next version (its last one plus one) when version is 0, and
+// returns the new entry and the one it replaced (the zero Entry when there
+// was none). Register-or-swap is one step, so two writers of one name can
+// never both believe they registered it; with mustBeNew a served name is
+// refused instead. The replaced estimator keeps answering any queries that
+// already looked it up — zero downtime — and becomes garbage once they
+// drain.
+func (r *Registry) put(name string, est core.Estimator, sch *schema.Schema, version int, mustBeNew bool) (ent, old Entry, err error) {
 	if name == "" {
-		return Entry{}, fmt.Errorf("server: estimator name must not be empty")
+		return Entry{}, Entry{}, fmt.Errorf("server: estimator name must not be empty")
 	}
 	if est == nil || sch == nil {
-		return Entry{}, fmt.Errorf("server: estimator %q needs a non-nil estimator and schema", name)
+		return Entry{}, Entry{}, fmt.Errorf("server: estimator %q needs a non-nil estimator and schema", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, exists := r.entries[name] // the zero Entry when absent
+	old, exists := r.entries[name]
 	if exists && mustBeNew {
-		return Entry{}, fmt.Errorf("server: estimator %q already registered", name)
+		return Entry{}, Entry{}, fmt.Errorf("server: estimator %q already registered", name)
 	}
-	next := Entry{Name: name, Estimator: est, Schema: sch, Generation: old.Generation + 1, Served: old.Served}
-	r.entries[name] = next
-	return next, nil
-}
-
-// markServed records version as the store version behind name's entry and
-// returns the one it replaces (0 when there was none, or no such entry).
-func (r *Registry) markServed(name string, version int) (prev int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok {
-		return 0
+	if version == 0 {
+		version = old.Version + 1
 	}
-	prev, e.Served = e.Served, version
-	r.entries[name] = e
-	return prev
+	ent = Entry{Name: name, Estimator: est, Schema: sch, Version: version}
+	r.entries[name] = ent
+	return ent, old, nil
 }
 
 // Unregister removes a named estimator and reports whether it was

@@ -19,8 +19,10 @@ import (
 // registry, RestoreStore on a fresh handle of its directory, a resumed Live
 // — and ingests the rest. Its model must be bit-identical to the one of a
 // primary that never restarted and was fed the same stream: the same saved
-// snapshot bytes and the same answers to a fixed workload. After every
-// refresh that left nothing pending, the live dataset holds no row.
+// snapshot bytes and the same answers to a fixed workload. The two number
+// their models alike: after every ingest the served entry's version, and the
+// version the ingest result reports, are the uninterrupted primary's. After
+// every refresh that left nothing pending, the live dataset holds no row.
 func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 	// With a 250-row threshold the 100-row batches stay pending until the
 	// next batch crosses it; the restart comes after a refresh that folded
@@ -37,8 +39,15 @@ func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 	base := func() *relation.Mutable {
 		return relation.NewMutable(experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1))))
 	}
-	ingest := func(live *server.Live, batches [][][]int) {
+	// versions is what an ingest leaves: the version its result reports and
+	// the version of the served entry.
+	type versions struct {
+		result uint64
+		entry  int
+	}
+	ingest := func(reg *server.Registry, live *server.Live, batches [][][]int) []versions {
 		t.Helper()
+		var out []versions
 		for i, rows := range batches {
 			res, err := live.Ingest(rows)
 			if err != nil || res.RefreshError != "" {
@@ -47,7 +56,10 @@ func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 			if pending := server.PendingRows(live).NumRows(); pending != res.PendingRows || res.Refreshed && pending != 0 {
 				t.Fatalf("ingest %d: the live dataset holds %d rows, its result %+v", i, pending, res)
 			}
+			ent, _ := reg.Get("demo/maxent")
+			out = append(out, versions{res.Generation, ent.Version})
 		}
+		return out
 	}
 
 	// The uninterrupted primary.
@@ -60,7 +72,7 @@ func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest(ulive, stream)
+	uninterrupted := ingest(ureg, ulive, stream)
 
 	// The restarted one: the same build, the first batches, then a process
 	// that knows only the directory.
@@ -69,11 +81,12 @@ func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := server.BuildLiveDataset(server.NewRegistry(), "demo", base(), liveOptions(st))
+	reg := server.NewRegistry()
+	live, _, err := server.BuildLiveDataset(reg, "demo", base(), liveOptions(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest(live, stream[:restartAfter])
+	restarted := ingest(reg, live, stream[:restartAfter])
 	if s := live.Status(); s.PendingRows != 0 {
 		t.Fatalf("%d rows pending at the restart", s.PendingRows)
 	}
@@ -81,7 +94,7 @@ func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := server.NewRegistry()
+	reg = server.NewRegistry()
 	if names, problems, err := server.RestoreStore(reg, reopened); err != nil || len(problems) != 0 || len(names) != 1 {
 		t.Fatalf("restore: %v, %v, %v", names, problems, err)
 	}
@@ -89,7 +102,10 @@ func TestRestartedPrimaryMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest(live, stream[restartAfter:])
+	restarted = append(restarted, ingest(reg, live, stream[restartAfter:])...)
+	if !reflect.DeepEqual(restarted, uninterrupted) {
+		t.Fatalf("versions after each ingest: restarted %v, uninterrupted %v", restarted, uninterrupted)
+	}
 
 	if got, want := live.Status().TotalRows, ulive.Status().TotalRows; got != want {
 		t.Fatalf("the restarted primary covers %d rows, the uninterrupted one %d", got, want)

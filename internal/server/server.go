@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -238,8 +237,8 @@ type EstimatorInfo struct {
 	NumAttrs    int      `json:"num_attrs"`
 	AttrNames   []string `json:"attr_names"`
 	DomainSizes []int    `json:"domain_sizes"`
-	// Generation counts the hot-swapped versions served under this name
-	// (1 = the initial build or restore).
+	// Generation is the served model's version (Entry.Version): its store
+	// version on a node with a store, its publish count on one without.
 	Generation uint64 `json:"generation"`
 	// Certificate is how converged a summary-backed entry's model is; nil,
 	// and its fields absent from the JSON, for other estimators.
@@ -293,20 +292,12 @@ type errorResponse struct {
 }
 
 // EstimatorGenerationHeader is the response header on /query, /groupby, and
-// /query/batch carrying the generation of the live registry entry that
-// answered. Time-travel answers (version > 0) omit it — they are immutable
-// and identified by snapshot version. The fleet router's read cache stamps
-// its entries with this header, so a routed ingest hot swap invalidates
-// router entries exactly like node-local ones.
+// /query/batch carrying the version of the live registry entry that
+// answered (Entry.Version). Time-travel answers (version > 0) omit it — the
+// client named their version. The fleet router's read cache stamps its
+// entries with this header, so a routed ingest hot swap invalidates router
+// entries exactly like node-local ones.
 const EstimatorGenerationHeader = "X-Estimator-Generation"
-
-// setGenerationHeader stamps the answering live entry's generation on the
-// response; snapshot entries are immutable and carry no generation.
-func setGenerationHeader(w http.ResponseWriter, ent Entry) {
-	if ent.Snapshot == 0 {
-		w.Header().Set(EstimatorGenerationHeader, strconv.FormatUint(ent.Generation, 10))
-	}
-}
 
 // --- handlers ---------------------------------------------------------
 
@@ -355,10 +346,10 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, start time.
 	a := answers[0]
 	latency := s.opts.Now().Sub(start).Nanoseconds()
 	if a.IsGroup {
-		writeJSON(w, http.StatusOK, GroupByResponse{Estimator: ent.Name, Version: ent.Snapshot,
+		writeJSON(w, http.StatusOK, GroupByResponse{Estimator: ent.Name, Version: req.Version,
 			Groups: a.Groups, Cached: a.Cached, LatencyNS: latency})
 	} else {
-		writeJSON(w, http.StatusOK, QueryResponse{Estimator: ent.Name, Version: ent.Snapshot,
+		writeJSON(w, http.StatusOK, QueryResponse{Estimator: ent.Name, Version: req.Version,
 			Count: a.Count, Cached: a.Cached, LatencyNS: latency})
 	}
 	return nil
@@ -511,7 +502,7 @@ func (s *Server) estimatorInfos() []EstimatorInfo {
 			ApproxBytes: e.Estimator.ApproxBytes(),
 			NumAttrs:    e.Schema.NumAttrs(),
 			DomainSizes: e.Schema.DomainSizes(),
-			Generation:  e.Generation,
+			Generation:  uint64(e.Version),
 		}
 		if sum, ok := e.Estimator.(*summary.Summary); ok {
 			rep := sum.SolverReport()

@@ -14,7 +14,7 @@ import (
 // This file is the peer-sync surface of a summaryd node. Replication in
 // the fleet is pull-by-version (docs/FLEET.md): snapshots travel as their
 // verified on-disk frames over GET /sync/snapshot, and POST /sync/notify
-// lets the ingest node wake a replica's sync loop so a generation bump
+// lets the ingest node wake a replica's sync loop so a new version
 // propagates within one round trip instead of one poll interval.
 
 // SnapshotContentType is the media type of a framed snapshot on the wire.

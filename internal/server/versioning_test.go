@@ -215,6 +215,34 @@ func TestQueryAtVersionBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLiveAndVersionedReadsShareCache: a version names one model, so a live
+// read and a ?version=N read of the version serving share one result-cache
+// entry, while another version keys its own. Only the live answer carries
+// X-Estimator-Generation; the versioned one echoes its version instead.
+func TestLiveAndVersionedReadsShareCache(t *testing.T) {
+	ts, _, _ := newVersionedServer(t, 2000, 1, server.Options{})
+	pred := query.NewPredicate(4).WhereEq(0, 1)
+	ask := func(u string) (server.QueryResponse, string) {
+		t.Helper()
+		resp, body := postJSON(t, u, server.QueryRequest{Estimator: "demo/maxent", Predicate: pred})
+		var qr server.QueryResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &qr) != nil {
+			t.Fatalf("POST %s: %d %s", u, resp.StatusCode, body)
+		}
+		return qr, resp.Header.Get(server.EstimatorGenerationHeader)
+	}
+	if qr, gen := ask(ts.URL + "/query"); qr.Cached || gen != "2" {
+		t.Fatalf("live read: cached %t at generation %q, want a miss at 2", qr.Cached, gen)
+	}
+	if qr, gen := ask(ts.URL + "/query?version=2"); !qr.Cached || qr.Version != 2 || gen != "" {
+		t.Fatalf("?version=2 read: cached %t, version %d, generation %q; want the live read's entry, version 2, no header",
+			qr.Cached, qr.Version, gen)
+	}
+	if qr, _ := ask(ts.URL + "/query?version=1"); qr.Cached || qr.Version != 1 {
+		t.Fatalf("?version=1 read: cached %t, version %d; want a miss at version 1", qr.Cached, qr.Version)
+	}
+}
+
 // TestVersionedBatchOverHTTP drives /query/batch at a snapshot version both
 // ways a batch can name one (a binary v2 frame, and a v1 frame under a
 // ?version=N URL override) and checks agreement with the in-process restore.

@@ -28,8 +28,8 @@ func writeOptions(st *store.Store) server.DatasetOptions {
 
 // TestBuildAndRefreshPublishOneModel: a dataset serves one model. A live
 // dataset built over a store and grown by a 5000-row ingest leaves one
-// registry entry, "demo/maxent", at generation 2, saved at both generations
-// and pinned at the served one — and the served model is the built one with
+// registry entry, "demo/maxent", at version 2, saved at both versions and
+// pinned at the served one — and the served model is the built one with
 // the ingested rows folded in, bit for bit.
 func TestBuildAndRefreshPublishOneModel(t *testing.T) {
 	base := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
@@ -52,8 +52,8 @@ func TestBuildAndRefreshPublishOneModel(t *testing.T) {
 		t.Fatalf("built %q; %d registry entries, want demo/maxent alone", built.Name, reg.Len())
 	}
 	ent, _ := reg.Get("demo/maxent")
-	if ent.Generation != 2 || ent.Served != 2 {
-		t.Errorf("demo/maxent at generation %d serving version %d, want 2 and 2", ent.Generation, ent.Served)
+	if ent.Version != 2 {
+		t.Errorf("demo/maxent at version %d, want 2", ent.Version)
 	}
 	var versions []int
 	if man, err := st.Versions("demo/maxent"); err == nil {
@@ -90,9 +90,10 @@ func encoded(t *testing.T, est core.Estimator) []byte {
 
 // TestPublishIsTheOneWriter walks one dataset through every way a model
 // becomes the served one — build, refresh, restore, and a replica's adoption
-// of an imported version — and checks after each that the registry
-// generation, the recorded served version, the store's newest version, the
-// serving pin and the cache entries dropped are what that path promises.
+// of an imported version — and checks after each that the entry's version,
+// the store's newest version, the serving pin and the cache entries dropped
+// are what that path promises. The entry's version is the store version on
+// every path, a restart's restore included.
 func TestPublishIsTheOneWriter(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -122,14 +123,13 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		}
 	}
 	type state struct {
-		generation uint64
-		served     int // Entry.Served
-		newest     int // the store's newest version of the key, 0 = none
-		pinned     []int
+		version int // Entry.Version
+		newest  int // the store's newest version of the key, 0 = none
+		pinned  []int
 	}
 	observe := func(reg *server.Registry, st *store.Store, name string) state {
 		ent, _ := reg.Get(name)
-		s := state{generation: ent.Generation, served: ent.Served}
+		s := state{version: ent.Version}
 		if pins := st.Pinned(name); len(pins) > 0 {
 			s.pinned = pins
 		}
@@ -180,7 +180,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		{name: "build", do: func() {}, // BuildLiveDataset above
 			reg: reg, st: st, cache: srv.Cache(),
 			want: map[string]state{
-				"demo/maxent": {1, 1, 1, []int{1}},
+				"demo/maxent": {1, 1, []int{1}},
 			}},
 		{name: "refresh", do: func() {
 			warm(ts.URL, "demo/maxent", 3)
@@ -193,7 +193,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		},
 			reg: reg, st: st, cache: srv.Cache(), dropped: 3,
 			want: map[string]state{
-				"demo/maxent": {2, 2, 2, []int{2}},
+				"demo/maxent": {2, 2, []int{2}},
 			}},
 		{name: "restore", do: func() {
 			names, problems, err := server.RestoreStore(restored, reopened)
@@ -202,7 +202,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			}
 		},
 			reg: restored, st: reopened,
-			want: map[string]state{"demo/maxent": {1, 2, 2, []int{2}}}},
+			want: map[string]state{"demo/maxent": {2, 2, []int{2}}}},
 		{name: "sync import, first version", do: func() {
 			importVersion(1)
 			if _, err := server.Adopt(rreg, rsrv.Cache(), rst, "demo/maxent"); err != nil {
@@ -210,7 +210,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			}
 		},
 			reg: rreg, st: rst, cache: rsrv.Cache(),
-			want: map[string]state{"demo/maxent": {1, 1, 1, []int{1}}}},
+			want: map[string]state{"demo/maxent": {1, 1, []int{1}}}},
 		{name: "sync import, next version", do: func() {
 			warm(rts.URL, "demo/maxent", 4)
 			importVersion(2)
@@ -219,7 +219,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			}
 		},
 			reg: rreg, st: rst, cache: rsrv.Cache(), dropped: 4,
-			want: map[string]state{"demo/maxent": {2, 2, 2, []int{2}}}},
+			want: map[string]state{"demo/maxent": {2, 2, []int{2}}}},
 	} {
 		var before uint64
 		if step.cache != nil {
