@@ -89,6 +89,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "built %s in %v (%s)\n",
 		ent.Name, time.Since(buildStart).Round(time.Millisecond), ent.Estimator.(*summary.Summary).SolverReport())
 
+	// Described before the prune: a save by another process may make this
+	// version one that -keep removes.
+	_, info, err := st.ReadFramed(ent.Name, ent.Version)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
+		os.Exit(1)
+	}
 	if *keep > 0 {
 		removed, err := st.Prune(ent.Name, *keep)
 		if err != nil {
@@ -98,11 +105,13 @@ func main() {
 		if len(removed) > 0 {
 			fmt.Fprintf(os.Stderr, "pruned %d old version(s) of %s\n", len(removed), ent.Name)
 		}
-	}
-	_, info, err := st.ReadFramed(ent.Name, ent.Version)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "summarize: %v\n", err)
-		os.Exit(1)
+		for _, sn := range removed {
+			if sn.Version == ent.Version {
+				fmt.Fprintf(os.Stderr, "summarize: %s v%d was pruned: another process saved %d newer version(s)\n",
+					ent.Name, ent.Version, *keep)
+				os.Exit(1)
+			}
+		}
 	}
 
 	enc := json.NewEncoder(os.Stdout)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 
@@ -14,54 +13,24 @@ import (
 // the request reached at least one node.
 const RouterCacheHeader = "X-Router-Cache"
 
-// routerQueryKey appends the router's freshness prefix, its half of every
-// read-cache key; the other half is the item identity the node keys by too
-// (query.BatchItem.AppendIdentity). The prefix differs from the node's
-// deliberately: the router cannot know an estimator's generation before
-// asking a node, so live reads key on an "l" marker and the generation
-// travels in the cached value instead, checked against the generation table
-// at serve time. Snapshot reads (version > 0) key on the version — those
-// answers are immutable.
-func routerQueryKey(dst []byte, estimator string, version int) []byte {
-	dst = append(dst, estimator...)
-	if version > 0 {
-		dst = append(dst, "\x00s"...)
-		dst = strconv.AppendInt(dst, int64(version), 10)
-	} else {
-		dst = append(dst, "\x00l"...)
-	}
-	return append(dst, 0)
-}
-
-// cachedRead is one stored answer: the answer itself, marked Cached, and
-// the version of the model that gave it (0 for snapshot reads, which are
-// immutable). Responses are encoded from it on a hit — never replayed raw —
-// so a hit is bit-identical to what the node would have sent (float64
-// counts survive Go's JSON round-trip exactly) while carrying an honest
-// cached flag and latency.
-type cachedRead struct {
-	gen    uint64
-	answer query.BatchAnswer
-}
-
-// genTable tracks which model version is current per estimator, so cached
-// live answers can be proven current without a node round trip. A version
-// names one model on every node (server.Entry.Version), which makes the
-// rule exact:
+// genTable tracks which model version is current per estimator, so a live
+// read can be keyed at it without a node round trip. A version names one
+// model on every node (server.Entry.Version), and every read-cache key
+// carries the version of the model that answered (server.AppendKeyPrefix),
+// which makes the rule exact:
 //
 //   - a routed write fences its dataset at the version its response
 //     reports (IngestResult.Generation): the floor, below which no answer
 //     holds every write the router proxied;
-//   - a response at version v is cached only when v is at least its
-//     dataset's floor and is the newest version seen of its estimator (a
-//     lagging replica's answer is relayed, not cached);
-//   - a cached entry is served only while its version still equals the
-//     table's newest and meets the floor — checked at serve time, so an
-//     entry stored by a request racing a write is fenced the moment the
-//     write lands.
+//   - a live response at version v is cached, under v, only when v is at
+//     least its dataset's floor and is the newest version seen of its
+//     estimator (a lagging replica's answer is relayed, not cached);
+//   - a live read looks up the version the table calls current, and misses
+//     when none is — so once a write lands, an entry of an older version,
+//     even one stored by a request racing the write, is never read again.
 //
 // Writes that bypass the router are invisible to it (same contract as
-// /sync/notify: the router is the write path). Snapshot reads never
+// /sync/notify: the router is the write path). Versioned reads never
 // consult the table — retained versions are immutable.
 type genTable struct {
 	mu     sync.Mutex
@@ -83,6 +52,13 @@ func (t *genTable) floorLocked(name string) uint64 {
 // observe records a node response's version and reports whether an answer
 // at that version may be cached.
 func (t *genTable) observe(name string, gen uint64) bool {
+	return t.admit(name, gen, func() {})
+}
+
+// admit is observe that, when the answer may be cached, stores it with put
+// before the table is released: a live read keyed at gen by current finds
+// the answer, never a gap in which it leads a second fetch of its own.
+func (t *genTable) admit(name string, gen uint64, put func()) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if gen < t.floorLocked(name) {
@@ -91,12 +67,16 @@ func (t *genTable) observe(name string, gen uint64) bool {
 	if gen > t.newest[name] {
 		t.newest[name] = gen
 	}
-	return gen == t.newest[name]
+	if gen != t.newest[name] {
+		return false
+	}
+	put()
+	return true
 }
 
-// current returns the version a cached live entry must carry to be served;
-// ok is false when nothing may be served (estimator never observed, or its
-// newest version below the floor of a write no response has caught up to).
+// current returns the version a live read is keyed at; ok is false when
+// nothing may be served (estimator never observed, or its newest version
+// below the floor of a write no response has caught up to).
 func (t *genTable) current(name string) (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -113,19 +93,21 @@ func (t *genTable) fence(dataset string, gen uint64) {
 }
 
 // flight is one in-flight cache miss; followers block on done and reuse
-// the leader's entry when ok.
+// the leader's answer when ok, if the version it names still serves them.
 type flight struct {
-	done  chan struct{}
-	entry cachedRead
-	ok    bool
+	done    chan struct{}
+	answer  query.BatchAnswer
+	version uint64
+	ok      bool
 }
 
 // flightGroup collapses concurrent identical cache misses into a single
 // upstream request (the hand-rolled core of x/sync/singleflight: the
-// leader forwards, stores, then releases followers). The leader puts the
-// entry in the cache before leaving the group, so by the time any follower
-// wakes the answer is cached — N concurrent identical cold reads cost
-// exactly one node round trip.
+// leader forwards, stores, then releases followers). A flight is keyed as
+// the cache is, at the version the read was keyed at; the leader puts the
+// answer in the cache before leaving the group, so by the time any
+// follower wakes the answer is cached — N concurrent identical cold reads
+// cost exactly one node round trip.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
@@ -146,9 +128,10 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 	return fl, true
 }
 
-// leave publishes the leader's result and releases every follower.
-func (g *flightGroup) leave(key string, fl *flight, entry cachedRead, ok bool) {
-	fl.entry, fl.ok = entry, ok
+// leave publishes the leader's answer and the version it names, and
+// releases every follower.
+func (g *flightGroup) leave(key string, fl *flight, answer query.BatchAnswer, version uint64, ok bool) {
+	fl.answer, fl.version, fl.ok = answer, version, ok
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()

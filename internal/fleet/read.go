@@ -109,7 +109,7 @@ type readResult struct {
 	// cache or from an identical in-flight read it joined.
 	hit bool
 	// gen is the live generation every answer shares, 0 when they share
-	// none: versioned reads, or answers cached or fetched under different
+	// none: versioned reads, or answers fetched under different
 	// generations.
 	gen uint64
 	// node names the one node that answered every item this request
@@ -142,36 +142,44 @@ type routedMiss struct {
 }
 
 // read is the router's one read path, and the only code that touches the
-// read cache. Each item is looked up under the one generation rule
-// (entryCurrent); a miss joins the in-flight read of its key, so concurrent
+// read cache. The request is keyed once, as a node keys it
+// (server.AppendKeyPrefix): a versioned read at its version, a live read at
+// the version genTable calls current — or at 0, which no entry carries, when
+// none is. A miss joins the in-flight read of its key, so concurrent
 // identical misses — single reads, batch items, or one of each — cost the
 // fleet one node request; the items this request leads are fetched from the
-// fleet in one fetchMisses and stored under genTable.observe; then it
-// collects the answers of the flights it followed, fetching for itself
-// whatever a leader could not vouch for. Leaders always fetch before they
-// wait, so two requests following each other's items cannot deadlock. It
-// runs only on a caching router: without a cache, decodeRead forwards the
-// read as it came.
+// fleet in one fetchMisses, and a live answer is stored under the version
+// the node reported when genTable.admit admits it; then it collects the
+// answers of the flights it followed — each only if it names the version
+// the read asks for — fetching for itself whatever a leader could not
+// vouch for. Leaders always fetch before they wait, so two
+// requests following each other's items cannot deadlock. It runs only on a
+// caching router: without a cache, decodeRead forwards the read as it came.
 //
 // The *routeError fails the whole read (no healthy replica, a node's own
 // refusal of the estimator or version); a per-item failure rides in that
 // answer's Error and is never cached.
 func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult, *routeError) {
 	res := readResult{answers: make([]query.BatchAnswer, len(req.Items)), hit: true}
-	gens := make([]uint64, len(req.Items))
+	// versions[i] is the live version answer i names.
+	versions := make([]uint64, len(req.Items))
+	version := uint64(req.Version)
+	if version == 0 {
+		if v, ok := rt.gens.current(req.Estimator); ok {
+			version = v
+		}
+	}
 	var lead, follow []routedMiss
 	// As on the node: one buffer for every key of the request, and a string
 	// only for a miss, which joins a flight and may store under it.
 	var keyBuf [256]byte
-	key := routerQueryKey(keyBuf[:0], req.Estimator, req.Version)
+	key := server.AppendKeyPrefix(keyBuf[:0], req.Estimator, version)
 	prefixLen := len(key)
 	for i, it := range req.Items {
 		key = it.AppendIdentity(key[:prefixLen])
 		if v, ok := rt.cache.Lookup(key); ok {
-			if e := v.(cachedRead); rt.entryCurrent(req, e) {
-				res.answers[i], gens[i] = e.answer, e.gen
-				continue
-			}
+			res.answers[i], versions[i] = v.(query.BatchAnswer), version
+			continue
 		}
 		m := routedMiss{idx: i, key: string(key)}
 		var leader bool
@@ -179,6 +187,26 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 			lead = append(lead, m)
 		} else {
 			follow = append(follow, m)
+		}
+	}
+
+	// A live read keyed before a newer version was observed may have missed
+	// an answer that a flight stored under that version before leaving; its
+	// lead items look once more, at the version current now.
+	if len(lead) > 0 && req.Version == 0 {
+		if cur, ok := rt.gens.current(req.Estimator); ok && cur != version {
+			key = server.AppendKeyPrefix(keyBuf[:0], req.Estimator, cur)
+			curLen, kept := len(key), lead[:0]
+			for _, m := range lead {
+				key = append(key[:curLen], m.key[prefixLen:]...)
+				if v, ok := rt.cache.Lookup(key); ok {
+					res.answers[m.idx], versions[m.idx] = v.(query.BatchAnswer), cur
+					rt.flights.leave(m.key, m.fl, res.answers[m.idx], cur, true)
+					continue
+				}
+				kept = append(kept, m)
+			}
+			lead = kept
 		}
 	}
 
@@ -193,7 +221,7 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 			return herr
 		}
 		for j, m := range misses {
-			res.answers[m.idx], gens[m.idx] = answers[j], gen
+			res.answers[m.idx], versions[m.idx] = answers[j], gen
 		}
 		if !res.hit && node != res.node {
 			node = "" // an earlier fetch of this request was answered elsewhere
@@ -207,7 +235,7 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 		defer func() {
 			for _, m := range lead {
 				if m.fl != nil {
-					rt.flights.leave(m.key, m.fl, cachedRead{}, false)
+					rt.flights.leave(m.key, m.fl, query.BatchAnswer{}, 0, false)
 				}
 			}
 		}()
@@ -215,26 +243,30 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 			return res, herr
 		}
 		for j, m := range lead {
-			e := cachedRead{gen: gens[m.idx], answer: res.answers[m.idx]}
-			e.answer.Cached = true
+			// A hit is encoded from the stored answer, never replayed raw, so
+			// it is bit-identical to what the node sent while honestly
+			// flagged cached. Every answer is stored before its flight is
+			// left, so a read arriving after the last follower woke finds it.
+			a, v := res.answers[m.idx], versions[m.idx]
+			a.Cached = true
 			stored := false
 			switch {
-			case e.answer.Error != "":
+			case a.Error != "":
 			case req.Version > 0:
-				stored = true // snapshots are immutable
-			case e.gen == 0:
-				// No node vouched for a live generation.
-			case rt.gens.observe(req.Estimator, e.gen):
-				stored = true
+				v, stored = version, true // retained versions are immutable
+				rt.cache.Put(m.key, a)
+			case v == 0:
+				// No node vouched for a live version.
 			default:
-				rt.staleSkips.Add(1)
+				storeKey := m.key
+				if v != version {
+					storeKey = string(append(server.AppendKeyPrefix(nil, req.Estimator, v), m.key[prefixLen:]...))
+				}
+				if stored = rt.gens.admit(req.Estimator, v, func() { rt.cache.Put(storeKey, a) }); !stored {
+					rt.staleSkips.Add(1)
+				}
 			}
-			if stored {
-				// Store before leaving the flight, so a read arriving after
-				// the last follower woke finds the entry.
-				rt.cache.Put(m.key, e)
-			}
-			rt.flights.leave(m.key, m.fl, e, stored)
+			rt.flights.leave(m.key, m.fl, a, v, stored)
 			lead[j].fl = nil
 		}
 	}
@@ -248,16 +280,24 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 			// upstream: do not misreport a gateway error.
 			return res, &routeError{status: http.StatusRequestTimeout, msg: "client gave up waiting for an identical in-flight read"}
 		}
-		// Re-verify at serve time, exactly like a cache hit: a routed write
-		// may have fenced the estimator between the leader storing the entry
-		// and this follower waking.
-		if m.fl.ok && rt.entryCurrent(req, m.fl.entry) {
+		// A follower takes the leader's answer only if it names the version
+		// this read asks for: a versioned read its N, a live read the
+		// version current now, as a hit is keyed. A flight is keyed at the
+		// version its leader looked up, but a live leader's node may have
+		// answered a newer one, and a routed write may have fenced the
+		// estimator while the follower waited.
+		want, live := version, true
+		if req.Version == 0 {
+			want, live = rt.gens.current(req.Estimator)
+		}
+		if m.fl.ok && live && m.fl.version == want {
 			rt.collapsed.Add(1)
-			res.answers[m.idx], gens[m.idx] = m.fl.entry.answer, m.fl.entry.gen
+			res.answers[m.idx], versions[m.idx] = m.fl.answer, m.fl.version
 			continue
 		}
-		// The leader's answer was not cacheable (error, node behind) or was
-		// fenced while we waited; this read speaks to a node itself.
+		// The leader's answer was not cacheable (error, node behind), names
+		// another version, or was fenced while we waited; this read speaks
+		// to a node itself.
 		retry = append(retry, m)
 	}
 	if len(retry) > 0 {
@@ -266,24 +306,15 @@ func (rt *Router) read(ctx context.Context, req server.ReadRequest) (readResult,
 		}
 	}
 
-	res.gen = gens[0]
-	for _, g := range gens[1:] {
-		if g != res.gen {
-			res.gen = 0
+	if req.Version == 0 {
+		res.gen = versions[0]
+		for _, v := range versions[1:] {
+			if v != res.gen {
+				res.gen = 0
+			}
 		}
 	}
 	return res, nil
-}
-
-// entryCurrent reports whether a stored answer may be served for req right
-// now: snapshot reads are immutable, live reads must carry the exact
-// generation the table vouches for at this instant.
-func (rt *Router) entryCurrent(req server.ReadRequest, e cachedRead) bool {
-	if req.Version > 0 {
-		return true
-	}
-	gen, ok := rt.gens.current(req.Estimator)
-	return ok && e.gen == gen
 }
 
 // fetchMisses is how a miss reaches a node — the only code that builds a

@@ -468,10 +468,9 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if rt.cache != nil {
 		rt.gens.fence(res.Dataset, res.Generation)
 		if res.Refreshed {
-			// The fence keeps the cache fresh; dropping the replaced
-			// version's entries only reclaims LRU capacity, as a node's hot
-			// swap does. Snapshot entries go too and re-warm on next touch.
-			rt.cache.InvalidatePrefix(res.Dataset + "\x00")
+			// The fence keeps the cache fresh; dropping the dataset's
+			// entries only reclaims LRU capacity, as a node's hot swap does.
+			// Versioned entries go too and re-warm on next touch.
 			rt.cache.InvalidatePrefix(res.Dataset + "/")
 		}
 	}

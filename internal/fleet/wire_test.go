@@ -312,3 +312,89 @@ func TestRoutedBatchHeaders(t *testing.T) {
 		t.Errorf("versioned batch: status %d, X-Estimator-Generation %q, want none", resp.StatusCode, got)
 	}
 }
+
+// TestRoutedLiveAndVersionedReadsShareEntries: a router keys its cache as a
+// node does, by estimator and version, so once a live read has cached its
+// answers a ?version=N read of the version that live read reported is
+// answered from those entries — all hits, bit-identical counts and groups.
+func TestRoutedLiveAndVersionedReadsShareEntries(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 2,
+		Router: fleet.Options{Timeout: 5 * time.Second}})
+	const estimator = "demo/maxent"
+	pool := routedPool()
+	status, header, raw := askBatch(t, f.RouterURL(), estimator, pool)
+	if status != http.StatusOK {
+		t.Fatalf("live read: status %d: %s", status, raw)
+	}
+	live := decodeBatchAnswers(t, header, raw)
+	gen := header.Get(server.EstimatorGenerationHeader)
+	if gen == "" {
+		t.Fatal("the live read reported no generation")
+	}
+
+	frame, err := query.AppendBatch(nil, estimator, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, header, raw = postBody(t, f.RouterURL()+"/query/batch?version="+gen, server.BinaryBatchContentType, frame)
+	if status != http.StatusOK {
+		t.Fatalf("?version=%s read: status %d: %s", gen, status, raw)
+	}
+	if tag := header.Get(fleet.RouterCacheHeader); tag != "hit" {
+		t.Errorf("?version=%s read after a live read at %s: X-Router-Cache %q, want hit", gen, gen, tag)
+	}
+	if err := sameAnswers(live, decodeBatchAnswers(t, header, raw)); err != nil {
+		t.Errorf("?version=%s read against the live read: %v", gen, err)
+	}
+}
+
+// TestVersionedReadSkipsAReplicaThatLacksTheVersion pins the router's
+// soft-404 hold-and-replay: a replica that has not synced the primary's
+// newest version answers a ?version=N read of it 404, and the router must
+// hold that answer and ask another node instead of relaying it. The replica
+// syncs once at start and never again, the primary publishes v2 by a direct
+// ingest (no router, so no /sync/notify), and every distinct ?version=2 read
+// through a cacheless router must answer 200 with the primary's count.
+func TestVersionedReadSkipsAReplicaThatLacksTheVersion(t *testing.T) {
+	f := fleettest.New(t, fleettest.Options{Nodes: 2, SyncInterval: time.Hour})
+	if _, err := f.Live.Ingest(fleettest.Rows(150, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Live.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if ent, _ := f.Nodes[1].Registry.Get("demo/maxent"); ent.Version != 1 {
+		t.Fatalf("the replica serves v%d, want v1: it synced after start", ent.Version)
+	}
+	replicaErrors := func() uint64 {
+		t.Helper()
+		resp, err := http.Get(f.Nodes[1].URL() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m server.MetricsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.ErrorsTotal
+	}
+	before := replicaErrors()
+
+	routed := secondRouter(t, f, fleet.Options{CacheSize: -1, Timeout: 5 * time.Second})
+	n := experiment.SyntheticSchema().NumAttrs()
+	for i := 0; i < 8; i++ {
+		req := server.QueryRequest{Estimator: "demo/maxent", Predicate: query.NewPredicate(n).WhereEq(3, i)}
+		var direct, got server.QueryResponse
+		if s := postJSON(t, f.Primary().URL()+"/query?version=2", req, &direct); s != http.StatusOK {
+			t.Fatalf("read %d: the primary answered %d", i, s)
+		}
+		if s := postJSON(t, routed+"/query?version=2", req, &got); s != http.StatusOK {
+			t.Fatalf("read %d: the router answered %d, want 200", i, s)
+		}
+		sameCount(t, fmt.Sprintf("read %d", i), direct.Count, got.Count)
+	}
+	if replicaErrors() == before {
+		t.Fatal("no read asked the replica first: the hold was never exercised")
+	}
+}

@@ -3,10 +3,10 @@
 //
 //	magic (8) | u16 format version | 2 reserved | u64 payload length | CRC32-C (4)
 //
-// all little-endian, 24 bytes, then the payload. Seal writes it, Verify
-// checks it; each caller brings its own magic, accepted version range and
-// payload bound, and tags Verify's errors with its own sentinel
-// (store.ErrCorrupt, query.ErrFrame).
+// all little-endian, 24 bytes, then the payload. Seal writes it; Check
+// checks a frame in memory and Verify one read from a stream. Each caller
+// brings its own magic, accepted version range and payload bound, and tags
+// the errors with its own sentinel (store.ErrCorrupt, query.ErrFrame).
 //
 // Both payloads — a snapshot's solved summary (internal/summary) and a
 // batch of queries or answers (internal/query) — are built from the same
@@ -46,32 +46,23 @@ func Seal(framed []byte, magic string, version uint16, maxPayload uint64) (uint3
 	return sum, nil
 }
 
-// Verify reads exactly one frame from in — a file, a request body, or a
-// bytes.Reader over a frame held in memory — and returns its payload, the
-// format version it declares and the payload checksum. Every error means
-// the bytes are not a sound frame: wrong magic, a version outside
-// [minVersion, maxVersion], a length above maxPayload (checked before
-// anything is allocated, so a lying length field cannot drive an absurd
-// allocation), a payload shorter or longer than the header says, or a
-// checksum mismatch.
+// Verify reads exactly one frame from in — a file or a request body — and
+// returns its payload, the format version it declares and the payload
+// checksum, as Check does for a frame held in memory. The header is read
+// and checked first, so a lying length field cannot drive an absurd
+// allocation; then the whole frame is read into one buffer and checked.
 func Verify(in io.Reader, magic string, minVersion, maxVersion uint16, maxPayload uint64) ([]byte, uint16, uint32, error) {
 	var head [HeaderSize]byte
 	if _, err := io.ReadFull(in, head[:]); err != nil {
 		return nil, 0, 0, fmt.Errorf("header truncated (%v)", err)
 	}
-	if string(head[:8]) != magic {
-		return nil, 0, 0, fmt.Errorf("bad magic %q (want %q)", head[:8], magic)
+	_, length, err := checkHeader(head[:], magic, minVersion, maxVersion, maxPayload)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	version := binary.LittleEndian.Uint16(head[8:10])
-	if version < minVersion || version > maxVersion {
-		return nil, 0, 0, fmt.Errorf("format version %d, this build reads %d..%d", version, minVersion, maxVersion)
-	}
-	length := binary.LittleEndian.Uint64(head[12:20])
-	if length > maxPayload {
-		return nil, 0, 0, fmt.Errorf("payload length %d exceeds the %d-byte bound", length, maxPayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(in, payload); err != nil {
+	framed := make([]byte, HeaderSize+length)
+	copy(framed, head[:])
+	if _, err := io.ReadFull(in, framed[HeaderSize:]); err != nil {
 		return nil, 0, 0, fmt.Errorf("payload truncated (%v)", err)
 	}
 	// Trailing bytes mean the length field and the frame disagree.
@@ -79,10 +70,51 @@ func Verify(in io.Reader, magic string, minVersion, maxVersion uint16, maxPayloa
 	if n, _ := in.Read(one[:]); n != 0 {
 		return nil, 0, 0, fmt.Errorf("%d-byte payload followed by trailing garbage", length)
 	}
-	want := binary.LittleEndian.Uint32(head[20:24])
+	return Check(framed, magic, minVersion, maxVersion, maxPayload)
+}
+
+// Check verifies one frame held in memory and returns its payload — a
+// subslice of framed, never a copy — the format version it declares and the
+// payload checksum. Every error means the bytes are not a sound frame: wrong
+// magic, a version outside [minVersion, maxVersion], a length above
+// maxPayload, a payload shorter or longer than the header says, or a
+// checksum mismatch.
+func Check(framed []byte, magic string, minVersion, maxVersion uint16, maxPayload uint64) ([]byte, uint16, uint32, error) {
+	if len(framed) < HeaderSize {
+		return nil, 0, 0, fmt.Errorf("header truncated (%d bytes)", len(framed))
+	}
+	version, length, err := checkHeader(framed, magic, minVersion, maxVersion, maxPayload)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	payload := framed[HeaderSize:]
+	if uint64(len(payload)) < length {
+		return nil, 0, 0, fmt.Errorf("payload truncated (%d of %d bytes)", len(payload), length)
+	}
+	if uint64(len(payload)) > length {
+		return nil, 0, 0, fmt.Errorf("%d-byte payload followed by trailing garbage", length)
+	}
+	want := binary.LittleEndian.Uint32(framed[20:24])
 	sum := crc32.Checksum(payload, crcTable)
 	if sum != want {
 		return nil, 0, 0, fmt.Errorf("checksum %08x, header says %08x", sum, want)
 	}
 	return payload, version, sum, nil
+}
+
+// checkHeader checks the magic, format version and length of a header and
+// returns the version and the payload length it declares.
+func checkHeader(head []byte, magic string, minVersion, maxVersion uint16, maxPayload uint64) (uint16, uint64, error) {
+	if string(head[:8]) != magic {
+		return 0, 0, fmt.Errorf("bad magic %q (want %q)", head[:8], magic)
+	}
+	version := binary.LittleEndian.Uint16(head[8:10])
+	if version < minVersion || version > maxVersion {
+		return 0, 0, fmt.Errorf("format version %d, this build reads %d..%d", version, minVersion, maxVersion)
+	}
+	length := binary.LittleEndian.Uint64(head[12:20])
+	if length > maxPayload {
+		return 0, 0, fmt.Errorf("payload length %d exceeds the %d-byte bound", length, maxPayload)
+	}
+	return version, length, nil
 }

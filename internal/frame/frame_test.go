@@ -39,12 +39,22 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 		if framed[10] != 0 || framed[11] != 0 {
 			t.Errorf("reserved bytes % x, want zero", framed[10:12])
 		}
+		// Check reads the same frame in place: its payload is framed's own.
+		inPlace, version, gotSum, err := Check(framed, testMagic, 1, 2, testBound)
+		if err != nil || string(inPlace) != payload || version != 2 || gotSum != sum {
+			t.Errorf("Check of %d bytes: payload %q, version %d, checksum %08x, %v", len(payload), inPlace, version, gotSum, err)
+		}
+		if len(payload) > 0 && &inPlace[0] != &framed[HeaderSize] {
+			t.Errorf("Check of %d bytes copied the payload", len(payload))
+		}
 	}
 	if _, err := Seal(make([]byte, HeaderSize+testBound+1), testMagic, 1, testBound); err == nil {
 		t.Error("Seal accepted a payload above the bound")
 	}
 }
 
+// TestVerifyRejections holds Verify, on a stream, and Check, in memory, to
+// the same refusals.
 func TestVerifyRejections(t *testing.T) {
 	pristine := sealed(t, "a payload worth protecting", 1)
 	for _, tc := range []struct {
@@ -68,6 +78,9 @@ func TestVerifyRejections(t *testing.T) {
 		_, _, _, err := Verify(bytes.NewReader(mangled), testMagic, 1, 2, testBound)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if _, _, _, err := Check(mangled, testMagic, 1, 2, testBound); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check err = %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -30,7 +30,7 @@ type DatasetOptions struct {
 
 // publish makes est the model served under name. It is the only code that
 // swaps or registers a served registry entry, fences the result cache for a
-// name, saves a served model or moves a serving pin.
+// name or saves a served model.
 //
 // It saves first and swaps second, so a node with a store serves only what
 // its store holds. The model's version is settled first: adopt > 0 names the
@@ -38,9 +38,8 @@ type DatasetOptions struct {
 // otherwise est is saved as its key's next version when a store is
 // configured, and a storeless node numbers it after the one it replaces.
 // Then the registry moves — Register when the name must be new (a build or a
-// restore), the atomic register-or-swap otherwise — the replaced version's
-// cached answers go with it, and the serving pin follows, so a prune can
-// never delete what a restart would need.
+// restore), the atomic register-or-swap otherwise — and the replaced
+// version's cached answers go with it.
 //
 // On an error nothing was published and the previous model, if any, still
 // serves; what that costs is the caller's contract: a build fails, a refresh
@@ -54,16 +53,12 @@ func publish(reg *Registry, cache *Cache, st *store.Store, name string, est core
 		}
 		version = info.Version
 	}
-	ent, old, err := reg.put(name, est, sch, version, mustBeNew)
+	ent, err := reg.put(name, est, sch, version, mustBeNew)
 	if err != nil {
 		return Entry{}, err
 	}
 	if cache != nil {
 		cache.InvalidatePrefix(name + "\x00")
-	}
-	if st != nil {
-		st.Unpin(name, old.Version)
-		st.Pin(name, version)
 	}
 	return ent, nil
 }

@@ -47,10 +47,9 @@ type heapSizer interface {
 // the decode must build the structure) and stays resident until the byte
 // budget pushes it out. The budget counts what the versions hold in
 // memory: each entry's own heap (its solved system and caches), plus each
-// polynomial structure once while any resident entry shares it. Resident
-// versions are pinned in the store so a concurrent prune
-// can never delete a snapshot that is actively answering queries; the pin
-// is released on eviction.
+// polynomial structure once while any resident entry shares it. A resident
+// version answers from memory, so a prune of its file changes nothing it
+// serves; once evicted, the version restores again or is gone (404).
 type History struct {
 	st       *store.Store
 	maxBytes int64
@@ -143,15 +142,13 @@ func (h *History) Get(dataset string, version int) (Entry, error) {
 		h.bytes += he.structure.HeapBytes()
 	}
 	h.shared[he.structure]++
-	h.st.Pin(dataset, version)
 	for h.bytes > h.maxBytes && h.lru.Len() > 1 {
 		h.evictLocked(h.lru.Back())
 	}
 	return ent, nil
 }
 
-// evictLocked removes one entry and releases its store pin. Callers hold
-// h.mu.
+// evictLocked removes one entry. Callers hold h.mu.
 func (h *History) evictLocked(el *list.Element) {
 	he := el.Value.(*histEntry)
 	h.lru.Remove(el)
@@ -162,7 +159,6 @@ func (h *History) evictLocked(el *list.Element) {
 		h.bytes -= he.structure.HeapBytes()
 	}
 	h.evictions++
-	h.st.Unpin(he.key.dataset, he.key.version)
 }
 
 // HistoryStats is the /metrics block of the historical-estimator cache.

@@ -15,9 +15,9 @@ import (
 // /groupby, and the binary POST /query/batch — is an edge codec around one
 // executor: a decoder below turns the HTTP request into a ReadRequest,
 // Server.read answers it, and the handler encodes the answers back. A single
-// query is a batch of one. The decoders and the identity half of the cache
-// key are exported because the fleet router speaks the same request language
-// and must agree with the node on both.
+// query is a batch of one. The decoders and the cache key are exported
+// because the fleet router speaks the same request language and keys its
+// cache as a node does.
 
 // ReadRequest is one decoded read: N items against one estimator at one
 // version. Version is already resolved — a ?version=N URL parameter
@@ -146,18 +146,20 @@ func checkShape(ent Entry, it query.BatchItem) *httpError {
 	return nil
 }
 
-// queryKey appends the entry's freshness prefix, the node's half of every
-// result-cache key; query.BatchItem.AppendIdentity appends the other half.
+// AppendKeyPrefix appends the freshness half of every read-cache key, on a
+// node and on the fleet router alike: the estimator's name and the version
+// of the model that answers. query.BatchItem.AppendIdentity appends the
+// other half.
 //
-// The entry's version is part of the key, so answers cached before a hot
-// swap can never be served afterwards — even if an in-flight query of the
-// old version stores its result after the swap's explicit invalidation ran.
-// A version names one model, so a live read and a ?version=N read of the
-// same version share their cached answers.
-func queryKey(dst []byte, ent Entry) []byte {
-	dst = append(dst, ent.Name...)
+// A version names one model on every node, so the key says exactly which
+// model an answer came from: answers cached before a hot swap can never be
+// served afterwards — even if an in-flight query of the old version stores
+// its result after the swap's explicit invalidation ran — and a live read
+// and a ?version=N read of the same version share their cached answers.
+func AppendKeyPrefix(dst []byte, estimator string, version uint64) []byte {
+	dst = append(dst, estimator...)
 	dst = append(dst, 0)
-	dst = strconv.AppendInt(dst, int64(ent.Version), 10)
+	dst = strconv.AppendUint(dst, version, 10)
 	return append(dst, 0)
 }
 
@@ -200,7 +202,7 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 	// prefix written once; a key becomes a string only for a miss, which
 	// will store under it.
 	var keyBuf [256]byte
-	key := queryKey(keyBuf[:0], ent)
+	key := AppendKeyPrefix(keyBuf[:0], ent.Name, uint64(ent.Version))
 	prefixLen := len(key)
 	for i, it := range items {
 		answers[i].IsGroup = len(it.GroupBy) > 0

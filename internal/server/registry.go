@@ -54,38 +54,40 @@ func NewRegistry() *Registry {
 
 // Register adds an estimator under the given name (conventionally
 // "dataset/strategy") at version 1. Names must be unique and non-empty.
+// Like every served entry it also answers ?version= its own version, 1,
+// in place of any snapshot a store holds as v1 of the name: a name whose
+// versions a store keeps is served through publish, never Register.
 func (r *Registry) Register(name string, est core.Estimator, sch *schema.Schema) error {
-	_, _, err := r.put(name, est, sch, 0, true)
+	_, err := r.put(name, est, sch, 0, true)
 	return err
 }
 
 // put is the one registry write: it serves est under name at version, or
 // at the name's next version (its last one plus one) when version is 0, and
-// returns the new entry and the one it replaced (the zero Entry when there
-// was none). Register-or-swap is one step, so two writers of one name can
+// returns the new entry. Register-or-swap is one step, so two writers of one name can
 // never both believe they registered it; with mustBeNew a served name is
 // refused instead. The replaced estimator keeps answering any queries that
 // already looked it up — zero downtime — and becomes garbage once they
 // drain.
-func (r *Registry) put(name string, est core.Estimator, sch *schema.Schema, version int, mustBeNew bool) (ent, old Entry, err error) {
+func (r *Registry) put(name string, est core.Estimator, sch *schema.Schema, version int, mustBeNew bool) (Entry, error) {
 	if name == "" {
-		return Entry{}, Entry{}, fmt.Errorf("server: estimator name must not be empty")
+		return Entry{}, fmt.Errorf("server: estimator name must not be empty")
 	}
 	if est == nil || sch == nil {
-		return Entry{}, Entry{}, fmt.Errorf("server: estimator %q needs a non-nil estimator and schema", name)
+		return Entry{}, fmt.Errorf("server: estimator %q needs a non-nil estimator and schema", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, exists := r.entries[name]
 	if exists && mustBeNew {
-		return Entry{}, Entry{}, fmt.Errorf("server: estimator %q already registered", name)
+		return Entry{}, fmt.Errorf("server: estimator %q already registered", name)
 	}
 	if version == 0 {
 		version = old.Version + 1
 	}
-	ent = Entry{Name: name, Estimator: est, Schema: sch, Version: version}
+	ent := Entry{Name: name, Estimator: est, Schema: sch, Version: version}
 	r.entries[name] = ent
-	return ent, old, nil
+	return ent, nil
 }
 
 // Unregister removes a named estimator and reports whether it was

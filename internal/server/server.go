@@ -519,22 +519,23 @@ func (s *Server) estimatorInfos() []EstimatorInfo {
 // --- request plumbing -------------------------------------------------
 
 // lookupEntry resolves an estimator name at a version: version <= 0 is
-// the live registry entry, version > 0 a retained snapshot served through
-// the historical cache (restored on first hit).
+// the live registry entry, version > 0 a retained snapshot — the live entry
+// when it serves that version (a Register'd entry serves version 1), so the
+// serving model is never restored a second time, and otherwise one served
+// through the historical cache (restored on first hit).
 func (s *Server) lookupEntry(estimator string, version int) (Entry, *httpError) {
 	if estimator == "" {
 		return Entry{}, badRequest(`missing "estimator"`)
 	}
-	if version <= 0 {
-		ent, ok := s.reg.Get(estimator)
-		if !ok {
-			return Entry{}, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown estimator %q", estimator)}
-		}
-		return ent, nil
-	}
-	if s.history == nil {
+	if version > 0 && s.history == nil {
 		return Entry{}, &httpError{status: http.StatusNotImplemented,
 			msg: "versioned queries need a snapshot store (start summaryd with -store)"}
+	}
+	if ent, ok := s.reg.Get(estimator); ok && (version <= 0 || ent.Version == version) {
+		return ent, nil
+	}
+	if version <= 0 {
+		return Entry{}, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown estimator %q", estimator)}
 	}
 	ent, err := s.history.Get(estimator, version)
 	if err != nil {

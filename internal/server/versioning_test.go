@@ -409,12 +409,11 @@ func TestBranchThenIngestIsolation(t *testing.T) {
 
 // TestHistoryEvictionAndReRestore squeezes the historical cache down to
 // one resident entry: alternating versions forces evictions, and each
-// re-restore must keep answering bit-identically. Pins must be released
-// on eviction so pruning is not blocked forever.
+// re-restore must keep answering bit-identically.
 func TestHistoryEvictionAndReRestore(t *testing.T) {
 	// 1 byte of budget admits exactly one entry at a time (the newest is
 	// always admitted).
-	ts, st, _ := newVersionedServer(t, 1200, 2, server.Options{CacheSize: -1, HistoryBytes: 1})
+	ts, _, _ := newVersionedServer(t, 1200, 2, server.Options{CacheSize: -1, HistoryBytes: 1})
 
 	sch := experiment.SyntheticSchema()
 	pred := query.NewPredicate(sch.NumAttrs())
@@ -450,20 +449,49 @@ func TestHistoryEvictionAndReRestore(t *testing.T) {
 	if hs.Entries != 1 {
 		t.Fatalf("history entries = %d, want 1 under a 1-byte budget", hs.Entries)
 	}
-	// 9 lookups of 3 versions through a 1-entry cache: every switch is a
-	// miss+eviction.
+	// 9 lookups of 3 versions: v3 is the live entry's and never reaches the
+	// historical cache, while v1 and v2 cycle through its 1 entry, every
+	// switch a miss+eviction.
 	if hs.Misses < 3 || hs.Evictions < hs.Misses-1 {
 		t.Fatalf("history stats %+v: want >= 3 misses and evictions tracking them", hs)
 	}
 	if hs.RestoreP50NS <= 0 || hs.RestoreMaxNS < hs.RestoreP50NS {
 		t.Fatalf("restore latency report: %+v", hs)
 	}
+}
 
-	// Evicted versions released their pins: only v3 stays pinned (it is
-	// both the resident history entry — the last version queried — and the
-	// served latest), so v1 and v2 are prunable again.
-	if pins := st.Pinned("demo/maxent"); len(pins) != 1 || pins[0] != 3 {
-		t.Fatalf("pinned = %v, want [3]", pins)
+// TestVersionedReadOfTheLiveVersionUsesTheLiveEntry: a ?version=N read of
+// the version the live entry serves is answered by that entry, bit-identical
+// to a live read, and never restores the serving model a second time — the
+// historical cache sees no miss and holds no entry.
+func TestVersionedReadOfTheLiveVersionUsesTheLiveEntry(t *testing.T) {
+	ts, st, _ := newVersionedServer(t, 1200, 1, server.Options{CacheSize: -1})
+	man, err := st.Versions("demo/maxent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest, _ := man.Latest()
+	n := experiment.SyntheticSchema().NumAttrs()
+	for v := 0; v < 4; v++ {
+		pred := query.NewPredicate(n).WhereEq(1, v)
+		live, _ := countAtVersion(t, ts.URL, "demo/maxent", 0, pred)
+		versioned, _ := countAtVersion(t, ts.URL, "demo/maxent", latest.Version, pred)
+		if math.Float64bits(live) != math.Float64bits(versioned) {
+			t.Fatalf("pred %d: ?version=%d answers %v, the live read %v", v, latest.Version, versioned, live)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var mr server.MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+		t.Fatal(err)
+	}
+	if hs := mr.History; hs == nil || hs.Misses != 0 || hs.Entries != 0 {
+		t.Fatalf("history %+v: want 0 misses and 0 entries after reads of the live version", hs)
 	}
 }
 

@@ -28,9 +28,9 @@ func writeOptions(st *store.Store) server.DatasetOptions {
 
 // TestBuildAndRefreshPublishOneModel: a dataset serves one model. A live
 // dataset built over a store and grown by a 5000-row ingest leaves one
-// registry entry, "demo/maxent", at version 2, saved at both versions and
-// pinned at the served one — and the served model is the built one with
-// the ingested rows folded in, bit for bit.
+// registry entry, "demo/maxent", at version 2, saved at both versions —
+// and the served model is the built one with the ingested rows folded in,
+// bit for bit.
 func TestBuildAndRefreshPublishOneModel(t *testing.T) {
 	base := experiment.SyntheticRelation(3000, rand.New(rand.NewSource(1)))
 	rows := syntheticRows(5000, 3)
@@ -61,8 +61,8 @@ func TestBuildAndRefreshPublishOneModel(t *testing.T) {
 			versions = append(versions, sn.Version)
 		}
 	}
-	if !reflect.DeepEqual(versions, []int{1, 2}) || !reflect.DeepEqual(st.Pinned("demo/maxent"), []int{2}) {
-		t.Errorf("store versions %v pinned %v, want [1 2] pinned [2]", versions, st.Pinned("demo/maxent"))
+	if !reflect.DeepEqual(versions, []int{1, 2}) {
+		t.Errorf("store versions %v, want [1 2]", versions)
 	}
 
 	delta := relation.New(base.Schema())
@@ -91,7 +91,7 @@ func encoded(t *testing.T, est core.Estimator) []byte {
 // TestPublishIsTheOneWriter walks one dataset through every way a model
 // becomes the served one — build, refresh, restore, and a replica's adoption
 // of an imported version — and checks after each that the entry's version,
-// the store's newest version, the serving pin and the cache entries dropped
+// the store's newest version and the cache entries dropped
 // are what that path promises. The entry's version is the store version on
 // every path, a restart's restore included.
 func TestPublishIsTheOneWriter(t *testing.T) {
@@ -125,14 +125,10 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 	type state struct {
 		version int // Entry.Version
 		newest  int // the store's newest version of the key, 0 = none
-		pinned  []int
 	}
 	observe := func(reg *server.Registry, st *store.Store, name string) state {
 		ent, _ := reg.Get(name)
 		s := state{version: ent.Version}
-		if pins := st.Pinned(name); len(pins) > 0 {
-			s.pinned = pins
-		}
 		if man, err := st.Versions(name); err == nil {
 			if last, ok := man.Latest(); ok {
 				s.newest = last.Version
@@ -161,7 +157,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		}
 	}
 	// The restart of the restore step: a fresh handle on the same directory
-	// (pins live in the process, not on disk) and an empty registry.
+	// and an empty registry.
 	reopened, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +176,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		{name: "build", do: func() {}, // BuildLiveDataset above
 			reg: reg, st: st, cache: srv.Cache(),
 			want: map[string]state{
-				"demo/maxent": {1, 1, []int{1}},
+				"demo/maxent": {1, 1},
 			}},
 		{name: "refresh", do: func() {
 			warm(ts.URL, "demo/maxent", 3)
@@ -193,7 +189,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 		},
 			reg: reg, st: st, cache: srv.Cache(), dropped: 3,
 			want: map[string]state{
-				"demo/maxent": {2, 2, []int{2}},
+				"demo/maxent": {2, 2},
 			}},
 		{name: "restore", do: func() {
 			names, problems, err := server.RestoreStore(restored, reopened)
@@ -202,7 +198,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			}
 		},
 			reg: restored, st: reopened,
-			want: map[string]state{"demo/maxent": {2, 2, []int{2}}}},
+			want: map[string]state{"demo/maxent": {2, 2}}},
 		{name: "sync import, first version", do: func() {
 			importVersion(1)
 			if _, err := server.Adopt(rreg, rsrv.Cache(), rst, "demo/maxent"); err != nil {
@@ -210,7 +206,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			}
 		},
 			reg: rreg, st: rst, cache: rsrv.Cache(),
-			want: map[string]state{"demo/maxent": {1, 1, []int{1}}}},
+			want: map[string]state{"demo/maxent": {1, 1}}},
 		{name: "sync import, next version", do: func() {
 			warm(rts.URL, "demo/maxent", 4)
 			importVersion(2)
@@ -219,7 +215,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			}
 		},
 			reg: rreg, st: rst, cache: rsrv.Cache(), dropped: 4,
-			want: map[string]state{"demo/maxent": {2, 2, []int{2}}}},
+			want: map[string]state{"demo/maxent": {2, 2}}},
 	} {
 		var before uint64
 		if step.cache != nil {

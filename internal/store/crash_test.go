@@ -260,7 +260,12 @@ func TestListingRemembersDescriptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	const key = "demo/maxent"
-	savedVersions(t, st, key, 2)
+	sum := buildTestSummary(t, 500, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := st.Save(key, sum); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if man, err := st.Versions(key); err != nil || len(man.Snapshots) != 2 {
 		t.Fatalf("Versions = %+v, %v", man, err)
 	}

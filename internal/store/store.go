@@ -120,10 +120,6 @@ func (m Manifest) Latest() (SnapshotInfo, bool) {
 type Store struct {
 	dir string
 	mu  sync.Mutex
-	// pins refcounts the snapshot versions currently referenced by live
-	// serving code (dataset key → version → refcount); Prune never removes
-	// a pinned version.
-	pins map[string]map[int]int
 
 	// known remembers the description of snapshot files this handle has
 	// verified. A linked file is immutable, so a listing re-reads only the
@@ -155,56 +151,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.Remove(probe); err != nil {
 		return nil, fmt.Errorf("store: cleaning writability probe: %w", err)
 	}
-	return &Store{dir: dir, pins: make(map[string]map[int]int), known: make(map[snapshotID]SnapshotInfo)}, nil
-}
-
-// Pin marks one snapshot version as referenced by a live serving process
-// (a registry entry answering queries from it): Prune will never remove a
-// pinned version, no matter how old it is. Pins are refcounted — Pin
-// twice, Unpin twice — and in-memory only: they protect the serving
-// process that holds them, not other processes sharing the directory.
-func (s *Store) Pin(dataset string, version int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.pins[dataset]
-	if m == nil {
-		m = make(map[int]int)
-		s.pins[dataset] = m
-	}
-	m[version]++
-}
-
-// Unpin releases one Pin reference. Unpinning a version that is not
-// pinned is a no-op.
-func (s *Store) Unpin(dataset string, version int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.pins[dataset]
-	if m == nil {
-		return
-	}
-	if m[version] > 1 {
-		m[version]--
-		return
-	}
-	delete(m, version)
-	if len(m) == 0 {
-		delete(s.pins, dataset)
-	}
-}
-
-// Pinned returns the currently pinned versions of the dataset key,
-// ascending.
-func (s *Store) Pinned(dataset string) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.pins[dataset]
-	out := make([]int, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return &Store{dir: dir, known: make(map[snapshotID]SnapshotInfo)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -394,7 +341,7 @@ func readDescribed(path string) ([]byte, SnapshotInfo, error) {
 // framed[headerSize:] — and returns the checksum and the name. Every
 // failure is ErrCorrupt.
 func verifyFrame(framed []byte) (uint32, string, error) {
-	payload, _, sum, err := frame.Verify(bytes.NewReader(framed), magic, formatVersion, formatVersion, maxPayload)
+	payload, _, sum, err := frame.Check(framed, magic, formatVersion, formatVersion, maxPayload)
 	if err != nil {
 		return 0, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -529,13 +476,10 @@ func (s *Store) List() ([]Manifest, error) {
 
 // Prune deletes all but the newest keep snapshots of the dataset key and
 // returns the removed entries. keep must be at least 1 — pruning to
-// nothing is deleting a dataset, which Prune refuses to do implicitly.
-// Versions pinned by a live serving process (see Pin) are never removed,
-// even when they fall outside the newest keep: pruning the snapshot a
-// registry entry is currently serving would leave a restart with nothing
-// to restore that entry from. A file that fails verification is not a
-// snapshot: Prune neither counts nor deletes it (deleting a damaged newest
-// file would hand its version number out again).
+// nothing is deleting a dataset, which Prune refuses to do implicitly — so
+// the newest version, the one a restart restores, always stays. A file that
+// fails verification is not a snapshot: Prune neither counts nor deletes it
+// (deleting a damaged newest file would hand its version number out again).
 func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 	if err := validateKey(dataset); err != nil {
 		return nil, err
@@ -554,11 +498,7 @@ func (s *Store) Prune(dataset string, keep int) ([]SnapshotInfo, error) {
 		return nil, nil
 	}
 	var removed []SnapshotInfo
-	pinned := s.pins[dataset]
 	for _, sn := range man.Snapshots[:len(man.Snapshots)-keep] {
-		if pinned[sn.Version] > 0 {
-			continue
-		}
 		if err := os.Remove(s.snapshotPath(dataset, sn.Version)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return removed, fmt.Errorf("store: prune %q v%d: %w", dataset, sn.Version, err)
 		}
