@@ -3,14 +3,11 @@ package fleet
 import (
 	"strings"
 	"sync"
-
-	"repro/internal/query"
 )
 
-// RouterCacheHeader marks a routed read that was answered entirely on the
-// router (value "hit"): from its cache, or by joining an identical
-// in-flight read. Misses and partially cached batches carry no header —
-// the request reached at least one node.
+// RouterCacheHeader marks a routed read that was answered entirely from
+// the router cache (value "hit"). Misses and partially cached batches carry
+// no header — the request reached a node.
 const RouterCacheHeader = "X-Router-Cache"
 
 // genTable tracks which model version is current per estimator, so a live
@@ -50,15 +47,10 @@ func (t *genTable) floorLocked(name string) uint64 {
 }
 
 // observe records a node response's version and reports whether an answer
-// at that version may be cached.
+// at that version may be cached. The caller stores after observe returns:
+// an answer stored late under a version that is no longer current is
+// reachable only by a ?version= read of that version, whose answer it is.
 func (t *genTable) observe(name string, gen uint64) bool {
-	return t.admit(name, gen, func() {})
-}
-
-// admit is observe that, when the answer may be cached, stores it with put
-// before the table is released: a live read keyed at gen by current finds
-// the answer, never a gap in which it leads a second fetch of its own.
-func (t *genTable) admit(name string, gen uint64, put func()) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if gen < t.floorLocked(name) {
@@ -67,11 +59,7 @@ func (t *genTable) admit(name string, gen uint64, put func()) bool {
 	if gen > t.newest[name] {
 		t.newest[name] = gen
 	}
-	if gen != t.newest[name] {
-		return false
-	}
-	put()
-	return true
+	return gen == t.newest[name]
 }
 
 // current returns the version a live read is keyed at; ok is false when
@@ -90,50 +78,4 @@ func (t *genTable) fence(dataset string, gen uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.floor[dataset] = max(t.floor[dataset], gen)
-}
-
-// flight is one in-flight cache miss; followers block on done and reuse
-// the leader's answer when ok, if the version it names still serves them.
-type flight struct {
-	done    chan struct{}
-	answer  query.BatchAnswer
-	version uint64
-	ok      bool
-}
-
-// flightGroup collapses concurrent identical cache misses into a single
-// upstream request (the hand-rolled core of x/sync/singleflight: the
-// leader forwards, stores, then releases followers). A flight is keyed as
-// the cache is, at the version the read was keyed at; the leader puts the
-// answer in the cache before leaving the group, so by the time any
-// follower wakes the answer is cached — N concurrent identical cold reads
-// cost exactly one node round trip.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-func newFlightGroup() *flightGroup { return &flightGroup{m: make(map[string]*flight)} }
-
-// join returns the flight for key and whether the caller is its leader
-// (first joiner). The leader must call leave exactly once.
-func (g *flightGroup) join(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if fl, ok := g.m[key]; ok {
-		return fl, false
-	}
-	fl := &flight{done: make(chan struct{})}
-	g.m[key] = fl
-	return fl, true
-}
-
-// leave publishes the leader's answer and the version it names, and
-// releases every follower.
-func (g *flightGroup) leave(key string, fl *flight, answer query.BatchAnswer, version uint64, ok bool) {
-	fl.answer, fl.version, fl.ok = answer, version, ok
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(fl.done)
 }

@@ -512,85 +512,76 @@ func routedIngestsStayAligned(t *testing.T, warmUp bool) {
 	}
 }
 
-// TestRouterSingleflightCollapse proves the duplicate-suppression
-// guarantee: N concurrent identical cold reads cost the fleet exactly ONE
-// node round trip. The node-side request counters are the ground truth —
-// any request that neither joined the in-flight leader nor hit the cache
-// would show up there.
-func TestRouterSingleflightCollapse(t *testing.T) {
-	f := fleettest.New(t, fleettest.Options{
-		Nodes:  2,
-		Router: fleet.Options{Timeout: 5 * time.Second},
-	})
-	routed := f.RouterURL()
-
-	nodeRequests := func() uint64 {
-		return sumNodeMetrics(t, f, func(m server.MetricsResponse) uint64 { return m.RequestsTotal })
+// TestRouterConcurrentColdReadsAgree drills concurrent cache Lookup and
+// Put against genTable: 16 identical reads reach a cold router at once, as a
+// JSON single read and as a one-item binary batch, and every answer must be
+// bit-identical to the node's own.
+func TestRouterConcurrentColdReadsAgree(t *testing.T) {
+	frame, err := query.AppendBatch(nil, "demo/maxent", []query.BatchItem{{GroupBy: []int{1}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The oracle answer, fetched directly BEFORE the baseline is taken.
-	var direct server.QueryResponse
-	if s := postJSON(t, f.Primary().URL()+"/query", server.QueryRequest{Estimator: "demo/maxent"}, &direct); s != http.StatusOK {
-		t.Fatalf("direct query status %d", s)
+	cases := []struct {
+		name, path, contentType string
+		body                    []byte
+		decode                  func(io.Reader) ([]query.BatchAnswer, error)
+	}{
+		{"JSON /query", "/query", "application/json", mustJSON(t, server.QueryRequest{Estimator: "demo/maxent"}),
+			func(r io.Reader) ([]query.BatchAnswer, error) {
+				var got server.QueryResponse
+				err := json.NewDecoder(r).Decode(&got)
+				return []query.BatchAnswer{{Count: got.Count}}, err
+			}},
+		{"binary /query/batch", "/query/batch", server.BinaryBatchContentType, frame,
+			func(r io.Reader) ([]query.BatchAnswer, error) {
+				_, answers, err := query.DecodeAnswers(r)
+				return answers, err
+			}},
 	}
-	before := nodeRequests()
-	m0 := routerMetrics(t, routed)
-
-	const concurrent = 16
-	payload, _ := json.Marshal(server.QueryRequest{Estimator: "demo/maxent"})
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan error, concurrent)
-	for i := 0; i < concurrent; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			resp, err := http.Post(routed+"/query", "application/json", bytes.NewReader(payload))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
+			ask := func(base string) ([]query.BatchAnswer, error) {
+				resp, err := http.Post(base+tc.path, tc.contentType, bytes.NewReader(tc.body))
+				if err != nil {
+					return nil, err
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					raw, _ := io.ReadAll(resp.Body)
+					return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+				}
+				return tc.decode(resp.Body)
+			}
+			want, err := ask(f.Primary().URL())
 			if err != nil {
-				errs <- fmt.Errorf("worker %d: %v", i, err)
-				return
+				t.Fatalf("direct read: %v", err)
 			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("worker %d: status %d: %s", i, resp.StatusCode, raw)
-				return
-			}
-			var got server.QueryResponse
-			if err := json.Unmarshal(raw, &got); err != nil {
-				errs <- fmt.Errorf("worker %d: %v", i, err)
-				return
-			}
-			if math.Float64bits(got.Count) != math.Float64bits(direct.Count) {
-				errs <- fmt.Errorf("worker %d: count %v, want %v", i, got.Count, direct.Count)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
 
-	if d := nodeRequests() - before; d != 1 {
-		t.Fatalf("%d concurrent identical cold reads reached the nodes %d times, want exactly 1 (singleflight + cache must absorb the rest)", concurrent, d)
-	}
-	// The other N-1 were either collapsed onto the leader's flight or —
-	// if they arrived after the leader finished — served from the cache.
-	// Which way each one fell depends on scheduling; the sum does not.
-	m1 := routerMetrics(t, routed)
-	if m1.Cache == nil || m0.Cache == nil {
-		t.Fatal("router metrics carry no cache stats with the cache enabled")
-	}
-	collapsed := m1.Collapsed - m0.Collapsed
-	hits := m1.Cache.Hits - m0.Cache.Hits
-	if collapsed+hits != concurrent-1 {
-		t.Fatalf("collapsed %d + cache hits %d = %d, want %d — some duplicate was neither collapsed nor cached",
-			collapsed, hits, collapsed+hits, concurrent-1)
+			const concurrent = 16
+			start := make(chan struct{})
+			errs := make(chan error, concurrent)
+			var wg sync.WaitGroup
+			for i := 0; i < concurrent; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					got, err := ask(f.RouterURL())
+					if err == nil {
+						err = sameAnswers(want, got)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("worker %d: %v", i, err)
+					}
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -391,59 +390,4 @@ func TestRoutedReadsAcrossRefresh(t *testing.T) {
 		t.Errorf("the refresh did not move the full count (%v)", after[0].Count)
 	}
 	pass("refreshed, warm", false)
-}
-
-// TestRouterBatchSingleflightCollapse is the batch twin of
-// TestRouterSingleflightCollapse: 16 concurrent identical binary batches
-// of one cold item cost the fleet exactly one node request.
-func TestRouterBatchSingleflightCollapse(t *testing.T) {
-	f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
-	routed := f.RouterURL()
-	nodeRequests := func() uint64 {
-		return sumNodeMetrics(t, f, func(m server.MetricsResponse) uint64 { return m.RequestsTotal })
-	}
-	frame, err := query.AppendBatch(nil, "demo/maxent", []query.BatchItem{{GroupBy: []int{1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := postBinaryBatch(t, f.Primary().URL(), frame)
-	before, m0 := nodeRequests(), routerMetrics(t, routed)
-
-	const concurrent = 16
-	start := make(chan struct{})
-	errs := make(chan error, concurrent)
-	var wg sync.WaitGroup
-	for i := 0; i < concurrent; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			resp, err := http.Post(routed+"/query/batch", server.BinaryBatchContentType, bytes.NewReader(frame))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer resp.Body.Close()
-			_, got, err := query.DecodeAnswers(resp.Body)
-			if err == nil {
-				err = sameAnswers(want, got)
-			}
-			if err != nil {
-				errs <- fmt.Errorf("status %d: %v", resp.StatusCode, err)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if d := nodeRequests() - before; d != 1 {
-		t.Fatalf("%d concurrent identical cold batches reached the nodes %d times, want exactly 1", concurrent, d)
-	}
-	m1 := routerMetrics(t, routed)
-	if collapsed, hits := m1.Collapsed-m0.Collapsed, m1.Cache.Hits-m0.Cache.Hits; collapsed+hits != concurrent-1 {
-		t.Fatalf("collapsed %d + cache hits %d, want %d — some duplicate was neither collapsed nor cached", collapsed, hits, concurrent-1)
-	}
 }

@@ -109,19 +109,16 @@ type Router struct {
 	routes []string
 	start  time.Time
 
-	// Read-cache state (all nil when Options.CacheSize < 0): answers,
-	// the per-estimator generation table proving them fresh, and the
-	// in-flight miss collapser.
-	cache   *server.Cache
-	gens    *genTable
-	flights *flightGroup
+	// Read-cache state (both nil when Options.CacheSize < 0): answers and
+	// the per-estimator generation table proving them fresh.
+	cache *server.Cache
+	gens  *genTable
 
 	rr         atomic.Uint64
 	requests   atomic.Uint64
 	retries    atomic.Uint64
 	notifies   atomic.Uint64
 	exhausted  atomic.Uint64
-	collapsed  atomic.Uint64
 	staleSkips atomic.Uint64
 }
 
@@ -142,7 +139,6 @@ func NewRouter(nodes []NodeConfig, opts Options) (*Router, error) {
 	if opts.CacheSize > 0 {
 		rt.cache = server.NewCache(opts.CacheSize)
 		rt.gens = newGenTable()
-		rt.flights = newFlightGroup()
 	}
 	seen := make(map[string]bool, len(nodes))
 	for i, nc := range nodes {
@@ -428,7 +424,9 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 // version its response reports (genTable). One whose response reports a
 // refresh published a new snapshot version, so it triggers a sync
 // notification to every replica and the fleet converges within one round
-// trip instead of one poll interval.
+// trip instead of one poll interval. A response cut off mid-body is a 502,
+// handled as a refresh at an unknown version: no fence, but the dataset's
+// entries are dropped and the replicas notified.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -453,24 +451,32 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 
 	// Relay the response whole — MaxBodyBytes bounds request bodies only —
 	// keeping the copy that says whether the ingest refreshed.
-	bodyCopy, _ := io.ReadAll(resp.Body)
-	if v := resp.Header.Get("Content-Type"); v != "" {
-		w.Header().Set("Content-Type", v)
-	}
-	w.Header().Set(FleetNodeHeader, primary.name)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(bodyCopy)
-
 	var res server.IngestResult
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(bodyCopy, &res) != nil {
-		return
+	bodyCopy, err := io.ReadAll(resp.Body)
+	if err != nil {
+		// The primary may have applied the write: treat it as one that
+		// refreshed at a version the router cannot know.
+		writeError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: reading its response: %v; the write may have been applied", primary.name, err))
+		res = server.IngestResult{Dataset: strings.TrimPrefix(r.URL.Path, "/ingest/"), Refreshed: true}
+	} else {
+		if v := resp.Header.Get("Content-Type"); v != "" {
+			w.Header().Set("Content-Type", v)
+		}
+		w.Header().Set(FleetNodeHeader, primary.name)
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(bodyCopy)
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(bodyCopy, &res) != nil {
+			return
+		}
 	}
 	if rt.cache != nil {
 		rt.gens.fence(res.Dataset, res.Generation)
 		if res.Refreshed {
 			// The fence keeps the cache fresh; dropping the dataset's
-			// entries only reclaims LRU capacity, as a node's hot swap does.
-			// Versioned entries go too and re-warm on next touch.
+			// entries only reclaims LRU capacity, as a node's hot swap does
+			// (after a cut-off response there is no fence, and the drop is
+			// all the router can do). Versioned entries go too and re-warm
+			// on next touch.
 			rt.cache.InvalidatePrefix(res.Dataset + "/")
 		}
 	}
@@ -524,11 +530,12 @@ type FleetMetricsResponse struct {
 	Retries       uint64  `json:"retries"`
 	Exhausted     uint64  `json:"exhausted"`
 	Notifies      uint64  `json:"notifies"`
-	// Collapsed counts reads answered by joining an identical in-flight
-	// miss (singleflight): they paid no node round trip of their own.
-	Collapsed uint64 `json:"singleflight_collapsed"`
-	// StaleSkips counts node answers relayed but refused by the cache
-	// because the answering node had not yet applied a routed write.
+	// Collapsed is always 0: the router no longer collapses identical
+	// misses. It stays only because the frozen bench/ module reads it, and
+	// goes with that module's port to the live API.
+	Collapsed uint64 `json:"-"`
+	// StaleSkips counts node responses relayed but refused by the cache
+	// because the answering node lagged a routed write or a newer version.
 	StaleSkips uint64             `json:"cache_stale_skips"`
 	Cache      *server.CacheStats `json:"cache,omitempty"`
 	Nodes      []NodeStatus       `json:"nodes"`
@@ -587,7 +594,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Retries:       rt.retries.Load(),
 		Exhausted:     rt.exhausted.Load(),
 		Notifies:      rt.notifies.Load(),
-		Collapsed:     rt.collapsed.Load(),
 		StaleSkips:    rt.staleSkips.Load(),
 		Nodes:         rt.nodeStatuses(),
 	}

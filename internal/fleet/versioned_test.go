@@ -13,15 +13,16 @@ import (
 	"repro/internal/server"
 )
 
-// TestVersionedFollowerRefetchesANewerLiveAnswer: live and ?version=N reads
-// of one version share flight keys, but a live leader's node may answer at a
-// newer version than the one the read was keyed at (a background refresh the
-// router never saw). A ?version=N read that joined that flight must not take
-// the newer model's answer as v=N: it asks a node for v=N itself.
+// TestVersionedReadBesideANewerLiveAnswer: live and ?version=N reads of one
+// version share cache keys, but a live read's node may answer at a newer
+// version than the one the read was keyed at (a background refresh the
+// router never saw). A ?version=N read made while that live read is in
+// flight must get the v=N answer, and the newer answer is stored under its
+// own version only.
 //
 // The fake node answers ?version=1 at once with count 100, and a live read
 // only when released, with count 200 at version 2.
-func TestVersionedFollowerRefetchesANewerLiveAnswer(t *testing.T) {
+func TestVersionedReadBesideANewerLiveAnswer(t *testing.T) {
 	const estimator = "demo/maxent"
 	liveArrived, release := make(chan struct{}), make(chan struct{})
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -81,20 +82,19 @@ func TestVersionedFollowerRefetchesANewerLiveAnswer(t *testing.T) {
 		count, _ := ask("/query/batch")
 		liveDone <- count
 	}()
-	<-liveArrived // the live read leads the flight keyed at v1
+	<-liveArrived // the live read, keyed at v1, is held at the node
 	versionedDone := make(chan float64)
 	go func() {
 		count, _ := ask("/query/batch?version=1")
 		versionedDone <- count
 	}()
-	// The versioned read misses the cache and then joins the flight; wait
-	// for the miss, then give the join a moment before the leader leaves.
+	// The versioned read misses the cache at v1 while the live read is
+	// held; wait for that miss before the live read's v2 answer lands.
 	for deadline := time.Now().Add(5 * time.Second); rt.cache.Stats().Misses < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the ?version=1 read never looked up the cache")
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
 	close(release)
 
 	if got := <-liveDone; got != 200 {
