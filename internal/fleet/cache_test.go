@@ -512,76 +512,80 @@ func routedIngestsStayAligned(t *testing.T, warmUp bool) {
 	}
 }
 
-// TestRouterConcurrentColdReadsAgree drills concurrent cache Lookup and
-// Put against genTable: 16 identical reads reach a cold router at once, as a
-// JSON single read and as a one-item binary batch, and every answer must be
-// bit-identical to the node's own.
-func TestRouterConcurrentColdReadsAgree(t *testing.T) {
+// TestRouterSingleflightCollapse drills concurrent cache Lookup and Put
+// against genTable: 16 identical JSON single reads reach a cold router at
+// once, and every answer must be bit-identical to the node's own. The name
+// is from the router's former in-flight collapse; the router now sends each
+// request's misses in one fetch of its own.
+func TestRouterSingleflightCollapse(t *testing.T) {
+	concurrentColdReadsAgree(t, "/query", "application/json",
+		mustJSON(t, server.QueryRequest{Estimator: "demo/maxent"}),
+		func(r io.Reader) ([]query.BatchAnswer, error) {
+			var got server.QueryResponse
+			err := json.NewDecoder(r).Decode(&got)
+			return []query.BatchAnswer{{Count: got.Count}}, err
+		})
+}
+
+// TestRouterBatchSingleflightCollapse is TestRouterSingleflightCollapse over
+// a one-item binary batch.
+func TestRouterBatchSingleflightCollapse(t *testing.T) {
 	frame, err := query.AppendBatch(nil, "demo/maxent", []query.BatchItem{{GroupBy: []int{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name, path, contentType string
-		body                    []byte
-		decode                  func(io.Reader) ([]query.BatchAnswer, error)
-	}{
-		{"JSON /query", "/query", "application/json", mustJSON(t, server.QueryRequest{Estimator: "demo/maxent"}),
-			func(r io.Reader) ([]query.BatchAnswer, error) {
-				var got server.QueryResponse
-				err := json.NewDecoder(r).Decode(&got)
-				return []query.BatchAnswer{{Count: got.Count}}, err
-			}},
-		{"binary /query/batch", "/query/batch", server.BinaryBatchContentType, frame,
-			func(r io.Reader) ([]query.BatchAnswer, error) {
-				_, answers, err := query.DecodeAnswers(r)
-				return answers, err
-			}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
-			ask := func(base string) ([]query.BatchAnswer, error) {
-				resp, err := http.Post(base+tc.path, tc.contentType, bytes.NewReader(tc.body))
-				if err != nil {
-					return nil, err
-				}
-				defer resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					raw, _ := io.ReadAll(resp.Body)
-					return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-				}
-				return tc.decode(resp.Body)
-			}
-			want, err := ask(f.Primary().URL())
-			if err != nil {
-				t.Fatalf("direct read: %v", err)
-			}
-
-			const concurrent = 16
-			start := make(chan struct{})
-			errs := make(chan error, concurrent)
-			var wg sync.WaitGroup
-			for i := 0; i < concurrent; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					<-start
-					got, err := ask(f.RouterURL())
-					if err == nil {
-						err = sameAnswers(want, got)
-					}
-					if err != nil {
-						errs <- fmt.Errorf("worker %d: %v", i, err)
-					}
-				}(i)
-			}
-			close(start)
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
+	concurrentColdReadsAgree(t, "/query/batch", server.BinaryBatchContentType, frame,
+		func(r io.Reader) ([]query.BatchAnswer, error) {
+			_, answers, err := query.DecodeAnswers(r)
+			return answers, err
 		})
+}
+
+// concurrentColdReadsAgree posts body to path on a fresh 2-node fleet's
+// primary, then 16 times at once to its cold router, and fails on any routed
+// answer that differs from the direct one.
+func concurrentColdReadsAgree(t *testing.T, path, contentType string, body []byte, decode func(io.Reader) ([]query.BatchAnswer, error)) {
+	t.Helper()
+	f := fleettest.New(t, fleettest.Options{Nodes: 2, Router: fleet.Options{Timeout: 5 * time.Second}})
+	ask := func(base string) ([]query.BatchAnswer, error) {
+		resp, err := http.Post(base+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(resp.Body)
+			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+		}
+		return decode(resp.Body)
+	}
+	want, err := ask(f.Primary().URL())
+	if err != nil {
+		t.Fatalf("direct read: %v", err)
+	}
+
+	const concurrent = 16
+	start := make(chan struct{})
+	errs := make(chan error, concurrent)
+	var wg sync.WaitGroup
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got, err := ask(f.RouterURL())
+			if err == nil {
+				err = sameAnswers(want, got)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
