@@ -197,9 +197,6 @@ func main() {
 		srvOpts.SyncNotify = syncer.Notify
 	}
 	srv := server.New(reg, srvOpts)
-	if syncer != nil {
-		syncer.AttachCache(srv.Cache())
-	}
 	if live != nil {
 		srv.AttachLive(live)
 		log.Printf("dataset %q: live ingestion on POST /ingest/%s (refresh threshold %d rows, interval %v)",

@@ -18,7 +18,9 @@ const RouterCacheHeader = "X-Router-Cache"
 //
 //   - a routed write fences its dataset at the version its response
 //     reports (IngestResult.Generation): the floor, below which no answer
-//     holds every write the router proxied;
+//     holds every write the router proxied; a write whose response was cut
+//     off fences above every version seen of the dataset, as one that
+//     published the next version;
 //   - a live response at version v is cached, under v, only when v is at
 //     least its dataset's floor and is the newest version seen of its
 //     estimator (a lagging replica's answer is relayed, not cached);
@@ -28,7 +30,9 @@ const RouterCacheHeader = "X-Router-Cache"
 //
 // Writes that bypass the router are invisible to it (same contract as
 // /sync/notify: the router is the write path). Versioned reads never
-// consult the table — retained versions are immutable.
+// consult the table — retained versions are immutable — and no entry is
+// ever dropped for freshness: an older version's answers stay reachable by
+// a ?version= read of that version until the LRU evicts them.
 type genTable struct {
 	mu     sync.Mutex
 	newest map[string]uint64 // per estimator
@@ -78,4 +82,20 @@ func (t *genTable) fence(dataset string, gen uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.floor[dataset] = max(t.floor[dataset], gen)
+}
+
+// fenceAbove fences dataset for a routed write that may have published a
+// version the router cannot know: the floor rises above the floor and the
+// newest version seen of every estimator of the dataset, so no live read is
+// served from the cache until a node answers at a newer version.
+func (t *genTable) fenceAbove(dataset string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	gen := t.floor[dataset]
+	for name, v := range t.newest {
+		if d, _, _ := strings.Cut(name, "/"); d == dataset {
+			gen = max(gen, v)
+		}
+	}
+	t.floor[dataset] = gen + 1
 }

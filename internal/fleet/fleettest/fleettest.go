@@ -215,7 +215,6 @@ func New(t testing.TB, opts Options) *Fleet {
 			NodeName:   n.Name,
 			SyncNotify: n.Syncer.Notify,
 		})
-		n.Syncer.AttachCache(n.Server.Cache())
 		ctx, cancel := context.WithCancel(context.Background())
 		n.cancel = cancel
 		go n.Syncer.Run(ctx)

@@ -425,8 +425,9 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 // refresh published a new snapshot version, so it triggers a sync
 // notification to every replica and the fleet converges within one round
 // trip instead of one poll interval. A response cut off mid-body is a 502,
-// handled as a refresh at an unknown version: no fence, but the dataset's
-// entries are dropped and the replicas notified.
+// handled as a refresh at a version the router cannot know: the dataset is
+// fenced above every version seen of it, and the replicas are notified.
+// No cached entry is dropped: every key names the version that answered.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -451,34 +452,28 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 
 	// Relay the response whole — MaxBodyBytes bounds request bodies only —
 	// keeping the copy that says whether the ingest refreshed.
-	var res server.IngestResult
 	bodyCopy, err := io.ReadAll(resp.Body)
 	if err != nil {
-		// The primary may have applied the write: treat it as one that
-		// refreshed at a version the router cannot know.
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: reading its response: %v; the write may have been applied", primary.name, err))
-		res = server.IngestResult{Dataset: strings.TrimPrefix(r.URL.Path, "/ingest/"), Refreshed: true}
-	} else {
-		if v := resp.Header.Get("Content-Type"); v != "" {
-			w.Header().Set("Content-Type", v)
+		dataset := strings.TrimPrefix(r.URL.Path, "/ingest/")
+		if rt.cache != nil {
+			rt.gens.fenceAbove(dataset)
 		}
-		w.Header().Set(FleetNodeHeader, primary.name)
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(bodyCopy)
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(bodyCopy, &res) != nil {
-			return
-		}
+		rt.notifyReplicas(r.Context(), dataset)
+		return
+	}
+	if v := resp.Header.Get("Content-Type"); v != "" {
+		w.Header().Set("Content-Type", v)
+	}
+	w.Header().Set(FleetNodeHeader, primary.name)
+	w.WriteHeader(resp.StatusCode)
+	_, _ = w.Write(bodyCopy)
+	var res server.IngestResult
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(bodyCopy, &res) != nil {
+		return
 	}
 	if rt.cache != nil {
 		rt.gens.fence(res.Dataset, res.Generation)
-		if res.Refreshed {
-			// The fence keeps the cache fresh; dropping the dataset's
-			// entries only reclaims LRU capacity, as a node's hot swap does
-			// (after a cut-off response there is no fence, and the drop is
-			// all the router can do). Versioned entries go too and re-warm
-			// on next touch.
-			rt.cache.InvalidatePrefix(res.Dataset + "/")
-		}
 	}
 	if res.Refreshed {
 		rt.notifyReplicas(r.Context(), res.Dataset)

@@ -42,7 +42,6 @@ type Syncer struct {
 	opts   SyncerOptions
 
 	mu      sync.Mutex
-	cache   *server.Cache
 	lastErr string
 
 	wake     chan struct{}
@@ -52,12 +51,11 @@ type Syncer struct {
 }
 
 // NewSyncer builds a syncer pulling from the origin node's base URL into
-// the local store and registry. Call AttachCache before Run when the
-// serving cache should be invalidated on swaps, then run the loop:
+// the local store and registry, whose server it wakes through the notify
+// hook:
 //
 //	syncer := fleet.NewSyncer(originURL, st, reg, fleet.SyncerOptions{})
 //	srv := server.New(reg, server.Options{SyncNotify: syncer.Notify, ...})
-//	syncer.AttachCache(srv.Cache())
 //	go syncer.Run(ctx)
 func NewSyncer(origin string, st *store.Store, reg *server.Registry, opts SyncerOptions) *Syncer {
 	if opts.Interval <= 0 {
@@ -78,13 +76,10 @@ func NewSyncer(origin string, st *store.Store, reg *server.Registry, opts Syncer
 	}
 }
 
-// AttachCache hands the syncer the serving result cache so a hot swap
-// invalidates the replaced version's answers, mirroring Live.refresh.
-func (s *Syncer) AttachCache(c *server.Cache) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache = c
-}
+// AttachCache does nothing: a swap leaves the serving cache as it is, since
+// every key names the version that answered. Kept only because the frozen
+// bench/ module calls it.
+func (s *Syncer) AttachCache(*server.Cache) {}
 
 // Notify wakes the sync loop without blocking: it is the hook behind
 // POST /sync/notify (server.Options.SyncNotify). The dataset argument is
@@ -239,13 +234,10 @@ func (s *Syncer) fetchSnapshot(ctx context.Context, dataset string, version int)
 }
 
 // swapLatest serves the dataset key's newest local version: one atomic
-// register-or-swap that also fences the serving cache and records the version
-// now served — the replica-side caller of the node's one publish.
+// register-or-swap that records the version now served — the replica-side
+// caller of the node's one publish.
 func (s *Syncer) swapLatest(dataset string) error {
-	s.mu.Lock()
-	cache := s.cache
-	s.mu.Unlock()
-	if _, err := server.Adopt(s.reg, cache, s.st, dataset); err != nil {
+	if _, err := server.Adopt(s.reg, s.st, dataset); err != nil {
 		return fmt.Errorf("fleet: sync swap: %w", err)
 	}
 	return nil

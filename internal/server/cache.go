@@ -26,13 +26,12 @@ type Cache struct {
 
 // cacheShard is one independently locked LRU.
 type cacheShard struct {
-	mu            sync.Mutex
-	capacity      int
-	ll            *list.List // front = most recently used
-	items         map[string]*list.Element
-	hits, misses  uint64
-	evictions     uint64
-	invalidations uint64
+	mu           sync.Mutex
+	capacity     int
+	ll           *list.List // front = most recently used
+	items        map[string]*list.Element
+	hits, misses uint64
+	evictions    uint64
 }
 
 type cacheEntry struct {
@@ -136,12 +135,10 @@ func (c *Cache) Put(key string, val interface{}) {
 
 // InvalidatePrefix removes every entry whose key starts with prefix and
 // returns how many were dropped, fanning out across all shards (a prefix
-// spans shards — only full keys hash to a home). The serving layer calls
-// it after an estimator hot-swap to reclaim the replaced version's
-// results — correctness does not depend on it (cache keys embed the entry
-// version), it just stops dead entries from occupying LRU capacity
-// until they age out. Cost is O(total entries), acceptable at the cache
-// sizes the server runs (thousands).
+// spans shards — only full keys hash to a home). Nothing in the serving
+// path calls it: every key names the version that answered, so a swap
+// leaves nothing stale to drop, and an older version's entries age out of
+// the LRU. Kept only because the frozen bench/ module calls it.
 func (c *Cache) InvalidatePrefix(prefix string) int {
 	dropped := 0
 	for _, s := range c.shards {
@@ -151,7 +148,6 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 				s.ll.Remove(el)
 				delete(s.items, key)
 				dropped++
-				s.invalidations++
 			}
 		}
 		s.mu.Unlock()
@@ -171,13 +167,12 @@ type CacheShardStats struct {
 // CacheStats is the accounting snapshot exposed on /metrics: totals
 // aggregated across shards plus the per-shard breakdown.
 type CacheStats struct {
-	Capacity      int     `json:"capacity"`
-	Entries       int     `json:"entries"`
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	Evictions     uint64  `json:"evictions"`
-	Invalidations uint64  `json:"invalidations"`
-	HitRatio      float64 `json:"hit_ratio"`
+	Capacity  int     `json:"capacity"`
+	Entries   int     `json:"entries"`
+	Hits      uint64  `json:"hits"`
+	Misses    uint64  `json:"misses"`
+	Evictions uint64  `json:"evictions"`
+	HitRatio  float64 `json:"hit_ratio"`
 	// Shards is the per-shard breakdown, index = shard number.
 	Shards []CacheShardStats `json:"shards,omitempty"`
 }
@@ -201,7 +196,6 @@ func (c *Cache) Stats() CacheStats {
 		} else {
 			disabled = true
 		}
-		out.Invalidations += s.invalidations
 		s.mu.Unlock()
 		out.Shards[i] = ss
 		out.Entries += ss.Entries

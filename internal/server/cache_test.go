@@ -138,9 +138,6 @@ func TestCacheInvalidatePrefixFansOut(t *testing.T) {
 			t.Fatalf("unrelated key %d was dropped", i)
 		}
 	}
-	if st := c.Stats(); st.Invalidations != 64 {
-		t.Fatalf("invalidations = %d, want 64", st.Invalidations)
-	}
 }
 
 // TestCacheConcurrent hammers all operations from many goroutines; run

@@ -29,8 +29,7 @@ type DatasetOptions struct {
 }
 
 // publish makes est the model served under name. It is the only code that
-// swaps or registers a served registry entry, fences the result cache for a
-// name or saves a served model.
+// swaps or registers a served registry entry or saves a served model.
 //
 // It saves first and swaps second, so a node with a store serves only what
 // its store holds. The model's version is settled first: adopt > 0 names the
@@ -38,13 +37,14 @@ type DatasetOptions struct {
 // otherwise est is saved as its key's next version when a store is
 // configured, and a storeless node numbers it after the one it replaces.
 // Then the registry moves — Register when the name must be new (a build or a
-// restore), the atomic register-or-swap otherwise — and the replaced
-// version's cached answers go with it.
+// restore), the atomic register-or-swap otherwise. The result cache is left
+// alone: every key names the version that answered (AppendKeyPrefix), so no
+// live read meets the replaced version's answers.
 //
 // On an error nothing was published and the previous model, if any, still
 // serves; what that costs is the caller's contract: a build fails, a refresh
 // keeps its rows pending.
-func publish(reg *Registry, cache *Cache, st *store.Store, name string, est core.Estimator, sch *schema.Schema, adopt int, mustBeNew bool) (Entry, error) {
+func publish(reg *Registry, st *store.Store, name string, est core.Estimator, sch *schema.Schema, adopt int, mustBeNew bool) (Entry, error) {
 	version := adopt
 	if version == 0 && st != nil {
 		info, err := st.Save(name, est)
@@ -53,14 +53,7 @@ func publish(reg *Registry, cache *Cache, st *store.Store, name string, est core
 		}
 		version = info.Version
 	}
-	ent, err := reg.put(name, est, sch, version, mustBeNew)
-	if err != nil {
-		return Entry{}, err
-	}
-	if cache != nil {
-		cache.InvalidatePrefix(name + "\x00")
-	}
-	return ent, nil
+	return reg.put(name, est, sch, version, mustBeNew)
 }
 
 // BuildDataset builds the MaxEnt summary of one relation and registers it as
@@ -77,5 +70,5 @@ func BuildDataset(reg *Registry, dataset string, rel *relation.Relation, opts Da
 	if err != nil {
 		return Entry{}, fmt.Errorf("server: dataset %q: maxent: %w", dataset, err)
 	}
-	return publish(reg, nil, opts.Store, dataset+"/maxent", sum, rel.Schema(), 0, true)
+	return publish(reg, opts.Store, dataset+"/maxent", sum, rel.Schema(), 0, true)
 }

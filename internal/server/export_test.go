@@ -18,5 +18,5 @@ func PendingRows(l *Live) *relation.Relation {
 // Swap serves est under name at the name's next version, as a refresh on a
 // storeless node publishes it.
 func Swap(reg *Registry, name string, est core.Estimator, sch *schema.Schema) (Entry, error) {
-	return publish(reg, nil, nil, name, est, sch, 0, false)
+	return publish(reg, nil, name, est, sch, 0, false)
 }

@@ -687,7 +687,7 @@ func TestIngestReportsPublishFailureWithoutFailing(t *testing.T) {
 // TestCacheInvalidationOnSwap checks that a hot swap cannot serve cached
 // answers of the previous generation.
 func TestCacheInvalidationOnSwap(t *testing.T) {
-	ts, _, srv, live := newLiveServer(t, 2000, server.LiveOptions{
+	ts, _, _, live := newLiveServer(t, 2000, server.LiveOptions{
 		Dataset: server.DatasetOptions{Summary: summary.Options{Solver: solver.Options{MaxSweeps: 200}}},
 	})
 
@@ -725,6 +725,11 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	if cached {
 		t.Fatal("post-swap query served a cached answer from the previous generation")
 	}
+	// The swap dropped nothing, yet the previous generation's entry stays
+	// unreachable to live reads: the re-ask hits the answer just cached.
+	if again, cached := ask(); !cached || again != after {
+		t.Fatalf("post-swap re-ask: count %g (cached %t), want the post-swap %g from the cache", again, cached, after)
+	}
 	// A 1D count is a statistic the model matches, so each answer agrees
 	// with a full scan of the rows it covers.
 	for _, c := range []struct {
@@ -734,8 +739,5 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 		if want := c.truth.Count(pred); math.Abs(c.got-want) > 1 {
 			t.Fatalf("count(region=APAC) = %g over %d rows, a scan gives %g", c.got, c.truth.Relation().NumRows(), want)
 		}
-	}
-	if srv.Cache().Stats().Invalidations == 0 {
-		t.Fatal("swap did not invalidate any cache entries")
 	}
 }

@@ -54,7 +54,6 @@ type Live struct {
 	// arrival order. A refresh folds a prefix of it and cuts that prefix
 	// off; rows appended while it ran stay pending.
 	pending      *relation.Relation
-	cache        *Cache // set by Server.AttachLive; nil until then
 	servedRows   int
 	ingestedRows uint64
 	ingests      uint64
@@ -140,14 +139,6 @@ func (l *Live) Dataset() string { return l.dataset }
 // Schema returns the schema ingested rows are encoded against: the served
 // model's.
 func (l *Live) Schema() *schema.Schema { return l.sch }
-
-// attachCache hands the server's result cache to the live dataset so
-// refreshes can reclaim replaced entries.
-func (l *Live) attachCache(c *Cache) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.cache = c
-}
 
 // IngestResult is the outcome of one ingest batch (the body of a
 // successful POST /ingest/{dataset}). On a node with a store the batch
@@ -264,7 +255,6 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 	l.mu.Lock()
 	delta, _ := l.pending.Slice(0, l.pending.NumRows())
 	out := RefreshOutcome{Dataset: l.dataset, Generation: l.version()}
-	cache := l.cache
 	l.mu.Unlock()
 	if delta.NumRows() == 0 {
 		return out, nil
@@ -279,11 +269,11 @@ func (l *Live) refresh() (RefreshOutcome, error) {
 		return out, fmt.Errorf("server: dataset %q: maxent: %w", l.dataset, err)
 	}
 
-	// The publish saves the model, then swaps it in and drops the replaced
-	// version's cached answers. A failed save swaps nothing: a served model
-	// the store does not hold would be lost by a restart with the rows it
-	// folded, so they stay pending for the next refresh instead.
-	ent, err := publish(l.reg, cache, l.opts.Dataset.Store, l.dataset+"/maxent", next, l.sch, 0, false)
+	// The publish saves the model, then swaps it in. A failed save swaps
+	// nothing: a served model the store does not hold would be lost by a
+	// restart with the rows it folded, so they stay pending for the next
+	// refresh instead.
+	ent, err := publish(l.reg, l.opts.Dataset.Store, l.dataset+"/maxent", next, l.sch, 0, false)
 	if err != nil {
 		return out, err
 	}

@@ -151,7 +151,7 @@ func (m *Metrics) Snapshot(now time.Time) MetricsSnapshot {
 		lat[i] = m.ring[i].Load()
 	}
 
-	if up := now.Sub(m.start).Seconds(); up > 0 {
+	if up := m.uptime(now); up > 0 {
 		s.UptimeSeconds = up
 		s.QPS = float64(s.RequestsTotal) / up
 	}
@@ -162,6 +162,13 @@ func (m *Metrics) Snapshot(now time.Time) MetricsSnapshot {
 		s.LatencyMaxNS = lat[len(lat)-1]
 	}
 	return s
+}
+
+// uptime returns the seconds since the accumulator's anchor at time now, 0
+// before it. It is what /healthz reports, without a Snapshot's copy and sort
+// of the latency window.
+func (m *Metrics) uptime(now time.Time) float64 {
+	return max(now.Sub(m.start).Seconds(), 0)
 }
 
 // quantile returns the nearest-rank q-quantile of the sorted samples.

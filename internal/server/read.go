@@ -152,10 +152,12 @@ func checkShape(ent Entry, it query.BatchItem) *httpError {
 // other half.
 //
 // A version names one model on every node, so the key says exactly which
-// model an answer came from: answers cached before a hot swap can never be
-// served afterwards — even if an in-flight query of the old version stores
-// its result after the swap's explicit invalidation ran — and a live read
-// and a ?version=N read of the same version share their cached answers.
+// model an answer came from, and it is the whole freshness rule: a live read
+// after a hot swap keys at the new version and never meets an answer cached
+// before it — even one an in-flight query of the old version stores after
+// the swap — while a ?version=N read of the replaced version still does, and
+// a live read and a ?version=N read of the same version share their cached
+// answers. No swap drops an entry.
 func AppendKeyPrefix(dst []byte, estimator string, version uint64) []byte {
 	dst = append(dst, estimator...)
 	dst = append(dst, 0)

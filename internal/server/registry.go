@@ -91,9 +91,9 @@ func (r *Registry) put(name string, est core.Estimator, sch *schema.Schema, vers
 }
 
 // Unregister removes a named estimator and reports whether it was
-// present. Serving code never unregisters; it exists for startup
-// reconciliation (dropping a partial snapshot restore before a rebuild
-// re-registers the full strategy set).
+// present. The name's version count goes with it: a name registered again
+// afterwards restarts at version 1. Nothing but the frozen bench/ module
+// calls it.
 func (r *Registry) Unregister(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -143,11 +143,9 @@ func (s *Server) Routes() []string {
 	return out
 }
 
-// AttachLive enables POST /ingest/{dataset} for a live dataset and hands
-// it the server's result cache so refreshes reclaim replaced entries.
+// AttachLive enables POST /ingest/{dataset} for a live dataset.
 // Attaching may happen before or after serving starts.
 func (s *Server) AttachLive(l *Live) {
-	l.attachCache(s.cache)
 	s.livesMu.Lock()
 	s.lives[l.Dataset()] = l
 	s.livesMu.Unlock()
@@ -294,9 +292,9 @@ type errorResponse struct {
 // EstimatorGenerationHeader is the response header on /query, /groupby, and
 // /query/batch carrying the version of the live registry entry that
 // answered (Entry.Version). Time-travel answers (version > 0) omit it — the
-// client named their version. The fleet router's read cache stamps its
-// entries with this header, so a routed ingest hot swap invalidates router
-// entries exactly like node-local ones.
+// client named their version. The fleet router's read cache keys its
+// entries by this header, so a hot swap moves router reads to the new
+// version exactly as it moves node-local ones.
 const EstimatorGenerationHeader = "X-Estimator-Generation"
 
 // --- handlers ---------------------------------------------------------
@@ -386,10 +384,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
 		return
 	}
-	snap := s.metrics.Snapshot(s.opts.Now())
 	resp := map[string]interface{}{
 		"status":         "ok",
-		"uptime_seconds": snap.UptimeSeconds,
+		"uptime_seconds": s.metrics.uptime(s.opts.Now()),
 		"estimators":     s.reg.Len(),
 	}
 	if s.opts.NodeName != "" {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -375,6 +376,45 @@ func TestEstimatorsAndHealthz(t *testing.T) {
 	}
 	if n, ok := h["estimators"].(float64); !ok || int(n) != reg.Len() {
 		t.Fatalf("healthz estimators = %v, want %d", h["estimators"], reg.Len())
+	}
+}
+
+// TestHealthzSkipsTheLatencyWindow: a liveness probe reports the uptime
+// without the copy and sort of the latency window that /metrics summarises,
+// so with the window full (8,192 served requests, a 64 KiB copy) one
+// /healthz call still allocates under 4 KiB.
+func TestHealthzSkipsTheLatencyWindow(t *testing.T) {
+	_, _, srv := newTestServer(t, server.Options{})
+	h := srv.Handler()
+	for i := 0; i < 8192; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"estimator":"demo/maxent"}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	const probes = 32
+	recs := make([]*httptest.ResponseRecorder, probes)
+	reqs := make([]*http.Request, probes)
+	for i := range recs {
+		recs[i], reqs[i] = httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range recs {
+		h.ServeHTTP(recs[i], reqs[i])
+	}
+	runtime.ReadMemStats(&after)
+	var health struct {
+		Status string   `json:"status"`
+		Uptime *float64 `json:"uptime_seconds"`
+	}
+	if recs[0].Code != http.StatusOK || json.Unmarshal(recs[0].Body.Bytes(), &health) != nil ||
+		health.Status != "ok" || health.Uptime == nil || *health.Uptime <= 0 {
+		t.Fatalf("healthz: status %d: %s", recs[0].Code, recs[0].Body)
+	}
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / probes; perCall >= 4096 {
+		t.Fatalf("one /healthz call allocates %d bytes, want under 4096", perCall)
 	}
 }
 

@@ -38,7 +38,7 @@ func RestoreStore(reg *Registry, st *store.Store) (names []string, problems []Re
 		return nil, nil, err
 	}
 	for _, man := range manifests {
-		if _, err := adopt(reg, nil, st, man.Dataset, true); err != nil {
+		if _, err := adopt(reg, st, man.Dataset, true); err != nil {
 			problems = append(problems, RestoreProblem{man.Dataset, err})
 			continue
 		}
@@ -50,15 +50,14 @@ func RestoreStore(reg *Registry, st *store.Store) (names []string, problems []Re
 // Adopt serves the newest version the local store holds of key: it loads the
 // snapshot and publishes it as already persisted, registering the name or
 // hot-swapping it in one atomic step. It is what a replica does with a
-// version it imported (fleet.Syncer); cache is the serving result cache to
-// fence, nil when nothing serves yet.
-func Adopt(reg *Registry, cache *Cache, st *store.Store, key string) (Entry, error) {
-	return adopt(reg, cache, st, key, false)
+// version it imported (fleet.Syncer).
+func Adopt(reg *Registry, st *store.Store, key string) (Entry, error) {
+	return adopt(reg, st, key, false)
 }
 
 // adopt is Adopt, or with mustBeNew the cold-start restore that refuses to
 // replace a served entry.
-func adopt(reg *Registry, cache *Cache, st *store.Store, key string, mustBeNew bool) (Entry, error) {
+func adopt(reg *Registry, st *store.Store, key string, mustBeNew bool) (Entry, error) {
 	est, info, err := st.Load(key, 0)
 	if err != nil {
 		return Entry{}, err
@@ -67,7 +66,7 @@ func adopt(reg *Registry, cache *Cache, st *store.Store, key string, mustBeNew b
 	if !ok {
 		return Entry{}, fmt.Errorf("server: adopt %q (v%d): estimator %T carries no schema", key, info.Version, est)
 	}
-	ent, err := publish(reg, cache, st, key, est, sc.Schema(), info.Version, mustBeNew)
+	ent, err := publish(reg, st, key, est, sc.Schema(), info.Version, mustBeNew)
 	if err != nil {
 		return ent, fmt.Errorf("server: adopt %q (v%d): %w", key, info.Version, err)
 	}

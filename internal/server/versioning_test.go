@@ -243,6 +243,81 @@ func TestLiveAndVersionedReadsShareCache(t *testing.T) {
 	}
 }
 
+// TestSwapKeepsTheReplacedVersionsAnswers: a swap drops no cached answer.
+// A count and a two-attribute group-by cached by live reads at v1 are, after
+// a refresh to v2, still served from the cache to ?version=1 reads,
+// bit-identical to what v1 answered, while the live reads answer v2 afresh:
+// the key alone keeps the two versions apart.
+func TestSwapKeepsTheReplacedVersionsAnswers(t *testing.T) {
+	ts, _, live := newVersionedServer(t, 2000, 0, server.Options{})
+	count := server.QueryRequest{Estimator: "demo/maxent", Predicate: query.NewPredicate(4).WhereEq(0, 2)}
+	groupBy := server.GroupByRequest{Estimator: "demo/maxent", GroupBy: []int{0, 1}}
+	type answer struct {
+		count  float64
+		groups []server.GroupRow
+		cached bool
+		gen    string // X-Estimator-Generation, set on live reads only
+	}
+	ask := func(query string) answer {
+		t.Helper()
+		var a answer
+		resp, body := postJSON(t, ts.URL+"/query"+query, count)
+		var qr server.QueryResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &qr) != nil {
+			t.Fatalf("POST /query%s: %d %s", query, resp.StatusCode, body)
+		}
+		a.count, a.cached, a.gen = qr.Count, qr.Cached, resp.Header.Get(server.EstimatorGenerationHeader)
+		resp, body = postJSON(t, ts.URL+"/groupby"+query, groupBy)
+		var gr server.GroupByResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &gr) != nil {
+			t.Fatalf("POST /groupby%s: %d %s", query, resp.StatusCode, body)
+		}
+		if gr.Cached != a.cached || resp.Header.Get(server.EstimatorGenerationHeader) != a.gen {
+			t.Fatalf("%q: the count (cached %t, generation %q) and the group-by (cached %t, generation %q) disagree",
+				query, a.cached, a.gen, gr.Cached, resp.Header.Get(server.EstimatorGenerationHeader))
+		}
+		a.groups = gr.Groups
+		return a
+	}
+	same := func(a, b answer) bool {
+		if math.Float64bits(a.count) != math.Float64bits(b.count) || len(a.groups) != len(b.groups) {
+			return false
+		}
+		for i := range a.groups {
+			if !reflect.DeepEqual(a.groups[i].Values, b.groups[i].Values) ||
+				math.Float64bits(a.groups[i].Estimate) != math.Float64bits(b.groups[i].Estimate) {
+				return false
+			}
+		}
+		return true
+	}
+
+	v1 := ask("")
+	if v1.cached || v1.gen != "1" {
+		t.Fatalf("first live reads: cached %t at generation %q, want misses at 1", v1.cached, v1.gen)
+	}
+	if _, err := live.Ingest(syntheticRows(300, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := live.Refresh(); err != nil || out.Generation != 2 {
+		t.Fatalf("refresh: %+v, %v; want generation 2", out, err)
+	}
+
+	if old := ask("?version=1"); !old.cached || !same(old, v1) {
+		t.Fatalf("?version=1 reads after the swap: cached %t, same answers %t; want the v1 entries, bit-identical",
+			old.cached, same(old, v1))
+	}
+	for i := 0; i < 2; i++ {
+		v2 := ask("")
+		if v2.gen != "2" || v2.cached != (i == 1) {
+			t.Fatalf("live read %d after the swap: cached %t at generation %q, want generation 2 (cached the second time)", i, v2.cached, v2.gen)
+		}
+		if math.Float64bits(v2.count) == math.Float64bits(v1.count) || same(v2, v1) {
+			t.Fatalf("live read %d after the swap returned v1's answer", i)
+		}
+	}
+}
+
 // TestVersionedBatchOverHTTP drives /query/batch at a snapshot version both
 // ways a batch can name one (a binary v2 frame, and a v1 frame under a
 // ?version=N URL override) and checks agreement with the in-process restore.

@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -90,10 +92,11 @@ func encoded(t *testing.T, est core.Estimator) []byte {
 
 // TestPublishIsTheOneWriter walks one dataset through every way a model
 // becomes the served one — build, refresh, restore, and a replica's adoption
-// of an imported version — and checks after each that the entry's version,
-// the store's newest version and the cache entries dropped
-// are what that path promises. The entry's version is the store version on
-// every path, a restart's restore included.
+// of an imported version — and checks after each that the entry's version
+// and the store's newest version are what that path promises, and that no
+// live read is answered from the replaced version's cached answers. The
+// entry's version is the store version on every path, a restart's restore
+// included.
 func TestPublishIsTheOneWriter(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -112,13 +115,20 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// warm caches n distinct answers of the estimator at base.
-	warm := func(base, estimator string, n int) {
+	// warm caches n distinct answers of demo/maxent at base, or with want > 0
+	// checks that a live read of each answers version want afresh: the
+	// answer cached before the swap is unreachable.
+	warm := func(base string, n, want int) {
 		t.Helper()
 		for v := 0; v < n; v++ {
 			pred := query.NewPredicate(4).WhereEq(3, v)
-			if resp, body := postJSON(t, base+"/query", server.QueryRequest{Estimator: estimator, Predicate: pred}); resp.StatusCode != http.StatusOK {
-				t.Fatalf("warm %s: %d %s", estimator, resp.StatusCode, body)
+			resp, body := postJSON(t, base+"/query", server.QueryRequest{Estimator: "demo/maxent", Predicate: pred})
+			var qr server.QueryResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &qr) != nil {
+				t.Fatalf("read %d at %s: %d %s", v, base, resp.StatusCode, body)
+			}
+			if gen := resp.Header.Get(server.EstimatorGenerationHeader); want > 0 && (qr.Cached || gen != strconv.Itoa(want)) {
+				t.Errorf("read %d at %s: cached %t at generation %q, want a miss at %d", v, base, qr.Cached, gen, want)
 			}
 		}
 	}
@@ -165,21 +175,21 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 	restored := server.NewRegistry()
 
 	for _, step := range []struct {
-		name    string
-		do      func()
-		reg     *server.Registry
-		st      *store.Store
-		cache   *server.Cache
-		dropped uint64 // cache entries the step invalidates
-		want    map[string]state
+		name   string
+		do     func()
+		reg    *server.Registry
+		st     *store.Store
+		base   string // the node serving reg
+		warmed int    // answers the step cached at base before its swap
+		want   map[string]state
 	}{
 		{name: "build", do: func() {}, // BuildLiveDataset above
-			reg: reg, st: st, cache: srv.Cache(),
+			reg: reg, st: st,
 			want: map[string]state{
 				"demo/maxent": {1, 1},
 			}},
 		{name: "refresh", do: func() {
-			warm(ts.URL, "demo/maxent", 3)
+			warm(ts.URL, 3, 0)
 			if _, err := live.Ingest(syntheticRows(300, 2)); err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +197,7 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-			reg: reg, st: st, cache: srv.Cache(), dropped: 3,
+			reg: reg, st: st, base: ts.URL, warmed: 3,
 			want: map[string]state{
 				"demo/maxent": {2, 2},
 			}},
@@ -201,36 +211,30 @@ func TestPublishIsTheOneWriter(t *testing.T) {
 			want: map[string]state{"demo/maxent": {2, 2}}},
 		{name: "sync import, first version", do: func() {
 			importVersion(1)
-			if _, err := server.Adopt(rreg, rsrv.Cache(), rst, "demo/maxent"); err != nil {
+			if _, err := server.Adopt(rreg, rst, "demo/maxent"); err != nil {
 				t.Fatal(err)
 			}
 		},
-			reg: rreg, st: rst, cache: rsrv.Cache(),
+			reg: rreg, st: rst,
 			want: map[string]state{"demo/maxent": {1, 1}}},
 		{name: "sync import, next version", do: func() {
-			warm(rts.URL, "demo/maxent", 4)
+			warm(rts.URL, 4, 0)
 			importVersion(2)
-			if _, err := server.Adopt(rreg, rsrv.Cache(), rst, "demo/maxent"); err != nil {
+			if _, err := server.Adopt(rreg, rst, "demo/maxent"); err != nil {
 				t.Fatal(err)
 			}
 		},
-			reg: rreg, st: rst, cache: rsrv.Cache(), dropped: 4,
+			reg: rreg, st: rst, base: rts.URL, warmed: 4,
 			want: map[string]state{"demo/maxent": {2, 2}}},
 	} {
-		var before uint64
-		if step.cache != nil {
-			before = step.cache.Stats().Invalidations
-		}
 		step.do()
 		for name, want := range step.want {
 			if got := observe(step.reg, step.st, name); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: %s is %+v, want %+v", step.name, name, got, want)
 			}
 		}
-		if step.cache != nil {
-			if dropped := step.cache.Stats().Invalidations - before; dropped != step.dropped {
-				t.Errorf("%s: %d cache entries invalidated, want %d", step.name, dropped, step.dropped)
-			}
+		if step.warmed > 0 {
+			warm(step.base, step.warmed, step.want["demo/maxent"].version)
 		}
 	}
 }
