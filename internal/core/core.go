@@ -7,7 +7,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/query"
 )
@@ -76,18 +76,16 @@ func (k GroupKey) Values(n int) []int {
 
 // SortGroupEstimates orders groups descending by estimate, then
 // lexicographically by values, the deterministic order every Estimator
-// returns.
+// returns. A group's Values are distinct from every other group's, so the
+// order is total and any sort gives the same answer.
 func SortGroupEstimates(groups []GroupEstimate) {
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].Estimate != groups[j].Estimate {
-			return groups[i].Estimate > groups[j].Estimate
-		}
-		a, b := groups[i].Values, groups[j].Values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+	slices.SortFunc(groups, func(a, b GroupEstimate) int {
+		if a.Estimate != b.Estimate {
+			if a.Estimate > b.Estimate {
+				return -1
 			}
+			return 1
 		}
-		return false
+		return slices.Compare(a.Values, b.Values)
 	})
 }

@@ -19,8 +19,9 @@ const RouterCacheHeader = "X-Router-Cache"
 //   - a routed write fences its dataset at the version its response
 //     reports (IngestResult.Generation): the floor, below which no answer
 //     holds every write the router proxied; a write whose response was cut
-//     off fences above every version seen of the dataset, as one that
-//     published the next version;
+//     off fences at the version the primary then reports on /estimators,
+//     or, when it cannot say, above every version seen of the dataset, as
+//     one that published the next version;
 //   - a live response at version v is cached, under v, only when v is at
 //     least its dataset's floor and is the newest version seen of its
 //     estimator (a lagging replica's answer is relayed, not cached);

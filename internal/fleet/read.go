@@ -71,17 +71,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	res.writeHeaders(w, "application/json")
-	latency := rt.opts.Now().Sub(start).Nanoseconds()
-	var out interface{} = server.QueryResponse{Estimator: req.Estimator, Version: req.Version,
-		Count: a.Count, Cached: a.Cached, LatencyNS: latency}
-	if a.IsGroup {
-		if a.Groups == nil {
-			a.Groups = []query.GroupRow{} // "groups": [], never null — as a node answers
-		}
-		out = server.GroupByResponse{Estimator: req.Estimator, Version: req.Version,
-			Groups: a.Groups, Cached: a.Cached, LatencyNS: latency}
-	}
-	_ = json.NewEncoder(w).Encode(out)
+	server.WriteJSONAnswer(w, req.Estimator, req.Version, a, rt.opts.Now().Sub(start).Nanoseconds())
 }
 
 // handleBatch is the edge codec of the binary POST /query/batch. Per-item

@@ -424,9 +424,12 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 // version its response reports (genTable). One whose response reports a
 // refresh published a new snapshot version, so it triggers a sync
 // notification to every replica and the fleet converges within one round
-// trip instead of one poll interval. A response cut off mid-body is a 502,
-// handled as a refresh at a version the router cannot know: the dataset is
-// fenced above every version seen of it, and the replicas are notified.
+// trip instead of one poll interval. A response cut off mid-body is a 502
+// after which the router asks the primary which version it serves and
+// fences the dataset there, as the whole response would have; when the
+// primary cannot say, the write is handled as a refresh at a version the
+// router cannot know: the dataset is fenced above every version seen of it.
+// Either way the replicas are notified.
 // No cached entry is dropped: every key names the version that answered.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
@@ -457,7 +460,11 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: reading its response: %v; the write may have been applied", primary.name, err))
 		dataset := strings.TrimPrefix(r.URL.Path, "/ingest/")
 		if rt.cache != nil {
-			rt.gens.fenceAbove(dataset)
+			if gen, ok := rt.primaryGeneration(r.Context(), dataset); ok {
+				rt.gens.fence(dataset, gen)
+			} else {
+				rt.gens.fenceAbove(dataset)
+			}
 		}
 		rt.notifyReplicas(r.Context(), dataset)
 		return
@@ -478,6 +485,27 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if res.Refreshed {
 		rt.notifyReplicas(r.Context(), res.Dataset)
 	}
+}
+
+// primaryGeneration asks the primary (GET /estimators) for the newest
+// version it serves of dataset's estimators, the generation a write's
+// response reports; ok is false when the primary cannot say.
+func (rt *Router) primaryGeneration(ctx context.Context, dataset string) (gen uint64, ok bool) {
+	resp, err := rt.attempt(ctx, rt.nodes[0], http.MethodGet, "/estimators", nil, nil)
+	if err != nil {
+		return 0, false
+	}
+	defer resp.Body.Close()
+	var list server.EstimatorsResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&list) != nil {
+		return 0, false
+	}
+	for _, e := range list.Estimators {
+		if d, _, _ := strings.Cut(e.Name, "/"); d == dataset {
+			gen, ok = max(gen, e.Generation), true
+		}
+	}
+	return gen, ok
 }
 
 // notifyReplicas POSTs /sync/notify to every non-primary node,

@@ -19,11 +19,14 @@ import (
 // TestRoutedWriteCutOffIsA502: a primary that declares a Content-Length,
 // writes part of its ingest result and closes the connection may have
 // applied the write, so the router cannot relay it as a 200. It answers 502
-// naming the primary, fences the dataset above every version it has seen of
-// it, as after a refresh to a version it cannot know, and notifies the
-// replicas. Live reads of the dataset then reach a node and answer what the
-// node answers until a node answers at a newer version; another dataset's
-// cached answers still serve.
+// naming the primary, asks the primary which version it serves and fences
+// the dataset there, and notifies the replicas. Here the write never
+// refreshes, so once the primary has answered, live reads of the dataset are
+// router hits again. When the primary cannot say, the router fences the
+// dataset above every version it has seen of it, as after a refresh to a
+// version it cannot know: live reads then reach a node and answer what the
+// node answers until a node answers at a newer version. Another dataset's
+// cached answers serve throughout.
 func TestRoutedWriteCutOffIsA502(t *testing.T) {
 	reg := server.NewRegistry()
 	for i, dataset := range []string{"demo", "other"} {
@@ -33,7 +36,12 @@ func TestRoutedWriteCutOffIsA502(t *testing.T) {
 		}
 	}
 	node := server.New(reg, server.Options{CacheSize: -1}).Handler()
+	var estimatorsDown atomic.Bool
 	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/estimators" && estimatorsDown.Load() {
+			http.Error(w, "down", http.StatusInternalServerError)
+			return
+		}
 		if !strings.HasPrefix(r.URL.Path, "/ingest/") {
 			node.ServeHTTP(w, r)
 			return
@@ -90,17 +98,43 @@ func TestRoutedWriteCutOffIsA502(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(router.URL+"/ingest/demo", "application/json", strings.NewReader(`{"rows":[[0,0,0,0]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(raw), "primary primary") ||
-		!strings.Contains(string(raw), "may have been applied") {
-		t.Fatalf("cut-off ingest response relayed as %d: %s; want a 502 naming the primary", resp.StatusCode, raw)
+	// cutOffWrite posts an ingest of demo through the router, which must
+	// answer 502 naming the primary and notify the replica of demo.
+	cutOffWrite := func() {
+		t.Helper()
+		notified.Store("")
+		resp, err := http.Post(router.URL+"/ingest/demo", "application/json", strings.NewReader(`{"rows":[[0,0,0,0]]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(raw), "primary primary") ||
+			!strings.Contains(string(raw), "may have been applied") {
+			t.Fatalf("cut-off ingest response relayed as %d: %s; want a 502 naming the primary", resp.StatusCode, raw)
+		}
+		if got := notified.Load(); got != "demo" {
+			t.Errorf("replica notified of %v, want demo", got)
+		}
 	}
 	direct, _ := ask(primary.URL, "demo")
+
+	// The primary says it still serves the version the router has seen.
+	cutOffWrite()
+	tags := make([]string, 2)
+	for i := range tags {
+		var got float64
+		if got, tags[i] = ask(router.URL, "demo"); got != direct {
+			t.Errorf("read %d of demo after the cut-off write: count %v, want the node's %v", i, got, direct)
+		}
+	}
+	if tags[1] != "hit" {
+		t.Errorf("reads of demo after a cut-off write the primary reports unrefreshed: X-Router-Cache %q; want a hit by the second", tags)
+	}
+
+	// The primary cannot say.
+	estimatorsDown.Store(true)
+	cutOffWrite()
 	for i := 0; i < 2; i++ {
 		if got, tag := ask(router.URL, "demo"); tag == "hit" || got != direct {
 			t.Errorf("read %d of demo after the cut-off write: count %v, X-Router-Cache %q; want the node's %v, not a hit", i, got, tag, direct)
@@ -108,8 +142,5 @@ func TestRoutedWriteCutOffIsA502(t *testing.T) {
 	}
 	if _, tag := ask(router.URL, "other"); tag != "hit" {
 		t.Error("a cached answer of another dataset stopped serving")
-	}
-	if got := notified.Load(); got != "demo" {
-		t.Errorf("replica notified of %v, want demo", got)
 	}
 }

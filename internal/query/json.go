@@ -83,8 +83,19 @@ func (p *Predicate) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("query: malformed predicate JSON: %w", err)
 	}
+	q, err := w.predicate()
+	if err != nil {
+		return err
+	}
+	*p = q
+	return nil
+}
+
+// predicate validates the wire form and converts it: the admission rule of
+// UnmarshalJSON and of DecodeJSONRead alike.
+func (w wirePredicate) predicate() (Predicate, error) {
 	if w.NumAttrs < 1 {
-		return fmt.Errorf("query: num_attrs must be >= 1, got %d", w.NumAttrs)
+		return Predicate{}, fmt.Errorf("query: num_attrs must be >= 1, got %d", w.NumAttrs)
 	}
 	// The wire admits any order; the predicate keeps attribute order, which
 	// also puts a duplicate next to its first occurrence.
@@ -99,21 +110,20 @@ func (p *Predicate) UnmarshalJSON(data []byte) error {
 	q := Predicate{numAttrs: w.NumAttrs}
 	for k, wc := range w.Where {
 		if wc.Attr < 0 || wc.Attr >= w.NumAttrs {
-			return fmt.Errorf("query: where[%d]: attribute %d out of range [0,%d)", wc.idx, wc.Attr, w.NumAttrs)
+			return Predicate{}, fmt.Errorf("query: where[%d]: attribute %d out of range [0,%d)", wc.idx, wc.Attr, w.NumAttrs)
 		}
 		if k > 0 && w.Where[k-1].Attr == wc.Attr {
-			return fmt.Errorf("query: where[%d]: duplicate constraint on attribute %d", wc.idx, wc.Attr)
+			return Predicate{}, fmt.Errorf("query: where[%d]: duplicate constraint on attribute %d", wc.idx, wc.Attr)
 		}
 		c, err := wc.constraint()
 		if err != nil {
-			return fmt.Errorf("query: where[%d]: %w", wc.idx, err)
+			return Predicate{}, fmt.Errorf("query: where[%d]: %w", wc.idx, err)
 		}
 		if !c.IsAny() {
 			q.cons = append(q.cons, attrConstraint{attr: wc.Attr, c: c})
 		}
 	}
-	*p = q
-	return nil
+	return q, nil
 }
 
 // constraint validates one wire constraint and converts it.

@@ -54,13 +54,13 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) *httpError {
 // warm-up a cached-answer frame allocates nothing — and nothing is written
 // when it cannot be assembled.
 func WriteBinaryAnswers(w http.ResponseWriter, estimator string, answers []query.BatchAnswer) error {
-	rb := respBufPool.Get().(*respBuf)
-	defer respBufPool.Put(rb)
-	frame, err := query.AppendAnswers(rb.b[:0], estimator, answers)
+	pb := bufPool.Get().(*pooledBuf)
+	defer bufPool.Put(pb)
+	frame, err := query.AppendAnswers(pb.b[:0], estimator, answers)
 	if err != nil {
 		return err
 	}
-	rb.b = frame
+	pb.b = frame
 	w.Header().Set("Content-Type", BinaryBatchContentType)
 	w.WriteHeader(http.StatusOK)
 	// Write copies the frame into the HTTP buffer, so the buffer can go
@@ -69,12 +69,13 @@ func WriteBinaryAnswers(w http.ResponseWriter, estimator string, answers []query
 	return nil
 }
 
-// respBuf wraps the pooled binary-response buffer (a pointer-shaped pool
-// entry, so Put never allocates).
-type respBuf struct{ b []byte }
+// pooledBuf wraps a pooled byte buffer (a pointer-shaped pool entry, so Put
+// never allocates).
+type pooledBuf struct{ b []byte }
 
-// respBufPool recycles binary batch response buffers across requests.
-var respBufPool = sync.Pool{New: func() interface{} { return new(respBuf) }}
+// bufPool recycles the buffers a request's JSON body is read into and a
+// response is encoded in.
+var bufPool = sync.Pool{New: func() interface{} { return new(pooledBuf) }}
 
 // countingReader counts consumed body bytes for the bytes-per-query
 // histogram (Content-Length may be absent on chunked uploads).

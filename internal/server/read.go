@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,12 +36,12 @@ func DecodeQuery(r *http.Request, body io.Reader) (ReadRequest, error) {
 	if r.Method != http.MethodPost {
 		return ReadRequest{}, errUsePostQuery
 	}
-	var req QueryRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return ReadRequest{}, badRequest("malformed request body: %v", err)
+	rd, err := decodeJSONRead(body, false)
+	if err != nil {
+		return ReadRequest{}, err
 	}
-	return resolveVersion(r, ReadRequest{Estimator: req.Estimator, Version: req.Version,
-		Items: []query.BatchItem{{Pred: req.Predicate}}})
+	return resolveVersion(r, ReadRequest{Estimator: rd.Estimator, Version: rd.Version,
+		Items: []query.BatchItem{rd.Item}})
 }
 
 // DecodeGroupBy decodes a POST /groupby request. A grouping attribute the
@@ -49,20 +51,168 @@ func DecodeGroupBy(r *http.Request, body io.Reader) (ReadRequest, error) {
 	if r.Method != http.MethodPost {
 		return ReadRequest{}, errUsePost
 	}
-	var req GroupByRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return ReadRequest{}, badRequest("malformed request body: %v", err)
+	rd, err := decodeJSONRead(body, true)
+	if err != nil {
+		return ReadRequest{}, err
 	}
-	if len(req.GroupBy) == 0 {
+	if len(rd.Item.GroupBy) == 0 {
 		// An item without grouping attributes is a count; /groupby has no
 		// such reading.
 		return ReadRequest{}, errGroupByArity(0)
 	}
-	if err := query.CheckGroupBy(req.GroupBy); err != nil {
+	if err := query.CheckGroupBy(rd.Item.GroupBy); err != nil {
 		return ReadRequest{}, badRequest("%v", err)
 	}
-	return resolveVersion(r, ReadRequest{Estimator: req.Estimator, Version: req.Version,
-		Items: []query.BatchItem{{Pred: req.Predicate, GroupBy: req.GroupBy}}})
+	return resolveVersion(r, ReadRequest{Estimator: rd.Estimator, Version: rd.Version,
+		Items: []query.BatchItem{rd.Item}})
+}
+
+// decodeJSONRead reads a JSON single read's body whole and decodes it in one
+// pass when it has the shape json.Marshal writes (query.DecodeJSONRead). Any
+// other body, and one whose read failed part way, is decoded by
+// encoding/json from the same bytes followed by the same read error: that
+// path decides what is accepted and words every refusal, as it did when it
+// read the body itself.
+func decodeJSONRead(body io.Reader, groupBy bool) (query.JSONRead, error) {
+	pb := bufPool.Get().(*pooledBuf)
+	defer bufPool.Put(pb)
+	buf := bytes.NewBuffer(pb.b[:0])
+	_, rerr := buf.ReadFrom(body)
+	data := buf.Bytes()
+	pb.b = data // nothing decoded aliases the buffer: it goes back to the pool
+	rd, ok, err := query.DecodeJSONRead(data, groupBy)
+	if !ok || rerr != nil {
+		var src io.Reader = bytes.NewReader(data)
+		if rerr != nil {
+			src = io.MultiReader(src, errReader{rerr})
+		}
+		dec := json.NewDecoder(src)
+		if groupBy {
+			var req GroupByRequest
+			err = dec.Decode(&req)
+			rd = query.JSONRead{Estimator: req.Estimator, Version: req.Version,
+				Item: query.BatchItem{Pred: req.Predicate, GroupBy: req.GroupBy}}
+		} else {
+			var req QueryRequest
+			err = dec.Decode(&req)
+			rd = query.JSONRead{Estimator: req.Estimator, Version: req.Version,
+				Item: query.BatchItem{Pred: req.Predicate}}
+		}
+	}
+	if err != nil {
+		return query.JSONRead{}, badRequest("malformed request body: %v", err)
+	}
+	return rd, nil
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// WriteJSONAnswer writes a 200 answer to a single read, POST /query or POST
+// /groupby: the one JSON encoder of the node and the router. The body is
+// appended in a pooled buffer, byte for byte what json.Encoder writes for the
+// QueryResponse or GroupByResponse, and a group-by without groups answers
+// "groups": [], never null. An answer json.Encoder would escape or refuse —
+// an estimator name outside printable ASCII or holding a character it
+// escapes, or a count that is not finite — goes through json.Encoder
+// itself.
+func WriteJSONAnswer(w http.ResponseWriter, estimator string, version int, a query.BatchAnswer, latencyNS int64) {
+	pb := bufPool.Get().(*pooledBuf)
+	defer bufPool.Put(pb)
+	body, ok := appendJSONAnswer(pb.b[:0], estimator, version, a, latencyNS)
+	pb.b = body
+	if !ok {
+		var resp interface{} = QueryResponse{Estimator: estimator, Version: version,
+			Count: a.Count, Cached: a.Cached, LatencyNS: latencyNS}
+		if a.IsGroup {
+			if a.Groups == nil {
+				a.Groups = []query.GroupRow{}
+			}
+			resp = GroupByResponse{Estimator: estimator, Version: version,
+				Groups: a.Groups, Cached: a.Cached, LatencyNS: latencyNS}
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Write copies the body into the HTTP buffer, so the buffer can go back
+	// to the pool right after.
+	_, _ = w.Write(body)
+}
+
+// appendJSONAnswer appends what json.Encoder writes for the answer's
+// response, nil groups as []; ok is false when that takes an escape or a
+// refusal this encoder does not make.
+func appendJSONAnswer(b []byte, estimator string, version int, a query.BatchAnswer, latencyNS int64) (_ []byte, ok bool) {
+	for i := 0; i < len(estimator); i++ {
+		if c := estimator[i]; c < 0x20 || c > 0x7e || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return b, false
+		}
+	}
+	b = append(b, `{"estimator":"`...)
+	b = append(b, estimator...)
+	b = append(b, '"')
+	if version != 0 {
+		b = append(b, `,"version":`...)
+		b = strconv.AppendInt(b, int64(version), 10)
+	}
+	ok = true
+	if a.IsGroup {
+		b = append(b, `,"groups":[`...)
+		for i, g := range a.Groups {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"values":`...)
+			if g.Values == nil {
+				b = append(b, "null"...)
+			} else {
+				b = append(b, '[')
+				for j, v := range g.Values {
+					if j > 0 {
+						b = append(b, ',')
+					}
+					b = strconv.AppendInt(b, int64(v), 10)
+				}
+				b = append(b, ']')
+			}
+			b = append(b, `,"estimate":`...)
+			b = appendJSONFloat(b, g.Estimate)
+			b = append(b, '}')
+			ok = ok && isFinite(g.Estimate)
+		}
+		b = append(b, ']')
+	} else {
+		b = append(b, `,"count":`...)
+		b = appendJSONFloat(b, a.Count)
+		ok = isFinite(a.Count)
+	}
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, a.Cached)
+	b = append(b, `,"latency_ns":`...)
+	b = strconv.AppendInt(b, latencyNS, 10)
+	return append(b, "}\n"...), ok
+}
+
+func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendJSONFloat formats a finite float64 as encoding/json does: the
+// shortest decimal that reads back the same, in exponent form below 1e-6
+// and from 1e21 on, with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // DecodeBatch decodes a POST /query/batch request: the binary frame of
@@ -99,6 +249,9 @@ func resolveVersion(r *http.Request, read ReadRequest) (ReadRequest, error) {
 
 // urlVersion parses the optional ?version=N parameter; -1 means absent.
 func urlVersion(r *http.Request) (int, *httpError) {
+	if r.URL.RawQuery == "" {
+		return -1, nil
+	}
 	raw := r.URL.Query().Get("version")
 	if raw == "" {
 		return -1, nil
@@ -236,16 +389,13 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 	missErrs := itemErrs
 	ctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
 	defer cancel()
-	_, herr = s.execute(ctx, func() (interface{}, error) {
+	_, herr = s.execute(ctx, w, func() (interface{}, error) {
 		for _, m := range misses {
 			it := items[m.idx]
 			var err error
 			if len(it.GroupBy) > 0 {
 				var groups []query.GroupRow
 				if groups, err = ent.Estimator.EstimateGroupBy(it.GroupBy, it.Pred); err == nil {
-					if groups == nil {
-						groups = []query.GroupRow{} // "groups": [], never null
-					}
 					s.cache.Put(m.key, groups)
 					answers[m.idx].Groups = groups
 				}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -341,22 +342,15 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, start time.
 	if itemErrs != nil {
 		return itemErrs[0]
 	}
-	a := answers[0]
-	latency := s.opts.Now().Sub(start).Nanoseconds()
-	if a.IsGroup {
-		writeJSON(w, http.StatusOK, GroupByResponse{Estimator: ent.Name, Version: req.Version,
-			Groups: a.Groups, Cached: a.Cached, LatencyNS: latency})
-	} else {
-		writeJSON(w, http.StatusOK, QueryResponse{Estimator: ent.Name, Version: req.Version,
-			Count: a.Count, Cached: a.Cached, LatencyNS: latency})
-	}
+	WriteJSONAnswer(w, ent.Name, req.Version, answers[0], s.opts.Now().Sub(start).Nanoseconds())
 	return nil
 }
 
 // finish is the shared tail of the read endpoints: it writes the request's
-// failure, if any, as a JSON error and accounts the request.
+// failure, if any and not already written, as a JSON error and accounts the
+// request.
 func (s *Server) finish(w http.ResponseWriter, start time.Time, herr *httpError) {
-	if herr != nil {
+	if herr != nil && herr != errTimedOut {
 		writeJSON(w, herr.status, errorResponse{Error: herr.msg})
 	}
 	s.metrics.Record(s.opts.Now().Sub(start), herr != nil)
@@ -472,9 +466,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	v, herr := s.execute(ctx, func() (interface{}, error) {
+	v, herr := s.execute(ctx, w, func() (interface{}, error) {
 		return live.Ingest(rows)
 	})
+	if herr == errTimedOut {
+		failed = true
+		return
+	}
 	if herr != nil {
 		status := herr.status
 		if status == http.StatusUnprocessableEntity {
@@ -549,35 +547,78 @@ func (s *Server) lookupEntry(estimator string, version int) (Entry, *httpError) 
 	return ent, nil
 }
 
-// execute runs fn on the bounded worker pool under ctx: it queues for a
-// slot, then runs fn in a goroutine so a timeout can abandon (not cancel)
-// a straggling evaluation without unbounding the pool — the slot is only
-// released once fn actually returns.
-func (s *Server) execute(ctx context.Context, fn func() (interface{}, error)) (interface{}, *httpError) {
+// execute runs fn on the calling goroutine under one of the bounded worker
+// slots: it queues for a slot (503 when ctx ends first) and holds it until
+// fn returns. A deadline or a client cancel that comes first does not wait
+// for fn: a callback on ctx writes the 504 at once, closing the connection,
+// and execute then returns errTimedOut, whose response is already written —
+// the handler writes nothing more. A straggling evaluation is abandoned,
+// not cancelled, and keeps its slot, so a timeout never unbounds the pool.
+func (s *Server) execute(ctx context.Context, w http.ResponseWriter, fn func() (interface{}, error)) (v interface{}, herr *httpError) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server saturated: timed out waiting for a worker slot"}
 	}
-	type result struct {
-		v   interface{}
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		defer func() { <-s.sem }()
-		v, err := fn()
-		done <- result{v, err}
-	}()
-	select {
-	case res := <-done:
-		if res.err != nil {
-			return nil, &httpError{status: http.StatusUnprocessableEntity, msg: res.err.Error()}
+	d := &deadline{w: w}
+	stop := context.AfterFunc(ctx, d.expire)
+	defer func() {
+		<-s.sem
+		if !stop() && d.finish() {
+			v, herr = nil, errTimedOut
 		}
-		return res.v, nil
-	case <-ctx.Done():
-		return nil, &httpError{status: http.StatusGatewayTimeout, msg: "query timed out"}
+	}()
+	v, err := fn()
+	if err != nil {
+		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
+	return v, nil
+}
+
+// errTimedOut is the outcome of a request whose 504 its deadline wrote.
+var errTimedOut = &httpError{status: http.StatusGatewayTimeout, msg: "query timed out"}
+
+// deadline writes an evaluation's 504 when its context ends first. The
+// mutex orders that write against the handler's: whichever of expire and
+// finish runs first decides who answers.
+type deadline struct {
+	mu       sync.Mutex
+	w        http.ResponseWriter
+	returned bool // the evaluation returned first: the handler answers
+	expired  bool // the 504 is written
+}
+
+// timedOutBody is what writeJSON writes for errTimedOut.
+var timedOutBody = []byte(`{"error":"query timed out"}` + "\n")
+
+func (d *deadline) expire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.returned {
+		return
+	}
+	d.expired = true
+	h := d.w.Header()
+	h.Set("Content-Type", "application/json")
+	// The handler still runs the evaluation: the connection is closed once
+	// it returns, so no client waits behind it, and the length ends the
+	// body now.
+	h.Set("Connection", "close")
+	h.Set("Content-Length", strconv.Itoa(len(timedOutBody)))
+	d.w.WriteHeader(errTimedOut.status)
+	_, _ = d.w.Write(timedOutBody)
+	if f, ok := d.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// finish reports whether the 504 was written; after it, expire writes
+// nothing.
+func (d *deadline) finish() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.returned = true
+	return d.expired
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
