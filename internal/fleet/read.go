@@ -62,7 +62,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request,
 	}
 	res, herr := rt.read(r.Context(), req)
 	if herr != nil {
-		writeError(w, herr.status, herr.msg)
+		server.WriteError(w, herr.status, herr.msg)
 		return
 	}
 	a := res.answers[0]
@@ -83,12 +83,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	res, herr := rt.read(r.Context(), req)
 	if herr != nil {
-		writeError(w, herr.status, herr.msg)
+		server.WriteError(w, herr.status, herr.msg)
 		return
 	}
 	res.writeHeaders(w, server.BinaryBatchContentType)
 	if err := server.WriteBinaryAnswers(w, req.Estimator, res.answers); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -227,9 +227,7 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		msg := strings.TrimSpace(string(b))
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e server.ErrorResponse
 		if json.Unmarshal(b, &e) == nil && e.Error != "" {
 			msg = e.Error
 		}

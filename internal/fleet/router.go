@@ -283,7 +283,7 @@ func (b *cancelBody) Close() error {
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, prefer int) {
 	resp, n, herr := rt.roundTrip(r.Context(), r.Method, requestPath(r), r.Header, body, prefer)
 	if herr != nil {
-		writeError(w, herr.status, herr.msg)
+		server.WriteError(w, herr.status, herr.msg)
 		return
 	}
 	defer resp.Body.Close()
@@ -390,16 +390,10 @@ func backoff(ctx context.Context, d time.Duration) {
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return nil, false
 	}
 	return body, true
@@ -441,7 +435,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		primary.breaker.Failure()
 		primary.failures.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: %v", primary.name, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: %v", primary.name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -457,7 +451,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// keeping the copy that says whether the ingest refreshed.
 	bodyCopy, err := io.ReadAll(resp.Body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: reading its response: %v; the write may have been applied", primary.name, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("primary %s: reading its response: %v; the write may have been applied", primary.name, err))
 		dataset := strings.TrimPrefix(r.URL.Path, "/ingest/")
 		if rt.cache != nil {
 			if gen, ok := rt.primaryGeneration(r.Context(), dataset); ok {
@@ -586,7 +580,7 @@ func (rt *Router) nodeStatuses() []NodeStatus {
 // router is up either way.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	status := "ok"
@@ -606,7 +600,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -1,5 +1,7 @@
 package query
 
+import "bytes"
+
 // JSONRead is one JSON single read as DecodeJSONRead finds it: the body of a
 // POST /query or POST /groupby, before any URL override.
 type JSONRead struct {
@@ -64,6 +66,49 @@ func DecodeJSONRead(data []byte, groupBy bool) (rd JSONRead, ok bool, err error)
 		rd.Item.Pred = &p
 	}
 	return rd, true, nil
+}
+
+var rowsKeys = []string{"rows"}
+
+// DecodeJSONRows decodes the body of an ingest, {"rows":[[int,…],…]}, in one
+// pass into one []int slab, each row a capped sub-slice of it, when every
+// row has arity values and the body has the shape DecodeJSONRead takes (the
+// one key in exact case, non-negative integers of at most 18 digits, nothing
+// after the object but whitespace). ok is false for every other body, which
+// the caller decodes with encoding/json.
+//
+// Each '[' past the rows list's opens a row, so counting them sizes the slab
+// and the row headers exactly for any body it accepts, and no row takes
+// more than arity values, so neither regrows. A row takes at least
+// 2·arity+2 bytes with its separator, so a body with more '[' than that
+// allows (nested brackets, say) is refused before anything is allocated.
+func DecodeJSONRows(data []byte, arity int) (rows [][]int, ok bool) {
+	l := jsonLexer{b: data, ok: true}
+	l.object(rowsKeys, func(int) {
+		n := bytes.Count(data, []byte{'['}) - 1
+		if n < 0 || n*(2*arity+2) > len(data) {
+			l.ok = false
+			return
+		}
+		slab := make([]int, 0, n*arity)
+		rows = make([][]int, 0, n)
+		l.list(func() {
+			l.want('[')
+			lo := len(slab)
+			// The values are read in line, not through list: a closure
+			// call per value measured slower.
+			for l.ok && len(slab)-lo < arity {
+				if len(slab) > lo {
+					l.want(',')
+				}
+				slab = append(slab, l.uint())
+			}
+			l.want(']')
+			rows = append(rows, slab[lo:len(slab):len(slab)])
+		})
+	})
+	l.space()
+	return rows, l.ok && l.i == len(data)
 }
 
 // jsonLexer reads the shape DecodeJSONRead takes. ok turns false, for good,

@@ -53,23 +53,6 @@ func (m refPredicate) unsatisfiable() bool {
 	return false
 }
 
-// selectivity multiplies in attribute order, as the slice does; the map the
-// slice replaced multiplied in iteration order, so only its value up to
-// rounding was ever specified.
-func (m refPredicate) selectivity(domains []int) float64 {
-	sel := 1.0
-	for _, a := range m.attrs() {
-		n := 0
-		for v := 0; v < domains[a]; v++ {
-			if m[a].Matches(v) {
-				n++
-			}
-		}
-		sel *= float64(n) / float64(domains[a])
-	}
-	return sel
-}
-
 // TestPredicateAgainstMapModel applies random Where sequences, in random
 // attribute order and with replacements and removals, to a Predicate and to
 // the reference map, and requires every reader and both wires to agree.
@@ -154,9 +137,6 @@ func checkAgainstModel(t *testing.T, p *Predicate, ref refPredicate, domains []i
 	}
 	if p.Unsatisfiable() != ref.unsatisfiable() {
 		t.Errorf("Unsatisfiable = %v, model %v", p.Unsatisfiable(), ref.unsatisfiable())
-	}
-	if got, want := p.Selectivity(domains), ref.selectivity(domains); got != want {
-		t.Errorf("Selectivity = %v, model %v", got, want)
 	}
 	row := make([]int, p.NumAttrs())
 	for k := 0; k < 20; k++ {

@@ -314,32 +314,3 @@ func (p *Predicate) String() string {
 	}
 	return strings.Join(parts, " ∧ ")
 }
-
-// Selectivity returns the fraction of the full cross-product tuple space
-// that satisfies the predicate, given the per-attribute domain sizes. It is
-// used by heuristics and tests, not by query answering.
-func (p *Predicate) Selectivity(domainSizes []int) float64 {
-	sel := 1.0
-	for _, ac := range p.cons {
-		c, n := ac.c, domainSizes[ac.attr]
-		if n == 0 {
-			return 0
-		}
-		var count int
-		switch c.Kind {
-		case InRange:
-			r := c.Range.Intersect(NewRange(0, n-1))
-			count = r.Len()
-		case InSet:
-			for _, v := range c.Values {
-				if v >= 0 && v < n {
-					count++
-				}
-			}
-		default:
-			count = n
-		}
-		sel *= float64(count) / float64(n)
-	}
-	return sel
-}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"sync"
@@ -72,6 +73,15 @@ func WriteBinaryAnswers(w http.ResponseWriter, estimator string, answers []query
 // pooledBuf wraps a pooled byte buffer (a pointer-shaped pool entry, so Put
 // never allocates).
 type pooledBuf struct{ b []byte }
+
+// readAll reads body whole into the buffer and returns its bytes, which stay
+// valid until the buffer goes back to the pool.
+func (pb *pooledBuf) readAll(body io.Reader) ([]byte, error) {
+	buf := bytes.NewBuffer(pb.b[:0])
+	_, err := buf.ReadFrom(body)
+	pb.b = buf.Bytes()
+	return pb.b, err
+}
 
 // bufPool recycles the buffers a request's JSON body is read into and a
 // response is encoded in.

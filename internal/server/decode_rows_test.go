@@ -71,6 +71,8 @@ var ingestBodySeeds = []string{
 	`{"rows":[[1,-0,0,3]]}`,
 	`{"rows":[[1,-1,0,3]]}`,
 	`{"rows":[[1,-,0,3]]}`,
+	`{"rows":[[999999999999999999,0,0,3]]}`,
+	`{"rows":[[1000000000000000000,0,0,3]]}`,
 	`{"rows":[[9223372036854775807,-9223372036854775808,0,3]]}`,
 	`{"rows":[[9223372036854775808,0,0,3]]}`,
 	`{"rows":[[-9223372036854775809,0,0,3]]}`,

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/exact"
 	"repro/internal/experiment"
@@ -739,5 +741,116 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 		if want := c.truth.Count(pred); math.Abs(c.got-want) > 1 {
 			t.Fatalf("count(region=APAC) = %g over %d rows, a scan gives %g", c.got, c.truth.Relation().NumRows(), want)
 		}
+	}
+}
+
+// TestIngestAdmission holds POST /ingest to the admission contract its
+// handler documents, on a node with one worker slot: an ingest that cannot
+// get the slot before its deadline is a 503 that appends nothing, and one
+// whose refresh outlives the deadline is a 504, written at the deadline with
+// Connection: close, whose rows still land in the version the refresh swaps
+// in.
+func TestIngestAdmission(t *testing.T) {
+	var armed atomic.Bool
+	held, hold := make(chan struct{}, 1), make(chan struct{})
+	reg := server.NewRegistry()
+	mut := relation.NewMutable(experiment.SyntheticRelation(2000, rand.New(rand.NewSource(1))))
+	live, _, err := server.BuildLiveDataset(reg, "demo", mut, server.LiveOptions{
+		RefreshRows: 100,
+		Dataset: server.DatasetOptions{Summary: summary.Options{Solver: solver.Options{
+			MaxSweeps: 100,
+			// Once armed, a solve (the refresh's) says so on held and
+			// blocks until hold closes.
+			Progress: func(int, float64) {
+				if armed.Load() {
+					select {
+					case held <- struct{}{}:
+					default:
+					}
+					<-hold
+				}
+			},
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := &blockingEstimator{release: make(chan struct{})}
+	if err := reg.Register("slow/blocking", blk, experiment.SyntheticSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 80 * time.Millisecond
+	srv := server.New(reg, server.Options{Timeout: timeout, MaxConcurrent: 1, CacheSize: -1})
+	srv.AttachLive(live)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var releaseBlk, releaseHold sync.Once
+	defer releaseBlk.Do(func() { close(blk.release) })
+	defer releaseHold.Do(func() { close(hold) })
+
+	// post sends one request on a client of its own, so on a connection of
+	// its own; the client's timeout turns a 504 that waits for the
+	// evaluation into a failure instead of a hang.
+	post := func(path string, body []byte) (*http.Response, string, time.Duration) {
+		t.Helper()
+		c := &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
+		defer c.CloseIdleConnections()
+		start := time.Now()
+		resp, err := c.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(b), time.Since(start)
+	}
+	ingestBody := func(n int) []byte {
+		b, err := json.Marshal(server.IngestRequest{Rows: syntheticRows(n, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	const timedOut = "{\"error\":\"query timed out\"}\n"
+
+	// A read whose estimator blocks answers 504 at its deadline and keeps
+	// the slot until the estimator returns.
+	if resp, body, _ := post("/query", []byte(`{"estimator":"slow/blocking"}`)); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("blocking read: %d %q; want 504", resp.StatusCode, body)
+	}
+	before := live.Status()
+	if resp, body, _ := post("/ingest/demo", ingestBody(10)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest while the slot is held: %d %q; want 503", resp.StatusCode, body)
+	}
+	if after := live.Status(); after.TotalRows != before.TotalRows || after.PendingRows != before.PendingRows ||
+		after.Ingests != before.Ingests {
+		t.Fatalf("a refused ingest moved the dataset: %+v, before %+v", after, before)
+	}
+	releaseBlk.Do(func() { close(blk.release) })
+
+	armed.Store(true)
+	resp, body, took := post("/ingest/demo", ingestBody(100))
+	if resp.StatusCode != http.StatusGatewayTimeout || body != timedOut {
+		t.Fatalf("ingest whose refresh blocks: %d %q; want the 504", resp.StatusCode, body)
+	}
+	if !resp.Close {
+		t.Error("the ingest's 504 keeps its connection open: no Connection: close")
+	}
+	if took > timeout+time.Second {
+		t.Errorf("the ingest's 504 took %v, deadline %v", took, timeout)
+	}
+	<-held
+	if st := live.Status(); st.Refreshes != 0 || st.PendingRows != 100 {
+		t.Fatalf("while the refresh is held: %d refreshes, %d pending rows; want 0 and 100", st.Refreshes, st.PendingRows)
+	}
+	releaseHold.Do(func() { close(hold) })
+	ts.Close() // returns once the abandoned ingest's handler has
+	st := live.Status()
+	if st.Refreshes != 1 || st.PendingRows != 0 || st.TotalRows != before.TotalRows+100 || st.Generation != before.Generation+1 {
+		t.Fatalf("after the refresh: %+v; want 1 refresh, 0 pending, %d rows at generation %d",
+			st, before.TotalRows+100, before.Generation+1)
 	}
 }

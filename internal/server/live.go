@@ -1,16 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -341,14 +340,14 @@ func (l *Live) Status() LiveStatus {
 // whitespace after it is refused.
 //
 // The shape every client sends, {"rows":[[int,…],…]} with JSON whitespace
-// anywhere, is parsed in one pass into one []int slab, each row a capped
-// sub-slice of it. Any other body — another key or key case, a duplicate
-// key, null, a string, a float or exponent, a leading zero, an
-// overflowing integer, deeper nesting, or an arity mismatch — is decoded
-// again by encoding/json, which stays the reference: it decides what is
-// accepted and words every error.
+// anywhere, is parsed in one pass by query.DecodeJSONRows, the lexer of the
+// read path. Any other body — another key or key case, a duplicate key,
+// null, a string, a negative number, a float or exponent, a leading zero,
+// an integer of 19 digits or more, deeper nesting, or an arity mismatch —
+// is decoded again by encoding/json, which stays the reference: it decides
+// what is accepted and words every error.
 func DecodeJSONRows(sch *schema.Schema, body []byte) ([][]int, error) {
-	if rows, ok := decodeRowsFast(body, sch.NumAttrs()); ok {
+	if rows, ok := query.DecodeJSONRows(body, sch.NumAttrs()); ok {
 		return rows, nil
 	}
 	var req IngestRequest
@@ -366,132 +365,16 @@ func DecodeJSONRows(sch *schema.Schema, body []byte) ([][]int, error) {
 	return req.Rows, nil
 }
 
-// decodeRowsFast parses {"rows":[[int,…],…]} whose every row has arity
-// values, or reports false for DecodeJSONRows to fall back on. Each '['
-// past the outer one opens a row, so counting them sizes the slab and the
-// row headers exactly for any body it accepts, and no row takes more than
-// arity values, so neither regrows. A row takes at least 2·arity+2 bytes
-// with its separator, so a body with more '[' than that allows (nested
-// brackets, say) is not this shape and allocates nothing.
-func decodeRowsFast(body []byte, arity int) ([][]int, bool) {
-	p := rowsParser{b: body}
-	if !p.literal("{") || !p.literal(`"rows"`) || !p.literal(":") || !p.literal("[") {
-		return nil, false
+// decodeJSONIngest reads a JSON ingest body whole into a pooled buffer and
+// decodes its rows, which never alias the buffer.
+func decodeJSONIngest(sch *schema.Schema, body io.Reader) ([][]int, error) {
+	pb := bufPool.Get().(*pooledBuf)
+	defer bufPool.Put(pb)
+	data, err := pb.readAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("malformed request body: %v", err)
 	}
-	n := bytes.Count(body, []byte{'['}) - 1
-	if n*(2*arity+2) > len(body) {
-		return nil, false
-	}
-	slab := make([]int, 0, n*arity)
-	rows := make([][]int, 0, n)
-	for sep := p.open(); sep != ']'; sep = p.sep() {
-		if sep == 0 || !p.literal("[") {
-			return nil, false
-		}
-		lo := len(slab)
-		for vsep := p.open(); vsep != ']'; vsep = p.sep() {
-			if vsep == 0 || len(slab)-lo == arity {
-				return nil, false
-			}
-			v, ok := p.int()
-			if !ok {
-				return nil, false
-			}
-			slab = append(slab, v)
-		}
-		if len(slab)-lo != arity {
-			return nil, false
-		}
-		rows = append(rows, slab[lo:len(slab):len(slab)])
-	}
-	if !p.literal("}") {
-		return nil, false
-	}
-	p.skipSpace()
-	return rows, p.i == len(body)
-}
-
-// rowsParser is decodeRowsFast's cursor over the body.
-type rowsParser struct {
-	b []byte
-	i int
-}
-
-// skipSpace advances past JSON whitespace and returns the next byte, or 0
-// at the end of the body.
-func (p *rowsParser) skipSpace() byte {
-	for ; p.i < len(p.b); p.i++ {
-		switch c := p.b[p.i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return c
-		}
-	}
-	return 0
-}
-
-// literal consumes one token, s, after any whitespace.
-func (p *rowsParser) literal(s string) bool {
-	p.skipSpace()
-	if !bytes.HasPrefix(p.b[p.i:], []byte(s)) {
-		return false
-	}
-	p.i += len(s)
-	return true
-}
-
-// open starts an array's elements just past its '[': it consumes the ']'
-// of an empty array and returns it, and otherwise returns ',' as if a
-// separator preceded the first element.
-func (p *rowsParser) open() byte {
-	if p.skipSpace() == ']' {
-		p.i++
-		return ']'
-	}
-	return ','
-}
-
-// sep consumes the separator after an array element and returns it: ','
-// (another element follows) or ']' (the array closed); anything else is 0.
-func (p *rowsParser) sep() byte {
-	switch c := p.skipSpace(); c {
-	case ',', ']':
-		p.i++
-		return c
-	}
-	return 0
-}
-
-// int parses an optionally negative JSON integer without fraction or
-// exponent that fits in an int.
-func (p *rowsParser) int() (int, bool) {
-	p.skipSpace()
-	b, i := p.b, p.i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	start := i
-	var u uint64
-	for ; i < len(b); i++ {
-		d := uint64(b[i]) - '0'
-		if d > 9 {
-			break
-		}
-		u = u*10 + d // 19 digits cannot wrap a uint64
-	}
-	p.i = i
-	limit := uint64(math.MaxInt)
-	if neg {
-		limit++
-	}
-	switch digits := i - start; {
-	case digits == 0, digits > 19, u > limit, digits > 1 && b[start] == '0':
-		return 0, false
-	case neg:
-		return int(-u), true // -u wraps to -(MaxInt+1) exactly at the limit
-	}
-	return int(u), true
+	return DecodeJSONRows(sch, data)
 }
 
 // DecodeCSVRows reads raw CSV rows (no header) and encodes them against

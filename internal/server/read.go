@@ -75,11 +75,8 @@ func DecodeGroupBy(r *http.Request, body io.Reader) (ReadRequest, error) {
 // read the body itself.
 func decodeJSONRead(body io.Reader, groupBy bool) (query.JSONRead, error) {
 	pb := bufPool.Get().(*pooledBuf)
-	defer bufPool.Put(pb)
-	buf := bytes.NewBuffer(pb.b[:0])
-	_, rerr := buf.ReadFrom(body)
-	data := buf.Bytes()
-	pb.b = data // nothing decoded aliases the buffer: it goes back to the pool
+	defer bufPool.Put(pb) // nothing decoded aliases the buffer
+	data, rerr := pb.readAll(body)
 	rd, ok, err := query.DecodeJSONRead(data, groupBy)
 	if !ok || rerr != nil {
 		var src io.Reader = bytes.NewReader(data)
@@ -387,9 +384,7 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 	// The closure assigns missErrs, which moves it to the heap: it is a
 	// variable of its own so that the all-hit return above does not pay.
 	missErrs := itemErrs
-	ctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
-	defer cancel()
-	_, herr = s.execute(ctx, w, func() (interface{}, error) {
+	herr = s.execute(ctx, w, func() error {
 		for _, m := range misses {
 			it := items[m.idx]
 			var err error
@@ -411,7 +406,7 @@ func (s *Server) read(ctx context.Context, w http.ResponseWriter, req ReadReques
 					&httpError{status: http.StatusUnprocessableEntity, msg: err.Error()})
 			}
 		}
-		return nil, nil
+		return nil
 	})
 	if herr != nil {
 		return ent, nil, nil, herr

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -285,9 +284,15 @@ type MetricsResponse struct {
 	History *HistoryStats `json:"history,omitempty"`
 }
 
-// errorResponse is the body of every non-2xx response.
-type errorResponse struct {
+// ErrorResponse is the body of every non-2xx response of a node and of the
+// fleet router.
+type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// WriteError writes a non-2xx response with its ErrorResponse body.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
 // EstimatorGenerationHeader is the response header on /query, /groupby, and
@@ -351,7 +356,7 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, start time.
 // request.
 func (s *Server) finish(w http.ResponseWriter, start time.Time, herr *httpError) {
 	if herr != nil && herr != errTimedOut {
-		writeJSON(w, herr.status, errorResponse{Error: herr.msg})
+		WriteError(w, herr.status, herr.msg)
 	}
 	s.metrics.Record(s.opts.Now().Sub(start), herr != nil)
 }
@@ -367,7 +372,7 @@ func asHTTPError(err error) *httpError {
 
 func (s *Server) handleEstimators(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	writeJSON(w, http.StatusOK, EstimatorsResponse{Estimators: s.estimatorInfos()})
@@ -375,7 +380,7 @@ func (s *Server) handleEstimators(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	resp := map[string]interface{}{
@@ -391,7 +396,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	resp := MetricsResponse{
@@ -422,7 +427,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.metrics.Record(s.opts.Now().Sub(start), failed) }()
 	fail := func(status int, msg string) {
 		failed = true
-		writeJSON(w, status, errorResponse{Error: msg})
+		WriteError(w, status, msg)
 	}
 	if r.Method != http.MethodPost {
 		fail(http.StatusMethodNotAllowed, "use POST")
@@ -446,14 +451,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
 		rows, err = DecodeCSVRows(sch, body)
 	} else {
-		// Presized from Content-Length (bounded by the body limit), the
-		// buffer takes a whole batch without regrowing.
-		buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.opts.MaxBodyBytes)+bytes.MinRead))
-		if _, err = buf.ReadFrom(body); err != nil {
-			err = fmt.Errorf("malformed request body: %v", err)
-		} else {
-			rows, err = DecodeJSONRows(sch, buf.Bytes())
-		}
+		rows, err = decodeJSONIngest(sch, body)
 	}
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
@@ -464,10 +462,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-	defer cancel()
-	v, herr := s.execute(ctx, w, func() (interface{}, error) {
-		return live.Ingest(rows)
+	var res IngestResult
+	herr := s.execute(r.Context(), w, func() (err error) {
+		res, err = live.Ingest(rows)
+		return err
 	})
 	if herr == errTimedOut {
 		failed = true
@@ -485,7 +483,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		fail(status, herr.msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, v.(IngestResult))
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) estimatorInfos() []EstimatorInfo {
@@ -548,31 +546,36 @@ func (s *Server) lookupEntry(estimator string, version int) (Entry, *httpError) 
 }
 
 // execute runs fn on the calling goroutine under one of the bounded worker
-// slots: it queues for a slot (503 when ctx ends first) and holds it until
-// fn returns. A deadline or a client cancel that comes first does not wait
-// for fn: a callback on ctx writes the 504 at once, closing the connection,
-// and execute then returns errTimedOut, whose response is already written —
-// the handler writes nothing more. A straggling evaluation is abandoned,
-// not cancelled, and keeps its slot, so a timeout never unbounds the pool.
-func (s *Server) execute(ctx context.Context, w http.ResponseWriter, fn func() (interface{}, error)) (v interface{}, herr *httpError) {
+// slots, within Options.Timeout of ctx: it queues for a slot (503 when the
+// context ends first) and holds it until fn returns. A deadline or a client
+// cancel that comes first does not wait for fn: a callback on the context
+// writes the 504 at once, closing the connection, and execute then returns
+// errTimedOut, whose response is already written — the handler writes
+// nothing more. A straggling evaluation is abandoned, not cancelled, and
+// keeps its slot, so a timeout never unbounds the pool. An error from fn is
+// a 422.
+func (s *Server) execute(ctx context.Context, w http.ResponseWriter, fn func() error) (herr *httpError) {
+	ctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
+	// Deferred first, so it runs last: the callback is stopped before the
+	// cancel could fire it.
+	defer cancel()
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server saturated: timed out waiting for a worker slot"}
+		return &httpError{status: http.StatusServiceUnavailable, msg: "server saturated: timed out waiting for a worker slot"}
 	}
 	d := &deadline{w: w}
 	stop := context.AfterFunc(ctx, d.expire)
 	defer func() {
 		<-s.sem
 		if !stop() && d.finish() {
-			v, herr = nil, errTimedOut
+			herr = errTimedOut
 		}
 	}()
-	v, err := fn()
-	if err != nil {
-		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
+	if err := fn(); err != nil {
+		return &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
-	return v, nil
+	return nil
 }
 
 // errTimedOut is the outcome of a request whose 504 its deadline wrote.
@@ -588,7 +591,7 @@ type deadline struct {
 	expired  bool // the 504 is written
 }
 
-// timedOutBody is what writeJSON writes for errTimedOut.
+// timedOutBody is what WriteError writes for errTimedOut.
 var timedOutBody = []byte(`{"error":"query timed out"}` + "\n")
 
 func (d *deadline) expire() {

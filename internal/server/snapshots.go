@@ -84,8 +84,7 @@ type SnapshotsResponse struct {
 // configured.
 func (s *Server) requireStore(w http.ResponseWriter) bool {
 	if s.opts.Store == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "no snapshot store configured (start summaryd with -store)"})
+		WriteError(w, http.StatusNotImplemented, "no snapshot store configured (start summaryd with -store)")
 		return false
 	}
 	return true
@@ -96,7 +95,7 @@ func (s *Server) requireStore(w http.ResponseWriter) bool {
 // and timestamps as read off the snapshot files).
 func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if !s.requireStore(w) {
@@ -104,7 +103,7 @@ func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
 	}
 	manifests, err := s.opts.Store.List()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, SnapshotsResponse{Datasets: manifests})

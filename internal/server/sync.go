@@ -34,7 +34,7 @@ const (
 // transport.
 func (s *Server) handleSyncSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if !s.requireStore(w) {
@@ -42,13 +42,12 @@ func (s *Server) handleSyncSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	dataset := r.URL.Query().Get("dataset")
 	if dataset == "" {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: `missing "dataset" parameter (a full store key like "demo/maxent")`})
+		WriteError(w, http.StatusBadRequest, `missing "dataset" parameter (a full store key like "demo/maxent")`)
 		return
 	}
 	version := 0
 	if v, herr := urlVersion(r); herr != nil {
-		writeJSON(w, herr.status, errorResponse{Error: herr.msg})
+		WriteError(w, herr.status, herr.msg)
 		return
 	} else if v > 0 {
 		version = v
@@ -57,11 +56,11 @@ func (s *Server) handleSyncSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, store.ErrNotFound):
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			WriteError(w, http.StatusNotFound, err.Error())
 		case errors.Is(err, store.ErrCorrupt):
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			WriteError(w, http.StatusInternalServerError, err.Error())
 		default:
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			WriteError(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -93,13 +92,13 @@ type SyncNotifyResponse struct {
 // loop. The hook must not block — it is invoked inline.
 func (s *Server) handleSyncNotify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req SyncNotifyRequest
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil && err != io.EOF {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("malformed request body: %v", err)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err))
 		return
 	}
 	if s.opts.SyncNotify == nil {

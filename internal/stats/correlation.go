@@ -143,24 +143,18 @@ func rankPairs(rel *relation.Relation, candidates []int) ([]PairCorrelation, map
 	return out, tables
 }
 
-// PairPolicy selects which attribute pairs receive 2D statistics given a
-// breadth budget B_a (Sec. 4.3).
+// PairPolicy names a pair-selection policy. ByCorrelation is the only one;
+// the type, and the policy parameter of SelectMulti that takes it, stay only
+// because the frozen bench/ module passes summary.Options.Policy.
 type PairPolicy int
 
-const (
-	// ByCorrelation picks the B_a most correlated pairs subject to each new
-	// pair containing at least one attribute not already covered by a more
-	// correlated chosen pair.
-	ByCorrelation PairPolicy = iota
-	// ByCover picks pairs greedily by correlation but requires every new
-	// pair to cover at least one attribute no chosen pair covers yet, which
-	// maximizes attribute cover for the same budget.
-	ByCover
-)
+// ByCorrelation is the pair-selection policy SelectPairs applies.
+const ByCorrelation PairPolicy = 0
 
-// SelectPairs applies the policy to the ranked pair list and returns at most
-// budget pairs.
-func SelectPairs(ranked []PairCorrelation, budget int, policy PairPolicy) []PairCorrelation {
+// SelectPairs returns at most budget pairs of the ranked list, most
+// correlated first, each holding at least one attribute that no more
+// correlated chosen pair holds (Sec. 4.3).
+func SelectPairs(ranked []PairCorrelation, budget int) []PairCorrelation {
 	if budget <= 0 {
 		return nil
 	}
@@ -170,92 +164,12 @@ func SelectPairs(ranked []PairCorrelation, budget int, policy PairPolicy) []Pair
 		if len(chosen) >= budget {
 			break
 		}
-		switch policy {
-		case ByCorrelation:
-			// Require at least one attribute not included in any previously
-			// chosen, more correlated pair.
-			if covered[pc.A1] && covered[pc.A2] {
-				continue
-			}
-		case ByCover:
-			// Require at least one newly covered attribute; prefer pairs
-			// covering two new attributes when possible by a two-pass scan.
-			if covered[pc.A1] && covered[pc.A2] {
-				continue
-			}
+		if covered[pc.A1] && covered[pc.A2] {
+			continue
 		}
 		chosen = append(chosen, pc)
 		covered[pc.A1] = true
 		covered[pc.A2] = true
 	}
-	if policy == ByCover {
-		chosen = improveCover(ranked, chosen, budget)
-	}
 	return chosen
-}
-
-// improveCover post-processes a correlation-greedy choice to maximize the
-// number of covered attributes: while an unchosen pair would cover two
-// currently uncovered attributes, it replaces the least-correlated chosen
-// pair that contributes no unique attribute.
-func improveCover(ranked, chosen []PairCorrelation, budget int) []PairCorrelation {
-	covered := make(map[int]int)
-	for _, pc := range chosen {
-		covered[pc.A1]++
-		covered[pc.A2]++
-	}
-	for _, cand := range ranked {
-		if len(chosen) >= budget && !hasRedundant(chosen, covered) {
-			break
-		}
-		if covered[cand.A1] > 0 || covered[cand.A2] > 0 {
-			continue
-		}
-		if alreadyChosen(chosen, cand) {
-			continue
-		}
-		if len(chosen) < budget {
-			chosen = append(chosen, cand)
-			covered[cand.A1]++
-			covered[cand.A2]++
-			continue
-		}
-		// Replace the least correlated redundant pair.
-		idx := -1
-		for i := len(chosen) - 1; i >= 0; i-- {
-			pc := chosen[i]
-			if covered[pc.A1] > 1 && covered[pc.A2] > 1 {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		old := chosen[idx]
-		covered[old.A1]--
-		covered[old.A2]--
-		chosen[idx] = cand
-		covered[cand.A1]++
-		covered[cand.A2]++
-	}
-	return chosen
-}
-
-func hasRedundant(chosen []PairCorrelation, covered map[int]int) bool {
-	for _, pc := range chosen {
-		if covered[pc.A1] > 1 && covered[pc.A2] > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-func alreadyChosen(chosen []PairCorrelation, cand PairCorrelation) bool {
-	for _, pc := range chosen {
-		if pc.A1 == cand.A1 && pc.A2 == cand.A2 {
-			return true
-		}
-	}
-	return false
 }

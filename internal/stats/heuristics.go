@@ -95,11 +95,12 @@ func pairStatistics(a1, a2 int, joint [][]int, budget int, h Heuristic) ([]Stati
 
 // SelectMulti runs the full multi-dimensional statistic selection pipeline
 // of Sec. 4.3 against the relation: rank every attribute pair by
-// correlation, choose at most pairBudget pairs under the policy, compute
+// correlation, choose at most pairBudget pairs with SelectPairs, compute
 // perPairBudget 2D statistics for each chosen pair with the heuristic, and
 // add them to the set. It returns the chosen pairs for reporting. Every
 // pair's joint table is counted once: the ranking reads χ² and Cramér's V
-// off it and the heuristic reads the chosen pairs' buckets off it.
+// off it and the heuristic reads the chosen pairs' buckets off it. policy
+// is not read (see PairPolicy).
 func SelectMulti(rel *relation.Relation, set *Set, pairBudget, perPairBudget int, policy PairPolicy, h Heuristic) ([]PairCorrelation, error) {
 	if pairBudget <= 0 {
 		return nil, nil
@@ -108,7 +109,7 @@ func SelectMulti(rel *relation.Relation, set *Set, pairBudget, perPairBudget int
 		return nil, err
 	}
 	ranked, tables := rankPairs(rel, nil)
-	chosen := SelectPairs(ranked, pairBudget, policy)
+	chosen := SelectPairs(ranked, pairBudget)
 	for _, pc := range chosen {
 		sts, err := pairStatistics(pc.A1, pc.A2, tables[[2]int{pc.A1, pc.A2}], perPairBudget, h)
 		if err != nil {

@@ -57,13 +57,11 @@ func checkHistogram2D(t *testing.T, rel *relation.Relation, a1, a2 int) {
 // TestSelectionReadsEachPairOnce holds the one-table-per-pair selection to
 // what it replaced, on random skewed relations: RankPairs' χ² and V are
 // bit-identical to ChiSquared and CramersV of the pair (whatever the
-// candidate order), and SelectMulti, under every heuristic and policy,
-// chooses the same pairs and the same statistics as ranking, choosing and
+// candidate order), and SelectMulti, under every heuristic, chooses the same pairs and the same statistics as ranking, choosing and
 // calling SelectPairStatistics pair by pair.
 func TestSelectionReadsEachPairOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	heuristics := []Heuristic{LargeSingleCell, ZeroSingleCell, Composite}
-	policies := []PairPolicy{ByCorrelation, ByCover}
 	for trial := 0; trial < 8; trial++ {
 		rel := skewedRelation(rng, 200+rng.Intn(2000))
 		m := rel.NumAttrs()
@@ -82,30 +80,28 @@ func TestSelectionReadsEachPairOnce(t *testing.T) {
 			}
 		}
 		for _, h := range heuristics {
-			for _, policy := range policies {
-				pairBudget, perPair := 1+rng.Intn(m), 1+rng.Intn(12)
-				set := NewSet(rel)
-				chosen, err := SelectMulti(rel, set, pairBudget, perPair, policy, h)
+			pairBudget, perPair := 1+rng.Intn(m), 1+rng.Intn(12)
+			set := NewSet(rel)
+			chosen, err := SelectMulti(rel, set, pairBudget, perPair, ByCorrelation, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NewSet(rel)
+			wantChosen := SelectPairs(RankPairs(rel, nil), pairBudget)
+			for _, pc := range wantChosen {
+				sts, err := SelectPairStatistics(rel, pc.A1, pc.A2, perPair, h)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := NewSet(rel)
-				wantChosen := SelectPairs(RankPairs(rel, nil), pairBudget, policy)
-				for _, pc := range wantChosen {
-					sts, err := SelectPairStatistics(rel, pc.A1, pc.A2, perPair, h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := want.AddMulti(sts...); err != nil {
-						t.Fatal(err)
-					}
+				if err := want.AddMulti(sts...); err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(chosen, wantChosen) {
-					t.Fatalf("trial %d %v policy %d: SelectMulti chose %+v, the per-pair oracle %+v", trial, h, policy, chosen, wantChosen)
-				}
-				if !reflect.DeepEqual(set.Multi, want.Multi) {
-					t.Fatalf("trial %d %v policy %d: SelectMulti selected %v, the per-pair oracle %v", trial, h, policy, set.Multi, want.Multi)
-				}
+			}
+			if !reflect.DeepEqual(chosen, wantChosen) {
+				t.Fatalf("trial %d %v: SelectMulti chose %+v, the per-pair oracle %+v", trial, h, chosen, wantChosen)
+			}
+			if !reflect.DeepEqual(set.Multi, want.Multi) {
+				t.Fatalf("trial %d %v: SelectMulti selected %v, the per-pair oracle %v", trial, h, set.Multi, want.Multi)
 			}
 		}
 	}

@@ -43,8 +43,8 @@ type Options struct {
 	// PerPairBudget is B_s, the number of 2D statistics per chosen pair
 	// (default 8).
 	PerPairBudget int
-	// Policy selects which attribute pairs receive statistics
-	// (default ByCorrelation).
+	// Policy is not read: pairs are chosen by stats.SelectPairs. It stays
+	// only because the frozen bench/ module passes it to stats.SelectMulti.
 	Policy stats.PairPolicy
 	// Heuristic selects the per-pair bucket heuristic (default
 	// LargeSingleCell).
