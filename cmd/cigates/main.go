@@ -16,6 +16,13 @@
 //
 //	go run ./cmd/cigates docs -doc docs/API.md
 //
+// Interleaved A/B benchmark comparison of two revisions (the working tree
+// when -head is omitted); -pr N writes BENCH_N.json with each benchmark's
+// median and quartiles of ns/op, B/op and allocs/op, the pairs head won,
+// the command line and the host:
+//
+//	go run ./cmd/cigates ab -base HEAD -bench 'Build|SelectMulti' -pkgs ./internal/stats,./internal/summary -pairs 10 -pr N
+//
 // Refresh the baselines after an intentional change with:
 //
 //	go test ./internal/polynomial ./internal/solver ./internal/server -bench . -run '^$' | tee BENCH_baseline.txt
@@ -45,6 +52,8 @@ func main() {
 		goldenGate(os.Args[2:])
 	case "docs":
 		docsGate(os.Args[2:])
+	case "ab":
+		abGate(os.Args[2:])
 	default:
 		usage()
 	}
@@ -54,6 +63,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: cigates bench -baseline FILE -current FILE [-tolerance 0.30]")
 	fmt.Fprintln(os.Stderr, "       cigates golden -golden FILE -current FILE [-tolerance 1e-9]")
 	fmt.Fprintln(os.Stderr, "       cigates docs [-doc docs/API.md] [-cmds cmd/summaryd/main.go,cmd/summaryrouter/main.go,cmd/loadgen/main.go]")
+	fmt.Fprintln(os.Stderr, "       cigates ab -base REV [-head REV] -bench RE -pkgs DIR,... [-pairs 10] [-overlay FILE,...] [-pr N]")
 	os.Exit(2)
 }
 

@@ -3,48 +3,30 @@
 // slowdown beyond a tolerance) and a golden accuracy comparator that
 // diffs experiment reports on their deterministic fields only. Both are
 // exercised by cmd/cigates in the gates CI job; their tests prove the
-// gates actually fail on injected regressions.
+// gates actually fail on injected regressions. It also summarizes
+// interleaved A/B benchmark runs of two revisions for `cigates ab`.
 package ci
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
-
-// benchLine matches one `go test -bench` result line, e.g.
-//
-//	BenchmarkSystemEvalFull-8   177859011   6.710 ns/op   0 B/op   0 allocs/op
-//
-// The -8 GOMAXPROCS suffix is stripped so baselines survive core-count
-// changes.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op`)
 
 // ParseBench extracts name → ns/op from `go test -bench` output. When a
 // benchmark appears several times (e.g. -count > 1), the runs are averaged.
 func ParseBench(r io.Reader) (map[string]float64, error) {
+	runs, err := ParseBenchRuns(r)
+	if err != nil {
+		return nil, err
+	}
 	sums := make(map[string]float64)
 	counts := make(map[string]int)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("ci: benchmark %s: bad ns/op %q: %w", m[1], m[2], err)
-		}
-		sums[m[1]] += ns
-		counts[m[1]]++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ci: reading benchmark output: %w", err)
+	for _, run := range runs {
+		sums[run.Name] += run.NsOp
+		counts[run.Name]++
 	}
 	out := make(map[string]float64, len(sums))
 	for name, sum := range sums {

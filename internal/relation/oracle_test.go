@@ -220,7 +220,10 @@ func TestGroupStridesRefuseWideSpaces(t *testing.T) {
 
 // FuzzGroupCounts holds Count and Groups to the row oracle on small
 // two-part relations: the seed draws the rows, the bytes the predicate
-// (four per constraint: attribute, kind, two values) and the grouping.
+// (four per constraint: attribute, kind, two values) and the grouping. The
+// same bytes, two per pair, list the attribute pairs whose PairTables must
+// equal the row oracle, with every table's row and column sums equal to
+// Histogram1D of the pair's attributes.
 func FuzzGroupCounts(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(0b0011), []byte{0, 1, 2, 5})
 	f.Add(int64(2), uint16(5000), uint8(0b1111), []byte{1, 2, 9, 3, 3, 0, 2, 2})
@@ -234,6 +237,7 @@ func FuzzGroupCounts(f *testing.F) {
 	)
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, groupMask uint8, predBytes []byte) {
 		rel := oracleRelation(t, rand.New(rand.NewSource(seed)), sch, int(rows%6000))
+		pairs := pairsOf(predBytes, sch.NumAttrs())
 		var pred *query.Predicate
 		if len(predBytes) > 0 {
 			pred = query.NewPredicate(sch.NumAttrs())
@@ -259,6 +263,7 @@ func FuzzGroupCounts(f *testing.F) {
 		if got, want := rel.Count(pred), oracleCount(rel, pred); got != want {
 			t.Fatalf("Count(%v) = %d, oracle %d", pred, got, want)
 		}
+		checkPairMarginals(t, rel, pairs)
 		if len(attrs) == 0 {
 			return
 		}
@@ -266,4 +271,35 @@ func FuzzGroupCounts(f *testing.F) {
 			t.Fatalf("Groups(%v, %v) = %v, oracle %v", attrs, pred, got, want)
 		}
 	})
+}
+
+// pairsOf reads an attribute pair, either order or the same attribute
+// twice, from each two bytes of b.
+func pairsOf(b []byte, m int) [][2]int {
+	var pairs [][2]int
+	for ; len(b) >= 2; b = b[2:] {
+		pairs = append(pairs, [2]int{int(b[0]) % m, int(b[1]) % m})
+	}
+	return pairs
+}
+
+// checkPairMarginals holds PairTables of pairs to the row oracle, and each
+// table's row and column sums to Histogram1D of its attributes.
+func checkPairMarginals(t *testing.T, rel *Relation, pairs [][2]int) {
+	t.Helper()
+	tables := rel.PairTables(pairs)
+	checkPairTables(t, "PairTables", rel, pairs, tables)
+	for i, p := range pairs {
+		rows := make([]int, rel.sch.Attr(p[0]).Size())
+		cols := make([]int, rel.sch.Attr(p[1]).Size())
+		for v1, row := range tables[i] {
+			for v2, c := range row {
+				rows[v1] += c
+				cols[v2] += c
+			}
+		}
+		if !reflect.DeepEqual(rows, rel.Histogram1D(p[0])) || !reflect.DeepEqual(cols, rel.Histogram1D(p[1])) {
+			t.Fatalf("the marginals of pair %v differ from Histogram1D", p)
+		}
+	}
 }

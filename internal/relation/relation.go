@@ -1,14 +1,16 @@
 // Package relation implements the in-memory columnar store for a single
 // encoded relation: an ordered bag of tuples over the active domains of a
 // schema (the "slotted possible world" of Sec. 2.1). It also provides the
-// counting primitives (selection counts, group-by counts, 2D histograms,
-// frequency vectors and box counts) that the statistics subsystem, the
-// exact ground-truth engine, and the sampling baselines are built on.
+// counting primitives (selection counts, group-by counts, joint tables of
+// attribute pairs, frequency vectors and box counts) that the statistics
+// subsystem, the exact ground-truth engine, and the sampling baselines are
+// built on.
 package relation
 
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -211,8 +213,8 @@ func (r *Relation) Count(pred *query.Predicate) int {
 	case len(f.attrs) == 0:
 		return r.rows
 	}
-	return r.countBlocks(1, func(out []int, cols [][]uint16, lo, hi int) {
-		out[0] += f.countRows(cols, lo, hi)
+	return countBlocks(r, 1, func(out []uint32, cols [][]uint16, lo, hi int) {
+		out[0] += uint32(f.countRows(cols, lo, hi))
 	})[0]
 }
 
@@ -306,7 +308,7 @@ func (r *Relation) groupStrides(groupAttrs []int) ([]int, bool) {
 // chunk of rows computes its cells column by column, then adds each row's
 // filter mark (0 or 1) to its cell, so the scan does not branch per row.
 func (r *Relation) denseGroupCounts(groupAttrs, strides []int, f *Filter) []int {
-	return r.countBlocks(strides[0]*r.sch.Attr(groupAttrs[0]).Size(), func(out []int, cols [][]uint16, lo, hi int) {
+	return countBlocks(r, strides[0]*r.sch.Attr(groupAttrs[0]).Size(), func(out []uint32, cols [][]uint16, lo, hi int) {
 		var cell [chunkRows]int
 		var sel [chunkRows]uint8
 		for ; lo < hi; lo += chunkRows {
@@ -324,7 +326,7 @@ func (r *Relation) denseGroupCounts(groupAttrs, strides []int, f *Filter) []int 
 			s := sel[:m]
 			f.mark(s, cols, lo)
 			for j, i := range c {
-				out[i] += int(s[j])
+				out[i] += uint32(s[j])
 			}
 		}
 	})
@@ -332,7 +334,7 @@ func (r *Relation) denseGroupCounts(groupAttrs, strides []int, f *Filter) []int 
 
 // Histogram1D returns the per-value counts of a single attribute.
 func (r *Relation) Histogram1D(attr int) []int {
-	return r.countBlocks(r.sch.Attr(attr).Size(), func(out []int, cols [][]uint16, lo, hi int) {
+	return countBlocks(r, r.sch.Attr(attr).Size(), func(out []uint32, cols [][]uint16, lo, hi int) {
 		for _, v := range cols[attr][lo:hi] {
 			out[v]++
 		}
@@ -340,22 +342,92 @@ func (r *Relation) Histogram1D(attr int) []int {
 }
 
 // Histogram2D returns the joint count matrix counts[v1][v2] of the attribute
-// pair (a1, a2). The rows are carved from one row-major slab, and the scan
-// counts straight into it: one indexed increment per row.
+// pair (a1, a2): PairTables of the one pair.
 func (r *Relation) Histogram2D(a1, a2 int) [][]int {
-	n1 := r.sch.Attr(a1).Size()
-	n2 := r.sch.Attr(a2).Size()
-	flat := r.countBlocks(n1*n2, func(out []int, cols [][]uint16, lo, hi int) {
-		c2 := cols[a2][lo:hi]
-		for i, v1 := range cols[a1][lo:hi] {
-			out[int(v1)*n2+int(c2[i])]++
+	return r.PairTables([][2]int{{a1, a2}})[0]
+}
+
+// pairScratchCells bounds the cells PairTables counts in one scan, 1 MiB
+// of uint32 cells per worker: pairs are counted in consecutive groups of at
+// most this many cells (a larger pair alone), so a wide schema costs more
+// scans, not more memory. The flights shape's ten pairs, 100,439 cells, are
+// one group.
+const pairScratchCells = 1 << 18
+
+// PairTables returns, index-aligned with pairs, the joint count matrix
+// counts[v1][v2] of each attribute pair (a1, a2). Every pair of a group
+// (see pairScratchCells) is counted in one countBlocks scan of the rows,
+// pair by pair within each block, so the block's columns stay in cache.
+// The counts are integers: the tables depend neither on the split into
+// blocks and workers nor on the grouping.
+func (r *Relation) PairTables(pairs [][2]int) [][][]int {
+	return pairTables[uint32](r, pairs)
+}
+
+// pairTables is PairTables counting into cells of type C.
+func pairTables[C uint8 | uint32](r *Relation, pairs [][2]int) [][][]int {
+	out := make([][][]int, len(pairs))
+	for _, g := range r.pairGroups(pairs) {
+		group := pairs[g[0]:g[1]]
+		offs := make([]int, len(group)+1)
+		for p, ab := range group {
+			offs[p+1] = offs[p] + r.sch.Attr(ab[0]).Size()*r.sch.Attr(ab[1]).Size()
 		}
-	})
-	out := make([][]int, n1)
-	for i := range out {
-		out[i], flat = flat[:n2:n2], flat[n2:]
+		flat := countBlocks(r, offs[len(group)], func(t []C, cols [][]uint16, lo, hi int) {
+			for p, ab := range group {
+				countPair(t[offs[p]:offs[p+1]], cols[ab[0]][lo:hi], cols[ab[1]][lo:hi], r.sch.Attr(ab[1]).Size())
+			}
+		})
+		for p, ab := range group {
+			rows := make([][]int, r.sch.Attr(ab[0]).Size())
+			n2 := r.sch.Attr(ab[1]).Size()
+			for v := range rows {
+				rows[v], flat = flat[:n2:n2], flat[n2:]
+			}
+			out[g[0]+p] = rows
+		}
 	}
 	return out
+}
+
+// countPair adds one to cells[v1·n2 + v2] for the values v1 and v2 of
+// each row of the columns c1 and c2, eight rows a step: the unrolled loop
+// spends fewer instructions per row on its own bookkeeping.
+func countPair[C uint8 | uint32](cells []C, c1, c2 []uint16, n2 int) {
+	c2 = c2[:len(c1)]
+	i := 0
+	for ; i+8 <= len(c1); i += 8 {
+		a, b := c1[i:i+8:i+8], c2[i:i+8:i+8]
+		cells[int(a[0])*n2+int(b[0])]++
+		cells[int(a[1])*n2+int(b[1])]++
+		cells[int(a[2])*n2+int(b[2])]++
+		cells[int(a[3])*n2+int(b[3])]++
+		cells[int(a[4])*n2+int(b[4])]++
+		cells[int(a[5])*n2+int(b[5])]++
+		cells[int(a[6])*n2+int(b[6])]++
+		cells[int(a[7])*n2+int(b[7])]++
+	}
+	for ; i < len(c1); i++ {
+		cells[int(c1[i])*n2+int(c2[i])]++
+	}
+}
+
+// pairGroups cuts pairs into the consecutive groups PairTables counts in
+// one scan each, as [first, end) index ranges: each group takes pairs
+// while their cells fit in pairScratchCells, and at least one.
+func (r *Relation) pairGroups(pairs [][2]int) [][2]int {
+	var groups [][2]int
+	cells := 0
+	for i, ab := range pairs {
+		n := r.sch.Attr(ab[0]).Size() * r.sch.Attr(ab[1]).Size()
+		if len(groups) == 0 || cells+n > pairScratchCells {
+			groups = append(groups, [2]int{i, i})
+			cells = 0
+		}
+		groups[len(groups)-1][1] = i + 1
+		cells += n
+	}
+	return groups
 }
 
 // CountBoxes returns, index-aligned with boxes, the number of rows inside
@@ -381,7 +453,7 @@ func (r *Relation) CountBoxes(attrs []int, boxes [][]query.Range) []int {
 		}
 		masks[k] = mask
 	}
-	return r.countBlocks(len(boxes), func(out []int, cols [][]uint16, lo, hi int) {
+	return countBlocks(r, len(boxes), func(out []uint32, cols [][]uint16, lo, hi int) {
 		off := make([]int, len(attrs)) // the row's values' offsets into masks
 		for i := lo; i < hi; i++ {
 			for k, a := range attrs {
@@ -406,29 +478,21 @@ func (r *Relation) CountBoxes(attrs []int, boxes [][]query.Range) []int {
 const blockRows = 1 << 16
 
 // countBlocks returns a table of n counts filled by count, which adds rows
-// [lo, hi) of one part, whose columns are cols, into out. Each part is cut
-// into contiguous blocks of max(blockRows, n) rows, so merging a table
-// costs no more than counting one block, and w = min(GOMAXPROCS,
-// rows/block) workers count them, each into a private table, each claiming
-// the next uncounted block until none is left — a worker whose core is busy
-// elsewhere counts fewer blocks instead of holding the others up. The
-// tables are then summed. Counts are integers, so the result depends
-// neither on w, nor on which worker counted which block, nor on where the
-// parts begin.
-func (r *Relation) countBlocks(n int, count func(out []int, cols [][]uint16, lo, hi int)) []int {
+// [lo, hi) of one part, whose columns are cols, into out, adding no more
+// than hi − lo to any cell. Each part is cut into contiguous blocks of
+// max(blockRows, n) rows, so merging a table costs no more than counting
+// one block, and w = min(GOMAXPROCS, rows/block) workers count them, each
+// claiming the next uncounted block until none is left — a worker whose
+// core is busy elsewhere counts fewer blocks instead of holding the others
+// up. Each worker counts into a private table of C cells and adds it into
+// the result, under a lock, when no block is left — and also, so that no
+// cell wraps, whenever it has counted as many rows as a C holds since it
+// last added (2^32−1 for uint32). Counts are integers, so the result
+// depends neither on w, nor on which worker counted which block, nor on
+// where the parts begin.
+func countBlocks[C uint8 | uint32](r *Relation, n int, count func(out []C, cols [][]uint16, lo, hi int)) []int {
 	out := make([]int, n)
 	block := max(blockRows, n)
-	w := min(runtime.GOMAXPROCS(0), r.rows/block)
-	if w <= 1 {
-		for _, p := range r.parts {
-			count(out, p.cols, 0, p.len())
-		}
-		return out
-	}
-	type span struct {
-		cols   [][]uint16
-		lo, hi int
-	}
 	spans := make([]span, 0, r.rows/block+len(r.parts))
 	for _, p := range r.parts {
 		for lo := 0; lo < p.len(); lo += block {
@@ -436,32 +500,59 @@ func (r *Relation) countBlocks(n int, count func(out []int, cols [][]uint16, lo,
 		}
 	}
 	var claimed atomic.Int64
-	tables := make([][]int, w)
-	tables[0] = out
+	var mu sync.Mutex
+	w := min(runtime.GOMAXPROCS(0), r.rows/block)
+	if w <= 1 {
+		countSpans(spans, out, &claimed, &mu, count)
+		return out
+	}
 	var wg sync.WaitGroup
-	for k := range tables {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if k > 0 {
-				tables[k] = make([]int, n)
-			}
-			for {
-				b := int(claimed.Add(1)) - 1
-				if b >= len(spans) {
-					return
-				}
-				count(tables[k], spans[b].cols, spans[b].lo, spans[b].hi)
-			}
+			countSpans(spans, out, &claimed, &mu, count)
 		}()
 	}
 	wg.Wait()
-	for _, t := range tables[1:] {
-		for i, c := range t {
-			out[i] += c
+	return out
+}
+
+// span is a block of countBlocks: rows [lo, hi) of a part whose columns
+// are cols.
+type span struct {
+	cols   [][]uint16
+	lo, hi int
+}
+
+// countSpans is one worker of countBlocks: it counts the spans it claims
+// into a private table of C cells and adds the table into out under mu.
+func countSpans[C uint8 | uint32](spans []span, out []int, claimed *atomic.Int64, mu *sync.Mutex, count func(out []C, cols [][]uint16, lo, hi int)) {
+	limit := int(min(uint64(^C(0)), math.MaxInt))
+	t := make([]C, len(out))
+	counted := 0
+	for b := int(claimed.Add(1)) - 1; b < len(spans); b = int(claimed.Add(1)) - 1 {
+		for lo, hi := spans[b].lo, spans[b].hi; lo < hi; {
+			m := min(hi-lo, limit-counted)
+			count(t, spans[b].cols, lo, lo+m)
+			lo += m
+			if counted += m; counted == limit {
+				addCells(out, t, mu)
+				clear(t)
+				counted = 0
+			}
 		}
 	}
-	return out
+	addCells(out, t, mu)
+}
+
+// addCells adds t into out under mu.
+func addCells[C uint8 | uint32](out []int, t []C, mu *sync.Mutex) {
+	mu.Lock()
+	defer mu.Unlock()
+	for i, c := range t {
+		out[i] += int(c)
+	}
 }
 
 // Slice returns a read-only view of the contiguous row range [lo, hi):

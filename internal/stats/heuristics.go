@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/query"
@@ -53,33 +54,9 @@ func ParseHeuristic(name string) (Heuristic, error) {
 	}
 }
 
-// SelectPairStatistics computes the 2D statistics for attribute pair
-// (a1, a2) of the relation under the given heuristic and per-pair budget.
-// Attribute indexes in the returned statistics are sorted.
-func SelectPairStatistics(rel *relation.Relation, a1, a2 int, budget int, h Heuristic) ([]Statistic, error) {
-	if a1 == a2 {
-		return nil, fmt.Errorf("stats: 2D statistic needs two distinct attributes, got %d twice", a1)
-	}
-	if err := checkPerPairBudget(budget); err != nil {
-		return nil, err
-	}
-	if a1 > a2 {
-		a1, a2 = a2, a1
-	}
-	return pairStatistics(a1, a2, rel.Histogram2D(a1, a2), budget, h)
-}
-
-// checkPerPairBudget refuses a non-positive per-pair budget B_s, in the one
-// message SelectPairStatistics and SelectMulti share.
-func checkPerPairBudget(budget int) error {
-	if budget <= 0 {
-		return fmt.Errorf("stats: per-pair budget must be positive, got %d", budget)
-	}
-	return nil
-}
-
-// pairStatistics is SelectPairStatistics over the pair's joint table,
-// already counted with a1 < a2 as the row attribute.
+// pairStatistics computes the 2D statistics of attribute pair (a1, a2)
+// under the heuristic and per-pair budget from the pair's joint table,
+// counted with a1 < a2 as the row attribute.
 func pairStatistics(a1, a2 int, joint [][]int, budget int, h Heuristic) ([]Statistic, error) {
 	switch h {
 	case LargeSingleCell:
@@ -93,25 +70,74 @@ func pairStatistics(a1, a2 int, joint [][]int, budget int, h Heuristic) ([]Stati
 	}
 }
 
-// SelectMulti runs the full multi-dimensional statistic selection pipeline
-// of Sec. 4.3 against the relation: rank every attribute pair by
-// correlation, choose at most pairBudget pairs with SelectPairs, compute
-// perPairBudget 2D statistics for each chosen pair with the heuristic, and
-// add them to the set. It returns the chosen pairs for reporting. Every
-// pair's joint table is counted once: the ranking reads χ² and Cramér's V
-// off it and the heuristic reads the chosen pairs' buckets off it. policy
-// is not read (see PairPolicy).
+// Collect computes the statistic set Φ of a build (Sec. 3.1, 4.3) from
+// one relation.PairTables scan of every attribute pair: the 1D families
+// are the tables' marginals (exactly NewSet's counts), the pairs are
+// ranked by χ² and Cramér's V off the tables, SelectPairs chooses at most
+// pairBudget, and the heuristic buckets each chosen pair's table. It
+// returns the chosen pairs. With no pair to choose (pairBudget ≤ 0, or one
+// attribute) the set is NewSet's. A non-positive perPairBudget is refused,
+// when pairBudget is positive, before any row is read.
+func Collect(rel *relation.Relation, pairBudget, perPairBudget int, h Heuristic) (*Set, []PairCorrelation, error) {
+	set := &Set{N: rel.NumRows(), DomainSizes: rel.Schema().DomainSizes()}
+	chosen, err := collect(rel, set, pairBudget, perPairBudget, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	return set, chosen, nil
+}
+
+// SelectMulti adds Collect's multi-dimensional statistics to set and
+// returns the chosen pairs. Only the frozen bench/ module calls it, to time
+// NewSet and SelectMulti apart. policy is not read (see PairPolicy).
 func SelectMulti(rel *relation.Relation, set *Set, pairBudget, perPairBudget int, policy PairPolicy, h Heuristic) ([]PairCorrelation, error) {
-	if pairBudget <= 0 {
+	return collect(rel, set, pairBudget, perPairBudget, h)
+}
+
+// collect is Collect adding to set, whose 1D families it fills only when
+// set.OneD is nil.
+func collect(rel *relation.Relation, set *Set, pairBudget, perPairBudget int, h Heuristic) ([]PairCorrelation, error) {
+	if pairBudget > 0 && perPairBudget <= 0 {
+		return nil, fmt.Errorf("stats: per-pair budget must be positive, got %d", perPairBudget)
+	}
+	m := rel.NumAttrs()
+	if pairBudget <= 0 || m < 2 {
+		if set.OneD == nil {
+			set.OneD = NewSet(rel).OneD
+		}
 		return nil, nil
 	}
-	if err := checkPerPairBudget(perPairBudget); err != nil {
-		return nil, err
+	var pairs [][2]int
+	for a1 := 0; a1 < m; a1++ {
+		for a2 := a1 + 1; a2 < m; a2++ {
+			pairs = append(pairs, [2]int{a1, a2})
+		}
 	}
-	ranked, tables := rankPairs(rel, nil)
-	chosen := SelectPairs(ranked, pairBudget)
+	tables := rel.PairTables(pairs)
+	if set.OneD == nil {
+		// Attribute 0's family is the row sums of pair (0, 1), tables[0],
+		// and attribute a's the column sums of pair (0, a), tables[a-1]:
+		// sums of integers below 2^53, so exact.
+		set.OneD = make([][]float64, m)
+		for a, n := range set.DomainSizes {
+			set.OneD[a] = make([]float64, n)
+		}
+		for v1, row := range tables[0] {
+			for _, c := range row {
+				set.OneD[0][v1] += float64(c)
+			}
+		}
+		for a := 1; a < m; a++ {
+			for _, row := range tables[a-1] {
+				for v, c := range row {
+					set.OneD[a][v] += float64(c)
+				}
+			}
+		}
+	}
+	chosen := SelectPairs(rankPairs(rel, pairs, tables), pairBudget)
 	for _, pc := range chosen {
-		sts, err := pairStatistics(pc.A1, pc.A2, tables[[2]int{pc.A1, pc.A2}], perPairBudget, h)
+		sts, err := pairStatistics(pc.A1, pc.A2, tables[slices.Index(pairs, [2]int{pc.A1, pc.A2})], perPairBudget, h)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +153,9 @@ type cell struct {
 	count  int
 }
 
-// singleCells implements the LARGE and ZERO single-cell heuristics.
+// singleCells implements the LARGE and ZERO single-cell heuristics: the
+// budget first cells in order of count, most populous first, ties broken
+// by (v1, v2) — after every empty cell, in (v1, v2) order, for ZERO.
 func singleCells(a1, a2 int, joint [][]int, budget int, zeroFirst bool) []Statistic {
 	var cells []cell
 	for v1 := range joint {
@@ -135,37 +163,21 @@ func singleCells(a1, a2 int, joint [][]int, budget int, zeroFirst bool) []Statis
 			cells = append(cells, cell{v1: v1, v2: v2, count: joint[v1][v2]})
 		}
 	}
-	var chosen []cell
-	if zeroFirst {
-		var zeros, nonZeros []cell
-		for _, c := range cells {
-			if c.count == 0 {
-				zeros = append(zeros, c)
-			} else {
-				nonZeros = append(nonZeros, c)
-			}
+	sort.Slice(cells, func(i, j int) bool {
+		ci, cj := cells[i], cells[j]
+		if zeroFirst && (ci.count == 0) != (cj.count == 0) {
+			return ci.count == 0
 		}
-		sortCellsDeterministic(zeros)
-		sortCellsByCount(nonZeros)
-		chosen = append(chosen, zeros...)
-		if len(chosen) > budget {
-			chosen = chosen[:budget]
-		} else {
-			remaining := budget - len(chosen)
-			if remaining > len(nonZeros) {
-				remaining = len(nonZeros)
-			}
-			chosen = append(chosen, nonZeros[:remaining]...)
+		if ci.count != cj.count {
+			return ci.count > cj.count
 		}
-	} else {
-		sortCellsByCount(cells)
-		if budget > len(cells) {
-			budget = len(cells)
+		if ci.v1 != cj.v1 {
+			return ci.v1 < cj.v1
 		}
-		chosen = cells[:budget]
-	}
-	out := make([]Statistic, 0, len(chosen))
-	for _, c := range chosen {
+		return ci.v2 < cj.v2
+	})
+	out := make([]Statistic, 0, min(budget, len(cells)))
+	for _, c := range cells[:min(budget, len(cells))] {
 		out = append(out, Statistic{
 			Attrs:  []int{a1, a2},
 			Ranges: []query.Range{query.Point(c.v1), query.Point(c.v2)},
@@ -173,27 +185,6 @@ func singleCells(a1, a2 int, joint [][]int, budget int, zeroFirst bool) []Statis
 		})
 	}
 	return out
-}
-
-func sortCellsByCount(cells []cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].count != cells[j].count {
-			return cells[i].count > cells[j].count
-		}
-		if cells[i].v1 != cells[j].v1 {
-			return cells[i].v1 < cells[j].v1
-		}
-		return cells[i].v2 < cells[j].v2
-	})
-}
-
-func sortCellsDeterministic(cells []cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].v1 != cells[j].v1 {
-			return cells[i].v1 < cells[j].v1
-		}
-		return cells[i].v2 < cells[j].v2
-	})
 }
 
 // rect is a node of the KD-tree over the 2D cell grid: an inclusive
@@ -211,14 +202,10 @@ type rect struct {
 // value with the lowest post-split SSE (the paper's "lowest sum squared
 // average value difference"), until the number of leaves reaches the budget.
 func compositeRectangles(a1, a2 int, joint [][]int, budget int) []Statistic {
-	n1 := len(joint)
-	n2 := 0
-	if n1 > 0 {
-		n2 = len(joint[0])
-	}
-	if n1 == 0 || n2 == 0 {
+	if len(joint) == 0 || len(joint[0]) == 0 {
 		return nil
 	}
+	n1, n2 := len(joint), len(joint[0])
 	// Prefix sums over counts and squared counts for O(1) rectangle
 	// aggregates.
 	sum := newPrefix2D(joint, false)
@@ -323,12 +310,9 @@ type prefix2D struct {
 	data   []int64
 }
 
+// newPrefix2D sums a joint table of at least one cell.
 func newPrefix2D(joint [][]int, squared bool) *prefix2D {
-	n1 := len(joint)
-	n2 := 0
-	if n1 > 0 {
-		n2 = len(joint[0])
-	}
+	n1, n2 := len(joint), len(joint[0])
 	p := &prefix2D{n1: n1, n2: n2, data: make([]int64, (n1+1)*(n2+1))}
 	at := func(i, j int) *int64 { return &p.data[i*(n2+1)+j] }
 	for i := 1; i <= n1; i++ {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -36,6 +37,58 @@ func skewedRelation(rng *rand.Rand, rows int) *relation.Relation {
 		rel.MustAppend(tuple)
 	}
 	return rel
+}
+
+// The per-pass pipeline Collect and SelectMulti replaced, kept as their
+// oracle: every pair's joint table is counted by its own Histogram2D scan.
+
+// ChiSquared is the chi-squared statistic of independence between two
+// attributes, computed over their joint table in ascending attribute
+// order, so the argument order does not change a bit of it.
+func ChiSquared(rel *relation.Relation, a1, a2 int) float64 {
+	return chiSquared(rel.Histogram2D(min(a1, a2), max(a1, a2)))
+}
+
+// CramersV normalizes the chi-squared statistic to [0, 1].
+func CramersV(rel *relation.Relation, a1, a2 int) float64 {
+	return cramersV(rel, a1, a2, ChiSquared(rel, a1, a2))
+}
+
+// RankPairs scores every pair drawn from the candidate attribute list (all
+// attributes when candidates is nil), in candidate order, off one
+// Histogram2D per pair in ascending attribute order, and sorts the scores
+// from most to least correlated.
+func RankPairs(rel *relation.Relation, candidates []int) []PairCorrelation {
+	if candidates == nil {
+		candidates = make([]int, rel.NumAttrs())
+		for i := range candidates {
+			candidates[i] = i
+		}
+	}
+	var pairs [][2]int
+	var tables [][][]int
+	for i := 0; i < len(candidates); i++ {
+		for j := i + 1; j < len(candidates); j++ {
+			a1, a2 := candidates[i], candidates[j]
+			pairs = append(pairs, [2]int{a1, a2})
+			tables = append(tables, rel.Histogram2D(min(a1, a2), max(a1, a2)))
+		}
+	}
+	return rankPairs(rel, pairs, tables)
+}
+
+// SelectPairStatistics computes the 2D statistics of attribute pair
+// (a1, a2) under the heuristic and per-pair budget from the pair's own
+// Histogram2D. Attribute indexes in the returned statistics are sorted.
+func SelectPairStatistics(rel *relation.Relation, a1, a2 int, budget int, h Heuristic) ([]Statistic, error) {
+	if a1 == a2 {
+		return nil, fmt.Errorf("stats: 2D statistic needs two distinct attributes, got %d twice", a1)
+	}
+	if budget <= 0 {
+		return nil, fmt.Errorf("stats: per-pair budget must be positive, got %d", budget)
+	}
+	a1, a2 = min(a1, a2), max(a1, a2)
+	return pairStatistics(a1, a2, rel.Histogram2D(a1, a2), budget, h)
 }
 
 // checkHistogram2D holds Histogram2D to a per-row count.
@@ -133,8 +186,8 @@ func TestHistogram2DAtTheDomainCap(t *testing.T) {
 }
 
 // TestSelectMultiRefusesBadBudgetFirst checks that a non-positive per-pair
-// budget is refused with SelectPairStatistics' message before any pair is
-// counted: over three 512-value attributes, ranking alone would allocate a
+// budget is refused by SelectMulti and by Collect with
+// SelectPairStatistics' message before any pair is counted: over three 512-value attributes, ranking alone would allocate a
 // 2 MB joint table per pair.
 func TestSelectMultiRefusesBadBudgetFirst(t *testing.T) {
 	attrs := make([]schema.Attribute, 3)
@@ -156,6 +209,15 @@ func TestSelectMultiRefusesBadBudgetFirst(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("SelectMulti allocated %d bytes before refusing per-pair budget %d: it counted pairs first", grew, budget)
+		}
+		runtime.ReadMemStats(&before)
+		_, _, err = Collect(rel, 2, budget, Composite)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("Collect with per-pair budget %d: error %v, want %q", budget, err, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("Collect allocated %d bytes before refusing per-pair budget %d: it counted pairs first", grew, budget)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package stats implements the statistics subsystem of EntropyDB (Sec. 3.1
 // and Sec. 4.3 of the paper): the complete families of 1-dimensional
 // per-value statistics, the selected 2-dimensional range statistics, the
-// chi-squared correlation used to rank attribute pairs, the two pair
-// selection policies (correlation-only vs. attribute-cover), and the three
-// bucket-selection heuristics LARGE single cell, ZERO single cell, and
-// COMPOSITE (KD-tree).
+// chi-squared correlation used to rank attribute pairs, the one pair
+// selection policy (most correlated first, each pair adding an attribute),
+// and the three bucket-selection heuristics LARGE single cell, ZERO single
+// cell, and COMPOSITE (KD-tree). Collect computes all of a build's
+// statistics from one scan of the rows.
 package stats
 
 import (
@@ -31,10 +32,7 @@ type Statistic struct {
 // Spec converts a multi-dimensional statistic to its polynomial
 // specification.
 func (s Statistic) Spec() polynomial.MultiStatSpec {
-	return polynomial.MultiStatSpec{
-		Attrs:  append([]int(nil), s.Attrs...),
-		Ranges: append([]query.Range(nil), s.Ranges...),
-	}
+	return polynomial.MultiStatSpec{Attrs: slices.Clone(s.Attrs), Ranges: slices.Clone(s.Ranges)}
 }
 
 // String renders the statistic.
@@ -58,8 +56,10 @@ type Set struct {
 	Multi []Statistic
 }
 
-// NewSet computes the complete 1-dimensional statistics of the relation and
-// returns a Set with no multi-dimensional statistics yet.
+// NewSet computes the complete 1-dimensional statistics of the relation,
+// one Histogram1D scan per attribute, and returns a Set with no
+// multi-dimensional statistics yet. A build calls it only when it has no
+// pair to count (see Collect).
 func NewSet(rel *relation.Relation) *Set {
 	sch := rel.Schema()
 	s := &Set{
@@ -92,19 +92,9 @@ func (s *Set) Clone() *Set {
 		c.OneD[a] = append([]float64(nil), col...)
 	}
 	for j, st := range s.Multi {
-		c.Multi[j] = st.withCount(st.Count)
+		c.Multi[j] = Statistic{Attrs: slices.Clone(st.Attrs), Ranges: slices.Clone(st.Ranges), Count: st.Count}
 	}
 	return c
-}
-
-// withCount returns a deep copy of the statistic's structure observing
-// count.
-func (s Statistic) withCount(count float64) Statistic {
-	return Statistic{
-		Attrs:  append([]int(nil), s.Attrs...),
-		Ranges: append([]query.Range(nil), s.Ranges...),
-		Count:  count,
-	}
 }
 
 // ApplyDelta folds a batch of appended tuples into the counts: N, every
@@ -252,7 +242,7 @@ func attrGroups(multi []Statistic) [][]int {
 next:
 	for j, st := range multi {
 		for g, members := range groups {
-			if sameAttrs(multi[members[0]].Attrs, st.Attrs) {
+			if slices.Equal(multi[members[0]].Attrs, st.Attrs) {
 				groups[g] = append(members, j)
 				continue next
 			}
@@ -260,18 +250,6 @@ next:
 		groups = append(groups, []int{j})
 	}
 	return groups
-}
-
-func sameAttrs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func overlaps(a, b Statistic) bool {

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -131,7 +132,7 @@ func pairwiseRefusal(existing, added []Statistic) error {
 	all := append([]Statistic(nil), existing...)
 	for _, st := range added {
 		for _, e := range all {
-			if sameAttrs(e.Attrs, st.Attrs) && overlaps(e, st) {
+			if slices.Equal(e.Attrs, st.Attrs) && overlaps(e, st) {
 				return fmt.Errorf("stats: statistics %v and %v over the same attributes overlap", e, st)
 			}
 		}

@@ -400,3 +400,21 @@ func benchmarkSolve(b *testing.B, name string, sum *Summary, free int) {
 		}
 	})
 }
+
+// BenchmarkBuild measures one cold Build at the repository benchmark's
+// shape and budgets — 1M flights-shaped rows, 2 COMPOSITE pairs of 300
+// statistics, the default 30-sweep solve — so the statistics scan, the
+// structure build and the solve are timed together. The rows span about
+// ten counting blocks of the pair tables' scan.
+func BenchmarkBuild(b *testing.B) {
+	rel := flightsShapedRelation(b, 1_000_000, 1, 0)
+	opts := Options{PairBudget: 2, PerPairBudget: 300, Heuristic: stats.Composite}
+	b.Run("flights", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Build(rel, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

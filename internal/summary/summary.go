@@ -100,15 +100,10 @@ func Build(rel *relation.Relation, opts Options) (*Summary, error) {
 	}
 	opts.setDefaults()
 
-	// Stage 1: statistics (Sec. 3.1, 4.3).
-	set := stats.NewSet(rel)
-	var pairs []stats.PairCorrelation
-	if opts.PairBudget > 0 {
-		var err error
-		pairs, err = stats.SelectMulti(rel, set, opts.PairBudget, opts.PerPairBudget, opts.Policy, opts.Heuristic)
-		if err != nil {
-			return nil, fmt.Errorf("summary: statistic selection: %w", err)
-		}
+	// Stage 1: statistics (Sec. 3.1, 4.3), from one scan of the rows.
+	set, pairs, err := stats.Collect(rel, opts.PairBudget, opts.PerPairBudget, opts.Heuristic)
+	if err != nil {
+		return nil, fmt.Errorf("summary: statistic selection: %w", err)
 	}
 
 	// Stage 2: compressed polynomial (Sec. 4.1).
