@@ -82,11 +82,11 @@ func sharedRangeInstance(t *testing.T, rng *rand.Rand) ([]int, []MultiStatSpec, 
 	sys.Recompute()
 	sets := map[span]int{}
 	zero := false
-	for _, g := range comp.groups[0] {
+	for k, g := range comp.groups[0] {
 		if comp.attrSets[g.set]&1 != 0 {
 			sets[g.span]++
 		}
-		zero = zero || sys.fac[int(g.first)*len(sizes)] == 0 && g.lo == g.hi
+		zero = zero || sys.gf[0][k] == 0 && g.lo == g.hi
 	}
 	if sets[span{1, 2}] != 3 || !zero {
 		t.Fatalf("attribute 0 has range [1,2] in %d attribute sets and a zero one-value group %t, want 3 and true", sets[span{1, 2}], zero)

@@ -10,18 +10,82 @@ import (
 	"repro/internal/query"
 )
 
-// checkGroupFactors holds the premise of the masked kernel: on every
-// attribute, every member of a range group holds a cached factor bit-equal
-// to the group's first term's, so one F_g stands for the whole group.
-func checkGroupFactors(t *testing.T, what string, sys *System) {
+// termFactors is the oracle of a System's group factors: a per-term table
+// fac[i·m+a] of term i's attribute-a factor, kept by the per-term rules the
+// group cache replaced — SetOneD adds the change to each term whose range
+// holds the value, and SetOneDColumn and every rebuild set each term's factor
+// to its range's prefix difference. Its writes go through the system.
+type termFactors struct {
+	sys *System
+	fac []float64
+}
+
+func newTermFactors(sys *System) *termFactors {
+	o := &termFactors{sys: sys, fac: make([]float64, sys.poly.NumTerms()*len(sys.alpha))}
+	o.rebuild()
+	return o
+}
+
+// column sets every term's attribute-a factor to its range's difference of
+// the prefix sums of the current α_a.
+func (o *termFactors) column(a int) {
+	col, m := o.sys.alpha[a], len(o.sys.alpha)
+	pre := make([]float64, len(col)+1)
+	for v, x := range col {
+		pre[v+1] = pre[v] + x
+	}
+	for i := range o.sys.poly.stats {
+		r := o.sys.poly.ranges[i*m+a]
+		o.fac[i*m+a] = pre[r.hi+1] - pre[r.lo]
+	}
+}
+
+func (o *termFactors) rebuild() {
+	for a := range o.sys.alpha {
+		o.column(a)
+	}
+}
+
+// wrote follows any write: a system whose update count is back at zero
+// rebuilt its caches.
+func (o *termFactors) wrote() {
+	if o.sys.updates == 0 {
+		o.rebuild()
+	}
+}
+
+func (o *termFactors) setOneD(a, v int, x float64) {
+	dx := x - o.sys.alpha[a][v]
+	o.sys.SetOneD(a, v, x)
+	if dx == 0 {
+		return
+	}
+	m := len(o.sys.alpha)
+	for _, ti := range o.sys.poly.touch[a][v] {
+		o.fac[int(ti)*m+a] += dx
+	}
+	for _, ti := range o.sys.poly.loose[a] {
+		o.fac[int(ti)*m+a] += dx
+	}
+	o.wrote()
+}
+
+func (o *termFactors) setOneDColumn(a int, vals []float64) {
+	o.sys.SetOneDColumn(a, vals)
+	o.column(a)
+	o.wrote()
+}
+
+// check fails the test unless every term's group factor, on every
+// attribute, is bit-equal to the oracle's.
+func (o *termFactors) check(t *testing.T, what string) {
 	t.Helper()
-	p, m := sys.poly, len(sys.alpha)
-	for a := range sys.alpha {
+	p, m := o.sys.poly, len(o.sys.alpha)
+	for a := range o.sys.alpha {
 		for i, g := range p.termGroup[a] {
-			first := int(p.groups[a][g].first)
-			got, want := sys.fac[i*m+a], sys.fac[first*m+a]
+			got, want := o.sys.gf[a][g], o.fac[i*m+a]
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: attribute %d term %d holds factor %v, its group %d's first term %d holds %v", what, a, i, got, g, first, want)
+				t.Fatalf("%s: attribute %d term %d: group %d holds factor %v, the per-term rules give %v", what, a, i, g, got, want)
 			}
 		}
 	}
@@ -47,9 +111,10 @@ func randomAssignment(c *Compressed, rng *rand.Rand) ([][]float64, []float64) {
 // SetOneD, SetMulti, SetOneDColumn, Recompute, CopyVarsFrom and a reload
 // through NewSystemFrom — with α and δ pinned to 0 (and δ to 1) among the
 // values, on the flights-shaped system (system 0) and on small random ones,
-// and checks after every write that the members of every range group hold
-// bit-equal cached factors. One sequence per system makes more updates than
-// rebuildEvery, so the drift rebuild runs inside it.
+// and checks after every write that the one cached factor of each range
+// group is, bit for bit, what the per-term rules (termFactors) give each of
+// its members. One sequence per system makes more updates than rebuildEvery,
+// so the drift rebuild runs inside it.
 func TestRangeGroupMembersShareFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
 	systems := []*System{flightsShapedSystem(t, rng)}
@@ -59,16 +124,21 @@ func TestRangeGroupMembersShareFactors(t *testing.T) {
 	}
 	for k, sys := range systems {
 		name := fmt.Sprintf("system %d", k)
+		// The oracle starts from rebuilt caches: the factors left by the
+		// instance's own writes are not known term by term.
+		sys.Recompute()
+		o := newTermFactors(sys)
 		p := sys.Poly()
 		sizes := p.DomainSizes()
 		write := func(op int) {
 			switch op {
 			case 0:
 				a := rng.Intn(len(sizes))
-				sys.SetOneD(a, rng.Intn(sizes[a]), randomValue(rng))
+				o.setOneD(a, rng.Intn(sizes[a]), randomValue(rng))
 			case 1:
 				if p.NumMultiStats() > 0 {
 					sys.SetMulti(rng.Intn(p.NumMultiStats()), randomValue(rng))
+					o.wrote()
 				}
 			case 2:
 				a := rng.Intn(len(sizes))
@@ -76,9 +146,10 @@ func TestRangeGroupMembersShareFactors(t *testing.T) {
 				for v := range vals {
 					vals[v] = randomValue(rng)
 				}
-				sys.SetOneDColumn(a, vals)
+				o.setOneDColumn(a, vals)
 			case 3:
 				sys.Recompute()
+				o.wrote()
 			case 4:
 				alpha, delta := randomAssignment(p, rng)
 				donor, err := NewSystemFrom(p, alpha, delta)
@@ -88,12 +159,14 @@ func TestRangeGroupMembersShareFactors(t *testing.T) {
 				if err := sys.CopyVarsFrom(donor); err != nil {
 					t.Fatal(err)
 				}
+				o.wrote()
 			default:
 				next, err := NewSystemFrom(p, sys.alpha, sys.delta)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sys = next
+				o = newTermFactors(sys)
 			}
 		}
 		// Rebuilding writes (Recompute, CopyVarsFrom, NewSystemFrom) are one
@@ -108,22 +181,23 @@ func TestRangeGroupMembersShareFactors(t *testing.T) {
 					op -= 6
 				}
 				write(op)
-				checkGroupFactors(t, fmt.Sprintf("%s sequence %d step %d", name, seq, step), sys)
+				o.check(t, fmt.Sprintf("%s sequence %d step %d", name, seq, step))
 			}
 		}
 		// Single-variable updates past the drift budget: the counter must
 		// wrap, so the rebuild ran between two checks.
 		sys.Recompute()
+		o.wrote()
 		for step := 0; step < rebuildEvery+64; step++ {
 			write(step % 2)
 			if step%1024 == 0 {
-				checkGroupFactors(t, fmt.Sprintf("%s drift step %d", name, step), sys)
+				o.check(t, fmt.Sprintf("%s drift step %d", name, step))
 			}
 		}
 		if sys.updates >= rebuildEvery {
 			t.Fatalf("%s: %d updates since the last rebuild, the drift rebuild never ran", name, sys.updates)
 		}
-		checkGroupFactors(t, name+" after the drift rebuild", sys)
+		o.check(t, name+" after the drift rebuild")
 	}
 }
 
@@ -230,7 +304,7 @@ func kernelBranches(sys *System, pred *query.Predicate) map[string]int {
 			x *= g.r[g.tg[i]]
 			r := sys.poly.ranges[i*m+a]
 			meets := int(r.lo) <= sc.hi[a] && int(r.hi) >= sc.lo[a]
-			inside = inside || g.r[g.tg[i]] == 0 && meets && sys.fac[i*m+a] != 0
+			inside = inside || g.r[g.tg[i]] == 0 && meets && sys.gf[a][g.tg[i]] != 0
 		}
 		switch {
 		case !isFinite(x):

@@ -274,7 +274,7 @@ func checkMatchesOracle(t *testing.T, what string, got, want *Compressed) {
 
 // checkRangeGroups holds the range groups to their definition: on every
 // attribute, each term's group has the term's attribute set and range, and
-// its first term is the group's lowest one; the groups ascend by the value
+// every group has a member; the groups ascend by the value
 // their range begins at; two groups never share both;
 // and a set that does not constrain the attribute is one group over the
 // whole domain.
@@ -287,26 +287,21 @@ func checkRangeGroups(t *testing.T, what string, c *Compressed) {
 			r   span
 		}
 		seen := map[key]int32{}
-		lowest := make([]int32, len(c.groups[a]))
-		for g := range lowest {
-			lowest[g] = -1
-		}
+		members := make([]int, len(c.groups[a]))
 		for i, g := range c.termGroup[a] {
 			gr := c.groups[a][g]
 			if gr.set != c.termSet[i] || gr.span != c.ranges[i*m+a] {
 				t.Fatalf("%s: attribute %d term %d (set %d, range %v) is in group %d (set %d, range %v)", what, a, i, c.termSet[i], c.ranges[i*m+a], g, gr.set, gr.span)
 			}
-			if lowest[g] < 0 {
-				lowest[g] = int32(i)
-			}
+			members[g]++
 			seen[key{gr.set, gr.span}] = g
 		}
 		for g, gr := range c.groups[a] {
 			if g > 0 && gr.lo < c.groups[a][g-1].lo {
 				t.Fatalf("%s: attribute %d group %d begins at %d, before group %d at %d", what, a, g, gr.lo, g-1, c.groups[a][g-1].lo)
 			}
-			if lowest[g] != gr.first {
-				t.Fatalf("%s: attribute %d group %d has first term %d, lowest member %d", what, a, g, gr.first, lowest[g])
+			if members[g] == 0 {
+				t.Fatalf("%s: attribute %d group %d has no member", what, a, g)
 			}
 			if seen[key{gr.set, gr.span}] != int32(g) {
 				t.Fatalf("%s: attribute %d groups %d and %d share set %d and range %v", what, a, g, seen[key{gr.set, gr.span}], gr.set, gr.span)

@@ -159,21 +159,21 @@ type Compressed struct {
 	// termGroup[a][i] is term i's range group on attribute a, and
 	// groups[a][g] describes group g: the terms of one attribute set whose
 	// effective range on a is the same. The groups ascend by the value their
-	// range begins at. The terms of a group share their
-	// a-factor, so a column read of a sums the group's all-but-a products
-	// once and spreads that sum over the group's range once, and a column
-	// write computes the group's new factor once. A set that does not
-	// constrain a is one group with the full domain.
+	// range begins at. The terms of a group share their a-factor, so a
+	// System caches it once per group (System.gf), a column read of a sums
+	// the group's all-but-a products once and spreads that sum over the
+	// group's range once, and a column write computes the group's new factor
+	// once. A set that does not constrain a is one group with the full
+	// domain.
 	termGroup [][]int32
 	groups    [][]rangeGroup
 }
 
 // rangeGroup is one range group of an attribute: its attribute set (an
-// index into attrSets), its effective range on the attribute, and its
-// first term, whose cached factor every member shares.
+// index into attrSets) and its effective range on the attribute.
 type rangeGroup struct {
 	span
-	set, first int32
+	set int32
 }
 
 // maxAttrs is the widest schema a polynomial covers: a term's attribute set
@@ -533,7 +533,7 @@ func (c *Compressed) rangeGroups() {
 			set := c.termSet[t]
 			if loose[set] < 0 {
 				loose[set] = int32(len(all) - first)
-				all = append(all, rangeGroup{span{0, int32(n - 1)}, set, t})
+				all = append(all, rangeGroup{span{0, int32(n - 1)}, set})
 				chain = append(chain, -1)
 			}
 			if own {
@@ -556,7 +556,7 @@ func (c *Compressed) rangeGroups() {
 				}
 				if g < 0 {
 					g = int32(len(all) - first)
-					all = append(all, rangeGroup{r, set, t})
+					all = append(all, rangeGroup{r, set})
 					chain = append(chain, head[r.hi])
 					head[r.hi] = g
 				}

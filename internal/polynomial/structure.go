@@ -151,16 +151,16 @@ func (c *Compressed) HeapBytes() int64 {
 }
 
 // HeapBytes returns the heap the system holds apart from its polynomial
-// structure: the variables, their prefix sums and the term caches, plus the
-// partial sums its masked reads build — counted as if built, since a served
-// model builds them on its first masked reads.
+// structure: the variables, their prefix sums, the group factors and the term
+// caches, plus the partial sums its masked reads build — counted as if built,
+// since a served model builds them on its first masked reads.
 func (s *System) HeapBytes() int64 {
 	const f64 = 8
 	p := s.poly
 	n := int64(unsafe.Sizeof(*s)) + SliceBytes(s.alpha) + SliceBytes(s.prefix) + SliceBytes(s.dirty) +
-		SliceBytes(s.delta) + SliceBytes(s.fac) + SliceBytes(s.nz) + SliceBytes(s.zeros)
+		SliceBytes(s.delta) + SliceBytes(s.gf) + SliceBytes(s.nz) + SliceBytes(s.zeros)
 	for a := range s.alpha {
-		n += SliceBytes(s.alpha[a]) + SliceBytes(s.prefix[a])
+		n += SliceBytes(s.alpha[a]) + SliceBytes(s.prefix[a]) + SliceBytes(s.gf[a])
 	}
 	// The partial sums: one sum per attribute set, and per attribute a
 	// column per set that constrains it, a loose sum per set and two per

@@ -20,14 +20,15 @@ const rebuildEvery = 1 << 13
 // for the multi-dimensional statistics. It supports masked evaluation and
 // analytic partial derivatives.
 //
-// The system is incremental: it caches, per term, the current value of
-// every factor (the per-attribute range sums and the (δ_j − 1) statistic
-// factors) together with the running total P. A single-variable update
-// touches only the terms whose effective range covers the variable
-// (Compressed.touch / Compressed.statTerms), so after a SetVar the full
-// polynomial value Eval(nil) and the unmasked derivatives Deriv(·)
-// are available in O(terms touching the variable) instead of a full
-// re-evaluation — the property the solver's inner loop is built on.
+// The system is incremental: it caches every range-sum factor once per
+// range group (Compressed.groups), whose members share it, and per term the
+// product of its range-sum and (δ_j − 1) statistic factors, together with
+// the running total P. A single-variable update touches only the terms whose
+// effective range covers the variable (Compressed.touch /
+// Compressed.statTerms), so after a SetVar the full polynomial value
+// Eval(nil) and the unmasked derivatives Deriv(·) are available in O(terms
+// touching the variable) instead of a full re-evaluation — the property the
+// solver's inner loop is built on.
 //
 // A System is not safe for concurrent mutation; concurrent read-only use
 // (Eval/Deriv with no SetVar in between) is safe.
@@ -38,12 +39,13 @@ type System struct {
 	prefix [][]float64 // per attribute: prefix sums of alpha (len N_i + 1)
 	dirty  []bool      // per attribute: prefix sums need rebuilding
 
-	// Incremental term caches. For term i, nz[i] is the product of its
+	// Incremental caches. gf[a][g] is the current attribute-a factor of
+	// range group g, Σ_{v ∈ ρ_g} α_{a,v}, which term i holds as
+	// gf[a][termGroup[a][i]]. For term i, nz[i] is the product of its
 	// non-zero factors and zeros[i] counts its zero factors, so the term
-	// value is nz[i] when zeros[i] == 0 and 0 otherwise; fac[i·m+a] is the
-	// current value of the attribute-a factor, laid out like the polynomial's
-	// range table. total is Σ_i value(i) = P.
-	fac     []float64
+	// value is nz[i] when zeros[i] == 0 and 0 otherwise. total is
+	// Σ_i value(i) = P.
+	gf      [][]float64
 	nz      []float64
 	zeros   []int
 	total   float64
@@ -147,10 +149,9 @@ type evalScratch struct {
 }
 
 // groupMask is the mask on one attribute a seen by its range groups
-// (Compressed.groups): for group g, m[g] is the masked factor M_a(ρ_g) and,
-// where that is not zero, f[g] the cached a-factor F_g every member of the
-// group shares and r[g] the ratio m[g]/f[g] (0 where m[g] is); tg is the
-// term→group table Compressed.termGroup[a].
+// (Compressed.groups): for group g, f[g] is the group's cached a-factor F_g
+// (the System's gf[a]), m[g] the masked factor M_a(ρ_g) and r[g] the ratio
+// m[g]/f[g] (0 where m[g] is); tg is Compressed.termGroup[a].
 type groupMask struct {
 	tg      []int32
 	f, m, r []float64
@@ -197,8 +198,15 @@ func newSystemShell(poly *Compressed) *System {
 	for j := range s.delta {
 		s.delta[j] = 1
 	}
-	m := len(poly.sizes)
-	s.fac = make([]float64, poly.NumTerms()*m)
+	s.gf = make([][]float64, len(poly.sizes))
+	n := 0
+	for _, groups := range poly.groups {
+		n += len(groups)
+	}
+	slab := make([]float64, n)
+	for a, groups := range poly.groups {
+		s.gf[a], slab = slab[:len(groups):len(groups)], slab[len(groups):]
+	}
 	s.nz = make([]float64, poly.NumTerms())
 	s.zeros = make([]int, poly.NumTerms())
 	return s
@@ -223,11 +231,18 @@ func (s *System) SetOneD(attr, value int, x float64) {
 	s.alpha[attr][value] = x
 	s.dirty[attr] = true
 	s.dropSums()
+	gf, tg := s.gf[attr], s.poly.termGroup[attr]
 	for _, ti := range s.poly.touch[attr][value] {
-		s.shiftFactor(int(ti), attr, dx)
+		s.shiftFactor(int(ti), gf[tg[ti]], dx)
 	}
 	for _, ti := range s.poly.loose[attr] {
-		s.shiftFactor(int(ti), attr, dx)
+		s.shiftFactor(int(ti), gf[tg[ti]], dx)
+	}
+	// The members of the groups whose range holds the value are those terms.
+	for g, gr := range s.poly.groups[attr] {
+		if int(gr.lo) <= value && value <= int(gr.hi) {
+			gf[g] += dx
+		}
 	}
 	s.noteUpdate()
 }
@@ -271,10 +286,10 @@ func (s *System) SetMulti(stat int, x float64) {
 // group (Compressed.groups) share their attribute-attr factor, so the new
 // factor and its ratio to the old one are computed once per group, and one
 // pass over the terms multiplies each term's cached product by its group's
-// ratio. P is not carried through that pass: it is Σ_g f'_g·sum[g] over the
-// groups, from the group sums of the attribute's column (setColumns) — which
-// the solver's read of the column just built, and which are built here
-// otherwise.
+// ratio, with no branch unless some group needs swapFactor. P is not
+// carried through that pass: it is Σ_g f'_g·sum[g] over the groups, from the
+// group sums of the attribute's column (setColumns) — which the solver's
+// read of the column just built, and which are built here otherwise.
 func (s *System) SetOneDColumn(attr int, vals []float64) {
 	if len(vals) != len(s.alpha[attr]) {
 		panic(fmt.Sprintf("polynomial: SetOneDColumn(%d) given %d values, domain has %d", attr, len(vals), len(s.alpha[attr])))
@@ -284,48 +299,46 @@ func (s *System) SetOneDColumn(attr int, vals []float64) {
 	copy(s.alpha[attr], vals)
 	s.dirty[attr] = true
 	s.refresh(attr)
-	pre, m := s.prefix[attr], len(s.alpha)
-	// Per group: the new factor replaces its sum in c.sum, and c.work holds
-	// the ratio to the old factor — 1 when the factor is unchanged, 0 when a
-	// zero factor or an unrepresentable ratio needs swapFactor.
-	total := 0.0
+	pre, gf := s.prefix[attr], s.gf[attr]
+	// Per group: the new factor replaces the old one in gf, the old one its
+	// sum in c.sum, and c.work holds the ratio of the two — 1 when the factor
+	// is unchanged, 0 when a zero factor or an unrepresentable ratio needs
+	// swapFactor.
+	total, swap := 0.0, false
 	for g, gr := range s.poly.groups[attr] {
-		nf, old := pre[gr.hi+1]-pre[gr.lo], s.fac[int(gr.first)*m+attr]
+		nf, old := pre[gr.hi+1]-pre[gr.lo], gf[g]
 		total += nf * c.sum[g]
 		r := 1.0
 		if nf != old {
 			if r = nf / old; old == 0 || nf == 0 || r == 0 || r == 1 || !isFinite(r) {
-				r = 0
+				r, swap = 0, true
 			}
 		}
-		c.sum[g], c.work[g] = nf, r
+		gf[g], c.sum[g], c.work[g] = nf, old, r
 	}
 	tg := s.poly.termGroup[attr]
-	nz, zeros, fac, ratio, facs := s.nz[:len(tg)], s.zeros[:len(tg)], s.fac, c.work, c.sum
-	for i, g := range tg {
-		r := ratio[g]
-		if r == 1 {
-			continue
+	nz, zeros, ratio, olds := s.nz[:len(tg)], s.zeros[:len(tg)], c.work, c.sum
+	if !swap {
+		for i, g := range tg {
+			nz[i] *= ratio[g]
 		}
-		k, nf := i*m+attr, facs[g]
-		if r != 0 {
-			nz[i] *= r
-		} else {
-			nz[i], zeros[i], _ = swapFactor(nz[i], zeros[i], fac[k], nf)
+	} else {
+		for i, g := range tg {
+			if r := ratio[g]; r != 0 {
+				nz[i] *= r
+			} else {
+				nz[i], zeros[i], _ = swapFactor(nz[i], zeros[i], olds[g], gf[g])
+			}
 		}
-		fac[k] = nf
 	}
 	s.total = total
 	s.noteUpdate()
 }
 
-// shiftFactor adds dx to term i's attribute-attr range-sum factor,
+// shiftFactor moves one range-sum factor of term i from old to old + dx,
 // updating nz/zeros and the running total.
-func (s *System) shiftFactor(i, attr int, dx float64) {
-	k := i*len(s.alpha) + attr
-	old := s.fac[k]
+func (s *System) shiftFactor(i int, old, dx float64) {
 	nf := old + dx
-	s.fac[k] = nf
 	var d float64
 	s.nz[i], s.zeros[i], d = swapFactor(s.nz[i], s.zeros[i], old, nf)
 	s.total += d
@@ -375,20 +388,23 @@ func (s *System) noteUpdate() {
 	}
 }
 
-// rebuild recomputes every cached term factor, nz/zeros, and the running
+// rebuild recomputes every cached group factor, nz/zeros, and the running
 // total from the current variable values.
 func (s *System) rebuild() {
 	s.refreshAll()
 	s.dropSums()
 	p := s.poly
+	for a, groups := range p.groups {
+		pre := s.prefix[a]
+		for g, gr := range groups {
+			s.gf[a][g] = pre[gr.hi+1] - pre[gr.lo]
+		}
+	}
 	total := 0.0
-	k := 0
 	for i, stats := range p.stats {
 		nz, zeros := 1.0, 0
-		for _, pre := range s.prefix {
-			v := pre[p.ranges[k].hi+1] - pre[p.ranges[k].lo]
-			s.fac[k] = v
-			k++
+		for a, gf := range s.gf {
+			v := gf[p.termGroup[a][i]]
 			if v == 0 {
 				zeros++
 			} else {
@@ -891,15 +907,15 @@ func (s *System) candidates(sc *evalScratch, skip int) []int32 {
 // constrained attribute a other than skip (the differentiated attribute; -1
 // for none), in ascending order, and each range group g of a, the group's
 // masked factor M_a(ρ_g) off the mask's prefix column and, where that is not
-// zero, the cached factor F_g every member shares and the ratio
-// r_a[g] = M_a(ρ_g)/F_g (0 where M_a(ρ_g) is), into sc.kern. The cost is one
+// zero, the ratio r_a[g] = M_a(ρ_g)/F_g to the group's cached factor (0
+// where M_a(ρ_g) is), into sc.kern. The cost is one
 // clipped difference and at most one division per group that begins before
 // the mask's hull ends, and a clear of the rest. sc.exact records whether
 // some ratio is not finite — F_g = 0 with M_a(ρ_g) ≠ 0, which needs negative
 // α, or an overflow — and so whether maskedTerm must look for the terms that
 // need the exact swap.
 func (s *System) groupRatios(sc *evalScratch, skip int) {
-	p, m := s.poly, len(s.alpha)
+	p := s.poly
 	sc.kern, sc.exact = sc.kern[:0], false
 	for _, a := range sc.attrs {
 		if a == skip {
@@ -908,9 +924,9 @@ func (s *System) groupRatios(sc *evalScratch, skip int) {
 		groups, g := p.groups[a], sc.gm[a]
 		n := len(groups)
 		if cap(g.r) < n {
-			g.f, g.m, g.r = make([]float64, n), make([]float64, n), make([]float64, n)
+			g.m, g.r = make([]float64, n), make([]float64, n)
 		}
-		g.tg, g.f, g.m, g.r = p.termGroup[a], g.f[:n], g.m[:n], g.r[:n]
+		g.tg, g.f, g.m, g.r = p.termGroup[a], s.gf[a], g.m[:n], g.r[:n]
 		// The groups ascend by the value their range begins at, so those
 		// beginning past the mask's hull, whose masked factor is zero, are a
 		// suffix.
@@ -920,8 +936,7 @@ func (s *System) groupRatios(sc *evalScratch, skip int) {
 		for k, gr := range groups[:end] {
 			mk, r := sc.masked(a, int(gr.lo), int(gr.hi)), 0.0
 			if mk != 0 {
-				f := s.fac[int(gr.first)*m+a]
-				g.f[k], r = f, mk/f
+				r = mk / g.f[k]
 				sc.exact = sc.exact || !isFinite(r)
 			}
 			g.m[k], g.r[k] = mk, r
@@ -1036,14 +1051,12 @@ func (s *System) exceptFactor(i int, f float64) float64 {
 // factor.
 func (s *System) derivOneDCached(attr, value int) float64 {
 	total := 0.0
-	m := len(s.alpha)
+	gf, tg := s.gf[attr], s.poly.termGroup[attr]
 	for _, ti := range s.poly.touch[attr][value] {
-		i := int(ti)
-		total += s.exceptFactor(i, s.fac[i*m+attr])
+		total += s.exceptFactor(int(ti), gf[tg[ti]])
 	}
 	for _, ti := range s.poly.loose[attr] {
-		i := int(ti)
-		total += s.exceptFactor(i, s.fac[i*m+attr])
+		total += s.exceptFactor(int(ti), gf[tg[ti]])
 	}
 	return total
 }
@@ -1094,12 +1107,12 @@ func (s *System) maskScale(sc *evalScratch, skip int) (scale float64, sMask uint
 }
 
 // maskedExceptAttr returns candidate term i's masked product of all factors
-// except the attribute attr's one: its cached attr factor removed from the
-// (nz, zeros) state, then maskedTerm over the group ratios of the
-// constrained attributes other than attr (groupRatios(sc, attr)).
-func (s *System) maskedExceptAttr(i, attr int, sc *evalScratch) float64 {
+// except its cached factor f on the differentiated attribute: f removed from
+// the (nz, zeros) state, then maskedTerm over the group ratios of the other
+// constrained attributes (groupRatios(sc, attr)).
+func (s *System) maskedExceptAttr(i int, f float64, sc *evalScratch) float64 {
 	val, z := s.nz[i], s.zeros[i]
-	if f := s.fac[i*len(s.alpha)+attr]; f == 0 {
+	if f == 0 {
 		z--
 	} else {
 		val /= f
@@ -1163,16 +1176,17 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	// The candidates: each one's product goes to the values of its range on
 	// attr, or to every value when it does not constrain attr.
 	everywhere := 0.0
-	m, aBit := len(s.alpha), uint64(1)<<uint(attr)
+	aBit := uint64(1) << uint(attr)
+	gf, tg, groups := s.gf[attr], p.termGroup[attr], p.groups[attr]
 	s.groupRatios(sc, attr)
 	for _, ti := range s.candidates(sc, attr) {
-		i := int(ti)
-		x := s.maskedExceptAttr(i, attr, sc)
+		i, g := int(ti), tg[ti]
+		x := s.maskedExceptAttr(i, gf[g], sc)
 		if p.attrBits[i]&aBit == 0 {
 			everywhere += x
 			continue
 		}
-		r := p.ranges[i*m+attr]
+		r := groups[g]
 		for v := r.lo; v <= r.hi; v++ {
 			out[v] += x
 		}
@@ -1235,10 +1249,9 @@ func (s *System) setColumns(attr int) *setColumns {
 			onlyF[g] += nz[i]
 		}
 	}
-	m := len(s.alpha)
 	for g, gr := range groups {
 		x := onlyF[g]
-		if f := s.fac[int(gr.first)*m+attr]; f != 0 {
+		if f := s.gf[attr][g]; f != 0 {
 			x = nonzero[g] / f
 		}
 		c.sum[g] = x

@@ -172,9 +172,12 @@ func TestSweepsWithoutRecomputeStayNearRebuild(t *testing.T) {
 // masked reads, and checks after every column write that the caches agree
 // with a from-scratch rebuild: P, every cached derivative, a masked Eval and
 // an unmasked and a masked DerivColumn — the last three read partial sums
-// rebuilt into the buffers an earlier write left behind.
+// rebuilt into the buffers an earlier write left behind — and after every
+// write that the group factors are bit-equal to the per-term rules'.
 func TestSetOneDColumnMatchesRebuild(t *testing.T) {
 	sys := incrementalInstance(t)
+	sys.Recompute()
+	o := newTermFactors(sys)
 	sizes := sys.Poly().DomainSizes()
 	refs := sys.Variables()
 	rng := rand.New(rand.NewSource(25))
@@ -188,7 +191,8 @@ func TestSetOneDColumnMatchesRebuild(t *testing.T) {
 				vals[v] = randomValue(rng)
 			}
 		}
-		sys.SetOneDColumn(attr, vals)
+		o.setOneDColumn(attr, vals)
+		o.check(t, fmt.Sprintf("step %d column write", step))
 		for v, x := range vals {
 			if sys.OneD(attr, v) != x {
 				t.Fatalf("step %d: α[%d,%d] = %g after the column write, want %g", step, attr, v, sys.OneD(attr, v), x)
@@ -216,6 +220,12 @@ func TestSetOneDColumnMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
-		sys.Set(refs[rng.Intn(len(refs))], randomValue(rng))
+		if r, x := refs[rng.Intn(len(refs))], randomValue(rng); r.Kind == OneD {
+			o.setOneD(r.Attr, r.Value, x)
+		} else {
+			sys.Set(r, x)
+			o.wrote()
+		}
+		o.check(t, fmt.Sprintf("step %d single write", step))
 	}
 }

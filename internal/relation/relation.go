@@ -499,13 +499,15 @@ func countBlocks[C uint8 | uint32](r *Relation, n int, count func(out []C, cols 
 			spans = append(spans, span{p.cols, lo, min(lo+block, p.len())})
 		}
 	}
-	var claimed atomic.Int64
-	var mu sync.Mutex
 	w := min(runtime.GOMAXPROCS(0), r.rows/block)
 	if w <= 1 {
-		countSpans(spans, out, &claimed, &mu, count)
+		// One worker takes no lock, and its counter stays on the stack: the
+		// workers' pair below escapes through their closure.
+		countSpans(spans, out, new(atomic.Int64), nil, count)
 		return out
 	}
+	var claimed atomic.Int64
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for range w {
 		wg.Add(1)
@@ -526,7 +528,8 @@ type span struct {
 }
 
 // countSpans is one worker of countBlocks: it counts the spans it claims
-// into a private table of C cells and adds the table into out under mu.
+// into a private table of C cells and adds the table into out under mu (nil
+// for a lone worker).
 func countSpans[C uint8 | uint32](spans []span, out []int, claimed *atomic.Int64, mu *sync.Mutex, count func(out []C, cols [][]uint16, lo, hi int)) {
 	limit := int(min(uint64(^C(0)), math.MaxInt))
 	t := make([]C, len(out))
@@ -546,10 +549,12 @@ func countSpans[C uint8 | uint32](spans []span, out []int, claimed *atomic.Int64
 	addCells(out, t, mu)
 }
 
-// addCells adds t into out under mu.
+// addCells adds t into out, under mu unless it is nil.
 func addCells[C uint8 | uint32](out []int, t []C, mu *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
+	if mu != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	}
 	for i, c := range t {
 		out[i] += int(c)
 	}

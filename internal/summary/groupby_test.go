@@ -269,6 +269,18 @@ func TestMaskedReadAllocations(t *testing.T) {
 	}
 }
 
+// TestOwnHeapBound holds a resident model's own heap to its budget at the
+// repository benchmark's model shape, which the benchmark gate does not
+// compare: with one cached factor per range group, not per term and
+// attribute, the solved system, its caches and the statistics stay under
+// 400,000 bytes.
+func TestOwnHeapBound(t *testing.T) {
+	const budget = 400_000
+	if own, _ := flightsShapedSummary(t, 300, 0).HeapBytes(); own > budget {
+		t.Errorf("the summary holds %d bytes of its own, want at most %d", own, budget)
+	}
+}
+
 // BenchmarkEstimateGroupBy measures the group-by path at the repository
 // benchmark's model shape (2 pairs x 300 statistics, ~10k terms): one column
 // pass, one column pass under a filter, and one pass per outer value.
