@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -112,6 +113,11 @@ type ABResult struct {
 	// Delta is head's median ns/op relative to base's: −0.10 is 10 %
 	// faster.
 	Delta float64 `json:"delta"`
+	// Resolved reports whether the pairs tell the sides apart: head won, or
+	// lost, at least nine tenths of them, ties counting for neither, and the
+	// medians differ by more than base's own spread, the distance between
+	// its quartiles. An unresolved Delta is not a measured change.
+	Resolved bool `json:"resolved"`
 }
 
 // CompareAB pairs base[i] with head[i], the runs of pair i on each side,
@@ -119,8 +125,8 @@ type ABResult struct {
 // benchmark run more than once within one pair counts with its last run.
 func CompareAB(base, head [][]BenchRun) []ABResult {
 	type sides struct {
-		base, head []BenchRun
-		wins       int
+		base, head   []BenchRun
+		wins, losses int
 	}
 	all := make(map[string]*sides)
 	for i := 0; i < len(base) && i < len(head); i++ {
@@ -138,6 +144,8 @@ func CompareAB(base, head [][]BenchRun) []ABResult {
 			s.base, s.head = append(s.base, br), append(s.head, hr)
 			if hr.NsOp < br.NsOp {
 				s.wins++
+			} else if hr.NsOp > br.NsOp {
+				s.losses++
 			}
 		}
 	}
@@ -147,6 +155,8 @@ func CompareAB(base, head [][]BenchRun) []ABResult {
 		if m := r.Base.NsOp.Median; m > 0 {
 			r.Delta = r.Head.NsOp.Median/m - 1
 		}
+		lopsided := 10*s.wins >= 9*r.Pairs || 10*s.losses >= 9*r.Pairs
+		r.Resolved = lopsided && math.Abs(r.Head.NsOp.Median-r.Base.NsOp.Median) > r.Base.NsOp.Q3-r.Base.NsOp.Q1
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -170,15 +180,16 @@ func sideStats(runs []BenchRun) SideStats {
 }
 
 // ABTable renders results as an aligned table of the median ns/op, B/op
-// and allocs/op of each side and the pairs head won.
+// and allocs/op of each side, the pairs head won and whether the row is
+// resolved.
 func ABTable(results []ABResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-44s %14s %14s %8s %12s %12s %10s %10s %6s\n",
-		"benchmark", "base ns/op", "head ns/op", "delta", "base B/op", "head B/op", "base allocs", "head allocs", "wins")
+	fmt.Fprintf(&b, "%-44s %14s %14s %8s %12s %12s %10s %10s %6s %8s\n",
+		"benchmark", "base ns/op", "head ns/op", "delta", "base B/op", "head B/op", "base allocs", "head allocs", "wins", "resolved")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-44s %14.1f %14.1f %+7.1f%% %12.0f %12.0f %10.0f %10.0f %3d/%d\n",
+		fmt.Fprintf(&b, "%-44s %14.1f %14.1f %+7.1f%% %12.0f %12.0f %10.0f %10.0f %3d/%d %8t\n",
 			r.Name, r.Base.NsOp.Median, r.Head.NsOp.Median, 100*r.Delta,
-			r.Base.BOp.Median, r.Head.BOp.Median, r.Base.Allocs.Median, r.Head.Allocs.Median, r.HeadWins, r.Pairs)
+			r.Base.BOp.Median, r.Head.BOp.Median, r.Base.Allocs.Median, r.Head.Allocs.Median, r.HeadWins, r.Pairs, r.Resolved)
 	}
 	return b.String()
 }

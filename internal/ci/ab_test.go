@@ -79,3 +79,40 @@ func TestCompareABCountsPairsWon(t *testing.T) {
 		t.Fatalf("delta %v, want -0.15", r.Delta)
 	}
 }
+
+// TestCompareABResolves marks a row resolved only when head wins, or loses,
+// at least nine tenths of the pairs and the medians differ by more than
+// base's interquartile spread.
+func TestCompareABResolves(t *testing.T) {
+	pairs := func(base, head []float64) ([][]BenchRun, [][]BenchRun) {
+		var b, h [][]BenchRun
+		for i := range base {
+			b = append(b, []BenchRun{{Name: "BenchmarkA", NsOp: base[i]}})
+			h = append(h, []BenchRun{{Name: "BenchmarkA", NsOp: head[i]}})
+		}
+		return b, h
+	}
+	base := []float64{100, 101, 102, 103, 104, 105, 106, 107, 108, 109} // quartiles 102.25 and 106.75
+	for _, c := range []struct {
+		name string
+		head []float64
+		want bool
+	}{
+		{"ten wins far below", []float64{90, 91, 92, 93, 94, 95, 96, 97, 98, 99}, true},
+		{"ten losses far above", []float64{120, 121, 122, 123, 124, 125, 126, 127, 128, 129}, true},
+		{"nine wins", []float64{90, 91, 92, 93, 94, 95, 96, 97, 98, 200}, true},
+		{"eight wins", []float64{90, 91, 92, 93, 94, 95, 96, 97, 200, 200}, false},
+		{"nine of ten with a tie", []float64{90, 91, 92, 93, 94, 95, 96, 97, 98, 109}, true},
+		{"eight and two ties", []float64{90, 91, 92, 93, 94, 95, 96, 97, 108, 109}, false},
+		{"every pair won inside the spread", []float64{99, 100, 101, 102, 103, 104, 105, 106, 107, 108}, false},
+	} {
+		b, h := pairs(base, c.head)
+		r := CompareAB(b, h)[0]
+		if r.Resolved != c.want {
+			t.Errorf("%s: resolved %t (wins %d/%d, medians %v → %v), want %t", c.name, r.Resolved, r.HeadWins, r.Pairs, r.Base.NsOp.Median, r.Head.NsOp.Median, c.want)
+		}
+	}
+	if got := ABTable(CompareAB(pairs(base, base))); !strings.Contains(got, "resolved") || !strings.Contains(got, " false\n") {
+		t.Fatalf("ABTable lacks the resolved column:\n%s", got)
+	}
+}

@@ -148,7 +148,7 @@ func BenchmarkSolverShapedBlock(b *testing.B) {
 		for v := range vals[:sizes[a]] {
 			vals[v] = 0.5 + float64((i+v)%7)*0.1
 		}
-		sys.SetOneDColumn(a, vals[:sizes[a]])
+		sys.SetOneDColumn(a, vals[:sizes[a]], -1)
 	}
 }
 

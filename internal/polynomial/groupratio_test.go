@@ -71,7 +71,7 @@ func (o *termFactors) setOneD(a, v int, x float64) {
 }
 
 func (o *termFactors) setOneDColumn(a int, vals []float64) {
-	o.sys.SetOneDColumn(a, vals)
+	o.sys.SetOneDColumn(a, vals, -1)
 	o.column(a)
 	o.wrote()
 }
@@ -137,7 +137,7 @@ func TestRangeGroupMembersShareFactors(t *testing.T) {
 				o.setOneD(a, rng.Intn(sizes[a]), randomValue(rng))
 			case 1:
 				if p.NumMultiStats() > 0 {
-					sys.SetMulti(rng.Intn(p.NumMultiStats()), randomValue(rng))
+					sys.Set(VarRef{Kind: Multi, Stat: rng.Intn(p.NumMultiStats())}, randomValue(rng))
 					o.wrote()
 				}
 			case 2:

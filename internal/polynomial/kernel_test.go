@@ -178,7 +178,7 @@ func TestPartialSumsInvalidation(t *testing.T) {
 		apply func(sys *System)
 	}{
 		{"SetOneD", true, func(sys *System) { sys.SetOneD(3, 5, 3*sys.OneD(3, 5)+1) }},
-		{"SetMulti", true, func(sys *System) { sys.SetMulti(7, 2*sys.MultiVar(7)+1) }},
+		{"SetMulti", true, func(sys *System) { sys.Set(VarRef{Kind: Multi, Stat: 7}, 2*sys.MultiVar(7)+1) }},
 		{"CopyVarsFrom", true, func(sys *System) {
 			if err := sys.CopyVarsFrom(donor); err != nil {
 				t.Fatal(err)

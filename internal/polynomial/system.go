@@ -53,9 +53,9 @@ type System struct {
 
 	// sums holds the per-attribute-set partial sums of the term caches that
 	// masked reads rescale instead of visiting the terms. The first masked
-	// read after a write builds and publishes what it needs; every write
-	// drops the lot into spare, whose buffers the next build overwrites —
-	// the solver reads a column after every column write, so its sweeps
+	// read after a write builds and publishes what it needs (a column write
+	// may build one column itself); every write drops the lot into spare,
+	// whose buffers the next build overwrites, so the solver's sweeps
 	// allocate nothing. Eval(nil), Total and the unmasked Deriv never build
 	// them.
 	sums  atomic.Pointer[partialSums]
@@ -247,13 +247,14 @@ func (s *System) SetOneD(attr, value int, x float64) {
 	s.noteUpdate()
 }
 
-// SetMulti assigns δ_stat, incrementally maintaining the cached term
-// factors and the polynomial total. The statistic's terms share its
-// (δ_stat − 1) factor, so their cached products are multiplied by the ratio
-// of the new factor to the old one, and P moves by the statistic's
-// derivative times the change — unless a factor is zero or the ratio is not
+// SetMulti assigns δ_stat given pd = ∂P/∂δ_stat under the current
+// assignment (Deriv, which the solver has just read), incrementally
+// maintaining the cached term factors and the polynomial total. The
+// statistic's terms share its (δ_stat − 1) factor, so their cached products
+// are multiplied by the ratio of the new factor to the old one, and P moves
+// by the change times pd — unless a factor is zero or the ratio is not
 // representable, when each term's factor is swapped on its own.
-func (s *System) SetMulti(stat int, x float64) {
+func (s *System) SetMulti(stat int, x, pd float64) {
 	old := s.delta[stat]
 	if x == old {
 		return
@@ -263,14 +264,11 @@ func (s *System) SetMulti(stat int, x float64) {
 	of, nf := old-1, x-1
 	terms := s.poly.statTerms[stat]
 	if r := nf / of; of != 0 && nf != 0 && r != 0 && isFinite(r) {
-		sum := 0.0
+		nz := s.nz
 		for _, ti := range terms {
-			if s.zeros[ti] == 0 {
-				sum += s.nz[ti]
-			}
-			s.nz[ti] *= r
+			nz[ti] *= r
 		}
-		s.total += (x - old) * (sum / of)
+		s.total += (x - old) * pd
 	} else {
 		for _, ti := range terms {
 			var d float64
@@ -290,7 +288,12 @@ func (s *System) SetMulti(stat int, x float64) {
 // carried through that pass: it is Σ_g f'_g·sum[g] over the groups, from the
 // group sums of the attribute's column (setColumns) — which the solver's
 // read of the column just built, and which are built here otherwise.
-func (s *System) SetOneDColumn(attr int, vals []float64) {
+//
+// When next is another attribute (-1 for none), the write also builds and
+// publishes next's column, bit for bit as a read after it would: the same
+// pass adds each updated product into next's group sums, in term order. It
+// is published before the update is counted, so a drift rebuild drops it.
+func (s *System) SetOneDColumn(attr int, vals []float64, next int) {
 	if len(vals) != len(s.alpha[attr]) {
 		panic(fmt.Sprintf("polynomial: SetOneDColumn(%d) given %d values, domain has %d", attr, len(vals), len(s.alpha[attr])))
 	}
@@ -318,17 +321,36 @@ func (s *System) SetOneDColumn(attr int, vals []float64) {
 	}
 	tg := s.poly.termGroup[attr]
 	nz, zeros, ratio, olds := s.nz[:len(tg)], s.zeros[:len(tg)], c.work, c.sum
-	if !swap {
+	fuse := next >= 0 && next != attr
+	switch {
+	case fuse && !swap:
+		s.buildColumns(next, func(d *setColumns, next int) {
+			nonzero, onlyF, ng := d.sum, d.work, s.poly.termGroup[next][:len(tg)]
+			for i, g := range tg {
+				x := nz[i] * ratio[g]
+				nz[i] = x
+				switch zeros[i] {
+				case 0:
+					nonzero[ng[i]] += x
+				case 1:
+					onlyF[ng[i]] += x
+				}
+			}
+		})
+	case !swap:
 		for i, g := range tg {
 			nz[i] *= ratio[g]
 		}
-	} else {
+	default:
 		for i, g := range tg {
 			if r := ratio[g]; r != 0 {
 				nz[i] *= r
 			} else {
 				nz[i], zeros[i], _ = swapFactor(nz[i], zeros[i], olds[g], gf[g])
 			}
+		}
+		if fuse {
+			s.buildColumns(next, s.sumGroups)
 		}
 	}
 	s.total = total
@@ -449,7 +471,7 @@ func (s *System) Set(v VarRef, x float64) {
 		s.SetOneD(v.Attr, v.Value, x)
 		return
 	}
-	s.SetMulti(v.Stat, x)
+	s.SetMulti(v.Stat, x, s.derivMultiCached(v.Stat))
 }
 
 // Clone returns a deep copy of the system (sharing the immutable Compressed
@@ -1129,15 +1151,15 @@ func (s *System) maskedExceptAttr(i int, f float64, sc *evalScratch) float64 {
 //	out[v] = scaleExcl·Σ_{k: attrSets[k]∩S'=∅} (col[k][v] + loose[k]) + Σ_{t∈candidates(S'), v∈ρ_attr(t)} maskedExceptAttr(t)
 //
 // where col/loose is the attribute's unmasked column split by attribute set
-// (setColumns, built by the first column read of attr after a write) and
-// each candidate's masked all-but-attr product is computed once and added
-// to the values of its range on attr; values the predicate excludes on attr
-// itself are zero. Every cell is a sum of disjoint parts — nothing is
-// subtracted. The cost is O(|sets|·N_attr + groups of S' + candidates·|S'| +
-// their range lengths): at most one ratio per range group of S'
-// (groupRatios), then one multiply per candidate and attribute of S'. Shapes
-// the pruned path cannot cover fall back to one full-walk derivOneD per
-// value, as Eval falls back to evalFullWalk.
+// (setColumns, built by the first column read of attr after a write, or by
+// the write) and each candidate's masked all-but-attr product is computed
+// once and added to the values of its range on attr; values the predicate
+// excludes on attr itself are zero. Every cell is a sum of disjoint parts —
+// nothing is subtracted. The cost is O(|sets|·N_attr + groups of S' +
+// candidates·|S'| + their range lengths): at most one ratio per range group
+// of S' (groupRatios), then one multiply per candidate and attribute of S'.
+// Shapes the pruned path cannot cover fall back to one full-walk derivOneD
+// per value, as Eval falls back to evalFullWalk.
 func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	s.refreshAll()
 	sc := s.getScratch(pred)
@@ -1203,17 +1225,24 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 
 // setColumns returns the attribute's unmasked derivative column split by
 // attribute set, building and publishing it on the first column read of the
-// attribute after a write, into the spare buffers when a write left some.
-// The build is one pass over the terms that adds each term's cached product
-// to its range group's sum (Compressed.groups) — one addition per term —
-// then one division by the group's factor and one spread of the group's sum
-// over its range per group. A zero factor is no exception: the group's
-// share is then the sum of the products whose only zero factor it is.
+// attribute after a write (buildColumns, filled by sumGroups).
 func (s *System) setColumns(attr int) *setColumns {
-	ps := s.partials()
-	if c := ps.cols[attr].Load(); c != nil {
+	if c := s.partials().cols[attr].Load(); c != nil {
 		return c
 	}
+	return s.buildColumns(attr, s.sumGroups)
+}
+
+// buildColumns builds the attribute's column into the spare buffers when a
+// write left some, and publishes it. fill makes the one pass over the terms:
+// it adds each term's cached product to its range group's sum
+// (Compressed.groups) in c.sum when the term has no zero factor, and in
+// c.work when it has one. Then each group's share, the sum divided by the
+// group's factor, is spread once over the group's range. A zero factor is no
+// exception: the group's share is then the sum of the products whose only
+// zero factor it is.
+func (s *System) buildColumns(attr int, fill func(c *setColumns, attr int)) *setColumns {
+	ps := s.partials()
 	p := s.poly
 	groups := p.groups[attr]
 	c := ps.spare[attr].Swap(nil)
@@ -1236,23 +1265,13 @@ func (s *System) setColumns(attr int) *setColumns {
 			}
 		}
 	}
-	nonzero, onlyF := c.sum, c.work
-	clear(nonzero)
-	clear(onlyF)
-	tg := p.termGroup[attr]
-	nz, zeros := s.nz[:len(tg)], s.zeros[:len(tg)]
-	for i, g := range tg {
-		switch zeros[i] {
-		case 0:
-			nonzero[g] += nz[i]
-		case 1:
-			onlyF[g] += nz[i]
-		}
-	}
+	clear(c.sum)
+	clear(c.work)
+	fill(c, attr)
 	for g, gr := range groups {
-		x := onlyF[g]
+		x := c.work[g]
 		if f := s.gf[attr][g]; f != 0 {
-			x = nonzero[g] / f
+			x = c.sum[g] / f
 		}
 		c.sum[g] = x
 		col := c.col[gr.set]
@@ -1265,6 +1284,27 @@ func (s *System) setColumns(attr int) *setColumns {
 		}
 	}
 	return publish(&ps.cols[attr], c)
+}
+
+// sumGroups is buildColumns' fill from the term caches. It adds a run of
+// consecutive terms in one group in a register, which spares each addition
+// a round trip through memory: the sums are the same floats, in the same
+// order.
+func (s *System) sumGroups(c *setColumns, attr int) {
+	nonzero, onlyF, tg := c.sum, c.work, s.poly.termGroup[attr]
+	nz, zeros := s.nz[:len(tg)], s.zeros[:len(tg)]
+	run, acc := int32(0), nonzero[0]
+	for i, g := range tg {
+		if z := zeros[i]; z == 0 {
+			if g != run {
+				nonzero[run], run, acc = acc, g, nonzero[g]
+			}
+			acc += nz[i]
+		} else if z == 1 {
+			onlyF[g] += nz[i]
+		}
+	}
+	nonzero[run] = acc
 }
 
 // derivOneD is the full-walk masked derivative — DerivColumn's fallback for

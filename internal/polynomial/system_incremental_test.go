@@ -120,9 +120,10 @@ func TestSystemDriftRebuildTriggers(t *testing.T) {
 // TestSweepsWithoutRecomputeStayNearRebuild pins the drift contract the
 // solver relies on between its convergence checks: 30 sweeps of the
 // benchmark-shaped model — every attribute's column written with
-// SetOneDColumn, then every δ with SetMulti, and never a Recompute — keep
-// Total, a masked Eval and every unmasked and masked DerivColumn within
-// 1e-12 relative of a freshly rebuilt clone. The sweeps cross rebuildEvery
+// SetOneDColumn, each write building the next attribute's column as the
+// solver's do, then every δ with SetMulti given its Deriv, and never a
+// Recompute — keep Total, a masked Eval and every unmasked and masked
+// DerivColumn within 1e-12 relative of a freshly rebuilt clone. The sweeps cross rebuildEvery
 // more than once, so the automatic rebuild runs between them too.
 func TestSweepsWithoutRecomputeStayNearRebuild(t *testing.T) {
 	const sweeps = 30
@@ -147,10 +148,15 @@ func TestSweepsWithoutRecomputeStayNearRebuild(t *testing.T) {
 			for v := range vals {
 				vals[v] = sys.OneD(a, v) * (0.7 + 0.6*rng.Float64())
 			}
-			sys.SetOneDColumn(a, vals)
+			next := a + 1
+			if next == len(sizes) {
+				next = -1
+			}
+			sys.SetOneDColumn(a, vals, next)
 		}
 		for j := 0; j < comp.NumMultiStats(); j++ {
-			sys.SetMulti(j, sys.MultiVar(j)*(0.7+0.6*rng.Float64()))
+			ref := VarRef{Kind: Multi, Stat: j}
+			sys.SetMulti(j, sys.MultiVar(j)*(0.7+0.6*rng.Float64()), sys.Deriv(ref))
 		}
 		fresh := sys.Clone()
 		near("Total", sweep, sys.Total(), fresh.Total())
@@ -227,5 +233,179 @@ func TestSetOneDColumnMatchesRebuild(t *testing.T) {
 			o.wrote()
 		}
 		o.check(t, fmt.Sprintf("step %d single write", step))
+	}
+}
+
+// columnWrite names what a SetOneDColumn(attr, vals, ·) will do: whether
+// some group of attr needs swapFactor (a zero factor, an unrepresentable
+// ratio) and whether some group keeps its factor exactly (a ratio of 1).
+func columnWrite(sys *System, attr int, vals []float64) (swap, same bool) {
+	pre := make([]float64, len(vals)+1)
+	for v, x := range vals {
+		pre[v+1] = pre[v] + x
+	}
+	for g, gr := range sys.poly.groups[attr] {
+		nf, old := pre[gr.hi+1]-pre[gr.lo], sys.gf[attr][g]
+		r := nf / old
+		same = same || nf == old
+		swap = swap || nf != old && (old == 0 || nf == 0 || r == 0 || r == 1 || !isFinite(r))
+	}
+	return swap, same
+}
+
+// sameBits fails the test unless the two slices are equal bit for bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFusedColumnWriteMatchesWriteThenRead holds the solver's fused block
+// step to its definition: after SetOneDColumn(a, vals, b) the system's caches,
+// and the column of b it published, equal bit for bit those of
+// SetOneDColumn(a, vals, -1) followed by a read of b's column — on the
+// flights shape, sharedRangeInstance and random instances, with a quarter of
+// the variables zeroed on every other trial. The draws reach every path: a
+// group whose factor goes to or from zero (the swap), a group whose factor
+// is unchanged (a ratio of 1), a write on which the drift rebuild runs and
+// drops the column, b == a (not fused), and a b, or an a, that no term
+// constrains.
+func TestFusedColumnWriteMatchesWriteThenRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(263))
+	shared := rand.New(rand.NewSource(264))
+	seen := map[string]int{}
+	for trial := 0; trial < 240; trial++ {
+		var sys *System
+		switch trial % 6 {
+		case 0:
+			sys = flightsShapedSystem(t, rng)
+		case 1:
+			_, _, sys = sharedRangeInstance(t, shared)
+		default:
+			_, _, sys = randomInstance(rng)
+		}
+		if trial%2 == 1 {
+			zeroSomeVariables(sys, rng)
+		}
+		sys.Recompute()
+		sizes := sys.poly.sizes
+		a, b := rng.Intn(len(sizes)), rng.Intn(len(sizes))
+		vals := slices.Clone(sys.alpha[a])
+		for v := range vals {
+			switch rng.Intn(4) {
+			case 0: // kept: a group over kept values keeps its factor
+			case 1:
+				vals[v] = 0
+			default:
+				vals[v] = randomValue(rng)
+			}
+		}
+		if trial%7 == 3 {
+			sys.updates = rebuildEvery - 1
+		}
+		ref := sys.Clone()
+		ref.updates = sys.updates
+		swap, same := columnWrite(sys, a, vals)
+		sys.SetOneDColumn(a, vals, b)
+		ref.SetOneDColumn(a, vals, -1)
+		rebuilt := sys.updates == 0
+		published := sys.sums.Load() != nil && sys.sums.Load().cols[b].Load() != nil
+		if want := b != a && !rebuilt; published != want {
+			t.Fatalf("trial %d: SetOneDColumn(%d, ·, %d) left b's column published %t, want %t", trial, a, b, published, want)
+		}
+		what := fmt.Sprintf("trial %d (%d→%d)", trial, a, b)
+		if math.Float64bits(sys.total) != math.Float64bits(ref.total) || !slices.Equal(sys.zeros, ref.zeros) {
+			t.Fatalf("%s: total %v, zero counts %v; write then read %v, %v", what, sys.total, sys.zeros, ref.total, ref.zeros)
+		}
+		sameBits(t, what+" nz", sys.nz, ref.nz)
+		sameBits(t, what+" gf", sys.gf[a], ref.gf[a])
+		got, want := sys.setColumns(b), ref.setColumns(b)
+		sameBits(t, what+" group sums", got.sum, want.sum)
+		sameBits(t, what+" loose", got.loose, want.loose)
+		for k := range got.col {
+			sameBits(t, fmt.Sprintf("%s set %d column", what, k), got.col[k], want.col[k])
+		}
+		switch {
+		case rebuilt:
+			seen["rebuild"]++
+		case b == a:
+			seen["b == a"]++
+		case swap:
+			seen["swap"]++
+		default:
+			seen["ratio"]++
+		}
+		if same && b != a {
+			seen["ratio of 1"]++
+		}
+		if len(sys.poly.starts[b]) == 0 && b != a {
+			seen["b unconstrained"]++
+		}
+		if len(sys.poly.starts[a]) == 0 && b != a {
+			seen["a unconstrained"]++
+		}
+	}
+	for _, path := range []string{"rebuild", "b == a", "swap", "ratio", "ratio of 1", "b unconstrained", "a unconstrained"} {
+		if seen[path] == 0 {
+			t.Errorf("no trial took the %q path (%v)", path, seen)
+		}
+	}
+}
+
+// TestSetMultiGivenDerivMatchesSet checks that SetMulti given the Deriv the
+// solver reads moves the caches exactly as Set, which reads the derivative
+// itself, and that on the ratio path the total moves by the change times the
+// sum of the statistic's terms over its old factor — the float SetMulti
+// computed before it was handed the derivative — on both the ratio path and
+// the swap path (a factor to or from zero).
+func TestSetMultiGivenDerivMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(265))
+	paths := map[bool]int{}
+	for trial := 0; trial < 200; trial++ {
+		_, _, sys := randomInstance(rng)
+		if sys.poly.NumMultiStats() == 0 {
+			continue
+		}
+		if trial%2 == 1 {
+			zeroSomeVariables(sys, rng)
+		}
+		sys.Recompute()
+		j := rng.Intn(sys.poly.NumMultiStats())
+		x := randomValue(rng)
+		ref := sys.Clone()
+		old, of, nf := sys.delta[j], sys.delta[j]-1, x-1
+		r := nf / of
+		ratio := x != old && of != 0 && nf != 0 && r != 0 && isFinite(r)
+		sum := 0.0
+		for _, ti := range sys.poly.statTerms[j] {
+			if sys.zeros[ti] == 0 {
+				sum += sys.nz[ti]
+			}
+		}
+		before := sys.total
+		sys.SetMulti(j, x, sys.Deriv(VarRef{Kind: Multi, Stat: j}))
+		ref.Set(VarRef{Kind: Multi, Stat: j}, x)
+		what := fmt.Sprintf("trial %d δ[%d] %v → %v", trial, j, old, x)
+		if math.Float64bits(sys.total) != math.Float64bits(ref.total) || !slices.Equal(sys.zeros, ref.zeros) {
+			t.Fatalf("%s: total %v, Set %v", what, sys.total, ref.total)
+		}
+		sameBits(t, what+" nz", sys.nz, ref.nz)
+		if ratio {
+			if want := before + (x-old)*(sum/of); math.Float64bits(sys.total) != math.Float64bits(want) {
+				t.Fatalf("%s: total %v, the ratio path's sum gives %v", what, sys.total, want)
+			}
+		}
+		if x != old {
+			paths[ratio]++
+		}
+	}
+	if paths[true] == 0 || paths[false] == 0 {
+		t.Fatalf("ratio path %d times, swap path %d times; want both", paths[true], paths[false])
 	}
 }

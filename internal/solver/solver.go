@@ -20,13 +20,15 @@
 // closed-form updates in order while carrying P forward as
 // P += (α' − α)·∂P/∂α — exactly the Gauss–Seidel semantics of the
 // one-at-a-time sweep, since P is linear in each variable — and writes the
-// column back with one SetOneDColumn: two passes over the terms per
-// attribute, where a per-variable step paid about one per value. A
-// multi-dimensional statistic's derivative does depend on the δ variables
-// it shares a term with, so it keeps its single-variable step. The
-// statistics of one pair in a stats.Set share no term and could form one
-// block, but that block would do the same work as their single steps: one
-// Deriv and one SetMulti each.
+// column back with one SetOneDColumn, whose pass over the terms also builds
+// the column the following attribute block reads: a sweep makes one pass
+// over the terms per attribute block plus the first block's read, where a
+// per-variable step paid about one per value. A multi-dimensional
+// statistic's derivative does depend on the δ variables it shares a term
+// with, so it keeps its single-variable step: one Deriv, whose value SetMulti
+// reuses to move P. The statistics of one pair in a stats.Set share no term
+// and could form one block, but that block would do the same work as their
+// single steps.
 //
 // A sweep pays for its updates only. The violations of the first block
 // under the state a sweep ends in are exact, so their maximum bounds the
@@ -221,7 +223,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 	free := freeAttrs(sys.Poly(), constraints, opts.N)
 	for a, vals := range free {
 		if vals != nil {
-			sys.SetOneDColumn(a, vals)
+			sys.SetOneDColumn(a, vals, -1)
 		}
 	}
 
@@ -258,7 +260,7 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 			if b.attr < 0 {
 				c := b.cs[0]
 				if next, ok := update(sys.Get(c.Var), pd, sys.Total(), c.Target, opts.N); ok {
-					sys.Set(c.Var, next)
+					sys.SetMulti(c.Var.Stat, next, pd)
 				}
 				continue
 			}
@@ -277,7 +279,12 @@ func Solve(sys *polynomial.System, constraints []Constraint, opts Options) (Repo
 					vals[v] = next
 				}
 			}
-			sys.SetOneDColumn(b.attr, vals)
+			// The write also builds the column the following block reads.
+			next := -1
+			if i+1 < len(blocks) {
+				next = blocks[i+1].attr
+			}
+			sys.SetOneDColumn(b.attr, vals, next)
 		}
 		// The first block's violations under the state the sweep ended in
 		// bound the maximum from below, and their read is the one the next

@@ -177,7 +177,7 @@ func Match(tb testing.TB, what string, comp *polynomial.Compressed, cs []solver.
 				vals[c.Var.Value] = c.Target / opts.N
 			}
 		}
-		want.SetOneDColumn(a, vals)
+		want.SetOneDColumn(a, vals, -1)
 	}
 	opts.Progress = nil
 	oracle := Solve(want, cs, opts)

@@ -139,3 +139,55 @@ func TestCollectWithoutPairsIsNewSet(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectSameOnAnyWorkers checks that the stages after the scan, which
+// split their tables and their chosen pairs across workers, leave the same
+// statistics on any number of them: under GOMAXPROCS 2 and 4, Collect's 1D
+// families, multi-dimensional statistics with their counts, and chosen pairs
+// with their χ² and V are bit-equal to its own under GOMAXPROCS 1, for every
+// heuristic and pair budgets that choose one pair and several.
+func TestCollectSameOnAnyWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for trial := 0; trial < 4; trial++ {
+		rel := skewedRelation(rng, 4000)
+		for _, h := range []Heuristic{LargeSingleCell, ZeroSingleCell, Composite} {
+			for _, budget := range [][2]int{{1, 6}, {rel.NumAttrs(), 24}} {
+				var ref *Set
+				var refChosen []PairCorrelation
+				for _, procs := range []int{1, 2, 4} {
+					runtime.GOMAXPROCS(procs)
+					set, chosen, err := Collect(rel, budget[0], budget[1], h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref == nil {
+						ref, refChosen = set, chosen
+						continue
+					}
+					name := fmt.Sprintf("trial %d %v B_a=%d GOMAXPROCS=%d", trial, h, budget[0], procs)
+					for a, col := range set.OneD {
+						for v, x := range col {
+							if math.Float64bits(x) != math.Float64bits(ref.OneD[a][v]) {
+								t.Fatalf("%s: OneD[%d][%d] = %v, one worker %v", name, a, v, x, ref.OneD[a][v])
+							}
+						}
+					}
+					if !reflect.DeepEqual(set.Multi, ref.Multi) {
+						t.Fatalf("%s: statistics %v, one worker %v", name, set.Multi, ref.Multi)
+					}
+					if len(chosen) != len(refChosen) {
+						t.Fatalf("%s: %d chosen pairs, one worker %d", name, len(chosen), len(refChosen))
+					}
+					for i, pc := range chosen {
+						w := refChosen[i]
+						if pc.A1 != w.A1 || pc.A2 != w.A2 ||
+							math.Float64bits(pc.Chi2) != math.Float64bits(w.Chi2) || math.Float64bits(pc.V) != math.Float64bits(w.V) {
+							t.Fatalf("%s: chosen pair %d is %+v, one worker %+v", name, i, pc, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,10 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -69,14 +72,15 @@ type PairCorrelation struct {
 }
 
 // rankPairs scores each pair of pairs by the chi-squared statistic and
-// Cramér's V of its joint table, tables[i] for pairs[i], and sorts the
-// scores from most to least correlated: by V, with χ² as a tie-breaker.
+// Cramér's V of its joint table, tables[i] for pairs[i], the tables split
+// across workers, and sorts the scores from most to least correlated: by V,
+// with χ² as a tie-breaker.
 func rankPairs(rel *relation.Relation, pairs [][2]int, tables [][][]int) []PairCorrelation {
 	out := make([]PairCorrelation, len(pairs))
-	for i, p := range pairs {
-		chi := chiSquared(tables[i])
+	each(len(pairs), func(i int) {
+		p, chi := pairs[i], chiSquared(tables[i])
 		out[i] = PairCorrelation{A1: p[0], A2: p[1], Chi2: chi, V: cramersV(rel, p[0], p[1], chi)}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].V != out[j].V {
 			return out[i].V > out[j].V
@@ -115,4 +119,23 @@ func SelectPairs(ranked []PairCorrelation, budget int) []PairCorrelation {
 		covered[pc.A2] = true
 	}
 	return chosen
+}
+
+// each calls f(i) once for every i in [0, n) on min(GOMAXPROCS, n) workers,
+// each claiming the next item none has claimed, and returns when every call
+// has. f(i) must write only what item i owns, so what the calls leave does
+// not depend on the number of workers.
+func each(n int, f func(i int)) {
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(claimed.Add(1)) - 1; i < n; i = int(claimed.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

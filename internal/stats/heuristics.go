@@ -136,12 +136,18 @@ func collect(rel *relation.Relation, set *Set, pairBudget, perPairBudget int, h 
 		}
 	}
 	chosen := SelectPairs(rankPairs(rel, pairs, tables), pairBudget)
-	for _, pc := range chosen {
-		sts, err := pairStatistics(pc.A1, pc.A2, tables[slices.Index(pairs, [2]int{pc.A1, pc.A2})], perPairBudget, h)
-		if err != nil {
-			return nil, err
+	// The chosen pairs are bucketed across workers; the set takes their
+	// statistics in chosen order.
+	sts, errs := make([][]Statistic, len(chosen)), make([]error, len(chosen))
+	each(len(chosen), func(k int) {
+		pc := chosen[k]
+		sts[k], errs[k] = pairStatistics(pc.A1, pc.A2, tables[slices.Index(pairs, [2]int{pc.A1, pc.A2})], perPairBudget, h)
+	})
+	for k := range chosen {
+		if errs[k] != nil {
+			return nil, errs[k]
 		}
-		if err := set.AddMulti(sts...); err != nil {
+		if err := set.AddMulti(sts[k]...); err != nil {
 			return nil, err
 		}
 	}

@@ -177,7 +177,7 @@ func TestRestoreEquivalenceFlightsShape(t *testing.T) {
 			}
 		}
 		for j, x := range delta {
-			sys.SetMulti(j, x)
+			sys.Set(polynomial.VarRef{Kind: polynomial.Multi, Stat: j}, x)
 		}
 		sys.Recompute()
 		sys.Eval(nil)
