@@ -184,7 +184,7 @@ func TestNewCompressedRefusesWideSchemas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("64 attributes: %v", err)
 	}
-	if got := comp.attrBits[1]; got != 1|1<<63 {
+	if got := comp.attrSets[comp.termSet[1]]; got != 1|1<<63 {
 		t.Fatalf("the statistic's term has attribute mask %#x, want bits 0 and 63", got)
 	}
 	if _, err := NewCompressed(sizes, specs); err == nil || !strings.Contains(err.Error(), "65 attributes, more than the 64") {

@@ -272,13 +272,13 @@ func TestFlightsShapeEnumeration(t *testing.T) {
 	if rep.CompressedFactors != factors || rep.Terms != comp.NumTerms() {
 		t.Fatalf("Size() = %+v, direct count gives %d factors over %d terms", rep, factors, comp.NumTerms())
 	}
-	if got := bits.OnesCount64(comp.attrBits[comp.NumTerms()-1]); got != 3 {
+	if got := bits.OnesCount64(comp.attrSets[comp.termSet[comp.NumTerms()-1]]); got != 3 {
 		t.Fatalf("a cross-pair couple constrains %d attributes, want 3", got)
 	}
 }
 
 // termAt reassembles term i from what a built Compressed keeps of it — the
-// statistic set, the attribute bitmask and the flat range table the
+// statistic set, the attribute set and the flat range table the
 // evaluators read — and checks that the table holds the full domain exactly
 // where the term does not constrain an attribute.
 func termAt(t *testing.T, c *Compressed, i int) term {
@@ -286,7 +286,7 @@ func termAt(t *testing.T, c *Compressed, i int) term {
 	tm := term{stats: c.stats[i]}
 	for a, n := range c.sizes {
 		r := c.rangeAt(i*len(c.sizes) + a)
-		if c.attrBits[i]&(1<<uint(a)) != 0 {
+		if c.attrSets[c.termSet[i]]&(1<<uint(a)) != 0 {
 			tm.attrs = append(tm.attrs, a)
 			tm.ranges = append(tm.ranges, r)
 		} else if r != fullRange(n) {

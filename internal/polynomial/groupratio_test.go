@@ -60,12 +60,11 @@ func (o *termFactors) setOneD(a, v int, x float64) {
 	if dx == 0 {
 		return
 	}
-	m := len(o.sys.alpha)
-	for _, ti := range o.sys.poly.touch[a][v] {
-		o.fac[int(ti)*m+a] += dx
-	}
-	for _, ti := range o.sys.poly.loose[a] {
-		o.fac[int(ti)*m+a] += dx
+	m, p := len(o.sys.alpha), o.sys.poly
+	for i, g := range p.termGroup[a] {
+		if gr := p.groups[a][g]; int(gr.lo) <= v && v <= int(gr.hi) {
+			o.fac[i*m+a] += dx
+		}
 	}
 	o.wrote()
 }
@@ -286,9 +285,8 @@ func kernelBranches(sys *System, pred *query.Predicate) map[string]int {
 		out["void"]++
 		return out
 	}
-	sys.groupRatios(sc, -1)
 	m := len(sys.alpha)
-	for _, ti := range sys.candidates(sc, -1) {
+	for _, ti := range sys.groupRatios(sc, -1) {
 		i := int(ti)
 		if sys.zeros[i] != 0 {
 			if sc.exact {

@@ -3,6 +3,7 @@ package polynomial
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -271,11 +272,14 @@ func TestFirstMaskedReadsConcurrent(t *testing.T) {
 }
 
 // TestCandidateInvariant checks the candidate lists against a brute-force
-// scan of the terms: for random masks the enumerated candidates hold no
-// duplicate, hold every term the mask reaches whose masked value is
-// non-zero, and number at most the terms the mask reaches; per attribute the
-// two list lengths add up to the number of constraining terms whose range
-// overlaps the hull, which is at most |{t : a ∈ I(t)}| = |starts[a]|.
+// scan of the terms: for random masks, with and without a differentiated
+// attribute left out of the mask's set S', the candidates hold no duplicate
+// and are exactly the terms with I ∩ S' ≠ ∅ whose range overlaps the mask's
+// hull on the lowest attribute of I ∩ S' — so they hold every term whose
+// ranges overlap every hull of I ∩ S', and every term the mask reaches whose
+// masked value is non-zero. Per attribute, the runs of the groups that
+// overlap the hull and whose set constrains the attribute hold exactly the
+// constraining terms whose range overlaps the hull.
 func TestCandidateInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(233))
 	check := func(what string, sys *System, pred *query.Predicate) {
@@ -284,53 +288,73 @@ func TestCandidateInvariant(t *testing.T) {
 			return
 		}
 		p := sys.Poly()
+		m := p.NumAttrs()
 		sc := sys.getScratch(pred)
 		defer sys.putScratch(sc)
 		if sc.void {
 			return
 		}
-		var sMask uint64
+		overlaps := func(i, a int) bool {
+			r := p.rangeAt(i*m + a)
+			return r.Lo <= sc.hi[a] && r.Hi >= sc.lo[a]
+		}
 		for _, a := range sc.attrs {
-			sMask |= 1 << uint(a)
-			overlapping, constraining := 0, 0
+			bit := uint64(1) << uint(a)
+			overlapping, listed := 0, 0
 			for i := 0; i < p.NumTerms(); i++ {
-				if p.attrBits[i]&(1<<uint(a)) == 0 {
-					continue
-				}
-				constraining++
-				if r := p.rangeAt(i*p.NumAttrs() + a); r.Lo <= sc.hi[a] && r.Hi >= sc.lo[a] {
+				if p.attrSets[p.termSet[i]]&bit != 0 && overlaps(i, a) {
 					overlapping++
 				}
 			}
-			// The two lists candidates enumerates for the attribute.
-			got := len(p.touch[a][sc.lo[a]]) + int(p.startOff[a][sc.hi[a]+1]-p.startOff[a][sc.lo[a]+1])
-			if got != overlapping || got > len(p.starts[a]) || len(p.starts[a]) != constraining {
-				t.Fatalf("%s pred %v attr %d: candidate lists hold %d terms, %d terms overlap the hull, %d of %d listed terms constrain it",
-					what, pred, a, got, overlapping, len(p.starts[a]), constraining)
+			for g, gr := range p.groups[a] {
+				if p.attrSets[gr.set]&bit != 0 && int(gr.lo) <= sc.hi[a] && int(gr.hi) >= sc.lo[a] {
+					listed += len(p.run(a, g))
+				}
+			}
+			if listed != overlapping {
+				t.Fatalf("%s pred %v attr %d: the overlapping groups' runs hold %d terms, %d constraining terms overlap the hull", what, pred, a, listed, overlapping)
 			}
 		}
-		listed := map[int32]bool{}
-		for _, ti := range sys.candidates(sc, -1) {
-			if listed[ti] {
-				t.Fatalf("%s pred %v: term %d is listed twice", what, pred, ti)
+		for _, skip := range []int{-1, sc.attrs[rng.Intn(len(sc.attrs))]} {
+			var sMask uint64
+			for _, a := range sc.attrs {
+				if a != skip {
+					sMask |= 1 << uint(a)
+				}
 			}
-			listed[ti] = true
-			if p.attrBits[ti]&sMask == 0 {
-				t.Fatalf("%s pred %v: term %d is listed but constrains no masked attribute", what, pred, ti)
+			want := map[int32]bool{}
+			for i := 0; i < p.NumTerms(); i++ {
+				reached := p.attrSets[p.termSet[i]] & sMask
+				if reached == 0 {
+					continue
+				}
+				if overlaps(i, bits.TrailingZeros64(reached)) {
+					want[int32(i)] = true
+				}
+				every := true
+				for x := reached; x != 0; x &= x - 1 {
+					every = every && overlaps(i, bits.TrailingZeros64(x))
+				}
+				if every && !want[int32(i)] {
+					t.Fatalf("%s pred %v skip %d: term %d overlaps every hull but not its lowest", what, pred, skip, i)
+				}
+				if skip < 0 && sys.evalTerm(i, sc.cons) != 0 && !want[int32(i)] {
+					t.Fatalf("%s pred %v: term %d survives the mask but overlaps no hull", what, pred, i)
+				}
 			}
-		}
-		reached := 0
-		for i := 0; i < p.NumTerms(); i++ {
-			if p.attrBits[i]&sMask == 0 {
-				continue
+			listed := map[int32]bool{}
+			for _, ti := range sys.groupRatios(sc, skip) {
+				if listed[ti] {
+					t.Fatalf("%s pred %v skip %d: term %d is listed twice", what, pred, skip, ti)
+				}
+				listed[ti] = true
+				if !want[ti] {
+					t.Fatalf("%s pred %v skip %d: term %d is listed but does not overlap the hull of its lowest masked attribute", what, pred, skip, ti)
+				}
 			}
-			reached++
-			if sys.evalTerm(i, sc.cons) != 0 && !listed[int32(i)] {
-				t.Fatalf("%s pred %v: term %d survives the mask but is not a candidate", what, pred, i)
+			if len(listed) != len(want) {
+				t.Fatalf("%s pred %v skip %d: %d candidates, the brute force finds %d", what, pred, skip, len(listed), len(want))
 			}
-		}
-		if len(listed) > reached {
-			t.Fatalf("%s pred %v: %d candidates, the mask reaches only %d terms", what, pred, len(listed), reached)
 		}
 	}
 	flights := flightsShapedSystem(t, rng)

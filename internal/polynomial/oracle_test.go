@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/query"
 )
@@ -121,28 +122,18 @@ func (t term) extend(j int, spec MultiStatSpec) term {
 
 // oracleCompressed is the structure NewCompressed built before it wrote its
 // tables directly, kept as their oracle: it derives the flat range table and
-// the inverted variable→term indexes from enumerated terms, and keeps of the
-// terms themselves only their statistic sets. Every list is sized by a
-// counting pass and carved out of one slab per index, in term order.
+// the term indexes from enumerated terms, and keeps of the terms themselves
+// only their statistic sets. The range groups and their runs come from their
+// definition: on each attribute, the terms of one (attribute set, range)
+// pair, the pairs of the sets that do not constrain the attribute first, then
+// by the value the range begins at, then by first member.
 func oracleCompressed(sizes []int, specs []MultiStatSpec, terms []term) *Compressed {
 	c := &Compressed{sizes: sizes, specs: specs}
 	m := len(c.sizes)
 	c.stats = make([][]int, len(terms))
 	c.ranges = make([]span, len(terms)*m)
-	c.attrBits = make([]uint64, len(terms))
 	c.termSet = make([]int32, len(terms))
-
-	// Pass 1: the range table, the attribute sets, and the list lengths.
-	// covers[a][v] first holds the difference of the number of ranges on a
-	// covering v and v−1, so a term costs O(|I|) here instead of O(Σ|ρ|).
-	covers := make([][]int32, m)
-	begins := make([][]int32, m)
-	for a, n := range c.sizes {
-		covers[a] = make([]int32, n+1)
-		begins[a] = make([]int32, n+1)
-	}
-	constraining := make([]int, m)
-	perStat := make([]int, len(c.specs))
+	c.statTerms = make([][]int32, len(c.specs))
 	setIndex := map[uint64]int32{}
 	for i, t := range terms {
 		c.stats[i] = t.stats
@@ -154,14 +145,10 @@ func oracleCompressed(sizes []int, specs []MultiStatSpec, terms []term) *Compres
 		for k, a := range t.attrs {
 			r := t.ranges[k]
 			c.ranges[row+a] = span{int32(r.Lo), int32(r.Hi)}
-			covers[a][r.Lo]++
-			covers[a][r.Hi+1]--
-			begins[a][r.Lo]++
-			constraining[a]++
 			bits |= 1 << uint(a)
 		}
 		for _, j := range t.stats {
-			perStat[j]++
+			c.statTerms[j] = append(c.statTerms[j], int32(i))
 		}
 		k, ok := setIndex[bits]
 		if !ok {
@@ -169,76 +156,46 @@ func oracleCompressed(sizes []int, specs []MultiStatSpec, terms []term) *Compres
 			setIndex[bits] = k
 			c.attrSets = append(c.attrSets, bits)
 		}
-		c.attrBits[i], c.termSet[i] = bits, k
+		c.termSet[i] = k
+	}
+	for j := range c.statTerms {
+		if c.statTerms[j] == nil {
+			c.statTerms[j] = []int32{}
+		}
 	}
 
-	// Carve the lists. touch[a][v], loose[a] and statTerms[j] start empty
-	// with exactly the counted capacity; starts[a] is filled through one
-	// cursor per begin value, which starts at startOff.
-	nTouch, nCon := 0, 0
+	c.termGroup = make([][]int32, m)
+	c.groups = make([][]rangeGroup, m)
+	c.members = make([][]int32, m)
 	for a := range c.sizes {
-		run := int32(0)
-		for v := range covers[a] {
-			run += covers[a][v]
-			covers[a][v] = run
-			nTouch += int(run)
+		type key struct {
+			set int32
+			r   span
 		}
-		nCon += constraining[a]
-	}
-	touchSlab := make([]int32, nTouch)
-	startSlab := make([]int32, nCon)
-	looseSlab := make([]int32, len(terms)*m-nCon)
-	c.touch = make([][][]int32, m)
-	c.loose = make([][]int32, m)
-	c.starts = make([][]int32, m)
-	c.startOff = begins
-	cursor := make([][]int32, m)
-	for a, n := range c.sizes {
-		c.touch[a] = make([][]int32, n)
-		for v := range c.touch[a] {
-			k := int(covers[a][v])
-			c.touch[a][v], touchSlab = touchSlab[:0:k], touchSlab[k:]
-		}
-		c.starts[a], startSlab = startSlab[:constraining[a]], startSlab[constraining[a]:]
-		k := len(terms) - constraining[a]
-		c.loose[a], looseSlab = looseSlab[:0:k], looseSlab[k:]
-		off := int32(0)
-		for v, k := range begins[a] {
-			begins[a][v] = off
-			off += k
-		}
-		cursor[a] = slices.Clone(begins[a])
-	}
-	nStat := 0
-	for _, k := range perStat {
-		nStat += k
-	}
-	statSlab := make([]int32, nStat)
-	c.statTerms = make([][]int32, len(c.specs))
-	for j, k := range perStat {
-		c.statTerms[j], statSlab = statSlab[:0:k], statSlab[k:]
-	}
-
-	// Pass 2: fill, in term order.
-	for i := range terms {
-		row := i * m
-		t := terms[i]
-		k := 0
-		for a := range c.sizes {
-			if k == len(t.attrs) || t.attrs[k] != a {
-				c.loose[a] = append(c.loose[a], int32(i))
-				continue
+		var keys []key // in order of first member
+		byKey := map[key][]int32{}
+		for i := range terms {
+			k := key{c.termSet[i], c.ranges[i*m+a]}
+			if byKey[k] == nil {
+				keys = append(keys, k)
 			}
-			k++
-			r := c.ranges[row+a]
-			for v := r.lo; v <= r.hi; v++ {
-				c.touch[a][v] = append(c.touch[a][v], int32(i))
-			}
-			c.starts[a][cursor[a][r.lo]] = int32(i)
-			cursor[a][r.lo]++
+			byKey[k] = append(byKey[k], int32(i))
 		}
-		for _, j := range t.stats {
-			c.statTerms[j] = append(c.statTerms[j], int32(i))
+		order := func(k key) int {
+			if c.attrSets[k.set]&(1<<uint(a)) == 0 {
+				return -1
+			}
+			return int(k.r.lo)
+		}
+		slices.SortStableFunc(keys, func(x, y key) int { return order(x) - order(y) })
+		c.termGroup[a] = make([]int32, len(terms))
+		c.members[a] = []int32{}
+		for g, k := range keys {
+			c.groups[a] = append(c.groups[a], rangeGroup{span: k.r, set: k.set, first: int32(len(c.members[a]))})
+			for _, i := range byKey[k] {
+				c.termGroup[a][i] = int32(g)
+			}
+			c.members[a] = append(c.members[a], byKey[k]...)
 		}
 	}
 	return c
@@ -246,7 +203,7 @@ func oracleCompressed(sizes []int, specs []MultiStatSpec, terms []term) *Compres
 
 // checkMatchesOracle holds a built Compressed to the oracle's structure for
 // the same specs, field by field: statistic sets, range table, attribute
-// masks and sets, and every inverted index.
+// sets, the statistics' terms, and the range groups with their runs.
 func checkMatchesOracle(t *testing.T, what string, got, want *Compressed) {
 	t.Helper()
 	for _, f := range []struct {
@@ -256,14 +213,12 @@ func checkMatchesOracle(t *testing.T, what string, got, want *Compressed) {
 		{"sizes", got.sizes, want.sizes},
 		{"stats", got.stats, want.stats},
 		{"ranges", got.ranges, want.ranges},
-		{"attrBits", got.attrBits, want.attrBits},
 		{"attrSets", got.attrSets, want.attrSets},
 		{"termSet", got.termSet, want.termSet},
-		{"touch", got.touch, want.touch},
-		{"loose", got.loose, want.loose},
-		{"starts", got.starts, want.starts},
-		{"startOff", got.startOff, want.startOff},
 		{"statTerms", got.statTerms, want.statTerms},
+		{"groups", got.groups, want.groups},
+		{"termGroup", got.termGroup, want.termGroup},
+		{"members", got.members, want.members},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Fatalf("%s: %s differs from the oracle's", what, f.name)
@@ -277,30 +232,36 @@ func checkMatchesOracle(t *testing.T, what string, got, want *Compressed) {
 // every group has a member; the groups ascend by the value
 // their range begins at; two groups never share both;
 // and a set that does not constrain the attribute is one group over the
-// whole domain.
+// whole domain. Each group's run lists exactly its members, ascending; the
+// runs tile the attribute's members list in group order; and the attributes
+// no term constrains share one list.
 func checkRangeGroups(t *testing.T, what string, c *Compressed) {
 	t.Helper()
 	m := len(c.sizes)
+	var shared []int32
 	for a, n := range c.sizes {
 		type key struct {
 			set int32
 			r   span
 		}
 		seen := map[key]int32{}
-		members := make([]int, len(c.groups[a]))
+		members := make([][]int32, len(c.groups[a]))
+		constrained := false
 		for i, g := range c.termGroup[a] {
 			gr := c.groups[a][g]
 			if gr.set != c.termSet[i] || gr.span != c.ranges[i*m+a] {
 				t.Fatalf("%s: attribute %d term %d (set %d, range %v) is in group %d (set %d, range %v)", what, a, i, c.termSet[i], c.ranges[i*m+a], g, gr.set, gr.span)
 			}
-			members[g]++
+			members[g] = append(members[g], int32(i))
 			seen[key{gr.set, gr.span}] = g
+			constrained = constrained || c.attrSets[c.termSet[i]]&(1<<uint(a)) != 0
 		}
+		tiled := 0
 		for g, gr := range c.groups[a] {
 			if g > 0 && gr.lo < c.groups[a][g-1].lo {
 				t.Fatalf("%s: attribute %d group %d begins at %d, before group %d at %d", what, a, g, gr.lo, g-1, c.groups[a][g-1].lo)
 			}
-			if members[g] == 0 {
+			if len(members[g]) == 0 {
 				t.Fatalf("%s: attribute %d group %d has no member", what, a, g)
 			}
 			if seen[key{gr.set, gr.span}] != int32(g) {
@@ -308,6 +269,27 @@ func checkRangeGroups(t *testing.T, what string, c *Compressed) {
 			}
 			if c.attrSets[gr.set]&(1<<uint(a)) == 0 && gr.span != (span{0, int32(n - 1)}) {
 				t.Fatalf("%s: attribute %d group %d of a set not constraining it has range %v", what, a, g, gr.span)
+			}
+			if run := c.run(a, g); !slices.Equal(run, members[g]) {
+				t.Fatalf("%s: attribute %d group %d runs %v, its members are %v", what, a, g, run, members[g])
+			}
+			if int(gr.first) != tiled {
+				t.Fatalf("%s: attribute %d group %d's run begins at %d, the runs before it end at %d", what, a, g, gr.first, tiled)
+			}
+			tiled += len(members[g])
+		}
+		if tiled != len(c.members[a]) {
+			t.Fatalf("%s: attribute %d's runs end at %d of %d members", what, a, tiled, len(c.members[a]))
+		}
+		if constrained != c.constrains(a) {
+			t.Fatalf("%s: attribute %d reports constrained %t, its terms say %t", what, a, c.constrains(a), constrained)
+		}
+		if !constrained {
+			if shared == nil {
+				shared = c.members[a]
+			}
+			if unsafe.SliceData(c.members[a]) != unsafe.SliceData(shared) {
+				t.Fatalf("%s: attribute %d constrains no term but has a members list of its own", what, a)
 			}
 		}
 	}

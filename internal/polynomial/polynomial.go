@@ -108,10 +108,10 @@ type span struct{ lo, hi int32 }
 
 // Compressed is the factorized polynomial structure. It depends only on the
 // domain sizes and the multi-dimensional statistic specifications, not on
-// the variable values. Alongside the terms it keeps the inverted indexes
-// the incremental System maintenance and the masked reads are built on: for
-// every α variable the terms whose effective range covers it or begins at
-// it, and for every δ variable the terms whose statistic set contains it.
+// the variable values. Alongside the terms it keeps the two indexes the
+// incremental System maintenance and the masked reads are built on: for every
+// attribute the range groups, each with the run of its member terms, and for
+// every δ variable the terms whose statistic set contains it.
 type Compressed struct {
 	sizes []int
 	specs []MultiStatSpec
@@ -123,61 +123,66 @@ type Compressed struct {
 	// term does not constrain a — so every per-attribute factor of every term
 	// is one indexed read, in attribute order a = 0..m−1.
 	ranges []span
-	// touch[a][v] lists the indexes of the terms whose effective range
-	// ρ_iS on attribute a contains value v, and loose[a] the terms that do
-	// not constrain attribute a at all (their factor is the full-domain
-	// sum, touched by every value). Together they are exactly the terms
-	// whose value changes when α_{a,v} changes, and the terms ∂P/∂α_{a,v}
-	// sums over; sharing one loose list per attribute keeps the index
-	// O(Σ_terms Σ_a |ρ_iS|) instead of O(terms · Σ_a N_a).
-	touch [][][]int32
-	loose [][]int32
-	// starts[a] lists the terms that constrain attribute a ordered by the
-	// value their range on a begins at (then by term index), and
-	// startOff[a][v] is the position of the first one beginning at or after
-	// v (len N_a+1). The terms constraining a whose range overlaps [lo, hi]
-	// are exactly touch[a][lo] ∪ starts[a][startOff[a][lo+1]:startOff[a][hi+1]],
-	// a disjoint union never longer than starts[a]: the candidate list of a
-	// mask on a with hull [lo, hi].
-	starts   [][]int32
-	startOff [][]int32
 	// statTerms[j] lists the indexes of the terms whose statistic set S
 	// contains j — the terms carrying a (δ_j − 1) factor.
 	statTerms [][]int32
-	// attrBits[i] is the bitmask of term i's attribute set I (bit a set
-	// iff the term constrains a). It makes the membership test against a
-	// constrained attribute set and the lowest-constrained-attribute dedup of
-	// the candidate lists O(1).
-	attrBits []uint64
-	// attrSets are the distinct values of attrBits in order of first
-	// appearance and termSet[i] is the position of term i's set in it. The
-	// terms of one set react to a mask the same way — all of them rescale or
-	// all of them are candidates — which is what lets a solved System answer
-	// the rescaled part from one partial sum per set.
+	// attrSets are the distinct attribute sets I of the terms, as bitmasks
+	// (bit a set iff the set constrains a) in order of first appearance, and
+	// termSet[i] is the position of term i's set in it. The terms of one set
+	// react to a mask the same way — all of them rescale or all of them are
+	// candidates — which is what lets a solved System answer the rescaled part
+	// from one partial sum per set.
 	attrSets []uint64
 	termSet  []int32
 	// termGroup[a][i] is term i's range group on attribute a, and
 	// groups[a][g] describes group g: the terms of one attribute set whose
 	// effective range on a is the same. The groups ascend by the value their
-	// range begins at. The terms of a group share their a-factor, so a
-	// System caches it once per group (System.gf), a column read of a sums
-	// the group's all-but-a products once and spreads that sum over the
-	// group's range once, and a column write computes the group's new factor
-	// once. A set that does not constrain a is one group with the full
-	// domain.
+	// range begins at: first one per set that does not constrain a, over the
+	// full domain, then the constrained ones. The terms of a group share their
+	// a-factor, so a System caches it once per group (System.gf), a column
+	// read of a sums the group's all-but-a products once and spreads that sum
+	// over the group's range once, and a column write computes the group's
+	// new factor once.
+	//
+	// members[a] lists every term once, by group and ascending within a
+	// group: group g's run (Compressed.run) begins at groups[a][g].first. The
+	// terms whose range on a holds value v are the runs of the groups whose
+	// range holds v — the terms α_{a,v} moves — and the terms of a mask's
+	// candidate list on a are runs too. An attribute no term constrains has
+	// one group per set, numbered like the sets, so its termGroup is termSet
+	// itself and its members are one list all such attributes share; the
+	// others' are carved from one slab each.
 	termGroup [][]int32
 	groups    [][]rangeGroup
+	members   [][]int32
 }
 
 // rangeGroup is one range group of an attribute: its attribute set (an
-// index into attrSets) and its effective range on the attribute.
+// index into attrSets), its effective range on the attribute, and where its
+// run of member terms begins in the attribute's members list.
 type rangeGroup struct {
 	span
-	set int32
+	set, first int32
+}
+
+// run returns the member terms of range group g of attribute a, ascending.
+func (c *Compressed) run(a, g int) []int32 {
+	gs, end := c.groups[a], len(c.members[a])
+	if g+1 < len(gs) {
+		end = int(gs[g+1].first)
+	}
+	return c.members[a][gs[g].first:end]
+}
+
+// constrains reports whether some term constrains attribute a. The groups of
+// the sets that do not constrain it come first, so the last group tells.
+func (c *Compressed) constrains(a int) bool {
+	gs := c.groups[a]
+	return c.attrSets[gs[len(gs)-1].set]&(1<<uint(a)) != 0
 }
 
 // maxAttrs is the widest schema a polynomial covers: a term's attribute set
-// is one uint64 mask (Compressed.attrBits). schema.New refuses wider
+// is one uint64 mask (Compressed.attrSets). schema.New refuses wider
 // schemas up front.
 const maxAttrs = 64
 
@@ -286,7 +291,7 @@ func (c *Compressed) compatibility() []uint64 {
 }
 
 // enumerate writes the terms straight into the flat tables: the statistic
-// sets, the range table, the attribute masks and the attribute sets. It
+// sets, the range table and the attribute sets. It
 // goes level by level (|S| = 0, 1, 2, ...), extending each term of a level
 // only with statistics j > max(S). Compatibility is hereditary — every
 // subset of a compatible set is compatible — so each set S is produced
@@ -300,7 +305,7 @@ func (c *Compressed) compatibility() []uint64 {
 // ascending j (every statistic for the base term).
 //
 // The new term's range-table row is its parent's row intersected with
-// statistic j's ranges, its attribute mask is its parent's OR j's, and its
+// statistic j's ranges, its attribute set is its parent's OR j's, and its
 // statistic set is its parent's followed by j, written to one slab in which
 // every set of a level has the same length. The next level's size is
 // counted as its terms are written — the candidates of S ∪ {j} are those
@@ -318,7 +323,6 @@ func (c *Compressed) enumerate(later []uint64) {
 	for a, size := range c.sizes {
 		c.ranges[a] = span{0, int32(size - 1)}
 	}
-	c.attrBits = []uint64{0}
 	c.termSet = []int32{0}
 	c.attrSets = []uint64{0}
 	setIndex := map[uint64]int32{0: 0}
@@ -327,9 +331,8 @@ func (c *Compressed) enumerate(later []uint64) {
 	// Level k is the terms [lo, hi) = [levels[k], levels[k+1]); their sets
 	// are slab[first:] in order.
 	levels := []int{0, 1}
-	for lo, hi, k, first, next := 0, 1, 0, 0, n; lo < hi; lo, hi, k = hi, len(c.attrBits), k+1 {
+	for lo, hi, k, first, next := 0, 1, 0, 0, n; lo < hi; lo, hi, k = hi, len(c.termSet), k+1 {
 		c.ranges = slices.Grow(c.ranges, next*m)
-		c.attrBits = slices.Grow(c.attrBits, next)
 		c.termSet = slices.Grow(c.termSet, next)
 		slab = slices.Grow(slab, next*(k+1))
 		next = 0
@@ -362,14 +365,13 @@ func (c *Compressed) enumerate(later []uint64) {
 						r, s := spec.Ranges[q], &c.ranges[row+a]
 						s.lo, s.hi = max(s.lo, int32(r.Lo)), min(s.hi, int32(r.Hi))
 					}
-					b := c.attrBits[i] | specBits[j]
+					b := c.attrSets[c.termSet[i]] | specBits[j]
 					t, seen := setIndex[b]
 					if !seen {
 						t = int32(len(c.attrSets))
 						setIndex[b] = t
 						c.attrSets = append(c.attrSets, b)
 					}
-					c.attrBits = append(c.attrBits, b)
 					c.termSet = append(c.termSet, t)
 					slab = append(append(slab, set...), j)
 					for v, y := range later[j*words+w : (j+1)*words] {
@@ -378,10 +380,10 @@ func (c *Compressed) enumerate(later []uint64) {
 				}
 			}
 		}
-		levels = append(levels, len(c.attrBits))
+		levels = append(levels, len(c.termSet))
 	}
 	// The base term's set stays nil; level k's sets are k long.
-	c.stats = make([][]int, len(c.attrBits))
+	c.stats = make([][]int, len(c.termSet))
 	for k := 1; k+1 < len(levels); k++ {
 		for i := levels[k]; i < levels[k+1]; i++ {
 			c.stats[i], slab = slab[:k:k], slab[k:]
@@ -389,100 +391,25 @@ func (c *Compressed) enumerate(later []uint64) {
 	}
 }
 
-// index derives the inverted variable→term indexes from the range table,
-// the attribute masks and the statistic sets. Every list is sized by a
-// counting pass and carved out of one slab per index, in term order.
+// index derives the term indexes from the range table, the attribute sets
+// and the statistic sets: statTerms, carved out of one slab in term order,
+// then the range groups with their runs.
 func (c *Compressed) index() {
-	m, terms := len(c.sizes), len(c.stats)
-
-	// Pass 1: the list lengths. covers[a][v] first holds the difference of
-	// the number of ranges on a covering v and v−1, so a term costs O(|I|)
-	// here instead of O(Σ|ρ|).
-	covers := make([][]int32, m)
-	begins := make([][]int32, m)
-	for a, n := range c.sizes {
-		covers[a] = make([]int32, n+1)
-		begins[a] = make([]int32, n+1)
-	}
-	constraining := make([]int, m)
 	perStat := make([]int, len(c.specs))
-	for i, b := range c.attrBits {
-		row := c.ranges[i*m : (i+1)*m]
-		for x := b; x != 0; x &= x - 1 {
-			a := bits.TrailingZeros64(x)
-			r := row[a]
-			covers[a][r.lo]++
-			covers[a][r.hi+1]--
-			begins[a][r.lo]++
-			constraining[a]++
-		}
-		for _, j := range c.stats[i] {
+	nStat := 0
+	for _, st := range c.stats {
+		for _, j := range st {
 			perStat[j]++
 		}
-	}
-
-	// Carve the lists. touch[a][v], loose[a] and statTerms[j] start empty
-	// with exactly the counted capacity; starts[a] is filled through one
-	// cursor per begin value, which starts at startOff.
-	nTouch, nCon := 0, 0
-	for a := range c.sizes {
-		run := int32(0)
-		for v := range covers[a] {
-			run += covers[a][v]
-			covers[a][v] = run
-			nTouch += int(run)
-		}
-		nCon += constraining[a]
-	}
-	touchSlab := make([]int32, nTouch)
-	startSlab := make([]int32, nCon)
-	looseSlab := make([]int32, terms*m-nCon)
-	c.touch = make([][][]int32, m)
-	c.loose = make([][]int32, m)
-	c.starts = make([][]int32, m)
-	c.startOff = begins
-	cursor := make([][]int32, m)
-	for a, n := range c.sizes {
-		c.touch[a] = make([][]int32, n)
-		for v := range c.touch[a] {
-			k := int(covers[a][v])
-			c.touch[a][v], touchSlab = touchSlab[:0:k], touchSlab[k:]
-		}
-		k := constraining[a]
-		c.starts[a], startSlab = startSlab[:k:k], startSlab[k:]
-		k = terms - constraining[a]
-		c.loose[a], looseSlab = looseSlab[:0:k], looseSlab[k:]
-		off := int32(0)
-		for v, k := range begins[a] {
-			begins[a][v] = off
-			off += k
-		}
-		cursor[a] = slices.Clone(begins[a])
-	}
-	nStat := 0
-	for _, k := range perStat {
-		nStat += k
+		nStat += len(st)
 	}
 	statSlab := make([]int32, nStat)
 	c.statTerms = make([][]int32, len(c.specs))
 	for j, k := range perStat {
 		c.statTerms[j], statSlab = statSlab[:0:k], statSlab[k:]
 	}
-
-	// Pass 2: fill, in term order.
-	for i, b := range c.attrBits {
-		for a, r := range c.ranges[i*m : (i+1)*m] {
-			if b&(1<<uint(a)) == 0 {
-				c.loose[a] = append(c.loose[a], int32(i))
-				continue
-			}
-			for v := r.lo; v <= r.hi; v++ {
-				c.touch[a][v] = append(c.touch[a][v], int32(i))
-			}
-			c.starts[a][cursor[a][r.lo]] = int32(i)
-			cursor[a][r.lo]++
-		}
-		for _, j := range c.stats[i] {
+	for i, st := range c.stats {
+		for _, j := range st {
 			c.statTerms[j] = append(c.statTerms[j], int32(i))
 		}
 	}
@@ -490,79 +417,127 @@ func (c *Compressed) index() {
 }
 
 // rangeGroups numbers the range groups of every attribute
-// (Compressed.groups): first one group per attribute set that does not
-// constrain the attribute, in order of first appearance, then the
-// constrained (set, range) pairs in the order of starts — by the value the
-// range begins at, then by first term. Within one begin value, a group is
-// found by the end of its range and then its set, from a chain of the
-// groups ending there, so no term costs more than the sets that share its
-// range. An attribute no term constrains has one group per set, numbered
-// like the sets, so its term→group table is termSet itself; the others'
-// are carved from one slab.
+// (Compressed.groups) and lists their members: first one group per
+// attribute set that does not constrain the attribute, in order of first
+// appearance, then the constrained (set, range) pairs in the order of a
+// counting sort of the constraining terms by the value their range begins at
+// — by that value, then by first term. Within one begin value, a group is
+// found by the end of its range and then its set, from a chain of the groups
+// ending there, so no term costs more than the sets that share its range.
+// Then a counting sort of the terms by group lays out the runs. An attribute
+// no term constrains has one group per set, numbered like the sets, so its
+// term→group table is termSet itself and its members the one shared list;
+// the others' tables and lists are carved from one slab each.
 func (c *Compressed) rangeGroups() {
 	m, terms := len(c.sizes), len(c.stats)
-	constrained := 0
-	for a := range c.sizes {
-		if len(c.starts[a]) > 0 {
-			constrained++
-		}
+	var union uint64
+	for _, b := range c.attrSets {
+		union |= b
 	}
-	slab := make([]int32, terms*constrained)
+	constrained := bits.OnesCount64(union)
+	lists := constrained
+	if constrained < m {
+		lists++ // the list the unconstrained attributes share
+	}
+	tgSlab := make([]int32, terms*constrained)
+	memSlab := make([]int32, terms*lists)
 	c.termGroup = make([][]int32, m)
 	c.groups = make([][]rangeGroup, m)
+	c.members = make([][]int32, m)
 	loose := make([]int32, len(c.attrSets))
 	// For an end value hi: seenAt[hi] is 1 + the begin value whose terms last
 	// ended there, and head[hi] the last group so found; chain[g] is the
 	// group found there before g.
 	seenAt := make([]int32, slices.Max(c.sizes))
 	head := make([]int32, len(seenAt))
+	off := make([]int32, len(seenAt)+1)
+	byBegin := make([]int32, terms)
 	var all []rangeGroup
-	var chain []int32
+	var chain, cursor, shared []int32
 	ends := make([]int, m)
 	for a, n := range c.sizes {
-		first, tg, own := len(all), c.termSet, len(c.starts[a]) > 0
+		bit := uint64(1) << uint(a)
+		base, tg, own := len(all), c.termSet, union&bit != 0
 		if own {
-			tg, slab = slab[:terms:terms], slab[terms:]
+			tg, tgSlab = tgSlab[:terms:terms], tgSlab[terms:]
 		}
 		c.termGroup[a] = tg
 		for k := range loose {
 			loose[k] = -1
 		}
 		chain = chain[:0]
-		for _, t := range c.loose[a] {
-			set := c.termSet[t]
+		clear(off[:n+1])
+		for t, set := range c.termSet {
+			if c.attrSets[set]&bit != 0 {
+				off[c.ranges[t*m+a].lo+1]++
+				continue
+			}
 			if loose[set] < 0 {
-				loose[set] = int32(len(all) - first)
-				all = append(all, rangeGroup{span{0, int32(n - 1)}, set})
+				loose[set] = int32(len(all) - base)
+				all = append(all, rangeGroup{span: span{0, int32(n - 1)}, set: set})
 				chain = append(chain, -1)
 			}
 			if own {
 				tg[t] = loose[set]
 			}
 		}
-		clear(seenAt)
-		for lo := range n {
-			for _, t := range c.starts[a][c.startOff[a][lo]:c.startOff[a][lo+1]] {
+		if own {
+			for v := range n {
+				off[v+1] += off[v]
+			}
+			for t, set := range c.termSet {
+				if c.attrSets[set]&bit != 0 {
+					lo := c.ranges[t*m+a].lo
+					byBegin[off[lo]] = int32(t)
+					off[lo]++
+				}
+			}
+			clear(seenAt)
+			for _, t := range byBegin[:off[n-1]] {
 				set, r := c.termSet[t], c.ranges[int(t)*m+a]
 				g := int32(-1)
-				if seenAt[r.hi] == int32(lo+1) {
+				if seenAt[r.hi] == r.lo+1 {
 					for h := head[r.hi]; h >= 0 && g < 0; h = chain[h] {
-						if all[first+int(h)].set == set {
+						if all[base+int(h)].set == set {
 							g = h
 						}
 					}
 				} else {
-					seenAt[r.hi], head[r.hi] = int32(lo+1), -1
+					seenAt[r.hi], head[r.hi] = r.lo+1, -1
 				}
 				if g < 0 {
-					g = int32(len(all) - first)
-					all = append(all, rangeGroup{r, set})
+					g = int32(len(all) - base)
+					all = append(all, rangeGroup{span: r, set: set})
 					chain = append(chain, head[r.hi])
 					head[r.hi] = g
 				}
 				tg[t] = g
 			}
 		}
+		// The runs: each group's first position, then its members in term order.
+		gs := all[base:]
+		cursor = slices.Grow(cursor[:0], len(gs))[:len(gs)]
+		clear(cursor)
+		for _, g := range tg {
+			cursor[g]++
+		}
+		pos := int32(0)
+		for g := range gs {
+			gs[g].first, pos = pos, pos+cursor[g]
+			cursor[g] = gs[g].first
+		}
+		mem := shared
+		if own || shared == nil {
+			mem, memSlab = memSlab[:terms:terms], memSlab[terms:]
+			for t, g := range tg {
+				mem[cursor[g]] = int32(t)
+				cursor[g]++
+			}
+			if !own {
+				shared = mem
+			}
+		}
+		c.members[a] = mem
 		ends[a] = len(all)
 	}
 	start := 0

@@ -125,23 +125,23 @@ func digest(sizes []int, specs []MultiStatSpec) uint64 {
 // range and index tables. Every System over it shares this.
 func (c *Compressed) HeapBytes() int64 {
 	n := SliceBytes(c.sizes) + SliceBytes(c.specs) + SliceBytes(c.stats) + SliceBytes(c.ranges) +
-		SliceBytes(c.touch) + SliceBytes(c.loose) + SliceBytes(c.starts) + SliceBytes(c.startOff) +
-		SliceBytes(c.statTerms) + SliceBytes(c.attrBits) + SliceBytes(c.attrSets) + SliceBytes(c.termSet) +
-		SliceBytes(c.termGroup) + SliceBytes(c.groups)
+		SliceBytes(c.statTerms) + SliceBytes(c.attrSets) + SliceBytes(c.termSet) +
+		SliceBytes(c.termGroup) + SliceBytes(c.groups) + SliceBytes(c.members)
 	for _, s := range c.specs {
 		n += SliceBytes(s.Attrs) + SliceBytes(s.Ranges)
 	}
 	for _, st := range c.stats {
 		n += SliceBytes(st)
 	}
-	for a := range c.touch {
-		n += SliceBytes(c.touch[a])
-		for _, l := range c.touch[a] {
-			n += SliceBytes(l)
-		}
-		n += SliceBytes(c.loose[a]) + SliceBytes(c.starts[a]) + SliceBytes(c.startOff[a]) + SliceBytes(c.groups[a])
-		if len(c.starts[a]) > 0 { // otherwise termGroup[a] is termSet
-			n += SliceBytes(c.termGroup[a])
+	shared := false // the members list the unconstrained attributes share
+	for a := range c.groups {
+		n += SliceBytes(c.groups[a])
+		switch {
+		case c.constrains(a): // otherwise termGroup[a] is termSet
+			n += SliceBytes(c.termGroup[a]) + SliceBytes(c.members[a])
+		case !shared:
+			n += SliceBytes(c.members[a])
+			shared = true
 		}
 	}
 	for _, l := range c.statTerms {

@@ -24,11 +24,12 @@ const rebuildEvery = 1 << 13
 // range group (Compressed.groups), whose members share it, and per term the
 // product of its range-sum and (δ_j − 1) statistic factors, together with
 // the running total P. A single-variable update touches only the terms whose
-// effective range covers the variable (Compressed.touch /
-// Compressed.statTerms), so after a SetVar the full polynomial value
-// Eval(nil) and the unmasked derivatives Deriv(·) are available in O(terms
-// touching the variable) instead of a full re-evaluation — the property the
-// solver's inner loop is built on.
+// effective range covers the variable — the runs of the groups whose range
+// holds it, or the statistic's Compressed.statTerms — so after a SetOneD or
+// SetMulti the full polynomial value Eval(nil) and the unmasked derivatives
+// Deriv(·) are available in O(terms touching the variable) instead of a full
+// re-evaluation. The solver's sweep writes whole attribute columns instead
+// (SetOneDColumn), one ratio per range group.
 //
 // A System is not safe for concurrent mutation; concurrent read-only use
 // (Eval/Deriv with no SetVar in between) is safe.
@@ -141,8 +142,8 @@ type evalScratch struct {
 	// gm[a] is the mask on attribute a seen by its range groups, and kern
 	// the group masks of the current pass's constrained attributes, in
 	// ascending order: what maskedTerm reads. exact records that some ratio
-	// of the pass is not finite. All three are set by groupRatios; the
-	// backing arrays persist in the pool across calls.
+	// of the pass is not finite. All three are set by groupRatios, with cand;
+	// the backing arrays persist in the pool across calls.
 	gm    []groupMask
 	kern  []groupMask
 	exact bool
@@ -222,7 +223,9 @@ func (s *System) OneD(attr, value int) float64 { return s.alpha[attr][value] }
 func (s *System) MultiVar(stat int) float64 { return s.delta[stat] }
 
 // SetOneD assigns α_{attr,value}, incrementally maintaining the cached
-// term factors and the polynomial total.
+// term factors and the polynomial total: the terms it moves are the runs of
+// the range groups whose range holds the value, each group's factor shifted
+// once and its members' products with it.
 func (s *System) SetOneD(attr, value int, x float64) {
 	dx := x - s.alpha[attr][value]
 	if dx == 0 {
@@ -231,16 +234,15 @@ func (s *System) SetOneD(attr, value int, x float64) {
 	s.alpha[attr][value] = x
 	s.dirty[attr] = true
 	s.dropSums()
-	gf, tg := s.gf[attr], s.poly.termGroup[attr]
-	for _, ti := range s.poly.touch[attr][value] {
-		s.shiftFactor(int(ti), gf[tg[ti]], dx)
-	}
-	for _, ti := range s.poly.loose[attr] {
-		s.shiftFactor(int(ti), gf[tg[ti]], dx)
-	}
-	// The members of the groups whose range holds the value are those terms.
+	gf := s.gf[attr]
 	for g, gr := range s.poly.groups[attr] {
-		if int(gr.lo) <= value && value <= int(gr.hi) {
+		if int(gr.lo) > value {
+			break // the groups ascend by the value their range begins at
+		}
+		if value <= int(gr.hi) {
+			for _, ti := range s.poly.run(attr, g) {
+				s.shiftFactor(int(ti), gf[g], dx)
+			}
 			gf[g] += dx
 		}
 	}
@@ -837,9 +839,8 @@ func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 		}
 	}
 	total *= scale
-	s.groupRatios(sc, -1)
 	nz, zeros := s.nz, s.zeros
-	for _, ti := range s.candidates(sc, -1) {
+	for _, ti := range s.groupRatios(sc, -1) {
 		total += sc.maskedTerm(int(ti), nz[ti], zeros[ti])
 	}
 	return total, true
@@ -885,65 +886,34 @@ func (s *System) partials() *partialSums {
 	return publish(&s.sums, ps)
 }
 
-// candidates collects into the scratch the terms that can survive the mask
-// on the constrained attributes other than skip (pass -1 for none): for each
-// such attribute a, in ascending order, the terms constraining a whose range
-// overlaps the hull of its mask — those covering the hull's low end plus
-// those beginning inside it — that constrain no lower attribute of the
-// set, where they were already listed or ruled out. The result has no
-// duplicate, holds every term of I ∩ S ≠ ∅ whose masked value is non-zero,
-// and is at most Σ_a |starts[a]| long. The mask must not be void.
-func (s *System) candidates(sc *evalScratch, skip int) []int32 {
+// groupRatios prepares a masked pass and returns its candidates. For each
+// constrained attribute a other than skip (the differentiated attribute; -1
+// for none), in ascending order, and each range group g of a, it computes the
+// group's masked factor M_a(ρ_g) off the mask's prefix column and, where that
+// is not zero, the ratio r_a[g] = M_a(ρ_g)/F_g to the group's cached factor
+// (0 where M_a(ρ_g) is), into sc.kern: the per-term kernel (maskedTerm). The
+// cost is one clipped difference and at most one division per group that
+// begins before the mask's hull ends, and a clear of the rest. sc.exact
+// records whether some ratio is not finite — F_g = 0 with M_a(ρ_g) ≠ 0, which
+// needs negative α, or an overflow — and so whether maskedTerm must look for
+// the terms that need the exact swap.
+//
+// The same pass collects into sc.cand the terms that can survive the mask:
+// the runs of the groups whose range overlaps the mask's hull and whose
+// attribute set constrains a but no lower attribute of the mask, where its
+// terms were already listed or ruled out — one set test per group. The
+// candidates hold no duplicate, every term of I ∩ S ≠ ∅ whose masked value
+// is non-zero, and at most one run per term. The mask must not be void.
+func (s *System) groupRatios(sc *evalScratch, skip int) []int32 {
 	p := s.poly
+	sc.kern, sc.exact = sc.kern[:0], false
 	cand := sc.cand[:0]
 	var seen uint64
 	for _, a := range sc.attrs {
 		if a == skip {
 			continue
 		}
-		lo, hi := sc.lo[a], sc.hi[a]
-		if seen == 0 {
-			// The first attribute: no lower one listed or ruled out a term.
-			cand = append(cand, p.touch[a][lo]...)
-			cand = append(cand, p.starts[a][p.startOff[a][lo+1]:p.startOff[a][hi+1]]...)
-			seen = 1 << uint(a)
-			continue
-		}
-		for _, ti := range p.touch[a][lo] {
-			if p.attrBits[ti]&seen == 0 {
-				cand = append(cand, ti)
-			}
-		}
-		for _, ti := range p.starts[a][p.startOff[a][lo+1]:p.startOff[a][hi+1]] {
-			if p.attrBits[ti]&seen == 0 {
-				cand = append(cand, ti)
-			}
-		}
-		seen |= 1 << uint(a)
-	}
-	sc.cand = cand
-	return cand
-}
-
-// groupRatios prepares the per-term kernel of a masked pass: for each
-// constrained attribute a other than skip (the differentiated attribute; -1
-// for none), in ascending order, and each range group g of a, the group's
-// masked factor M_a(ρ_g) off the mask's prefix column and, where that is not
-// zero, the ratio r_a[g] = M_a(ρ_g)/F_g to the group's cached factor (0
-// where M_a(ρ_g) is), into sc.kern. The cost is one
-// clipped difference and at most one division per group that begins before
-// the mask's hull ends, and a clear of the rest. sc.exact records whether
-// some ratio is not finite — F_g = 0 with M_a(ρ_g) ≠ 0, which needs negative
-// α, or an overflow — and so whether maskedTerm must look for the terms that
-// need the exact swap.
-func (s *System) groupRatios(sc *evalScratch, skip int) {
-	p := s.poly
-	sc.kern, sc.exact = sc.kern[:0], false
-	for _, a := range sc.attrs {
-		if a == skip {
-			continue
-		}
-		groups, g := p.groups[a], sc.gm[a]
+		groups, g, bit := p.groups[a], sc.gm[a], uint64(1)<<uint(a)
 		n := len(groups)
 		if cap(g.r) < n {
 			g.m, g.r = make([]float64, n), make([]float64, n)
@@ -955,6 +925,10 @@ func (s *System) groupRatios(sc *evalScratch, skip int) {
 		end := sort.Search(n, func(k int) bool { return int(groups[k].lo) > sc.hi[a] })
 		clear(g.m[end:])
 		clear(g.r[end:])
+		// The runs of consecutive groups are adjacent in members: from:to is
+		// the stretch of them collected and not yet appended.
+		members, from, to := p.members[a], int32(0), int32(0)
+		lo := int32(sc.lo[a])
 		for k, gr := range groups[:end] {
 			mk, r := sc.masked(a, int(gr.lo), int(gr.hi)), 0.0
 			if mk != 0 {
@@ -962,10 +936,24 @@ func (s *System) groupRatios(sc *evalScratch, skip int) {
 				sc.exact = sc.exact || !isFinite(r)
 			}
 			g.m[k], g.r[k] = mk, r
+			if b := p.attrSets[gr.set]; gr.hi >= lo && b&bit != 0 && b&seen == 0 {
+				if gr.first != to {
+					cand = append(cand, members[from:to]...)
+					from = gr.first
+				}
+				to = int32(len(members))
+				if k+1 < n {
+					to = groups[k+1].first
+				}
+			}
 		}
+		cand = append(cand, members[from:to]...)
+		seen |= bit
 		sc.gm[a] = g
 		sc.kern = append(sc.kern, g)
 	}
+	sc.cand = cand
+	return cand
 }
 
 // maskedTerm is the per-term kernel of every masked read: the masked value
@@ -1041,8 +1029,10 @@ func (s *System) evalTerm(i int, cons []query.Constraint) float64 {
 // Deriv computes the partial derivative of the polynomial with respect to
 // the referenced variable. Because P is multi-linear, the derivative is the
 // sum over terms of the product of all other factors, which the cached term
-// factors answer in O(terms touching the variable). The masked derivative
-// has one reader, the group-by column: see DerivColumn.
+// factors answer in O(terms touching the variable). The solver reads the δ
+// derivative; the 1D one is read by Set's callers and the per-variable
+// reference solver, since the solver reads whole columns (DerivColumn, which
+// is also the masked derivative's one reader).
 func (s *System) Deriv(ref VarRef) float64 {
 	switch ref.Kind {
 	case OneD:
@@ -1068,17 +1058,21 @@ func (s *System) exceptFactor(i int, f float64) float64 {
 }
 
 // derivOneDCached computes ∂P/∂α_{attr,value} from the cached factors: the
-// touch and loose indexes together list exactly the terms whose effective
-// range contains the value, and the derivative removes the term's attr
-// factor.
+// runs of the range groups whose range holds the value list exactly the
+// terms whose effective range contains it, and the derivative removes each
+// term's attr factor, its group's.
 func (s *System) derivOneDCached(attr, value int) float64 {
 	total := 0.0
-	gf, tg := s.gf[attr], s.poly.termGroup[attr]
-	for _, ti := range s.poly.touch[attr][value] {
-		total += s.exceptFactor(int(ti), gf[tg[ti]])
-	}
-	for _, ti := range s.poly.loose[attr] {
-		total += s.exceptFactor(int(ti), gf[tg[ti]])
+	gf := s.gf[attr]
+	for g, gr := range s.poly.groups[attr] {
+		if int(gr.lo) > value {
+			break // the groups ascend by the value their range begins at
+		}
+		if value <= int(gr.hi) {
+			for _, ti := range s.poly.run(attr, g) {
+				total += s.exceptFactor(int(ti), gf[g])
+			}
+		}
 	}
 	return total
 }
@@ -1200,11 +1194,10 @@ func (s *System) DerivColumn(attr int, pred *query.Predicate, out []float64) {
 	everywhere := 0.0
 	aBit := uint64(1) << uint(attr)
 	gf, tg, groups := s.gf[attr], p.termGroup[attr], p.groups[attr]
-	s.groupRatios(sc, attr)
-	for _, ti := range s.candidates(sc, attr) {
+	for _, ti := range s.groupRatios(sc, attr) {
 		i, g := int(ti), tg[ti]
 		x := s.maskedExceptAttr(i, gf[g], sc)
-		if p.attrBits[i]&aBit == 0 {
+		if p.attrSets[p.termSet[i]]&aBit == 0 {
 			everywhere += x
 			continue
 		}

@@ -344,10 +344,10 @@ func TestFusedColumnWriteMatchesWriteThenRead(t *testing.T) {
 		if same && b != a {
 			seen["ratio of 1"]++
 		}
-		if len(sys.poly.starts[b]) == 0 && b != a {
+		if !sys.poly.constrains(b) && b != a {
 			seen["b unconstrained"]++
 		}
-		if len(sys.poly.starts[a]) == 0 && b != a {
+		if !sys.poly.constrains(a) && b != a {
 			seen["a unconstrained"]++
 		}
 	}

@@ -71,9 +71,9 @@ type History struct {
 	restores   uint64
 }
 
-// defaultHistoryBytes is the history cache's default budget: about 75
-// versions of the repository benchmark's 10k-term model, which share one
-// ~2 MB structure and hold ~0.8 MB each of their own.
+// defaultHistoryBytes is the history cache's default budget: about 180
+// versions of the repository benchmark's model shape, which share one
+// ~1.5 MB structure and hold ~365 KB each of their own.
 const defaultHistoryBytes = 64 << 20
 
 // NewHistory builds a history cache over the store. maxBytes bounds the

@@ -281,6 +281,17 @@ func TestOwnHeapBound(t *testing.T) {
 	}
 }
 
+// TestStructureHeapBound holds the polynomial structure a resident model
+// shares with every model of its shape to its budget at the repository
+// benchmark's model shape: with the range groups' member runs as the one term
+// index, it stays under 1,600,000 bytes.
+func TestStructureHeapBound(t *testing.T) {
+	const budget = 1_600_000
+	if got := flightsShapedSummary(t, 300, 0).System().Poly().HeapBytes(); got > budget {
+		t.Errorf("the polynomial structure holds %d bytes, want at most %d", got, budget)
+	}
+}
+
 // BenchmarkEstimateGroupBy measures the group-by path at the repository
 // benchmark's model shape (2 pairs x 300 statistics, ~10k terms): one column
 // pass, one column pass under a filter, and one pass per outer value.
